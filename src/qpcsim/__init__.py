@@ -8,8 +8,6 @@ from .ghz import (
     OracleRegister,
     ProductRegister,
     ghz_from_index,
-    index_of,
-    oracle_sample,
     pair_xor,
     sample_measurement,
     x_expansion,
@@ -24,8 +22,6 @@ __all__ = [
     "OracleRegister",
     "ProductRegister",
     "ghz_from_index",
-    "index_of",
-    "oracle_sample",
     "pair_xor",
     "sample_measurement",
     "x_expansion",

@@ -111,6 +111,10 @@ class AdversaryStrategy:
     def start_run(self) -> RunHandle:
         return _NOOP_HANDLE
 
+    def participants(self) -> Dict[str, Tuple[int, ...]]:
+        """The participant indices each param names, for range checks."""
+        return {}
+
 
 _NOOP_HANDLE = RunHandle()
 NONE = AdversaryStrategy()
@@ -215,6 +219,9 @@ class EveInterceptResend(AdversaryStrategy):
 
     def start_run(self) -> RunHandle:
         return _InterceptHandle(self)
+
+    def participants(self) -> Dict[str, Tuple[int, ...]]:
+        return {"links": self.links, "victim": () if self.victim is None else (self.victim,)}
 
 
 @dataclass
@@ -381,6 +388,9 @@ class ParticipantInfer(AdversaryStrategy):
     def start_run(self) -> RunHandle:
         return _InferHandle(self)
 
+    def participants(self) -> Dict[str, Tuple[int, ...]]:
+        return {"attacker": (self.attacker,), "victim": (self.victim,)}
+
 
 # ---------------------------------------------------------------------------
 # Classical-channel position tampering
@@ -482,6 +492,12 @@ def _require_keys(params: dict, allowed: set, kind: str) -> None:
             raise ConfigError(f"unknown adversary param `{key}` for kind `{kind}`")
 
 
+def _int_param(value: object, name: str, low: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"adversary param `{name}` must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _spec_from(value: object, what: str) -> GhzSpec:
     if isinstance(value, GhzSpec):
         return value
@@ -501,12 +517,15 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
         return NONE
     if kind in (KIND_EVE, KIND_TP2_INTERCEPT):
         _require_keys(params, {"links", "victim"}, kind)
-        links = tuple(int(x) for x in params.get("links", (1,)))
-        if not links:
-            raise ConfigError("adversary param `links` must be nonempty")
+        links = params.get("links", (1,))
+        if not isinstance(links, (list, tuple)) or not links:
+            raise ConfigError("adversary param `links` must be a nonempty list of participants")
         victim = params.get("victim")
         cls = Tp2Intercept if kind == KIND_TP2_INTERCEPT else EveInterceptResend
-        return cls(links=links, victim=None if victim is None else int(victim))
+        return cls(
+            links=tuple(_int_param(x, "links") for x in links),
+            victim=None if victim is None else _int_param(victim, "victim"),
+        )
     if kind == KIND_TP1_FAKE_STATE:
         _require_keys(params, {"true_state", "claimed"}, kind)
         true_state = params.get("true_state", "zeros")
@@ -524,11 +543,11 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
         return TpFakeResult(announcer=TP2 if kind == KIND_TP2_FAKE_RESULT else TP1, pairs=pairs)
     if kind == KIND_PARTICIPANT_INFER:
         _require_keys(params, {"attacker", "victim", "counterfactual"}, kind)
-        return ParticipantInfer(
-            attacker=int(params.get("attacker", 1)),
-            victim=int(params.get("victim", 2)),
-            counterfactual=bool(params.get("counterfactual", False)),
-        )
+        attacker = _int_param(params.get("attacker", 1), "attacker")
+        victim = _int_param(params.get("victim", 2), "victim")
+        if attacker == victim:
+            raise ConfigError(f"adversary params `attacker` and `victim` must differ, both are {attacker}")
+        return ParticipantInfer(attacker, victim, bool(params.get("counterfactual", False)))
     if kind == KIND_POSITION_TAMPER:
         _require_keys(params, {"count", "policy", "pair"}, kind)
         policy = params.get("policy", POLICY_PAIRED)
@@ -539,5 +558,6 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
             if len(pair) != 2:
                 raise ConfigError("tamper param `pair` must hold exactly two states")
             pair = (_spec_from(pair[0], "pair[0]"), _spec_from(pair[1], "pair[1]"))
-        return ClassicalPositionTamper(count=int(params.get("count", 1)), policy=policy, spec_pair=pair)
+        count = _int_param(params.get("count", 1), "count", low=0)
+        return ClassicalPositionTamper(count=count, policy=policy, spec_pair=pair)
     raise ConfigError(f"unknown adversary kind `{kind}` (expected one of {', '.join(ALL_KINDS)})")

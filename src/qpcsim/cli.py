@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets as _secrets
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, UsageError
-from .harness import run_scenario, run_single, scenario_from_config
+from .harness import run_scenario, run_trial, scenario_from_config
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -30,6 +31,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _jobs(text: str) -> int:
+    """Worker process count: at most one per CPU."""
+    cpus = os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if not 1 <= jobs <= cpus:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{cpus} (the CPU count), got {text!r}")
+    return jobs
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qpcsim", description="Quantum private comparison simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -38,14 +51,14 @@ def build_parser() -> _Parser:
     run.add_argument("--config", required=True, help="path to a scenario config (JSON)")
     run.add_argument("--trials", type=int, help="override the config's trial count")
     run.add_argument("--seed", type=int, help="override the config's seed")
-    run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    run.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes (1..CPU count)")
     run.add_argument("--out", help="write results here instead of stdout")
     run.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
 
     suite = sub.add_parser("suite", help="run a built-in experiment suite")
     suite.add_argument("name", help=f"suite name (available: {', '.join(SUITE_NAMES)})")
     suite.add_argument("--seed", type=int, help=f"suite seed (default {DEFAULT_SEED})")
-    suite.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    suite.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes (1..CPU count)")
     suite.add_argument("--out", help="write the result table here as well")
     suite.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -96,7 +109,7 @@ def cmd_run(args) -> int:
     _effective_seed(doc, args.seed)
     output_doc = doc.get("output") or {}
     scenario = scenario_from_config(doc)
-    stats = run_scenario(scenario, jobs=max(1, args.jobs))
+    stats = run_scenario(scenario, jobs=args.jobs)
     fmt = args.format or output_doc.get("format") or "json"
     if fmt not in ("json", "csv"):
         raise ConfigError(f"field `output.format` must be json or csv, got {fmt!r}")
@@ -107,7 +120,7 @@ def cmd_run(args) -> int:
 
 def cmd_suite(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    result = run_suite(args.name, seed=seed, jobs=max(1, args.jobs))
+    result = run_suite(args.name, seed=seed, jobs=args.jobs)
     print(result.format_table())
     if args.out:
         _write(result.to_json() if args.format == "json" else result.to_csv(), args.out)
@@ -120,7 +133,7 @@ def cmd_transcript(args) -> int:
     scenario = scenario_from_config(doc)
     if scenario.trials != 1:
         raise UsageError(f"transcript requires trials = 1, config has {scenario.trials}")
-    transcript = run_single(scenario, with_events=True)
+    transcript, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
     _write(transcript.to_json(), args.out)
     return EXIT_OK
 

@@ -103,7 +103,7 @@ def ghz_from_index(index: int, n: int) -> GhzSpec:
     """Canonical bijection from a 1-based family index to a state.
 
     With c = index - 1: delta = c mod 2 and the tail bits q[1:] are the
-    big-endian binary digits of c // 2.  Inverse of ``index_of``.
+    big-endian binary digits of c // 2.  Inverse of ``GhzSpec.index``.
     """
     if not 2 <= n <= MAX_PARTICLES:
         raise ValueError(f"particle count must be in 2..{MAX_PARTICLES}, got {n}")
@@ -114,10 +114,6 @@ def ghz_from_index(index: int, n: int) -> GhzSpec:
     tail = c >> 1
     q = (0,) + tuple((tail >> (n - 2 - i)) & 1 for i in range(n - 1))
     return GhzSpec(q, delta)
-
-
-def index_of(spec: GhzSpec) -> int:
-    return spec.index
 
 
 class XTerm(NamedTuple):
@@ -397,19 +393,9 @@ class OracleRegister:
         assert self._signs and len(self._signs) & (len(self._signs) - 1) == 0
 
     def measure(self, positions: Iterable[int], basis: Basis, rng: np.random.Generator) -> Dict[int, int]:
+        # Checked here as well, because a duplicate would vanish into the dict.
         pos = _checked_positions(positions, self.n, self._consumed)
-        if basis == Basis.X:
-            for p in pos:
-                self._hadamard(p)
-        keys = sorted(self._signs)
-        pick = keys[int(rng.integers(0, len(keys)))]
-        out = {p: (pick >> (self.n - p)) & 1 for p in pos}
-        self._project(pos, out)
-        if basis == Basis.X:
-            for p in pos:
-                self._hadamard(p)
-        self._consumed.update(pos)
-        return out
+        return self.measure_mixed(dict.fromkeys(pos, basis), rng)
 
     def measure_mixed(
         self, bases: Dict[int, Basis], rng: np.random.Generator
@@ -455,13 +441,6 @@ class OracleRegister:
         for z, s in self._signs.items():
             vec[z] = s * scale
         return vec
-
-
-def oracle_sample(
-    spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: np.random.Generator
-) -> Dict[int, int]:
-    """One-shot exact-Born measurement of a freshly prepared state."""
-    return OracleRegister(spec).measure(positions, basis, rng)
 
 
 def oracle_outcome_counts(

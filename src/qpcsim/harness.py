@@ -69,32 +69,36 @@ class Scenario:
             return self.decoy_count
         return 2 * self.m if self.protocol == "proposed" else self.m
 
+    def strategy(self) -> adversaries.AdversaryStrategy:
+        """The adversary this scenario names, built from its params."""
+        return adversaries.strategy_from_config(self.adversary.kind, self.adversary.params)
+
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"field `protocol` must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if not isinstance(self.n, int) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ConfigError(f"field `n` must be an integer >= 2, got {self.n!r}")
         if self.n > 20:
             raise ConfigError(f"field `n` must be <= 20, got {self.n}")
         if self.protocol == "zhang_baseline" and self.n != 2:
             raise ConfigError("field `n` must be 2 for the zhang_baseline protocol")
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ConfigError(f"field `m` must be a positive integer, got {self.m!r}")
         if self.check_rounds is not None:
-            if not isinstance(self.check_rounds, int) or self.check_rounds < 0:
+            if not _is_int(self.check_rounds) or self.check_rounds < 0:
                 raise ConfigError(f"field `check_rounds` must be a nonnegative integer, got {self.check_rounds!r}")
             if self.protocol == "proposed" and self.check_rounds > self.m:
                 raise ConfigError(f"field `check_rounds` must be <= m={self.m}, got {self.check_rounds}")
-        if self.decoy_count is not None and (not isinstance(self.decoy_count, int) or self.decoy_count < 0):
+        if self.decoy_count is not None and (not _is_int(self.decoy_count) or self.decoy_count < 0):
             raise ConfigError(f"field `decoy_count` must be a nonnegative integer, got {self.decoy_count!r}")
         if self.variant not in proto.VARIANTS:
             raise ConfigError(f"field `variant` must be one of {proto.VARIANTS}, got {self.variant!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"field `trials` must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"field `seed` must be a nonnegative integer, got {self.seed!r}")
-        if self.decoy_tolerance < 0:
-            raise ConfigError(f"field `decoy_tolerance` must be nonnegative, got {self.decoy_tolerance}")
+        if not _is_int(self.decoy_tolerance) or self.decoy_tolerance < 0:
+            raise ConfigError(f"field `decoy_tolerance` must be a nonnegative integer, got {self.decoy_tolerance!r}")
         if self.secrets.policy not in SECRET_POLICIES:
             raise ConfigError(f"field `secrets.policy` must be one of {SECRET_POLICIES}, got {self.secrets.policy!r}")
         if self.secrets.policy == "explicit":
@@ -108,8 +112,12 @@ class Scenario:
             raise ConfigError("field `secrets.values` is only allowed with policy `explicit`")
         if self.secrets.policy == "forced_unequal" and 2**self.m < self.n:
             raise ConfigError("field `secrets.policy`: forced_unequal needs 2^m >= n distinct vectors")
-        # Constructing the strategy validates kind and params.
-        adversaries.strategy_from_config(self.adversary.kind, self.adversary.params)
+        # Constructing the strategy validates kind and params; the
+        # participants it names must exist in a run of n.
+        for param, indices in self.strategy().participants().items():
+            for p in indices:
+                if not 1 <= p <= self.n:
+                    raise ConfigError(f"adversary param `{param}` must name a participant in 1..{self.n}, got {p}")
 
     def to_config(self) -> dict:
         return {
@@ -127,6 +135,11 @@ class Scenario:
             "announce_r_vectors": self.announce_r_vectors,
             "decoy_tolerance": self.decoy_tolerance,
         }
+
+
+def _is_int(value: object) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _TOP_KEYS = {
@@ -207,7 +220,9 @@ def closed_form(kind: str, l: int) -> float:
     """Published detection-rate formulas.
 
     ``intercept_detection``: 1 - (3/4)^l for l checked decoys against an
-    intercept-resend tap (per decoy: wrong basis 1/2 times visible 1/2).
+    intercept-resend tap (per decoy: wrong basis 1/2 times visible 1/2), and
+    likewise for l random-basis check rounds against an all-|0> preparation
+    (per round: X basis 1/2 times failed parity 1/2).
     ``tamper_detection``: 1 - (1/2)^l for l substituted check positions
     across a two-state preparation pair.
     """
@@ -296,7 +311,7 @@ def _draw_secrets(scenario: Scenario, rng: np.random.Generator) -> List[List[int
     return rows
 
 
-def _extract(t: proto.Transcript) -> Dict[str, int]:
+def _extract(t: proto.Transcript, secrets: List[List[int]]) -> Dict[str, int]:
     c: Dict[str, int] = {"trials": 1}
 
     def bump(key: str, value: int = 1) -> None:
@@ -341,88 +356,50 @@ def _extract(t: proto.Transcript) -> Dict[str, int]:
                 bump("tamper_distinct_runs")
                 if attack.detected:
                     bump("tamper_distinct_runs_detected")
-    return c
-
-
-def _run_one(scenario: Scenario, strategy, trial: int) -> Dict[str, int]:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,)))
-    secrets = _draw_secrets(scenario, rng)
-    if scenario.protocol == "proposed":
-        t = proto.run_proposed(
-            scenario.n,
-            scenario.m,
-            secrets,
-            check_rounds=scenario.effective_check_rounds(),
-            decoy_count=scenario.effective_decoy_count(),
-            variant=scenario.variant,
-            adversary=strategy,
-            rng=rng,
-            announce_r=scenario.announce_r_vectors,
-            decoy_tolerance=scenario.decoy_tolerance,
-            record_events=False,
-        )
-    else:
-        t = proto.run_zhang_baseline(
-            scenario.m,
-            secrets,
-            check_rounds=scenario.effective_check_rounds(),
-            decoy_count=scenario.effective_decoy_count(),
-            adversary=strategy,
-            rng=rng,
-            decoy_tolerance=scenario.decoy_tolerance,
-            record_events=False,
-        )
-    counters = _extract(t)
-    # Exact pairwise identity of the computed result vectors, checked here
-    # where the drawn secrets are in hand.
+    # Exact pairwise identity of the computed result vectors, checked
+    # against the drawn secrets.
     if not t.aborted and t.r_values:
         source = proto.TP1 if proto.TP1 in t.r_values else proto.TP
         for (i, j), r in t.r_values[source].items():
-            expected = tuple(a ^ b for a, b in zip(secrets[i - 1], secrets[j - 1]))
-            counters["pairs_r_checked"] = counters.get("pairs_r_checked", 0) + 1
-            if tuple(r) == expected:
-                counters["pairs_r_exact"] = counters.get("pairs_r_exact", 0) + 1
-    return counters
+            bump("pairs_r_checked")
+            if tuple(r) == tuple(a ^ b for a, b in zip(secrets[i - 1], secrets[j - 1])):
+                bump("pairs_r_exact")
+    return c
 
 
-def run_single(scenario: Scenario, with_events: bool = True) -> proto.Transcript:
-    """Run exactly one trial with full event recording (for inspection)."""
-    scenario.validate()
-    strategy = adversaries.strategy_from_config(scenario.adversary.kind, scenario.adversary.params)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(0,)))
+def run_trial(
+    scenario: Scenario, strategy: adversaries.AdversaryStrategy, trial: int, record_events: bool
+) -> Tuple[proto.Transcript, List[List[int]]]:
+    """Run trial number ``trial`` of a scenario; returns its transcript and
+    the secrets drawn for it.
+
+    The trial's random stream is derived from the scenario seed by the trial
+    index alone, so a trial replays identically whatever runs around it.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,)))
     secrets = _draw_secrets(scenario, rng)
-    if scenario.protocol == "proposed":
-        return proto.run_proposed(
-            scenario.n,
-            scenario.m,
-            secrets,
-            check_rounds=scenario.effective_check_rounds(),
-            decoy_count=scenario.effective_decoy_count(),
-            variant=scenario.variant,
-            adversary=strategy,
-            rng=rng,
-            announce_r=scenario.announce_r_vectors,
-            decoy_tolerance=scenario.decoy_tolerance,
-            record_events=with_events,
-        )
-    return proto.run_zhang_baseline(
-        scenario.m,
-        secrets,
+    options = dict(
         check_rounds=scenario.effective_check_rounds(),
         decoy_count=scenario.effective_decoy_count(),
         adversary=strategy,
         rng=rng,
         decoy_tolerance=scenario.decoy_tolerance,
-        record_events=with_events,
+        record_events=record_events,
     )
+    if scenario.protocol == "proposed":
+        t = proto.run_proposed(
+            scenario.n, scenario.m, secrets, variant=scenario.variant, announce_r=scenario.announce_r_vectors, **options
+        )
+    else:
+        t = proto.run_zhang_baseline(scenario.m, secrets, **options)
+    return t, secrets
 
 
 def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
-    strategy = adversaries.strategy_from_config(scenario.adversary.kind, scenario.adversary.params)
+    strategy = scenario.strategy()
     totals: Dict[str, int] = {}
     for trial in range(start, stop):
-        for key, value in _run_one(scenario, strategy, trial).items():
-            totals[key] = totals.get(key, 0) + value
+        _merge(totals, _extract(*run_trial(scenario, strategy, trial, record_events=False)))
     return totals
 
 
@@ -444,11 +421,11 @@ def _targets(scenario: Scenario) -> Dict[str, float]:
         targets["tamper_detection_conditional"] = closed_form("tamper_detection", count)
     elif kind == adversaries.KIND_TP1_FAKE_STATE:
         # All-|0> preparation against an all-|0>-vector claim: an X round
-        # trips with probability 1/2, a Z round never, so c rounds detect
-        # with probability 1 - (3/4)^c.
+        # trips with probability 1/2, a Z round never, so each round of
+        # random basis detects with probability 1/4, as an intercepted decoy.
         params = scenario.adversary.params
         if params.get("true_state", "zeros") == "zeros" and params.get("claimed") is None:
-            targets["detected_step3_rate"] = 1.0 - 0.75**c
+            targets["detected_step3_rate"] = closed_form("intercept_detection", c)
             targets["x_check_fail_rate"] = 0.5
             targets["z_check_fail_rate"] = 0.0
     return targets
@@ -471,6 +448,20 @@ _ROW_DEFS = (
 )
 
 
+def metric_rows(totals: Dict[str, int], targets: Dict[str, float]) -> List[MetricRow]:
+    """Every rate with a nonzero denominator in ``totals``, with its Wilson
+    interval and its target from ``targets``, if any."""
+    rows: List[MetricRow] = []
+    for name, num_key, den_key in _ROW_DEFS:
+        denom = totals.get(den_key, 0)
+        if denom == 0:
+            continue
+        num = totals.get(num_key, 0)
+        lo, hi = wilson_interval(num, denom)
+        rows.append(MetricRow(name, num / denom, lo, hi, targets.get(name), denom))
+    return rows
+
+
 def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     """Run all trials and aggregate.  Same (scenario, seed) => same stats,
     independent of ``jobs``."""
@@ -486,17 +477,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_run_block_star, [(scenario, a, b) for a, b in spans]):
                 _merge(totals, part)
-    targets = _targets(scenario)
-    rows: List[MetricRow] = []
-    for name, num_key, den_key in _ROW_DEFS:
-        denom = totals.get(den_key, 0)
-        if denom == 0:
-            continue
-        num = totals.get(num_key, 0)
-        est = num / denom if denom else 0.0
-        lo, hi = wilson_interval(num, denom)
-        rows.append(MetricRow(name, est, lo, hi, targets.get(name), denom))
-    return TrialStats(scenario.to_config(), totals, rows)
+    return TrialStats(scenario.to_config(), totals, metric_rows(totals, _targets(scenario)))
 
 
 def _run_block_star(args) -> Dict[str, int]:

@@ -57,11 +57,6 @@ class Qubit:
         return bit
 
 
-def measure_decoy(photon: Qubit, basis: Basis, rng: np.random.Generator) -> int:
-    """Projective measurement with re-preparation (see ``Qubit.measure``)."""
-    return photon.measure(basis, rng)
-
-
 def generate_decoys(count: int, rng: np.random.Generator) -> List[DecoyState]:
     """``count`` independent uniform draws from the four decoy states."""
     if count < 0:

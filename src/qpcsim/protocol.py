@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adversaries import NONE, AdversaryStrategy, RunContext
+from .adversaries import NONE, AdversaryStrategy, RunContext, RunHandle
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import CarrierSlot, QuantumChannel, generate_decoys, interleave, public_discussion
 
@@ -237,6 +237,154 @@ def _validate_common(n: int, m: int, secrets: Sequence[Sequence[int]]) -> Tuple[
     return fixed
 
 
+@dataclass(frozen=True)
+class _Roles:
+    """What the shared steps 2-4 do differently in the two protocols."""
+
+    sender: str  # the third party that prepares and distributes the registers
+    check_step: int  # transcript step of the state check; keys are measured in the next one
+    check_verdict: Tuple[str, str]  # actor and kind of the check's verdict event
+    submit_to: Optional[Tuple[str, ...]]  # announcers each participant submits its masked string to
+    log_traffic: bool  # log every quantum send and each check round's bases and outcomes
+
+
+_PROPOSED = _Roles(TP1, 3, (TP2, "check_verdict"), (TP1, TP2), True)
+# The baseline's participants XOR their masked strings together and submit
+# once; its transcript records only the decoy checks and the check verdict.
+_BASELINE = _Roles(TP, 4, ("P1+P2", "state_check"), None, False)
+
+
+def _distribute(
+    t: Transcript,
+    roles: _Roles,
+    run: RunHandle,
+    registers: Sequence[object],
+    n: int,
+    decoy_count: int,
+    decoy_tolerance: int,
+    rng: np.random.Generator,
+) -> Tuple[Dict[int, List[object]], Dict[int, List[int]]]:
+    """Step 2: particle k of every register goes to participant k with fresh
+    decoys mixed in, through the adversary's taps, and each participant's
+    decoys are then checked in public.
+
+    Returns, per participant, the delivered carriers in register order and
+    their slot indices on the link.  Marks the decoy abort if any link fails.
+    """
+    carriers: Dict[int, List[object]] = {}
+    carrier_slots: Dict[int, List[int]] = {}
+    for k in range(1, n + 1):
+        sent = [CarrierSlot(register, p, k) for p, register in enumerate(registers)]
+        decoys = generate_decoys(decoy_count, rng)
+        merged, decoy_positions = interleave(sent, decoys, rng)
+        delivered = QuantumChannel(roles.sender, f"P{k}", run.taps(k)).transmit(merged, rng)
+        carrier_slots[k] = [idx for idx, slot in enumerate(delivered) if not slot.is_decoy]
+        carriers[k] = [delivered[idx] for idx in carrier_slots[k]]
+        if roles.log_traffic:
+            t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(sent), decoys=decoy_count)
+        bases = [d.basis for d in decoys]
+        results = [
+            delivered[pos - 1].measure(bases[idx], rng) for idx, pos in enumerate(decoy_positions)
+        ]
+        report = public_discussion(bases, results, decoys, tolerance=decoy_tolerance)
+        t.decoy_checks.append(
+            {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
+        )
+        t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
+    if not all(check["passed"] for check in t.decoy_checks):
+        t.mark_abort(2, CAUSE_DECOY)
+    return carriers, carrier_slots
+
+
+def _check_rounds(
+    t: Transcript,
+    roles: _Roles,
+    carriers: Dict[int, List[object]],
+    believed: Dict[int, List[int]],
+    rng: np.random.Generator,
+) -> None:
+    """Step 3: in each round every participant measures its particle of one
+    checked register in that round's random basis, and the joint outcomes
+    are tested against the claimed preparations.
+
+    ``believed[k]`` is the check-position list participant k acts on.  P1
+    chose the positions, so ``believed[1]`` is the true list.  Marks the
+    state-check abort on failure.
+    """
+    positions = believed[1]
+    bases = [Basis(int(b)) for b in rng.integers(0, 2, size=len(positions))]
+    if roles.log_traffic:
+        t.add(3, "P2", "check_bases", bases=[int(b) for b in bases])
+    outcomes: List[Dict[int, int]] = []
+    for r, basis in enumerate(bases):
+        outcome = {k: held[believed[k][r]].measure(basis, rng) for k, held in carriers.items()}
+        outcomes.append(outcome)
+        if roles.log_traffic:
+            t.add(3, "all", "check_measurement", round=r, outcome=outcome)
+    report = step3_check([t.claimed_specs[p] for p in positions], bases, outcomes)
+    t.step3 = report
+    t.checked_positions = positions
+    t.add(roles.check_step, *roles.check_verdict, passed=report.passed, failures=list(report.failures))
+    if not report.passed:
+        t.mark_abort(roles.check_step, CAUSE_STATE_CHECK)
+
+
+def _measure_keys(
+    t: Transcript,
+    roles: _Roles,
+    carriers: Dict[int, List[object]],
+    believed: Dict[int, List[int]],
+    secrets: Tuple[Tuple[int, ...], ...],
+    rng: np.random.Generator,
+) -> None:
+    """Step 4: each participant Z-measures the first m registers it believes
+    unchecked into its key string and masks its secret with it.
+
+    The first m truly unchecked registers carry the comparison; with fewer
+    than m checks the surplus is simply never used.  Under tampering a
+    participant's believed positions may disagree with these.
+    """
+    m = t.params["m"]
+    checked = set(t.checked_positions)
+    t.comparison_positions = [p for p in range(len(carriers[1])) if p not in checked][:m]
+    for k, held in carriers.items():
+        skipped = set(believed[k])
+        positions = [p for p in range(len(held)) if p not in skipped][:m]
+        t.keys[k] = tuple(held[p].measure(Basis.Z, rng) for p in positions)
+        t.comps[k] = xor_bits(t.keys[k], secrets[k - 1])
+        t.add(roles.check_step + 1, f"P{k}", "key_measurement", positions=positions)
+        if roles.submit_to:
+            t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.submit_to))
+
+
+def _finalize(
+    t: Transcript,
+    run: RunHandle,
+    secrets: Tuple[Tuple[int, ...], ...],
+    carrier_slots: Dict[int, List[int]],
+    rng: np.random.Generator,
+) -> Transcript:
+    """Hand the adversary its read-only view of the run and record the outcome."""
+    t.attack = run.finalize(
+        RunContext(
+            n=t.params["n"],
+            m=t.params["m"],
+            secrets=secrets,
+            claimed_specs=t.claimed_specs,
+            true_states=t.true_states,
+            # Keys exist only once step 4 ran, which fixes the comparison positions.
+            comparison_positions=tuple(t.comparison_positions) if t.keys else None,
+            keys=t.keys,
+            comps=t.comps,
+            aborted=t.aborted,
+            abort_step=t.abort_step,
+            link_carrier_slots=carrier_slots,
+            rng=rng,
+        )
+    )
+    return t
+
+
 def run_proposed(
     n: int,
     m: int,
@@ -275,102 +423,30 @@ def run_proposed(
     prepared = run.override_preparation(n, total, rng)
     if prepared is None:
         specs = [ghz_from_index(int(i), n) for i in rng.integers(1, 2**n + 1, size=total)]
-        registers: List[object] = [GhzRegister(s) for s in specs]
-        true_states: List[object] = list(specs)
-        claimed = list(specs)
-    else:
-        registers, true_states, claimed = prepared
-    t.true_states = true_states
-    t.claimed_specs = claimed
+        prepared = [GhzRegister(s) for s in specs], list(specs), list(specs)
+    registers, t.true_states, t.claimed_specs = prepared
     t.add(1, TP1, "prepare", registers=total)
 
-    # Step 2: decoy-protected distribution and the public discussion.
-    link_slots: Dict[int, List[object]] = {}
-    link_carrier_slots: Dict[int, List[int]] = {}
-    failed_decoy = False
-    for k in range(1, n + 1):
-        carriers = [CarrierSlot(registers[p], p, k) for p in range(total)]
-        decoys = generate_decoys(l, rng)
-        merged, decoy_positions = interleave(carriers, decoys, rng)
-        channel = QuantumChannel(TP1, f"P{k}", run.taps(k))
-        delivered = channel.transmit(merged, rng)
-        link_slots[k] = delivered
-        link_carrier_slots[k] = [
-            idx for idx, slot in enumerate(delivered) if not slot.is_decoy
-        ]
-        t.add(2, TP1, "quantum_send", to=f"P{k}", carriers=total, decoys=l)
-        bases = [d.basis for d in decoys]
-        results = [
-            delivered[pos - 1].measure(bases[idx], rng) for idx, pos in enumerate(decoy_positions)
-        ]
-        report = public_discussion(bases, results, decoys, tolerance=decoy_tolerance)
-        t.decoy_checks.append(
-            {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
-        )
-        t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
-        if not report.passed:
-            failed_decoy = True
-    if failed_decoy:
-        t.mark_abort(2, CAUSE_DECOY)
-        return _finish(t, run, n, m, secrets, claimed, true_states, None, {}, {}, link_carrier_slots, rng)
-    t.add(2, TP1, "initial_states", to=TP2, count=len(claimed))
+    carriers, carrier_slots = _distribute(t, _PROPOSED, run, registers, n, l, decoy_tolerance, rng)
+    if t.aborted:
+        return _finalize(t, run, secrets, carrier_slots, rng)
+    t.add(2, TP1, "initial_states", to=TP2, count=len(t.claimed_specs))
 
     # Step 3: cooperative correctness check of c randomly chosen registers.
-    check_positions: List[int] = []
-    received_positions: List[int] = []
+    believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
     if c > 0:
-        check_positions = sorted(int(p) for p in rng.choice(total, size=c, replace=False))
-        if variant == VARIANT_BROADCAST:
-            # P1's broadcast to the other participants rides the plain
-            # classical channel and is the only thing a tamperer can touch;
-            # TP2 always gets the true list over its authenticated channel.
-            received_positions = run.tamper_positions(check_positions, total, rng)
-        else:
-            received_positions = list(check_positions)
-        t.add(3, "P1", "check_positions", positions=check_positions, variant=variant)
-        check_bases = [Basis(int(b)) for b in rng.integers(0, 2, size=c)]
-        t.add(3, "P2", "check_bases", bases=[int(b) for b in check_bases])
-        outcomes: List[Dict[int, int]] = []
-        for r in range(c):
-            outcome: Dict[int, int] = {}
-            own = link_slots[1][link_carrier_slots[1][check_positions[r]]]
-            outcome[1] = own.measure(check_bases[r], rng)
-            for k in range(2, n + 1):
-                slot = link_slots[k][link_carrier_slots[k][received_positions[r]]]
-                outcome[k] = slot.measure(check_bases[r], rng)
-            outcomes.append(outcome)
-            t.add(3, "all", "check_measurement", round=r, outcome=outcome)
-        report3 = step3_check([claimed[p] for p in check_positions], check_bases, outcomes)
-        t.step3 = report3
-        t.checked_positions = check_positions
-        t.add(3, TP2, "check_verdict", passed=report3.passed, failures=list(report3.failures))
-        if not report3.passed:
-            t.mark_abort(3, CAUSE_STATE_CHECK)
-            return _finish(t, run, n, m, secrets, claimed, true_states, None, {}, {}, link_carrier_slots, rng)
+        positions = sorted(int(p) for p in rng.choice(total, size=c, replace=False))
+        # P1's broadcast to the other participants rides the plain classical
+        # channel and is the only thing a tamperer can touch; TP2 always gets
+        # the true list over its authenticated channel.
+        received = run.tamper_positions(positions, total, rng) if variant == VARIANT_BROADCAST else positions
+        t.add(3, "P1", "check_positions", positions=positions, variant=variant)
+        believed = {1: positions, **{k: received for k in range(2, n + 1)}}
+        _check_rounds(t, _PROPOSED, carriers, believed, rng)
+        if t.aborted:
+            return _finalize(t, run, secrets, carrier_slots, rng)
 
-    # Step 4: Z-measure retained registers into key strings.  The first m
-    # unchecked registers carry the comparison; with c < m the surplus is
-    # simply never used.  Each participant works from the position list it
-    # believes, which under tampering may disagree with the canonical one.
-    checked_set = set(check_positions)
-    canonical = [p for p in range(total) if p not in checked_set][:m]
-    t.comparison_positions = canonical
-    believed_sets = {1: checked_set}
-    for k in range(2, n + 1):
-        believed_sets[k] = set(received_positions) if c > 0 else set()
-    keys: Dict[int, Tuple[int, ...]] = {}
-    comps: Dict[int, Tuple[int, ...]] = {}
-    for k in range(1, n + 1):
-        believed = [p for p in range(total) if p not in believed_sets[k]][:m]
-        bits = tuple(
-            link_slots[k][link_carrier_slots[k][p]].measure(Basis.Z, rng) for p in believed
-        )
-        keys[k] = bits
-        comps[k] = xor_bits(bits, secrets[k - 1])
-        t.add(4, f"P{k}", "key_measurement", positions=believed)
-        t.add(5, f"P{k}", "comparison_submitted", to=[TP1, TP2])
-    t.keys = keys
-    t.comps = comps
+    _measure_keys(t, _PROPOSED, carriers, believed, secrets, rng)
 
     # Step 6: both third parties compute and announce a verdict per pair.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -379,8 +455,8 @@ def run_proposed(
     for announcer in (TP1, TP2):
         for pair in pairs:
             i, j = pair
-            tvec = tuple(pair_xor(claimed[p], i, j) for p in canonical)
-            r = xor_bits(xor_bits(tvec, comps[i]), comps[j])
+            tvec = tuple(pair_xor(t.claimed_specs[p], i, j) for p in t.comparison_positions)
+            r = xor_bits(xor_bits(tvec, t.comps[i]), t.comps[j])
             verdict = run.flip_verdict(announcer, pair, verdict_for(r))
             announcement = Announcement(announcer, pair, verdict, r if announce_r else None)
             t.announcements[announcer][pair] = announcement
@@ -406,44 +482,10 @@ def run_proposed(
     if conflict:
         t.mark_abort(7, CAUSE_CONFLICT)
         t.arbiter = arbiter_identify(
-            [claimed[p] for p in canonical], comps, t.announcements[TP1], t.announcements[TP2]
+            [t.claimed_specs[p] for p in t.comparison_positions], t.comps, t.announcements[TP1], t.announcements[TP2]
         )
         t.add(7, "Arbiter", "liar_identified", liar=t.arbiter)
-    return _finish(
-        t, run, n, m, secrets, claimed, true_states, tuple(canonical), keys, comps, link_carrier_slots, rng
-    )
-
-
-def _finish(
-    t: Transcript,
-    run,
-    n: int,
-    m: int,
-    secrets,
-    claimed,
-    true_states,
-    comparison_positions,
-    keys,
-    comps,
-    link_carrier_slots,
-    rng,
-) -> Transcript:
-    ctx = RunContext(
-        n=n,
-        m=m,
-        secrets=secrets,
-        claimed_specs=claimed,
-        true_states=true_states,
-        comparison_positions=comparison_positions,
-        keys=keys,
-        comps=comps,
-        aborted=t.aborted,
-        abort_step=t.abort_step,
-        link_carrier_slots=link_carrier_slots,
-        rng=rng,
-    )
-    t.attack = run.finalize(ctx)
-    return t
+    return _finalize(t, run, secrets, carrier_slots, rng)
 
 
 def run_zhang_baseline(
@@ -486,74 +528,30 @@ def run_zhang_baseline(
 
     bell_specs = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
     specs = [bell_specs[int(b)] for b in rng.integers(0, 2, size=total)]
-    registers = [GhzRegister(s) for s in specs]
     t.true_states = list(specs)
     t.claimed_specs = list(specs)
     t.add(1, TP, "prepare", registers=total)
 
-    link_slots: Dict[int, List[object]] = {}
-    link_carrier_slots: Dict[int, List[int]] = {}
-    failed_decoy = False
-    for k in (1, 2):
-        carriers = [CarrierSlot(registers[p], p, k) for p in range(total)]
-        decoys = generate_decoys(l, rng)
-        merged, decoy_positions = interleave(carriers, decoys, rng)
-        channel = QuantumChannel(TP, f"P{k}", run.taps(k))
-        delivered = channel.transmit(merged, rng)
-        link_slots[k] = delivered
-        link_carrier_slots[k] = [idx for idx, slot in enumerate(delivered) if not slot.is_decoy]
-        bases = [d.basis for d in decoys]
-        results = [
-            delivered[pos - 1].measure(bases[idx], rng) for idx, pos in enumerate(decoy_positions)
-        ]
-        report = public_discussion(bases, results, decoys, tolerance=decoy_tolerance)
-        t.decoy_checks.append(
-            {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
-        )
-        t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
-        if not report.passed:
-            failed_decoy = True
-    if failed_decoy:
-        t.mark_abort(2, CAUSE_DECOY)
-        return _finish(t, run, 2, m, secrets, t.claimed_specs, t.true_states, None, {}, {}, link_carrier_slots, rng)
+    registers = [GhzRegister(s) for s in specs]
+    carriers, carrier_slots = _distribute(t, _BASELINE, run, registers, 2, l, decoy_tolerance, rng)
+    if t.aborted:
+        return _finalize(t, run, secrets, carrier_slots, rng)
 
-    # Optional state check; requires the direct authenticated channel the
-    # baseline assumes participants share.
-    check_positions: List[int] = []
+    # Optional state check over the direct authenticated channel the
+    # baseline assumes participants share, so both act on the true positions.
+    believed: Dict[int, List[int]] = {1: [], 2: []}
     if check_rounds > 0:
-        check_positions = sorted(int(p) for p in rng.choice(total, size=check_rounds, replace=False))
-        check_bases = [Basis(int(b)) for b in rng.integers(0, 2, size=check_rounds)]
-        outcomes = []
-        for r, pos in enumerate(check_positions):
-            outcome = {
-                1: link_slots[1][link_carrier_slots[1][pos]].measure(check_bases[r], rng),
-                2: link_slots[2][link_carrier_slots[2][pos]].measure(check_bases[r], rng),
-            }
-            outcomes.append(outcome)
-        report3 = step3_check([specs[p] for p in check_positions], check_bases, outcomes)
-        t.step3 = report3
-        t.checked_positions = check_positions
-        t.add(4, "P1+P2", "state_check", passed=report3.passed, failures=list(report3.failures))
-        if not report3.passed:
-            t.mark_abort(4, CAUSE_STATE_CHECK)
-            return _finish(t, run, 2, m, secrets, t.claimed_specs, t.true_states, None, {}, {}, link_carrier_slots, rng)
+        positions = sorted(int(p) for p in rng.choice(total, size=check_rounds, replace=False))
+        believed = {1: positions, 2: positions}
+        _check_rounds(t, _BASELINE, carriers, believed, rng)
+        if t.aborted:
+            return _finalize(t, run, secrets, carrier_slots, rng)
 
-    checked_set = set(check_positions)
-    comparison = [p for p in range(total) if p not in checked_set][:m]
-    t.comparison_positions = comparison
-    keys: Dict[int, Tuple[int, ...]] = {}
-    comps: Dict[int, Tuple[int, ...]] = {}
-    for k in (1, 2):
-        bits = tuple(link_slots[k][link_carrier_slots[k][p]].measure(Basis.Z, rng) for p in comparison)
-        keys[k] = bits
-        comps[k] = xor_bits(bits, secrets[k - 1])
-        t.add(5, f"P{k}", "key_measurement", positions=comparison)
-    t.keys = keys
-    t.comps = comps
-    combined = xor_bits(comps[1], comps[2])
+    _measure_keys(t, _BASELINE, carriers, believed, secrets, rng)
+    combined = xor_bits(t.comps[1], t.comps[2])
     t.add(6, "P1+P2", "comparison_submitted", to=TP)
 
-    c_t = tuple(pair_xor(specs[p], 1, 2) for p in comparison)
+    c_t = tuple(pair_xor(specs[p], 1, 2) for p in t.comparison_positions)
     r = xor_bits(c_t, combined)
     verdict = run.flip_verdict(TP, (1, 2), verdict_for(r))
     announcement = Announcement(TP, (1, 2), verdict)
@@ -567,6 +565,4 @@ def run_zhang_baseline(
         "accepted": True,
         "ground_truth": IDENTICAL if truth else DIFFERENT,
     }
-    return _finish(
-        t, run, 2, m, secrets, t.claimed_specs, t.true_states, tuple(comparison), keys, comps, link_carrier_slots, rng
-    )
+    return _finalize(t, run, secrets, carrier_slots, rng)

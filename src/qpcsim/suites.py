@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,14 +36,13 @@ from .ghz import (
     OracleRegister,
     all_specs,
     ghz_from_index,
-    index_of,
     oracle_outcome_counts,
     pair_xor,
     sample_measurement,
     sample_outcome_counts,
     x_expansion,
 )
-from .harness import AdversarySpec, Scenario, TrialStats, closed_form, run_scenario
+from .harness import AdversarySpec, Scenario, TrialStats, metric_rows, run_scenario
 from .protocol import VARIANT_TP2_RELAY
 
 DEFAULT_SEED = 1729
@@ -111,21 +113,18 @@ class SuiteResult:
         return "\n".join(lines) + "\n"
 
     def format_table(self, with_durations: bool = True) -> str:
-        lines = []
-        header = f"{'id':<22} {'measured':>12} {'target':>12} {'tolerance':<22} {'result':<6}"
-        if with_durations:
-            header += f" {'secs':>7}"
-        lines.append(header)
-        lines.append("-" * len(header))
+        header = f"{'id':<22} {'measured':>12} {'target':>12} {'tolerance':<22} result"
+        lines = [header, "-" * len(header)]
         for r in self.rows:
             target = "" if r.target is None else f"{r.target:.6f}"
-            line = f"{r.id:<22} {r.measured:>12.6f} {target:>12} {r.tolerance:<22} {'PASS' if r.passed else 'FAIL':<6}"
-            if with_durations:
-                secs = self.durations.get(r.id)
-                line += f" {secs:>7.2f}" if secs is not None else f" {'':>7}"
-            lines.append(line)
+            lines.append(
+                f"{r.id:<22} {r.measured:>12.6f} {target:>12} {r.tolerance:<22} {'PASS' if r.passed else 'FAIL'}"
+            )
             if r.info:
                 lines.append(f"    {r.info}")
+        if with_durations and self.durations:
+            per_criterion = " ".join(f"{crit}={secs:.2f}" for crit, secs in self.durations.items())
+            lines.append(f"wall seconds per criterion: {per_criterion}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -134,314 +133,200 @@ def _three_sigma(target: float, count: int) -> float:
     return 3.0 * math.sqrt(max(target * (1.0 - target), 0.0) / count)
 
 
-def _rate_row(
-    row_id: str, name: str, stats: TrialStats, metric: str, target: float, info: str = ""
-) -> SuiteRow:
-    row = stats.row(metric)
-    bound = _three_sigma(target, row.count)
-    passed = abs(row.estimate - target) <= bound
-    if bound == 0.0:
-        tolerance = "exact"
-        passed = row.estimate == target
-    else:
-        tolerance = f"+-{bound:.6f}"
-    return SuiteRow(row_id, name, row.estimate, target, tolerance, passed, info)
-
-
-def _exact_row(row_id: str, name: str, measured: float, target: float, info: str = "") -> SuiteRow:
-    return SuiteRow(row_id, name, measured, target, "exact", measured == target, info)
-
-
 # ---------------------------------------------------------------------------
-# Criterion batteries
+# Criteria 1-6: a table of scenarios and the rows measured on them
 # ---------------------------------------------------------------------------
 
-
-def _criterion_1(seed: int, jobs: int) -> List[SuiteRow]:
-    """Honest runs: every pairwise result vector equals the XOR of the two
-    secrets and every verdict matches ground truth, with zero tolerance."""
-    rows = []
-    for n in (2, 3, 4, 5):
-        scenario = Scenario(protocol="proposed", n=n, m=16, trials=1000, seed=seed * 1000 + n)
-        stats = run_scenario(scenario, jobs)
-        aborted = stats.counters.get("aborted", 0)
-        r_exact = stats.row("r_exact_rate")
-        verdicts = stats.row("verdict_correct_rate")
-        measured = min(r_exact.estimate, verdicts.estimate, 1.0 if aborted == 0 else 0.0)
-        rows.append(
-            _exact_row(
-                f"1.n{n}",
-                f"honest correctness, n={n}",
-                measured,
-                1.0,
-                f"pairs={r_exact.count} aborts={aborted}",
-            )
-        )
-    return rows
+EXACT = "exact"
+THREE_SIGMA = "3sigma"
 
 
-def _criterion_2(seed: int, jobs: int) -> List[SuiteRow]:
-    """Intercept-resend on one link is caught by the decoy check at
-    1 - (3/4)^l."""
-    rows = []
-    for l in (1, 5, 10, 20):
-        scenario = Scenario(
-            protocol="proposed",
-            n=2,
-            m=2,
-            decoy_count=l,
-            trials=10_000,
-            seed=seed * 1000 + 20 + l,
-            adversary=AdversarySpec(KIND_EVE, {"links": [1]}),
-        )
-        stats = run_scenario(scenario, jobs)
-        rows.append(
-            _rate_row(
-                f"2.l{l}",
-                f"outsider decoy detection, l={l}",
-                stats,
-                "detected_step2_rate",
-                closed_form("intercept_detection", l),
-            )
-        )
-    return rows
+def _tamper(count: int) -> AdversarySpec:
+    return AdversarySpec(KIND_POSITION_TAMPER, {"count": count, "policy": "paired_specs"})
 
 
-def _criterion_3(seed: int, jobs: int) -> List[SuiteRow]:
-    """A verdict flip by either announcer conflicts every time; the same
-    flip against the single-announcer baseline is never detected."""
-    rows = []
-    for kind, label in ((KIND_TP1_FAKE_RESULT, "tp1"), (KIND_TP2_FAKE_RESULT, "tp2")):
-        scenario = Scenario(
-            protocol="proposed",
-            n=3,
-            m=8,
-            trials=1000,
-            seed=seed * 1000 + 50 + (0 if label == "tp1" else 1),
-            adversary=AdversarySpec(kind, {}),
+# Every scenario of criteria 1-6 by key, with its seed offset.  With suite
+# seed s each runs once, at seed 1000*s + offset.
+_SCENARIOS: Dict[str, Tuple[int, Scenario]] = {
+    **{f"honest_n{n}": (n, Scenario(n=n, m=16, trials=1000)) for n in (2, 3, 4, 5)},
+    **{
+        f"eve_l{l}": (
+            20 + l,
+            Scenario(n=2, m=2, decoy_count=l, trials=10_000, adversary=AdversarySpec(KIND_EVE, {"links": [1]})),
         )
-        stats = run_scenario(scenario, jobs)
-        conflicts = stats.counters.get("abort_step7", 0)
-        named = stats.counters.get(f"arbiter_{label}", 0)
-        rows.append(
-            _exact_row(
-                f"3.{label}_flip",
-                f"verdict flip by {label.upper()} conflicts",
-                stats.row("conflict_rate").estimate,
-                1.0,
-                f"arbiter named {label.upper()} in {named}/{conflicts} conflicts",
-            )
+        for l in (1, 5, 10, 20)
+    },
+    "tp1_flip": (50, Scenario(n=3, m=8, trials=1000, adversary=AdversarySpec(KIND_TP1_FAKE_RESULT, {}))),
+    "tp2_flip": (51, Scenario(n=3, m=8, trials=1000, adversary=AdversarySpec(KIND_TP2_FAKE_RESULT, {}))),
+    "baseline_flip": (
+        52,
+        Scenario(protocol="zhang_baseline", n=2, m=8, trials=1000, adversary=AdversarySpec(KIND_TP1_FAKE_RESULT, {})),
+    ),
+    **{
+        f"fake_c{c}": (
+            60 + c,
+            Scenario(
+                n=3, m=c, check_rounds=c, decoy_count=2, trials=10_000, adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {})
+            ),
         )
-    scenario = Scenario(
-        protocol="zhang_baseline",
-        n=2,
-        m=8,
-        trials=1000,
-        seed=seed * 1000 + 52,
-        adversary=AdversarySpec(KIND_TP1_FAKE_RESULT, {}),
-    )
-    stats = run_scenario(scenario, jobs)
-    wrong_accepted = stats.row("verdict_correct_rate").estimate == 0.0
-    rows.append(
-        _exact_row(
-            "3.baseline_flip",
-            "baseline verdict flip undetected",
-            stats.row("abort_rate").estimate,
-            0.0,
-            f"wrong verdict accepted in all completed runs: {wrong_accepted}",
-        )
-    )
-    if not wrong_accepted:
-        rows[-1].passed = False
-    return rows
-
-
-def _criterion_4(seed: int, jobs: int) -> List[SuiteRow]:
-    """An all-|0> preparation passed off as the all-|0>-vector entangled
-    state fails an X check round half the time, so c uniform-basis rounds
-    detect it at 1 - (3/4)^c."""
-    rows = []
-    x_fail = x_total = z_fail = z_total = 0
-    for c in (4, 8, 16):
-        scenario = Scenario(
-            protocol="proposed",
-            n=3,
-            m=max(c, 4),
-            check_rounds=c,
-            decoy_count=2,
-            trials=10_000,
-            seed=seed * 1000 + 60 + c,
-            adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {}),
-        )
-        stats = run_scenario(scenario, jobs)
-        target = 1.0 - 0.75**c
-        rows.append(
-            _rate_row(f"4.c{c}", f"fake preparation detection, c={c}", stats, "detected_step3_rate", target)
-        )
-        x_fail += stats.counters.get("x_check_failures", 0)
-        x_total += stats.counters.get("x_check_rounds", 0)
-        z_fail += stats.counters.get("z_check_failures", 0)
-        z_total += stats.counters.get("z_check_rounds", 0)
-    bound = _three_sigma(0.5, x_total)
-    x_rate = x_fail / x_total
-    rows.append(
-        SuiteRow(
-            "4.x_round",
-            "per-X-round detection of the fake preparation",
-            x_rate,
-            0.5,
-            f"+-{bound:.6f}",
-            abs(x_rate - 0.5) <= bound,
-            f"{x_fail}/{x_total} X rounds failed",
-        )
-    )
-    rows.append(
-        _exact_row(
-            "4.z_round",
-            "Z rounds never expose the fake preparation",
-            z_fail / z_total,
-            0.0,
-            f"{z_total} Z rounds",
-        )
-    )
-    return rows
-
-
-def _criterion_5(seed: int, jobs: int) -> List[SuiteRow]:
-    """Substituting broadcast check positions across a two-state preparation
-    pair is caught at 1 - (1/2)^l; relaying positions through the checking
-    third party removes the attack surface entirely."""
-    rows = []
-    for l in (1, 4, 8):
-        scenario = Scenario(
-            protocol="proposed",
+        for c in (4, 8, 16)
+    },
+    **{
+        f"tamper_l{l}": (80 + l, Scenario(n=3, m=16, check_rounds=8, decoy_count=2, trials=10_000, adversary=_tamper(l)))
+        for l in (1, 4, 8)
+    },
+    "tamper_relay": (
+        89,
+        Scenario(
+            n=3, m=16, check_rounds=8, decoy_count=2, variant=VARIANT_TP2_RELAY, trials=1000, adversary=_tamper(8)
+        ),
+    ),
+    "infer": (
+        90,
+        Scenario(n=3, m=16, trials=700, adversary=AdversarySpec(KIND_PARTICIPANT_INFER, {"attacker": 1, "victim": 2})),
+    ),
+    "infer_counterfactual": (
+        91,
+        Scenario(
             n=3,
             m=16,
-            check_rounds=8,
+            trials=700,
+            adversary=AdversarySpec(KIND_PARTICIPANT_INFER, {"attacker": 1, "victim": 2, "counterfactual": True}),
+        ),
+    ),
+    "tp2_intercept": (
+        92,
+        Scenario(
+            n=3,
+            m=16,
+            check_rounds=2,
             decoy_count=2,
-            trials=10_000,
-            seed=seed * 1000 + 80 + l,
-            adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": l, "policy": "paired_specs"}),
-        )
-        stats = run_scenario(scenario, jobs)
-        full = stats.counters.get("tamper_distinct_runs", 0)
-        rows.append(
-            _rate_row(
-                f"5.l{l}",
-                f"position-tamper detection, l={l}",
-                stats,
-                "tamper_detection_conditional",
-                closed_form("tamper_detection", l),
-                info=f"distinct-pair tampered runs: {full}/{scenario.trials}",
-            )
-        )
-    relay = Scenario(
-        protocol="proposed",
-        n=3,
-        m=16,
-        check_rounds=8,
-        decoy_count=2,
-        variant=VARIANT_TP2_RELAY,
-        trials=1000,
-        seed=seed * 1000 + 89,
-        adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 8, "policy": "paired_specs"}),
-    )
-    stats = run_scenario(relay, jobs)
-    completed_correct = min(stats.row("completed_rate").estimate, stats.row("verdict_correct_rate").estimate)
-    rows.append(
-        _exact_row(
-            "5.relay",
-            "relay variant unharmed by the tamperer",
-            completed_correct,
-            1.0,
-            f"trials={relay.trials}",
-        )
-    )
-    return rows
+            trials=2600,
+            adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [1], "victim": 1}),
+        ),
+    ),
+}
 
 
-def _criterion_6(seed: int, jobs: int) -> List[SuiteRow]:
-    """Privacy: a protocol-following participant guesses a victim's secret
-    bits at chance unless granted the preparation list (then perfectly);
-    the checking third party's intercept records in undetected runs are
-    held against the same chance-level target."""
-    rows = []
-    base = Scenario(
-        protocol="proposed",
-        n=3,
-        m=16,
-        trials=700,
-        seed=seed * 1000 + 90,
-        adversary=AdversarySpec(KIND_PARTICIPANT_INFER, {"attacker": 1, "victim": 2}),
+@dataclass(frozen=True)
+class _Row:
+    """One suite row: a metric of the named scenarios' pooled counters held
+    against a target under a tolerance rule."""
+
+    id: str
+    name: str
+    keys: Tuple[str, ...]
+    # A harness metric name, or a measure function of the pooled stats
+    # (measured rows are held exactly).
+    metric: Union[str, Callable[[TrialStats], float]]
+    target: Optional[float]  # None: the scenario's closed-form MetricRow.target
+    rule: str  # EXACT, or THREE_SIGMA around the target over the metric's count
+    info: str = ""  # format template over the pooled counters `c` and the `also` result
+    also: Optional[Callable[[TrialStats], bool]] = None  # a further condition the row requires
+
+
+def _honest(stats: TrialStats) -> float:
+    """1 only if every result vector is exact, every verdict right and no run aborted."""
+    aborted = stats.counters.get("aborted", 0)
+    return min(
+        stats.row("r_exact_rate").estimate,
+        stats.row("verdict_correct_rate").estimate,
+        1.0 if aborted == 0 else 0.0,
     )
-    stats = run_scenario(base, jobs)
-    bits = stats.row("attack_bit_accuracy").count
-    rows.append(
-        _rate_row(
-            "6.case1",
-            "participant inference without preparation knowledge",
-            stats,
-            "attack_bit_accuracy",
-            0.5,
-            info=f"{bits} bits",
-        )
-    )
-    counter = Scenario(
-        protocol="proposed",
-        n=3,
-        m=16,
-        trials=700,
-        seed=seed * 1000 + 91,
-        adversary=AdversarySpec(
-            KIND_PARTICIPANT_INFER, {"attacker": 1, "victim": 2, "counterfactual": True}
-        ),
-    )
-    stats = run_scenario(counter, jobs)
-    rows.append(
-        _exact_row(
-            "6.case1_counterfactual",
-            "participant inference granted preparation knowledge",
-            stats.row("attack_bit_accuracy").estimate,
-            1.0,
-            f"{stats.row('attack_bit_accuracy').count} bits",
-        )
-    )
-    tp2 = Scenario(
-        protocol="proposed",
-        n=3,
-        m=16,
-        check_rounds=2,
-        decoy_count=2,
-        trials=2600,
-        seed=seed * 1000 + 92,
-        adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [1], "victim": 1}),
-    )
-    stats = run_scenario(tp2, jobs)
-    bits = stats.row("attack_bit_accuracy").count
-    row = _rate_row(
-        "6.case3",
-        "checking TP's intercept records in undetected runs",
-        stats,
-        "attack_bit_accuracy",
-        0.5,
-        info=(
-            f"{bits} undetected-run bits; matching-basis intercepts pin the delivered key bit, "
-            "so the records-assisted accuracy sits at 3/4 and the idealized 1/2 target is "
-            "unreachable; kept red deliberately (see README)"
-        ),
-    )
-    rows.append(row)
-    rows.append(
-        _rate_row(
-            "6.case3_legit_view",
-            "checking TP restricted to its legitimate view",
-            stats,
-            "attack_legit_bit_accuracy",
-            0.5,
-            info=f"{stats.row('attack_legit_bit_accuracy').count} undetected-run bits",
-        )
-    )
-    return rows
+
+
+def _relay_unharmed(stats: TrialStats) -> float:
+    return min(stats.row("completed_rate").estimate, stats.row("verdict_correct_rate").estimate)
+
+
+def _wrong_verdict_accepted(stats: TrialStats) -> bool:
+    return stats.row("verdict_correct_rate").estimate == 0.0
+
+
+_FAKE = ("fake_c4", "fake_c8", "fake_c16")
+
+# 1: honest runs are exactly correct.  2: intercept-resend on one link is
+# caught by the decoy check at 1-(3/4)^l.  3: a verdict flip by either
+# announcer always conflicts, while the same flip against the
+# single-announcer baseline is never detected.  4: an all-|0> preparation
+# passed off as the all-|0>-vector entangled state fails an X round half
+# the time and a Z round never.  5: substituted broadcast check positions
+# are caught at 1-(1/2)^l, and relaying them through the checking third
+# party removes the attack.  6: a protocol-following participant guesses a
+# victim's bits at chance unless granted the preparation list (then
+# perfectly); the checking third party's intercept records in undetected
+# runs are held against the same chance-level target.
+_ROWS: Tuple[_Row, ...] = (
+    *(
+        _Row(f"1.n{n}", f"honest correctness, n={n}", (f"honest_n{n}",), _honest, 1.0, EXACT,
+             "pairs={c[pairs_r_checked]} aborts={c[aborted]}")
+        for n in (2, 3, 4, 5)
+    ),
+    *(
+        _Row(f"2.l{l}", f"outsider decoy detection, l={l}", (f"eve_l{l}",), "detected_step2_rate", None, THREE_SIGMA)
+        for l in (1, 5, 10, 20)
+    ),
+    _Row("3.tp1_flip", "verdict flip by TP1 conflicts", ("tp1_flip",), "conflict_rate", 1.0, EXACT,
+         "arbiter named TP1 in {c[arbiter_tp1]}/{c[abort_step7]} conflicts"),
+    _Row("3.tp2_flip", "verdict flip by TP2 conflicts", ("tp2_flip",), "conflict_rate", 1.0, EXACT,
+         "arbiter named TP2 in {c[arbiter_tp2]}/{c[abort_step7]} conflicts"),
+    _Row("3.baseline_flip", "baseline verdict flip undetected", ("baseline_flip",), "abort_rate", 0.0, EXACT,
+         "wrong verdict accepted in all completed runs: {also}", also=_wrong_verdict_accepted),
+    *(
+        _Row(f"4.c{c}", f"fake preparation detection, c={c}", (f"fake_c{c}",), "detected_step3_rate", None,
+             THREE_SIGMA)
+        for c in (4, 8, 16)
+    ),
+    _Row("4.x_round", "per-X-round detection of the fake preparation", _FAKE, "x_check_fail_rate", 0.5, THREE_SIGMA,
+         "{c[x_check_failures]}/{c[x_check_rounds]} X rounds failed"),
+    _Row("4.z_round", "Z rounds never expose the fake preparation", _FAKE, "z_check_fail_rate", 0.0, EXACT,
+         "{c[z_check_rounds]} Z rounds"),
+    *(
+        _Row(f"5.l{l}", f"position-tamper detection, l={l}", (f"tamper_l{l}",), "tamper_detection_conditional", None,
+             THREE_SIGMA, "distinct-pair tampered runs: {c[tamper_distinct_runs]}/{c[trials]}")
+        for l in (1, 4, 8)
+    ),
+    _Row("5.relay", "relay variant unharmed by the tamperer", ("tamper_relay",), _relay_unharmed, 1.0, EXACT,
+         "trials={c[trials]}"),
+    _Row("6.case1", "participant inference without preparation knowledge", ("infer",), "attack_bit_accuracy", 0.5,
+         THREE_SIGMA, "{c[attack_bits_guessed]} bits"),
+    _Row("6.case1_counterfactual", "participant inference granted preparation knowledge",
+         ("infer_counterfactual",), "attack_bit_accuracy", 1.0, EXACT, "{c[attack_bits_guessed]} bits"),
+    _Row("6.case3", "checking TP's intercept records in undetected runs", ("tp2_intercept",), "attack_bit_accuracy",
+         0.5, THREE_SIGMA,
+         "{c[attack_bits_guessed]} undetected-run bits; matching-basis intercepts pin the delivered key bit, "
+         "so the records-assisted accuracy sits at 3/4 and the idealized 1/2 target is "
+         "unreachable; kept red deliberately (see README)"),
+    _Row("6.case3_legit_view", "checking TP restricted to its legitimate view", ("tp2_intercept",),
+         "attack_legit_bit_accuracy", 0.5, THREE_SIGMA, "{c[attack_legit_bits_guessed]} undetected-run bits"),
+)
+
+
+def _pooled(stats: List[TrialStats]) -> TrialStats:
+    """One scenario's stats, or the merged counters of several (no targets)."""
+    if len(stats) == 1:
+        return stats[0]
+    totals: Counter = Counter()
+    for part in stats:
+        totals.update(part.counters)
+    return TrialStats({}, totals, metric_rows(totals, {}))
+
+
+def _evaluate(row: _Row, stats: TrialStats) -> SuiteRow:
+    if callable(row.metric):
+        measured, count, target = row.metric(stats), 0, row.target
+    else:
+        metric = stats.row(row.metric)
+        measured, count = metric.estimate, metric.count
+        target = metric.target if row.target is None else row.target
+    bound = _three_sigma(target, count) if row.rule == THREE_SIGMA else 0.0
+    if bound == 0.0:
+        tolerance, passed = EXACT, measured == target
+    else:
+        tolerance, passed = f"+-{bound:.6f}", abs(measured - target) <= bound
+    also = row.also(stats) if row.also else True
+    info = row.info.format(c=Counter(stats.counters), also=also)
+    return SuiteRow(row.id, row.name, measured, target, tolerance, passed and also, info)
 
 
 def _criterion_7(seed: int) -> List[SuiteRow]:
@@ -467,7 +352,7 @@ def _criterion_7(seed: int) -> List[SuiteRow]:
                     combos += 1
                     if tvd > worst:
                         worst = float(tvd)
-                        worst_combo = f"n={n} index={index_of(spec)} basis={basis.name} positions={positions}"
+                        worst_combo = f"n={n} index={spec.index} basis={basis.name} positions={positions}"
     return [
         SuiteRow(
             "7",
@@ -492,6 +377,10 @@ _EXPANSIONS = {
 }
 
 
+def _no_failures(row_id: str, name: str, failures: int) -> SuiteRow:
+    return SuiteRow(row_id, name, float(failures), 0.0, EXACT, failures == 0)
+
+
 def _criterion_8(seed: int) -> List[SuiteRow]:
     """Exact algebra: the index bijection round-trips, X expansions match
     the published examples and the oracle sign-for-sign, and the pairwise
@@ -499,9 +388,9 @@ def _criterion_8(seed: int) -> List[SuiteRow]:
     failures = 0
     for n in range(2, 9):
         for i in range(1, 2**n + 1):
-            if index_of(ghz_from_index(i, n)) != i:
+            if ghz_from_index(i, n).index != i:
                 failures += 1
-    round_trip = _exact_row("8.roundtrip", "index bijection round-trip (n=2..8)", float(failures), 0.0)
+    round_trip = _no_failures("8.roundtrip", "index bijection round-trip (n=2..8)", failures)
 
     failures = 0
     for (q, delta), expected in _EXPANSIONS.items():
@@ -526,7 +415,7 @@ def _criterion_8(seed: int) -> List[SuiteRow]:
                 )
                 if got != want:
                     failures += 1
-    expansion = _exact_row("8.expansion", "X expansions vs published examples and oracle", float(failures), 0.0)
+    expansion = _no_failures("8.expansion", "X expansions vs published examples and oracle", failures)
 
     failures = 0
     four = ghz_from_index(7, 4)
@@ -541,34 +430,35 @@ def _criterion_8(seed: int) -> List[SuiteRow]:
                 for j in range(i + 1, spec.n + 1):
                     if outcome[i] ^ outcome[j] != pair_xor(spec, i, j):
                         failures += 1
-    law = _exact_row("8.pair_xor", "pairwise XOR law over 10^4 sampled outcomes", float(failures), 0.0)
+    law = _no_failures("8.pair_xor", "pairwise XOR law over 10^4 sampled outcomes", failures)
     return [round_trip, expansion, law]
-
-
-_CRITERIA = (
-    ("1", _criterion_1, True),
-    ("2", _criterion_2, True),
-    ("3", _criterion_3, True),
-    ("4", _criterion_4, True),
-    ("5", _criterion_5, True),
-    ("6", _criterion_6, True),
-    ("7", lambda seed, jobs: _criterion_7(seed), False),
-    ("8", lambda seed, jobs: _criterion_8(seed), False),
-)
 
 
 def paper_tables(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     """Run acceptance checks 1-8 and return their rows (deterministic for a
-    given seed, independent of ``jobs``)."""
+    given seed, independent of ``jobs``) with each criterion's wall time."""
+    stats: Dict[str, TrialStats] = {}
+
+    def table_rows(rows: List[_Row]) -> List[SuiteRow]:
+        out = []
+        for row in rows:
+            for key in row.keys:
+                if key not in stats:
+                    offset, template = _SCENARIOS[key]
+                    stats[key] = run_scenario(replace(template, seed=seed * 1000 + offset), jobs)
+            out.append(_evaluate(row, _pooled([stats[key] for key in row.keys])))
+        return out
+
+    criteria = [
+        (crit, partial(table_rows, list(rows))) for crit, rows in groupby(_ROWS, key=lambda row: row.id.split(".")[0])
+    ]
+    criteria += [("7", partial(_criterion_7, seed)), ("8", partial(_criterion_8, seed))]
     rows: List[SuiteRow] = []
     durations: Dict[str, float] = {}
-    for crit_id, fn, _ in _CRITERIA:
+    for crit_id, battery in criteria:
         start = time.perf_counter()
-        new_rows = fn(seed, jobs)
+        rows.extend(battery())
         durations[crit_id] = time.perf_counter() - start
-        for row in new_rows:
-            durations.setdefault(row.id, durations[crit_id] / max(len(new_rows), 1))
-        rows.extend(new_rows)
     return SuiteResult("paper_tables", seed, rows, durations)
 
 

@@ -2,6 +2,7 @@
 round-trips, and the transcript dump."""
 
 import json
+import os
 
 from qpcsim.cli import EXIT_CONFIG, EXIT_OK, main
 from qpcsim.harness import TrialStats
@@ -123,11 +124,20 @@ def test_unknown_suite_lists_available(capsys):
     assert "paper_tables" in err["message"]
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["run"]) == EXIT_CONFIG  # missing --config
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["category"] == "usage"
     assert main([]) == EXIT_CONFIG
+    # --jobs is bounded by the CPU count.  A missing config and an unknown
+    # suite make sure no pool or battery starts even if the bound is not
+    # checked; the error must then still name --jobs.
+    missing = str(tmp_path / "never_read.json")
+    for jobs in ("0", "-2", str((os.cpu_count() or 1) + 1), "many"):
+        for argv in (["run", "--config", missing], ["suite", "imaginary"]):
+            assert main(argv + ["--jobs", jobs]) == EXIT_CONFIG
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["category"] == "usage" and "--jobs" in err["message"]
 
 
 def test_help_exits_zero(capsys):

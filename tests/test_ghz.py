@@ -21,9 +21,7 @@ from qpcsim.ghz import (
     ProductRegister,
     all_specs,
     ghz_from_index,
-    index_of,
     oracle_outcome_counts,
-    oracle_sample,
     pair_xor,
     sample_measurement,
     sample_outcome_counts,
@@ -57,7 +55,7 @@ def test_index_3_is_canonical_not_reflected():
 def test_index_round_trip_exhaustive():
     for n in range(2, 9):
         for i in range(1, 2**n + 1):
-            assert index_of(ghz_from_index(i, n)) == i
+            assert ghz_from_index(i, n).index == i
 
 
 @given(st.integers(min_value=2, max_value=12), st.data())
@@ -66,7 +64,7 @@ def test_index_round_trip_random(n, data):
     i = data.draw(st.integers(min_value=1, max_value=2**n))
     spec = ghz_from_index(i, n)
     assert spec.n == n
-    assert index_of(spec) == i
+    assert spec.index == i
 
 
 def test_index_range_errors():
@@ -261,7 +259,7 @@ def test_batched_counts_match_single_shot_sampler():
         (ghz_from_index(2, 2), (1,), Basis.Z),
     ]
     for spec, positions, basis in combos:
-        rng = make_rng(8, index_of(spec), len(positions), int(basis))
+        rng = make_rng(8, spec.index, len(positions), int(basis))
         batched = sample_outcome_counts(spec, positions, basis, rng, shots)
         loop = np.zeros_like(batched)
         for _ in range(shots):
@@ -283,8 +281,8 @@ def test_sampler_oracle_equivalence_smoke():
             for basis in (Basis.Z, Basis.X):
                 for mask in range(1, 2**n):
                     positions = [p + 1 for p in range(n) if mask & (1 << p)]
-                    rng_a = make_rng(9, n, index_of(spec), int(basis), mask, 0)
-                    rng_b = make_rng(9, n, index_of(spec), int(basis), mask, 1)
+                    rng_a = make_rng(9, n, spec.index, int(basis), mask, 0)
+                    rng_b = make_rng(9, n, spec.index, int(basis), mask, 1)
                     a = sample_outcome_counts(spec, positions, basis, rng_a, shots)
                     b = oracle_outcome_counts(spec, positions, basis, rng_b, shots)
                     worst = max(worst, _tvd(a, b, shots))
@@ -317,7 +315,7 @@ def test_oracle_capacity_limit():
     with pytest.raises(OracleCapacityError):
         OracleRegister(GhzSpec(tuple([0] * 13), 0))
     rng = make_rng(11)
-    outcome = oracle_sample(GhzSpec(tuple([0] * 12), 0), [1, 12], Basis.Z, rng)
+    outcome = OracleRegister(GhzSpec(tuple([0] * 12), 0)).measure([1, 12], Basis.Z, rng)
     assert outcome[1] == outcome[12]
 
 

@@ -11,7 +11,7 @@ from qpcsim.harness import (
     TrialStats,
     closed_form,
     run_scenario,
-    run_single,
+    run_trial,
     scenario_from_config,
     wilson_interval,
 )
@@ -47,6 +47,14 @@ def test_validation_names_offending_fields():
         (dict(secrets=SecretsSpec(policy="uniform", values=[[0, 1], [0, 1]])), "secrets.values"),
         (dict(m=1, n=3, protocol="proposed", secrets=SecretsSpec(policy="forced_unequal")), "forced_unequal"),
         (dict(adversary=AdversarySpec(kind="alien")), "adversary"),
+        (dict(n=3, adversary=AdversarySpec("eve_intercept_resend", {"links": [7]})), "links"),
+        (dict(adversary=AdversarySpec("eve_intercept_resend", {"links": [1], "victim": 9})), "victim"),
+        (dict(adversary=AdversarySpec("participant_infer", {"victim": 9})), "victim"),
+        (dict(adversary=AdversarySpec("participant_infer", {"attacker": 2, "victim": 2})), "attacker"),
+        (dict(decoy_tolerance="x"), "decoy_tolerance"),
+        (dict(adversary=AdversarySpec("classical_position_tamper", {"count": -3})), "count"),
+        (dict(trials=True), "trials"),
+        (dict(m=True), "`m`"),
     ]
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):
@@ -132,7 +140,7 @@ def test_explicit_secrets_flow_into_run():
     scenario = small_scenario(
         trials=1, m=2, secrets=SecretsSpec(policy="explicit", values=[[0, 1], [1, 1]])
     )
-    transcript = run_single(scenario)
+    transcript, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
     assert transcript.comps[1] == tuple(a ^ b for a, b in zip(transcript.keys[1], (0, 1)))
     assert transcript.pair_results[(1, 2)]["ground_truth"] == "different"
     assert transcript.events
@@ -188,11 +196,12 @@ def test_csv_round_trip():
     assert rows == stats.rows
 
 
-def test_run_single_respects_seed_stream():
+def test_run_trial_respects_seed_stream():
     scenario = small_scenario(trials=1)
-    t1 = run_single(scenario)
-    t2 = run_single(scenario)
-    assert t1.to_json() == t2.to_json()
+    t1, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    t2, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    t3, _ = run_trial(scenario, scenario.strategy(), 1, record_events=True)
+    assert t1.to_json() == t2.to_json() != t3.to_json()
 
 
 def test_broken_pair_law_is_caught_by_correctness_metrics(monkeypatch):

@@ -16,7 +16,6 @@ from qpcsim.photons import (
     decoy_state,
     generate_decoys,
     interleave,
-    measure_decoy,
     public_discussion,
 )
 
@@ -42,7 +41,7 @@ def test_matching_basis_is_deterministic():
     for state in DecoyState:
         for _ in range(20):
             photon = Qubit(state)
-            assert measure_decoy(photon, state.basis, rng) == state.bit
+            assert photon.measure(state.basis, rng) == state.bit
             assert photon.state == state
 
 

@@ -14,7 +14,9 @@ One run is strictly sequential.  Step numbering in transcripts:
 7. participants cross-compare the two announcements.
 
 Aborts carry a machine-readable cause: ``decoy_mismatch`` (step 2),
-``state_check_failed`` (step 3), ``announcement_conflict`` (step 7).
+``state_check_failed`` (step 3), ``announcement_conflict`` (step 7).  The
+baseline numbers its optional state check 4, and steps 2-4 of both
+protocols run through the same step functions.
 """
 
 from __future__ import annotations

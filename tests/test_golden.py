@@ -46,6 +46,21 @@ def _stats_cases() -> dict:
     cases["proposed_tamper_relay"] = _doc(
         variant="tp2_relay", adversary=_adversary(KIND_POSITION_TAMPER, {"count": 2})
     )
+    cases["proposed_tamper_random"] = _doc(
+        adversary=_adversary(KIND_POSITION_TAMPER, {"count": 2, "policy": "random"})
+    )
+    cases["proposed_participant_infer_counterfactual"] = _doc(
+        adversary=_adversary("participant_infer", {"attacker": 1, "victim": 2, "counterfactual": True})
+    )
+    # A wrong phase passes every Z round, so with one check round about
+    # half the runs survive and the preparer guesses bits.
+    cases["proposed_tp1_fake_initial_state_entangled"] = _doc(
+        check_rounds=1,
+        adversary=_adversary(
+            "tp1_fake_initial_state", {"true_state": {"q": "000", "delta": 1}, "claimed": {"q": "000", "delta": 0}}
+        ),
+    )
+    cases["proposed_tp2_fake_result_pairs"] = _doc(adversary=_adversary("tp2_fake_result", {"pairs": [[1, 3]]}))
     baseline = dict(protocol="zhang_baseline", n=2)
     cases["zhang_none"] = _doc(**baseline)
     cases["zhang_tp1_fake_result"] = _doc(**baseline, adversary=_adversary("tp1_fake_result"))

@@ -1,11 +1,11 @@
 """Pluggable attack strategies.
 
-A strategy is configuration plus a factory for per-run handles.  Handles
-hook into a protocol run at fixed points: register preparation, quantum
-channel taps, the classical position broadcast, and result announcements.
-After the run the handle is asked to turn whatever it recorded into an
-``AttackOutcome`` (detection flag plus the attacker's per-bit guessing
-record against a victim's secret).
+An adversary is one dataclass: its params plus the hooks a protocol run
+calls at fixed points (register preparation, quantum channel taps, the
+classical position broadcast, and result announcements).  After the run
+``finalize`` scores it from the run's transcript as an ``AttackOutcome``
+(detection flag plus the attacker's per-bit guessing record against a
+victim's secret).
 
 Guessing accounts only for what the attacker can actually see: its own
 measurement records, its legitimate role knowledge, and all public
@@ -17,16 +17,23 @@ statistics and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
 
+if TYPE_CHECKING:
+    from .protocol import Transcript
+
 TP1 = "TP1"
 TP2 = "TP2"
+TP = "TP"  # the baseline's single third party
+
+IDENTICAL = "identical"
+DIFFERENT = "different"
 
 KIND_NONE = "none"
 KIND_EVE = "eve_intercept_resend"
@@ -61,28 +68,20 @@ class AttackOutcome:
     extras: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class RunContext:
-    """Read-only view of a finished (or aborted) run, handed to finalize."""
+class AdversaryStrategy:
+    """Base strategy: no params, and hooks that do nothing and draw no
+    randomness, which is an honest run."""
 
-    n: int
-    m: int
-    secrets: Tuple[Tuple[int, ...], ...]
-    claimed_specs: List[GhzSpec]
-    true_states: List[object]  # GhzSpec, or a bit tuple for a product preparation
-    comparison_positions: Optional[Tuple[int, ...]]
-    keys: Dict[int, Tuple[int, ...]]
-    comps: Dict[int, Tuple[int, ...]]
-    aborted: bool
-    abort_step: Optional[int]
-    link_carrier_slots: Dict[int, List[int]]
-    rng: np.random.Generator
+    kind = KIND_NONE
 
+    def start_run(self) -> "AdversaryStrategy":
+        """The object whose hooks one run calls: the strategy itself, or a
+        fresh copy for kinds that record during a run."""
+        return self
 
-class RunHandle:
-    """Per-run hook set; the defaults do nothing and draw no randomness."""
-
-    strategy: "AdversaryStrategy"
+    def participants(self) -> Dict[str, Tuple[int, ...]]:
+        """The participant indices each param names, for range checks."""
+        return {}
 
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
         """Return (registers, true_states, claimed_specs) or None for honest."""
@@ -99,31 +98,15 @@ class RunHandle:
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
         return verdict
 
-    def finalize(self, ctx: RunContext) -> Optional[AttackOutcome]:
+    def finalize(self, t: "Transcript", rng: np.random.Generator) -> Optional[AttackOutcome]:
+        """Score the finished (or aborted) run from its transcript."""
         return None
 
 
-class AdversaryStrategy:
-    """Base strategy: configuration shared across trials."""
-
-    kind = KIND_NONE
-
-    def start_run(self) -> RunHandle:
-        return _NOOP_HANDLE
-
-    def participants(self) -> Dict[str, Tuple[int, ...]]:
-        """The participant indices each param names, for range checks."""
-        return {}
-
-
-_NOOP_HANDLE = RunHandle()
+# The benchmark's tracer (perfbench/tracing.py) finds every hook class by
+# walking ``RunHandle.__subclasses__()``.
+RunHandle = AdversaryStrategy
 NONE = AdversaryStrategy()
-
-
-def _flip(verdict: str) -> str:
-    from .protocol import DIFFERENT, IDENTICAL  # local import to avoid a cycle
-
-    return DIFFERENT if verdict == IDENTICAL else IDENTICAL
 
 
 def _coin(rng: np.random.Generator) -> int:
@@ -135,13 +118,25 @@ def _coin(rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _InterceptHandle(RunHandle):
-    def __init__(self, strategy: "EveInterceptResend") -> None:
-        self.strategy = strategy
-        self.records: Dict[int, List[Tuple[int, int]]] = {}
+@dataclass
+class EveInterceptResend(AdversaryStrategy):
+    """Measure every slot of the tapped links in a random basis and resend."""
+
+    links: Tuple[int, ...] = (1,)
+    victim: Optional[int] = None
+    # (basis, bit) per slot of each tapped link, recorded during one run.
+    records: Dict[int, List[Tuple[int, int]]] = field(init=False, default_factory=dict, repr=False, compare=False)
+    kind = KIND_EVE
+    use_spec_knowledge = False
+
+    def start_run(self) -> "EveInterceptResend":
+        return replace(self)
+
+    def participants(self) -> Dict[str, Tuple[int, ...]]:
+        return {"links": self.links, "victim": () if self.victim is None else (self.victim,)}
 
     def taps(self, link: int):
-        if link not in self.strategy.links:
+        if link not in self.links:
             return ()
 
         def tap(slots, rng):
@@ -154,74 +149,56 @@ class _InterceptHandle(RunHandle):
 
         return (tap,)
 
-    def _guess_key_bit(self, ctx: RunContext, position: int) -> Optional[int]:
+    def _guess_key_bit(self, t: "Transcript", position: int) -> Optional[int]:
         """Best key-bit guess for the victim from records + public traffic."""
-        victim = self.strategy.victim
-        if self.strategy.use_spec_knowledge:
+        if self.use_spec_knowledge:
             # A third party legitimately knows the claimed preparations, so
             # any matching-basis intercept on any tapped link reveals the
             # register's branch and with it every participant's key bit.
-            spec = ctx.claimed_specs[position]
-            for link in self.strategy.links:
+            spec = t.claimed_specs[position]
+            for link in self.links:
                 rec = self.records.get(link)
                 if rec is None:
                     continue
-                basis, bit = rec[ctx.link_carrier_slots[link][position]]
+                basis, bit = rec[t.carrier_slots[link][position]]
                 if basis == int(Basis.Z):
                     branch = bit ^ spec.q[link - 1]
-                    return spec.q[victim - 1] ^ branch
+                    return spec.q[self.victim - 1] ^ branch
             return None
         # A stranger has no preparation knowledge: only a matching-basis
         # intercept on the victim's own link pins that key bit.
-        rec = self.records.get(victim)
+        rec = self.records.get(self.victim)
         if rec is None:
             return None
-        basis, bit = rec[ctx.link_carrier_slots[victim][position]]
+        basis, bit = rec[t.carrier_slots[self.victim][position]]
         if basis == int(Basis.Z):
             return bit
         return None
 
-    def finalize(self, ctx: RunContext) -> AttackOutcome:
-        out = AttackOutcome(self.strategy.kind, ctx.aborted, ctx.abort_step)
-        victim = self.strategy.victim
-        if ctx.aborted or victim is None or ctx.comparison_positions is None:
+    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        if t.aborted or self.victim is None:
             return out
-        secret = ctx.secrets[victim - 1]
-        comp = ctx.comps[victim]
+        secret = t.secrets[self.victim - 1]
+        comp = t.comps[self.victim]
         hits = 0
         legit_hits = 0
-        for idx, position in enumerate(ctx.comparison_positions):
-            k_hat = self._guess_key_bit(ctx, position)
+        for idx, position in enumerate(t.comparison_positions):
+            k_hat = self._guess_key_bit(t, position)
             if k_hat is None:
-                k_hat = _coin(ctx.rng)
+                k_hat = _coin(rng)
             if (k_hat ^ comp[idx]) == secret[idx]:
                 hits += 1
-            if self.strategy.use_spec_knowledge:
+            if self.use_spec_knowledge:
                 # Same guess made from the legitimate view alone (no records).
-                if (_coin(ctx.rng) ^ comp[idx]) == secret[idx]:
+                if (_coin(rng) ^ comp[idx]) == secret[idx]:
                     legit_hits += 1
-        out.bits_guessed = len(ctx.comparison_positions)
+        out.bits_guessed = len(t.comparison_positions)
         out.bits_correct = hits
-        if self.strategy.use_spec_knowledge:
-            out.extras["legit_bits_guessed"] = len(ctx.comparison_positions)
+        if self.use_spec_knowledge:
+            out.extras["legit_bits_guessed"] = len(t.comparison_positions)
             out.extras["legit_bits_correct"] = legit_hits
         return out
-
-
-@dataclass
-class EveInterceptResend(AdversaryStrategy):
-    """Measure every slot of the tapped links in a random basis and resend."""
-
-    links: Tuple[int, ...] = (1,)
-    victim: Optional[int] = None
-    kind = KIND_EVE
-    use_spec_knowledge = False
-
-    def start_run(self) -> RunHandle:
-        return _InterceptHandle(self)
-
-    def participants(self) -> Dict[str, Tuple[int, ...]]:
-        return {"links": self.links, "victim": () if self.victim is None else (self.victim,)}
 
 
 @dataclass
@@ -242,42 +219,45 @@ class Tp2Intercept(EveInterceptResend):
 # ---------------------------------------------------------------------------
 
 
-class _FakeStateHandle(RunHandle):
-    def __init__(self, strategy: "Tp1FakeInitialState") -> None:
-        self.strategy = strategy
+@dataclass
+class Tp1FakeInitialState(AdversaryStrategy):
+    """Distribute one (possibly unentangled) state while claiming another."""
+
+    true_state: object = "zeros"  # "zeros" or a GhzSpec
+    claimed: Optional[GhzSpec] = None
+    kind = KIND_TP1_FAKE_STATE
 
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
-        claimed = self.strategy.claimed or GhzSpec((0,) * n, 0)
+        claimed = self.claimed or GhzSpec((0,) * n, 0)
         if claimed.n != n:
             raise ConfigError(f"claimed state has {claimed.n} particles, protocol has {n}")
-        true_state = self.strategy.true_state
-        if true_state == "zeros":
+        if self.true_state == "zeros":
             bits = (0,) * n
             registers = [ProductRegister(bits) for _ in range(count)]
             true_states: List[object] = [bits] * count
         else:
-            if true_state.n != n:
-                raise ConfigError(f"true state has {true_state.n} particles, protocol has {n}")
-            registers = [GhzRegister(true_state) for _ in range(count)]
-            true_states = [true_state] * count
+            if self.true_state.n != n:
+                raise ConfigError(f"true state has {self.true_state.n} particles, protocol has {n}")
+            registers = [GhzRegister(self.true_state) for _ in range(count)]
+            true_states = [self.true_state] * count
         return registers, true_states, [claimed] * count
 
-    def finalize(self, ctx: RunContext) -> AttackOutcome:
-        out = AttackOutcome(self.strategy.kind, ctx.aborted, ctx.abort_step)
-        if ctx.aborted or ctx.comparison_positions is None:
+    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        if t.aborted:
             return out
         # The preparer knows exactly what it handed out.  A product
         # preparation fixes every key bit; a wrong entangled preparation
         # still hides the branch, leaving it guessing.
         hits = 0
         bits = 0
-        for participant in range(1, ctx.n + 1):
-            secret = ctx.secrets[participant - 1]
-            comp = ctx.comps[participant]
-            for idx, position in enumerate(ctx.comparison_positions):
-                true = ctx.true_states[position]
+        for participant in range(1, t.params["n"] + 1):
+            secret = t.secrets[participant - 1]
+            comp = t.comps[participant]
+            for idx, position in enumerate(t.comparison_positions):
+                true = t.true_states[position]
                 if isinstance(true, GhzSpec):
-                    k_hat = _coin(ctx.rng)
+                    k_hat = _coin(rng)
                 else:
                     k_hat = true[participant - 1]
                 hits += int((k_hat ^ comp[idx]) == secret[idx])
@@ -287,39 +267,9 @@ class _FakeStateHandle(RunHandle):
         return out
 
 
-@dataclass
-class Tp1FakeInitialState(AdversaryStrategy):
-    """Distribute one (possibly unentangled) state while claiming another."""
-
-    true_state: object = "zeros"  # "zeros" or a GhzSpec
-    claimed: Optional[GhzSpec] = None
-    kind = KIND_TP1_FAKE_STATE
-
-    def start_run(self) -> RunHandle:
-        return _FakeStateHandle(self)
-
-
 # ---------------------------------------------------------------------------
 # Fake announcements
 # ---------------------------------------------------------------------------
-
-
-class _FakeResultHandle(RunHandle):
-    def __init__(self, strategy: "TpFakeResult") -> None:
-        self.strategy = strategy
-
-    def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
-        # The baseline has a single announcer ("TP"), which any fake-result
-        # strategy targets.
-        if announcer != self.strategy.announcer and announcer != "TP":
-            return verdict
-        pairs = self.strategy.pairs
-        if pairs != "all" and tuple(pair) not in pairs:
-            return verdict
-        return _flip(verdict)
-
-    def finalize(self, ctx: RunContext) -> AttackOutcome:
-        return AttackOutcome(self.strategy.kind, ctx.aborted, ctx.abort_step)
 
 
 @dataclass
@@ -327,47 +277,30 @@ class TpFakeResult(AdversaryStrategy):
     """Announce the opposite verdict for the chosen pairs."""
 
     announcer: str = TP1
-    pairs: object = "all"  # "all" or a collection of (i, j) tuples
+    pairs: object = "all"  # "all" or a collection of (i, j) participant pairs
 
     def __post_init__(self) -> None:
         self.kind = KIND_TP2_FAKE_RESULT if self.announcer == TP2 else KIND_TP1_FAKE_RESULT
         if self.pairs != "all":
-            self.pairs = {tuple(p) for p in self.pairs}
+            self.pairs = {(min(p), max(p)) for p in self.pairs}
 
-    def start_run(self) -> RunHandle:
-        return _FakeResultHandle(self)
+    def participants(self) -> Dict[str, Tuple[int, ...]]:
+        return {"pairs": () if self.pairs == "all" else tuple(p for pair in sorted(self.pairs) for p in pair)}
+
+    def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
+        # The baseline has a single announcer (TP), which any fake-result
+        # strategy targets.
+        if announcer not in (self.announcer, TP) or (self.pairs != "all" and pair not in self.pairs):
+            return verdict
+        return DIFFERENT if verdict == IDENTICAL else IDENTICAL
+
+    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+        return AttackOutcome(self.kind, t.aborted, t.abort_step)
 
 
 # ---------------------------------------------------------------------------
 # Inferring participant
 # ---------------------------------------------------------------------------
-
-
-class _InferHandle(RunHandle):
-    def __init__(self, strategy: "ParticipantInfer") -> None:
-        self.strategy = strategy
-
-    def finalize(self, ctx: RunContext) -> AttackOutcome:
-        out = AttackOutcome(self.strategy.kind, ctx.aborted, ctx.abort_step)
-        if ctx.aborted or ctx.comparison_positions is None:
-            return out
-        attacker = self.strategy.attacker
-        victim = self.strategy.victim
-        own = ctx.keys[attacker]
-        comp = ctx.comps[victim]
-        secret = ctx.secrets[victim - 1]
-        hits = 0
-        for idx, position in enumerate(ctx.comparison_positions):
-            k_hat = own[idx]
-            if self.strategy.counterfactual:
-                true = ctx.true_states[position]
-                if not isinstance(true, GhzSpec):
-                    raise ValueError("counterfactual inference needs an entangled preparation")
-                k_hat ^= pair_xor(true, attacker, victim)
-            hits += int((k_hat ^ comp[idx]) == secret[idx])
-        out.bits_guessed = len(ctx.comparison_positions)
-        out.bits_correct = hits
-        return out
 
 
 @dataclass
@@ -385,11 +318,28 @@ class ParticipantInfer(AdversaryStrategy):
     counterfactual: bool = False
     kind = KIND_PARTICIPANT_INFER
 
-    def start_run(self) -> RunHandle:
-        return _InferHandle(self)
-
     def participants(self) -> Dict[str, Tuple[int, ...]]:
         return {"attacker": (self.attacker,), "victim": (self.victim,)}
+
+    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        if t.aborted:
+            return out
+        own = t.keys[self.attacker]
+        comp = t.comps[self.victim]
+        secret = t.secrets[self.victim - 1]
+        hits = 0
+        for idx, position in enumerate(t.comparison_positions):
+            k_hat = own[idx]
+            if self.counterfactual:
+                true = t.true_states[position]
+                if not isinstance(true, GhzSpec):
+                    raise ValueError("counterfactual inference needs an entangled preparation")
+                k_hat ^= pair_xor(true, self.attacker, self.victim)
+            hits += int((k_hat ^ comp[idx]) == secret[idx])
+        out.bits_guessed = len(t.comparison_positions)
+        out.bits_correct = hits
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,66 +349,6 @@ class ParticipantInfer(AdversaryStrategy):
 
 POLICY_PAIRED = "paired_specs"
 POLICY_RANDOM = "random"
-
-
-class _TamperHandle(RunHandle):
-    def __init__(self, strategy: "ClassicalPositionTamper") -> None:
-        self.strategy = strategy
-        self.tampered: List[Tuple[int, int, int]] = []  # (round, true pos, substituted pos)
-
-    def override_preparation(self, n: int, count: int, rng: np.random.Generator):
-        if self.strategy.policy != POLICY_PAIRED:
-            return None
-        pair = self.strategy.spec_pair or (
-            GhzSpec((0,) * n, 0),
-            GhzSpec((0,) + (1,) * (n - 1), 0),
-        )
-        for spec in pair:
-            if spec.n != n:
-                raise ConfigError(f"tamper pair state has {spec.n} particles, protocol has {n}")
-        specs = [pair[p % 2] for p in range(count)]
-        return [GhzRegister(s) for s in specs], list(specs), list(specs)
-
-    def tamper_positions(
-        self, true_positions: List[int], total: int, rng: np.random.Generator
-    ) -> List[int]:
-        rounds_total = len(true_positions)
-        wanted = min(self.strategy.count, rounds_total)
-        if wanted == 0:
-            return list(true_positions)
-        rounds = sorted(int(r) for r in rng.choice(rounds_total, size=wanted, replace=False))
-        checked = set(true_positions)
-        used: set = set()
-        received = list(true_positions)
-        for r in rounds:
-            p = true_positions[r]
-            if self.strategy.policy == POLICY_PAIRED:
-                pool = [
-                    t
-                    for t in range(total)
-                    if t not in checked and t not in used and (t & 1) != (p & 1)
-                ]
-            else:
-                pool = [t for t in range(total) if t not in checked and t not in used]
-            if not pool:
-                continue
-            target = pool[int(rng.integers(0, len(pool)))]
-            received[r] = target
-            used.add(target)
-            self.tampered.append((r, p, target))
-        return received
-
-    def finalize(self, ctx: RunContext) -> AttackOutcome:
-        out = AttackOutcome(self.strategy.kind, ctx.aborted, ctx.abort_step)
-        distinct = sum(
-            1
-            for _, p, t in self.tampered
-            if not isinstance(ctx.true_states[t], GhzSpec)
-            or ctx.claimed_specs[p] != ctx.true_states[t]
-        )
-        out.extras["tampered"] = len(self.tampered)
-        out.extras["tampered_distinct"] = distinct
-        return out
 
 
 @dataclass
@@ -475,10 +365,66 @@ class ClassicalPositionTamper(AdversaryStrategy):
     count: int = 1
     policy: str = POLICY_PAIRED
     spec_pair: Optional[Tuple[GhzSpec, GhzSpec]] = None
+    # (round, true position, substituted position), recorded during one run.
+    tampered: List[Tuple[int, int, int]] = field(init=False, default_factory=list, repr=False, compare=False)
     kind = KIND_POSITION_TAMPER
 
-    def start_run(self) -> RunHandle:
-        return _TamperHandle(self)
+    def start_run(self) -> "ClassicalPositionTamper":
+        return replace(self)
+
+    def override_preparation(self, n: int, count: int, rng: np.random.Generator):
+        if self.policy != POLICY_PAIRED:
+            return None
+        pair = self.spec_pair or (
+            GhzSpec((0,) * n, 0),
+            GhzSpec((0,) + (1,) * (n - 1), 0),
+        )
+        for spec in pair:
+            if spec.n != n:
+                raise ConfigError(f"tamper pair state has {spec.n} particles, protocol has {n}")
+        specs = [pair[p % 2] for p in range(count)]
+        return [GhzRegister(s) for s in specs], list(specs), list(specs)
+
+    def tamper_positions(
+        self, true_positions: List[int], total: int, rng: np.random.Generator
+    ) -> List[int]:
+        rounds_total = len(true_positions)
+        wanted = min(self.count, rounds_total)
+        if wanted == 0:
+            return list(true_positions)
+        rounds = sorted(int(r) for r in rng.choice(rounds_total, size=wanted, replace=False))
+        checked = set(true_positions)
+        used: set = set()
+        received = list(true_positions)
+        for r in rounds:
+            p = true_positions[r]
+            if self.policy == POLICY_PAIRED:
+                pool = [
+                    t
+                    for t in range(total)
+                    if t not in checked and t not in used and (t & 1) != (p & 1)
+                ]
+            else:
+                pool = [t for t in range(total) if t not in checked and t not in used]
+            if not pool:
+                continue
+            target = pool[int(rng.integers(0, len(pool)))]
+            received[r] = target
+            used.add(target)
+            self.tampered.append((r, p, target))
+        return received
+
+    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        distinct = sum(
+            1
+            for _, p, target in self.tampered
+            if not isinstance(t.true_states[target], GhzSpec)
+            or t.claimed_specs[p] != t.true_states[target]
+        )
+        out.extras["tampered"] = len(self.tampered)
+        out.extras["tampered_distinct"] = distinct
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,28 +444,43 @@ def _int_param(value: object, name: str, low: int = 1) -> int:
     return value
 
 
+def _list_param(value: object, name: str, what: str) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"adversary param `{name}` must be a nonempty list of {what}, got {value!r}")
+    return list(value)
+
+
 def _spec_from(value: object, what: str) -> GhzSpec:
     if isinstance(value, GhzSpec):
         return value
     if isinstance(value, dict):
         try:
             return GhzSpec.from_dict(value)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid state for `{what}`: {exc}") from exc
     raise ConfigError(f"`{what}` must be a state object with keys q/delta")
 
 
+def _pair_from(value: object) -> Tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"adversary param `pairs` must hold [i, j] participant pairs, got {value!r}")
+    i, j = (_int_param(v, "pairs") for v in value)
+    if i == j:
+        raise ConfigError(f"adversary param `pairs` must pair two distinct participants, got {value!r}")
+    return i, j
+
+
 def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryStrategy:
     """Build a strategy from config-document data, validating params."""
-    params = dict(params or {})
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ConfigError(f"field `adversary.params` must be an object, got {params!r}")
     if kind == KIND_NONE:
         _require_keys(params, set(), kind)
         return NONE
     if kind in (KIND_EVE, KIND_TP2_INTERCEPT):
         _require_keys(params, {"links", "victim"}, kind)
-        links = params.get("links", (1,))
-        if not isinstance(links, (list, tuple)) or not links:
-            raise ConfigError("adversary param `links` must be a nonempty list of participants")
+        links = _list_param(params.get("links", (1,)), "links", "participants")
         victim = params.get("victim")
         cls = Tp2Intercept if kind == KIND_TP2_INTERCEPT else EveInterceptResend
         return cls(
@@ -539,7 +500,7 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
         _require_keys(params, {"pairs"}, kind)
         pairs = params.get("pairs", "all")
         if pairs != "all":
-            pairs = [tuple(int(v) for v in p) for p in pairs]
+            pairs = [_pair_from(p) for p in _list_param(pairs, "pairs", '[i, j] pairs (or "all")')]
         return TpFakeResult(announcer=TP2 if kind == KIND_TP2_FAKE_RESULT else TP1, pairs=pairs)
     if kind == KIND_PARTICIPANT_INFER:
         _require_keys(params, {"attacker", "victim", "counterfactual"}, kind)
@@ -547,7 +508,10 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
         victim = _int_param(params.get("victim", 2), "victim")
         if attacker == victim:
             raise ConfigError(f"adversary params `attacker` and `victim` must differ, both are {attacker}")
-        return ParticipantInfer(attacker, victim, bool(params.get("counterfactual", False)))
+        counterfactual = params.get("counterfactual", False)
+        if not isinstance(counterfactual, bool):
+            raise ConfigError(f"adversary param `counterfactual` must be true or false, got {counterfactual!r}")
+        return ParticipantInfer(attacker, victim, counterfactual)
     if kind == KIND_POSITION_TAMPER:
         _require_keys(params, {"count", "policy", "pair"}, kind)
         policy = params.get("policy", POLICY_PAIRED)
@@ -555,7 +519,7 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
             raise ConfigError(f"unknown tamper policy `{policy}`")
         pair = params.get("pair")
         if pair is not None:
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError("tamper param `pair` must hold exactly two states")
             pair = (_spec_from(pair[0], "pair[0]"), _spec_from(pair[1], "pair[1]"))
         count = _int_param(params.get("count", 1), "count", low=0)

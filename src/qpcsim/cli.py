@@ -83,6 +83,8 @@ def _load_config(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config `{path}` is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config `{path}` must hold a JSON object")
     return doc
 
 
@@ -107,12 +109,10 @@ def cmd_run(args) -> int:
     if args.trials is not None:
         doc["trials"] = args.trials
     _effective_seed(doc, args.seed)
-    output_doc = doc.get("output") or {}
     scenario = scenario_from_config(doc)
     stats = run_scenario(scenario, jobs=args.jobs)
+    output_doc = doc.get("output") or {}
     fmt = args.format or output_doc.get("format") or "json"
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"field `output.format` must be json or csv, got {fmt!r}")
     out = args.out or output_doc.get("path")
     _write(stats.to_json() if fmt == "json" else stats.to_csv(), out)
     return EXIT_OK
@@ -133,7 +133,7 @@ def cmd_transcript(args) -> int:
     scenario = scenario_from_config(doc)
     if scenario.trials != 1:
         raise UsageError(f"transcript requires trials = 1, config has {scenario.trials}")
-    transcript, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    transcript = run_trial(scenario, scenario.strategy(), 0, record_events=True)
     _write(transcript.to_json(), args.out)
     return EXIT_OK
 

@@ -99,18 +99,22 @@ class Scenario:
             raise ConfigError(f"field `seed` must be a nonnegative integer, got {self.seed!r}")
         if not _is_int(self.decoy_tolerance) or self.decoy_tolerance < 0:
             raise ConfigError(f"field `decoy_tolerance` must be a nonnegative integer, got {self.decoy_tolerance!r}")
+        if not isinstance(self.announce_r_vectors, bool):
+            raise ConfigError(f"field `announce_r_vectors` must be true or false, got {self.announce_r_vectors!r}")
         if self.secrets.policy not in SECRET_POLICIES:
             raise ConfigError(f"field `secrets.policy` must be one of {SECRET_POLICIES}, got {self.secrets.policy!r}")
         if self.secrets.policy == "explicit":
             values = self.secrets.values
-            if values is None or len(values) != self.n:
+            if not isinstance(values, (list, tuple)) or len(values) != self.n:
                 raise ConfigError(f"field `secrets.values` must hold {self.n} vectors")
             for idx, row in enumerate(values):
-                if len(row) != self.m or any(b not in (0, 1) for b in row):
+                bits = isinstance(row, (list, tuple)) and all(_is_int(b) and b in (0, 1) for b in row)
+                if not bits or len(row) != self.m:
                     raise ConfigError(f"field `secrets.values[{idx}]` must be {self.m} bits")
         elif self.secrets.values is not None:
             raise ConfigError("field `secrets.values` is only allowed with policy `explicit`")
-        if self.secrets.policy == "forced_unequal" and 2**self.m < self.n:
+        # Capping the exponent at n keeps the test exact and cheap for any m.
+        if self.secrets.policy == "forced_unequal" and 2 ** min(self.m, self.n) < self.n:
             raise ConfigError("field `secrets.policy`: forced_unequal needs 2^m >= n distinct vectors")
         # Constructing the strategy validates kind and params; the
         # participants it names must exist in a run of n.
@@ -171,20 +175,17 @@ def scenario_from_config(doc: dict) -> Scenario:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config field `{key}`")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ConfigError(f"field `schema_version` must be {SCHEMA_VERSION}, got {version!r}")
-    adversary_doc = doc.get("adversary", {}) or {}
-    for key in adversary_doc:
-        if key not in ("kind", "params"):
-            raise ConfigError(f"unknown config field `adversary.{key}`")
-    secrets_doc = doc.get("secrets", {}) or {}
-    for key in secrets_doc:
-        if key not in ("policy", "values"):
-            raise ConfigError(f"unknown config field `secrets.{key}`")
-    output_doc = doc.get("output", {}) or {}
-    for key in output_doc:
-        if key not in ("path", "format"):
-            raise ConfigError(f"unknown config field `output.{key}`")
+    adversary_doc = _section(doc, "adversary", ("kind", "params"))
+    secrets_doc = _section(doc, "secrets", ("policy", "values"))
+    output_doc = _section(doc, "output", ("path", "format"))
+    path, fmt = output_doc.get("path"), output_doc.get("format")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"field `output.path` must be a string, got {path!r}")
+    if fmt not in (None, "json", "csv"):
+        raise ConfigError(f"field `output.format` must be json or csv, got {fmt!r}")
+    params = adversary_doc.get("params")
     scenario = Scenario(
         protocol=doc.get("protocol", "proposed"),
         n=doc.get("n", 3),
@@ -192,7 +193,7 @@ def scenario_from_config(doc: dict) -> Scenario:
         check_rounds=doc.get("check_rounds"),
         decoy_count=doc.get("decoy_count"),
         variant=doc.get("variant", proto.VARIANT_BROADCAST),
-        adversary=AdversarySpec(adversary_doc.get("kind", "none"), adversary_doc.get("params", {}) or {}),
+        adversary=AdversarySpec(adversary_doc.get("kind", "none"), {} if params is None else params),
         secrets=SecretsSpec(secrets_doc.get("policy", "uniform"), secrets_doc.get("values")),
         trials=doc.get("trials", 1000),
         seed=doc.get("seed", 0),
@@ -201,6 +202,19 @@ def scenario_from_config(doc: dict) -> Scenario:
     )
     scenario.validate()
     return scenario
+
+
+def _section(doc: dict, name: str, keys: Tuple[str, ...]) -> dict:
+    """A nested object of a config document; absent or null reads as empty."""
+    section = doc.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"field `{name}` must be an object, got {section!r}")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown config field `{name}.{key}`")
+    return section
 
 
 def wilson_interval(successes: int, count: int, z: float = _Z95) -> Tuple[float, float]:
@@ -311,7 +325,7 @@ def _draw_secrets(scenario: Scenario, rng: np.random.Generator) -> List[List[int
     return rows
 
 
-def _extract(t: proto.Transcript, secrets: List[List[int]]) -> Dict[str, int]:
+def _extract(t: proto.Transcript) -> Dict[str, int]:
     c: Dict[str, int] = {"trials": 1}
 
     def bump(key: str, value: int = 1) -> None:
@@ -362,16 +376,16 @@ def _extract(t: proto.Transcript, secrets: List[List[int]]) -> Dict[str, int]:
         source = proto.TP1 if proto.TP1 in t.r_values else proto.TP
         for (i, j), r in t.r_values[source].items():
             bump("pairs_r_checked")
-            if tuple(r) == tuple(a ^ b for a, b in zip(secrets[i - 1], secrets[j - 1])):
+            if tuple(r) == tuple(a ^ b for a, b in zip(t.secrets[i - 1], t.secrets[j - 1])):
                 bump("pairs_r_exact")
     return c
 
 
 def run_trial(
     scenario: Scenario, strategy: adversaries.AdversaryStrategy, trial: int, record_events: bool
-) -> Tuple[proto.Transcript, List[List[int]]]:
-    """Run trial number ``trial`` of a scenario; returns its transcript and
-    the secrets drawn for it.
+) -> proto.Transcript:
+    """Run trial number ``trial`` of a scenario and return its transcript,
+    which holds the secrets drawn for it.
 
     The trial's random stream is derived from the scenario seed by the trial
     index alone, so a trial replays identically whatever runs around it.
@@ -387,19 +401,17 @@ def run_trial(
         record_events=record_events,
     )
     if scenario.protocol == "proposed":
-        t = proto.run_proposed(
+        return proto.run_proposed(
             scenario.n, scenario.m, secrets, variant=scenario.variant, announce_r=scenario.announce_r_vectors, **options
         )
-    else:
-        t = proto.run_zhang_baseline(scenario.m, secrets, **options)
-    return t, secrets
+    return proto.run_zhang_baseline(scenario.m, secrets, **options)
 
 
 def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
     strategy = scenario.strategy()
     totals: Dict[str, int] = {}
     for trial in range(start, stop):
-        _merge(totals, _extract(*run_trial(scenario, strategy, trial, record_events=False)))
+        _merge(totals, _extract(run_trial(scenario, strategy, trial, record_events=False)))
     return totals
 
 
@@ -409,22 +421,21 @@ def _merge(into: Dict[str, int], part: Dict[str, int]) -> None:
 
 
 def _targets(scenario: Scenario) -> Dict[str, float]:
-    kind = scenario.adversary.kind
+    strategy = scenario.strategy()
     targets: Dict[str, float] = {}
     l = scenario.effective_decoy_count()
     c = scenario.effective_check_rounds()
-    if kind in (adversaries.KIND_EVE, adversaries.KIND_TP2_INTERCEPT):
+    if isinstance(strategy, adversaries.EveInterceptResend):  # TP2's intercept too
         targets["detected_step2_rate"] = closed_form("intercept_detection", l)
-    elif kind == adversaries.KIND_POSITION_TAMPER and scenario.variant == proto.VARIANT_BROADCAST:
-        count = min(int(scenario.adversary.params.get("count", 1)), c)
+    elif isinstance(strategy, adversaries.ClassicalPositionTamper) and scenario.variant == proto.VARIANT_BROADCAST:
+        count = min(strategy.count, c)
         targets["detected_step3_rate"] = closed_form("tamper_detection", count)
         targets["tamper_detection_conditional"] = closed_form("tamper_detection", count)
-    elif kind == adversaries.KIND_TP1_FAKE_STATE:
+    elif isinstance(strategy, adversaries.Tp1FakeInitialState):
         # All-|0> preparation against an all-|0>-vector claim: an X round
         # trips with probability 1/2, a Z round never, so each round of
         # random basis detects with probability 1/4, as an intercepted decoy.
-        params = scenario.adversary.params
-        if params.get("true_state", "zeros") == "zeros" and params.get("claimed") is None:
+        if strategy.true_state == "zeros" and strategy.claimed is None:
             targets["detected_step3_rate"] = closed_form("intercept_detection", c)
             targets["x_check_fail_rate"] = 0.5
             targets["z_check_fail_rate"] = 0.0

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adversaries import NONE, AdversaryStrategy, RunContext, RunHandle
+from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import CarrierSlot, QuantumChannel, generate_decoys, interleave, public_discussion
 
@@ -38,13 +38,6 @@ VARIANTS = (VARIANT_BROADCAST, VARIANT_TP2_RELAY)
 CAUSE_DECOY = "decoy_mismatch"
 CAUSE_STATE_CHECK = "state_check_failed"
 CAUSE_CONFLICT = "announcement_conflict"
-
-IDENTICAL = "identical"
-DIFFERENT = "different"
-
-TP1 = "TP1"
-TP2 = "TP2"
-TP = "TP"  # the baseline's single third party
 
 SCHEMA_VERSION = 1
 
@@ -163,6 +156,8 @@ class Transcript:
         self.aborted = False
         self.abort_step: Optional[int] = None
         self.abort_cause: Optional[str] = None
+        self.secrets: Tuple[Tuple[int, ...], ...] = ()
+        self.carrier_slots: Dict[int, List[int]] = {}  # per participant, the link slot of each register
         self.claimed_specs: List[GhzSpec] = []
         self.true_states: List[object] = []
         self.checked_positions: List[int] = []
@@ -259,29 +254,29 @@ _BASELINE = _Roles(TP, 4, ("P1+P2", "state_check"), None, False)
 def _distribute(
     t: Transcript,
     roles: _Roles,
-    run: RunHandle,
+    run: AdversaryStrategy,
     registers: Sequence[object],
     n: int,
     decoy_count: int,
     decoy_tolerance: int,
     rng: np.random.Generator,
-) -> Tuple[Dict[int, List[object]], Dict[int, List[int]]]:
+) -> Dict[int, List[object]]:
     """Step 2: particle k of every register goes to participant k with fresh
     decoys mixed in, through the adversary's taps, and each participant's
     decoys are then checked in public.
 
-    Returns, per participant, the delivered carriers in register order and
-    their slot indices on the link.  Marks the decoy abort if any link fails.
+    Returns, per participant, the delivered carriers in register order, and
+    records their slot indices on the link in ``t.carrier_slots``.  Marks
+    the decoy abort if any link fails.
     """
     carriers: Dict[int, List[object]] = {}
-    carrier_slots: Dict[int, List[int]] = {}
     for k in range(1, n + 1):
         sent = [CarrierSlot(register, p, k) for p, register in enumerate(registers)]
         decoys = generate_decoys(decoy_count, rng)
         merged, decoy_positions = interleave(sent, decoys, rng)
         delivered = QuantumChannel(roles.sender, f"P{k}", run.taps(k)).transmit(merged, rng)
-        carrier_slots[k] = [idx for idx, slot in enumerate(delivered) if not slot.is_decoy]
-        carriers[k] = [delivered[idx] for idx in carrier_slots[k]]
+        t.carrier_slots[k] = [idx for idx, slot in enumerate(delivered) if not slot.is_decoy]
+        carriers[k] = [delivered[idx] for idx in t.carrier_slots[k]]
         if roles.log_traffic:
             t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(sent), decoys=decoy_count)
         bases = [d.basis for d in decoys]
@@ -295,7 +290,7 @@ def _distribute(
         t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
     if not all(check["passed"] for check in t.decoy_checks):
         t.mark_abort(2, CAUSE_DECOY)
-    return carriers, carrier_slots
+    return carriers
 
 
 def _check_rounds(
@@ -336,7 +331,6 @@ def _measure_keys(
     roles: _Roles,
     carriers: Dict[int, List[object]],
     believed: Dict[int, List[int]],
-    secrets: Tuple[Tuple[int, ...], ...],
     rng: np.random.Generator,
 ) -> None:
     """Step 4: each participant Z-measures the first m registers it believes
@@ -353,37 +347,15 @@ def _measure_keys(
         skipped = set(believed[k])
         positions = [p for p in range(len(held)) if p not in skipped][:m]
         t.keys[k] = tuple(held[p].measure(Basis.Z, rng) for p in positions)
-        t.comps[k] = xor_bits(t.keys[k], secrets[k - 1])
+        t.comps[k] = xor_bits(t.keys[k], t.secrets[k - 1])
         t.add(roles.check_step + 1, f"P{k}", "key_measurement", positions=positions)
         if roles.submit_to:
             t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.submit_to))
 
 
-def _finalize(
-    t: Transcript,
-    run: RunHandle,
-    secrets: Tuple[Tuple[int, ...], ...],
-    carrier_slots: Dict[int, List[int]],
-    rng: np.random.Generator,
-) -> Transcript:
-    """Hand the adversary its read-only view of the run and record the outcome."""
-    t.attack = run.finalize(
-        RunContext(
-            n=t.params["n"],
-            m=t.params["m"],
-            secrets=secrets,
-            claimed_specs=t.claimed_specs,
-            true_states=t.true_states,
-            # Keys exist only once step 4 ran, which fixes the comparison positions.
-            comparison_positions=tuple(t.comparison_positions) if t.keys else None,
-            keys=t.keys,
-            comps=t.comps,
-            aborted=t.aborted,
-            abort_step=t.abort_step,
-            link_carrier_slots=carrier_slots,
-            rng=rng,
-        )
-    )
+def _finalize(t: Transcript, run: AdversaryStrategy, rng: np.random.Generator) -> Transcript:
+    """Let the adversary score the run from its transcript."""
+    t.attack = run.finalize(t, rng)
     return t
 
 
@@ -420,6 +392,7 @@ def run_proposed(
         {"n": n, "m": m, "check_rounds": c, "decoy_count": l, "variant": variant, "adversary": strategy.kind},
         record_events,
     )
+    t.secrets = secrets
 
     # Step 1: prepare 2m shared registers (or whatever the preparer fakes).
     prepared = run.override_preparation(n, total, rng)
@@ -429,9 +402,9 @@ def run_proposed(
     registers, t.true_states, t.claimed_specs = prepared
     t.add(1, TP1, "prepare", registers=total)
 
-    carriers, carrier_slots = _distribute(t, _PROPOSED, run, registers, n, l, decoy_tolerance, rng)
+    carriers = _distribute(t, _PROPOSED, run, registers, n, l, decoy_tolerance, rng)
     if t.aborted:
-        return _finalize(t, run, secrets, carrier_slots, rng)
+        return _finalize(t, run, rng)
     t.add(2, TP1, "initial_states", to=TP2, count=len(t.claimed_specs))
 
     # Step 3: cooperative correctness check of c randomly chosen registers.
@@ -446,9 +419,9 @@ def run_proposed(
         believed = {1: positions, **{k: received for k in range(2, n + 1)}}
         _check_rounds(t, _PROPOSED, carriers, believed, rng)
         if t.aborted:
-            return _finalize(t, run, secrets, carrier_slots, rng)
+            return _finalize(t, run, rng)
 
-    _measure_keys(t, _PROPOSED, carriers, believed, secrets, rng)
+    _measure_keys(t, _PROPOSED, carriers, believed, rng)
 
     # Step 6: both third parties compute and announce a verdict per pair.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -487,7 +460,7 @@ def run_proposed(
             [t.claimed_specs[p] for p in t.comparison_positions], t.comps, t.announcements[TP1], t.announcements[TP2]
         )
         t.add(7, "Arbiter", "liar_identified", liar=t.arbiter)
-    return _finalize(t, run, secrets, carrier_slots, rng)
+    return _finalize(t, run, rng)
 
 
 def run_zhang_baseline(
@@ -527,6 +500,7 @@ def run_zhang_baseline(
         {"n": 2, "m": m, "check_rounds": check_rounds, "decoy_count": l, "adversary": strategy.kind},
         record_events,
     )
+    t.secrets = secrets
 
     bell_specs = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
     specs = [bell_specs[int(b)] for b in rng.integers(0, 2, size=total)]
@@ -535,9 +509,9 @@ def run_zhang_baseline(
     t.add(1, TP, "prepare", registers=total)
 
     registers = [GhzRegister(s) for s in specs]
-    carriers, carrier_slots = _distribute(t, _BASELINE, run, registers, 2, l, decoy_tolerance, rng)
+    carriers = _distribute(t, _BASELINE, run, registers, 2, l, decoy_tolerance, rng)
     if t.aborted:
-        return _finalize(t, run, secrets, carrier_slots, rng)
+        return _finalize(t, run, rng)
 
     # Optional state check over the direct authenticated channel the
     # baseline assumes participants share, so both act on the true positions.
@@ -547,9 +521,9 @@ def run_zhang_baseline(
         believed = {1: positions, 2: positions}
         _check_rounds(t, _BASELINE, carriers, believed, rng)
         if t.aborted:
-            return _finalize(t, run, secrets, carrier_slots, rng)
+            return _finalize(t, run, rng)
 
-    _measure_keys(t, _BASELINE, carriers, believed, secrets, rng)
+    _measure_keys(t, _BASELINE, carriers, believed, rng)
     combined = xor_bits(t.comps[1], t.comps[2])
     t.add(6, "P1+P2", "comparison_submitted", to=TP)
 
@@ -567,4 +541,4 @@ def run_zhang_baseline(
         "accepted": True,
         "ground_truth": IDENTICAL if truth else DIFFERENT,
     }
-    return _finalize(t, run, secrets, carrier_slots, rng)
+    return _finalize(t, run, rng)

@@ -359,6 +359,8 @@ def test_strategy_from_config_valid():
     assert fake.claimed == GhzSpec((0, 0, 0), 0)
     infer = strategy_from_config("participant_infer", {"attacker": 2, "victim": 3, "counterfactual": True})
     assert infer.counterfactual
+    # Pairs are unordered: [2, 1] names the announced pair (1, 2).
+    assert strategy_from_config("tp2_fake_result", {"pairs": [[2, 1], [1, 3]]}).pairs == {(1, 2), (1, 3)}
 
 
 def test_strategy_from_config_errors():

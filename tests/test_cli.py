@@ -138,6 +138,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
             assert main(argv + ["--jobs", jobs]) == EXIT_CONFIG
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err["category"] == "usage" and "--jobs" in err["message"]
+    # A document that is not a JSON object is a config error, not a crash.
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1]")
+    for argv in (["run", "--config", str(cfg)], ["transcript", "--config", str(cfg)]):
+        assert main(argv) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config" and "JSON object" in err["message"]
 
 
 def test_help_exits_zero(capsys):

@@ -55,6 +55,16 @@ def test_validation_names_offending_fields():
         (dict(adversary=AdversarySpec("classical_position_tamper", {"count": -3})), "count"),
         (dict(trials=True), "trials"),
         (dict(m=True), "`m`"),
+        (dict(secrets=SecretsSpec(policy="explicit", values=[1, 2])), "secrets.values"),
+        (dict(secrets=SecretsSpec(policy="explicit", values=[[True, False], [0, 1]])), "secrets.values"),
+        (dict(announce_r_vectors="no"), "announce_r_vectors"),
+        (dict(adversary=AdversarySpec("participant_infer", {"counterfactual": "false"})), "counterfactual"),
+        (dict(adversary=AdversarySpec("none", "x")), "adversary.params"),
+        (dict(n=3, adversary=AdversarySpec("tp1_fake_result", {"pairs": [[1, 7]]})), "pairs"),
+        (dict(n=3, adversary=AdversarySpec("tp2_fake_result", {"pairs": [[2, 2]]})), "pairs"),
+        (dict(adversary=AdversarySpec("tp2_fake_result", {"pairs": [["a", 2]]})), "pairs"),
+        (dict(adversary=AdversarySpec("tp1_fake_result", {"pairs": "some"})), "pairs"),
+        (dict(adversary=AdversarySpec("tp1_fake_result", {"pairs": [[1, 2, 3]]})), "pairs"),
     ]
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):
@@ -78,6 +88,14 @@ def test_scenario_from_config_rejects_unknown_keys():
         scenario_from_config({**base, "secrets": {"policy": "uniform", "value": []}})
     with pytest.raises(ConfigError, match="output.mode"):
         scenario_from_config({**base, "output": {"mode": "loud"}})
+    with pytest.raises(ConfigError, match="adversary.params"):
+        scenario_from_config({**base, "adversary": {"kind": "none", "params": "x"}})
+    with pytest.raises(ConfigError, match="`adversary`"):
+        scenario_from_config({**base, "adversary": 5})
+    with pytest.raises(ConfigError, match="output.format"):
+        scenario_from_config({**base, "output": {"format": "xml"}})
+    with pytest.raises(ConfigError, match="output.path"):
+        scenario_from_config({**base, "output": {"path": 5}})
     with pytest.raises(ConfigError, match="schema_version"):
         scenario_from_config({**base, "schema_version": 99})
     with pytest.raises(ConfigError, match="config document"):
@@ -140,7 +158,7 @@ def test_explicit_secrets_flow_into_run():
     scenario = small_scenario(
         trials=1, m=2, secrets=SecretsSpec(policy="explicit", values=[[0, 1], [1, 1]])
     )
-    transcript, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    transcript = run_trial(scenario, scenario.strategy(), 0, record_events=True)
     assert transcript.comps[1] == tuple(a ^ b for a, b in zip(transcript.keys[1], (0, 1)))
     assert transcript.pair_results[(1, 2)]["ground_truth"] == "different"
     assert transcript.events
@@ -198,9 +216,9 @@ def test_csv_round_trip():
 
 def test_run_trial_respects_seed_stream():
     scenario = small_scenario(trials=1)
-    t1, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
-    t2, _ = run_trial(scenario, scenario.strategy(), 0, record_events=True)
-    t3, _ = run_trial(scenario, scenario.strategy(), 1, record_events=True)
+    t1 = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    t2 = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    t3 = run_trial(scenario, scenario.strategy(), 1, record_events=True)
     assert t1.to_json() == t2.to_json() != t3.to_json()
 
 

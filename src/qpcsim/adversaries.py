@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
+from .ghz import BASES, Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
 
 if TYPE_CHECKING:
     from .protocol import Transcript
@@ -83,6 +83,10 @@ class AdversaryStrategy:
         """The participant indices each param names, for range checks."""
         return {}
 
+    def states(self) -> Dict[str, GhzSpec]:
+        """The state each param names, for particle-count checks."""
+        return {}
+
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
         """Return (registers, true_states, claimed_specs) or None for honest."""
         return None
@@ -140,11 +144,9 @@ class EveInterceptResend(AdversaryStrategy):
             return ()
 
         def tap(slots, rng):
-            bases = rng.integers(0, 2, size=len(slots))
             rec = []
-            for slot, b in zip(slots, bases):
-                bit = slot.intercept(Basis(int(b)), rng)
-                rec.append((int(b), int(bit)))
+            for slot, b in zip(slots, rng.integers(0, 2, size=len(slots)).tolist()):
+                rec.append((b, slot.intercept(BASES[b], rng)))
             self.records[link] = rec
 
         return (tap,)
@@ -226,6 +228,10 @@ class Tp1FakeInitialState(AdversaryStrategy):
     true_state: object = "zeros"  # "zeros" or a GhzSpec
     claimed: Optional[GhzSpec] = None
     kind = KIND_TP1_FAKE_STATE
+
+    def states(self) -> Dict[str, GhzSpec]:
+        named = {"true_state": self.true_state, "claimed": self.claimed}
+        return {name: state for name, state in named.items() if isinstance(state, GhzSpec)}
 
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
         claimed = self.claimed or GhzSpec((0,) * n, 0)
@@ -372,6 +378,9 @@ class ClassicalPositionTamper(AdversaryStrategy):
     def start_run(self) -> "ClassicalPositionTamper":
         return replace(self)
 
+    def states(self) -> Dict[str, GhzSpec]:
+        return {} if self.spec_pair is None else {"pair[0]": self.spec_pair[0], "pair[1]": self.spec_pair[1]}
+
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
         if self.policy != POLICY_PAIRED:
             return None
@@ -392,7 +401,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
         wanted = min(self.count, rounds_total)
         if wanted == 0:
             return list(true_positions)
-        rounds = sorted(int(r) for r in rng.choice(rounds_total, size=wanted, replace=False))
+        rounds = sorted(rng.choice(rounds_total, size=wanted, replace=False).tolist())
         checked = set(true_positions)
         used: set = set()
         received = list(true_positions)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +35,10 @@ class Basis(IntEnum):
 
     Z = 0
     X = 1
+
+
+# The members by value, so a drawn 0/1 picks its basis without an Enum call.
+BASES = (Basis.Z, Basis.X)
 
 
 class ConsumedParticleError(RuntimeError):
@@ -96,9 +101,24 @@ class GhzSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GhzSpec":
-        return cls(tuple(int(ch) for ch in data["q"]), int(data["delta"]))
+        """Parse ``to_dict`` output.  ``q`` is a string of 0/1 characters or
+        a list of integer bits and ``delta`` an integer; booleans, floats and
+        anything else are rejected rather than coerced."""
+        q, delta = data["q"], data["delta"]
+        if isinstance(q, str) and set(q) <= {"0", "1"}:
+            bits = tuple(int(ch) for ch in q)
+        elif isinstance(q, (list, tuple)) and all(type(b) is int for b in q):
+            bits = tuple(q)
+        else:
+            raise ValueError(f"q must be a string of 0/1 characters or a list of integer bits, got {q!r}")
+        if type(delta) is not int:
+            raise ValueError(f"delta must be the integer 0 or 1, got {delta!r}")
+        return cls(bits, delta)
 
 
+# Specs are immutable, so a run's registers can share them.  Bounded because
+# there are 2^n of them and n reaches 20.
+@lru_cache(maxsize=4096)
 def ghz_from_index(index: int, n: int) -> GhzSpec:
     """Canonical bijection from a 1-based family index to a state.
 
@@ -152,26 +172,24 @@ def pair_xor(spec: GhzSpec, i: int, j: int) -> int:
     what lets a party that knows the preparation link two other parties'
     key bits without seeing them.
     """
+    q = spec.q
     for p in (i, j):
-        if not 1 <= p <= spec.n:
-            raise IndexError(f"particle index {p} out of range 1..{spec.n}")
-    return spec.q[i - 1] ^ spec.q[j - 1]
+        if not 1 <= p <= len(q):
+            raise IndexError(f"particle index {p} out of range 1..{len(q)}")
+    return q[i - 1] ^ q[j - 1]
 
 
 def _checked_positions(positions: Iterable[int], n: int, consumed: set) -> Tuple[int, ...]:
-    pos = tuple(int(p) for p in positions)
+    pos = tuple(map(int, positions))
     if not pos:
         raise ValueError("positions must be nonempty")
-    seen: set = set()
     for p in pos:
         if not 1 <= p <= n:
             raise IndexError(f"particle index {p} out of range 1..{n}")
-        if p in seen:
-            raise ValueError(f"duplicate particle index {p}")
-        seen.add(p)
-    already = seen & consumed
-    if already:
-        raise ConsumedParticleError(f"particles already measured: {sorted(already)}")
+    if len(set(pos)) != len(pos):
+        raise ValueError(f"duplicate particle index in {list(pos)}")
+    if not consumed.isdisjoint(pos):
+        raise ConsumedParticleError(f"particles already measured: {sorted(consumed.intersection(pos))}")
     return pos
 
 
@@ -186,45 +204,39 @@ class GhzRegister:
     independent coin flips.
     """
 
-    __slots__ = ("spec", "_consumed", "_z_branch", "_x_parity")
+    __slots__ = ("spec", "q", "n", "_consumed", "_z_branch", "_x_parity")
 
     def __init__(self, spec: GhzSpec) -> None:
         self.spec = spec
+        self.q = spec.q
+        self.n = len(spec.q)
         self._consumed: set = set()
         self._z_branch = None
         self._x_parity = spec.delta
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
 
     @property
     def consumed(self) -> frozenset:
         return frozenset(self._consumed)
 
     def measure(self, positions: Iterable[int], basis: Basis, rng: np.random.Generator) -> Dict[int, int]:
-        pos = _checked_positions(positions, self.spec.n, self._consumed)
-        if basis == Basis.Z:
-            if self._z_branch is None:
-                self._z_branch = int(rng.integers(0, 2))
-            out = {p: self.spec.q[p - 1] ^ self._z_branch for p in pos}
-        elif self._z_branch is not None:
-            out = {p: int(b) for p, b in zip(pos, rng.integers(0, 2, size=len(pos)))}
-        else:
-            remaining = self.spec.n - len(self._consumed)
-            if len(pos) == remaining:
-                bits = [int(b) for b in rng.integers(0, 2, size=len(pos) - 1)] if len(pos) > 1 else []
-                last = self._x_parity
-                for b in bits:
-                    last ^= b
-                bits.append(last)
-                out = dict(zip(pos, bits))
+        pos = _checked_positions(positions, self.n, self._consumed)
+        # Particle by particle: k scalar draws are one size=k draw, value for
+        # value (a numpy property tests/test_ghz.py pins), so a joint X
+        # measurement draws what it would draw at once.
+        out = {}
+        for p in pos:
+            remaining = self.n - len(self._consumed)
+            self._consumed.add(p)
+            if basis == Basis.Z:
+                if self._z_branch is None:
+                    self._z_branch = int(rng.integers(0, 2))
+                out[p] = self.q[p - 1] ^ self._z_branch
+            elif self._z_branch is None and remaining == 1:
+                # The last particle of an X-only register carries the parity.
+                out[p] = self._x_parity
             else:
-                bits = [int(b) for b in rng.integers(0, 2, size=len(pos))]
-                out = dict(zip(pos, bits))
-                for b in bits:
-                    self._x_parity ^= b
-        self._consumed.update(pos)
+                out[p] = bit = int(rng.integers(0, 2))
+                self._x_parity ^= bit
         return out
 
 
@@ -236,29 +248,26 @@ class ProductRegister:
     measurements are independent coin flips.
     """
 
-    __slots__ = ("bits", "_consumed")
+    __slots__ = ("bits", "n", "_consumed")
 
     def __init__(self, bits: Sequence[int]) -> None:
         bits = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in bits) or not 2 <= len(bits) <= MAX_PARTICLES:
             raise ValueError("bits must be 2..20 binary values")
         self.bits = bits
+        self.n = len(bits)
         self._consumed: set = set()
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
 
     @property
     def consumed(self) -> frozenset:
         return frozenset(self._consumed)
 
     def measure(self, positions: Iterable[int], basis: Basis, rng: np.random.Generator) -> Dict[int, int]:
-        pos = _checked_positions(positions, len(self.bits), self._consumed)
+        pos = _checked_positions(positions, self.n, self._consumed)
         if basis == Basis.Z:
             out = {p: self.bits[p - 1] for p in pos}
         else:
-            out = {p: int(b) for p, b in zip(pos, rng.integers(0, 2, size=len(pos)))}
+            out = {p: int(rng.integers(0, 2)) for p in pos}
         self._consumed.update(pos)
         return out
 

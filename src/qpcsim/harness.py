@@ -117,11 +117,16 @@ class Scenario:
         if self.secrets.policy == "forced_unequal" and 2 ** min(self.m, self.n) < self.n:
             raise ConfigError("field `secrets.policy`: forced_unequal needs 2^m >= n distinct vectors")
         # Constructing the strategy validates kind and params; the
-        # participants it names must exist in a run of n.
-        for param, indices in self.strategy().participants().items():
+        # participants it names must exist in a run of n, and the states it
+        # names must have n particles.
+        strategy = self.strategy()
+        for param, indices in strategy.participants().items():
             for p in indices:
                 if not 1 <= p <= self.n:
                     raise ConfigError(f"adversary param `{param}` must name a participant in 1..{self.n}, got {p}")
+        for param, state in strategy.states().items():
+            if state.n != self.n:
+                raise ConfigError(f"adversary param `{param}` must be a {self.n}-particle state, got {state.n}")
 
     def to_config(self) -> dict:
         return {
@@ -316,12 +321,12 @@ def _draw_secrets(scenario: Scenario, rng: np.random.Generator) -> List[List[int
     if policy == "explicit":
         return [list(row) for row in scenario.secrets.values]
     if policy == "forced_equal":
-        row = [int(b) for b in rng.integers(0, 2, size=m)]
+        row = rng.integers(0, 2, size=m).tolist()
         return [list(row) for _ in range(n)]
-    rows = [[int(b) for b in rng.integers(0, 2, size=m)] for _ in range(n)]
+    rows = [rng.integers(0, 2, size=m).tolist() for _ in range(n)]
     if policy == "forced_unequal":
         while len({tuple(r) for r in rows}) < n:
-            rows = [[int(b) for b in rng.integers(0, 2, size=m)] for _ in range(n)]
+            rows = [rng.integers(0, 2, size=m).tolist() for _ in range(n)]
     return rows
 
 

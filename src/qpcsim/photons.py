@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ghz import Basis
+from .ghz import BASES, Basis
 
 
 class DecoyState(IntEnum):
@@ -22,18 +22,24 @@ class DecoyState(IntEnum):
 
     @property
     def basis(self) -> Basis:
-        return Basis(int(self) >> 1)
+        return BASES[self >> 1]
 
     @property
     def bit(self) -> int:
-        return int(self) & 1
+        return self & 1
 
     def ket(self) -> str:
         return ("|0>", "|1>", "|+>", "|->")[int(self)]
 
 
+# The members by value, so a drawn 0..3 picks its state without an Enum call.
+DECOYS = tuple(DecoyState)
+
+
 def decoy_state(basis: Basis, bit: int) -> DecoyState:
-    return DecoyState((int(basis) << 1) | (bit & 1))
+    value = (basis << 1) | (bit & 1)
+    # DecoyState() rejects what the lookup cannot hold.
+    return DECOYS[value] if 0 <= value < 4 else DecoyState(value)
 
 
 class Qubit:
@@ -47,7 +53,7 @@ class Qubit:
     __slots__ = ("state",)
 
     def __init__(self, state: DecoyState) -> None:
-        self.state = DecoyState(state)
+        self.state = state if type(state) is DecoyState else DecoyState(state)
 
     def measure(self, basis: Basis, rng: np.random.Generator) -> int:
         if self.state.basis == basis:
@@ -63,7 +69,7 @@ def generate_decoys(count: int, rng: np.random.Generator) -> List[DecoyState]:
         raise ValueError("decoy count must be nonnegative")
     if count == 0:
         return []
-    return [DecoyState(int(v)) for v in rng.integers(0, 4, size=count)]
+    return [DECOYS[v] for v in rng.integers(0, 4, size=count).tolist()]
 
 
 class DecoySlot:
@@ -146,18 +152,11 @@ def interleave(
     total = len(carriers) + len(decoys)
     if not decoys:
         return list(carriers), []
-    chosen = sorted(int(i) for i in rng.choice(total, size=len(decoys), replace=False))
-    spots = set(chosen)
-    merged: List[object] = []
-    ci = 0
-    di = 0
-    for idx in range(total):
-        if idx in spots:
-            merged.append(DecoySlot(Qubit(decoys[di])))
-            di += 1
-        else:
-            merged.append(carriers[ci])
-            ci += 1
+    chosen = sorted(rng.choice(total, size=len(decoys), replace=False).tolist())
+    merged = list(carriers)
+    # In ascending order, every slot before a spot is already in place.
+    for idx, decoy in zip(chosen, decoys):
+        merged.insert(idx, DecoySlot(Qubit(decoy)))
     return merged, [i + 1 for i in chosen]
 
 

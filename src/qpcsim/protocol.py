@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
-from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
+from .ghz import BASES, Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import CarrierSlot, QuantumChannel, generate_decoys, interleave, public_discussion
 
 VARIANT_BROADCAST = "classical_broadcast"
@@ -280,9 +280,7 @@ def _distribute(
         if roles.log_traffic:
             t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(sent), decoys=decoy_count)
         bases = [d.basis for d in decoys]
-        results = [
-            delivered[pos - 1].measure(bases[idx], rng) for idx, pos in enumerate(decoy_positions)
-        ]
+        results = [delivered[pos - 1].measure(basis, rng) for pos, basis in zip(decoy_positions, bases)]
         report = public_discussion(bases, results, decoys, tolerance=decoy_tolerance)
         t.decoy_checks.append(
             {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
@@ -309,7 +307,7 @@ def _check_rounds(
     state-check abort on failure.
     """
     positions = believed[1]
-    bases = [Basis(int(b)) for b in rng.integers(0, 2, size=len(positions))]
+    bases = [BASES[b] for b in rng.integers(0, 2, size=len(positions)).tolist()]
     if roles.log_traffic:
         t.add(3, "P2", "check_bases", bases=[int(b) for b in bases])
     outcomes: List[Dict[int, int]] = []
@@ -397,7 +395,7 @@ def run_proposed(
     # Step 1: prepare 2m shared registers (or whatever the preparer fakes).
     prepared = run.override_preparation(n, total, rng)
     if prepared is None:
-        specs = [ghz_from_index(int(i), n) for i in rng.integers(1, 2**n + 1, size=total)]
+        specs = [ghz_from_index(i, n) for i in rng.integers(1, 2**n + 1, size=total).tolist()]
         prepared = [GhzRegister(s) for s in specs], list(specs), list(specs)
     registers, t.true_states, t.claimed_specs = prepared
     t.add(1, TP1, "prepare", registers=total)
@@ -410,7 +408,7 @@ def run_proposed(
     # Step 3: cooperative correctness check of c randomly chosen registers.
     believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
     if c > 0:
-        positions = sorted(int(p) for p in rng.choice(total, size=c, replace=False))
+        positions = sorted(rng.choice(total, size=c, replace=False).tolist())
         # P1's broadcast to the other participants rides the plain classical
         # channel and is the only thing a tamperer can touch; TP2 always gets
         # the true list over its authenticated channel.
@@ -424,18 +422,22 @@ def run_proposed(
     _measure_keys(t, _PROPOSED, carriers, believed, rng)
 
     # Step 6: both third parties compute and announce a verdict per pair.
+    # They hold the same claimed states and masked strings, so each pair's
+    # result vector is computed once; each announcer gets its own dict.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    compared = [t.claimed_specs[p] for p in t.comparison_positions]
+    r_values = {}
+    for i, j in pairs:
+        tvec = tuple(pair_xor(spec, i, j) for spec in compared)
+        r_values[(i, j)] = xor_bits(xor_bits(tvec, t.comps[i]), t.comps[j])
     t.announcements = {TP1: {}, TP2: {}}
-    t.r_values = {TP1: {}, TP2: {}}
+    t.r_values = {TP1: r_values, TP2: dict(r_values)}
     for announcer in (TP1, TP2):
         for pair in pairs:
-            i, j = pair
-            tvec = tuple(pair_xor(t.claimed_specs[p], i, j) for p in t.comparison_positions)
-            r = xor_bits(xor_bits(tvec, t.comps[i]), t.comps[j])
+            r = r_values[pair]
             verdict = run.flip_verdict(announcer, pair, verdict_for(r))
             announcement = Announcement(announcer, pair, verdict, r if announce_r else None)
             t.announcements[announcer][pair] = announcement
-            t.r_values[announcer][pair] = r
             t.add(6, announcer, "announcement", pair=list(pair), verdict=verdict)
 
     # Step 7: participants cross-compare the two announcements.
@@ -456,9 +458,7 @@ def run_proposed(
             conflict = True
     if conflict:
         t.mark_abort(7, CAUSE_CONFLICT)
-        t.arbiter = arbiter_identify(
-            [t.claimed_specs[p] for p in t.comparison_positions], t.comps, t.announcements[TP1], t.announcements[TP2]
-        )
+        t.arbiter = arbiter_identify(compared, t.comps, t.announcements[TP1], t.announcements[TP2])
         t.add(7, "Arbiter", "liar_identified", liar=t.arbiter)
     return _finalize(t, run, rng)
 
@@ -503,7 +503,7 @@ def run_zhang_baseline(
     t.secrets = secrets
 
     bell_specs = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
-    specs = [bell_specs[int(b)] for b in rng.integers(0, 2, size=total)]
+    specs = [bell_specs[b] for b in rng.integers(0, 2, size=total).tolist()]
     t.true_states = list(specs)
     t.claimed_specs = list(specs)
     t.add(1, TP, "prepare", registers=total)
@@ -517,7 +517,7 @@ def run_zhang_baseline(
     # baseline assumes participants share, so both act on the true positions.
     believed: Dict[int, List[int]] = {1: [], 2: []}
     if check_rounds > 0:
-        positions = sorted(int(p) for p in rng.choice(total, size=check_rounds, replace=False))
+        positions = sorted(rng.choice(total, size=check_rounds, replace=False).tolist())
         believed = {1: positions, 2: positions}
         _check_rounds(t, _BASELINE, carriers, believed, rng)
         if t.aborted:

@@ -357,6 +357,9 @@ def test_strategy_from_config_valid():
     assert tamper.spec_pair[1] == ghz_from_index(7, 3)
     fake = strategy_from_config("tp1_fake_initial_state", {"claimed": {"q": "000", "delta": 0}})
     assert fake.claimed == GhzSpec((0, 0, 0), 0)
+    # A state's bits may also be given as a list of integers.
+    fake = strategy_from_config("tp1_fake_initial_state", {"true_state": {"q": [0, 1, 1], "delta": 1}})
+    assert fake.true_state == GhzSpec((0, 1, 1), 1)
     infer = strategy_from_config("participant_infer", {"attacker": 2, "victim": 3, "counterfactual": True})
     assert infer.counterfactual
     # Pairs are unordered: [2, 1] names the announced pair (1, 2).

@@ -199,6 +199,43 @@ def test_register_consumption_errors():
         GhzRegister(spec).measure([4], Basis.Z, rng)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: GhzRegister(ghz_from_index(5, 3)), lambda: ProductRegister((0, 1, 0))], ids=["ghz", "product"]
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda p: (p,), lambda p: [p], lambda p: (np.int64(p),)], ids=["tuple", "list", "numpy_int"]
+)
+def test_single_particle_measure_checks(make, wrap):
+    rng = make_rng(15)
+    for basis in (Basis.Z, Basis.X):
+        for bad in (0, 4):
+            with pytest.raises(IndexError):
+                make().measure(wrap(bad), basis, rng)
+        reg = make()
+        out = reg.measure(wrap(2), basis, rng)
+        assert list(out) == [2] and type(next(iter(out))) is int
+        for again in (Basis.Z, Basis.X):
+            with pytest.raises(ConsumedParticleError):
+                reg.measure(wrap(2), again, rng)
+        assert reg.consumed == {2}
+
+
+@pytest.mark.parametrize("high", [2, 4])
+def test_scalar_draws_match_one_sized_draw(high):
+    # Registers and photons draw one bit (or decoy) at a time where a
+    # sized draw would give the same values; the golden outputs rely on it.
+    for k in (1, 2, 7, 64):
+        one_at_a_time, sized = make_rng(16, high, k), make_rng(16, high, k)
+        scalars = [int(one_at_a_time.integers(0, high)) for _ in range(k)]
+        assert scalars == sized.integers(0, high, size=k).tolist(), (
+            f"numpy {np.__version__}: {k} scalar integers(0, {high}) draws differ from one size={k} draw"
+        )
+        assert one_at_a_time.bit_generator.state == sized.bit_generator.state, (
+            f"numpy {np.__version__}: {k} scalar integers(0, {high}) draws leave another generator state"
+            f" than one size={k} draw"
+        )
+
+
 def test_full_x_parity_always_matches():
     rng = make_rng(4)
     for spec in all_specs(3):

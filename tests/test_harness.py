@@ -17,6 +17,11 @@ from qpcsim.harness import (
 )
 
 
+FAKE_STATE = "tp1_fake_initial_state"
+TAMPER = "classical_position_tamper"
+ZEROS3 = {"q": "000", "delta": 0}
+
+
 def small_scenario(**overrides):
     base = dict(protocol="proposed", n=2, m=2, trials=60, seed=7)
     base.update(overrides)
@@ -65,6 +70,17 @@ def test_validation_names_offending_fields():
         (dict(adversary=AdversarySpec("tp2_fake_result", {"pairs": [["a", 2]]})), "pairs"),
         (dict(adversary=AdversarySpec("tp1_fake_result", {"pairs": "some"})), "pairs"),
         (dict(adversary=AdversarySpec("tp1_fake_result", {"pairs": [[1, 2, 3]]})), "pairs"),
+        # States: booleans and floats are not bits, and a state must have n particles.
+        (dict(n=3, adversary=AdversarySpec(FAKE_STATE, {"true_state": {"q": [False, True, 1.7], "delta": 0}})),
+         "true_state"),
+        (dict(n=3, adversary=AdversarySpec(FAKE_STATE, {"true_state": {"q": [0, 1, 1.0], "delta": 0}})), "true_state"),
+        (dict(n=3, adversary=AdversarySpec(FAKE_STATE, {"claimed": {"q": "011", "delta": True}})), "claimed"),
+        (dict(n=3, adversary=AdversarySpec(FAKE_STATE, {"claimed": {"q": "0x1", "delta": 0}})), "claimed"),
+        (dict(n=3, adversary=AdversarySpec(TAMPER, {"pair": [{"q": [0, True, 1], "delta": 0}, ZEROS3]})), r"pair\[0\]"),
+        (dict(n=3, adversary=AdversarySpec(TAMPER, {"pair": [ZEROS3, {"q": "011", "delta": 0.0}]})), r"pair\[1\]"),
+        (dict(n=3, adversary=AdversarySpec(FAKE_STATE, {"true_state": {"q": "00", "delta": 0}})), "true_state"),
+        (dict(n=3, adversary=AdversarySpec(FAKE_STATE, {"claimed": {"q": "0000", "delta": 0}})), "claimed"),
+        (dict(n=3, adversary=AdversarySpec(TAMPER, {"pair": [ZEROS3, {"q": "0110", "delta": 0}]})), r"pair\[1\]"),
     ]
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):

@@ -186,7 +186,7 @@ def _checked_positions(positions: Iterable[int], n: int, consumed: set) -> Tuple
     for p in pos:
         if not 1 <= p <= n:
             raise IndexError(f"particle index {p} out of range 1..{n}")
-    if len(set(pos)) != len(pos):
+    if len(pos) > 1 and len(set(pos)) != len(pos):
         raise ValueError(f"duplicate particle index in {list(pos)}")
     if not consumed.isdisjoint(pos):
         raise ConsumedParticleError(f"particles already measured: {sorted(consumed.intersection(pos))}")
@@ -219,24 +219,27 @@ class GhzRegister:
         return frozenset(self._consumed)
 
     def measure(self, positions: Iterable[int], basis: Basis, rng: np.random.Generator) -> Dict[int, int]:
-        pos = _checked_positions(positions, self.n, self._consumed)
-        # Particle by particle: k scalar draws are one size=k draw, value for
-        # value (a numpy property tests/test_ghz.py pins), so a joint X
-        # measurement draws what it would draw at once.
+        consumed = self._consumed
+        pos = _checked_positions(positions, self.n, consumed)
         out = {}
-        for p in pos:
-            remaining = self.n - len(self._consumed)
-            self._consumed.add(p)
-            if basis == Basis.Z:
-                if self._z_branch is None:
-                    self._z_branch = int(rng.integers(0, 2))
+        if basis == Basis.Z:
+            if self._z_branch is None:
+                self._z_branch = int(rng.integers(0, 2))
+            for p in pos:
                 out[p] = self.q[p - 1] ^ self._z_branch
-            elif self._z_branch is None and remaining == 1:
-                # The last particle of an X-only register carries the parity.
-                out[p] = self._x_parity
-            else:
-                out[p] = bit = int(rng.integers(0, 2))
-                self._x_parity ^= bit
+        else:
+            # Particle by particle: k scalar draws are one size=k draw, value
+            # for value (a numpy property tests/test_ghz.py pins), so a joint X
+            # measurement draws what it would draw at once.  The last particle
+            # of an X-only register carries the parity instead.
+            last = pos[-1] if self._z_branch is None and len(consumed) + len(pos) == self.n else 0
+            for p in pos:
+                if p == last:
+                    out[p] = self._x_parity
+                else:
+                    out[p] = bit = int(rng.integers(0, 2))
+                    self._x_parity ^= bit
+        consumed.update(pos)
         return out
 
 

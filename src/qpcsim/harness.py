@@ -101,6 +101,18 @@ class Scenario:
             raise ConfigError(f"field `decoy_tolerance` must be a nonnegative integer, got {self.decoy_tolerance!r}")
         if not isinstance(self.announce_r_vectors, bool):
             raise ConfigError(f"field `announce_r_vectors` must be true or false, got {self.announce_r_vectors!r}")
+        if self.protocol == "zhang_baseline":
+            # The baseline runner has no relayed variant, never publishes
+            # result vectors and calls neither the preparation nor the
+            # position-broadcast hook, so each of these would run as honest.
+            if self.variant != proto.VARIANT_BROADCAST:
+                raise ConfigError(f"field `variant` must be {proto.VARIANT_BROADCAST} for the zhang_baseline protocol")
+            if self.announce_r_vectors:
+                raise ConfigError("field `announce_r_vectors` must be false for the zhang_baseline protocol")
+            if self.adversary.kind in (adversaries.KIND_TP1_FAKE_STATE, adversaries.KIND_POSITION_TAMPER):
+                raise ConfigError(
+                    f"field `adversary.kind` {self.adversary.kind} is not supported by the zhang_baseline protocol"
+                )
         if self.secrets.policy not in SECRET_POLICIES:
             raise ConfigError(f"field `secrets.policy` must be one of {SECRET_POLICIES}, got {self.secrets.policy!r}")
         if self.secrets.policy == "explicit":
@@ -323,19 +335,22 @@ def _draw_secrets(scenario: Scenario, rng: np.random.Generator) -> List[List[int
     if policy == "forced_equal":
         row = rng.integers(0, 2, size=m).tolist()
         return [list(row) for _ in range(n)]
-    rows = [rng.integers(0, 2, size=m).tolist() for _ in range(n)]
+    # One (n, m) draw is n size-m draws, value for value (a numpy property
+    # tests/test_ghz.py pins).
+    rows = rng.integers(0, 2, size=(n, m)).tolist()
     if policy == "forced_unequal":
         while len({tuple(r) for r in rows}) < n:
-            rows = [rng.integers(0, 2, size=m).tolist() for _ in range(n)]
+            rows = rng.integers(0, 2, size=(n, m)).tolist()
     return rows
 
 
-def _extract(t: proto.Transcript) -> Dict[str, int]:
-    c: Dict[str, int] = {"trials": 1}
+def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
+    """Count one trial's outcomes into the counters ``c``, in place."""
 
     def bump(key: str, value: int = 1) -> None:
         c[key] = c.get(key, 0) + value
 
+    bump("trials")
     if t.aborted:
         bump("aborted")
         bump(f"abort_step{t.abort_step}")
@@ -383,7 +398,6 @@ def _extract(t: proto.Transcript) -> Dict[str, int]:
             bump("pairs_r_checked")
             if tuple(r) == tuple(a ^ b for a, b in zip(t.secrets[i - 1], t.secrets[j - 1])):
                 bump("pairs_r_exact")
-    return c
 
 
 def run_trial(
@@ -416,7 +430,7 @@ def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
     strategy = scenario.strategy()
     totals: Dict[str, int] = {}
     for trial in range(start, stop):
-        _merge(totals, _extract(run_trial(scenario, strategy, trial, record_events=False)))
+        _extract(run_trial(scenario, strategy, trial, record_events=False), totals)
     return totals
 
 

@@ -9,83 +9,57 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ghz import BASES, Basis
+from .ghz import Basis
 
 
 class DecoyState(IntEnum):
-    """The four single-qubit decoy preparations."""
+    """Names of the four single-qubit decoy preparations.  A photon holds
+    one as a plain int: basis ``state >> 1``, bit ``state & 1``."""
 
     Z0 = 0  # |0>
     Z1 = 1  # |1>
     X_PLUS = 2  # |+>
     X_MINUS = 3  # |->
 
-    @property
-    def basis(self) -> Basis:
-        return BASES[self >> 1]
 
-    @property
-    def bit(self) -> int:
-        return self & 1
-
-    def ket(self) -> str:
-        return ("|0>", "|1>", "|+>", "|->")[int(self)]
+_STATES = frozenset(DecoyState)
 
 
-# The members by value, so a drawn 0..3 picks its state without an Enum call.
-DECOYS = tuple(DecoyState)
-
-
-def decoy_state(basis: Basis, bit: int) -> DecoyState:
-    value = (basis << 1) | (bit & 1)
-    # DecoyState() rejects what the lookup cannot hold.
-    return DECOYS[value] if 0 <= value < 4 else DecoyState(value)
-
-
-class Qubit:
-    """A single photon in one definite state from the decoy set.
-
-    Measuring in the preparation basis returns the prepared bit and leaves
-    the photon alone; measuring in the other basis returns a fair coin and
-    re-prepares the photon in the measured eigenstate.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: DecoyState) -> None:
-        self.state = state if type(state) is DecoyState else DecoyState(state)
-
-    def measure(self, basis: Basis, rng: np.random.Generator) -> int:
-        if self.state.basis == basis:
-            return self.state.bit
-        bit = int(rng.integers(0, 2))
-        self.state = decoy_state(basis, bit)
-        return bit
-
-
-def generate_decoys(count: int, rng: np.random.Generator) -> List[DecoyState]:
+def generate_decoys(count: int, rng: np.random.Generator) -> List[int]:
     """``count`` independent uniform draws from the four decoy states."""
     if count < 0:
         raise ValueError("decoy count must be nonnegative")
     if count == 0:
         return []
-    return [DECOYS[v] for v in rng.integers(0, 4, size=count).tolist()]
+    return rng.integers(0, 4, size=count).tolist()
 
 
 class DecoySlot:
-    """A transmissible slot holding one decoy photon."""
+    """A transmissible slot holding one photon in a decoy state 0..3.
 
-    __slots__ = ("photon",)
+    Measuring in the preparation basis returns the prepared bit and leaves
+    the photon alone; measuring in the other basis returns a fair coin and
+    re-prepares the photon in the measured eigenstate.  An interceptor
+    measures it like anyone else.
+    """
+
+    __slots__ = ("state",)
     is_decoy = True
 
-    def __init__(self, photon: Qubit) -> None:
-        self.photon = photon
+    def __init__(self, state: int) -> None:
+        if state not in _STATES:
+            raise ValueError(f"decoy state must be in 0..3, got {state!r}")
+        self.state = state
 
     def measure(self, basis: Basis, rng: np.random.Generator) -> int:
-        return self.photon.measure(basis, rng)
+        state = self.state
+        if state >> 1 == basis:
+            return state & 1
+        bit = int(rng.integers(0, 2))
+        self.state = (basis << 1) | bit
+        return bit
 
-    def intercept(self, basis: Basis, rng: np.random.Generator) -> int:
-        return self.photon.measure(basis, rng)
+    intercept = measure
 
 
 class CarrierSlot:
@@ -105,7 +79,7 @@ class CarrierSlot:
         self.register = register
         self.position = position
         self.particle = particle
-        self.replacement: Optional[Qubit] = None
+        self.replacement: Optional[DecoySlot] = None
 
     def measure(self, basis: Basis, rng: np.random.Generator) -> int:
         if self.replacement is not None:
@@ -114,7 +88,7 @@ class CarrierSlot:
 
     def intercept(self, basis: Basis, rng: np.random.Generator) -> int:
         bit = self.measure(basis, rng)
-        self.replacement = Qubit(decoy_state(basis, bit))
+        self.replacement = DecoySlot((basis << 1) | bit)
         return bit
 
 
@@ -141,7 +115,7 @@ class QuantumChannel:
 
 
 def interleave(
-    carriers: Sequence[object], decoys: Sequence[DecoyState], rng: np.random.Generator
+    carriers: Sequence[object], decoys: Sequence[int], rng: np.random.Generator
 ) -> Tuple[List[object], List[int]]:
     """Insert fresh decoy photons at uniformly random positions.
 
@@ -156,7 +130,7 @@ def interleave(
     merged = list(carriers)
     # In ascending order, every slot before a spot is already in place.
     for idx, decoy in zip(chosen, decoys):
-        merged.insert(idx, DecoySlot(Qubit(decoy)))
+        merged.insert(idx, DecoySlot(decoy))
     return merged, [i + 1 for i in chosen]
 
 
@@ -172,7 +146,7 @@ class CheckReport:
 def public_discussion(
     bases: Sequence[Basis],
     results: Sequence[int],
-    prepared: Sequence[DecoyState],
+    prepared: Sequence[int],
     tolerance: int = 0,
 ) -> CheckReport:
     """Compare the receiver's decoy results against the preparations.
@@ -186,8 +160,8 @@ def public_discussion(
         raise ValueError("decoy announcement, results, and preparations must align")
     mismatches = 0
     for basis, got, prep in zip(bases, results, prepared):
-        if basis != prep.basis:
+        if basis != prep >> 1:
             raise ValueError("announced basis does not match the preparation basis")
-        if got != prep.bit:
+        if got != prep & 1:
             mismatches += 1
     return CheckReport(mismatches <= tolerance, mismatches, len(prepared))

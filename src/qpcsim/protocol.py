@@ -227,11 +227,13 @@ def _validate_common(n: int, m: int, secrets: Sequence[Sequence[int]]) -> Tuple[
         raise ValueError("secret length m must be positive")
     if len(secrets) != n:
         raise ValueError(f"expected {n} secrets, got {len(secrets)}")
-    fixed = tuple(tuple(int(b) for b in s) for s in secrets)
-    for idx, s in enumerate(fixed):
-        if len(s) != m or any(b not in (0, 1) for b in s):
+    fixed = []
+    for idx, s in enumerate(secrets):
+        bits = tuple(map(int, s))
+        if len(bits) != m or not {0, 1}.issuperset(bits):
             raise ValueError(f"secret {idx + 1} must be {m} bits")
-    return fixed
+        fixed.append(bits)
+    return tuple(fixed)
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,7 @@ def _distribute(
         carriers[k] = [delivered[idx] for idx in t.carrier_slots[k]]
         if roles.log_traffic:
             t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(sent), decoys=decoy_count)
-        bases = [d.basis for d in decoys]
+        bases = [BASES[d >> 1] for d in decoys]
         results = [delivered[pos - 1].measure(basis, rng) for pos, basis in zip(decoy_positions, bases)]
         report = public_discussion(bases, results, decoys, tolerance=decoy_tolerance)
         t.decoy_checks.append(
@@ -426,10 +428,12 @@ def run_proposed(
     # result vector is computed once; each announcer gets its own dict.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     compared = [t.claimed_specs[p] for p in t.comparison_positions]
-    r_values = {}
-    for i, j in pairs:
-        tvec = tuple(pair_xor(spec, i, j) for spec in compared)
-        r_values[(i, j)] = xor_bits(xor_bits(tvec, t.comps[i]), t.comps[j])
+    r_values = {
+        (i, j): tuple(
+            pair_xor(spec, i, j) ^ a ^ b for spec, a, b in zip(compared, t.comps[i], t.comps[j], strict=True)
+        )
+        for i, j in pairs
+    }
     t.announcements = {TP1: {}, TP2: {}}
     t.r_values = {TP1: r_values, TP2: dict(r_values)}
     for announcer in (TP1, TP2):

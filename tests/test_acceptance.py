@@ -12,11 +12,18 @@ instead (see the failure message).  It is kept failing deliberately rather
 than weakened.
 """
 
+import hashlib
+
 import pytest
 
 from qpcsim.suites import DEFAULT_SEED, paper_tables_with_determinism
 
 CRITERION_BOUNDS_SECONDS = {"1": 30.0, "2": 60.0, "7": 120.0}
+
+# sha256 of the battery's JSON, the bytes `qpcsim suite paper_tables --out`
+# writes.  Like the files under tests/data/golden/, it changes only with a
+# deliberate change to the order of random draws.
+SUITE_JSON_SHA256 = "30311c9227b9bea7d36bf73321cd3c82579695b9f3b02c1cc33186ed2b62b16a"
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +124,10 @@ def test_criterion_8_algebraic_invariants(battery):
     rows = ["8.roundtrip", "8.expansion", "8.pair_xor"]
     text = report(battery, rows)
     assert all(battery.row(r).passed for r in rows), text
+
+
+def test_suite_json_is_byte_identical(battery):
+    assert hashlib.sha256(battery.to_json().encode()).hexdigest() == SUITE_JSON_SHA256
 
 
 def test_criterion_9_determinism_across_jobs(battery):

@@ -148,8 +148,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monkeypatch):
-    # A state with the wrong particle count fails validation, so the CLI
-    # exits 1 before it starts any worker process for the trials.
+    # A state with the wrong particle count, or an adversary the baseline
+    # runner would ignore, fails validation, so the CLI exits 1 before it
+    # starts any worker process for the trials.
     import qpcsim.harness
 
     def no_pool(*args, **kwargs):
@@ -158,13 +159,15 @@ def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monk
     monkeypatch.setattr(qpcsim.harness, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # lets --jobs 2 through on any machine
     zeros = {"q": "000", "delta": 0}
+    three = {"n": 3}
     cases = [
-        ({"kind": "tp1_fake_initial_state", "params": {"true_state": {"q": "00", "delta": 0}}}, "true_state"),
-        ({"kind": "tp1_fake_initial_state", "params": {"claimed": {"q": "0000", "delta": 0}}}, "claimed"),
-        ({"kind": "classical_position_tamper", "params": {"pair": [zeros, {"q": "0110", "delta": 0}]}}, "pair[1]"),
+        (three, {"kind": "tp1_fake_initial_state", "params": {"true_state": {"q": "00", "delta": 0}}}, "true_state"),
+        (three, {"kind": "tp1_fake_initial_state", "params": {"claimed": {"q": "0000", "delta": 0}}}, "claimed"),
+        (three, {"kind": "classical_position_tamper", "params": {"pair": [zeros, {"q": "0110", "delta": 0}]}}, "pair[1]"),
+        ({"protocol": "zhang_baseline"}, {"kind": "tp1_fake_initial_state"}, "adversary.kind"),
     ]
-    for adversary, field in cases:
-        cfg = write_config(tmp_path, n=3, adversary=adversary)
+    for overrides, adversary, field in cases:
+        cfg = write_config(tmp_path, adversary=adversary, **overrides)
         assert main(["run", "--config", str(cfg), "--jobs", "2"]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["category"] == "config" and f"`{field}`" in err["message"]

@@ -222,8 +222,9 @@ def test_single_particle_measure_checks(make, wrap):
 
 @pytest.mark.parametrize("high", [2, 4])
 def test_scalar_draws_match_one_sized_draw(high):
-    # Registers and photons draw one bit (or decoy) at a time where a
-    # sized draw would give the same values; the golden outputs rely on it.
+    # Registers and photons draw one bit (or decoy) at a time, and the
+    # harness all secrets at once, where other draw shapes would give the
+    # same values; the golden outputs rely on it.
     for k in (1, 2, 7, 64):
         one_at_a_time, sized = make_rng(16, high, k), make_rng(16, high, k)
         scalars = [int(one_at_a_time.integers(0, high)) for _ in range(k)]
@@ -233,6 +234,17 @@ def test_scalar_draws_match_one_sized_draw(high):
         assert one_at_a_time.bit_generator.state == sized.bit_generator.state, (
             f"numpy {np.__version__}: {k} scalar integers(0, {high}) draws leave another generator state"
             f" than one size={k} draw"
+        )
+    # The harness draws n secrets of m bits as one (n, m) draw.
+    for n, m in ((2, 1), (3, 16), (5, 7)):
+        by_row, shaped = make_rng(17, high, n, m), make_rng(17, high, n, m)
+        rows = [by_row.integers(0, high, size=m).tolist() for _ in range(n)]
+        assert rows == shaped.integers(0, high, size=(n, m)).tolist(), (
+            f"numpy {np.__version__}: {n} size={m} integers(0, {high}) draws differ from one size=({n}, {m}) draw"
+        )
+        assert by_row.bit_generator.state == shaped.bit_generator.state, (
+            f"numpy {np.__version__}: {n} size={m} integers(0, {high}) draws leave another generator state"
+            f" than one size=({n}, {m}) draw"
         )
 
 

@@ -12,8 +12,6 @@ from qpcsim.photons import (
     DecoySlot,
     DecoyState,
     QuantumChannel,
-    Qubit,
-    decoy_state,
     generate_decoys,
     interleave,
     public_discussion,
@@ -40,9 +38,15 @@ def test_matching_basis_is_deterministic():
     rng = make_rng(4)
     for state in DecoyState:
         for _ in range(20):
-            photon = Qubit(state)
-            assert photon.measure(state.basis, rng) == state.bit
+            photon = DecoySlot(state)
+            assert photon.measure(Basis(state >> 1), rng) == state & 1
             assert photon.state == state
+
+
+def test_decoy_slot_rejects_non_states():
+    for bad in (-1, 4, 2.5, "Z0", None):
+        with pytest.raises(ValueError):
+            DecoySlot(bad)
 
 
 def test_wrong_basis_is_uniform_and_reprepares():
@@ -50,10 +54,10 @@ def test_wrong_basis_is_uniform_and_reprepares():
     trials = 4000
     ones = 0
     for _ in range(trials):
-        photon = Qubit(DecoyState.Z0)
+        photon = DecoySlot(DecoyState.Z0)
         bit = photon.measure(Basis.X, rng)
         ones += bit
-        assert photon.state == decoy_state(Basis.X, bit)
+        assert photon.state == (Basis.X << 1) | bit
     assert abs(ones / trials - 0.5) <= 3 * 0.5 / np.sqrt(trials)
 
 
@@ -64,9 +68,9 @@ def test_disturbance_chain_minus_through_z():
     trials = 4000
     mismatches = 0
     for _ in range(trials):
-        photon = Qubit(DecoyState.X_MINUS)
+        photon = DecoySlot(DecoyState.X_MINUS)
         photon.measure(Basis.Z, rng)
-        mismatches += photon.measure(Basis.X, rng) != DecoyState.X_MINUS.bit
+        mismatches += photon.measure(Basis.X, rng) != DecoyState.X_MINUS & 1
     assert abs(mismatches / trials - 0.5) <= 3 * 0.5 / np.sqrt(trials)
 
 
@@ -97,8 +101,8 @@ def test_public_discussion_honest_and_errors():
     rng = make_rng(10)
     for l in (0, 1, 5, 20):
         decoys = generate_decoys(l, rng)
-        photons = [Qubit(d) for d in decoys]
-        bases = [d.basis for d in decoys]
+        photons = [DecoySlot(d) for d in decoys]
+        bases = [Basis(d >> 1) for d in decoys]
         results = [p.measure(b, rng) for p, b in zip(photons, bases)]
         report = public_discussion(bases, results, decoys)
         assert report == CheckReport(True, 0, l)
@@ -115,9 +119,9 @@ def test_intercept_resend_per_decoy_detection_quarter():
     detected = 0
     for _ in range(trials):
         prep = generate_decoys(1, rng)[0]
-        slot = DecoySlot(Qubit(prep))
+        slot = DecoySlot(prep)
         slot.intercept(Basis(int(rng.integers(0, 2))), rng)
-        detected += slot.measure(prep.basis, rng) != prep.bit
+        detected += slot.measure(Basis(prep >> 1), rng) != prep & 1
     assert abs(detected / trials - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / trials)
 
 
@@ -129,11 +133,11 @@ def test_intercept_resend_sequence_detection_curve():
         detected = 0
         for _ in range(trials):
             decoys = generate_decoys(l, rng)
-            slots = [DecoySlot(Qubit(d)) for d in decoys]
+            slots = [DecoySlot(d) for d in decoys]
             for slot, eve_basis in zip(slots, rng.integers(0, 2, size=l)):
                 slot.intercept(Basis(int(eve_basis)), rng)
-            results = [slot.measure(d.basis, rng) for slot, d in zip(slots, decoys)]
-            detected += not public_discussion([d.basis for d in decoys], results, decoys).passed
+            results = [slot.measure(Basis(d >> 1), rng) for slot, d in zip(slots, decoys)]
+            detected += not public_discussion([Basis(d >> 1) for d in decoys], results, decoys).passed
         assert abs(detected / trials - target) <= 3 * np.sqrt(target * (1 - target) / trials)
 
 
@@ -167,7 +171,9 @@ def test_carrier_intercept_replaces_photon():
     register = GhzRegister(spec)
     slot = CarrierSlot(register, 0, 1)
     bit = slot.intercept(Basis.Z, rng)
-    assert slot.replacement is not None
+    # The forwarded photon is a decoy-state photon in the measured Z eigenstate.
+    assert isinstance(slot.replacement, DecoySlot)
+    assert slot.replacement.state == (Basis.Z << 1) | bit
     # The receiver now measures the forwarded photon, reproducibly.
     assert slot.measure(Basis.Z, rng) == bit
     # The register branch matches what the interceptor saw.

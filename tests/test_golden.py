@@ -61,6 +61,18 @@ def _stats_cases() -> dict:
         ),
     )
     cases["proposed_tp2_fake_result_pairs"] = _doc(adversary=_adversary("tp2_fake_result", {"pairs": [[1, 3]]}))
+    # Several tapped links: later taps hit registers whose branch or parity
+    # an earlier intercept already fixed.
+    cases["proposed_eve_three_links"] = _doc(
+        decoy_count=2, adversary=_adversary("eve_intercept_resend", {"links": [1, 2, 3], "victim": 1})
+    )
+    cases["proposed_tp2_intercept_two_links"] = _doc(
+        decoy_count=2, adversary=_adversary("tp2_intercept", {"links": [1, 2], "victim": 2})
+    )
+    # A tolerated mismatch lets runs with disturbed decoys reach steps 3-7.
+    cases["proposed_eve_tolerance"] = _doc(
+        decoy_count=2, decoy_tolerance=1, adversary=_adversary("eve_intercept_resend", {"links": [1], "victim": 1})
+    )
     baseline = dict(protocol="zhang_baseline", n=2)
     cases["zhang_none"] = _doc(**baseline)
     cases["zhang_tp1_fake_result"] = _doc(**baseline, adversary=_adversary("tp1_fake_result"))

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .ghz import BASES, Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
+from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
 
 if TYPE_CHECKING:
     from .protocol import Transcript
@@ -88,7 +88,9 @@ class AdversaryStrategy:
         return {}
 
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
-        """Return (registers, true_states, claimed_specs) or None for honest."""
+        """Return (registers, true_states, claimed_specs) or None for honest:
+        the run's ``GhzRegister`` (or ``ProductRegister``) and, per register,
+        the state it truly holds and the state announced for it."""
         return None
 
     def taps(self, link: int) -> Sequence:
@@ -128,7 +130,8 @@ class EveInterceptResend(AdversaryStrategy):
 
     links: Tuple[int, ...] = (1,)
     victim: Optional[int] = None
-    # (basis, bit) per slot of each tapped link, recorded during one run.
+    # Per tapped link, the (basis, bit) of each register particle's
+    # intercept, in register order, recorded during one run.
     records: Dict[int, List[Tuple[int, int]]] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_EVE
     use_spec_knowledge = False
@@ -143,11 +146,10 @@ class EveInterceptResend(AdversaryStrategy):
         if link not in self.links:
             return ()
 
-        def tap(slots, rng):
-            rec = []
-            for slot, b in zip(slots, rng.integers(0, 2, size=len(slots)).tolist()):
-                rec.append((b, slot.intercept(BASES[b], rng)))
-            self.records[link] = rec
+        def tap(delivery, rng):
+            bases = rng.integers(0, 2, size=len(delivery)).tolist()
+            bits = delivery.measure(bases, rng, forward=True)
+            self.records[link] = [(bases[slot], bits[slot]) for slot in delivery.carrier_slots]
 
         return (tap,)
 
@@ -162,7 +164,7 @@ class EveInterceptResend(AdversaryStrategy):
                 rec = self.records.get(link)
                 if rec is None:
                     continue
-                basis, bit = rec[t.carrier_slots[link][position]]
+                basis, bit = rec[position]
                 if basis == int(Basis.Z):
                     branch = bit ^ spec.q[link - 1]
                     return spec.q[self.victim - 1] ^ branch
@@ -172,7 +174,7 @@ class EveInterceptResend(AdversaryStrategy):
         rec = self.records.get(self.victim)
         if rec is None:
             return None
-        basis, bit = rec[t.carrier_slots[self.victim][position]]
+        basis, bit = rec[position]
         if basis == int(Basis.Z):
             return bit
         return None
@@ -239,12 +241,12 @@ class Tp1FakeInitialState(AdversaryStrategy):
             raise ConfigError(f"claimed state has {claimed.n} particles, protocol has {n}")
         if self.true_state == "zeros":
             bits = (0,) * n
-            registers = [ProductRegister(bits) for _ in range(count)]
+            registers = ProductRegister([bits] * count)
             true_states: List[object] = [bits] * count
         else:
             if self.true_state.n != n:
                 raise ConfigError(f"true state has {self.true_state.n} particles, protocol has {n}")
-            registers = [GhzRegister(self.true_state) for _ in range(count)]
+            registers = GhzRegister([self.true_state] * count)
             true_states = [self.true_state] * count
         return registers, true_states, [claimed] * count
 
@@ -392,7 +394,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
             if spec.n != n:
                 raise ConfigError(f"tamper pair state has {spec.n} particles, protocol has {n}")
         specs = [pair[p % 2] for p in range(count)]
-        return [GhzRegister(s) for s in specs], list(specs), list(specs)
+        return GhzRegister(specs), specs, specs
 
     def tamper_positions(
         self, true_positions: List[int], total: int, rng: np.random.Generator

@@ -11,8 +11,10 @@ facts:
   of |-> results has the parity of delta, uniformly;
 * the XOR of any two particles' Z outcomes is fixed at q[i] ^ q[j].
 
-``GhzRegister`` implements those rules analytically, including the collapse
-bookkeeping needed when particles are measured a few at a time.
+``GhzRegister`` implements those rules analytically for all the registers
+of a run at once, held flat, including the collapse bookkeeping needed when
+particles are measured a few at a time, and the single photons that travel
+beside them.
 ``OracleRegister`` implements the same physics by brute force on the full
 amplitude vector, so the two paths can be checked against each other.
 """
@@ -35,10 +37,6 @@ class Basis(IntEnum):
 
     Z = 0
     X = 1
-
-
-# The members by value, so a drawn 0/1 picks its basis without an Enum call.
-BASES = (Basis.Z, Basis.X)
 
 
 class ConsumedParticleError(RuntimeError):
@@ -173,9 +171,8 @@ def pair_xor(spec: GhzSpec, i: int, j: int) -> int:
     key bits without seeing them.
     """
     q = spec.q
-    for p in (i, j):
-        if not 1 <= p <= len(q):
-            raise IndexError(f"particle index {p} out of range 1..{len(q)}")
+    if not (0 < i <= len(q) and 0 < j <= len(q)):
+        raise IndexError(f"particle index {i if not 0 < i <= len(q) else j} out of range 1..{len(q)}")
     return q[i - 1] ^ q[j - 1]
 
 
@@ -193,93 +190,147 @@ def _checked_positions(positions: Iterable[int], n: int, consumed: set) -> Tuple
     return pos
 
 
+HELD, MEASURED = -1, -2  # slot values of a particle in, or measured out of, its register
+PHOTON_STATES = frozenset(range(4))
+
+
 class GhzRegister:
-    """A shared n-particle state whose particles are each measured once.
+    """The shared registers of one run, and the photons in flight beside
+    them, held flat.
 
-    Collapse bookkeeping: the first Z measurement fixes the branch for all
-    later Z results; an X measurement of a proper subset leaves a smaller
-    family state behind with an updated phase parity; an X measurement of
-    everything that is left must respect that parity.  After any Z
-    measurement the remainder is a product state, so later X results are
-    independent coin flips.
+    Particle k of register r has the id ``r * particles + k - 1``; photons
+    from ``add_photons`` follow.  ``slots[id]`` is HELD, MEASURED, or a
+    photon state 0..3 (basis ``state >> 1``, bit ``state & 1``): a decoy,
+    or what an interceptor forwarded in place of a particle it measured.
+    Per particle the state keeps its q bit; per register, its Z branch
+    (None until a Z measurement fixes it; the rest is then a product
+    state), its X parity (delta, updated by every X bit drawn) and the
+    particles X measurements have left.  ``n`` counts the particles held.
     """
 
-    __slots__ = ("spec", "q", "n", "_consumed", "_z_branch", "_x_parity")
+    __slots__ = ("q", "branch", "parity", "left", "slots", "particles", "n")
 
-    def __init__(self, spec: GhzSpec) -> None:
-        self.spec = spec
-        self.q = spec.q
-        self.n = len(spec.q)
-        self._consumed: set = set()
-        self._z_branch = None
-        self._x_parity = spec.delta
+    def __init__(self, specs: Sequence[GhzSpec]) -> None:
+        self._hold([s.q for s in specs], [None] * len(specs), [s.delta for s in specs])
 
-    @property
-    def consumed(self) -> frozenset:
-        return frozenset(self._consumed)
+    def _hold(self, rows: List[Tuple[int, ...]], branch: list, parity: List[int]) -> None:
+        particles = len(rows[0]) if rows else 0
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("every register of a run must have the same particle count")
+        self.q = [b for row in rows for b in row]
+        self.branch, self.parity = branch, parity
+        self.left = [particles] * len(rows)
+        self.slots = [HELD] * (particles * len(rows))
+        self.particles, self.n = particles, particles * len(rows)
 
-    def measure(self, positions: Iterable[int], basis: Basis, rng: np.random.Generator) -> Dict[int, int]:
-        consumed = self._consumed
-        pos = _checked_positions(positions, self.n, consumed)
-        out = {}
-        if basis == Basis.Z:
-            if self._z_branch is None:
-                self._z_branch = int(rng.integers(0, 2))
-            for p in pos:
-                out[p] = self.q[p - 1] ^ self._z_branch
-        else:
-            # Particle by particle: k scalar draws are one size=k draw, value
-            # for value (a numpy property tests/test_ghz.py pins), so a joint X
-            # measurement draws what it would draw at once.  The last particle
-            # of an X-only register carries the parity instead.
-            last = pos[-1] if self._z_branch is None and len(consumed) + len(pos) == self.n else 0
-            for p in pos:
-                if p == last:
-                    out[p] = self._x_parity
+    def ids(self, register: int, particles: Iterable[int]) -> List[int]:
+        """The ids of some 1-based particles of one register, checked as
+        positions are (nonempty, in range, no duplicates)."""
+        return [register * self.particles + p - 1 for p in _checked_positions(particles, self.particles, set())]
+
+    def add_photons(self, states: Sequence[int]) -> List[int]:
+        """Put photons in the given states in flight; returns their ids."""
+        if not PHOTON_STATES.issuperset(states):
+            raise ValueError(f"photon states must be in 0..3, got {list(states)!r}")
+        self.slots.extend(states)
+        return list(range(len(self.slots) - len(states), len(self.slots)))
+
+    def measure(
+        self, ids: Sequence[int], bases: Sequence[int], rng: np.random.Generator, forward: bool = False
+    ) -> List[int]:
+        """Measure each id in its basis, in order; returns the outcomes.
+
+        Whether a measurement draws a bit depends on bases and bookkeeping,
+        never on a drawn value, so the bits are counted first and drawn in
+        one ``integers(0, 2, size=k)`` call, which gives the values k scalar
+        draws would (tests/test_ghz.py pins this).  The draw rule:
+
+        * a photon draws only in the other basis, and is re-prepared in the
+          measured eigenstate;
+        * a particle's Z measurement draws only while the branch is unset;
+        * a particle's X measurement draws, unless it is the last particle
+          of a register no Z measurement has touched, which carries the
+          parity; a product register's branch is set from the start.
+
+        With ``forward`` each measured particle is replaced by a photon in
+        the measured eigenstate, as an intercept-resend does.
+        """
+        slots, branch, left = self.slots, self.branch, self.left
+        states = list(map(slots.__getitem__, ids))
+        if MEASURED in states:
+            raise ConsumedParticleError(f"already measured: {[i for i, s in zip(ids, states) if s == MEASURED]}")
+        if len(set(ids)) != len(ids) or len(bases) != len(ids):
+            raise ValueError(f"ids must be distinct and match their bases, got {list(ids)} and {list(bases)}")
+        n, q = self.particles, self.q
+        # The bits go, in order, to the measurements that draw.  Z outcomes
+        # then follow from the branch, and a parity carrier, being its
+        # register's last particle, reads the parity every X bit updated.
+        out = [state & 1 for state in states]  # a photon in its own basis
+        drawn = []  # (position, id, register or -1 for a photon, basis)
+        z_outcomes = []  # (position, register, q bit)
+        parity_outcomes = []  # (position, register)
+        for idx, i, state, basis in zip(range(len(ids)), ids, states, bases):
+            if state >= 0:
+                if state >> 1 != basis:
+                    drawn.append((idx, i, -1, basis))
+                continue
+            slots[i] = MEASURED
+            r = i // n
+            if basis:  # X
+                left[r] -= 1
+                if branch[r] is None and not left[r]:
+                    parity_outcomes.append((idx, r))
                 else:
-                    out[p] = bit = int(rng.integers(0, 2))
-                    self._x_parity ^= bit
-        consumed.update(pos)
+                    drawn.append((idx, i, r, basis))
+            else:
+                if branch[r] is None:
+                    branch[r] = -1  # drawn below
+                    drawn.append((idx, i, r, basis))
+                z_outcomes.append((idx, r, q[i]))
+        parity = self.parity
+        for (idx, i, r, basis), bit in zip(drawn, rng.integers(0, 2, size=len(drawn)).tolist() if drawn else ()):
+            if r < 0:
+                out[idx] = bit
+                slots[i] = (basis << 1) | bit
+            elif basis:
+                out[idx] = bit
+                parity[r] ^= bit
+            else:
+                branch[r] = bit
+        for idx, r, qbit in z_outcomes:
+            out[idx] = qbit ^ branch[r]
+        for idx, r in parity_outcomes:
+            out[idx] = parity[r]
+        if forward:
+            for idx, i, state, basis in zip(range(len(ids)), ids, states, bases):
+                if state < 0:
+                    slots[i] = (basis << 1) | out[idx]
         return out
 
 
-class ProductRegister:
-    """A register that is secretly a plain computational-basis product state.
+class ProductRegister(GhzRegister):
+    """Registers that are secretly computational-basis product states, as a
+    dishonest preparer hands out while claiming something entangled."""
 
-    Used to model a dishonest preparer who hands out |b1 b2 ... bn> while
-    claiming something entangled: Z measurements are deterministic, X
-    measurements are independent coin flips.
-    """
+    __slots__ = ()
 
-    __slots__ = ("bits", "n", "_consumed")
-
-    def __init__(self, bits: Sequence[int]) -> None:
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits) or not 2 <= len(bits) <= MAX_PARTICLES:
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        rows = [tuple(int(b) for b in row) for row in rows]
+        if any(any(b not in (0, 1) for b in bits) or not 2 <= len(bits) <= MAX_PARTICLES for bits in rows):
             raise ValueError("bits must be 2..20 binary values")
-        self.bits = bits
-        self.n = len(bits)
-        self._consumed: set = set()
+        self._hold(rows, [0] * len(rows), [0] * len(rows))
 
-    @property
-    def consumed(self) -> frozenset:
-        return frozenset(self._consumed)
-
-    def measure(self, positions: Iterable[int], basis: Basis, rng: np.random.Generator) -> Dict[int, int]:
-        pos = _checked_positions(positions, self.n, self._consumed)
-        if basis == Basis.Z:
-            out = {p: self.bits[p - 1] for p in pos}
-        else:
-            out = {p: int(rng.integers(0, 2)) for p in pos}
-        self._consumed.update(pos)
-        return out
+    # Its own entry: perfbench/tracing.py wraps each register class's measure.
+    measure = GhzRegister.measure
 
 
 def sample_measurement(
     spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: np.random.Generator
 ) -> Dict[int, int]:
     """One-shot analytic measurement of a freshly prepared state."""
-    return GhzRegister(spec).measure(positions, basis, rng)
+    reg = GhzRegister((spec,))
+    ids = reg.ids(0, positions)
+    return {i + 1: bit for i, bit in zip(ids, reg.measure(ids, [basis] * len(ids), rng))}
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import xor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -125,9 +126,17 @@ class Scenario:
                     raise ConfigError(f"field `secrets.values[{idx}]` must be {self.m} bits")
         elif self.secrets.values is not None:
             raise ConfigError("field `secrets.values` is only allowed with policy `explicit`")
-        # Capping the exponent at n keeps the test exact and cheap for any m.
-        if self.secrets.policy == "forced_unequal" and 2 ** min(self.m, self.n) < self.n:
-            raise ConfigError("field `secrets.policy`: forced_unequal needs 2^m >= n distinct vectors")
+        if self.secrets.policy == "forced_unequal":
+            # A trial redraws all n secrets until they are distinct.  ldexp
+            # keeps the chance of one such draw exact and cheap for any m.
+            distinct = math.prod(1.0 - math.ldexp(i, -self.m) for i in range(self.n))
+            if distinct == 0.0:
+                raise ConfigError("field `secrets.policy`: forced_unequal needs 2^m >= n distinct vectors")
+            if distinct < 1e-3:
+                raise ConfigError(
+                    f"field `secrets.policy`: forced_unequal would take about {1 / distinct:.3g} draws of"
+                    f" {self.n} secrets per trial (at most 1000 allowed); raise m or use uniform"
+                )
         # Constructing the strategy validates kind and params; the
         # participants it names must exist in a run of n, and the states it
         # names must have n particles.
@@ -396,7 +405,7 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         source = proto.TP1 if proto.TP1 in t.r_values else proto.TP
         for (i, j), r in t.r_values[source].items():
             bump("pairs_r_checked")
-            if tuple(r) == tuple(a ^ b for a, b in zip(t.secrets[i - 1], t.secrets[j - 1])):
+            if tuple(r) == tuple(map(xor, t.secrets[i - 1], t.secrets[j - 1])):
                 bump("pairs_r_exact")
 
 

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import xor
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
-from .ghz import BASES, Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
-from .photons import CarrierSlot, QuantumChannel, generate_decoys, interleave, public_discussion
+from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
+from .photons import Link, QuantumChannel, generate_decoys, interleave, public_discussion
 
 VARIANT_BROADCAST = "classical_broadcast"
 VARIANT_TP2_RELAY = "tp2_relay"
@@ -52,8 +54,7 @@ def verdict_for(r: Sequence[int]) -> str:
     return DIFFERENT if any(r) else IDENTICAL
 
 
-@dataclass(frozen=True)
-class Announcement:
+class Announcement(NamedTuple):
     """One third party's published result for one pair."""
 
     source: str
@@ -74,8 +75,7 @@ def cross_check(a1: Announcement, a2: Announcement) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Step3Report:
+class Step3Report(NamedTuple):
     """Verdict of the cooperative state check, round by round."""
 
     passed: bool
@@ -86,30 +86,29 @@ class Step3Report:
 def step3_check(
     claimed: Sequence[GhzSpec],
     bases: Sequence[Basis],
-    outcomes: Sequence[Dict[int, int]],
+    outcomes: Sequence[Sequence[int]],
 ) -> Step3Report:
     """Consistency check of joint outcomes against claimed preparations.
 
-    A Z round must see every particle agree with the claimed bit vector up
-    to one global flip; an X round must see a |-> count with the claimed
-    phase parity.
+    Each round's outcome lists the bits of particles 1..n in order.  A Z
+    round must see every particle agree with the claimed bit vector up to
+    one global flip; an X round must see a |-> count with the claimed phase
+    parity.
     """
     if not len(claimed) == len(bases) == len(outcomes):
         raise ValueError("claimed states, bases, and outcomes must align")
     failures: List[int] = []
-    for r, (spec, basis, outcome) in enumerate(zip(claimed, bases, outcomes)):
-        try:
-            bits = [outcome[p] for p in range(1, spec.n + 1)]
-        except KeyError as exc:
-            raise ValueError(f"round {r} is missing particle {exc.args[0]}") from exc
+    for r, (spec, basis, bits) in enumerate(zip(claimed, bases, outcomes)):
+        q = spec.q
+        if len(bits) != len(q):
+            raise ValueError(f"round {r} has {len(bits)} outcomes for {len(q)} particles")
         if basis == Basis.Z:
-            flips = {b ^ qb for b, qb in zip(bits, spec.q)}
-            ok = len(flips) == 1
+            ok = len(set(map(xor, bits, q))) == 1
         else:
             ok = sum(bits) % 2 == spec.delta
         if not ok:
             failures.append(r)
-    return Step3Report(not failures, tuple(failures), tuple(int(b) for b in bases))
+    return Step3Report(not failures, tuple(failures), tuple(map(int, bases)))
 
 
 def arbiter_identify(
@@ -157,7 +156,6 @@ class Transcript:
         self.abort_step: Optional[int] = None
         self.abort_cause: Optional[str] = None
         self.secrets: Tuple[Tuple[int, ...], ...] = ()
-        self.carrier_slots: Dict[int, List[int]] = {}  # per participant, the link slot of each register
         self.claimed_specs: List[GhzSpec] = []
         self.true_states: List[object] = []
         self.checked_positions: List[int] = []
@@ -257,46 +255,42 @@ def _distribute(
     t: Transcript,
     roles: _Roles,
     run: AdversaryStrategy,
-    registers: Sequence[object],
-    n: int,
+    registers: GhzRegister,
     decoy_count: int,
     decoy_tolerance: int,
     rng: np.random.Generator,
-) -> Dict[int, List[object]]:
+) -> None:
     """Step 2: particle k of every register goes to participant k with fresh
     decoys mixed in, through the adversary's taps, and each participant's
     decoys are then checked in public.
 
-    Returns, per participant, the delivered carriers in register order, and
-    records their slot indices on the link in ``t.carrier_slots``.  Marks
-    the decoy abort if any link fails.
+    Marks the decoy abort if any link fails.
     """
-    carriers: Dict[int, List[object]] = {}
+    n = registers.particles
+    log = t.record_events
     for k in range(1, n + 1):
-        sent = [CarrierSlot(register, p, k) for p, register in enumerate(registers)]
         decoys = generate_decoys(decoy_count, rng)
-        merged, decoy_positions = interleave(sent, decoys, rng)
-        delivered = QuantumChannel(roles.sender, f"P{k}", run.taps(k)).transmit(merged, rng)
-        t.carrier_slots[k] = [idx for idx, slot in enumerate(delivered) if not slot.is_decoy]
-        carriers[k] = [delivered[idx] for idx in t.carrier_slots[k]]
-        if roles.log_traffic:
-            t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(sent), decoys=decoy_count)
-        bases = [BASES[d >> 1] for d in decoys]
-        results = [delivered[pos - 1].measure(basis, rng) for pos, basis in zip(decoy_positions, bases)]
-        report = public_discussion(bases, results, decoys, tolerance=decoy_tolerance)
+        carried = range(k - 1, registers.n, n)
+        decoy_ids = registers.add_photons(decoys)
+        link = Link(registers, carried, decoy_ids, interleave(len(carried), decoy_count, rng))
+        QuantumChannel(roles.sender, f"P{k}", run.taps(k)).transmit(link, rng)
+        if log and roles.log_traffic:
+            t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(carried), decoys=decoy_count)
+        bases = [d >> 1 for d in decoys]
+        report = public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, decoy_tolerance)
         t.decoy_checks.append(
             {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
         )
-        t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
+        if log:
+            t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
     if not all(check["passed"] for check in t.decoy_checks):
         t.mark_abort(2, CAUSE_DECOY)
-    return carriers
 
 
 def _check_rounds(
     t: Transcript,
     roles: _Roles,
-    carriers: Dict[int, List[object]],
+    registers: GhzRegister,
     believed: Dict[int, List[int]],
     rng: np.random.Generator,
 ) -> None:
@@ -309,15 +303,17 @@ def _check_rounds(
     state-check abort on failure.
     """
     positions = believed[1]
-    bases = [BASES[b] for b in rng.integers(0, 2, size=len(positions)).tolist()]
+    bases = rng.integers(0, 2, size=len(positions)).tolist()
     if roles.log_traffic:
-        t.add(3, "P2", "check_bases", bases=[int(b) for b in bases])
-    outcomes: List[Dict[int, int]] = []
-    for r, basis in enumerate(bases):
-        outcome = {k: held[believed[k][r]].measure(basis, rng) for k, held in carriers.items()}
-        outcomes.append(outcome)
-        if roles.log_traffic:
-            t.add(3, "all", "check_measurement", round=r, outcome=outcome)
+        t.add(3, "P2", "check_bases", bases=bases)
+    n = registers.particles
+    held = [[p * n + k - 1 for p in believed[k]] for k in range(1, n + 1)]
+    ids = [i for row in zip(*held) for i in row]
+    bits = registers.measure(ids, [b for b in bases for _ in range(n)], rng)
+    outcomes = [bits[s : s + n] for s in range(0, len(bits), n)]
+    if roles.log_traffic and t.record_events:
+        for r, outcome in enumerate(outcomes):
+            t.add(3, "all", "check_measurement", round=r, outcome=dict(zip(range(1, n + 1), outcome)))
     report = step3_check([t.claimed_specs[p] for p in positions], bases, outcomes)
     t.step3 = report
     t.checked_positions = positions
@@ -329,7 +325,7 @@ def _check_rounds(
 def _measure_keys(
     t: Transcript,
     roles: _Roles,
-    carriers: Dict[int, List[object]],
+    registers: GhzRegister,
     believed: Dict[int, List[int]],
     rng: np.random.Generator,
 ) -> None:
@@ -341,16 +337,24 @@ def _measure_keys(
     participant's believed positions may disagree with these.
     """
     m = t.params["m"]
-    checked = set(t.checked_positions)
-    t.comparison_positions = [p for p in range(len(carriers[1])) if p not in checked][:m]
-    for k, held in carriers.items():
-        skipped = set(believed[k])
-        positions = [p for p in range(len(held)) if p not in skipped][:m]
-        t.keys[k] = tuple(held[p].measure(Basis.Z, rng) for p in positions)
-        t.comps[k] = xor_bits(t.keys[k], t.secrets[k - 1])
-        t.add(roles.check_step + 1, f"P{k}", "key_measurement", positions=positions)
-        if roles.submit_to:
-            t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.submit_to))
+    n = registers.particles
+    kept = {}  # the first m positions outside each distinct check list
+    for checked in map(tuple, (t.checked_positions, *believed.values())):
+        if checked not in kept:
+            skipped = set(checked)
+            kept[checked] = [p for p in range(len(t.claimed_specs)) if p not in skipped][:m]
+    t.comparison_positions = kept[tuple(t.checked_positions)]
+    positions = {k: kept[tuple(believed[k])] for k in range(1, n + 1)}
+    ids = [p * n + k - 1 for k in range(1, n + 1) for p in positions[k]]
+    # Every participant skips at most m of the 2m (or m + c) registers.
+    bits = registers.measure(ids, [Basis.Z] * len(ids), rng)
+    for k in range(1, n + 1):
+        t.keys[k] = key = tuple(bits[(k - 1) * m : k * m])
+        t.comps[k] = tuple(map(xor, key, t.secrets[k - 1]))
+        if t.record_events:
+            t.add(roles.check_step + 1, f"P{k}", "key_measurement", positions=positions[k])
+            if roles.submit_to:
+                t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.submit_to))
 
 
 def _finalize(t: Transcript, run: AdversaryStrategy, rng: np.random.Generator) -> Transcript:
@@ -397,12 +401,12 @@ def run_proposed(
     # Step 1: prepare 2m shared registers (or whatever the preparer fakes).
     prepared = run.override_preparation(n, total, rng)
     if prepared is None:
-        specs = [ghz_from_index(i, n) for i in rng.integers(1, 2**n + 1, size=total).tolist()]
-        prepared = [GhzRegister(s) for s in specs], list(specs), list(specs)
+        specs = list(map(ghz_from_index, rng.integers(1, 2**n + 1, size=total).tolist(), repeat(n)))
+        prepared = GhzRegister(specs), specs, specs
     registers, t.true_states, t.claimed_specs = prepared
     t.add(1, TP1, "prepare", registers=total)
 
-    carriers = _distribute(t, _PROPOSED, run, registers, n, l, decoy_tolerance, rng)
+    _distribute(t, _PROPOSED, run, registers, l, decoy_tolerance, rng)
     if t.aborted:
         return _finalize(t, run, rng)
     t.add(2, TP1, "initial_states", to=TP2, count=len(t.claimed_specs))
@@ -417,32 +421,33 @@ def run_proposed(
         received = run.tamper_positions(positions, total, rng) if variant == VARIANT_BROADCAST else positions
         t.add(3, "P1", "check_positions", positions=positions, variant=variant)
         believed = {1: positions, **{k: received for k in range(2, n + 1)}}
-        _check_rounds(t, _PROPOSED, carriers, believed, rng)
+        _check_rounds(t, _PROPOSED, registers, believed, rng)
         if t.aborted:
             return _finalize(t, run, rng)
 
-    _measure_keys(t, _PROPOSED, carriers, believed, rng)
+    _measure_keys(t, _PROPOSED, registers, believed, rng)
 
     # Step 6: both third parties compute and announce a verdict per pair.
     # They hold the same claimed states and masked strings, so each pair's
-    # result vector is computed once; each announcer gets its own dict.
+    # result vector is computed once; each announcer gets its own dict.  The
+    # pad of pair (i, j) is the XOR of i's and j's pads against P1, so each
+    # masked string has its pad against P1 taken out once.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     compared = [t.claimed_specs[p] for p in t.comparison_positions]
-    r_values = {
-        (i, j): tuple(
-            pair_xor(spec, i, j) ^ a ^ b for spec, a, b in zip(compared, t.comps[i], t.comps[j], strict=True)
-        )
-        for i, j in pairs
-    }
-    t.announcements = {TP1: {}, TP2: {}}
+    unpadded = {1: t.comps[1]}
+    for k in range(2, n + 1):
+        unpadded[k] = tuple(map(xor, map(pair_xor, compared, repeat(1), repeat(k)), t.comps[k]))
+    r_values = {(i, j): tuple(map(xor, unpadded[i], unpadded[j])) for i, j in pairs}
     t.r_values = {TP1: r_values, TP2: dict(r_values)}
+    verdicts = {pair: verdict_for(r) for pair, r in r_values.items()}
+    log = t.record_events
     for announcer in (TP1, TP2):
+        announced = t.announcements[announcer] = {}
         for pair in pairs:
-            r = r_values[pair]
-            verdict = run.flip_verdict(announcer, pair, verdict_for(r))
-            announcement = Announcement(announcer, pair, verdict, r if announce_r else None)
-            t.announcements[announcer][pair] = announcement
-            t.add(6, announcer, "announcement", pair=list(pair), verdict=verdict)
+            verdict = run.flip_verdict(announcer, pair, verdicts[pair])
+            announced[pair] = Announcement(announcer, pair, verdict, r_values[pair] if announce_r else None)
+            if log:
+                t.add(6, announcer, "announcement", pair=list(pair), verdict=verdict)
 
     # Step 7: participants cross-compare the two announcements.
     conflict = False
@@ -457,7 +462,8 @@ def run_proposed(
             "accepted": accepted,
             "ground_truth": IDENTICAL if truth else DIFFERENT,
         }
-        t.add(7, "participants", "cross_check", pair=list(pair), accepted=accepted)
+        if log:
+            t.add(7, "participants", "cross_check", pair=list(pair), accepted=accepted)
         if not accepted:
             conflict = True
     if conflict:
@@ -512,8 +518,8 @@ def run_zhang_baseline(
     t.claimed_specs = list(specs)
     t.add(1, TP, "prepare", registers=total)
 
-    registers = [GhzRegister(s) for s in specs]
-    carriers = _distribute(t, _BASELINE, run, registers, 2, l, decoy_tolerance, rng)
+    registers = GhzRegister(specs)
+    _distribute(t, _BASELINE, run, registers, l, decoy_tolerance, rng)
     if t.aborted:
         return _finalize(t, run, rng)
 
@@ -523,11 +529,11 @@ def run_zhang_baseline(
     if check_rounds > 0:
         positions = sorted(rng.choice(total, size=check_rounds, replace=False).tolist())
         believed = {1: positions, 2: positions}
-        _check_rounds(t, _BASELINE, carriers, believed, rng)
+        _check_rounds(t, _BASELINE, registers, believed, rng)
         if t.aborted:
             return _finalize(t, run, rng)
 
-    _measure_keys(t, _BASELINE, carriers, believed, rng)
+    _measure_keys(t, _BASELINE, registers, believed, rng)
     combined = xor_bits(t.comps[1], t.comps[2])
     t.add(6, "P1+P2", "comparison_submitted", to=TP)
 

@@ -14,6 +14,7 @@ from scipy import stats as scipy_stats
 from qpcsim.ghz import (
     Basis,
     ConsumedParticleError,
+    MEASURED,
     GhzRegister,
     GhzSpec,
     OracleCapacityError,
@@ -31,6 +32,14 @@ from qpcsim.ghz import (
 
 def make_rng(*key):
     return np.random.default_rng(np.random.SeedSequence(entropy=987001, spawn_key=key))
+
+
+def measure(reg, particles, basis, rng, register=0):
+    """Measure some 1-based particles of one register in one basis; the
+    outcomes by particle."""
+    ids = reg.ids(register, particles)
+    outcomes = reg.measure(ids, [basis] * len(ids), rng)
+    return {i - register * reg.particles + 1: bit for i, bit in zip(ids, outcomes)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +184,9 @@ def test_z_measurements_share_one_branch():
     rng = make_rng(2)
     seen = set()
     for _ in range(200):
-        reg = GhzRegister(spec)
-        first = reg.measure([2], Basis.Z, rng)
-        rest = reg.measure([1, 3], Basis.Z, rng)
+        reg = GhzRegister([spec])
+        first = measure(reg, [2], Basis.Z, rng)
+        rest = measure(reg, [1, 3], Basis.Z, rng)
         joint = (rest[1], first[2], rest[3])
         assert joint in (spec.q, spec.complement())
         seen.add(joint)
@@ -187,20 +196,20 @@ def test_z_measurements_share_one_branch():
 def test_register_consumption_errors():
     spec = ghz_from_index(1, 3)
     rng = make_rng(3)
-    reg = GhzRegister(spec)
-    reg.measure([1], Basis.Z, rng)
+    reg = GhzRegister([spec])
+    measure(reg, [1], Basis.Z, rng)
     with pytest.raises(ConsumedParticleError):
-        reg.measure([1], Basis.X, rng)
+        measure(reg, [1], Basis.X, rng)
     with pytest.raises(ValueError):
-        GhzRegister(spec).measure([2, 2], Basis.Z, rng)
+        measure(GhzRegister([spec]), [2, 2], Basis.Z, rng)
     with pytest.raises(ValueError):
-        GhzRegister(spec).measure([], Basis.Z, rng)
+        measure(GhzRegister([spec]), [], Basis.Z, rng)
     with pytest.raises(IndexError):
-        GhzRegister(spec).measure([4], Basis.Z, rng)
+        measure(GhzRegister([spec]), [4], Basis.Z, rng)
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: GhzRegister(ghz_from_index(5, 3)), lambda: ProductRegister((0, 1, 0))], ids=["ghz", "product"]
+    "make", [lambda: GhzRegister([ghz_from_index(5, 3)]), lambda: ProductRegister([(0, 1, 0)])], ids=["ghz", "product"]
 )
 @pytest.mark.parametrize(
     "wrap", [lambda p: (p,), lambda p: [p], lambda p: (np.int64(p),)], ids=["tuple", "list", "numpy_int"]
@@ -210,14 +219,14 @@ def test_single_particle_measure_checks(make, wrap):
     for basis in (Basis.Z, Basis.X):
         for bad in (0, 4):
             with pytest.raises(IndexError):
-                make().measure(wrap(bad), basis, rng)
+                measure(make(), wrap(bad), basis, rng)
         reg = make()
-        out = reg.measure(wrap(2), basis, rng)
+        out = measure(reg, wrap(2), basis, rng)
         assert list(out) == [2] and type(next(iter(out))) is int
         for again in (Basis.Z, Basis.X):
             with pytest.raises(ConsumedParticleError):
-                reg.measure(wrap(2), again, rng)
-        assert reg.consumed == {2}
+                measure(reg, wrap(2), again, rng)
+        assert [i + 1 for i, state in enumerate(reg.slots) if state == MEASURED] == [2]
 
 
 @pytest.mark.parametrize("high", [2, 4])
@@ -246,6 +255,83 @@ def test_scalar_draws_match_one_sized_draw(high):
             f"numpy {np.__version__}: {n} size={m} integers(0, {high}) draws leave another generator state"
             f" than one size=({n}, {m}) draw"
         )
+    # The trial core counts each run of bit draws and makes it one sized
+    # draw, between draws of other ranges and shapes that stay as they are:
+    # decoys, preparation indices, check positions and the tamperer's pick.
+    for seq in range(100):
+        plan = np.random.default_rng([18, high, seq])
+        ops = []
+        for _ in range(int(plan.integers(1, 12))):
+            kind = int(plan.integers(0, 5))
+            if kind == 0:
+                ops.append(("run", int(plan.integers(1, 65))))
+            elif kind == 1:
+                ops.append(("decoys", int(plan.integers(1, 40))))
+            elif kind == 2:
+                ops.append(("prepare", int(plan.integers(2, 21)), int(plan.integers(1, 40))))
+            elif kind == 3:
+                total = int(plan.integers(1, 80))
+                ops.append(("choice", total, int(plan.integers(1, total + 1))))
+            else:
+                ops.append(("pick", int(plan.integers(1, 50))))
+        by_scalar, batched = make_rng(18, high, seq), make_rng(18, high, seq)
+        got, want = [], []
+        for op in ops:
+            for rng, out in ((by_scalar, got), (batched, want)):
+                if op[0] == "run":
+                    if rng is by_scalar:
+                        out.append([int(rng.integers(0, high)) for _ in range(op[1])])
+                    else:
+                        out.append(rng.integers(0, high, size=op[1]).tolist())
+                elif op[0] == "decoys":
+                    out.append(rng.integers(0, 4, size=op[1]).tolist())
+                elif op[0] == "prepare":
+                    out.append(rng.integers(1, 2 ** op[1] + 1, size=op[2]).tolist())
+                elif op[0] == "choice":
+                    out.append(rng.choice(op[1], size=op[2], replace=False).tolist())
+                else:
+                    out.append(int(rng.integers(0, op[1])))
+        assert got == want, f"numpy {np.__version__}: scalar runs of integers(0, {high}) in {ops} differ from sized draws"
+        assert by_scalar.bit_generator.state == batched.bit_generator.state, (
+            f"numpy {np.__version__}: scalar runs of integers(0, {high}) in {ops} leave another generator state"
+            " than sized draws"
+        )
+
+
+def test_one_batch_measures_as_one_call_per_measurement():
+    # A run measures whole steps at once: GHZ and product registers, decoys
+    # and forwarded photons, in mixed bases.  Bits drawn in one sized draw
+    # must give what one call per measurement gives, which is what the
+    # particle-by-particle scalar draws gave.
+    for seq in range(200):
+        plan = np.random.default_rng([19, seq])
+        n = int(plan.integers(2, 6))
+        count = int(plan.integers(1, 5))
+        if plan.integers(0, 4):
+            rows = [ghz_from_index(int(i), n) for i in plan.integers(1, 2**n + 1, size=count)]
+            make = lambda: GhzRegister(rows)  # noqa: E731
+        else:
+            rows = plan.integers(0, 2, size=(count, n)).tolist()
+            make = lambda: ProductRegister(rows)  # noqa: E731
+        decoys = plan.integers(0, 4, size=int(plan.integers(0, 6))).tolist()
+        steps = []
+        for forward in (True, False, False):
+            ids = plan.permutation(count * n + len(decoys))[: int(plan.integers(1, count * n + 1))].tolist()
+            steps.append((ids, plan.integers(0, 2, size=len(ids)).tolist(), forward))
+        runs = []
+        for batched in (True, False):
+            reg, rng = make(), make_rng(19, seq)
+            reg.add_photons(decoys)
+            outcomes = []
+            for ids, bases, forward in steps:
+                ids = [i for i in ids if reg.slots[i] != MEASURED]
+                bases = bases[: len(ids)]
+                if batched:
+                    outcomes.append(reg.measure(ids, bases, rng, forward))
+                else:
+                    outcomes.append([reg.measure([i], [b], rng, forward)[0] for i, b in zip(ids, bases)])
+            runs.append((outcomes, reg.slots, reg.branch, reg.parity, rng.bit_generator.state))
+        assert runs[0] == runs[1], f"numpy {np.__version__}: sequence {seq} measures differently in one batch"
 
 
 def test_full_x_parity_always_matches():
@@ -260,10 +346,10 @@ def test_sequential_x_measurements_compose_to_full_parity():
     spec = ghz_from_index(1, 4)
     rng = make_rng(5)
     for _ in range(300):
-        reg = GhzRegister(spec)
-        first = reg.measure([2], Basis.X, rng)
-        second = reg.measure([1, 3], Basis.X, rng)
-        third = reg.measure([4], Basis.X, rng)
+        reg = GhzRegister([spec])
+        first = measure(reg, [2], Basis.X, rng)
+        second = measure(reg, [1, 3], Basis.X, rng)
+        third = measure(reg, [4], Basis.X, rng)
         total = sum(first.values()) + sum(second.values()) + sum(third.values())
         assert total % 2 == spec.delta
 
@@ -274,9 +360,9 @@ def test_z_collapse_makes_later_x_uniform():
     ones = 0
     trials = 4000
     for _ in range(trials):
-        reg = GhzRegister(spec)
-        reg.measure([1], Basis.Z, rng)
-        ones += reg.measure([2], Basis.X, rng)[2]
+        reg = GhzRegister([spec])
+        measure(reg, [1], Basis.Z, rng)
+        ones += measure(reg, [2], Basis.X, rng)[2]
     assert abs(ones / trials - 0.5) < 3 * 0.5 / np.sqrt(trials)
 
 
@@ -284,9 +370,9 @@ def test_x_subset_then_z_keeps_branch_structure():
     spec = ghz_from_index(5, 3)
     rng = make_rng(7)
     for _ in range(300):
-        reg = GhzRegister(spec)
-        reg.measure([2], Basis.X, rng)
-        rest = reg.measure([1, 3], Basis.Z, rng)
+        reg = GhzRegister([spec])
+        measure(reg, [2], Basis.X, rng)
+        rest = measure(reg, [1, 3], Basis.Z, rng)
         assert (rest[1] ^ spec.q[0], rest[3] ^ spec.q[2]) in {(0, 0), (1, 1)}
 
 
@@ -395,10 +481,10 @@ def test_oracle_mixed_basis_measurement():
 
 def test_product_register_semantics():
     rng = make_rng(14)
-    reg = ProductRegister((0, 1, 0))
-    assert reg.measure([1, 2, 3], Basis.Z, rng) == {1: 0, 2: 1, 3: 0}
+    reg = ProductRegister([(0, 1, 0)])
+    assert measure(reg, [1, 2, 3], Basis.Z, rng) == {1: 0, 2: 1, 3: 0}
     ones = 0
     trials = 4000
     for _ in range(trials):
-        ones += ProductRegister((0, 0)).measure([1], Basis.X, rng)[1]
+        ones += measure(ProductRegister([(0, 0)]), [1], Basis.X, rng)[1]
     assert abs(ones / trials - 0.5) < 3 * 0.5 / np.sqrt(trials)

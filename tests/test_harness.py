@@ -51,6 +51,10 @@ def test_validation_names_offending_fields():
         (dict(secrets=SecretsSpec(policy="explicit", values=[[0], [1]])), "secrets.values"),
         (dict(secrets=SecretsSpec(policy="uniform", values=[[0, 1], [0, 1]])), "secrets.values"),
         (dict(m=1, n=3, protocol="proposed", secrets=SecretsSpec(policy="forced_unequal")), "forced_unequal"),
+        # Distinct secrets are drawn by redrawing all n: about 8.8e5 and 6.9e3
+        # attempts per trial here.
+        (dict(m=4, n=16, secrets=SecretsSpec(policy="forced_unequal")), "secrets.policy"),
+        (dict(m=4, n=14, secrets=SecretsSpec(policy="forced_unequal")), "secrets.policy"),
         (dict(adversary=AdversarySpec(kind="alien")), "adversary"),
         (dict(n=3, adversary=AdversarySpec("eve_intercept_resend", {"links": [7]})), "links"),
         (dict(adversary=AdversarySpec("eve_intercept_resend", {"links": [1], "victim": 9})), "victim"),
@@ -91,6 +95,9 @@ def test_validation_names_offending_fields():
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):
             small_scenario(**overrides).validate()
+    # About 323 and 416 expected attempts per trial, and a huge m, still validate.
+    for n, m in ((12, 4), (8, 3), (20, 10**9)):
+        small_scenario(n=n, m=m, secrets=SecretsSpec(policy="forced_unequal")).validate()
 
 
 def test_zhang_requires_two_participants():

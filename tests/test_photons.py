@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from qpcsim.ghz import Basis, GhzRegister, ghz_from_index, pair_xor
 from qpcsim.photons import (
-    CarrierSlot,
     CheckReport,
-    DecoySlot,
     DecoyState,
+    Link,
     QuantumChannel,
     generate_decoys,
     interleave,
@@ -20,6 +19,12 @@ from qpcsim.photons import (
 
 def make_rng(*key):
     return np.random.default_rng(np.random.SeedSequence(entropy=987002, spawn_key=key))
+
+
+def photons(states):
+    """Photons in flight by themselves: their state and ids."""
+    reg = GhzRegister([])
+    return reg, reg.add_photons(states)
 
 
 def test_generate_decoys_frequencies():
@@ -38,15 +43,15 @@ def test_matching_basis_is_deterministic():
     rng = make_rng(4)
     for state in DecoyState:
         for _ in range(20):
-            photon = DecoySlot(state)
-            assert photon.measure(Basis(state >> 1), rng) == state & 1
-            assert photon.state == state
+            reg, ids = photons([state])
+            assert reg.measure(ids, [Basis(state >> 1)], rng) == [state & 1]
+            assert reg.slots[ids[0]] == state
 
 
 def test_decoy_slot_rejects_non_states():
     for bad in (-1, 4, 2.5, "Z0", None):
         with pytest.raises(ValueError):
-            DecoySlot(bad)
+            photons([bad])
 
 
 def test_wrong_basis_is_uniform_and_reprepares():
@@ -54,10 +59,10 @@ def test_wrong_basis_is_uniform_and_reprepares():
     trials = 4000
     ones = 0
     for _ in range(trials):
-        photon = DecoySlot(DecoyState.Z0)
-        bit = photon.measure(Basis.X, rng)
+        reg, ids = photons([DecoyState.Z0])
+        (bit,) = reg.measure(ids, [Basis.X], rng)
         ones += bit
-        assert photon.state == (Basis.X << 1) | bit
+        assert reg.slots[ids[0]] == (Basis.X << 1) | bit
     assert abs(ones / trials - 0.5) <= 3 * 0.5 / np.sqrt(trials)
 
 
@@ -68,19 +73,20 @@ def test_disturbance_chain_minus_through_z():
     trials = 4000
     mismatches = 0
     for _ in range(trials):
-        photon = DecoySlot(DecoyState.X_MINUS)
-        photon.measure(Basis.Z, rng)
-        mismatches += photon.measure(Basis.X, rng) != DecoyState.X_MINUS & 1
+        reg, ids = photons([DecoyState.X_MINUS])
+        reg.measure(ids, [Basis.Z], rng)
+        mismatches += reg.measure(ids, [Basis.X], rng)[0] != DecoyState.X_MINUS & 1
     assert abs(mismatches / trials - 0.5) <= 3 * 0.5 / np.sqrt(trials)
 
 
 def test_interleave_trivial_and_lengths():
-    merged, positions = interleave([], [DecoyState.Z1], make_rng(7))
-    assert positions == [1]
-    assert len(merged) == 1 and merged[0].is_decoy
+    link = Link(None, [], [DecoyState.Z1], interleave(0, 1, make_rng(7)))
+    assert link.decoy_slots == [0]
+    assert link.slots == [DecoyState.Z1]
     carriers = ["c0", "c1", "c2", "c3"]
-    merged, positions = interleave(carriers, generate_decoys(4, make_rng(8)), make_rng(9))
-    assert len(merged) == 8 and len(positions) == 4
+    decoys = generate_decoys(4, make_rng(8))
+    link = Link(None, carriers, decoys, interleave(len(carriers), len(decoys), make_rng(9)))
+    assert len(link.slots) == len(link) == 8 and len(link.decoy_slots) == 4
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12), st.integers())
@@ -89,21 +95,22 @@ def test_interleave_preserves_carrier_order(num_carriers, num_decoys, seed_key):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=987003, spawn_key=(abs(seed_key) % 2**32,)))
     carriers = [f"carrier-{i}" for i in range(num_carriers)]
     decoys = generate_decoys(num_decoys, rng)
-    merged, positions = interleave(carriers, decoys, rng)
+    link = Link(None, carriers, decoys, interleave(num_carriers, num_decoys, rng))
+    merged, positions = link.slots, link.decoy_slots
     assert len(merged) == num_carriers + num_decoys
     assert positions == sorted(positions) and len(set(positions)) == len(positions)
-    survivors = [slot for slot in merged if not isinstance(slot, DecoySlot)]
-    assert survivors == carriers
-    assert [merged[p - 1] for p in positions] == [s for s in merged if isinstance(s, DecoySlot)]
+    survivors = [slot for slot in merged if isinstance(slot, str)]
+    assert survivors == carriers == [merged[p] for p in link.carrier_slots]
+    assert [merged[p] for p in positions] == [s for s in merged if not isinstance(s, str)] == decoys
 
 
 def test_public_discussion_honest_and_errors():
     rng = make_rng(10)
     for l in (0, 1, 5, 20):
         decoys = generate_decoys(l, rng)
-        photons = [DecoySlot(d) for d in decoys]
+        reg, ids = photons(decoys)
         bases = [Basis(d >> 1) for d in decoys]
-        results = [p.measure(b, rng) for p, b in zip(photons, bases)]
+        results = reg.measure(ids, bases, rng)
         report = public_discussion(bases, results, decoys)
         assert report == CheckReport(True, 0, l)
     with pytest.raises(ValueError):
@@ -119,9 +126,9 @@ def test_intercept_resend_per_decoy_detection_quarter():
     detected = 0
     for _ in range(trials):
         prep = generate_decoys(1, rng)[0]
-        slot = DecoySlot(prep)
-        slot.intercept(Basis(int(rng.integers(0, 2))), rng)
-        detected += slot.measure(Basis(prep >> 1), rng) != prep & 1
+        reg, ids = photons([prep])
+        reg.measure(ids, [Basis(int(rng.integers(0, 2)))], rng, forward=True)
+        detected += reg.measure(ids, [Basis(prep >> 1)], rng)[0] != prep & 1
     assert abs(detected / trials - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / trials)
 
 
@@ -133,10 +140,9 @@ def test_intercept_resend_sequence_detection_curve():
         detected = 0
         for _ in range(trials):
             decoys = generate_decoys(l, rng)
-            slots = [DecoySlot(d) for d in decoys]
-            for slot, eve_basis in zip(slots, rng.integers(0, 2, size=l)):
-                slot.intercept(Basis(int(eve_basis)), rng)
-            results = [slot.measure(Basis(d >> 1), rng) for slot, d in zip(slots, decoys)]
+            reg, ids = photons(decoys)
+            reg.measure(ids, rng.integers(0, 2, size=l).tolist(), rng, forward=True)
+            results = reg.measure(ids, [Basis(d >> 1) for d in decoys], rng)
             detected += not public_discussion([Basis(d >> 1) for d in decoys], results, decoys).passed
         assert abs(detected / trials - target) <= 3 * np.sqrt(target * (1 - target) / trials)
 
@@ -145,11 +151,11 @@ def test_untapped_channel_preserves_register_correlations():
     rng = make_rng(13)
     spec = ghz_from_index(7, 4)
     for _ in range(200):
-        register = GhzRegister(spec)
-        slots = [CarrierSlot(register, 0, k) for k in range(1, 5)]
+        register = GhzRegister([spec])
+        link = Link(register, register.ids(0, range(1, 5)), [], [])
         channel = QuantumChannel("TP1", "everyone")
-        delivered = channel.transmit(slots, rng)
-        outcome = {slot.particle: slot.measure(Basis.Z, rng) for slot in delivered}
+        delivered = channel.transmit(link, rng)
+        outcome = dict(zip(range(1, 5), delivered.measure([Basis.Z] * 4, rng)))
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 assert outcome[i] ^ outcome[j] == pair_xor(spec, i, j)
@@ -168,13 +174,13 @@ def test_taps_execute_in_registration_order():
 def test_carrier_intercept_replaces_photon():
     rng = make_rng(15)
     spec = ghz_from_index(1, 2)
-    register = GhzRegister(spec)
-    slot = CarrierSlot(register, 0, 1)
-    bit = slot.intercept(Basis.Z, rng)
+    register = GhzRegister([spec])
+    link = Link(register, register.ids(0, [1]), [], [])
+    (bit,) = link.measure([Basis.Z], rng, forward=True)
     # The forwarded photon is a decoy-state photon in the measured Z eigenstate.
-    assert isinstance(slot.replacement, DecoySlot)
-    assert slot.replacement.state == (Basis.Z << 1) | bit
+    assert register.slots[0] in DecoyState.__members__.values()
+    assert register.slots[0] == (Basis.Z << 1) | bit
     # The receiver now measures the forwarded photon, reproducibly.
-    assert slot.measure(Basis.Z, rng) == bit
+    assert link.measure([Basis.Z], rng) == [bit]
     # The register branch matches what the interceptor saw.
-    assert register.measure([2], Basis.Z, rng)[2] == bit ^ pair_xor(spec, 1, 2)
+    assert register.measure(register.ids(0, [2]), [Basis.Z], rng) == [bit ^ pair_xor(spec, 1, 2)]

@@ -116,18 +116,18 @@ def test_key_bits_are_uniform_over_runs():
 
 def test_step3_check_examples():
     psi1 = GhzSpec((0, 0, 0), 0)
-    ok = step3_check([psi1], [Basis.Z], [{1: 0, 2: 0, 3: 0}])
+    ok = step3_check([psi1], [Basis.Z], [(0, 0, 0)])
     assert ok.passed
-    ok = step3_check([psi1], [Basis.Z], [{1: 1, 2: 1, 3: 1}])
+    ok = step3_check([psi1], [Basis.Z], [(1, 1, 1)])
     assert ok.passed
-    bad = step3_check([psi1], [Basis.X], [{1: 1, 2: 0, 3: 0}])  # |-++>: odd minus count
+    bad = step3_check([psi1], [Basis.X], [(1, 0, 0)])  # |-++>: odd minus count
     assert not bad.passed and bad.failures == (0,)
-    bad = step3_check([psi1], [Basis.Z], [{1: 0, 2: 1, 3: 0}])
+    bad = step3_check([psi1], [Basis.Z], [(0, 1, 0)])
     assert not bad.passed
     with pytest.raises(ValueError):
-        step3_check([psi1], [Basis.Z], [{1: 0, 2: 0}])
+        step3_check([psi1], [Basis.Z], [(0, 0)])
     with pytest.raises(ValueError):
-        step3_check([psi1], [Basis.Z, Basis.X], [{1: 0, 2: 0, 3: 0}])
+        step3_check([psi1], [Basis.Z, Basis.X], [(0, 0, 0)])
 
 
 def test_step3_x_round_parity_rule():
@@ -135,7 +135,7 @@ def test_step3_x_round_parity_rule():
     report = step3_check(
         [spec, spec],
         [Basis.X, Basis.X],
-        [{1: 1, 2: 1, 3: 0}, {1: 1, 2: 0, 3: 0}],
+        [(1, 1, 0), (1, 0, 0)],
     )
     assert report.failures == (1,)
 

@@ -25,12 +25,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("honest_full", "attack_mix", "cli_sweep_jobs2")
 TRACED = ("honest_full", "attack_mix")
 HIGHER = {"trials_per_s"}
-MACHINE = "shared 2-vCPU Linux container, Python 3.11.7, numpy 2.4.6; times scaled to nominal speed by perfbench/speed.py"
+PAIRS = 10  # a claimed gain must win 9 of at least 10 pairs
+SECONDS = 20  # the timed length of each run
 
 
-def run(clone: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(clone: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=clone, capture_output=True, text=True, check=True).stdout
     path = next(line.split("record written to ", 1)[1] for line in out.splitlines() if "record written to" in line)
     return json.loads((clone / path).read_text())
@@ -42,9 +43,7 @@ def main() -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--workdir", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=4001)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args()
 
     sides = {}
@@ -56,32 +55,34 @@ def main() -> int:
                                 check=True).stdout.strip()
         sides[side] = {"clone": clone, "commit": commit, "trace0": {w: [] for w in WORKLOADS}, "trace1": {}}
 
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for j, workload in enumerate(WORKLOADS):
             for side in order:
-                record = run(sides[side]["clone"], workload, args.seed_base + 100 * j + i, args.seconds, 0)
+                record = run(sides[side]["clone"], workload, args.seed_base + 100 * j + i, 0)
                 sides[side]["trace0"][workload].append(record)
                 print(f"pair {i} {workload} {side}: trials_per_s {record['metrics']['trials_per_s']['value']:.1f}",
                       flush=True)
     for workload in TRACED:
         for side in ("parent", "change"):
-            sides[side]["trace1"][workload] = run(sides[side]["clone"], workload, 1, args.seconds, 1)
+            sides[side]["trace1"][workload] = run(sides[side]["clone"], workload, 1, 1)
 
-    seeds = ", ".join(f"{args.seed_base + 100 * j}-{args.seed_base + 100 * j + args.pairs - 1}"
+    seeds = ", ".join(f"{args.seed_base + 100 * j}-{args.seed_base + 100 * j + PAIRS - 1}"
                       for j in range(len(WORKLOADS)))
     for side, name in (("parent", f"BENCH_{args.label}_parent.json"), ("change", f"BENCH_{args.label}.json")):
         data = sides[side]
+        first = data["trace0"][WORKLOADS[0]][0]["provenance"]
         doc = {
             "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds "
-                       f"{args.seconds:g} --trace 0|1",
+                       f"{SECONDS} --trace 0|1",
             "commit": data["commit"],
-            "machine": MACHINE,
-            "pairs": f"{args.pairs} per workload against the other side of the pair, run back to back from fresh "
+            "machine": f"{first['nproc']} CPUs ({first['cpus_usable']} usable), Python {first['python']}, numpy "
+                       f"{first['numpy']}; times scaled to nominal speed by perfbench/speed.py",
+            "pairs": f"{PAIRS} per workload against the other side of the pair, run back to back from fresh "
                      f"clones; pair i (seeds {seeds}, in the order of {', '.join(WORKLOADS)}) ran the parent "
                      "first for even i and the change first for odd i",
             "side": side,
-            "src_sha256": data["trace0"][WORKLOADS[0]][0]["provenance"]["src_sha256"],
+            "src_sha256": first["src_sha256"],
             "trace0": data["trace0"],
             "trace1": data["trace1"],
         }

@@ -88,9 +88,7 @@ class AdversaryStrategy:
         return {}
 
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
-        """Return (registers, true_states, claimed_specs) or None for honest:
-        the run's ``GhzRegister`` (or ``ProductRegister``) and, per register,
-        the state it truly holds and the state announced for it."""
+        """Return (registers, true_states, claimed_specs) or None for honest."""
         return None
 
     def taps(self, link: int) -> Sequence:
@@ -130,8 +128,7 @@ class EveInterceptResend(AdversaryStrategy):
 
     links: Tuple[int, ...] = (1,)
     victim: Optional[int] = None
-    # Per tapped link, the (basis, bit) of each register particle's
-    # intercept, in register order, recorded during one run.
+    # (basis, bit) per register of each tapped link, recorded during one run.
     records: Dict[int, List[Tuple[int, int]]] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_EVE
     use_spec_knowledge = False
@@ -147,9 +144,11 @@ class EveInterceptResend(AdversaryStrategy):
             return ()
 
         def tap(delivery, rng):
-            bases = rng.integers(0, 2, size=len(delivery)).tolist()
+            order = delivery.slots
+            bases = rng.integers(0, 2, size=len(order)).tolist()
             bits = delivery.measure(bases, rng, forward=True)
-            self.records[link] = [(bases[slot], bits[slot]) for slot in delivery.carrier_slots]
+            # Register particles have the ids below the state's count of them.
+            self.records[link] = [(b, bit) for i, b, bit in zip(order, bases, bits) if i < delivery.state.n]
 
         return (tap,)
 

@@ -171,8 +171,9 @@ def pair_xor(spec: GhzSpec, i: int, j: int) -> int:
     key bits without seeing them.
     """
     q = spec.q
-    if not (0 < i <= len(q) and 0 < j <= len(q)):
-        raise IndexError(f"particle index {i if not 0 < i <= len(q) else j} out of range 1..{len(q)}")
+    for p in (i, j):
+        if not 1 <= p <= len(q):
+            raise IndexError(f"particle index {p} out of range 1..{len(q)}")
     return q[i - 1] ^ q[j - 1]
 
 
@@ -191,21 +192,17 @@ def _checked_positions(positions: Iterable[int], n: int, consumed: set) -> Tuple
 
 
 HELD, MEASURED = -1, -2  # slot values of a particle in, or measured out of, its register
-PHOTON_STATES = frozenset(range(4))
 
 
 class GhzRegister:
-    """The shared registers of one run, and the photons in flight beside
-    them, held flat.
+    """The shared registers of one run, and the photons beside them, held flat.
 
     Particle k of register r has the id ``r * particles + k - 1``; photons
     from ``add_photons`` follow.  ``slots[id]`` is HELD, MEASURED, or a
     photon state 0..3 (basis ``state >> 1``, bit ``state & 1``): a decoy,
-    or what an interceptor forwarded in place of a particle it measured.
-    Per particle the state keeps its q bit; per register, its Z branch
-    (None until a Z measurement fixes it; the rest is then a product
-    state), its X parity (delta, updated by every X bit drawn) and the
-    particles X measurements have left.  ``n`` counts the particles held.
+    or what an interceptor forwarded in place of a particle.  Per register
+    the state keeps its Z branch (None until a Z measurement fixes it), its
+    X parity and the particles X measurements have left.
     """
 
     __slots__ = ("q", "branch", "parity", "left", "slots", "particles", "n")
@@ -223,14 +220,9 @@ class GhzRegister:
         self.slots = [HELD] * (particles * len(rows))
         self.particles, self.n = particles, particles * len(rows)
 
-    def ids(self, register: int, particles: Iterable[int]) -> List[int]:
-        """The ids of some 1-based particles of one register, checked as
-        positions are (nonempty, in range, no duplicates)."""
-        return [register * self.particles + p - 1 for p in _checked_positions(particles, self.particles, set())]
-
     def add_photons(self, states: Sequence[int]) -> List[int]:
         """Put photons in the given states in flight; returns their ids."""
-        if not PHOTON_STATES.issuperset(states):
+        if not set(states) <= {0, 1, 2, 3}:
             raise ValueError(f"photon states must be in 0..3, got {list(states)!r}")
         self.slots.extend(states)
         return list(range(len(self.slots) - len(states), len(self.slots)))
@@ -256,19 +248,19 @@ class GhzRegister:
         the measured eigenstate, as an intercept-resend does.
         """
         slots, branch, left = self.slots, self.branch, self.left
+        if ids and min(ids) < 0:  # an id past the end fails the indexing below
+            raise IndexError(f"ids must lie in 0..{len(slots) - 1}, got {list(ids)}")
         states = list(map(slots.__getitem__, ids))
         if MEASURED in states:
             raise ConsumedParticleError(f"already measured: {[i for i, s in zip(ids, states) if s == MEASURED]}")
         if len(set(ids)) != len(ids) or len(bases) != len(ids):
             raise ValueError(f"ids must be distinct and match their bases, got {list(ids)} and {list(bases)}")
-        n, q = self.particles, self.q
-        # The bits go, in order, to the measurements that draw.  Z outcomes
-        # then follow from the branch, and a parity carrier, being its
-        # register's last particle, reads the parity every X bit updated.
+        n, q, parity = self.particles, self.q, self.parity
+        # The bits go, in order, to the measurements that draw; the others
+        # then read their register's branch or, as its last particle, parity.
         out = [state & 1 for state in states]  # a photon in its own basis
         drawn = []  # (position, id, register or -1 for a photon, basis)
-        z_outcomes = []  # (position, register, q bit)
-        parity_outcomes = []  # (position, register)
+        reads = []  # (position, register, q bit, or None for the parity)
         for idx, i, state, basis in zip(range(len(ids)), ids, states, bases):
             if state >= 0:
                 if state >> 1 != basis:
@@ -279,28 +271,24 @@ class GhzRegister:
             if basis:  # X
                 left[r] -= 1
                 if branch[r] is None and not left[r]:
-                    parity_outcomes.append((idx, r))
+                    reads.append((idx, r, None))
                 else:
                     drawn.append((idx, i, r, basis))
             else:
                 if branch[r] is None:
                     branch[r] = -1  # drawn below
                     drawn.append((idx, i, r, basis))
-                z_outcomes.append((idx, r, q[i]))
-        parity = self.parity
+                reads.append((idx, r, q[i]))
         for (idx, i, r, basis), bit in zip(drawn, rng.integers(0, 2, size=len(drawn)).tolist() if drawn else ()):
+            out[idx] = bit
             if r < 0:
-                out[idx] = bit
                 slots[i] = (basis << 1) | bit
             elif basis:
-                out[idx] = bit
                 parity[r] ^= bit
             else:
                 branch[r] = bit
-        for idx, r, qbit in z_outcomes:
-            out[idx] = qbit ^ branch[r]
-        for idx, r in parity_outcomes:
-            out[idx] = parity[r]
+        for idx, r, qbit in reads:
+            out[idx] = parity[r] if qbit is None else qbit ^ branch[r]
         if forward:
             for idx, i, state, basis in zip(range(len(ids)), ids, states, bases):
                 if state < 0:
@@ -328,9 +316,9 @@ def sample_measurement(
     spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: np.random.Generator
 ) -> Dict[int, int]:
     """One-shot analytic measurement of a freshly prepared state."""
-    reg = GhzRegister((spec,))
-    ids = reg.ids(0, positions)
-    return {i + 1: bit for i, bit in zip(ids, reg.measure(ids, [basis] * len(ids), rng))}
+    pos = _checked_positions(positions, spec.n, set())
+    bits = GhzRegister((spec,)).measure([p - 1 for p in pos], [basis] * len(pos), rng)
+    return dict(zip(pos, bits))
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from operator import xor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -405,7 +404,7 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         source = proto.TP1 if proto.TP1 in t.r_values else proto.TP
         for (i, j), r in t.r_values[source].items():
             bump("pairs_r_checked")
-            if tuple(r) == tuple(map(xor, t.secrets[i - 1], t.secrets[j - 1])):
+            if tuple(r) == proto.xor_bits(t.secrets[i - 1], t.secrets[j - 1]):
                 bump("pairs_r_exact")
 
 

@@ -4,8 +4,6 @@ decoy-check discussion used to expose channel eavesdropping."""
 from __future__ import annotations
 
 from enum import IntEnum
-from itertools import repeat
-from operator import and_, ne, rshift
 from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
@@ -50,9 +48,6 @@ class Link:
         self.decoy_ids = decoy_ids
         self.decoy_slots = decoy_slots
 
-    def __len__(self) -> int:
-        return len(self.carried) + len(self.decoy_ids)
-
     @property
     def slots(self) -> List[int]:
         """The id of what each slot carries, in transmission order."""
@@ -61,12 +56,6 @@ class Link:
         for slot, i in zip(self.decoy_slots, self.decoy_ids):
             merged.insert(slot, i)
         return merged
-
-    @property
-    def carrier_slots(self) -> List[int]:
-        """The slot of each register's particle, in register order."""
-        taken = set(self.decoy_slots)
-        return [slot for slot in range(len(self)) if slot not in taken]
 
     def measure(self, bases: Sequence[int], rng: np.random.Generator, forward: bool = False) -> List[int]:
         """Measure every slot, in transmission order, in one step; see
@@ -133,7 +122,10 @@ def public_discussion(
     """
     if not len(bases) == len(results) == len(prepared):
         raise ValueError("decoy announcement, results, and preparations must align")
-    if any(map(ne, bases, map(rshift, prepared, repeat(1)))):
-        raise ValueError("announced basis does not match the preparation basis")
-    mismatches = sum(map(ne, results, map(and_, prepared, repeat(1))))
+    mismatches = 0
+    for basis, got, prep in zip(bases, results, prepared):
+        if basis != prep >> 1:
+            raise ValueError("announced basis does not match the preparation basis")
+        if got != prep & 1:
+            mismatches += 1
     return CheckReport(mismatches <= tolerance, mismatches, len(prepared))

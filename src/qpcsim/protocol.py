@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from operator import xor
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -47,7 +46,7 @@ SCHEMA_VERSION = 1
 def xor_bits(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     if len(a) != len(b):
         raise ValueError("bit vectors must have equal length")
-    return tuple(x ^ y for x, y in zip(a, b))
+    return tuple(map(xor, a, b))
 
 
 def verdict_for(r: Sequence[int]) -> str:
@@ -99,16 +98,15 @@ def step3_check(
         raise ValueError("claimed states, bases, and outcomes must align")
     failures: List[int] = []
     for r, (spec, basis, bits) in enumerate(zip(claimed, bases, outcomes)):
-        q = spec.q
-        if len(bits) != len(q):
-            raise ValueError(f"round {r} has {len(bits)} outcomes for {len(q)} particles")
+        if len(bits) != len(spec.q):
+            raise ValueError(f"round {r} has {len(bits)} outcomes for {len(spec.q)} particles")
         if basis == Basis.Z:
-            ok = len(set(map(xor, bits, q))) == 1
+            ok = len({b ^ qb for b, qb in zip(bits, spec.q)}) == 1
         else:
             ok = sum(bits) % 2 == spec.delta
         if not ok:
             failures.append(r)
-    return Step3Report(not failures, tuple(failures), tuple(map(int, bases)))
+    return Step3Report(not failures, tuple(failures), tuple(int(b) for b in bases))
 
 
 def arbiter_identify(
@@ -267,21 +265,20 @@ def _distribute(
     Marks the decoy abort if any link fails.
     """
     n = registers.particles
-    log = t.record_events
     for k in range(1, n + 1):
         decoys = generate_decoys(decoy_count, rng)
         carried = range(k - 1, registers.n, n)
         decoy_ids = registers.add_photons(decoys)
         link = Link(registers, carried, decoy_ids, interleave(len(carried), decoy_count, rng))
         QuantumChannel(roles.sender, f"P{k}", run.taps(k)).transmit(link, rng)
-        if log and roles.log_traffic:
+        if roles.log_traffic:
             t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(carried), decoys=decoy_count)
         bases = [d >> 1 for d in decoys]
         report = public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, decoy_tolerance)
         t.decoy_checks.append(
             {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
         )
-        if log:
+        if t.record_events:  # here and below: build no payload that is not kept
             t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
     if not all(check["passed"] for check in t.decoy_checks):
         t.mark_abort(2, CAUSE_DECOY)
@@ -307,8 +304,7 @@ def _check_rounds(
     if roles.log_traffic:
         t.add(3, "P2", "check_bases", bases=bases)
     n = registers.particles
-    held = [[p * n + k - 1 for p in believed[k]] for k in range(1, n + 1)]
-    ids = [i for row in zip(*held) for i in row]
+    ids = [believed[k][r] * n + k - 1 for r in range(len(positions)) for k in range(1, n + 1)]
     bits = registers.measure(ids, [b for b in bases for _ in range(n)], rng)
     outcomes = [bits[s : s + n] for s in range(0, len(bits), n)]
     if roles.log_traffic and t.record_events:
@@ -337,20 +333,18 @@ def _measure_keys(
     participant's believed positions may disagree with these.
     """
     m = t.params["m"]
-    n = registers.particles
-    kept = {}  # the first m positions outside each distinct check list
-    for checked in map(tuple, (t.checked_positions, *believed.values())):
-        if checked not in kept:
-            skipped = set(checked)
-            kept[checked] = [p for p in range(len(t.claimed_specs)) if p not in skipped][:m]
-    t.comparison_positions = kept[tuple(t.checked_positions)]
-    positions = {k: kept[tuple(believed[k])] for k in range(1, n + 1)}
+    n, total = registers.particles, len(t.claimed_specs)
+    positions = {}
+    for k in range(1, n + 1):
+        skipped = set(believed[k])
+        positions[k] = [p for p in range(total) if p not in skipped][:m]
+    t.comparison_positions = positions[1]  # P1 chose the checks, so its list is the true one
     ids = [p * n + k - 1 for k in range(1, n + 1) for p in positions[k]]
     # Every participant skips at most m of the 2m (or m + c) registers.
     bits = registers.measure(ids, [Basis.Z] * len(ids), rng)
     for k in range(1, n + 1):
         t.keys[k] = key = tuple(bits[(k - 1) * m : k * m])
-        t.comps[k] = tuple(map(xor, key, t.secrets[k - 1]))
+        t.comps[k] = xor_bits(key, t.secrets[k - 1])
         if t.record_events:
             t.add(roles.check_step + 1, f"P{k}", "key_measurement", positions=positions[k])
             if roles.submit_to:
@@ -401,7 +395,7 @@ def run_proposed(
     # Step 1: prepare 2m shared registers (or whatever the preparer fakes).
     prepared = run.override_preparation(n, total, rng)
     if prepared is None:
-        specs = list(map(ghz_from_index, rng.integers(1, 2**n + 1, size=total).tolist(), repeat(n)))
+        specs = [ghz_from_index(i, n) for i in rng.integers(1, 2**n + 1, size=total).tolist()]
         prepared = GhzRegister(specs), specs, specs
     registers, t.true_states, t.claimed_specs = prepared
     t.add(1, TP1, "prepare", registers=total)
@@ -430,23 +424,20 @@ def run_proposed(
     # Step 6: both third parties compute and announce a verdict per pair.
     # They hold the same claimed states and masked strings, so each pair's
     # result vector is computed once; each announcer gets its own dict.  The
-    # pad of pair (i, j) is the XOR of i's and j's pads against P1, so each
-    # masked string has its pad against P1 taken out once.
+    # pad of pair (i, j) is the XOR of i's and j's pads against P1.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     compared = [t.claimed_specs[p] for p in t.comparison_positions]
-    unpadded = {1: t.comps[1]}
-    for k in range(2, n + 1):
-        unpadded[k] = tuple(map(xor, map(pair_xor, compared, repeat(1), repeat(k)), t.comps[k]))
-    r_values = {(i, j): tuple(map(xor, unpadded[i], unpadded[j])) for i, j in pairs}
+    unpadded = {k: tuple(pair_xor(spec, 1, k) ^ b for spec, b in zip(compared, t.comps[k])) for k in range(2, n + 1)}
+    unpadded[1] = t.comps[1]
+    r_values = {(i, j): xor_bits(unpadded[i], unpadded[j]) for i, j in pairs}
+    t.announcements = {TP1: {}, TP2: {}}
     t.r_values = {TP1: r_values, TP2: dict(r_values)}
-    verdicts = {pair: verdict_for(r) for pair, r in r_values.items()}
-    log = t.record_events
     for announcer in (TP1, TP2):
-        announced = t.announcements[announcer] = {}
         for pair in pairs:
-            verdict = run.flip_verdict(announcer, pair, verdicts[pair])
-            announced[pair] = Announcement(announcer, pair, verdict, r_values[pair] if announce_r else None)
-            if log:
+            r = r_values[pair]
+            verdict = run.flip_verdict(announcer, pair, verdict_for(r))
+            t.announcements[announcer][pair] = Announcement(announcer, pair, verdict, r if announce_r else None)
+            if t.record_events:
                 t.add(6, announcer, "announcement", pair=list(pair), verdict=verdict)
 
     # Step 7: participants cross-compare the two announcements.
@@ -462,7 +453,7 @@ def run_proposed(
             "accepted": accepted,
             "ground_truth": IDENTICAL if truth else DIFFERENT,
         }
-        if log:
+        if t.record_events:
             t.add(7, "participants", "cross_check", pair=list(pair), accepted=accepted)
         if not accepted:
             conflict = True

@@ -13,8 +13,9 @@ from scipy import stats as scipy_stats
 
 from qpcsim.ghz import (
     Basis,
-    ConsumedParticleError,
+    HELD,
     MEASURED,
+    ConsumedParticleError,
     GhzRegister,
     GhzSpec,
     OracleCapacityError,
@@ -37,9 +38,9 @@ def make_rng(*key):
 def measure(reg, particles, basis, rng, register=0):
     """Measure some 1-based particles of one register in one basis; the
     outcomes by particle."""
-    ids = reg.ids(register, particles)
-    outcomes = reg.measure(ids, [basis] * len(ids), rng)
-    return {i - register * reg.particles + 1: bit for i, bit in zip(ids, outcomes)}
+    particles = [int(p) for p in particles]
+    ids = [register * reg.particles + p - 1 for p in particles]
+    return dict(zip(particles, reg.measure(ids, [basis] * len(ids), rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def test_register_consumption_errors():
     with pytest.raises(ValueError):
         measure(GhzRegister([spec]), [2, 2], Basis.Z, rng)
     with pytest.raises(ValueError):
-        measure(GhzRegister([spec]), [], Basis.Z, rng)
+        sample_measurement(spec, [], Basis.Z, rng)
     with pytest.raises(IndexError):
         measure(GhzRegister([spec]), [4], Basis.Z, rng)
 
@@ -220,9 +221,15 @@ def test_single_particle_measure_checks(make, wrap):
         for bad in (0, 4):
             with pytest.raises(IndexError):
                 measure(make(), wrap(bad), basis, rng)
+        # Ids count from 0 over the three particles, with no wrap-around.
+        for bad in (-1, 3):
+            reg = make()
+            with pytest.raises(IndexError):
+                reg.measure(wrap(bad), [basis], rng)
+            assert reg.slots == [HELD] * 3
         reg = make()
         out = measure(reg, wrap(2), basis, rng)
-        assert list(out) == [2] and type(next(iter(out))) is int
+        assert list(out) == [2] and type(out[2]) is int
         for again in (Basis.Z, Basis.X):
             with pytest.raises(ConsumedParticleError):
                 measure(reg, wrap(2), again, rng)

@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jobs(text: str) -> int:
-    """Worker process count: at most one per CPU."""
+    """Process count for the trials: at most one per CPU."""
     cpus = os.cpu_count() or 1
     try:
         jobs = int(text)
@@ -43,6 +43,9 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+_JOBS_HELP = "processes sharing the trials: this one and N-1 workers (1..CPU count)"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qpcsim", description="Quantum private comparison simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -51,14 +54,14 @@ def build_parser() -> _Parser:
     run.add_argument("--config", required=True, help="path to a scenario config (JSON)")
     run.add_argument("--trials", type=int, help="override the config's trial count")
     run.add_argument("--seed", type=int, help="override the config's seed")
-    run.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes (1..CPU count)")
+    run.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=_JOBS_HELP)
     run.add_argument("--out", help="write results here instead of stdout")
     run.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
 
     suite = sub.add_parser("suite", help="run a built-in experiment suite")
     suite.add_argument("name", help=f"suite name (available: {', '.join(SUITE_NAMES)})")
     suite.add_argument("--seed", type=int, help=f"suite seed (default {DEFAULT_SEED})")
-    suite.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes (1..CPU count)")
+    suite.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=_JOBS_HELP)
     suite.add_argument("--out", help="write the result table here as well")
     suite.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -4,15 +4,20 @@ A scenario fully describes an experiment (protocol, sizes, adversary,
 secret policy, trial count, seed).  Trials use independent random streams
 derived from the root seed by the trial index, so results are identical
 for any execution order and any degree of parallelism; aggregation is a
-plain order-independent counter merge.
+plain order-independent counter merge.  A run with ``jobs`` > 1 runs one
+contiguous share of the trials in the calling process and the others in
+forked worker processes, each sending its counters back over a pipe.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+# Unused here: the benchmark's tracer still wraps this name (as
+# adversaries.RunHandle is kept for it).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field
+from multiprocessing import Pipe, Process
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -502,21 +507,53 @@ def metric_rows(totals: Dict[str, int], targets: Dict[str, float]) -> List[Metri
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     """Run all trials and aggregate.  Same (scenario, seed) => same stats,
-    independent of ``jobs``."""
+    independent of ``jobs``.
+
+    The trials go into ``min(trials, jobs)`` contiguous shares: this process
+    runs the first and one forked worker runs each of the others.  A
+    worker's exception is raised here; on any error every worker still
+    running is terminated.
+    """
+    if not _is_int(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     scenario.validate()
     trials = scenario.trials
-    totals: Dict[str, int] = {}
-    if jobs <= 1:
-        totals = _run_block(scenario, 0, trials)
-    else:
-        blocks = min(trials, jobs * 4)
-        bounds = [round(i * trials / blocks) for i in range(blocks + 1)]
-        spans = [(bounds[i], bounds[i + 1]) for i in range(blocks) if bounds[i] < bounds[i + 1]]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_run_block_star, [(scenario, a, b) for a, b in spans]):
-                _merge(totals, part)
+    parts = min(trials, jobs)
+    bounds = [round(i * trials / parts) for i in range(parts + 1)]
+    workers = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            receiver, sender = Pipe(duplex=False)
+            worker = Process(target=_send_block, args=(sender, scenario, start, stop))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        totals = _run_block(scenario, bounds[0], bounds[1])
+        for worker, receiver in workers:
+            try:
+                ok, part = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"a trial worker exited with code {worker.exitcode} before sending its counters"
+                ) from None
+            if not ok:
+                raise part
+            _merge(totals, part)
+    finally:
+        for worker, receiver in workers:
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+            receiver.close()
     return TrialStats(scenario.to_config(), totals, metric_rows(totals, _targets(scenario)))
 
 
-def _run_block_star(args) -> Dict[str, int]:
-    return _run_block(*args)
+def _send_block(sender, scenario: Scenario, start: int, stop: int) -> None:
+    """A worker's body: run trials ``start..stop`` and send ``(True,
+    counters)``, or ``(False, exception)`` if they raise."""
+    try:
+        message = (True, _run_block(scenario, start, stop))
+    except Exception as exc:  # noqa: BLE001 - re-raised in the caller
+        message = (False, exc)
+    sender.send(message)

@@ -2,9 +2,16 @@
 round-trips, and the transcript dump."""
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
-from qpcsim.cli import EXIT_CONFIG, EXIT_OK, main
+import pytest
+
+import qpcsim.harness
+from qpcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpcsim.harness import TrialStats
 
 
@@ -153,10 +160,10 @@ def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monk
     # starts any worker process for the trials.
     import qpcsim.harness
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the worker pool was started")
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker process was started")
 
-    monkeypatch.setattr(qpcsim.harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # lets --jobs 2 through on any machine
     zeros = {"q": "000", "delta": 0}
     three = {"n": 3}
@@ -171,6 +178,40 @@ def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monk
         assert main(["run", "--config", str(cfg), "--jobs", "2"]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["category"] == "config" and f"`{field}`" in err["message"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker through fork")
+def test_worker_error_exits_two(tmp_path, capsys, monkeypatch):
+    run_block = qpcsim.harness._run_block
+
+    def boom_in_worker(scenario, start, stop):
+        if start > 0:
+            raise ValueError("boom")
+        return run_block(scenario, start, stop)
+
+    monkeypatch.setattr(qpcsim.harness, "_run_block", boom_in_worker)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # lets --jobs 2 through on any machine
+    assert main(["run", "--config", str(write_config(tmp_path)), "--jobs", "2"]) == EXIT_RUNTIME
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"category": "runtime", "message": "ValueError: boom"}
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_jobs_two_matches_jobs_one_in_a_subprocess(tmp_path):
+    # Seven trials split 4 + 3 (uneven shares); one trial starts no worker.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_config(tmp_path, n=3, adversary={"kind": "eve_intercept_resend", "params": {"links": [2]}})
+    for trials in ("7", "1"):
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "qpcsim.cli", "run", "--config", str(cfg), "--trials", trials, "--jobs", jobs],
+                env=env, capture_output=True, check=True,
+            ).stdout
+            for jobs in ("2", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["counters"]["trials"] == int(trials)
 
 
 def test_help_exits_zero(capsys):

@@ -1,8 +1,15 @@
 """Harness tests: scenario validation, determinism, aggregation, and
 result emission round-trips."""
 
+import contextlib
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
+import qpcsim.harness
 from qpcsim.errors import ConfigError
 from qpcsim.harness import (
     AdversarySpec,
@@ -149,6 +156,85 @@ def test_same_seed_same_stats_and_jobs_invariance():
     c = run_scenario(scenario, jobs=3)
     assert a.to_json() == b.to_json() == c.to_json()
     assert a.to_csv() == c.to_csv()
+
+
+def test_jobs_must_be_a_positive_int(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial or a worker was started")
+
+    monkeypatch.setattr(qpcsim.harness, "_run_block", no_trials)
+    monkeypatch.setattr(qpcsim.harness, "Process", no_trials)
+    for jobs in (0, -1, True, 1.5):
+        with pytest.raises(ValueError, match="jobs"):
+            run_scenario(small_scenario(), jobs=jobs)
+
+
+# The patched _run_block reaches the workers only through a fork.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="patches reach the workers through fork"
+)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail, rather than hang, if the block takes longer than ``seconds``."""
+
+    def expire(*args):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _patch_shares(monkeypatch, caller_share, worker_share):
+    """Run ``caller_share`` for the share that starts at trial 0 and
+    ``worker_share`` for the others, in place of ``_run_block``."""
+
+    def run_block(scenario, start, stop):
+        return (worker_share if start > 0 else caller_share)(scenario, start, stop)
+
+    monkeypatch.setattr(qpcsim.harness, "_run_block", run_block)
+
+
+@fork_only
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    def boom(*args):
+        raise ValueError("boom")
+
+    _patch_shares(monkeypatch, qpcsim.harness._run_block, boom)
+    with _within(30), pytest.raises(ValueError, match="^boom$"):
+        run_scenario(small_scenario(trials=9), jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_worker_that_exits_without_sending_is_an_error(monkeypatch):
+    def exit_3(*args):
+        os._exit(3)
+
+    _patch_shares(monkeypatch, qpcsim.harness._run_block, exit_3)
+    with _within(30), pytest.raises(RuntimeError, match="exited with code 3"):
+        run_scenario(small_scenario(trials=4), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_caller_share_error_terminates_the_workers(monkeypatch):
+    def caller_fails(*args):
+        raise KeyError("caller share")
+
+    def slow(*args):
+        time.sleep(60)
+
+    _patch_shares(monkeypatch, caller_fails, slow)
+    with _within(30), pytest.raises(KeyError, match="caller share"):
+        run_scenario(small_scenario(trials=4), jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_different_seeds_differ():

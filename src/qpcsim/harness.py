@@ -4,9 +4,7 @@ A scenario fully describes an experiment (protocol, sizes, adversary,
 secret policy, trial count, seed).  Trials use independent random streams
 derived from the root seed by the trial index, so results are identical
 for any execution order and any degree of parallelism; aggregation is a
-plain order-independent counter merge.  A run with ``jobs`` > 1 runs one
-contiguous share of the trials in the calling process and the others in
-forked worker processes, each sending its counters back over a pipe.
+plain order-independent counter merge.
 """
 
 from __future__ import annotations
@@ -531,13 +529,13 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
         totals = _run_block(scenario, bounds[0], bounds[1])
         for worker, receiver in workers:
             try:
-                ok, part = receiver.recv()
+                part = receiver.recv()
             except EOFError:
                 worker.join()
                 raise RuntimeError(
                     f"a trial worker exited with code {worker.exitcode} before sending its counters"
                 ) from None
-            if not ok:
+            if isinstance(part, Exception):
                 raise part
             _merge(totals, part)
     finally:
@@ -550,10 +548,10 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
 
 
 def _send_block(sender, scenario: Scenario, start: int, stop: int) -> None:
-    """A worker's body: run trials ``start..stop`` and send ``(True,
-    counters)``, or ``(False, exception)`` if they raise."""
+    """A worker's body: send the counters of trials ``start..stop``, or the
+    exception they raise."""
     try:
-        message = (True, _run_block(scenario, start, stop))
-    except Exception as exc:  # noqa: BLE001 - re-raised in the caller
-        message = (False, exc)
+        message = _run_block(scenario, start, stop)
+    except Exception as exc:  # noqa: BLE001 - raised again in the caller
+        message = exc
     sender.send(message)

@@ -158,8 +158,6 @@ def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monk
     # A state with the wrong particle count, or an adversary the baseline
     # runner would ignore, fails validation, so the CLI exits 1 before it
     # starts any worker process for the trials.
-    import qpcsim.harness
-
     def no_worker(*args, **kwargs):
         raise AssertionError("a worker process was started")
 

@@ -169,7 +169,6 @@ def test_jobs_must_be_a_positive_int(monkeypatch):
             run_scenario(small_scenario(), jobs=jobs)
 
 
-# The patched _run_block reaches the workers only through a fork.
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="patches reach the workers through fork"
 )

@@ -91,6 +91,12 @@ def _transcript_cases() -> dict:
         "transcript_proposed": _doc(trials=1),
         "transcript_proposed_tamper": _doc(trials=1, adversary=_adversary(KIND_POSITION_TAMPER, {"count": 2})),
         "transcript_zhang": _doc(protocol="zhang_baseline", n=2, trials=1, check_rounds=2),
+        # Trial 0 of each of these takes the path its name gives (asserted below).
+        "transcript_eve_decoy_abort": _doc(trials=1, adversary=_adversary("eve_intercept_resend", {"links": [1]})),
+        "transcript_eve_tolerated": _doc(
+            trials=1, decoy_count=2, decoy_tolerance=1, adversary=_adversary("eve_intercept_resend", {"links": [1]})
+        ),
+        "transcript_fake_state": _doc(trials=1, adversary=_adversary("tp1_fake_initial_state")),
     }
 
 
@@ -114,6 +120,30 @@ def test_stats_match_golden(name):
 @pytest.mark.parametrize("name", sorted(_transcript_cases()))
 def test_transcript_matches_golden(name, tmp_path):
     assert _transcript_json(_transcript_cases()[name], tmp_path) == (DATA / f"{name}.json").read_text()
+
+
+def _golden_result(name: str) -> dict:
+    return json.loads((DATA / f"{name}.json").read_text())["result"]
+
+
+def test_eve_transcript_aborts_on_a_disturbed_decoy():
+    result = _golden_result("transcript_eve_decoy_abort")
+    assert (result["abort_step"], result["abort_cause"]) == (2, "decoy_mismatch")
+    link1, *others = result["decoy_checks"]
+    assert not link1["passed"] and link1["mismatches"] > 0
+    assert all(check["passed"] and check["mismatches"] == 0 for check in others)
+
+
+def test_eve_transcript_passes_step2_with_a_tolerated_mismatch():
+    result = _golden_result("transcript_eve_tolerated")
+    assert result["abort_step"] != 2
+    assert [(c["passed"], c["mismatches"]) for c in result["decoy_checks"]] == [(True, 1), (True, 0), (True, 0)]
+
+
+def test_fake_state_transcript_hands_out_product_states():
+    result = _golden_result("transcript_fake_state")
+    assert result["true_states"] == [{"kind": "product", "bits": "000"}] * 8
+    assert result["claimed_states"] == [{"q": "000", "delta": 0}] * 8
 
 
 if __name__ == "__main__":

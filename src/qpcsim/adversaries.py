@@ -222,12 +222,23 @@ class Tp2Intercept(EveInterceptResend):
 # ---------------------------------------------------------------------------
 
 
+def _fixed_preparation(built: dict, n: int, count: int, build):
+    """A fresh copy of the preparation ``build(n, count)`` returns, which is
+    built once per (n, count) and kept in ``built``."""
+    if (n, count) not in built:
+        built[(n, count)] = build(n, count)
+    registers, true_states, claimed = built[(n, count)]
+    return registers.copy(), list(true_states), list(claimed)
+
+
 @dataclass
 class Tp1FakeInitialState(AdversaryStrategy):
     """Distribute one (possibly unentangled) state while claiming another."""
 
     true_state: object = "zeros"  # "zeros" or a GhzSpec
     claimed: Optional[GhzSpec] = None
+    # (n, count) -> the unmeasured preparation, built on first use.
+    built: Dict[Tuple[int, int], tuple] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_TP1_FAKE_STATE
 
     def states(self) -> Dict[str, GhzSpec]:
@@ -235,6 +246,9 @@ class Tp1FakeInitialState(AdversaryStrategy):
         return {name: state for name, state in named.items() if isinstance(state, GhzSpec)}
 
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
+        return _fixed_preparation(self.built, n, count, self._prepare)
+
+    def _prepare(self, n: int, count: int):
         claimed = self.claimed or GhzSpec((0,) * n, 0)
         if claimed.n != n:
             raise ConfigError(f"claimed state has {claimed.n} particles, protocol has {n}")
@@ -374,10 +388,14 @@ class ClassicalPositionTamper(AdversaryStrategy):
     spec_pair: Optional[Tuple[GhzSpec, GhzSpec]] = None
     # (round, true position, substituted position), recorded during one run.
     tampered: List[Tuple[int, int, int]] = field(init=False, default_factory=list, repr=False, compare=False)
+    # The paired preparation per (n, count), shared by every run's copy.
+    built: Dict[Tuple[int, int], tuple] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_POSITION_TAMPER
 
     def start_run(self) -> "ClassicalPositionTamper":
-        return replace(self)
+        run = replace(self)
+        run.built = self.built
+        return run
 
     def states(self) -> Dict[str, GhzSpec]:
         return {} if self.spec_pair is None else {"pair[0]": self.spec_pair[0], "pair[1]": self.spec_pair[1]}
@@ -385,6 +403,9 @@ class ClassicalPositionTamper(AdversaryStrategy):
     def override_preparation(self, n: int, count: int, rng: np.random.Generator):
         if self.policy != POLICY_PAIRED:
             return None
+        return _fixed_preparation(self.built, n, count, self._prepare)
+
+    def _prepare(self, n: int, count: int):
         pair = self.spec_pair or (
             GhzSpec((0,) * n, 0),
             GhzSpec((0,) + (1,) * (n - 1), 0),
@@ -408,14 +429,10 @@ class ClassicalPositionTamper(AdversaryStrategy):
         received = list(true_positions)
         for r in rounds:
             p = true_positions[r]
-            if self.policy == POLICY_PAIRED:
-                pool = [
-                    t
-                    for t in range(total)
-                    if t not in checked and t not in used and (t & 1) != (p & 1)
-                ]
-            else:
-                pool = [t for t in range(total) if t not in checked and t not in used]
+            # A paired preparation alternates, so the partner state sits at
+            # the positions of the other parity.
+            start, step = (1 - (p & 1), 2) if self.policy == POLICY_PAIRED else (0, 1)
+            pool = [t for t in range(start, total, step) if t not in checked and t not in used]
             if not pool:
                 continue
             target = pool[int(rng.integers(0, len(pool)))]

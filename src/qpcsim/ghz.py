@@ -171,9 +171,10 @@ def pair_xor(spec: GhzSpec, i: int, j: int) -> int:
     key bits without seeing them.
     """
     q = spec.q
-    for p in (i, j):
-        if not 1 <= p <= len(q):
-            raise IndexError(f"particle index {p} out of range 1..{len(q)}")
+    n = len(q)
+    if not (0 < i <= n and 0 < j <= n):
+        p = j if 0 < i <= n else i
+        raise IndexError(f"particle index {p} out of range 1..{n}")
     return q[i - 1] ^ q[j - 1]
 
 
@@ -219,6 +220,14 @@ class GhzRegister:
         self.left = [particles] * len(rows)
         self.slots = [HELD] * (particles * len(rows))
         self.particles, self.n = particles, particles * len(rows)
+
+    def copy(self) -> "GhzRegister":
+        """An independent register in the same state: measuring one leaves
+        the other as it was.  ``q`` is never written, so the two share it."""
+        new = object.__new__(type(self))
+        new.q, new.particles, new.n = self.q, self.particles, self.n
+        new.branch, new.parity, new.left, new.slots = self.branch[:], self.parity[:], self.left[:], self.slots[:]
+        return new
 
     def add_photons(self, states: Sequence[int]) -> List[int]:
         """Put photons in the given states in flight; returns their ids."""
@@ -303,10 +312,13 @@ class ProductRegister(GhzRegister):
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        rows = [tuple(int(b) for b in row) for row in rows]
-        if any(any(b not in (0, 1) for b in bits) or not 2 <= len(bits) <= MAX_PARTICLES for bits in rows):
-            raise ValueError("bits must be 2..20 binary values")
-        self._hold(rows, [0] * len(rows), [0] * len(rows))
+        # A row repeated by reference, as ``[bits] * count`` builds them, is
+        # checked once.  Bits must be the ints 0 and 1: a bool or a float is
+        # rejected, not coerced.
+        for row in {id(row): row for row in rows}.values():
+            if not 2 <= len(row) <= MAX_PARTICLES or any(type(b) is not int or b not in (0, 1) for b in row):
+                raise ValueError(f"bits must be 2..{MAX_PARTICLES} integers 0 or 1, got {list(row)!r}")
+        self._hold([tuple(row) for row in rows], [0] * len(rows), [0] * len(rows))
 
     # Its own entry: perfbench/tracing.py wraps each register class's measure.
     measure = GhzRegister.measure

@@ -32,6 +32,14 @@ SECRET_POLICIES = ("explicit", "uniform", "forced_equal", "forced_unequal")
 # 95% two-sided normal quantile, for Wilson score intervals.
 _Z95 = 1.959963984540054
 
+# Bounds on the size fields, far above every shipped config and suite row
+# (at most m = 16, 32 decoys and 10^4 trials), so that a config cannot ask
+# one trial for billions of draws or a run for years of trials.
+MAX_M = 4096
+MAX_DECOY_COUNT = 4096
+MAX_CHECK_ROUNDS = 4096
+MAX_TRIALS = 10_000_000
+
 
 @dataclass
 class AdversarySpec:
@@ -85,19 +93,25 @@ class Scenario:
             raise ConfigError(f"field `n` must be <= 20, got {self.n}")
         if self.protocol == "zhang_baseline" and self.n != 2:
             raise ConfigError("field `n` must be 2 for the zhang_baseline protocol")
-        if not _is_int(self.m) or self.m < 1:
-            raise ConfigError(f"field `m` must be a positive integer, got {self.m!r}")
+        if not _is_int(self.m) or not 1 <= self.m <= MAX_M:
+            raise ConfigError(f"field `m` must be an integer in 1..{MAX_M}, got {self.m!r}")
         if self.check_rounds is not None:
-            if not _is_int(self.check_rounds) or self.check_rounds < 0:
-                raise ConfigError(f"field `check_rounds` must be a nonnegative integer, got {self.check_rounds!r}")
+            if not _is_int(self.check_rounds) or not 0 <= self.check_rounds <= MAX_CHECK_ROUNDS:
+                raise ConfigError(
+                    f"field `check_rounds` must be an integer in 0..{MAX_CHECK_ROUNDS}, got {self.check_rounds!r}"
+                )
             if self.protocol == "proposed" and self.check_rounds > self.m:
                 raise ConfigError(f"field `check_rounds` must be <= m={self.m}, got {self.check_rounds}")
-        if self.decoy_count is not None and (not _is_int(self.decoy_count) or self.decoy_count < 0):
-            raise ConfigError(f"field `decoy_count` must be a nonnegative integer, got {self.decoy_count!r}")
+        if self.decoy_count is not None and (
+            not _is_int(self.decoy_count) or not 0 <= self.decoy_count <= MAX_DECOY_COUNT
+        ):
+            raise ConfigError(
+                f"field `decoy_count` must be an integer in 0..{MAX_DECOY_COUNT}, got {self.decoy_count!r}"
+            )
         if self.variant not in proto.VARIANTS:
             raise ConfigError(f"field `variant` must be one of {proto.VARIANTS}, got {self.variant!r}")
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ConfigError(f"field `trials` must be a positive integer, got {self.trials!r}")
+        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"field `trials` must be an integer in 1..{MAX_TRIALS}, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"field `seed` must be a nonnegative integer, got {self.seed!r}")
         if not _is_int(self.decoy_tolerance) or self.decoy_tolerance < 0:
@@ -361,6 +375,11 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
     def bump(key: str, value: int = 1) -> None:
         c[key] = c.get(key, 0) + value
 
+    def bump_nonzero(key: str, value: int) -> None:
+        # A count that is 0 leaves its key out, as bumping once per item would.
+        if value:
+            c[key] = c.get(key, 0) + value
+
     bump("trials")
     if t.aborted:
         bump("aborted")
@@ -368,20 +387,23 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         bump(f"abort_{t.abort_cause}")
     else:
         bump("completed")
-    for pair, info in t.pair_results.items():
-        if t.aborted:
-            continue
-        bump("pairs_total")
-        verdict = info.get("tp1_verdict", info.get("tp_verdict"))
-        if info["accepted"] and verdict == info["ground_truth"]:
-            bump("pairs_verdict_correct")
+        pairs = t.pair_results.values()
+        bump_nonzero("pairs_total", len(pairs))
+        bump_nonzero(
+            "pairs_verdict_correct",
+            sum(
+                info["accepted"] and info.get("tp1_verdict", info.get("tp_verdict")) == info["ground_truth"]
+                for info in pairs
+            ),
+        )
     if t.step3 is not None:
-        failed = set(t.step3.failures)
-        for r, basis in enumerate(t.step3.bases):
-            key = "x_check_rounds" if basis == 1 else "z_check_rounds"
-            bump(key)
-            if r in failed:
-                bump(key.replace("rounds", "failures"))
+        bases = t.step3.bases
+        x_rounds = sum(bases)
+        x_failures = sum(bases[r] for r in t.step3.failures)
+        bump_nonzero("x_check_rounds", x_rounds)
+        bump_nonzero("z_check_rounds", len(bases) - x_rounds)
+        bump_nonzero("x_check_failures", x_failures)
+        bump_nonzero("z_check_failures", len(t.step3.failures) - x_failures)
     if t.arbiter is not None:
         bump(f"arbiter_{t.arbiter.lower()}")
     attack = t.attack
@@ -405,10 +427,12 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
     # against the drawn secrets.
     if not t.aborted and t.r_values:
         source = proto.TP1 if proto.TP1 in t.r_values else proto.TP
-        for (i, j), r in t.r_values[source].items():
-            bump("pairs_r_checked")
-            if tuple(r) == proto.xor_bits(t.secrets[i - 1], t.secrets[j - 1]):
-                bump("pairs_r_exact")
+        r_values = t.r_values[source]
+        bump_nonzero("pairs_r_checked", len(r_values))
+        bump_nonzero(
+            "pairs_r_exact",
+            sum(tuple(r) == proto.xor_bits(t.secrets[i - 1], t.secrets[j - 1]) for (i, j), r in r_values.items()),
+        )
 
 
 def run_trial(

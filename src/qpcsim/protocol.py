@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import xor
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
-from .photons import Link, QuantumChannel, generate_decoys, interleave, public_discussion
+from .photons import CheckReport, Link, QuantumChannel, generate_decoys, interleave, public_discussion
 
 VARIANT_BROADCAST = "classical_broadcast"
 VARIANT_TP2_RELAY = "tp2_relay"
@@ -101,12 +102,13 @@ def step3_check(
         if len(bits) != len(spec.q):
             raise ValueError(f"round {r} has {len(bits)} outcomes for {len(spec.q)} particles")
         if basis == Basis.Z:
-            ok = len({b ^ qb for b, qb in zip(bits, spec.q)}) == 1
+            bits = tuple(bits)
+            ok = bits == spec.q or bits == spec.complement()
         else:
             ok = sum(bits) % 2 == spec.delta
         if not ok:
             failures.append(r)
-    return Step3Report(not failures, tuple(failures), tuple(int(b) for b in bases))
+    return Step3Report(not failures, tuple(failures), tuple(map(int, bases)))
 
 
 def arbiter_identify(
@@ -223,13 +225,11 @@ def _validate_common(n: int, m: int, secrets: Sequence[Sequence[int]]) -> Tuple[
         raise ValueError("secret length m must be positive")
     if len(secrets) != n:
         raise ValueError(f"expected {n} secrets, got {len(secrets)}")
-    fixed = []
-    for idx, s in enumerate(secrets):
-        bits = tuple(map(int, s))
-        if len(bits) != m or not {0, 1}.issuperset(bits):
-            raise ValueError(f"secret {idx + 1} must be {m} bits")
-        fixed.append(bits)
-    return tuple(fixed)
+    fixed = tuple(tuple(map(int, s)) for s in secrets)
+    if {len(bits) for bits in fixed} != {m} or not {0, 1}.issuperset(chain.from_iterable(fixed)):
+        idx = next(i for i, bits in enumerate(fixed) if len(bits) != m or not {0, 1}.issuperset(bits))
+        raise ValueError(f"secret {idx + 1} must be {m} bits")
+    return fixed
 
 
 @dataclass(frozen=True)
@@ -263,18 +263,32 @@ def _distribute(
     decoys are then checked in public.
 
     Marks the decoy abort if any link fails.
+
+    A decoy measured in its own basis reads its bit without a draw, so only
+    the decoys a tap left in another state than their preparation are
+    measured; that keeps every draw, in order, of measuring them all.
     """
     n = registers.particles
+    slots = registers.slots
     for k in range(1, n + 1):
         decoys = generate_decoys(decoy_count, rng)
         carried = range(k - 1, registers.n, n)
+        first = len(slots)
         decoy_ids = registers.add_photons(decoys)
         link = Link(registers, carried, decoy_ids, interleave(len(carried), decoy_count, rng))
         QuantumChannel(roles.sender, f"P{k}", run.taps(k)).transmit(link, rng)
-        if roles.log_traffic:
+        if roles.log_traffic and t.record_events:
             t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=len(carried), decoys=decoy_count)
-        bases = [d >> 1 for d in decoys]
-        report = public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, decoy_tolerance)
+        arrived = slots[first : first + decoy_count]
+        if arrived == decoys:
+            report = CheckReport(True, 0, decoy_count)
+        else:
+            changed = [d for d in range(decoy_count) if arrived[d] != decoys[d]]
+            results = [state & 1 for state in decoys]
+            bits = registers.measure([first + d for d in changed], [decoys[d] >> 1 for d in changed], rng)
+            for d, bit in zip(changed, bits):
+                results[d] = bit
+            report = public_discussion([d >> 1 for d in decoys], results, decoys, decoy_tolerance)
         t.decoy_checks.append(
             {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
         )
@@ -301,7 +315,7 @@ def _check_rounds(
     """
     positions = believed[1]
     bases = rng.integers(0, 2, size=len(positions)).tolist()
-    if roles.log_traffic:
+    if roles.log_traffic and t.record_events:
         t.add(3, "P2", "check_bases", bases=bases)
     n = registers.particles
     ids = [believed[k][r] * n + k - 1 for r in range(len(positions)) for k in range(1, n + 1)]
@@ -313,7 +327,8 @@ def _check_rounds(
     report = step3_check([t.claimed_specs[p] for p in positions], bases, outcomes)
     t.step3 = report
     t.checked_positions = positions
-    t.add(roles.check_step, *roles.check_verdict, passed=report.passed, failures=list(report.failures))
+    if t.record_events:
+        t.add(roles.check_step, *roles.check_verdict, passed=report.passed, failures=list(report.failures))
     if not report.passed:
         t.mark_abort(roles.check_step, CAUSE_STATE_CHECK)
 
@@ -334,10 +349,14 @@ def _measure_keys(
     """
     m = t.params["m"]
     n, total = registers.particles, len(t.claimed_specs)
+    kept: Dict[Tuple[int, ...], List[int]] = {}  # participants that believe the same checks keep the same registers
     positions = {}
     for k in range(1, n + 1):
-        skipped = set(believed[k])
-        positions[k] = [p for p in range(total) if p not in skipped][:m]
+        key = tuple(believed[k])
+        if key not in kept:
+            skipped = set(key)
+            kept[key] = [p for p in range(total) if p not in skipped][:m]
+        positions[k] = kept[key]
     t.comparison_positions = positions[1]  # P1 chose the checks, so its list is the true one
     ids = [p * n + k - 1 for k in range(1, n + 1) for p in positions[k]]
     # Every participant skips at most m of the 2m (or m + c) registers.
@@ -398,12 +417,14 @@ def run_proposed(
         specs = [ghz_from_index(i, n) for i in rng.integers(1, 2**n + 1, size=total).tolist()]
         prepared = GhzRegister(specs), specs, specs
     registers, t.true_states, t.claimed_specs = prepared
-    t.add(1, TP1, "prepare", registers=total)
+    if t.record_events:
+        t.add(1, TP1, "prepare", registers=total)
 
     _distribute(t, _PROPOSED, run, registers, l, decoy_tolerance, rng)
     if t.aborted:
         return _finalize(t, run, rng)
-    t.add(2, TP1, "initial_states", to=TP2, count=len(t.claimed_specs))
+    if t.record_events:
+        t.add(2, TP1, "initial_states", to=TP2, count=len(t.claimed_specs))
 
     # Step 3: cooperative correctness check of c randomly chosen registers.
     believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
@@ -413,7 +434,8 @@ def run_proposed(
         # channel and is the only thing a tamperer can touch; TP2 always gets
         # the true list over its authenticated channel.
         received = run.tamper_positions(positions, total, rng) if variant == VARIANT_BROADCAST else positions
-        t.add(3, "P1", "check_positions", positions=positions, variant=variant)
+        if t.record_events:
+            t.add(3, "P1", "check_positions", positions=positions, variant=variant)
         believed = {1: positions, **{k: received for k in range(2, n + 1)}}
         _check_rounds(t, _PROPOSED, registers, believed, rng)
         if t.aborted:
@@ -427,7 +449,7 @@ def run_proposed(
     # pad of pair (i, j) is the XOR of i's and j's pads against P1.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     compared = [t.claimed_specs[p] for p in t.comparison_positions]
-    unpadded = {k: tuple(pair_xor(spec, 1, k) ^ b for spec, b in zip(compared, t.comps[k])) for k in range(2, n + 1)}
+    unpadded = {k: tuple(map(xor, map(pair_xor, compared, repeat(1), repeat(k)), t.comps[k])) for k in range(2, n + 1)}
     unpadded[1] = t.comps[1]
     r_values = {(i, j): xor_bits(unpadded[i], unpadded[j]) for i, j in pairs}
     t.announcements = {TP1: {}, TP2: {}}
@@ -460,7 +482,8 @@ def run_proposed(
     if conflict:
         t.mark_abort(7, CAUSE_CONFLICT)
         t.arbiter = arbiter_identify(compared, t.comps, t.announcements[TP1], t.announcements[TP2])
-        t.add(7, "Arbiter", "liar_identified", liar=t.arbiter)
+        if t.record_events:
+            t.add(7, "Arbiter", "liar_identified", liar=t.arbiter)
     return _finalize(t, run, rng)
 
 
@@ -507,7 +530,8 @@ def run_zhang_baseline(
     specs = [bell_specs[b] for b in rng.integers(0, 2, size=total).tolist()]
     t.true_states = list(specs)
     t.claimed_specs = list(specs)
-    t.add(1, TP, "prepare", registers=total)
+    if t.record_events:
+        t.add(1, TP, "prepare", registers=total)
 
     registers = GhzRegister(specs)
     _distribute(t, _BASELINE, run, registers, l, decoy_tolerance, rng)
@@ -526,7 +550,8 @@ def run_zhang_baseline(
 
     _measure_keys(t, _BASELINE, registers, believed, rng)
     combined = xor_bits(t.comps[1], t.comps[2])
-    t.add(6, "P1+P2", "comparison_submitted", to=TP)
+    if t.record_events:
+        t.add(6, "P1+P2", "comparison_submitted", to=TP)
 
     c_t = tuple(pair_xor(specs[p], 1, 2) for p in t.comparison_positions)
     r = xor_bits(c_t, combined)
@@ -534,7 +559,8 @@ def run_zhang_baseline(
     announcement = Announcement(TP, (1, 2), verdict)
     t.announcements = {TP: {(1, 2): announcement}}
     t.r_values = {TP: {(1, 2): r}}
-    t.add(7, TP, "announcement", pair=[1, 2], verdict=verdict)
+    if t.record_events:
+        t.add(7, TP, "announcement", pair=[1, 2], verdict=verdict)
     truth = secrets[0] == secrets[1]
     # No second announcer exists, so whatever the helper says is final.
     t.pair_results[(1, 2)] = {

@@ -87,6 +87,23 @@ def test_bad_config_exits_one_and_names_field(tmp_path, capsys):
     assert "`m`" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", qpcsim.harness.MAX_M + 1),
+        ("decoy_count", qpcsim.harness.MAX_DECOY_COUNT + 1),
+        ("check_rounds", qpcsim.harness.MAX_CHECK_ROUNDS + 1),
+        ("trials", qpcsim.harness.MAX_TRIALS + 1),
+    ],
+)
+def test_oversized_field_exits_one_and_names_it(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, protocol="zhang_baseline", **{field: value})
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["category"] == "config"
+    assert f"`{field}`" in err["message"]
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, warp_drive=True)
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG

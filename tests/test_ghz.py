@@ -495,3 +495,32 @@ def test_product_register_semantics():
     for _ in range(trials):
         ones += measure(ProductRegister([(0, 0)]), [1], Basis.X, rng)[1]
     assert abs(ones / trials - 0.5) < 3 * 0.5 / np.sqrt(trials)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(0, 0.5)], [(True, 0)], [(0, 1.0)], [(0, 2)], [(0,)], [(1, 0), (True, 0)], [(0, 1), [0, False]]],
+    ids=["half", "bool", "float_one", "two", "one_particle", "bool_after_equal_row", "bool_in_list"],
+)
+def test_product_register_rejects_non_bits(rows):
+    with pytest.raises(ValueError, match="bits"):
+        ProductRegister(rows)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: GhzRegister([ghz_from_index(5, 3)] * 2), lambda: ProductRegister([(0, 1, 0)] * 2)],
+    ids=["ghz", "product"],
+)
+def test_register_copy_is_independent(make):
+    template = make()
+    before = (template.branch[:], template.parity[:], template.left[:], template.slots[:])
+    for _ in range(2):
+        copy = template.copy()
+        assert type(copy) is type(template)
+        copy.add_photons([3])
+        copy.measure([0, 1, 3, 6], [Basis.Z, Basis.X, Basis.X, Basis.Z], make_rng(31))
+        assert (template.branch, template.parity, template.left, template.slots) == before
+    fresh, copied = make(), template.copy()
+    ids, bases = [0, 2, 4, 5], [Basis.X, Basis.X, Basis.Z, Basis.X]
+    assert fresh.measure(ids, bases, make_rng(32)) == copied.measure(ids, bases, make_rng(32))
+    assert fresh.slots == copied.slots and fresh.branch == copied.branch and fresh.parity == copied.parity

@@ -12,6 +12,10 @@ import pytest
 import qpcsim.harness
 from qpcsim.errors import ConfigError
 from qpcsim.harness import (
+    MAX_CHECK_ROUNDS,
+    MAX_DECOY_COUNT,
+    MAX_M,
+    MAX_TRIALS,
     AdversarySpec,
     Scenario,
     SecretsSpec,
@@ -102,9 +106,29 @@ def test_validation_names_offending_fields():
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):
             small_scenario(**overrides).validate()
-    # About 323 and 416 expected attempts per trial, and a huge m, still validate.
-    for n, m in ((12, 4), (8, 3), (20, 10**9)):
+    # About 323 and 416 expected attempts per trial, and the largest m, still validate.
+    for n, m in ((12, 4), (8, 3), (20, MAX_M)):
         small_scenario(n=n, m=m, secrets=SecretsSpec(policy="forced_unequal")).validate()
+
+
+# Each size field at its bound validates, and one past it exits 1 naming it.
+# check_rounds is bounded on its own only for the baseline (the proposed
+# protocol caps it at m).
+_SIZE_BOUNDS = [
+    ({}, "m", MAX_M),
+    ({}, "decoy_count", MAX_DECOY_COUNT),
+    ({"protocol": "zhang_baseline", "n": 2}, "check_rounds", MAX_CHECK_ROUNDS),
+    ({}, "trials", MAX_TRIALS),
+]
+
+
+@pytest.mark.parametrize("base, field, bound", _SIZE_BOUNDS, ids=[case[1] for case in _SIZE_BOUNDS])
+def test_size_fields_are_bounded(base, field, bound):
+    doc = {"schema_version": 1, **base}
+    scenario = scenario_from_config({**doc, field: bound})
+    assert getattr(scenario, field) == bound
+    with pytest.raises(ConfigError, match=f"`{field}`"):
+        scenario_from_config({**doc, field: bound + 1})
 
 
 def test_zhang_requires_two_participants():

@@ -6,15 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from qpcsim.adversaries import TpFakeResult
-from qpcsim.ghz import Basis, GhzSpec, sample_measurement
+from qpcsim.adversaries import TP1, AdversaryStrategy, TpFakeResult
+from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, sample_measurement
+from qpcsim.photons import Link, QuantumChannel, generate_decoys, interleave, public_discussion
 from qpcsim.protocol import (
+    _PROPOSED,
     CAUSE_CONFLICT,
     CAUSE_STATE_CHECK,
     DIFFERENT,
     IDENTICAL,
     Announcement,
+    Transcript,
     VARIANT_TP2_RELAY,
+    _distribute,
     arbiter_identify,
     cross_check,
     run_proposed,
@@ -330,3 +334,67 @@ def test_abort_causes_are_machine_readable():
             detected = (t.abort_step, t.abort_cause)
             break
     assert detected == (3, CAUSE_STATE_CHECK)
+
+
+# ---------------------------------------------------------------------------
+# The decoy check against measuring every decoy
+# ---------------------------------------------------------------------------
+
+
+class _LinkTaps(AdversaryStrategy):
+    def __init__(self, per_link):
+        self.per_link = per_link
+
+    def taps(self, link):
+        return self.per_link[link]
+
+
+def _intercept_resend(link, rng):
+    link.measure(rng.integers(0, 2, size=len(link.slots)).tolist(), rng, forward=True)
+
+
+def _flip_decoy_bits(link, rng):
+    """Flip some decoys' bits in their own basis: no draw tells them apart."""
+    slots = link.state.slots
+    for i, flip in zip(link.decoy_ids, rng.integers(0, 2, size=len(link.decoy_ids)).tolist()):
+        slots[i] ^= flip
+
+
+def _measure_every_decoy(run, registers, decoy_count, tolerance, rng):
+    """Step 2 as it read before the check compared states: every decoy is
+    measured in its prepared basis and discussed in public."""
+    reports = []
+    n = registers.particles
+    for k in range(1, n + 1):
+        decoys = generate_decoys(decoy_count, rng)
+        carried = range(k - 1, registers.n, n)
+        decoy_ids = registers.add_photons(decoys)
+        link = Link(registers, carried, decoy_ids, interleave(len(carried), decoy_count, rng))
+        QuantumChannel(TP1, f"P{k}", run.taps(k)).transmit(link, rng)
+        bases = [d >> 1 for d in decoys]
+        reports.append(tuple(public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, tolerance)))
+    return reports
+
+
+def test_decoy_check_matches_measuring_every_decoy():
+    setup = make_rng(70)
+    tap_choices = [(), (_intercept_resend,), (_flip_decoy_bits,), (_intercept_resend, _flip_decoy_bits)]
+    mismatched = tolerated = 0
+    for case in range(300):
+        n = int(setup.integers(2, 5))
+        specs = [ghz_from_index(int(i), n) for i in setup.integers(1, 2**n + 1, size=int(setup.integers(1, 5)))]
+        decoy_count, tolerance = int(setup.integers(0, 7)), int(setup.integers(0, 3))
+        run = _LinkTaps({k: tap_choices[int(setup.integers(0, 4))] for k in range(1, n + 1)})
+        registers, reference = GhzRegister(specs), GhzRegister(specs)
+        rng, reference_rng = make_rng(71, case), make_rng(71, case)
+        t = Transcript("proposed", {}, record_events=False)
+        _distribute(t, _PROPOSED, run, registers, decoy_count, tolerance, rng)
+        expected = _measure_every_decoy(run, reference, decoy_count, tolerance, reference_rng)
+        assert [(c["passed"], c["mismatches"], c["total"]) for c in t.decoy_checks] == expected
+        for attr in ("slots", "branch", "parity", "left"):
+            assert getattr(registers, attr) == getattr(reference, attr), attr
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        mismatched += sum(report[1] > 0 for report in expected)
+        tolerated += sum(report[0] and report[1] > 0 for report in expected)
+    # The cases reach both disturbed outcomes, so the comparison is not vacuous.
+    assert mismatched > 50 and tolerated > 10

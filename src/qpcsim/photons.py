@@ -4,7 +4,8 @@ decoy-check discussion used to expose channel eavesdropping."""
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Callable, List, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +23,8 @@ class DecoyState(IntEnum):
 
 
 def generate_decoys(count: int, rng: np.random.Generator) -> List[int]:
-    """``count`` independent uniform draws from the four decoy states."""
+    """``count`` independent uniform draws from the four decoy states: one
+    link's decoys by themselves (a run draws them with ``interleave``)."""
     if count < 0:
         raise ValueError("decoy count must be nonnegative")
     if count == 0:
@@ -36,8 +38,9 @@ class Link:
     The register particles (``carried``, their ids in the run's
     ``GhzRegister``, in register order) travel with decoy photons
     (``decoy_ids``) at the slots ``decoy_slots``, ascending; an interceptor
-    may replace a particle by a photon under the same id.  The slot order
-    itself is only read by taps, so it is built when asked for.
+    may replace a particle by a photon under the same id.  Only taps read
+    a link, so a run builds one only for a tapped link, and the slot order
+    only when asked for.
     """
 
     __slots__ = ("state", "carried", "decoy_ids", "decoy_slots")
@@ -90,13 +93,67 @@ class QuantumChannel:
         return link
 
 
-def interleave(carriers: int, decoys: int, rng: np.random.Generator) -> List[int]:
-    """Choose where ``decoys`` decoy photons go among ``carriers`` carriers:
-    uniformly random slots, returned 0-based and ascending.  The carriers
-    fill the other slots in their own order."""
+# Generator.choice(population, size, replace=False) samples by a tail
+# Fisher-Yates shuffle when both hold, and by Floyd's algorithm otherwise.
+def _tail_shuffle(population: int, size: int) -> bool:
+    return population > 10000 and size > population // 50
+
+
+def choice_bounds(population: int, size: int) -> List[int]:
+    """The exclusive upper bound of each draw that
+    ``Generator.choice(population, size, replace=False)`` makes, in order.
+
+    Floyd's algorithm (Bentley and Floyd, CACM 30(9), 1987) draws on [0, j]
+    for j = population - size .. population - 1, then shuffles the sample
+    with draws on [0, i] for i = size - 1 .. 1.  The tail shuffle draws on
+    [0, i] for i = population - 1 down to max(population - size, 1).
+    """
+    if _tail_shuffle(population, size):
+        return list(range(population, max(population - size, 1), -1))
+    return list(range(population - size + 1, population + 1)) + list(range(size, 1, -1))
+
+
+def replay_choice(population: int, size: int, draws: Sequence[int]) -> List[int]:
+    """The sample, ascending, that ``choice(population, size, replace=False)``
+    makes from ``draws``, the values drawn under ``choice_bounds``."""
+    if _tail_shuffle(population, size):
+        moved = {}  # the shuffled positions of range(population) that moved
+        for i, j in zip(range(population - 1, max(population - size, 1) - 1, -1), draws):
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return sorted(moved.get(i, i) for i in range(population - size, population))
+    chosen = set()
+    # The shuffle draws that follow only reorder the sample.
+    for j, value in zip(range(population - size, population), draws):
+        chosen.add(j if value in chosen else value)
+    return sorted(chosen)
+
+
+@lru_cache(maxsize=64)
+def _run_bounds(carriers: int, decoys: int, links: int) -> np.ndarray:
+    bounds = np.array(([4] * decoys + choice_bounds(carriers + decoys, decoys)) * links, dtype=np.int64)
+    bounds.flags.writeable = False
+    return bounds
+
+
+def interleave(
+    carriers: int, decoys: int, links: int, rng: np.random.Generator
+) -> List[Tuple[List[int], List[int]]]:
+    """Draw ``links`` consecutive links in one generator call.
+
+    Each link gets ``decoys`` uniform decoy states and the draws that choose
+    their slots among its ``carriers`` carriers: per link, the values of
+    ``integers(0, 4, size=decoys)`` and of the draws of
+    ``choice(carriers + decoys, decoys, replace=False)``, one link after the
+    other.  A single ``integers(0, bounds)`` call with the bound of every
+    one of those draws yields the same values and leaves the generator in
+    the same state.  ``replay_choice`` turns a link's placement draws into
+    its decoy slots.
+    """
     if not decoys:
-        return []
-    return sorted(rng.choice(carriers + decoys, size=decoys, replace=False).tolist())
+        return [([], [])] * links
+    drawn = rng.integers(0, _run_bounds(carriers, decoys, links)).tolist()
+    step = len(drawn) // links
+    return [(drawn[s : s + decoys], drawn[s + decoys : s + step]) for s in range(0, len(drawn), step)]
 
 
 class CheckReport(NamedTuple):

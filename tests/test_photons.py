@@ -14,6 +14,7 @@ from qpcsim.photons import (
     generate_decoys,
     interleave,
     public_discussion,
+    replay_choice,
 )
 
 
@@ -80,12 +81,13 @@ def test_disturbance_chain_minus_through_z():
 
 
 def test_interleave_trivial_and_lengths():
-    link = Link(None, [], [DecoyState.Z1], interleave(0, 1, make_rng(7)))
+    (_, draws), = interleave(0, 1, 1, make_rng(7))
+    link = Link(None, [], [DecoyState.Z1], replay_choice(1, 1, draws))
     assert link.decoy_slots == [0]
     assert link.slots == [DecoyState.Z1]
     carriers = ["c0", "c1", "c2", "c3"]
-    decoys = generate_decoys(4, make_rng(8))
-    link = Link(None, carriers, decoys, interleave(len(carriers), len(decoys), make_rng(9)))
+    (decoys, draws), = interleave(len(carriers), 4, 1, make_rng(9))
+    link = Link(None, carriers, decoys, replay_choice(len(carriers) + len(decoys), len(decoys), draws))
     assert len(link.slots) == 8 and len(link.decoy_slots) == 4
 
 
@@ -94,14 +96,54 @@ def test_interleave_trivial_and_lengths():
 def test_interleave_preserves_carrier_order(num_carriers, num_decoys, seed_key):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=987003, spawn_key=(abs(seed_key) % 2**32,)))
     carriers = [f"carrier-{i}" for i in range(num_carriers)]
-    decoys = generate_decoys(num_decoys, rng)
-    link = Link(None, carriers, decoys, interleave(num_carriers, num_decoys, rng))
+    (decoys, draws), = interleave(num_carriers, num_decoys, 1, rng)
+    link = Link(None, carriers, decoys, replay_choice(num_carriers + num_decoys, num_decoys, draws))
     merged, positions = link.slots, link.decoy_slots
     assert len(merged) == num_carriers + num_decoys
     assert positions == sorted(positions) and len(set(positions)) == len(positions)
     survivors = [slot for slot in merged if isinstance(slot, str)]
     assert survivors == carriers == [s for p, s in enumerate(merged) if p not in positions]
     assert [merged[p] for p in positions] == [s for s in merged if not isinstance(s, str)] == decoys
+
+
+def _draw_links_one_by_one(carriers, decoys, links, rng):
+    """What ``interleave`` replaces: per link, its decoy states and its
+    sorted decoy slots, each drawn by its own generator call."""
+    drawn = []
+    for _ in range(links):
+        states = rng.integers(0, 4, size=decoys).tolist()
+        drawn.append((states, sorted(rng.choice(carriers + decoys, size=decoys, replace=False).tolist())))
+    return drawn
+
+
+def _assert_one_call_equals_per_link_calls(population, decoys, links, key):
+    rng, reference = make_rng(*key), make_rng(*key)
+    carriers = population - decoys
+    drawn = interleave(carriers, decoys, links, rng)
+    merged = [(states, replay_choice(population, decoys, draws)) for states, draws in drawn]
+    assert merged == _draw_links_one_by_one(carriers, decoys, links, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "population, decoys",
+    # Generator.choice shuffles the tail of range(population) when
+    # population > 10000 and decoys > population // 50, and samples by
+    # Floyd's algorithm otherwise: both sides of both conditions.
+    [(N, l) for N in (10000, 10001) for l in (0, 1, N // 50, N // 50 + 1, N)] + [(10001, 10000), (12000, 241)],
+)
+def test_one_call_draws_what_per_link_calls_draw_at_the_sampler_cutoffs(population, decoys):
+    for links in range(1, 5):
+        for seed in range(3):
+            _assert_one_call_equals_per_link_calls(population, decoys, links, (30, population, decoys, links, seed))
+
+
+def test_one_call_draws_what_per_link_calls_draw():
+    setup = make_rng(31)
+    for case in range(600):
+        population = int(setup.integers(1, 70))
+        decoys = int(setup.integers(0, population + 1))
+        _assert_one_call_equals_per_link_calls(population, decoys, int(setup.integers(1, 5)), (32, case))
 
 
 def test_public_discussion_honest_and_errors():

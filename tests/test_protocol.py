@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from qpcsim.adversaries import TP1, AdversaryStrategy, TpFakeResult
+from qpcsim.adversaries import TP1, AdversaryStrategy, EveInterceptResend, TpFakeResult
 from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, sample_measurement
-from qpcsim.photons import Link, QuantumChannel, generate_decoys, interleave, public_discussion
+from qpcsim.harness import Scenario, _draw_secrets
+from qpcsim.photons import Link, QuantumChannel, public_discussion
 from qpcsim.protocol import (
     _PROPOSED,
     CAUSE_CONFLICT,
@@ -310,7 +311,7 @@ def test_validation_errors():
 
 
 def test_abort_causes_are_machine_readable():
-    from qpcsim.adversaries import EveInterceptResend, Tp1FakeInitialState
+    from qpcsim.adversaries import Tp1FakeInitialState
 
     found = set()
     for trial in range(80):
@@ -361,15 +362,17 @@ def _flip_decoy_bits(link, rng):
 
 
 def _measure_every_decoy(run, registers, decoy_count, tolerance, rng):
-    """Step 2 as it read before the check compared states: every decoy is
-    measured in its prepared basis and discussed in public."""
+    """Step 2 as it read before the check compared states and links were
+    drawn together: each link draws its own decoys and slots, and every
+    decoy is measured in its prepared basis and discussed in public."""
     reports = []
     n = registers.particles
     for k in range(1, n + 1):
-        decoys = generate_decoys(decoy_count, rng)
+        decoys = rng.integers(0, 4, size=decoy_count).tolist()
         carried = range(k - 1, registers.n, n)
         decoy_ids = registers.add_photons(decoys)
-        link = Link(registers, carried, decoy_ids, interleave(len(carried), decoy_count, rng))
+        slots = sorted(rng.choice(len(carried) + decoy_count, size=decoy_count, replace=False).tolist())
+        link = Link(registers, carried, decoy_ids, slots)
         QuantumChannel(TP1, f"P{k}", run.taps(k)).transmit(link, rng)
         bases = [d >> 1 for d in decoys]
         reports.append(tuple(public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, tolerance)))
@@ -398,3 +401,64 @@ def test_decoy_check_matches_measuring_every_decoy():
         tolerated += sum(report[0] and report[1] > 0 for report in expected)
     # The cases reach both disturbed outcomes, so the comparison is not vacuous.
     assert mismatched > 50 and tolerated > 10
+
+
+# ---------------------------------------------------------------------------
+# Generator calls per trial
+# ---------------------------------------------------------------------------
+
+
+class _CountingGenerator:
+    """A Generator that records the name and arguments of every call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args))
+            return method(*args, **kwargs)
+
+        return call
+
+
+def _counted_trial(scenario, **options):
+    """The generator calls of one trial, its secrets drawn as the harness
+    draws them."""
+    rng = _CountingGenerator(make_rng(80, scenario.n, scenario.check_rounds or 0))
+    secrets = _draw_secrets(scenario, rng)
+    if scenario.protocol == "proposed":
+        t = run_proposed(scenario.n, scenario.m, secrets, rng=rng, record_events=False, **options)
+    else:
+        t = run_zhang_baseline(scenario.m, secrets, check_rounds=scenario.check_rounds, rng=rng, record_events=False)
+    assert not t.aborted
+    return rng.calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_honest_trial_makes_seven_generator_calls(n):
+    # Secrets, preparation, every link, check positions, check bases and
+    # the two measurement runs; drawing links one by one made 2n + 6.
+    calls = _counted_trial(Scenario(n=n, m=16))
+    assert len(calls) == 7
+    assert sum(name == "integers" and isinstance(args[1], np.ndarray) for name, args in calls) == 1
+
+
+@pytest.mark.parametrize("check_rounds, count", [(0, 4), (4, 7)])
+def test_baseline_trial_generator_calls(check_rounds, count):
+    # Secrets, preparation, both links and the key run, plus check
+    # positions, bases and outcomes when it checks; 3 more before.
+    assert len(_counted_trial(Scenario(protocol="zhang_baseline", n=2, m=16, check_rounds=check_rounds))) == count
+
+
+def test_tap_splits_the_link_draw_at_the_tapped_link():
+    m, l = 4, 8
+    rng = _CountingGenerator(make_rng(81))
+    run_proposed(3, m, random_secrets(3, m, make_rng(82)), decoy_count=l, adversary=EveInterceptResend(links=(2,)),
+                 rng=rng, record_events=False)
+    per_link = l + 2 * l - 1  # decoy states, then choice's Floyd and shuffle draws
+    runs = [len(args[1]) for name, args in rng.calls if name == "integers" and isinstance(args[1], np.ndarray)]
+    assert runs == [2 * per_link, per_link]

@@ -272,20 +272,23 @@ def wilson_interval(successes: int, count: int, z: float = _Z95) -> Tuple[float,
     return lo, hi
 
 
-def closed_form(kind: str, l: int) -> float:
+def closed_form(kind: str, l: int, links: int = 1, tolerance: int = 0) -> float:
     """Published detection-rate formulas.
 
     ``intercept_detection``: 1 - (3/4)^l for l checked decoys against an
     intercept-resend tap (per decoy: wrong basis 1/2 times visible 1/2), and
     likewise for l random-basis check rounds against an all-|0> preparation
-    (per round: X basis 1/2 times failed parity 1/2).
+    (per round: X basis 1/2 times failed parity 1/2).  With ``links``
+    distinct tapped links whose checks each pass up to ``tolerance``
+    mismatches, it is 1 - P[Bin(l, 1/4) <= tolerance]^links.
     ``tamper_detection``: 1 - (1/2)^l for l substituted check positions
     across a two-state preparation pair.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
     if kind == "intercept_detection":
-        return 1.0 - 0.75**l
+        passed = sum(math.comb(l, j) * 0.25**j * 0.75 ** (l - j) for j in range(min(tolerance, l) + 1))
+        return 1.0 - passed**links
     if kind == "tamper_detection":
         return 1.0 - 0.5**l
     raise ValueError(f"unknown closed-form kind `{kind}`")
@@ -480,7 +483,8 @@ def _targets(scenario: Scenario) -> Dict[str, float]:
     l = scenario.effective_decoy_count()
     c = scenario.effective_check_rounds()
     if isinstance(strategy, adversaries.EveInterceptResend):  # TP2's intercept too
-        targets["detected_step2_rate"] = closed_form("intercept_detection", l)
+        links = len(set(strategy.links))
+        targets["detected_step2_rate"] = closed_form("intercept_detection", l, links, scenario.decoy_tolerance)
     elif isinstance(strategy, adversaries.ClassicalPositionTamper) and scenario.variant == proto.VARIANT_BROADCAST:
         count = min(strategy.count, c)
         targets["detected_step3_rate"] = closed_form("tamper_detection", count)

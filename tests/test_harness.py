@@ -8,6 +8,7 @@ import signal
 import time
 
 import pytest
+from scipy import stats as scipy_stats
 
 import qpcsim.harness
 from qpcsim.errors import ConfigError
@@ -20,6 +21,7 @@ from qpcsim.harness import (
     Scenario,
     SecretsSpec,
     TrialStats,
+    _targets,
     closed_form,
     run_scenario,
     run_trial,
@@ -279,6 +281,33 @@ def test_counter_accounting():
     row = stats.row("detected_step2_rate")
     assert row.ci_low <= row.estimate <= row.ci_high
     assert row.target == closed_form("intercept_detection", 3)
+
+
+@pytest.mark.parametrize("kind", ["eve_intercept_resend", "tp2_intercept"])
+@pytest.mark.parametrize("links", [(1,), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("tolerance", [0, 1, 2])
+def test_step2_target_counts_tapped_links_and_tolerance(kind, links, tolerance):
+    # Each tapped link's check fails iff more than `tolerance` of its 4
+    # decoys mismatch, each with probability 1/4.
+    scenario = small_scenario(
+        n=3, decoy_count=4, decoy_tolerance=tolerance, adversary=AdversarySpec(kind, {"links": list(links)})
+    )
+    target = 1 - scipy_stats.binom.cdf(tolerance, 4, 0.25) ** len(links)
+    assert _targets(scenario)["detected_step2_rate"] == pytest.approx(target, abs=1e-12)
+    twice = small_scenario(
+        n=3, decoy_count=4, decoy_tolerance=tolerance, adversary=AdversarySpec(kind, {"links": list(links) * 2})
+    )
+    assert _targets(twice) == _targets(scenario)
+
+
+def test_step2_target_matches_the_measured_rate():
+    scenario = small_scenario(
+        n=3, m=1, trials=3000, decoy_count=2, decoy_tolerance=1,
+        adversary=AdversarySpec("eve_intercept_resend", {"links": [1, 2]}),
+    )
+    row = run_scenario(scenario).row("detected_step2_rate")
+    assert row.target == 1 - (15 / 16) ** 2
+    assert abs(row.estimate - row.target) <= 3 * (row.target * (1 - row.target) / row.count) ** 0.5
 
 
 def test_secret_policies():

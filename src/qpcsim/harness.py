@@ -485,7 +485,15 @@ def _targets(scenario: Scenario) -> Dict[str, float]:
     if isinstance(strategy, adversaries.EveInterceptResend):  # TP2's intercept too
         links = len(set(strategy.links))
         targets["detected_step2_rate"] = closed_form("intercept_detection", l, links, scenario.decoy_tolerance)
-    elif isinstance(strategy, adversaries.ClassicalPositionTamper) and scenario.variant == proto.VARIANT_BROADCAST:
+    elif (
+        isinstance(strategy, adversaries.ClassicalPositionTamper)
+        and strategy.policy == adversaries.POLICY_PAIRED
+        and scenario.variant == proto.VARIANT_BROADCAST
+    ):
+        # 1-(1/2)^l holds for substitutes that hold the partner state of a
+        # two-state preparation.  A random substitute is an independent
+        # register, which a check round catches at a rate that depends on n
+        # (0.635 at n = 3 against 0.494 at n = 2 for l = 1), so it gets none.
         count = min(strategy.count, c)
         targets["detected_step3_rate"] = closed_form("tamper_detection", count)
         targets["tamper_detection_conditional"] = closed_form("tamper_detection", count)

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import ConfigError
 from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
+from .stream import Stream
 
 if TYPE_CHECKING:
     from .protocol import Transcript
@@ -87,7 +86,7 @@ class AdversaryStrategy:
         """The state each param names, for particle-count checks."""
         return {}
 
-    def override_preparation(self, n: int, count: int, rng: np.random.Generator):
+    def override_preparation(self, n: int, count: int, rng: Stream):
         """Return (registers, true_states, claimed_specs) or None for honest."""
         return None
 
@@ -95,14 +94,14 @@ class AdversaryStrategy:
         return ()
 
     def tamper_positions(
-        self, true_positions: List[int], total: int, rng: np.random.Generator
+        self, true_positions: List[int], total: int, rng: Stream
     ) -> List[int]:
         return list(true_positions)
 
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
         return verdict
 
-    def finalize(self, t: "Transcript", rng: np.random.Generator) -> Optional[AttackOutcome]:
+    def finalize(self, t: "Transcript", rng: Stream) -> Optional[AttackOutcome]:
         """Score the finished (or aborted) run from its transcript."""
         return None
 
@@ -113,8 +112,8 @@ RunHandle = AdversaryStrategy
 NONE = AdversaryStrategy()
 
 
-def _coin(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2))
+def _coin(rng: Stream) -> int:
+    return rng.below(2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ class EveInterceptResend(AdversaryStrategy):
 
         def tap(delivery, rng):
             order = delivery.slots
-            bases = rng.integers(0, 2, size=len(order)).tolist()
+            bases = rng.bits(len(order))
             bits = delivery.measure(bases, rng, forward=True)
             # Register particles have the ids below the state's count of them.
             self.records[link] = [(b, bit) for i, b, bit in zip(order, bases, bits) if i < delivery.state.n]
@@ -178,7 +177,7 @@ class EveInterceptResend(AdversaryStrategy):
             return bit
         return None
 
-    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         out = AttackOutcome(self.kind, t.aborted, t.abort_step)
         if t.aborted or self.victim is None:
             return out
@@ -245,7 +244,7 @@ class Tp1FakeInitialState(AdversaryStrategy):
         named = {"true_state": self.true_state, "claimed": self.claimed}
         return {name: state for name, state in named.items() if isinstance(state, GhzSpec)}
 
-    def override_preparation(self, n: int, count: int, rng: np.random.Generator):
+    def override_preparation(self, n: int, count: int, rng: Stream):
         return _fixed_preparation(self.built, n, count, self._prepare)
 
     def _prepare(self, n: int, count: int):
@@ -263,7 +262,7 @@ class Tp1FakeInitialState(AdversaryStrategy):
             true_states = [self.true_state] * count
         return registers, true_states, [claimed] * count
 
-    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         out = AttackOutcome(self.kind, t.aborted, t.abort_step)
         if t.aborted:
             return out
@@ -315,7 +314,7 @@ class TpFakeResult(AdversaryStrategy):
             return verdict
         return DIFFERENT if verdict == IDENTICAL else IDENTICAL
 
-    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         return AttackOutcome(self.kind, t.aborted, t.abort_step)
 
 
@@ -342,7 +341,7 @@ class ParticipantInfer(AdversaryStrategy):
     def participants(self) -> Dict[str, Tuple[int, ...]]:
         return {"attacker": (self.attacker,), "victim": (self.victim,)}
 
-    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         out = AttackOutcome(self.kind, t.aborted, t.abort_step)
         if t.aborted:
             return out
@@ -400,7 +399,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
     def states(self) -> Dict[str, GhzSpec]:
         return {} if self.spec_pair is None else {"pair[0]": self.spec_pair[0], "pair[1]": self.spec_pair[1]}
 
-    def override_preparation(self, n: int, count: int, rng: np.random.Generator):
+    def override_preparation(self, n: int, count: int, rng: Stream):
         if self.policy != POLICY_PAIRED:
             return None
         return _fixed_preparation(self.built, n, count, self._prepare)
@@ -417,13 +416,13 @@ class ClassicalPositionTamper(AdversaryStrategy):
         return GhzRegister(specs), specs, specs
 
     def tamper_positions(
-        self, true_positions: List[int], total: int, rng: np.random.Generator
+        self, true_positions: List[int], total: int, rng: Stream
     ) -> List[int]:
         rounds_total = len(true_positions)
         wanted = min(self.count, rounds_total)
         if wanted == 0:
             return list(true_positions)
-        rounds = sorted(rng.choice(rounds_total, size=wanted, replace=False).tolist())
+        rounds = rng.sample(rounds_total, wanted)
         checked = set(true_positions)
         used: set = set()
         received = list(true_positions)
@@ -435,13 +434,13 @@ class ClassicalPositionTamper(AdversaryStrategy):
             pool = [t for t in range(start, total, step) if t not in checked and t not in used]
             if not pool:
                 continue
-            target = pool[int(rng.integers(0, len(pool)))]
+            target = pool[rng.below(len(pool))]
             received[r] = target
             used.add(target)
             self.tampered.append((r, p, target))
         return received
 
-    def finalize(self, t: "Transcript", rng: np.random.Generator) -> AttackOutcome:
+    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         out = AttackOutcome(self.kind, t.aborted, t.abort_step)
         distinct = sum(
             1

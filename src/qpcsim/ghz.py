@@ -24,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
+
+from .stream import Stream
 
 MAX_PARTICLES = 20
 ORACLE_MAX_PARTICLES = 12
@@ -237,14 +239,15 @@ class GhzRegister:
         return list(range(len(self.slots) - len(states), len(self.slots)))
 
     def measure(
-        self, ids: Sequence[int], bases: Sequence[int], rng: np.random.Generator, forward: bool = False
+        self, ids: Sequence[int], bases: Sequence[int], rng: Union[Stream, np.random.Generator], forward: bool = False
     ) -> List[int]:
         """Measure each id in its basis, in order; returns the outcomes.
 
         Whether a measurement draws a bit depends on bases and bookkeeping,
-        never on a drawn value, so the bits are counted first and drawn in
-        one ``integers(0, 2, size=k)`` call, which gives the values k scalar
-        draws would (tests/test_ghz.py pins this).  The draw rule:
+        never on a drawn value, so the bits are counted first and drawn at
+        once, as ``integers(0, 2, size=k)`` would draw them, which gives the
+        values k scalar draws would (tests/test_ghz.py pins this).  The draw
+        rule:
 
         * a photon draws only in the other basis, and is re-prepared in the
           measured eigenstate;
@@ -256,6 +259,9 @@ class GhzRegister:
         With ``forward`` each measured particle is replaced by a photon in
         the measured eigenstate, as an intercept-resend does.
         """
+        if not isinstance(rng, Stream):
+            with Stream.wrap(rng) as stream:
+                return self.measure(ids, bases, stream, forward)
         slots, branch, left = self.slots, self.branch, self.left
         if ids and min(ids) < 0:  # an id past the end fails the indexing below
             raise IndexError(f"ids must lie in 0..{len(slots) - 1}, got {list(ids)}")
@@ -288,7 +294,7 @@ class GhzRegister:
                     branch[r] = -1  # drawn below
                     drawn.append((idx, i, r, basis))
                 reads.append((idx, r, q[i]))
-        for (idx, i, r, basis), bit in zip(drawn, rng.integers(0, 2, size=len(drawn)).tolist() if drawn else ()):
+        for (idx, i, r, basis), bit in zip(drawn, rng.bits(len(drawn))):
             out[idx] = bit
             if r < 0:
                 slots[i] = (basis << 1) | bit
@@ -325,7 +331,7 @@ class ProductRegister(GhzRegister):
 
 
 def sample_measurement(
-    spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: np.random.Generator
+    spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: Union[Stream, np.random.Generator]
 ) -> Dict[int, int]:
     """One-shot analytic measurement of a freshly prepared state."""
     pos = _checked_positions(positions, spec.n, set())

@@ -23,6 +23,7 @@ import numpy as np
 from . import adversaries
 from . import protocol as proto
 from .errors import ConfigError
+from .stream import Stream
 
 SCHEMA_VERSION = 1
 
@@ -355,21 +356,21 @@ class TrialStats:
         return rows
 
 
-def _draw_secrets(scenario: Scenario, rng: np.random.Generator) -> List[List[int]]:
+def _draw_secrets(scenario: Scenario, rng: Stream) -> List[List[int]]:
     n, m = scenario.n, scenario.m
     policy = scenario.secrets.policy
     if policy == "explicit":
         return [list(row) for row in scenario.secrets.values]
     if policy == "forced_equal":
-        row = rng.integers(0, 2, size=m).tolist()
+        row = rng.bits(m)
         return [list(row) for _ in range(n)]
-    # One (n, m) draw is n size-m draws, value for value (a numpy property
-    # tests/test_ghz.py pins).
-    rows = rng.integers(0, 2, size=(n, m)).tolist()
-    if policy == "forced_unequal":
-        while len({tuple(r) for r in rows}) < n:
-            rows = rng.integers(0, 2, size=(n, m)).tolist()
-    return rows
+    # n*m bits cut into rows are n size-m draws, value for value, as one
+    # (n, m) draw gives them (a numpy property tests/test_ghz.py pins).
+    while True:
+        bits = rng.bits(n * m)
+        rows = [bits[s : s + m] for s in range(0, n * m, m)]
+        if policy != "forced_unequal" or len({tuple(r) for r in rows}) == n:
+            return rows
 
 
 def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
@@ -446,8 +447,10 @@ def run_trial(
 
     The trial's random stream is derived from the scenario seed by the trial
     index alone, so a trial replays identically whatever runs around it.
+    Every draw of the trial is served from one ``Stream`` over its bit
+    generator.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,)))
+    rng = Stream(np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,))).bit_generator)
     secrets = _draw_secrets(scenario, rng)
     options = dict(
         check_rounds=scenario.effective_check_rounds(),

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from .ghz import Basis
+from .stream import Bounds, Stream, choice_bounds
+from .stream import replay_choice  # noqa: F401 - the slots of a link are replayed through this module
 
 
 class DecoyState(IntEnum):
@@ -60,7 +62,7 @@ class Link:
             merged.insert(slot, i)
         return merged
 
-    def measure(self, bases: Sequence[int], rng: np.random.Generator, forward: bool = False) -> List[int]:
+    def measure(self, bases: Sequence[int], rng: Stream, forward: bool = False) -> List[int]:
         """Measure every slot, in transmission order, in one step; see
         ``GhzRegister.measure``."""
         return self.state.measure(self.slots, bases, rng, forward)
@@ -71,7 +73,7 @@ class Link:
 # measurement shows as two nested ``photons.slot_measure`` spans.
 CarrierSlot = DecoySlot = Link
 
-Tap = Callable[[Link, np.random.Generator], None]
+Tap = Callable[[Link, Stream], None]
 
 
 class QuantumChannel:
@@ -87,71 +89,35 @@ class QuantumChannel:
         self.receiver = receiver
         self.taps = list(taps)
 
-    def transmit(self, link: Link, rng: np.random.Generator) -> Link:
+    def transmit(self, link: Link, rng: Stream) -> Link:
         for tap in self.taps:
             tap(link, rng)
         return link
 
 
-# Generator.choice(population, size, replace=False) samples by a tail
-# Fisher-Yates shuffle when both hold, and by Floyd's algorithm otherwise.
-def _tail_shuffle(population: int, size: int) -> bool:
-    return population > 10000 and size > population // 50
-
-
-def choice_bounds(population: int, size: int) -> List[int]:
-    """The exclusive upper bound of each draw that
-    ``Generator.choice(population, size, replace=False)`` makes, in order.
-
-    Floyd's algorithm (Bentley and Floyd, CACM 30(9), 1987) draws on [0, j]
-    for j = population - size .. population - 1, then shuffles the sample
-    with draws on [0, i] for i = size - 1 .. 1.  The tail shuffle draws on
-    [0, i] for i = population - 1 down to max(population - size, 1).
-    """
-    if _tail_shuffle(population, size):
-        return list(range(population, max(population - size, 1), -1))
-    return list(range(population - size + 1, population + 1)) + list(range(size, 1, -1))
-
-
-def replay_choice(population: int, size: int, draws: Sequence[int]) -> List[int]:
-    """The sample, ascending, that ``choice(population, size, replace=False)``
-    makes from ``draws``, the values drawn under ``choice_bounds``."""
-    if _tail_shuffle(population, size):
-        moved = {}  # the shuffled positions of range(population) that moved
-        for i, j in zip(range(population - 1, max(population - size, 1) - 1, -1), draws):
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return sorted(moved.get(i, i) for i in range(population - size, population))
-    chosen = set()
-    # The shuffle draws that follow only reorder the sample.
-    for j, value in zip(range(population - size, population), draws):
-        chosen.add(j if value in chosen else value)
-    return sorted(chosen)
-
-
 @lru_cache(maxsize=64)
-def _run_bounds(carriers: int, decoys: int, links: int) -> np.ndarray:
-    bounds = np.array(([4] * decoys + choice_bounds(carriers + decoys, decoys)) * links, dtype=np.int64)
-    bounds.flags.writeable = False
-    return bounds
+def _run_bounds(carriers: int, decoys: int, links: int) -> Bounds:
+    return Bounds(([4] * decoys + choice_bounds(carriers + decoys, decoys)) * links)
 
 
 def interleave(
-    carriers: int, decoys: int, links: int, rng: np.random.Generator
+    carriers: int, decoys: int, links: int, rng: Union[Stream, np.random.Generator]
 ) -> List[Tuple[List[int], List[int]]]:
-    """Draw ``links`` consecutive links in one generator call.
+    """Draw ``links`` consecutive links in one run of draws.
 
     Each link gets ``decoys`` uniform decoy states and the draws that choose
     their slots among its ``carriers`` carriers: per link, the values of
     ``integers(0, 4, size=decoys)`` and of the draws of
     ``choice(carriers + decoys, decoys, replace=False)``, one link after the
-    other.  A single ``integers(0, bounds)`` call with the bound of every
-    one of those draws yields the same values and leaves the generator in
-    the same state.  ``replay_choice`` turns a link's placement draws into
-    its decoy slots.
+    other, drawn as one ``Stream.run``.  ``replay_choice`` turns a link's
+    placement draws into its decoy slots.
     """
+    if not isinstance(rng, Stream):
+        with Stream.wrap(rng) as stream:
+            return interleave(carriers, decoys, links, stream)
     if not decoys:
         return [([], [])] * links
-    drawn = rng.integers(0, _run_bounds(carriers, decoys, links)).tolist()
+    drawn = rng.run(_run_bounds(carriers, decoys, links))
     step = len(drawn) // links
     return [(drawn[s : s + decoys], drawn[s + decoys : s + step]) for s in range(0, len(drawn), step)]
 

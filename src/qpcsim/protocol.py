@@ -25,13 +25,14 @@ import json
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import xor
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import CheckReport, Link, QuantumChannel, interleave, public_discussion, replay_choice
+from .stream import Stream
 # Unused here since interleave draws the decoys: the benchmark's tracer
 # still wraps this name.
 from .photons import generate_decoys  # noqa: F401
@@ -259,7 +260,7 @@ def _distribute(
     registers: GhzRegister,
     decoy_count: int,
     decoy_tolerance: int,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> None:
     """Step 2: particle k of every register goes to participant k with fresh
     decoys mixed in, through the adversary's taps, and each participant's
@@ -315,7 +316,7 @@ def _check_rounds(
     roles: _Roles,
     registers: GhzRegister,
     believed: Dict[int, List[int]],
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> None:
     """Step 3: in each round every participant measures its particle of one
     checked register in that round's random basis, and the joint outcomes
@@ -326,7 +327,7 @@ def _check_rounds(
     state-check abort on failure.
     """
     positions = believed[1]
-    bases = rng.integers(0, 2, size=len(positions)).tolist()
+    bases = rng.bits(len(positions))
     if roles.log_traffic and t.record_events:
         t.add(3, "P2", "check_bases", bases=bases)
     n = registers.particles
@@ -350,7 +351,7 @@ def _measure_keys(
     roles: _Roles,
     registers: GhzRegister,
     believed: Dict[int, List[int]],
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> None:
     """Step 4: each participant Z-measures the first m registers it believes
     unchecked into its key string and masks its secret with it.
@@ -382,7 +383,7 @@ def _measure_keys(
                 t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.submit_to))
 
 
-def _finalize(t: Transcript, run: AdversaryStrategy, rng: np.random.Generator) -> Transcript:
+def _finalize(t: Transcript, run: AdversaryStrategy, rng: Stream) -> Transcript:
     """Let the adversary score the run from its transcript."""
     t.attack = run.finalize(t, rng)
     return t
@@ -397,12 +398,23 @@ def run_proposed(
     decoy_count: Optional[int] = None,
     variant: str = VARIANT_BROADCAST,
     adversary: Optional[AdversaryStrategy] = None,
-    rng: np.random.Generator,
+    rng: Union[Stream, np.random.Generator],
     announce_r: bool = False,
     decoy_tolerance: int = 0,
     record_events: bool = True,
 ) -> Transcript:
-    """One full run of the two-watchdog multiparty comparison."""
+    """One full run of the two-watchdog multiparty comparison.
+
+    ``rng`` is the trial's ``Stream``, or a ``Generator``, which the run
+    draws from as a wrapped stream and leaves where its draws end.
+    """
+    if not isinstance(rng, Stream):
+        with Stream.wrap(rng) as stream:
+            return run_proposed(
+                n, m, secrets, check_rounds=check_rounds, decoy_count=decoy_count, variant=variant,
+                adversary=adversary, rng=stream, announce_r=announce_r, decoy_tolerance=decoy_tolerance,
+                record_events=record_events,
+            )
     secrets = _validate_common(n, m, secrets)
     c = m if check_rounds is None else check_rounds
     if not 0 <= c <= m:
@@ -426,7 +438,7 @@ def run_proposed(
     # Step 1: prepare 2m shared registers (or whatever the preparer fakes).
     prepared = run.override_preparation(n, total, rng)
     if prepared is None:
-        specs = [ghz_from_index(i, n) for i in rng.integers(1, 2**n + 1, size=total).tolist()]
+        specs = [ghz_from_index(i + 1, n) for i in rng.bits(total, n)]
         prepared = GhzRegister(specs), specs, specs
     registers, t.true_states, t.claimed_specs = prepared
     if t.record_events:
@@ -441,7 +453,7 @@ def run_proposed(
     # Step 3: cooperative correctness check of c randomly chosen registers.
     believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
     if c > 0:
-        positions = sorted(rng.choice(total, size=c, replace=False).tolist())
+        positions = rng.sample(total, c)
         # P1's broadcast to the other participants rides the plain classical
         # channel and is the only thing a tamperer can touch; TP2 always gets
         # the true list over its authenticated channel.
@@ -506,7 +518,7 @@ def run_zhang_baseline(
     check_rounds: int = 0,
     decoy_count: Optional[int] = None,
     adversary: Optional[AdversaryStrategy] = None,
-    rng: np.random.Generator,
+    rng: Union[Stream, np.random.Generator],
     decoy_tolerance: int = 0,
     record_events: bool = True,
 ) -> Transcript:
@@ -520,7 +532,14 @@ def run_zhang_baseline(
     The helper prepares m + check_rounds pairs so the optional state check
     (which consumes pairs and needs the participant-to-participant
     authenticated channel that strangers lack) leaves m for comparison.
+    ``rng`` is as for ``run_proposed``.
     """
+    if not isinstance(rng, Stream):
+        with Stream.wrap(rng) as stream:
+            return run_zhang_baseline(
+                m, secrets, check_rounds=check_rounds, decoy_count=decoy_count, adversary=adversary, rng=stream,
+                decoy_tolerance=decoy_tolerance, record_events=record_events,
+            )
     secrets = _validate_common(2, m, secrets)
     if check_rounds < 0:
         raise ValueError("check rounds must be nonnegative")
@@ -539,7 +558,7 @@ def run_zhang_baseline(
     t.secrets = secrets
 
     bell_specs = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
-    specs = [bell_specs[b] for b in rng.integers(0, 2, size=total).tolist()]
+    specs = [bell_specs[b] for b in rng.bits(total)]
     t.true_states = list(specs)
     t.claimed_specs = list(specs)
     if t.record_events:
@@ -554,7 +573,7 @@ def run_zhang_baseline(
     # baseline assumes participants share, so both act on the true positions.
     believed: Dict[int, List[int]] = {1: [], 2: []}
     if check_rounds > 0:
-        positions = sorted(rng.choice(total, size=check_rounds, replace=False).tolist())
+        positions = rng.sample(total, check_rounds)
         believed = {1: positions, 2: positions}
         _check_rounds(t, _BASELINE, registers, believed, rng)
         if t.aborted:

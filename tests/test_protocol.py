@@ -2,14 +2,17 @@
 check, cross-checking, the arbiter, and the two-party baseline."""
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qpcsim import harness, protocol
 from qpcsim.adversaries import TP1, AdversaryStrategy, EveInterceptResend, TpFakeResult
 from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, sample_measurement
-from qpcsim.harness import Scenario, _draw_secrets
-from qpcsim.photons import Link, QuantumChannel, public_discussion
+from qpcsim.harness import Scenario, _draw_secrets, run_trial
+from qpcsim.photons import Link, QuantumChannel, interleave, public_discussion
 from qpcsim.protocol import (
     _PROPOSED,
     CAUSE_CONFLICT,
@@ -28,6 +31,8 @@ from qpcsim.protocol import (
     verdict_for,
     xor_bits,
 )
+from qpcsim.stream import RAW_WORDS, Stream
+from qpcsim.suites import _SCENARIOS
 
 
 def make_rng(*key):
@@ -408,57 +413,126 @@ def test_decoy_check_matches_measuring_every_decoy():
 # ---------------------------------------------------------------------------
 
 
-class _CountingGenerator:
-    """A Generator that records the name and arguments of every call."""
+class _RawCounter:
+    """A bit generator that records the size of every ``random_raw`` call."""
 
-    def __init__(self, rng):
-        self._rng = rng
-        self.calls = []
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self.sizes = []
 
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def call(*args, **kwargs):
-            self.calls.append((name, args))
-            return method(*args, **kwargs)
-
-        return call
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self._bit_generator.random_raw(size)
 
 
-def _counted_trial(scenario, **options):
-    """The generator calls of one trial, its secrets drawn as the harness
-    draws them."""
-    rng = _CountingGenerator(make_rng(80, scenario.n, scenario.check_rounds or 0))
+class _CountingStream(Stream):
+    """A trial stream that records each draw the protocol asks of it."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.draws = []
+
+    def bits(self, count, width=1):
+        self.draws.append("bits")
+        return super().bits(count, width)
+
+    def below(self, bound):
+        self.draws.append("below")
+        return super().below(bound)
+
+    def run(self, bounds):
+        self.draws.append("run")
+        return super().run(bounds)
+
+    def sample(self, population, size):
+        values = super().sample(population, size)
+        self.draws[-1] = "sample"  # its run of bounds
+        return values
+
+
+def _counted_trial(scenario):
+    """The draws of one trial, its secrets drawn as the harness draws them,
+    and the sizes of the raw generator calls that served them."""
+    source = _RawCounter(make_rng(80, scenario.n, scenario.check_rounds or 0).bit_generator)
+    rng = _CountingStream(source)
     secrets = _draw_secrets(scenario, rng)
     if scenario.protocol == "proposed":
-        t = run_proposed(scenario.n, scenario.m, secrets, rng=rng, record_events=False, **options)
+        t = run_proposed(scenario.n, scenario.m, secrets, rng=rng, record_events=False)
     else:
         t = run_zhang_baseline(scenario.m, secrets, check_rounds=scenario.check_rounds, rng=rng, record_events=False)
     assert not t.aborted
-    return rng.calls
+    return rng.draws, source.sizes
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_honest_trial_makes_seven_generator_calls(n):
+def test_honest_trial_draws_seven_times_from_one_raw_call(n):
     # Secrets, preparation, every link, check positions, check bases and
-    # the two measurement runs; drawing links one by one made 2n + 6.
-    calls = _counted_trial(Scenario(n=n, m=16))
-    assert len(calls) == 7
-    assert sum(name == "integers" and isinstance(args[1], np.ndarray) for name, args in calls) == 1
+    # the two measurement runs, all from one random_raw call; drawing
+    # through Generator.integers and Generator.choice made 7 calls.
+    draws, sizes = _counted_trial(Scenario(n=n, m=16))
+    assert draws == ["bits", "bits", "run", "sample", "bits", "bits", "bits"]
+    assert sizes == [RAW_WORDS]
 
 
 @pytest.mark.parametrize("check_rounds, count", [(0, 4), (4, 7)])
 def test_baseline_trial_generator_calls(check_rounds, count):
     # Secrets, preparation, both links and the key run, plus check
-    # positions, bases and outcomes when it checks; 3 more before.
-    assert len(_counted_trial(Scenario(protocol="zhang_baseline", n=2, m=16, check_rounds=check_rounds))) == count
+    # positions, bases and outcomes when it checks: one random_raw call.
+    draws, sizes = _counted_trial(Scenario(protocol="zhang_baseline", n=2, m=16, check_rounds=check_rounds))
+    assert len(draws) == count and sizes == [RAW_WORDS]
 
 
-def test_tap_splits_the_link_draw_at_the_tapped_link():
-    m, l = 4, 8
-    rng = _CountingGenerator(make_rng(81))
-    run_proposed(3, m, random_secrets(3, m, make_rng(82)), decoy_count=l, adversary=EveInterceptResend(links=(2,)),
-                 rng=rng, record_events=False)
-    per_link = l + 2 * l - 1  # decoy states, then choice's Floyd and shuffle draws
-    runs = [len(args[1]) for name, args in rng.calls if name == "integers" and isinstance(args[1], np.ndarray)]
-    assert runs == [2 * per_link, per_link]
+class _RecordedGenerator:
+    """Stands in for a trial's Generator: records every attribute read on
+    it other than its bit generator, whose raw calls ``_RawCounter`` records."""
+
+    def __init__(self, rng):
+        self.bit_generator = _RawCounter(rng.bit_generator)
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
+
+
+# Every scenario shape of the acceptance battery, which the benchmark's
+# honest_full and attack_mix workloads run, plus a checking baseline.
+_SHAPES = {key: scenario for key, (_, scenario) in _SCENARIOS.items()}
+_SHAPES["baseline_check4"] = Scenario(protocol="zhang_baseline", n=2, m=16, check_rounds=4)
+
+
+@pytest.mark.parametrize("key", sorted(_SHAPES))
+def test_every_battery_trial_makes_one_raw_generator_call(monkeypatch, key):
+    made = []
+
+    def default_rng(seed):
+        made.append(_RecordedGenerator(np.random.default_rng(seed)))
+        return made[-1]
+
+    random = SimpleNamespace(SeedSequence=np.random.SeedSequence, default_rng=default_rng)
+    monkeypatch.setattr(harness, "np", SimpleNamespace(random=random))
+    scenario = replace(_SHAPES[key], seed=12)
+    strategy = scenario.strategy()
+    for trial in range(25):
+        run_trial(scenario, strategy, trial, record_events=False)
+    assert len(made) == 25
+    for rng in made:
+        assert rng.calls == [] and rng.bit_generator.sizes == [RAW_WORDS]
+
+
+def test_tap_splits_the_link_draw_at_the_tapped_link(monkeypatch):
+    drawn = []
+
+    def recorded(carriers, decoys, links, rng):
+        drawn.append(links)
+        return interleave(carriers, decoys, links, rng)
+
+    monkeypatch.setattr(protocol, "interleave", recorded)
+    # One interleave call per run of links; a run ends at a tapped link or the last.
+    for tapped, runs in [((), [3]), ((1,), [1, 2]), ((2,), [2, 1]), ((3,), [3]), ((1, 2), [1, 1, 1])]:
+        drawn.clear()
+        adversary = EveInterceptResend(links=tapped) if tapped else None
+        run_proposed(3, 4, random_secrets(3, 4, make_rng(82)), decoy_count=8, adversary=adversary, rng=make_rng(81),
+                     record_events=False)
+        assert drawn == runs, tapped

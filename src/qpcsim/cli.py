@@ -68,6 +68,9 @@ def build_parser() -> _Parser:
     transcript = sub.add_parser("transcript", help="dump one run's full transcript")
     transcript.add_argument("--config", required=True, help="path to a scenario config (JSON)")
     transcript.add_argument("--seed", type=int, help="override the config's seed")
+    transcript.add_argument(
+        "--trial", type=int, metavar="K", help="dump trial K of the config, 0 <= K < trials (default: trials must be 1)"
+    )
     transcript.add_argument("--out", help="write the transcript here instead of stdout")
 
     return parser
@@ -134,9 +137,14 @@ def cmd_transcript(args) -> int:
     doc = _load_config(args.config)
     _effective_seed(doc, args.seed)
     scenario = scenario_from_config(doc)
-    if scenario.trials != 1:
-        raise UsageError(f"transcript requires trials = 1, config has {scenario.trials}")
-    transcript = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    trial = args.trial
+    if trial is None:
+        if scenario.trials != 1:
+            raise UsageError(f"transcript requires trials = 1 or --trial, config has {scenario.trials}")
+        trial = 0
+    elif not 0 <= trial < scenario.trials:
+        raise UsageError(f"--trial must be in 0..{scenario.trials - 1} for {scenario.trials} trials, got {trial}")
+    transcript = run_trial(scenario, scenario.strategy(), trial, record_events=True)
     _write(transcript.to_json(), args.out)
     return EXIT_OK
 

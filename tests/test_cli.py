@@ -132,6 +132,23 @@ def test_transcript_requires_single_trial(tmp_path, capsys):
     assert err["category"] == "usage"
 
 
+def test_transcript_of_trial_k_is_that_trial_of_the_run(tmp_path):
+    cfg = write_config(tmp_path, trials=12, adversary={"kind": "eve_intercept_resend", "params": {"links": [1]}})
+    scenario = qpcsim.harness.scenario_from_config(json.loads(cfg.read_text()))
+    for k in (0, 7, 11):
+        out = tmp_path / f"trial{k}.json"
+        assert main(["transcript", "--config", str(cfg), "--trial", str(k), "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == qpcsim.harness.run_trial(scenario, scenario.strategy(), k, True).to_json()
+
+
+@pytest.mark.parametrize("trial", ["-1", "12", "13", "seven"])
+def test_transcript_trial_out_of_range_exits_one_and_names_it(tmp_path, capsys, trial):
+    cfg = write_config(tmp_path, trials=12)
+    assert main(["transcript", "--config", str(cfg), "--trial", trial]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["category"] == "usage" and "--trial" in err["message"]
+
+
 def test_transcript_writes_full_run(tmp_path):
     cfg = write_config(tmp_path, trials=1)
     out = tmp_path / "transcript.json"

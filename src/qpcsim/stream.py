@@ -111,24 +111,26 @@ class Stream:
         self._words = np.concatenate((left, fresh)) if len(left) else fresh
         self._at = 0
 
-    def _take(self, count: int) -> int:
-        """Make ``count`` outputs readable from the cursor; returns the cursor."""
-        if self._at + count > len(self._words):
-            self._refill(self._at + count - len(self._words))
-        return self._at
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs; the cursor moves past them."""
+        at = self._at
+        if at + count > len(self._words):
+            self._refill(at + count - len(self._words))
+            at = 0
+        self._at = at + count
+        return self._words[at : at + count]
 
     def _next(self) -> int:
-        at = self._take(1)
-        self._at = at + 1
-        return int(self._words[at])
+        if self._at == len(self._words):
+            self._refill(1)
+        self._at += 1
+        return int(self._words[self._at - 1])
 
     def bits(self, count: int, width: int = 1) -> List[int]:
         """``count`` draws on [0, 2^width): ``integers(0, 2**width, size=count)``."""
         if not width:
             return [0] * count
-        at = self._take(count)
-        self._at = at + count
-        return (self._words[at : at + count] >> (32 - width)).tolist()
+        return (self._take(count) >> (32 - width)).tolist()
 
     def below(self, bound: int) -> int:
         """One draw on [0, bound): ``int(integers(0, bound))``."""
@@ -145,12 +147,10 @@ class Stream:
         run is drawn again one by one from its start.
         """
         count = len(bounds.wide)
-        at = self._take(count)
-        self._at = at + count
         # Each product's low and high halves, low first on any host.
-        halves = (self._words[at : at + count] * bounds.wide).astype("<u8", copy=False).view("<u4")
+        halves = (self._take(count) * bounds.wide).astype("<u8", copy=False).view("<u4")
         if np.count_nonzero(halves[0::2] < bounds.threshold):
-            self._at = at
+            self._at -= count
             return [self.below(b) for b in bounds.values]
         values = halves[1::2].tolist()
         for i in bounds.units:

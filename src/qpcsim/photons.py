@@ -11,7 +11,6 @@ import numpy as np
 
 from .ghz import Basis
 from .stream import Bounds, Stream, choice_bounds
-from .stream import replay_choice  # noqa: F401 - the slots of a link are replayed through this module
 
 
 class DecoyState(IntEnum):

@@ -31,8 +31,8 @@ import numpy as np
 
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
-from .photons import CheckReport, Link, QuantumChannel, interleave, public_discussion, replay_choice
-from .stream import Stream
+from .photons import CheckReport, Link, QuantumChannel, interleave, public_discussion
+from .stream import Stream, replay_choice
 # Unused here since interleave draws the decoys: the benchmark's tracer
 # still wraps this name.
 from .photons import generate_decoys  # noqa: F401

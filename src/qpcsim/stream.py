@@ -67,9 +67,9 @@ class Stream:
 
     __slots__ = ("_source", "_fetch", "_words", "_at")
 
-    def __init__(self, bit_generator, fetch: int = RAW_WORDS) -> None:
+    def __init__(self, bit_generator) -> None:
         self._source = bit_generator
-        self._fetch = fetch
+        self._fetch = RAW_WORDS
         self._words = _EMPTY  # 32-bit outputs, low half of each 64-bit one first
         self._at = 0  # the next unread one
 
@@ -79,7 +79,8 @@ class Stream:
         state = source.state
         if "has_uint32" not in state:
             raise TypeError(f"{type(source).__name__} does not split 64-bit outputs into 32-bit ones")
-        stream = cls(source, fetch=0)
+        stream = cls(source)
+        stream._fetch = 0
         if state["has_uint32"]:
             # The generator's next 32-bit draw is the high half it kept.
             stream._words = np.array([state["uinteger"]], dtype=np.uint32)

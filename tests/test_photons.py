@@ -14,8 +14,8 @@ from qpcsim.photons import (
     generate_decoys,
     interleave,
     public_discussion,
-    replay_choice,
 )
+from qpcsim.stream import replay_choice
 
 
 def make_rng(*key):

@@ -14,9 +14,10 @@ One run is strictly sequential.  Step numbering in transcripts:
 7. participants cross-compare the two announcements.
 
 Aborts carry a machine-readable cause: ``decoy_mismatch`` (step 2),
-``state_check_failed`` (step 3), ``announcement_conflict`` (step 7).  The
-baseline numbers its optional state check 4, and steps 2-4 of both
-protocols run through the same step functions.
+``state_check_failed`` (step 3), ``announcement_conflict`` (step 7).  One
+body, ``_run``, runs both protocols, and a ``_Roles`` record holds what
+differs.  The baseline's lone third party announces without a cross-check;
+it numbers its optional state check 4 and its announcement 7.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import xor
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -238,19 +239,32 @@ def _validate_common(n: int, m: int, secrets: Sequence[Sequence[int]]) -> Tuple[
 
 @dataclass(frozen=True)
 class _Roles:
-    """What the shared steps 2-4 do differently in the two protocols."""
+    """Everything the two protocols do differently.  ``_run`` reads these
+    fields and never which protocol it runs."""
 
-    sender: str  # the third party that prepares and distributes the registers
-    check_step: int  # transcript step of the state check; keys are measured in the next one
+    protocol: str  # the transcript's protocol name
+    announcers: Tuple[str, ...]  # third parties that announce verdicts; the first prepares and distributes
+    prepare: Callable[[int, int, Stream], List[GhzSpec]]  # the honest preparation of (n, count) registers
+    register_count: Callable[[int, int], int]  # registers prepared for (m, check rounds)
+    joint_submitter: Optional[str]  # who submits the XOR of all masked strings, or None: each its own
+    check_step: int  # transcript step of the state check; keys are measured in the next, verdicts announced 3 after
     check_verdict: Tuple[str, str]  # actor and kind of the check's verdict event
-    submit_to: Optional[Tuple[str, ...]]  # announcers each participant submits its masked string to
-    log_traffic: bool  # log every quantum send and each check round's bases and outcomes
+    log_traffic: bool  # log every send, the check positions, and each check round's bases and outcomes
+    verdict_keys: Tuple[str, ...]  # pair_results key of each announcer's verdict
 
 
-_PROPOSED = _Roles(TP1, 3, (TP2, "check_verdict"), (TP1, TP2), True)
-# The baseline's participants XOR their masked strings together and submit
-# once; its transcript records only the decoy checks and the check verdict.
-_BASELINE = _Roles(TP, 4, ("P1+P2", "state_check"), None, False)
+_PROPOSED = _Roles(
+    "proposed", (TP1, TP2), lambda n, count, rng: [ghz_from_index(i + 1, n) for i in rng.bits(count, n)],
+    lambda m, c: 2 * m, None, 3, (TP2, "check_verdict"), True, ("tp1_verdict", "tp2_verdict"),
+)
+# The baseline's helper draws each register from two Bell states by one
+# bit.  Its participants XOR their masked strings together and submit once;
+# its transcript records only the decoy checks and the check verdict.
+_BELL = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
+_BASELINE = _Roles(
+    "zhang_baseline", (TP,), lambda n, count, rng: [_BELL[b] for b in rng.bits(count)],
+    lambda m, c: m + c, "P1+P2", 4, ("P1+P2", "state_check"), False, ("tp_verdict",),
+)
 
 
 def _distribute(
@@ -288,9 +302,9 @@ def _distribute(
                 decoy_ids = range(first, first + decoy_count)
                 slot_ids = replay_choice(carriers + decoy_count, decoy_count, placement)
                 link = Link(registers, range(k - 1, registers.n, n), decoy_ids, slot_ids)
-                QuantumChannel(roles.sender, f"P{k}", taps[k - 1]).transmit(link, rng)
+                QuantumChannel(roles.announcers[0], f"P{k}", taps[k - 1]).transmit(link, rng)
             if roles.log_traffic and t.record_events:
-                t.add(2, roles.sender, "quantum_send", to=f"P{k}", carriers=carriers, decoys=decoy_count)
+                t.add(2, roles.announcers[0], "quantum_send", to=f"P{k}", carriers=carriers, decoys=decoy_count)
             arrived = slots[first : first + decoy_count]
             if arrived == decoys:
                 report = CheckReport(True, 0, decoy_count)
@@ -379,8 +393,10 @@ def _measure_keys(
         t.comps[k] = xor_bits(key, t.secrets[k - 1])
         if t.record_events:
             t.add(roles.check_step + 1, f"P{k}", "key_measurement", positions=positions[k])
-            if roles.submit_to:
-                t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.submit_to))
+            if roles.joint_submitter is None:
+                t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.announcers))
+    if roles.joint_submitter and t.record_events:
+        t.add(roles.check_step + 2, roles.joint_submitter, "comparison_submitted", to=roles.announcers[0])
 
 
 def _finalize(t: Transcript, run: AdversaryStrategy, rng: Stream) -> Transcript:
@@ -405,110 +421,17 @@ def run_proposed(
 ) -> Transcript:
     """One full run of the two-watchdog multiparty comparison.
 
-    ``rng`` is the trial's ``Stream``, or a ``Generator``, which the run
-    draws from as a wrapped stream and leaves where its draws end.
+    TP1 prepares 2m registers, of which ``check_rounds`` (default m) are
+    checked.  ``rng`` is the trial's ``Stream``, or a ``Generator``, which
+    the run draws from as a wrapped stream and leaves where its draws end.
     """
-    if not isinstance(rng, Stream):
-        with Stream.wrap(rng) as stream:
-            return run_proposed(
-                n, m, secrets, check_rounds=check_rounds, decoy_count=decoy_count, variant=variant,
-                adversary=adversary, rng=stream, announce_r=announce_r, decoy_tolerance=decoy_tolerance,
-                record_events=record_events,
-            )
-    secrets = _validate_common(n, m, secrets)
     c = m if check_rounds is None else check_rounds
     if not 0 <= c <= m:
         raise ValueError(f"check rounds must be in 0..m={m}, got {c}")
-    l = 2 * m if decoy_count is None else decoy_count
-    if l < 0:
-        raise ValueError("decoy count must be nonnegative")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    strategy = adversary or NONE
-    run = strategy.start_run()
-    total = 2 * m
-
-    t = Transcript(
-        "proposed",
-        {"n": n, "m": m, "check_rounds": c, "decoy_count": l, "variant": variant, "adversary": strategy.kind},
-        record_events,
-    )
-    t.secrets = secrets
-
-    # Step 1: prepare 2m shared registers (or whatever the preparer fakes).
-    prepared = run.override_preparation(n, total, rng)
-    if prepared is None:
-        specs = [ghz_from_index(i + 1, n) for i in rng.bits(total, n)]
-        prepared = GhzRegister(specs), specs, specs
-    registers, t.true_states, t.claimed_specs = prepared
-    if t.record_events:
-        t.add(1, TP1, "prepare", registers=total)
-
-    _distribute(t, _PROPOSED, run, registers, l, decoy_tolerance, rng)
-    if t.aborted:
-        return _finalize(t, run, rng)
-    if t.record_events:
-        t.add(2, TP1, "initial_states", to=TP2, count=len(t.claimed_specs))
-
-    # Step 3: cooperative correctness check of c randomly chosen registers.
-    believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
-    if c > 0:
-        positions = rng.sample(total, c)
-        # P1's broadcast to the other participants rides the plain classical
-        # channel and is the only thing a tamperer can touch; TP2 always gets
-        # the true list over its authenticated channel.
-        received = run.tamper_positions(positions, total, rng) if variant == VARIANT_BROADCAST else positions
-        if t.record_events:
-            t.add(3, "P1", "check_positions", positions=positions, variant=variant)
-        believed = {1: positions, **{k: received for k in range(2, n + 1)}}
-        _check_rounds(t, _PROPOSED, registers, believed, rng)
-        if t.aborted:
-            return _finalize(t, run, rng)
-
-    _measure_keys(t, _PROPOSED, registers, believed, rng)
-
-    # Step 6: both third parties compute and announce a verdict per pair.
-    # They hold the same claimed states and masked strings, so each pair's
-    # result vector is computed once; each announcer gets its own dict.  The
-    # pad of pair (i, j) is the XOR of i's and j's pads against P1.
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    compared = [t.claimed_specs[p] for p in t.comparison_positions]
-    unpadded = {k: tuple(map(xor, map(pair_xor, compared, repeat(1), repeat(k)), t.comps[k])) for k in range(2, n + 1)}
-    unpadded[1] = t.comps[1]
-    r_values = {(i, j): xor_bits(unpadded[i], unpadded[j]) for i, j in pairs}
-    t.announcements = {TP1: {}, TP2: {}}
-    t.r_values = {TP1: r_values, TP2: dict(r_values)}
-    for announcer in (TP1, TP2):
-        for pair in pairs:
-            r = r_values[pair]
-            verdict = run.flip_verdict(announcer, pair, verdict_for(r))
-            t.announcements[announcer][pair] = Announcement(announcer, pair, verdict, r if announce_r else None)
-            if t.record_events:
-                t.add(6, announcer, "announcement", pair=list(pair), verdict=verdict)
-
-    # Step 7: participants cross-compare the two announcements.
-    conflict = False
-    for pair in pairs:
-        a1 = t.announcements[TP1][pair]
-        a2 = t.announcements[TP2][pair]
-        accepted = cross_check(a1, a2)
-        truth = secrets[pair[0] - 1] == secrets[pair[1] - 1]
-        t.pair_results[pair] = {
-            "tp1_verdict": a1.verdict,
-            "tp2_verdict": a2.verdict,
-            "accepted": accepted,
-            "ground_truth": IDENTICAL if truth else DIFFERENT,
-        }
-        if t.record_events:
-            t.add(7, "participants", "cross_check", pair=list(pair), accepted=accepted)
-        if not accepted:
-            conflict = True
-    if conflict:
-        t.mark_abort(7, CAUSE_CONFLICT)
-        t.arbiter = arbiter_identify(compared, t.comps, t.announcements[TP1], t.announcements[TP2])
-        if t.record_events:
-            t.add(7, "Arbiter", "liar_identified", liar=t.arbiter)
-    return _finalize(t, run, rng)
+    l = 2 * m if decoy_count is None else decoy_count
+    return _run(_PROPOSED, n, m, secrets, c, l, variant, adversary, rng, announce_r, decoy_tolerance, record_events)
 
 
 def run_zhang_baseline(
@@ -532,71 +455,118 @@ def run_zhang_baseline(
     The helper prepares m + check_rounds pairs so the optional state check
     (which consumes pairs and needs the participant-to-participant
     authenticated channel that strangers lack) leaves m for comparison.
-    ``rng`` is as for ``run_proposed``.
+    The check positions travel on that channel, so no variant applies and
+    nothing can tamper with them.  ``rng`` is as for ``run_proposed``.
     """
-    if not isinstance(rng, Stream):
-        with Stream.wrap(rng) as stream:
-            return run_zhang_baseline(
-                m, secrets, check_rounds=check_rounds, decoy_count=decoy_count, adversary=adversary, rng=stream,
-                decoy_tolerance=decoy_tolerance, record_events=record_events,
-            )
-    secrets = _validate_common(2, m, secrets)
     if check_rounds < 0:
         raise ValueError("check rounds must be nonnegative")
     l = m if decoy_count is None else decoy_count
+    return _run(_BASELINE, 2, m, secrets, check_rounds, l, None, adversary, rng, False, decoy_tolerance, record_events)
+
+
+def _run(
+    roles: _Roles,
+    n: int,
+    m: int,
+    secrets: Sequence[Sequence[int]],
+    c: int,
+    l: int,
+    variant: Optional[str],
+    adversary: Optional[AdversaryStrategy],
+    rng: Union[Stream, np.random.Generator],
+    announce_r: bool,
+    decoy_tolerance: int,
+    record_events: bool,
+) -> Transcript:
+    """Steps 1-7 of either protocol, as ``roles`` has them; ``variant`` is
+    None where the check positions need no variant."""
+    if not isinstance(rng, Stream):
+        with Stream.wrap(rng) as stream:
+            return _run(roles, n, m, secrets, c, l, variant, adversary, stream, announce_r, decoy_tolerance,
+                        record_events)
+    secrets = _validate_common(n, m, secrets)
     if l < 0:
         raise ValueError("decoy count must be nonnegative")
     strategy = adversary or NONE
     run = strategy.start_run()
-    total = m + check_rounds
+    total = roles.register_count(m, c)
+    preparer, *others = roles.announcers
 
-    t = Transcript(
-        "zhang_baseline",
-        {"n": 2, "m": m, "check_rounds": check_rounds, "decoy_count": l, "adversary": strategy.kind},
-        record_events,
-    )
+    params = {"n": n, "m": m, "check_rounds": c, "decoy_count": l, "adversary": strategy.kind}
+    if variant is not None:
+        params["variant"] = variant
+    t = Transcript(roles.protocol, params, record_events)
     t.secrets = secrets
 
-    bell_specs = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
-    specs = [bell_specs[b] for b in rng.bits(total)]
-    t.true_states = list(specs)
-    t.claimed_specs = list(specs)
+    # Step 1: prepare the registers (or whatever the preparer fakes).
+    prepared = run.override_preparation(n, total, rng)
+    if prepared is None:
+        specs = roles.prepare(n, total, rng)
+        prepared = GhzRegister(specs), specs, specs
+    registers, t.true_states, t.claimed_specs = prepared
     if t.record_events:
-        t.add(1, TP, "prepare", registers=total)
+        t.add(1, preparer, "prepare", registers=total)
 
-    registers = GhzRegister(specs)
-    _distribute(t, _BASELINE, run, registers, l, decoy_tolerance, rng)
+    _distribute(t, roles, run, registers, l, decoy_tolerance, rng)
     if t.aborted:
         return _finalize(t, run, rng)
+    if t.record_events:
+        for other in others:
+            t.add(2, preparer, "initial_states", to=other, count=len(t.claimed_specs))
 
-    # Optional state check over the direct authenticated channel the
-    # baseline assumes participants share, so both act on the true positions.
-    believed: Dict[int, List[int]] = {1: [], 2: []}
-    if check_rounds > 0:
-        positions = rng.sample(total, check_rounds)
-        believed = {1: positions, 2: positions}
-        _check_rounds(t, _BASELINE, registers, believed, rng)
+    # Step 3: cooperative correctness check of c randomly chosen registers.
+    believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
+    if c > 0:
+        positions = rng.sample(total, c)
+        # P1's broadcast to the other participants rides the plain classical
+        # channel and is the only thing a tamperer can touch; the checking
+        # third party always gets the true list over its authenticated
+        # channel, as do the baseline's participants over theirs.
+        received = run.tamper_positions(positions, total, rng) if variant == VARIANT_BROADCAST else positions
+        if roles.log_traffic and t.record_events:
+            t.add(3, "P1", "check_positions", positions=positions, variant=variant)
+        believed = {1: positions, **{k: received for k in range(2, n + 1)}}
+        _check_rounds(t, roles, registers, believed, rng)
         if t.aborted:
             return _finalize(t, run, rng)
 
-    _measure_keys(t, _BASELINE, registers, believed, rng)
-    combined = xor_bits(t.comps[1], t.comps[2])
-    if t.record_events:
-        t.add(6, "P1+P2", "comparison_submitted", to=TP)
+    _measure_keys(t, roles, registers, believed, rng)
 
-    c_t = tuple(pair_xor(specs[p], 1, 2) for p in t.comparison_positions)
-    r = xor_bits(c_t, combined)
-    verdict = run.flip_verdict(TP, (1, 2), verdict_for(r))
-    announcement = Announcement(TP, (1, 2), verdict)
-    t.announcements = {TP: {(1, 2): announcement}}
-    t.r_values = {TP: {(1, 2): r}}
-    if t.record_events:
-        t.add(7, TP, "announcement", pair=[1, 2], verdict=verdict)
-    truth = secrets[0] == secrets[1]
-    # No second announcer exists, so whatever the helper says is final.
-    t.pair_results[(1, 2)] = {
-        "tp_verdict": verdict,
-        "accepted": True,
-        "ground_truth": IDENTICAL if truth else DIFFERENT,
-    }
+    # Step 6: every announcer computes and announces a verdict per pair.
+    # They hold the same claimed states and masked strings (or the baseline's
+    # XOR of them), so each pair's result vector is computed once; each
+    # announcer gets its own dict.  The pad of pair (i, j) is the XOR of i's
+    # and j's pads against P1.
+    announce_step = roles.check_step + 3
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    compared = [t.claimed_specs[p] for p in t.comparison_positions]
+    unpadded = {k: tuple(map(xor, map(pair_xor, compared, repeat(1), repeat(k)), t.comps[k])) for k in range(2, n + 1)}
+    unpadded[1] = t.comps[1]
+    r_values = {(i, j): xor_bits(unpadded[i], unpadded[j]) for i, j in pairs}
+    t.r_values = {announcer: dict(r_values) for announcer in roles.announcers}
+    t.announcements = {}
+    for announcer in roles.announcers:
+        by_pair = t.announcements[announcer] = {}
+        for pair in pairs:
+            r = r_values[pair]
+            verdict = run.flip_verdict(announcer, pair, verdict_for(r))
+            by_pair[pair] = Announcement(announcer, pair, verdict, r if announce_r else None)
+            if t.record_events:
+                t.add(announce_step, announcer, "announcement", pair=list(pair), verdict=verdict)
+
+    # Step 7: participants cross-compare the first announcement with every
+    # other; a lone announcer's verdict is accepted as it stands.
+    first, *rest = announced = list(t.announcements.values())
+    for pair in pairs:
+        info = {key: by_pair[pair].verdict for key, by_pair in zip(roles.verdict_keys, announced)}
+        info["accepted"] = accepted = all([cross_check(first[pair], other[pair]) for other in rest])
+        info["ground_truth"] = IDENTICAL if secrets[pair[0] - 1] == secrets[pair[1] - 1] else DIFFERENT
+        t.pair_results[pair] = info
+        if rest and t.record_events:
+            t.add(announce_step + 1, "participants", "cross_check", pair=list(pair), accepted=accepted)
+    if not all(info["accepted"] for info in t.pair_results.values()):
+        t.mark_abort(announce_step + 1, CAUSE_CONFLICT)
+        t.arbiter = arbiter_identify(compared, t.comps, *announced)
+        if t.record_events:
+            t.add(announce_step + 1, "Arbiter", "liar_identified", liar=t.arbiter)
     return _finalize(t, run, rng)

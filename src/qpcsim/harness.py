@@ -515,7 +515,9 @@ _ROW_DEFS = (
     # (metric name, successes key, denominator key)
     ("abort_rate", "aborted", "trials"),
     ("detected_step2_rate", "abort_step2", "trials"),
-    ("detected_step3_rate", "abort_step3", "trials"),
+    # By cause: the baseline numbers its state check step 4, the proposed
+    # protocol step 3.
+    ("detected_step3_rate", "abort_state_check_failed", "trials"),
     ("conflict_rate", "abort_step7", "trials"),
     ("completed_rate", "completed", "trials"),
     ("verdict_correct_rate", "pairs_verdict_correct", "pairs_total"),

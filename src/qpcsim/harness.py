@@ -120,14 +120,16 @@ class Scenario:
         if not isinstance(self.announce_r_vectors, bool):
             raise ConfigError(f"field `announce_r_vectors` must be true or false, got {self.announce_r_vectors!r}")
         if self.protocol == "zhang_baseline":
-            # The baseline runner has no relayed variant, never publishes
-            # result vectors and calls neither the preparation nor the
-            # position-broadcast hook, so each of these would run as honest.
+            # The baseline's check positions travel on the participants'
+            # authenticated channel, so it has no relayed variant and a
+            # position tamperer would only swap the preparation.  Its runner
+            # publishes no result vectors, and announce_r_vectors is to be
+            # redefined as the announcers' cross-check of them (ROADMAP).
             if self.variant != proto.VARIANT_BROADCAST:
                 raise ConfigError(f"field `variant` must be {proto.VARIANT_BROADCAST} for the zhang_baseline protocol")
             if self.announce_r_vectors:
                 raise ConfigError("field `announce_r_vectors` must be false for the zhang_baseline protocol")
-            if self.adversary.kind in (adversaries.KIND_TP1_FAKE_STATE, adversaries.KIND_POSITION_TAMPER):
+            if self.adversary.kind == adversaries.KIND_POSITION_TAMPER:
                 raise ConfigError(
                     f"field `adversary.kind` {self.adversary.kind} is not supported by the zhang_baseline protocol"
                 )

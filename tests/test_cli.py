@@ -190,7 +190,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monkeypatch):
     # A state with the wrong particle count, or an adversary the baseline
-    # runner would ignore, fails validation, so the CLI exits 1 before it
+    # does not support, fails validation, so the CLI exits 1 before it
     # starts any worker process for the trials.
     def no_worker(*args, **kwargs):
         raise AssertionError("a worker process was started")
@@ -203,7 +203,7 @@ def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monk
         (three, {"kind": "tp1_fake_initial_state", "params": {"true_state": {"q": "00", "delta": 0}}}, "true_state"),
         (three, {"kind": "tp1_fake_initial_state", "params": {"claimed": {"q": "0000", "delta": 0}}}, "claimed"),
         (three, {"kind": "classical_position_tamper", "params": {"pair": [zeros, {"q": "0110", "delta": 0}]}}, "pair[1]"),
-        ({"protocol": "zhang_baseline"}, {"kind": "tp1_fake_initial_state"}, "adversary.kind"),
+        ({"protocol": "zhang_baseline"}, {"kind": "classical_position_tamper"}, "adversary.kind"),
     ]
     for overrides, adversary, field in cases:
         cfg = write_config(tmp_path, adversary=adversary, **overrides)

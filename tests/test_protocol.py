@@ -249,6 +249,41 @@ def test_zhang_fake_result_goes_undetected():
     assert wrong == 200
 
 
+class _Recording(AdversaryStrategy):
+    """An honest strategy that records the name of every hook called."""
+
+    def __init__(self):
+        self.called = set()
+
+    def override_preparation(self, n, count, rng):
+        self.called.add("override_preparation")
+
+    def taps(self, link):
+        self.called.add("taps")
+        return ()
+
+    def tamper_positions(self, true_positions, total, rng):
+        self.called.add("tamper_positions")
+        return list(true_positions)
+
+    def flip_verdict(self, announcer, pair, verdict):
+        self.called.add("flip_verdict")
+        return verdict
+
+    def finalize(self, t, rng):
+        self.called.add("finalize")
+
+
+def test_zhang_calls_every_hook_but_the_position_tamper():
+    # The check positions ride the participants' authenticated channel, so
+    # nothing can tamper with them.
+    rng = make_rng(20)
+    recording = _Recording()
+    t = run_zhang_baseline(4, random_secrets(2, 4, rng), check_rounds=2, adversary=recording, rng=rng)
+    assert not t.aborted
+    assert recording.called == {"override_preparation", "taps", "flip_verdict", "finalize"}
+
+
 def test_zhang_with_state_check_rounds():
     rng = make_rng(12)
     secrets = random_secrets(2, 5, rng)

@@ -76,6 +76,9 @@ _GUARDED = {
 _GUARDED[KIND_EVE, None, VARIANT_BROADCAST].append(
     _doc(2, 2, KIND_EVE, {"links": [2]}, protocol="zhang_baseline", check_rounds=1)
 )
+_GUARDED[KIND_TP1_FAKE_STATE, "zeros", VARIANT_BROADCAST].append(
+    _doc(2, 3, KIND_TP1_FAKE_STATE, protocol="zhang_baseline", check_rounds=3)
+)
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,18 @@ _SCENARIOS: Dict[str, Tuple[int, Scenario]] = {
         )
         for c in (4, 8, 16)
     },
+    # The baseline's state check needs an authenticated channel between its
+    # participants: strangers have none, so they run without the check.
+    "strangers": (
+        70,
+        Scenario(protocol="zhang_baseline", n=2, m=4, check_rounds=0, trials=1000,
+                 adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {})),
+    ),
+    "acquainted": (
+        71,
+        Scenario(protocol="zhang_baseline", n=2, m=4, check_rounds=4, trials=4000,
+                 adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {})),
+    ),
     **{
         f"tamper_l{l}": (80 + l, Scenario(n=3, m=16, check_rounds=8, decoy_count=2, trials=10_000, adversary=_tamper(l)))
         for l in (1, 4, 8)
@@ -250,7 +262,9 @@ _FAKE = ("fake_c4", "fake_c8", "fake_c16")
 # announcer always conflicts, while the same flip against the
 # single-announcer baseline is never detected.  4: an all-|0> preparation
 # passed off as the all-|0>-vector entangled state fails an X round half
-# the time and a Z round never.  5: substituted broadcast check positions
+# the time and a Z round never; against the baseline it goes unseen by
+# strangers, who cannot run the state check, and is caught at 1-(3/4)^c by
+# clients who know each other and check c rounds.  5: substituted broadcast check positions
 # are caught at 1-(1/2)^l, and relaying them through the checking third
 # party removes the attack.  6: a protocol-following participant guesses a
 # victim's bits at chance unless granted the preparation list (then
@@ -281,6 +295,10 @@ _ROWS: Tuple[_Row, ...] = (
          "{c[x_check_failures]}/{c[x_check_rounds]} X rounds failed"),
     _Row("4.z_round", "Z rounds never expose the fake preparation", _FAKE, "z_check_fail_rate", 0.0, EXACT,
          "{c[z_check_rounds]} Z rounds"),
+    _Row("4.strangers", "baseline between strangers never sees the fake preparation", ("strangers",), "abort_rate",
+         0.0, EXACT, "{c[completed]}/{c[trials]} runs completed"),
+    _Row("4.acquainted", "baseline state check between acquaintances, c=4", ("acquainted",), "detected_step3_rate",
+         None, THREE_SIGMA, "{c[x_check_failures]}/{c[x_check_rounds]} X rounds failed"),
     *(
         _Row(f"5.l{l}", f"position-tamper detection, l={l}", (f"tamper_l{l}",), "tamper_detection_conditional", None,
              THREE_SIGMA, "distinct-pair tampered runs: {c[tamper_distinct_runs]}/{c[trials]}")

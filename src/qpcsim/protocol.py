@@ -558,7 +558,7 @@ def _run(
     # other; a lone announcer's verdict is accepted as it stands.
     first, *rest = announced = list(t.announcements.values())
     for pair in pairs:
-        info = {key: by_pair[pair].verdict for key, by_pair in zip(roles.verdict_keys, announced)}
+        info = {key: anns[pair].verdict for key, anns in zip(roles.verdict_keys, announced)}
         info["accepted"] = accepted = all([cross_check(first[pair], other[pair]) for other in rest])
         info["ground_truth"] = IDENTICAL if secrets[pair[0] - 1] == secrets[pair[1] - 1] else DIFFERENT
         t.pair_results[pair] = info

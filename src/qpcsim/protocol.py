@@ -15,9 +15,8 @@ One run is strictly sequential.  Step numbering in transcripts:
 
 Aborts carry a machine-readable cause: ``decoy_mismatch`` (step 2),
 ``state_check_failed`` (step 3), ``announcement_conflict`` (step 7).  One
-body, ``_run``, runs both protocols, and a ``_Roles`` record holds what
-differs.  The baseline's lone third party announces without a cross-check;
-it numbers its optional state check 4 and its announcement 7.
+body runs both protocols; the baseline's lone third party announces without
+a cross-check, and it numbers its optional state check 4, its announcement 7.
 """
 
 from __future__ import annotations
@@ -239,8 +238,7 @@ def _validate_common(n: int, m: int, secrets: Sequence[Sequence[int]]) -> Tuple[
 
 @dataclass(frozen=True)
 class _Roles:
-    """Everything the two protocols do differently.  ``_run`` reads these
-    fields and never which protocol it runs."""
+    """Everything the two protocols do differently; ``_run`` never asks which it runs."""
 
     protocol: str  # the transcript's protocol name
     announcers: Tuple[str, ...]  # third parties that announce verdicts; the first prepares and distributes
@@ -478,8 +476,7 @@ def _run(
     decoy_tolerance: int,
     record_events: bool,
 ) -> Transcript:
-    """Steps 1-7 of either protocol, as ``roles`` has them; ``variant`` is
-    None where the check positions need no variant."""
+    """Steps 1-7 of either protocol; ``variant`` is None where no variant applies."""
     if not isinstance(rng, Stream):
         with Stream.wrap(rng) as stream:
             return _run(roles, n, m, secrets, c, l, variant, adversary, stream, announce_r, decoy_tolerance,
@@ -532,11 +529,10 @@ def _run(
 
     _measure_keys(t, roles, registers, believed, rng)
 
-    # Step 6: every announcer computes and announces a verdict per pair.
-    # They hold the same claimed states and masked strings (or the baseline's
-    # XOR of them), so each pair's result vector is computed once; each
-    # announcer gets its own dict.  The pad of pair (i, j) is the XOR of i's
-    # and j's pads against P1.
+    # Step 6: every announcer announces a verdict per pair.  They hold the
+    # same claimed states and masked strings (or the baseline's XOR of them),
+    # so each pair's result vector is computed once and each announcer gets a
+    # copy.  The pad of pair (i, j) is the XOR of i's and j's pads against P1.
     announce_step = roles.check_step + 3
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     compared = [t.claimed_specs[p] for p in t.comparison_positions]
@@ -554,19 +550,23 @@ def _run(
             if t.record_events:
                 t.add(announce_step, announcer, "announcement", pair=list(pair), verdict=verdict)
 
-    # Step 7: participants cross-compare the first announcement with every
-    # other; a lone announcer's verdict is accepted as it stands.
-    first, *rest = announced = list(t.announcements.values())
+    # Step 7: participants cross-compare the first and the last announcer's
+    # verdicts; a lone announcer is both, under one key, and stands unchecked.
+    key1, key2 = roles.verdict_keys[0], roles.verdict_keys[-1]
+    first, last = t.announcements[preparer], t.announcements[roles.announcers[-1]]
+    cross_checked = first is not last
+    conflict = False
     for pair in pairs:
-        info = {key: anns[pair].verdict for key, anns in zip(roles.verdict_keys, announced)}
-        info["accepted"] = accepted = all([cross_check(first[pair], other[pair]) for other in rest])
-        info["ground_truth"] = IDENTICAL if secrets[pair[0] - 1] == secrets[pair[1] - 1] else DIFFERENT
-        t.pair_results[pair] = info
-        if rest and t.record_events:
+        a1, a2 = first[pair], last[pair]
+        accepted = cross_check(a1, a2) if cross_checked else True
+        truth = IDENTICAL if secrets[pair[0] - 1] == secrets[pair[1] - 1] else DIFFERENT
+        t.pair_results[pair] = {key1: a1.verdict, key2: a2.verdict, "accepted": accepted, "ground_truth": truth}
+        if cross_checked and t.record_events:
             t.add(announce_step + 1, "participants", "cross_check", pair=list(pair), accepted=accepted)
-    if not all(info["accepted"] for info in t.pair_results.values()):
+        conflict = conflict or not accepted
+    if conflict:
         t.mark_abort(announce_step + 1, CAUSE_CONFLICT)
-        t.arbiter = arbiter_identify(compared, t.comps, *announced)
+        t.arbiter = arbiter_identify(compared, t.comps, first, last)
         if t.record_events:
             t.add(announce_step + 1, "Arbiter", "liar_identified", liar=t.arbiter)
     return _finalize(t, run, rng)

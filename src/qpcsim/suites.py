@@ -264,9 +264,9 @@ _FAKE = ("fake_c4", "fake_c8", "fake_c16")
 # passed off as the all-|0>-vector entangled state fails an X round half
 # the time and a Z round never; against the baseline it goes unseen by
 # strangers, who cannot run the state check, and is caught at 1-(3/4)^c by
-# clients who know each other and check c rounds.  5: substituted broadcast check positions
-# are caught at 1-(1/2)^l, and relaying them through the checking third
-# party removes the attack.  6: a protocol-following participant guesses a
+# clients who know each other and check c rounds.  5: substituted
+# broadcast check positions are caught at 1-(1/2)^l, and relaying them
+# through the checking third party removes the attack.  6: a protocol-following participant guesses a
 # victim's bits at chance unless granted the preparation list (then
 # perfectly); the checking third party's intercept records in undetected
 # runs are held against the same chance-level target.

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, UsageError
-from .harness import run_scenario, run_trial, scenario_from_config
+from .harness import MAX_JOBS, run_scenario, run_trial, scenario_from_config
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -32,18 +32,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jobs(text: str) -> int:
-    """Process count for the trials: at most one per CPU."""
+    """Process count for the trials: at most one per CPU, and MAX_JOBS."""
     cpus = os.cpu_count() or 1
     try:
         jobs = int(text)
     except ValueError:
         jobs = 0
-    if not 1 <= jobs <= cpus:
-        raise argparse.ArgumentTypeError(f"must be an integer in 1..{cpus} (the CPU count), got {text!r}")
+    if not 1 <= jobs <= min(cpus, MAX_JOBS):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in 1..{min(cpus, MAX_JOBS)} (the CPU count, at most {MAX_JOBS}), got {text!r}"
+        )
     return jobs
 
 
-_JOBS_HELP = "processes sharing the trials: this one and N-1 workers (1..CPU count)"
+_JOBS_HELP = (
+    "processes sharing the trials: this one and N-1 workers (1..CPU count, at most"
+    f" {MAX_JOBS}).  Workers start on first need and are reused for the life of this"
+    " process; each call sends them its scenario, they run the code as it was when"
+    " they started, and they end at exit or on any failed call"
+)
 
 
 def build_parser() -> _Parser:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 # Unused here: the benchmark's tracer still wraps this name (as
 # adversaries.RunHandle is kept for it).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field
 from multiprocessing import Pipe, Process
+from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,6 +42,9 @@ MAX_M = 4096
 MAX_DECOY_COUNT = 4096
 MAX_CHECK_ROUNDS = 4096
 MAX_TRIALS = 10_000_000
+# Bound on run_scenario's jobs.  A call takes at most MAX_JOBS - 1 trial
+# workers and hands them back, so it also bounds the idle workers.
+MAX_JOBS = 64
 
 
 @dataclass
@@ -546,34 +551,43 @@ def metric_rows(totals: Dict[str, int], targets: Dict[str, float]) -> List[Metri
     return rows
 
 
+# Trial workers of run_scenario, started on first need and reused by every
+# later call in this process: the parent end of each live worker's pipe,
+# mapped to its process.  ``_idle`` holds the ends that no call is using.
+_workers: Dict[Connection, Process] = {}
+_idle: List[Connection] = []
+
+
 def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     """Run all trials and aggregate.  Same (scenario, seed) => same stats,
-    independent of ``jobs``.
+    independent of ``jobs`` (1..MAX_JOBS).
 
     The trials go into ``min(trials, jobs)`` contiguous shares: this process
-    runs the first and one forked worker runs each of the others.  A
-    worker's exception is raised here; on any error every worker still
-    running is terminated.
+    runs the first and one trial worker runs each of the others.  Workers
+    start on first need and are reused for the life of this process.  Each
+    call sends a worker its scenario and share in the message; apart from
+    that, a worker runs the modules as they were when it started (a fork,
+    on Linux), not as they are now.  A worker's exception is raised here.
+    Any failed call terminates and joins every worker, busy or idle, and
+    workers also end when this process exits.
     """
-    if not _is_int(jobs) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if not _is_int(jobs) or not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
     scenario.validate()
     trials = scenario.trials
     parts = min(trials, jobs)
     bounds = [round(i * trials / parts) for i in range(parts + 1)]
-    workers = []
+    ends: List[Connection] = []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            receiver, sender = Pipe(duplex=False)
-            worker = Process(target=_send_block, args=(sender, scenario, start, stop))
-            worker.start()
-            sender.close()
-            workers.append((worker, receiver))
+            ends.append(_take_worker())
+            ends[-1].send((scenario, start, stop))
         totals = _run_block(scenario, bounds[0], bounds[1])
-        for worker, receiver in workers:
+        for end in ends:
             try:
-                part = receiver.recv()
+                part = end.recv()
             except EOFError:
+                worker = _workers[end]
                 worker.join()
                 raise RuntimeError(
                     f"a trial worker exited with code {worker.exitcode} before sending its counters"
@@ -581,20 +595,59 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
             if isinstance(part, Exception):
                 raise part
             _merge(totals, part)
-    finally:
-        for worker, receiver in workers:
-            if worker.is_alive():
-                worker.terminate()
-            worker.join()
-            receiver.close()
+    except BaseException:
+        _stop_workers()
+        raise
+    _idle.extend(ends)
     return TrialStats(scenario.to_config(), totals, metric_rows(totals, _targets(scenario)))
 
 
-def _send_block(sender, scenario: Scenario, start: int, stop: int) -> None:
-    """A worker's body: send the counters of trials ``start..stop``, or the
-    exception they raise."""
+def _take_worker() -> Connection:
+    """The parent end of an idle worker's pipe, or else of a new worker's."""
     try:
-        message = _run_block(scenario, start, stop)
-    except Exception as exc:  # noqa: BLE001 - raised again in the caller
-        message = exc
-    sender.send(message)
+        return _idle.pop()
+    except IndexError:
+        pass
+    end, worker_end = Pipe()
+    worker = Process(target=_serve, args=(worker_end, end), daemon=True)
+    worker.start()
+    worker_end.close()
+    _workers[end] = worker
+    return end
+
+
+def _stop_workers() -> None:
+    """Terminate and join every trial worker, busy or idle."""
+    _idle.clear()
+    while _workers:
+        end, worker = _workers.popitem()
+        if worker.is_alive():
+            worker.terminate()
+        worker.join()
+        end.close()
+
+
+def _serve(conn: Connection, parent_end: Connection) -> None:
+    """A trial worker's body: for each ``(scenario, start, stop)`` received,
+    send back the counters of trials ``start..stop``, or the exception they
+    raise, until the pipe reaches EOF."""
+    # A forked worker inherits the parent end of its own pipe and of every
+    # older worker's.  Holding none of them, each worker sees EOF, and ends,
+    # once the parent is gone, even when the parent was killed.
+    parent_end.close()
+    for end in _workers:
+        end.close()
+    # Ctrl-C in a terminal signals the whole process group.  A caller
+    # interrupted mid-call stops its workers itself, and an idle worker
+    # stays usable.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            scenario, start, stop = conn.recv()
+            try:
+                message = _run_block(scenario, start, stop)
+            except Exception as exc:  # noqa: BLE001 - raised again in the caller
+                message = exc
+            conn.send(message)
+    except (EOFError, BrokenPipeError):
+        pass  # the caller has gone

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import qpcsim.cli
 import qpcsim.harness
 from qpcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from qpcsim.harness import TrialStats
+from qpcsim.harness import TrialStats, scenario_from_config
+from test_harness import FailingScenario, boom
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -212,20 +214,16 @@ def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monk
         assert err["category"] == "config" and f"`{field}`" in err["message"]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the worker through fork")
 def test_worker_error_exits_two(tmp_path, capsys, monkeypatch):
-    run_block = qpcsim.harness._run_block
+    def failing_in_worker(doc):
+        return FailingScenario(**vars(scenario_from_config(doc)), in_worker=boom)
 
-    def boom_in_worker(scenario, start, stop):
-        if start > 0:
-            raise ValueError("boom")
-        return run_block(scenario, start, stop)
-
-    monkeypatch.setattr(qpcsim.harness, "_run_block", boom_in_worker)
+    monkeypatch.setattr(qpcsim.cli, "scenario_from_config", failing_in_worker)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # lets --jobs 2 through on any machine
     assert main(["run", "--config", str(write_config(tmp_path)), "--jobs", "2"]) == EXIT_RUNTIME
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"category": "runtime", "message": "ValueError: boom"}
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")

@@ -2,10 +2,15 @@
 result emission round-trips."""
 
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
+from typing import Callable, Optional
 
 import pytest
 from scipy import stats as scipy_stats
@@ -15,6 +20,7 @@ from qpcsim.errors import ConfigError
 from qpcsim.harness import (
     MAX_CHECK_ROUNDS,
     MAX_DECOY_COUNT,
+    MAX_JOBS,
     MAX_M,
     MAX_TRIALS,
     AdversarySpec,
@@ -189,14 +195,52 @@ def test_jobs_must_be_a_positive_int(monkeypatch):
 
     monkeypatch.setattr(qpcsim.harness, "_run_block", no_trials)
     monkeypatch.setattr(qpcsim.harness, "Process", no_trials)
-    for jobs in (0, -1, True, 1.5):
+    for jobs in (0, -1, True, 1.5, MAX_JOBS + 1):
         with pytest.raises(ValueError, match="jobs"):
             run_scenario(small_scenario(), jobs=jobs)
 
 
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="patches reach the workers through fork"
-)
+def test_max_jobs_is_allowed(monkeypatch):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    # One trial is one share, which this process runs.
+    monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
+    assert run_scenario(small_scenario(trials=1), jobs=MAX_JOBS).counters["trials"] == 1
+
+
+@dataclasses.dataclass
+class FailingScenario(Scenario):
+    """A scenario whose trials call ``in_worker`` in any process but the
+    one that made it, and ``in_caller`` in that one.  A worker receives it
+    in each call's message, so it fails there however long ago the worker
+    started."""
+
+    in_worker: Optional[Callable[[], None]] = None
+    in_caller: Optional[Callable[[], None]] = None
+    caller_pid: int = dataclasses.field(default_factory=os.getpid)
+
+    def effective_check_rounds(self) -> int:
+        fail = self.in_caller if os.getpid() == self.caller_pid else self.in_worker
+        if fail is not None:
+            fail()
+        return super().effective_check_rounds()
+
+
+def boom():
+    raise ValueError("boom")
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _caller_fails():
+    raise KeyError("caller share")
+
+
+def _sleep_60():
+    time.sleep(60)
 
 
 @contextlib.contextmanager
@@ -215,50 +259,94 @@ def _within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _patch_shares(monkeypatch, caller_share, worker_share):
-    """Run ``caller_share`` for the share that starts at trial 0 and
-    ``worker_share`` for the others, in place of ``_run_block``."""
-
-    def run_block(scenario, start, stop):
-        return (worker_share if start > 0 else caller_share)(scenario, start, stop)
-
-    monkeypatch.setattr(qpcsim.harness, "_run_block", run_block)
-
-
-@fork_only
-def test_worker_exception_reaches_the_caller(monkeypatch):
-    def boom(*args):
-        raise ValueError("boom")
-
-    _patch_shares(monkeypatch, qpcsim.harness._run_block, boom)
+def test_worker_exception_reaches_the_caller():
     with _within(30), pytest.raises(ValueError, match="^boom$"):
-        run_scenario(small_scenario(trials=9), jobs=3)
+        run_scenario(FailingScenario(n=2, m=2, trials=9, seed=7, in_worker=boom), jobs=3)
     assert multiprocessing.active_children() == []
 
 
-@fork_only
-def test_worker_that_exits_without_sending_is_an_error(monkeypatch):
-    def exit_3(*args):
-        os._exit(3)
-
-    _patch_shares(monkeypatch, qpcsim.harness._run_block, exit_3)
+def test_worker_that_exits_without_sending_is_an_error():
     with _within(30), pytest.raises(RuntimeError, match="exited with code 3"):
-        run_scenario(small_scenario(trials=4), jobs=2)
+        run_scenario(FailingScenario(n=2, m=2, trials=4, seed=7, in_worker=_exit_3), jobs=2)
     assert multiprocessing.active_children() == []
 
 
-@fork_only
-def test_caller_share_error_terminates_the_workers(monkeypatch):
-    def caller_fails(*args):
-        raise KeyError("caller share")
-
-    def slow(*args):
-        time.sleep(60)
-
-    _patch_shares(monkeypatch, caller_fails, slow)
+def test_caller_share_error_terminates_the_workers():
+    scenario = FailingScenario(n=2, m=2, trials=4, seed=7, in_worker=_sleep_60, in_caller=_caller_fails)
     with _within(30), pytest.raises(KeyError, match="caller share"):
-        run_scenario(small_scenario(trials=4), jobs=2)
+        run_scenario(scenario, jobs=2)
     assert multiprocessing.active_children() == []
+
+
+def test_workers_are_reused_across_calls(monkeypatch):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    scenario = small_scenario(trials=8, n=3)
+    with _within(30):
+        first = run_scenario(scenario, jobs=2)
+        monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
+        second = run_scenario(dataclasses.replace(scenario, seed=8), jobs=2)
+    assert first.to_json() == run_scenario(scenario).to_json()
+    assert second.to_json() == run_scenario(dataclasses.replace(scenario, seed=8)).to_json()
+
+
+def test_a_failed_call_stops_idle_workers_too():
+    with _within(30):
+        run_scenario(small_scenario(trials=6), jobs=3)
+        assert len(multiprocessing.active_children()) >= 2
+        # One worker fails; the other stays idle during the call.
+        with pytest.raises(ValueError, match="^boom$"):
+            run_scenario(FailingScenario(n=2, m=2, trials=4, seed=7, in_worker=boom), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+_CALL_AND_WAIT = """
+import multiprocessing, sys
+from qpcsim.harness import Scenario, run_scenario
+run_scenario(Scenario(n=2, m=2, trials=6, seed=1), jobs=3)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+sys.stdin.readline()
+"""
+
+
+def _running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("end", ["sigkill", "exit"])
+def test_no_worker_outlives_its_parent(end):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _CALL_AND_WAIT], env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+    )
+    pids = []
+    try:
+        with _within(30):
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        if end == "sigkill":
+            parent.kill()
+        else:
+            parent.stdin.close()
+        assert parent.wait(timeout=30) is not None
+        deadline = time.monotonic() + 10
+        running = pids
+        while running and time.monotonic() < deadline:
+            time.sleep(0.05)
+            running = [pid for pid in running if _running(pid)]
+        assert running == [], f"workers still running 10 s after their parent ended ({end})"
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_different_seeds_differ():

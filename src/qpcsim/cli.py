@@ -32,15 +32,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jobs(text: str) -> int:
-    """Process count for the trials: at most one per CPU, and MAX_JOBS."""
-    cpus = os.cpu_count() or 1
+    """Process count for the trials: at most one per CPU and at most MAX_JOBS."""
+    limit = min(os.cpu_count() or 1, MAX_JOBS)
     try:
         jobs = int(text)
     except ValueError:
         jobs = 0
-    if not 1 <= jobs <= min(cpus, MAX_JOBS):
+    if not 1 <= jobs <= limit:
         raise argparse.ArgumentTypeError(
-            f"must be an integer in 1..{min(cpus, MAX_JOBS)} (the CPU count, at most {MAX_JOBS}), got {text!r}"
+            f"must be an integer in 1..{limit} (the CPU count, at most {MAX_JOBS}), got {text!r}"
         )
     return jobs
 

@@ -580,8 +580,9 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     ends: List[Connection] = []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            ends.append(_take_worker())
-            ends[-1].send((scenario, start, stop))
+            end = _take_worker()
+            ends.append(end)
+            end.send((scenario, start, stop))
         totals = _run_block(scenario, bounds[0], bounds[1])
         for end in ends:
             try:

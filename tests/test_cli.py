@@ -13,7 +13,7 @@ import pytest
 import qpcsim.cli
 import qpcsim.harness
 from qpcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from qpcsim.harness import TrialStats, scenario_from_config
+from qpcsim.harness import MAX_JOBS, TrialStats, scenario_from_config
 from test_harness import FailingScenario, boom
 
 
@@ -188,6 +188,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(argv) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["category"] == "config" and "JSON object" in err["message"]
+
+
+def test_jobs_is_bounded_by_max_jobs_on_a_large_machine(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4 * MAX_JOBS)
+    assert main(["suite", "imaginary", "--jobs", str(MAX_JOBS + 1)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["category"] == "usage" and "--jobs" in err["message"]
 
 
 def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monkeypatch):

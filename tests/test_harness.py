@@ -301,6 +301,21 @@ def test_a_failed_call_stops_idle_workers_too():
     assert multiprocessing.active_children() == []
 
 
+def test_an_idle_worker_survives_ctrl_c(monkeypatch):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    scenario = small_scenario(trials=4)
+    with _within(30):
+        run_scenario(scenario, jobs=2)
+        # Ctrl-C in a terminal signals the whole process group.
+        for worker in multiprocessing.active_children():
+            os.kill(worker.pid, signal.SIGINT)
+        time.sleep(0.2)
+        monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
+        assert run_scenario(scenario, jobs=2).to_json() == run_scenario(scenario).to_json()
+
+
 _CALL_AND_WAIT = """
 import multiprocessing, sys
 from qpcsim.harness import Scenario, run_scenario
@@ -322,31 +337,30 @@ def _running(pid):
 def test_no_worker_outlives_its_parent(end):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    parent = subprocess.Popen(
-        [sys.executable, "-c", _CALL_AND_WAIT], env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-    )
     pids = []
-    try:
-        with _within(30):
-            pids = [int(pid) for pid in parent.stdout.readline().split()]
-        assert len(pids) == 2
-        if end == "sigkill":
+    with subprocess.Popen(
+        [sys.executable, "-c", _CALL_AND_WAIT], env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+    ) as parent:
+        try:
+            with _within(30):
+                pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            if end == "sigkill":
+                parent.kill()
+            else:
+                parent.stdin.close()
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            running = pids
+            while running and time.monotonic() < deadline:
+                time.sleep(0.05)
+                running = [pid for pid in running if _running(pid)]
+            assert running == [], f"workers still running 10 s after their parent ended ({end})"
+        finally:
             parent.kill()
-        else:
-            parent.stdin.close()
-        assert parent.wait(timeout=30) is not None
-        deadline = time.monotonic() + 10
-        running = pids
-        while running and time.monotonic() < deadline:
-            time.sleep(0.05)
-            running = [pid for pid in running if _running(pid)]
-        assert running == [], f"workers still running 10 s after their parent ended ({end})"
-    finally:
-        parent.kill()
-        parent.wait()
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def test_different_seeds_differ():

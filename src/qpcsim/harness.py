@@ -42,8 +42,8 @@ MAX_M = 4096
 MAX_DECOY_COUNT = 4096
 MAX_CHECK_ROUNDS = 4096
 MAX_TRIALS = 10_000_000
-# Bound on run_scenario's jobs.  A call takes at most MAX_JOBS - 1 trial
-# workers and hands them back, so it also bounds the idle workers.
+# Bound on run_scenario's jobs.  A call uses at most MAX_JOBS - 1 trial
+# workers, so it also bounds how many stay alive between calls.
 MAX_JOBS = 64
 
 
@@ -552,10 +552,10 @@ def metric_rows(totals: Dict[str, int], targets: Dict[str, float]) -> List[Metri
 
 
 # Trial workers of run_scenario, started on first need and reused by every
-# later call in this process: the parent end of each live worker's pipe,
-# mapped to its process.  ``_idle`` holds the ends that no call is using.
-_workers: Dict[Connection, Process] = {}
-_idle: List[Connection] = []
+# later call in this process: the parent end of each worker's pipe and its
+# process.  A call waits for every worker it uses and a failed call stops
+# them all, so between calls every worker here is idle.
+_workers: List[Tuple[Connection, Process]] = []
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
@@ -564,11 +564,12 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
 
     The trials go into ``min(trials, jobs)`` contiguous shares: this process
     runs the first and one trial worker runs each of the others.  Workers
-    start on first need and are reused for the life of this process.  Each
-    call sends a worker its scenario and share in the message; apart from
-    that, a worker runs the modules as they were when it started (a fork,
-    on Linux), not as they are now.  A worker's exception is raised here.
-    Any failed call terminates and joins every worker, busy or idle, and
+    start on first need and are reused for the life of this process, so
+    only a process that makes several calls with ``jobs`` > 1 saves their
+    start-up.  Each call sends a worker its scenario and share in the
+    message; apart from that, a worker runs the modules as they were when it
+    started (a fork, on Linux), not as they are now.  A worker's exception
+    is raised here.  Any failed call terminates and joins every worker, and
     workers also end when this process exits.
     """
     if not _is_int(jobs) or not 1 <= jobs <= MAX_JOBS:
@@ -577,18 +578,17 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     trials = scenario.trials
     parts = min(trials, jobs)
     bounds = [round(i * trials / parts) for i in range(parts + 1)]
-    ends: List[Connection] = []
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            end = _take_worker()
-            ends.append(end)
+        while len(_workers) < parts - 1:
+            _start_worker()
+        used = _workers[: parts - 1]
+        for (end, _), start, stop in zip(used, bounds[1:-1], bounds[2:]):
             end.send((scenario, start, stop))
         totals = _run_block(scenario, bounds[0], bounds[1])
-        for end in ends:
+        for end, worker in used:
             try:
                 part = end.recv()
             except EOFError:
-                worker = _workers[end]
                 worker.join()
                 raise RuntimeError(
                     f"a trial worker exited with code {worker.exitcode} before sending its counters"
@@ -599,29 +599,22 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     except BaseException:
         _stop_workers()
         raise
-    _idle.extend(ends)
     return TrialStats(scenario.to_config(), totals, metric_rows(totals, _targets(scenario)))
 
 
-def _take_worker() -> Connection:
-    """The parent end of an idle worker's pipe, or else of a new worker's."""
-    try:
-        return _idle.pop()
-    except IndexError:
-        pass
+def _start_worker() -> None:
+    """Start one more trial worker."""
     end, worker_end = Pipe()
     worker = Process(target=_serve, args=(worker_end, end), daemon=True)
     worker.start()
     worker_end.close()
-    _workers[end] = worker
-    return end
+    _workers.append((end, worker))
 
 
 def _stop_workers() -> None:
-    """Terminate and join every trial worker, busy or idle."""
-    _idle.clear()
+    """Terminate and join every trial worker."""
     while _workers:
-        end, worker = _workers.popitem()
+        end, worker = _workers.pop()
         if worker.is_alive():
             worker.terminate()
         worker.join()
@@ -636,7 +629,7 @@ def _serve(conn: Connection, parent_end: Connection) -> None:
     # older worker's.  Holding none of them, each worker sees EOF, and ends,
     # once the parent is gone, even when the parent was killed.
     parent_end.close()
-    for end in _workers:
+    for end, _ in _workers:
         end.close()
     # Ctrl-C in a terminal signals the whole process group.  A caller
     # interrupted mid-call stops its workers itself, and an idle worker

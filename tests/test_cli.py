@@ -14,7 +14,7 @@ import qpcsim.cli
 import qpcsim.harness
 from qpcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpcsim.harness import MAX_JOBS, TrialStats, scenario_from_config
-from test_harness import FailingScenario, boom
+from test_harness import FailingScenario, boom, forbid_workers
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -200,11 +200,8 @@ def test_jobs_is_bounded_by_max_jobs_on_a_large_machine(capsys, monkeypatch):
 def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monkeypatch):
     # A state with the wrong particle count, or an adversary the baseline
     # does not support, fails validation, so the CLI exits 1 before it
-    # starts any worker process for the trials.
-    def no_worker(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
+    # sends any share to a worker, new or left idle by an earlier call.
+    forbid_workers(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # lets --jobs 2 through on any machine
     zeros = {"q": "000", "delta": 0}
     three = {"n": 3}

@@ -189,23 +189,28 @@ def test_same_seed_same_stats_and_jobs_invariance():
     assert a.to_csv() == c.to_csv()
 
 
-def test_jobs_must_be_a_positive_int(monkeypatch):
-    def no_trials(*args, **kwargs):
-        raise AssertionError("a trial or a worker was started")
+def _no_worker(*args, **kwargs):
+    raise AssertionError("a worker was started")
 
-    monkeypatch.setattr(qpcsim.harness, "_run_block", no_trials)
-    monkeypatch.setattr(qpcsim.harness, "Process", no_trials)
+
+def forbid_workers(monkeypatch):
+    """Make any share sent to a trial worker fail the test: hide the workers
+    that earlier calls left idle and forbid starting a new one."""
+    monkeypatch.setattr(qpcsim.harness, "_workers", [])
+    monkeypatch.setattr(qpcsim.harness, "Process", _no_worker)
+
+
+def test_jobs_must_be_a_positive_int(monkeypatch):
+    forbid_workers(monkeypatch)
+    monkeypatch.setattr(qpcsim.harness, "_run_block", _no_worker)
     for jobs in (0, -1, True, 1.5, MAX_JOBS + 1):
         with pytest.raises(ValueError, match="jobs"):
             run_scenario(small_scenario(), jobs=jobs)
 
 
 def test_max_jobs_is_allowed(monkeypatch):
-    def no_worker(*args, **kwargs):
-        raise AssertionError("a worker was started")
-
     # One trial is one share, which this process runs.
-    monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
+    forbid_workers(monkeypatch)
     assert run_scenario(small_scenario(trials=1), jobs=MAX_JOBS).counters["trials"] == 1
 
 
@@ -279,13 +284,10 @@ def test_caller_share_error_terminates_the_workers():
 
 
 def test_workers_are_reused_across_calls(monkeypatch):
-    def no_worker(*args, **kwargs):
-        raise AssertionError("a worker was started")
-
     scenario = small_scenario(trials=8, n=3)
     with _within(30):
         first = run_scenario(scenario, jobs=2)
-        monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
+        monkeypatch.setattr(qpcsim.harness, "Process", _no_worker)
         second = run_scenario(dataclasses.replace(scenario, seed=8), jobs=2)
     assert first.to_json() == run_scenario(scenario).to_json()
     assert second.to_json() == run_scenario(dataclasses.replace(scenario, seed=8)).to_json()
@@ -302,9 +304,6 @@ def test_a_failed_call_stops_idle_workers_too():
 
 
 def test_an_idle_worker_survives_ctrl_c(monkeypatch):
-    def no_worker(*args, **kwargs):
-        raise AssertionError("a worker was started")
-
     scenario = small_scenario(trials=4)
     with _within(30):
         run_scenario(scenario, jobs=2)
@@ -312,7 +311,7 @@ def test_an_idle_worker_survives_ctrl_c(monkeypatch):
         for worker in multiprocessing.active_children():
             os.kill(worker.pid, signal.SIGINT)
         time.sleep(0.2)
-        monkeypatch.setattr(qpcsim.harness, "Process", no_worker)
+        monkeypatch.setattr(qpcsim.harness, "Process", _no_worker)
         assert run_scenario(scenario, jobs=2).to_json() == run_scenario(scenario).to_json()
 
 

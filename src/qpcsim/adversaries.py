@@ -424,19 +424,22 @@ class ClassicalPositionTamper(AdversaryStrategy):
             return list(true_positions)
         rounds = rng.sample(rounds_total, wanted)
         checked = set(true_positions)
-        used: set = set()
+        # The unchecked positions of each start, in order; a target used
+        # leaves its pool.
+        pools: Dict[int, List[int]] = {}
         received = list(true_positions)
         for r in rounds:
             p = true_positions[r]
             # A paired preparation alternates, so the partner state sits at
             # the positions of the other parity.
             start, step = (1 - (p & 1), 2) if self.policy == POLICY_PAIRED else (0, 1)
-            pool = [t for t in range(start, total, step) if t not in checked and t not in used]
+            if start not in pools:
+                pools[start] = [t for t in range(start, total, step) if t not in checked]
+            pool = pools[start]
             if not pool:
                 continue
-            target = pool[rng.below(len(pool))]
+            target = pool.pop(rng.below(len(pool)))
             received[r] = target
-            used.add(target)
             self.tampered.append((r, p, target))
         return received
 

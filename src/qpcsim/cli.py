@@ -13,6 +13,7 @@ import json
 import os
 import secrets as _secrets
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -53,6 +54,9 @@ _JOBS_HELP = (
 )
 
 
+# Built once per process: parsing leaves a parser as it was, and --jobs
+# reads the CPU count when it is parsed, not here.
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="qpcsim", description="Quantum private comparison simulator")
     sub = parser.add_subparsers(dest="command", required=True)

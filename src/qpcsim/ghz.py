@@ -68,6 +68,8 @@ class GhzSpec:
             raise ValueError("q entries and delta must be bits")
         if self.q[0] != 0:
             raise ValueError("q must start with 0")
+        # Kept: the state check compares every Z round with it.
+        object.__setattr__(self, "_complement", tuple(1 - b for b in self.q))
 
     @property
     def n(self) -> int:
@@ -82,7 +84,7 @@ class GhzSpec:
         return 2 * tail + self.delta + 1
 
     def complement(self) -> Tuple[int, ...]:
-        return tuple(1 - b for b in self.q)
+        return self._complement
 
     def bits_int(self) -> int:
         value = 0
@@ -243,11 +245,11 @@ class GhzRegister:
     ) -> List[int]:
         """Measure each id in its basis, in order; returns the outcomes.
 
-        Whether a measurement draws a bit depends on bases and bookkeeping,
-        never on a drawn value, so the bits are counted first and drawn at
-        once, as ``integers(0, 2, size=k)`` would draw them, which gives the
-        values k scalar draws would (tests/test_ghz.py pins this).  The draw
-        rule:
+        The measurements that draw take fair bits in order, the values that
+        scalar draws, or one ``integers(0, 2, size=k)`` draw, would give
+        (tests/test_ghz.py pins this).  At most one bit per id is drawn, so
+        the next ``len(ids)`` bits are read ahead and only those used are
+        drawn.  The draw rule:
 
         * a photon draws only in the other basis, and is re-prepared in the
           measured eigenstate;
@@ -271,43 +273,35 @@ class GhzRegister:
         if len(set(ids)) != len(ids) or len(bases) != len(ids):
             raise ValueError(f"ids must be distinct and match their bases, got {list(ids)} and {list(bases)}")
         n, q, parity = self.particles, self.q, self.parity
-        # The bits go, in order, to the measurements that draw; the others
-        # then read their register's branch or, as its last particle, parity.
-        out = [state & 1 for state in states]  # a photon in its own basis
-        drawn = []  # (position, id, register or -1 for a photon, basis)
-        reads = []  # (position, register, q bit, or None for the parity)
-        for idx, i, state, basis in zip(range(len(ids)), ids, states, bases):
-            if state >= 0:
-                if state >> 1 != basis:
-                    drawn.append((idx, i, -1, basis))
-                continue
-            slots[i] = MEASURED
-            r = i // n
-            if basis:  # X
-                left[r] -= 1
-                if branch[r] is None and not left[r]:
-                    reads.append((idx, r, None))
+        fair = rng.peek(len(ids))
+        drawn = 0
+        out = []
+        for i, state, basis in zip(ids, states, bases):
+            if state >= 0:  # a photon
+                if state >> 1 == basis:
+                    bit = state & 1
                 else:
-                    drawn.append((idx, i, r, basis))
+                    bit = fair[drawn]
+                    drawn += 1
+                    slots[i] = (basis << 1) | bit
             else:
-                if branch[r] is None:
-                    branch[r] = -1  # drawn below
-                    drawn.append((idx, i, r, basis))
-                reads.append((idx, r, q[i]))
-        for (idx, i, r, basis), bit in zip(drawn, rng.bits(len(drawn))):
-            out[idx] = bit
-            if r < 0:
-                slots[i] = (basis << 1) | bit
-            elif basis:
-                parity[r] ^= bit
-            else:
-                branch[r] = bit
-        for idx, r, qbit in reads:
-            out[idx] = parity[r] if qbit is None else qbit ^ branch[r]
-        if forward:
-            for idx, i, state, basis in zip(range(len(ids)), ids, states, bases):
-                if state < 0:
-                    slots[i] = (basis << 1) | out[idx]
+                r = i // n
+                if basis:  # X
+                    left[r] -= 1
+                    if branch[r] is None and not left[r]:
+                        bit = parity[r]
+                    else:
+                        bit = fair[drawn]
+                        drawn += 1
+                        parity[r] ^= bit
+                else:
+                    if branch[r] is None:
+                        branch[r] = fair[drawn]
+                        drawn += 1
+                    bit = q[i] ^ branch[r]
+                slots[i] = (basis << 1) | bit if forward else MEASURED
+            out.append(bit)
+        rng.skip(drawn)
         return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import adversaries
 from . import protocol as proto
 from .errors import ConfigError
-from .stream import Stream
+from .stream import Stream, TrialSeeds
 
 SCHEMA_VERSION = 1
 
@@ -447,17 +447,25 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
 
 
 def run_trial(
-    scenario: Scenario, strategy: adversaries.AdversaryStrategy, trial: int, record_events: bool
+    scenario: Scenario,
+    strategy: adversaries.AdversaryStrategy,
+    trial: int,
+    record_events: bool,
+    seeds: Optional[TrialSeeds] = None,
 ) -> proto.Transcript:
     """Run trial number ``trial`` of a scenario and return its transcript,
     which holds the secrets drawn for it.
 
     The trial's random stream is derived from the scenario seed by the trial
-    index alone, so a trial replays identically whatever runs around it.
-    Every draw of the trial is served from one ``Stream`` over its bit
-    generator.
+    index alone, so a trial replays identically whatever runs around it:
+    its PCG64 is seeded as by ``SeedSequence(entropy=seed, spawn_key=(trial,))``,
+    through ``seeds``, the scenario seed's ``TrialSeeds`` (made here if not
+    given).  Every draw of the trial is served from one ``Stream`` over its
+    bit generator.
     """
-    rng = Stream(np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,))).bit_generator)
+    if seeds is None:
+        seeds = TrialSeeds(scenario.seed)
+    rng = Stream(np.random.default_rng(seeds(trial)).bit_generator)
     secrets = _draw_secrets(scenario, rng)
     options = dict(
         check_rounds=scenario.effective_check_rounds(),
@@ -475,10 +483,10 @@ def run_trial(
 
 
 def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
-    strategy = scenario.strategy()
+    strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
     totals: Dict[str, int] = {}
     for trial in range(start, stop):
-        _extract(run_trial(scenario, strategy, trial, record_events=False), totals)
+        _extract(run_trial(scenario, strategy, trial, False, seeds), totals)
     return totals
 
 

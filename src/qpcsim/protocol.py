@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from operator import xor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -105,11 +105,11 @@ def step3_check(
     for r, (spec, basis, bits) in enumerate(zip(claimed, bases, outcomes)):
         if len(bits) != len(spec.q):
             raise ValueError(f"round {r} has {len(bits)} outcomes for {len(spec.q)} particles")
-        if basis == Basis.Z:
+        if basis:  # X
+            ok = sum(bits) % 2 == spec.delta
+        else:
             bits = tuple(bits)
             ok = bits == spec.q or bits == spec.complement()
-        else:
-            ok = sum(bits) % 2 == spec.delta
         if not ok:
             failures.append(r)
     return Step3Report(not failures, tuple(failures), tuple(map(int, bases)))
@@ -397,6 +397,12 @@ def _measure_keys(
         t.add(roles.check_step + 2, roles.joint_submitter, "comparison_submitted", to=roles.announcers[0])
 
 
+def _pads(specs: Sequence[GhzSpec]) -> List[Tuple[int, ...]]:
+    """Entry k - 1 holds participant k's pads against P1 on ``specs``, in
+    order: ``pair_xor(spec, 1, k)``, which is q[k - 1] because q[0] == 0."""
+    return list(zip(*(spec.q for spec in specs)))
+
+
 def _finalize(t: Transcript, run: AdversaryStrategy, rng: Stream) -> Transcript:
     """Let the adversary score the run from its transcript."""
     t.attack = run.finalize(t, rng)
@@ -536,7 +542,8 @@ def _run(
     announce_step = roles.check_step + 3
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     compared = [t.claimed_specs[p] for p in t.comparison_positions]
-    unpadded = {k: tuple(map(xor, map(pair_xor, compared, repeat(1), repeat(k)), t.comps[k])) for k in range(2, n + 1)}
+    pads = _pads(compared)
+    unpadded = {k: tuple(map(xor, pads[k - 1], t.comps[k])) for k in range(2, n + 1)}
     unpadded[1] = t.comps[1]
     r_values = {(i, j): xor_bits(unpadded[i], unpadded[j]) for i, j in pairs}
     t.r_values = {announcer: dict(r_values) for announcer in roles.announcers}

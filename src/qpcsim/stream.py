@@ -15,6 +15,10 @@ and applies the same rule, so each of its draws gives, value for value,
 what the ``integers`` or ``choice`` call it stands for would give at the
 same point of the generator's sequence (tests/test_stream.py pins this
 against the installed numpy).
+
+``TrialSeeds`` seeds each trial's bit generator as
+``SeedSequence(entropy=seed, spawn_key=(trial,))`` would, without building
+one per trial.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # 64-bit outputs fetched at once by a trial's stream: enough for every
 # trial of the acceptance battery (at most 357 at n = 5, m = 16) in one call.
@@ -57,21 +62,21 @@ class Bounds:
 class Stream:
     """The draws of one trial, in order, from one bit generator.
 
-    A stream made from a bit generator fetches ``RAW_WORDS`` outputs at a
-    time.  ``wrap`` makes one that starts where a ``Generator`` stands and
-    fetches only what each draw needs; on leaving its ``with`` block it
-    hands the generator back at the point its draws reached, so a function
-    that draws through a wrapped stream leaves the generator as the
+    A stream fetches ``RAW_WORDS`` outputs at a time.  ``wrap`` makes one
+    that starts where a ``Generator`` stands; on leaving its ``with`` block
+    it hands the generator back at the point its draws reached, so a
+    function that draws through a wrapped stream leaves the generator as the
     ``integers`` and ``choice`` calls it stands for would.
     """
 
-    __slots__ = ("_source", "_fetch", "_words", "_at")
+    __slots__ = ("_source", "_words", "_at", "_passed", "_start")
 
     def __init__(self, bit_generator) -> None:
         self._source = bit_generator
-        self._fetch = RAW_WORDS
         self._words = _EMPTY  # 32-bit outputs, low half of each 64-bit one first
         self._at = 0  # the next unread one
+        self._passed = 0  # outputs read and dropped by earlier refills
+        self._start = None  # a wrapped generator's state when the stream began
 
     @classmethod
     def wrap(cls, generator: np.random.Generator) -> "Stream":
@@ -80,7 +85,7 @@ class Stream:
         if "has_uint32" not in state:
             raise TypeError(f"{type(source).__name__} does not split 64-bit outputs into 32-bit ones")
         stream = cls(source)
-        stream._fetch = 0
+        stream._start = state
         if state["has_uint32"]:
             # The generator's next 32-bit draw is the high half it kept.
             stream._words = np.array([state["uinteger"]], dtype=np.uint32)
@@ -90,26 +95,35 @@ class Stream:
         return self
 
     def __exit__(self, *exc) -> None:
-        # The last 32-bit output is the kept high half the stream started
-        # from or the high half of the last output it fetched; the generator
-        # holds it, as drawing it through the generator leaves it, and its
-        # flag tells whether it is still to be drawn.  Fetching only what is
-        # drawn leaves at most that one unread.
-        if len(self._words):
-            state = self._source.state
-            state["has_uint32"] = int(self._at < len(self._words))
-            state["uinteger"] = int(self._words[-1])
-            self._source.state = state
-        self._words, self._at = _EMPTY, 0
+        # The stream fetches ahead of its draws, so the generator goes back
+        # to where the stream began and forward past the outputs read: the
+        # kept half first, if there was one, then whole 64-bit outputs.  The
+        # generator keeps the high half of the last one, as drawing through
+        # it leaves it, and its flag tells whether that half is still to be
+        # drawn.
+        start, source = self._start, self._source
+        kept = start["has_uint32"]
+        read = self._passed + self._at - kept  # 32-bit outputs past the kept half
+        state = start
+        if read > 0:
+            source.state = start
+            last = int(source.random_raw((read + 1) // 2)[-1])
+            state = source.state
+            state["has_uint32"], state["uinteger"] = read & 1, last >> 32
+        elif read == 0 and kept:
+            state = dict(start, has_uint32=0)
+        source.state = state
+        self._words, self._at, self._passed = _EMPTY, 0, 0
 
     def _refill(self, short: int) -> None:
         """Fetch at least ``short`` more outputs; the unread ones move to
         the front."""
-        raw = self._source.random_raw(max(self._fetch, (short + 1) // 2))
+        raw = self._source.random_raw(max(RAW_WORDS, (short + 1) // 2))
         # An explicit little-endian view puts the low half first on any host.
         fresh = raw.astype("<u8", copy=False).view("<u4")
         left = self._words[self._at :]
         self._words = np.concatenate((left, fresh)) if len(left) else fresh
+        self._passed += self._at
         self._at = 0
 
     def _take(self, count: int) -> np.ndarray:
@@ -132,6 +146,17 @@ class Stream:
         if not width:
             return [0] * count
         return (self._take(count) >> (32 - width)).tolist()
+
+    def peek(self, count: int) -> List[int]:
+        """The next ``count`` draws on [0, 2), as ``bits(count)`` would make
+        them, left undrawn: ``skip`` then draws the first of them."""
+        words = self._take(count)
+        self._at -= count
+        return (words >> 31).tolist()
+
+    def skip(self, count: int) -> None:
+        """Draw the first ``count`` of the bits ``peek`` just returned."""
+        self._at += count
 
     def below(self, bound: int) -> int:
         """One draw on [0, bound): ``int(integers(0, bound))``."""
@@ -201,3 +226,107 @@ def replay_choice(population: int, size: int, draws: Sequence[int]) -> List[int]
     for j, value in zip(range(population - size, population), draws):
         chosen.add(j if value in chosen else value)
     return sorted(chosen)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit
+# words: its pool of four words, and the constants of its two hashes.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state's output word i is pool word i mod 4 xored with a
+# multiplier that steps on before it multiplies; the first 8 words make the
+# four 64-bit ones PCG64 takes.
+_STATE_WORDS = 8
+_OUT_XORED = np.array([_INIT_B * pow(_MULT_B, i, 2**32) & _LOW for i in range(_STATE_WORDS)], dtype=np.uint32)
+_OUT_MULTIPLIERS = _OUT_XORED * np.uint32(_MULT_B)
+# Trials whose seeds are made at once, a fixed number whatever the run's;
+# a chunk starts at a multiple of it.
+_CHUNK = 64
+_CHUNK_TRIALS = np.arange(_CHUNK, dtype=np.uint32)[:, None]
+
+
+def _mix(x: int, y: int) -> int:
+    value = (_MIX_L * x - _MIX_R * y) & _LOW
+    return value ^ value >> 16
+
+
+class TrialSeeds:
+    """The seed of each trial of one run: for trial t,
+    ``SeedSequence(entropy=seed, spawn_key=(t,))``, made without building
+    that SeedSequence (tests/test_trial_seeds.py pins the two equal).
+
+    SeedSequence hashes its entropy words into a pool: the seed's 32-bit
+    words, low first, padded with zeros to the pool's four when a spawn key
+    follows; then any seed words past four; then the spawn key's words.
+    Each word goes through a hash whose multiplier steps on at every use,
+    whatever the word.  So all but the trial's own word depend on the seed
+    alone and are hashed here, once.  The trials' words, and the state
+    words drawn from their pools, are hashed ``_CHUNK`` trials at a time in
+    numpy's uint32 arithmetic, which wraps as the hash's does.
+    """
+
+    __slots__ = ("_mixed", "_xored", "_multipliers", "_first", "_states")
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError(f"a seed must be nonnegative, got {seed}")
+        words = [seed & _LOW]
+        while seed > _LOW:
+            seed >>= 32
+            words.append(seed & _LOW)
+        words += [0] * (_POOL - len(words))
+        multiplier = _INIT_A
+
+        def hashed(word: int) -> int:
+            nonlocal multiplier
+            word ^= multiplier
+            multiplier = multiplier * _MULT_A & _LOW
+            word = word * multiplier & _LOW
+            return word ^ word >> 16
+
+        pool = [hashed(word) for word in words[:_POOL]]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashed(pool[src]))
+        for word in words[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], hashed(word))
+        self._mixed = _MIX_L * np.array(pool, dtype=np.uint32)  # as the mix takes it
+        # The trial's word is hashed into each pool word in turn, each time
+        # with the multiplier as it then stands.
+        steps = [multiplier * pow(_MULT_A, d, 2**32) & _LOW for d in range(_POOL + 1)]
+        self._xored = np.array(steps[:-1], dtype=np.uint32)
+        self._multipliers = np.array(steps[1:], dtype=np.uint32)
+        self._first, self._states = -1, None
+
+    def __call__(self, trial: int) -> "TrialSeed":
+        if not 0 <= trial <= _LOW:
+            raise ValueError(f"a trial number must fit one 32-bit word, got {trial}")
+        row = trial % _CHUNK
+        if trial - row != self._first:
+            self._first = trial - row
+            value = ((_CHUNK_TRIALS + np.uint32(self._first)) ^ self._xored) * self._multipliers
+            pool = self._mixed - _MIX_R * (value ^ value >> 16)
+            pool ^= pool >> 16
+            words = (np.concatenate((pool, pool), axis=1) ^ _OUT_XORED) * _OUT_MULTIPLIERS
+            words ^= words >> 16
+            self._states = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        return TrialSeed(self._states[row])
+
+
+class TrialSeed(ISeedSequence):
+    """One trial's state words, which numpy's bit generators draw their
+    initial state from through ``generate_state``, as from the
+    SeedSequence: the 4 64-bit words PCG64 takes."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if np.dtype(dtype) != np.uint64 or n_words > len(self._state):
+            raise ValueError(f"a trial seed holds the {len(self._state)} uint64 words PCG64 takes")
+        return self._state[:n_words]

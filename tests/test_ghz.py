@@ -29,6 +29,7 @@ from qpcsim.ghz import (
     sample_outcome_counts,
     x_expansion,
 )
+from qpcsim.stream import Stream
 
 
 def make_rng(*key):
@@ -339,6 +340,37 @@ def test_one_batch_measures_as_one_call_per_measurement():
                     outcomes.append([reg.measure([i], [b], rng, forward)[0] for i, b in zip(ids, bases)])
             runs.append((outcomes, reg.slots, reg.branch, reg.parity, rng.bit_generator.state))
         assert runs[0] == runs[1], f"numpy {np.__version__}: sequence {seq} measures differently in one batch"
+
+
+@pytest.mark.parametrize("kept", [False, True])
+def test_measure_leaves_a_generator_where_its_draws_end(kept):
+    # A measurement reads bits ahead of those it draws.  Through a Generator
+    # it must still leave the generator where a trial stream's cursor ends,
+    # with or without a kept high half to start from.
+    for seq in range(100):
+        plan = np.random.default_rng([21, seq])
+        n, count = int(plan.integers(2, 6)), int(plan.integers(1, 4))
+        specs = [ghz_from_index(int(i), n) for i in plan.integers(1, 2**n + 1, size=count)]
+        photons = plan.integers(0, 4, size=int(plan.integers(0, 4))).tolist()
+        ids = plan.permutation(count * n + len(photons))[: int(plan.integers(1, count * n + 1))].tolist()
+        bases = plan.integers(0, 2, size=len(ids)).tolist()
+        runs = []
+        for wrapped in (True, False):
+            reg, rng = GhzRegister(specs), make_rng(21, seq)
+            reg.add_photons(photons)
+            if wrapped:
+                if kept:  # one 32-bit draw keeps the high half of a 64-bit output
+                    rng.integers(0, 2)
+                outcome = reg.measure(ids, bases, rng)
+                after = rng.integers(0, 2**32, size=3).tolist()
+            else:
+                stream = Stream(rng.bit_generator)
+                if kept:
+                    stream.bits(1)
+                outcome = reg.measure(ids, bases, stream)
+                after = stream.bits(3, 32)
+            runs.append((outcome, reg.slots, after))
+        assert runs[0] == runs[1], seq
 
 
 def test_full_x_parity_always_matches():

@@ -494,7 +494,8 @@ def test_broken_pair_law_is_caught_by_correctness_metrics(monkeypatch):
     # exactness and verdict metrics would go red immediately.
     import qpcsim.protocol as proto
 
-    monkeypatch.setattr(proto, "pair_xor", lambda spec, i, j: spec.q[i - 1] ^ spec.q[j - 1] ^ 1)
+    pads = proto._pads
+    monkeypatch.setattr(proto, "_pads", lambda specs: [tuple(b ^ 1 for b in column) for column in pads(specs)])
     stats = run_scenario(small_scenario(trials=30, m=4, n=3))
     assert stats.row("r_exact_rate").estimate < 1.0
     assert stats.row("verdict_correct_rate").estimate < 1.0

@@ -471,6 +471,10 @@ class _CountingStream(Stream):
         self.draws.append("bits")
         return super().bits(count, width)
 
+    def peek(self, count):
+        self.draws.append("peek")
+        return super().peek(count)
+
     def below(self, bound):
         self.draws.append("below")
         return super().below(bound)
@@ -505,7 +509,7 @@ def test_honest_trial_draws_seven_times_from_one_raw_call(n):
     # the two measurement runs, all from one random_raw call; drawing
     # through Generator.integers and Generator.choice made 7 calls.
     draws, sizes = _counted_trial(Scenario(n=n, m=16))
-    assert draws == ["bits", "bits", "run", "sample", "bits", "bits", "bits"]
+    assert draws == ["bits", "bits", "run", "sample", "bits", "peek", "peek"]
     assert sizes == [RAW_WORDS]
 
 

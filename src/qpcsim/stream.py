@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # 64-bit outputs fetched at once by a trial's stream: enough for every
 # trial of the acceptance battery (at most 357 at n = 5, m = 16) in one call.
@@ -271,6 +270,14 @@ class TrialSeeds:
     def __init__(self, seed: int) -> None:
         if seed < 0:
             raise ValueError(f"a seed must be nonnegative, got {seed}")
+        # numpy's bit generators take a seed object that is an
+        # ISeedSequence.  Registered here and not at import: importing
+        # numpy.random with qpcsim, before a run's first trial, raised a
+        # run's peak RSS by about 1 MB (perfbench attack_mix, Python 3.11,
+        # numpy 2.4).
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(TrialSeed)
         words = [seed & _LOW]
         while seed > _LOW:
             seed >>= 32
@@ -316,10 +323,11 @@ class TrialSeeds:
         return TrialSeed(self._states[row])
 
 
-class TrialSeed(ISeedSequence):
+class TrialSeed:
     """One trial's state words, which numpy's bit generators draw their
     initial state from through ``generate_state``, as from the
-    SeedSequence: the 4 64-bit words PCG64 takes."""
+    SeedSequence: the 4 64-bit words PCG64 takes.  An ISeedSequence once
+    ``TrialSeeds`` has registered it."""
 
     __slots__ = ("_state",)
 

@@ -9,7 +9,6 @@ from .ghz import (
     ProductRegister,
     ghz_from_index,
     pair_xor,
-    sample_measurement,
     x_expansion,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "ProductRegister",
     "ghz_from_index",
     "pair_xor",
-    "sample_measurement",
     "x_expansion",
     "__version__",
 ]

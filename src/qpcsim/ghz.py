@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -240,9 +240,7 @@ class GhzRegister:
         self.slots.extend(states)
         return list(range(len(self.slots) - len(states), len(self.slots)))
 
-    def measure(
-        self, ids: Sequence[int], bases: Sequence[int], rng: Union[Stream, np.random.Generator], forward: bool = False
-    ) -> List[int]:
+    def measure(self, ids: Sequence[int], bases: Sequence[int], rng: Stream, forward: bool = False) -> List[int]:
         """Measure each id in its basis, in order; returns the outcomes.
 
         The measurements that draw take fair bits in order, the values that
@@ -261,9 +259,6 @@ class GhzRegister:
         With ``forward`` each measured particle is replaced by a photon in
         the measured eigenstate, as an intercept-resend does.
         """
-        if not isinstance(rng, Stream):
-            with Stream.wrap(rng) as stream:
-                return self.measure(ids, bases, stream, forward)
         slots, branch, left = self.slots, self.branch, self.left
         if ids and min(ids) < 0:  # an id past the end fails the indexing below
             raise IndexError(f"ids must lie in 0..{len(slots) - 1}, got {list(ids)}")
@@ -322,64 +317,6 @@ class ProductRegister(GhzRegister):
 
     # Its own entry: perfbench/tracing.py wraps each register class's measure.
     measure = GhzRegister.measure
-
-
-def sample_measurement(
-    spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: Union[Stream, np.random.Generator]
-) -> Dict[int, int]:
-    """One-shot analytic measurement of a freshly prepared state."""
-    pos = _checked_positions(positions, spec.n, set())
-    bits = GhzRegister((spec,)).measure([p - 1 for p in pos], [basis] * len(pos), rng)
-    return dict(zip(pos, bits))
-
-
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.uint64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int64)
-
-
-def _normalize_positions(positions: Iterable[int], n: int) -> Tuple[int, ...]:
-    pos = sorted({int(p) for p in positions})
-    if not pos:
-        raise ValueError("positions must be nonempty")
-    if pos[0] < 1 or pos[-1] > n:
-        raise IndexError(f"particle indices must lie in 1..{n}")
-    return tuple(pos)
-
-
-def sample_outcome_counts(
-    spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: np.random.Generator, shots: int
-) -> np.ndarray:
-    """Histogram of ``shots`` fresh-register measurements.
-
-    Outcome index packs the bits of the (ascending) positions, first
-    position most significant.  Distributionally identical to calling
-    ``sample_measurement`` in a loop; vectorized so statistical tests can
-    afford large shot counts.
-    """
-    pos = _normalize_positions(positions, spec.n)
-    k = len(pos)
-    size = 2**k
-    if basis == Basis.Z:
-        base = 0
-        for p in pos:
-            base = (base << 1) | spec.q[p - 1]
-        comp = base ^ (size - 1)
-        flipped = int(rng.binomial(shots, 0.5))
-        counts = np.zeros(size, dtype=np.int64)
-        counts[base] += shots - flipped
-        counts[comp] += flipped
-        return counts
-    if k == spec.n:
-        if k == 1:
-            raise AssertionError("family states have at least two particles")
-        free = rng.integers(0, 2 ** (k - 1), size=shots, dtype=np.int64)
-        patterns = (free << 1) | (_bit_parity(free) ^ spec.delta)
-        return np.bincount(patterns, minlength=size).astype(np.int64)
-    patterns = rng.integers(0, size, size=shots, dtype=np.int64)
-    return np.bincount(patterns, minlength=size).astype(np.int64)
 
 
 class OracleRegister:
@@ -455,21 +392,19 @@ class OracleRegister:
         self._signs = {z: s for z, s in self._signs.items() if matches(z)}
         assert self._signs and len(self._signs) & (len(self._signs) - 1) == 0
 
-    def measure(self, positions: Iterable[int], basis: Basis, rng: np.random.Generator) -> Dict[int, int]:
+    def measure(self, positions: Iterable[int], basis: Basis, rng: Stream) -> Dict[int, int]:
         # Checked here as well, because a duplicate would vanish into the dict.
         pos = _checked_positions(positions, self.n, self._consumed)
         return self.measure_mixed(dict.fromkeys(pos, basis), rng)
 
-    def measure_mixed(
-        self, bases: Dict[int, Basis], rng: np.random.Generator
-    ) -> Dict[int, int]:
+    def measure_mixed(self, bases: Dict[int, Basis], rng: Stream) -> Dict[int, int]:
         """Joint measurement with a per-particle basis choice."""
         pos = _checked_positions(bases.keys(), self.n, self._consumed)
         x_positions = [p for p in pos if bases[p] == Basis.X]
         for p in x_positions:
             self._hadamard(p)
         keys = sorted(self._signs)
-        pick = keys[int(rng.integers(0, len(keys)))]
+        pick = keys[rng.below(len(keys))]
         out = {p: (pick >> (self.n - p)) & 1 for p in pos}
         self._project(pos, out)
         for p in x_positions:
@@ -480,10 +415,11 @@ class OracleRegister:
     def distribution(self, positions: Iterable[int], basis: Basis) -> np.ndarray:
         """Exact Born probabilities over outcome patterns of ``positions``.
 
-        Outcome indexing matches ``sample_outcome_counts``.  Probabilities
-        are ratios of powers of two, hence exact as binary floats.
+        An outcome's index packs the bits of the positions in ascending
+        order, the first most significant.  Probabilities are ratios of
+        powers of two, hence exact as binary floats.
         """
-        pos = _normalize_positions(positions, self.n)
+        pos = sorted(_checked_positions(positions, self.n, set()))
         work = self.clone()
         if basis == Basis.X:
             for p in pos:
@@ -504,15 +440,6 @@ class OracleRegister:
         for z, s in self._signs.items():
             vec[z] = s * scale
         return vec
-
-
-def oracle_outcome_counts(
-    spec: GhzSpec, positions: Iterable[int], basis: Basis, rng: np.random.Generator, shots: int
-) -> np.ndarray:
-    """Histogram of ``shots`` exact-Born draws, batched via the exact
-    outcome distribution.  Outcome indexing matches ``sample_outcome_counts``."""
-    probs = OracleRegister(spec).distribution(positions, basis)
-    return rng.multinomial(shots, probs).astype(np.int64)
 
 
 def all_specs(n: int) -> List[GhzSpec]:

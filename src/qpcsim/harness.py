@@ -590,13 +590,21 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
         while len(_workers) < parts - 1:
             _start_worker()
         used = _workers[: parts - 1]
-        for (end, _), start, stop in zip(used, bounds[1:-1], bounds[2:]):
-            end.send((scenario, start, stop))
+        # A worker that has died shows as a broken pipe on the send, or as
+        # EOF or a reset pipe on the receive, depending on when it died.
+        for (end, worker), start, stop in zip(used, bounds[1:-1], bounds[2:]):
+            try:
+                end.send((scenario, start, stop))
+            except OSError:
+                worker.join()
+                raise RuntimeError(
+                    f"a trial worker exited with code {worker.exitcode} before its share was sent"
+                ) from None
         totals = _run_block(scenario, bounds[0], bounds[1])
         for end, worker in used:
             try:
                 part = end.recv()
-            except EOFError:
+            except (EOFError, OSError):
                 worker.join()
                 raise RuntimeError(
                     f"a trial worker exited with code {worker.exitcode} before sending its counters"

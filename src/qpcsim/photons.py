@@ -5,9 +5,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .ghz import Basis
 from .stream import Bounds, Stream, choice_bounds
@@ -23,14 +21,12 @@ class DecoyState(IntEnum):
     X_MINUS = 3  # |->
 
 
-def generate_decoys(count: int, rng: np.random.Generator) -> List[int]:
+def generate_decoys(count: int, rng: Stream) -> List[int]:
     """``count`` independent uniform draws from the four decoy states: one
     link's decoys by themselves (a run draws them with ``interleave``)."""
     if count < 0:
         raise ValueError("decoy count must be nonnegative")
-    if count == 0:
-        return []
-    return rng.integers(0, 4, size=count).tolist()
+    return rng.bits(count, 2)
 
 
 class Link:
@@ -99,9 +95,7 @@ def _run_bounds(carriers: int, decoys: int, links: int) -> Bounds:
     return Bounds(([4] * decoys + choice_bounds(carriers + decoys, decoys)) * links)
 
 
-def interleave(
-    carriers: int, decoys: int, links: int, rng: Union[Stream, np.random.Generator]
-) -> List[Tuple[List[int], List[int]]]:
+def interleave(carriers: int, decoys: int, links: int, rng: Stream) -> List[Tuple[List[int], List[int]]]:
     """Draw ``links`` consecutive links in one run of draws.
 
     Each link gets ``decoys`` uniform decoy states and the draws that choose
@@ -111,9 +105,6 @@ def interleave(
     other, drawn as one ``Stream.run``.  ``replay_choice`` turns a link's
     placement draws into its decoy slots.
     """
-    if not isinstance(rng, Stream):
-        with Stream.wrap(rng) as stream:
-            return interleave(carriers, decoys, links, stream)
     if not decoys:
         return [([], [])] * links
     drawn = rng.run(_run_bounds(carriers, decoys, links))

@@ -25,9 +25,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import xor
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
@@ -418,7 +416,7 @@ def run_proposed(
     decoy_count: Optional[int] = None,
     variant: str = VARIANT_BROADCAST,
     adversary: Optional[AdversaryStrategy] = None,
-    rng: Union[Stream, np.random.Generator],
+    rng: Stream,
     announce_r: bool = False,
     decoy_tolerance: int = 0,
     record_events: bool = True,
@@ -426,8 +424,7 @@ def run_proposed(
     """One full run of the two-watchdog multiparty comparison.
 
     TP1 prepares 2m registers, of which ``check_rounds`` (default m) are
-    checked.  ``rng`` is the trial's ``Stream``, or a ``Generator``, which
-    the run draws from as a wrapped stream and leaves where its draws end.
+    checked.  ``rng`` is the trial's ``Stream``.
     """
     c = m if check_rounds is None else check_rounds
     if not 0 <= c <= m:
@@ -445,7 +442,7 @@ def run_zhang_baseline(
     check_rounds: int = 0,
     decoy_count: Optional[int] = None,
     adversary: Optional[AdversaryStrategy] = None,
-    rng: Union[Stream, np.random.Generator],
+    rng: Stream,
     decoy_tolerance: int = 0,
     record_events: bool = True,
 ) -> Transcript:
@@ -477,16 +474,12 @@ def _run(
     l: int,
     variant: Optional[str],
     adversary: Optional[AdversaryStrategy],
-    rng: Union[Stream, np.random.Generator],
+    rng: Stream,
     announce_r: bool,
     decoy_tolerance: int,
     record_events: bool,
 ) -> Transcript:
     """Steps 1-7 of either protocol; ``variant`` is None where no variant applies."""
-    if not isinstance(rng, Stream):
-        with Stream.wrap(rng) as stream:
-            return _run(roles, n, m, secrets, c, l, variant, adversary, stream, announce_r, decoy_tolerance,
-                        record_events)
     secrets = _validate_common(n, m, secrets)
     if l < 0:
         raise ValueError("decoy count must be nonnegative")

@@ -59,60 +59,15 @@ class Bounds:
 
 
 class Stream:
-    """The draws of one trial, in order, from one bit generator.
+    """The draws of one trial, in order, from the outputs of one bit
+    generator, fetched ``RAW_WORDS`` at a time."""
 
-    A stream fetches ``RAW_WORDS`` outputs at a time.  ``wrap`` makes one
-    that starts where a ``Generator`` stands; on leaving its ``with`` block
-    it hands the generator back at the point its draws reached, so a
-    function that draws through a wrapped stream leaves the generator as the
-    ``integers`` and ``choice`` calls it stands for would.
-    """
-
-    __slots__ = ("_source", "_words", "_at", "_passed", "_start")
+    __slots__ = ("_source", "_words", "_at")
 
     def __init__(self, bit_generator) -> None:
         self._source = bit_generator
         self._words = _EMPTY  # 32-bit outputs, low half of each 64-bit one first
         self._at = 0  # the next unread one
-        self._passed = 0  # outputs read and dropped by earlier refills
-        self._start = None  # a wrapped generator's state when the stream began
-
-    @classmethod
-    def wrap(cls, generator: np.random.Generator) -> "Stream":
-        source = generator.bit_generator
-        state = source.state
-        if "has_uint32" not in state:
-            raise TypeError(f"{type(source).__name__} does not split 64-bit outputs into 32-bit ones")
-        stream = cls(source)
-        stream._start = state
-        if state["has_uint32"]:
-            # The generator's next 32-bit draw is the high half it kept.
-            stream._words = np.array([state["uinteger"]], dtype=np.uint32)
-        return stream
-
-    def __enter__(self) -> "Stream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # The stream fetches ahead of its draws, so the generator goes back
-        # to where the stream began and forward past the outputs read: the
-        # kept half first, if there was one, then whole 64-bit outputs.  The
-        # generator keeps the high half of the last one, as drawing through
-        # it leaves it, and its flag tells whether that half is still to be
-        # drawn.
-        start, source = self._start, self._source
-        kept = start["has_uint32"]
-        read = self._passed + self._at - kept  # 32-bit outputs past the kept half
-        state = start
-        if read > 0:
-            source.state = start
-            last = int(source.random_raw((read + 1) // 2)[-1])
-            state = source.state
-            state["has_uint32"], state["uinteger"] = read & 1, last >> 32
-        elif read == 0 and kept:
-            state = dict(start, has_uint32=0)
-        source.state = state
-        self._words, self._at, self._passed = _EMPTY, 0, 0
 
     def _refill(self, short: int) -> None:
         """Fetch at least ``short`` more outputs; the unread ones move to
@@ -122,7 +77,6 @@ class Stream:
         fresh = raw.astype("<u8", copy=False).view("<u4")
         left = self._words[self._at :]
         self._words = np.concatenate((left, fresh)) if len(left) else fresh
-        self._passed += self._at
         self._at = 0
 
     def _take(self, count: int) -> np.ndarray:

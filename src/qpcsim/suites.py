@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -30,26 +30,13 @@ from .adversaries import (
     KIND_TP2_INTERCEPT,
 )
 from .errors import ConfigError
-from .ghz import (
-    Basis,
-    GhzSpec,
-    OracleRegister,
-    all_specs,
-    ghz_from_index,
-    oracle_outcome_counts,
-    pair_xor,
-    sample_measurement,
-    sample_outcome_counts,
-    x_expansion,
-)
+from .ghz import Basis, GhzRegister, GhzSpec, OracleRegister, all_specs, ghz_from_index, pair_xor, x_expansion
 from .harness import AdversarySpec, Scenario, TrialStats, metric_rows, run_scenario
 from .protocol import VARIANT_TP2_RELAY
+from .stream import Stream
 
 DEFAULT_SEED = 1729
 SUITE_NAMES = ("paper_tables",)
-
-TVD_SHOTS = 100_000
-TVD_LIMIT = 0.02
 
 
 @dataclass
@@ -347,39 +334,58 @@ def _evaluate(row: _Row, stats: TrialStats) -> SuiteRow:
     return SuiteRow(row.id, row.name, measured, target, tolerance, passed and also, info)
 
 
-def _criterion_7(seed: int) -> List[SuiteRow]:
-    """Total variation distance between the analytic sampler and the exact
-    statevector oracle, over every small state, basis, and position subset."""
-    worst = 0.0
-    worst_combo = ""
-    combos = 0
+class _FairBits:
+    """Stands in for a bit generator whose first 32-bit outputs carry the
+    given fair bits in their top bits, and whose later ones are zero: a
+    ``Stream`` over it draws those bits first."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, bits) -> None:
+        self._words = np.array(bits, dtype="<u4") << 31
+
+    def random_raw(self, size: int) -> np.ndarray:
+        words = np.zeros(2 * size, dtype="<u4")
+        words[: len(self._words)] = self._words[: 2 * size]
+        self._words = self._words[2 * size :]
+        return words.view("<u8")
+
+
+def _criterion_7() -> List[SuiteRow]:
+    """The register every trial measures through against the exact
+    statevector oracle, over every small state, basis, and position subset.
+
+    ``GhzRegister.measure`` reads one fair bit ahead per id and draws only
+    from those, so measuring a fresh register once for each of the 2^k
+    patterns of those k bits, all equally likely, gives its outcome
+    distribution exactly; it must equal the oracle's.
+    """
+    failures = combos = 0
+    first = ""
     for n in (2, 3, 4):
         for spec in all_specs(n):
             for basis in (Basis.Z, Basis.X):
                 for mask in range(1, 2**n):
-                    positions = [p + 1 for p in range(n) if mask & (1 << p)]
-                    rng_a = np.random.default_rng(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(7, combos, 0))
-                    )
-                    rng_b = np.random.default_rng(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(7, combos, 1))
-                    )
-                    counts_a = sample_outcome_counts(spec, positions, basis, rng_a, TVD_SHOTS)
-                    counts_b = oracle_outcome_counts(spec, positions, basis, rng_b, TVD_SHOTS)
-                    tvd = 0.5 * np.abs(counts_a - counts_b).sum() / TVD_SHOTS
+                    ids = [p for p in range(n) if mask & (1 << p)]
+                    k = len(ids)
+                    counts = np.zeros(2**k, dtype=np.int64)
+                    for bits in product((0, 1), repeat=k):
+                        outcome = GhzRegister((spec,)).measure(ids, [basis] * k, Stream(_FairBits(bits)))
+                        counts[sum(bit << (k - 1 - i) for i, bit in enumerate(outcome))] += 1
+                    positions = [p + 1 for p in ids]
                     combos += 1
-                    if tvd > worst:
-                        worst = float(tvd)
-                        worst_combo = f"n={n} index={spec.index} basis={basis.name} positions={positions}"
+                    if not np.array_equal(counts / 2**k, OracleRegister(spec).distribution(positions, basis)):
+                        failures += 1
+                        first = first or f"n={n} index={spec.index} basis={basis.name} positions={positions}"
     return [
         SuiteRow(
             "7",
-            "analytic sampler vs statevector oracle (max TVD)",
-            worst,
-            None,
-            f"< {TVD_LIMIT}",
-            worst < TVD_LIMIT,
-            f"{combos} combinations at {TVD_SHOTS} shots each; worst: {worst_combo}",
+            "trial register vs statevector oracle (combinations that differ)",
+            float(failures),
+            0.0,
+            EXACT,
+            failures == 0,
+            f"{combos} combinations, each exact over the fair bits it reads; first that differs: {first or 'none'}",
         )
     ]
 
@@ -440,13 +446,14 @@ def _criterion_8(seed: int) -> List[SuiteRow]:
     if pair_xor(four, 1, 2) != 0 or pair_xor(four, 2, 4) != 1 or pair_xor(four, 3, 3) != 0:
         failures += 1
     specs = [ghz_from_index(1, 3), ghz_from_index(5, 3), ghz_from_index(7, 4), ghz_from_index(2, 2)]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(8,)))
+    rng = Stream(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(8,))))
     for spec in specs:
+        ids = list(range(spec.n))
         for _ in range(2500):
-            outcome = sample_measurement(spec, range(1, spec.n + 1), Basis.Z, rng)
-            for i in range(1, spec.n + 1):
-                for j in range(i + 1, spec.n + 1):
-                    if outcome[i] ^ outcome[j] != pair_xor(spec, i, j):
+            outcome = GhzRegister((spec,)).measure(ids, [Basis.Z] * spec.n, rng)
+            for i in ids:
+                for j in ids[i + 1 :]:
+                    if outcome[i] ^ outcome[j] != pair_xor(spec, i + 1, j + 1):
                         failures += 1
     law = _no_failures("8.pair_xor", "pairwise XOR law over 10^4 sampled outcomes", failures)
     return [round_trip, expansion, law]
@@ -470,7 +477,7 @@ def paper_tables(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     criteria = [
         (crit, partial(table_rows, list(rows))) for crit, rows in groupby(_ROWS, key=lambda row: row.id.split(".")[0])
     ]
-    criteria += [("7", partial(_criterion_7, seed)), ("8", partial(_criterion_8, seed))]
+    criteria += [("7", _criterion_7), ("8", partial(_criterion_8, seed))]
     rows: List[SuiteRow] = []
     durations: Dict[str, float] = {}
     for crit_id, battery in criteria:

@@ -22,8 +22,9 @@ CRITERION_BOUNDS_SECONDS = {"1": 30.0, "2": 60.0, "7": 120.0}
 
 # sha256 of the battery's JSON, the bytes `qpcsim suite paper_tables --out`
 # writes.  Like the files under tests/data/golden/, it changes only with a
-# deliberate change to the order of random draws, or with added rows.
-SUITE_JSON_SHA256 = "6348a79c5dc59706b190814036f9debf0d9d87aadd9f8d346b808715b42e9d4c"
+# deliberate change to the order of random draws, or with added or redefined
+# rows.
+SUITE_JSON_SHA256 = "1a2c2ac01cb56e653a1d8d69fa3999ecbba121dcc5cd914370ab8b09a2285bff"
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,7 @@ def test_criterion_6_records_assisted_third_party(battery):
 def test_criterion_7_sampler_oracle_equivalence(battery):
     row = battery.row("7")
     report(battery, ["7"])
-    assert row.passed, f"max TVD {row.measured} (limit 0.02): {row.info}"
+    assert row.passed, f"{row.measured:.0f} combinations where the register's distribution is not the oracle's: {row.info}"
     assert battery.durations["7"] < CRITERION_BOUNDS_SECONDS["7"]
 
 

@@ -18,16 +18,17 @@ from qpcsim.adversaries import (
 from qpcsim.errors import ConfigError
 from qpcsim.ghz import ghz_from_index
 from qpcsim.protocol import VARIANT_TP2_RELAY, run_proposed
+from qpcsim.stream import Stream
 
 SIGMA3 = lambda p, n: 3 * np.sqrt(p * (1 - p) / n)  # noqa: E731
 
 
 def make_rng(*key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=987005, spawn_key=key))
+    return Stream(np.random.PCG64(np.random.SeedSequence(entropy=987005, spawn_key=key)))
 
 
 def random_secrets(n, m, rng):
-    return [[int(b) for b in rng.integers(0, 2, size=m)] for _ in range(n)]
+    return [rng.bits(m) for _ in range(n)]
 
 
 def test_eve_step2_detection_matches_closed_form():

@@ -5,11 +5,14 @@ three-particle examples (frozen below), hand expansions of tiny cases, and
 the brute-force statevector oracle.
 """
 
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as scipy_stats
 
 from qpcsim.ghz import (
     Basis,
@@ -23,17 +26,19 @@ from qpcsim.ghz import (
     ProductRegister,
     all_specs,
     ghz_from_index,
-    oracle_outcome_counts,
     pair_xor,
-    sample_measurement,
-    sample_outcome_counts,
     x_expansion,
 )
 from qpcsim.stream import Stream
+from qpcsim.suites import _FairBits
+
+
+def seed_sequence(*key):
+    return np.random.SeedSequence(entropy=987001, spawn_key=key)
 
 
 def make_rng(*key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=987001, spawn_key=key))
+    return Stream(np.random.PCG64(seed_sequence(*key)))
 
 
 def measure(reg, particles, basis, rng, register=0):
@@ -170,7 +175,7 @@ def test_pair_xor_matches_sampled_outcomes():
     rng = make_rng(1)
     for spec in (ghz_from_index(1, 3), ghz_from_index(5, 3), ghz_from_index(7, 4)):
         for _ in range(500):
-            outcome = sample_measurement(spec, range(1, spec.n + 1), Basis.Z, rng)
+            outcome = measure(GhzRegister([spec]), range(1, spec.n + 1), Basis.Z, rng)
             for i in range(1, spec.n + 1):
                 for j in range(i + 1, spec.n + 1):
                     assert outcome[i] ^ outcome[j] == pair_xor(spec, i, j)
@@ -205,7 +210,7 @@ def test_register_consumption_errors():
     with pytest.raises(ValueError):
         measure(GhzRegister([spec]), [2, 2], Basis.Z, rng)
     with pytest.raises(ValueError):
-        sample_measurement(spec, [], Basis.Z, rng)
+        OracleRegister(spec).measure([], Basis.Z, rng)
     with pytest.raises(IndexError):
         measure(GhzRegister([spec]), [4], Basis.Z, rng)
 
@@ -243,7 +248,7 @@ def test_scalar_draws_match_one_sized_draw(high):
     # harness all secrets at once, where other draw shapes would give the
     # same values; the golden outputs rely on it.
     for k in (1, 2, 7, 64):
-        one_at_a_time, sized = make_rng(16, high, k), make_rng(16, high, k)
+        one_at_a_time, sized = (np.random.default_rng(seed_sequence(16, high, k)) for _ in range(2))
         scalars = [int(one_at_a_time.integers(0, high)) for _ in range(k)]
         assert scalars == sized.integers(0, high, size=k).tolist(), (
             f"numpy {np.__version__}: {k} scalar integers(0, {high}) draws differ from one size={k} draw"
@@ -254,7 +259,7 @@ def test_scalar_draws_match_one_sized_draw(high):
         )
     # The harness draws n secrets of m bits as one (n, m) draw.
     for n, m in ((2, 1), (3, 16), (5, 7)):
-        by_row, shaped = make_rng(17, high, n, m), make_rng(17, high, n, m)
+        by_row, shaped = (np.random.default_rng(seed_sequence(17, high, n, m)) for _ in range(2))
         rows = [by_row.integers(0, high, size=m).tolist() for _ in range(n)]
         assert rows == shaped.integers(0, high, size=(n, m)).tolist(), (
             f"numpy {np.__version__}: {n} size={m} integers(0, {high}) draws differ from one size=({n}, {m}) draw"
@@ -282,7 +287,7 @@ def test_scalar_draws_match_one_sized_draw(high):
                 ops.append(("choice", total, int(plan.integers(1, total + 1))))
             else:
                 ops.append(("pick", int(plan.integers(1, 50))))
-        by_scalar, batched = make_rng(18, high, seq), make_rng(18, high, seq)
+        by_scalar, batched = (np.random.default_rng(seed_sequence(18, high, seq)) for _ in range(2))
         got, want = [], []
         for op in ops:
             for rng, out in ((by_scalar, got), (batched, want)):
@@ -338,46 +343,15 @@ def test_one_batch_measures_as_one_call_per_measurement():
                     outcomes.append(reg.measure(ids, bases, rng, forward))
                 else:
                     outcomes.append([reg.measure([i], [b], rng, forward)[0] for i, b in zip(ids, bases)])
-            runs.append((outcomes, reg.slots, reg.branch, reg.parity, rng.bit_generator.state))
+            runs.append((outcomes, reg.slots, reg.branch, reg.parity, rng.bits(3, 32)))
         assert runs[0] == runs[1], f"numpy {np.__version__}: sequence {seq} measures differently in one batch"
-
-
-@pytest.mark.parametrize("kept", [False, True])
-def test_measure_leaves_a_generator_where_its_draws_end(kept):
-    # A measurement reads bits ahead of those it draws.  Through a Generator
-    # it must still leave the generator where a trial stream's cursor ends,
-    # with or without a kept high half to start from.
-    for seq in range(100):
-        plan = np.random.default_rng([21, seq])
-        n, count = int(plan.integers(2, 6)), int(plan.integers(1, 4))
-        specs = [ghz_from_index(int(i), n) for i in plan.integers(1, 2**n + 1, size=count)]
-        photons = plan.integers(0, 4, size=int(plan.integers(0, 4))).tolist()
-        ids = plan.permutation(count * n + len(photons))[: int(plan.integers(1, count * n + 1))].tolist()
-        bases = plan.integers(0, 2, size=len(ids)).tolist()
-        runs = []
-        for wrapped in (True, False):
-            reg, rng = GhzRegister(specs), make_rng(21, seq)
-            reg.add_photons(photons)
-            if wrapped:
-                if kept:  # one 32-bit draw keeps the high half of a 64-bit output
-                    rng.integers(0, 2)
-                outcome = reg.measure(ids, bases, rng)
-                after = rng.integers(0, 2**32, size=3).tolist()
-            else:
-                stream = Stream(rng.bit_generator)
-                if kept:
-                    stream.bits(1)
-                outcome = reg.measure(ids, bases, stream)
-                after = stream.bits(3, 32)
-            runs.append((outcome, reg.slots, after))
-        assert runs[0] == runs[1], seq
 
 
 def test_full_x_parity_always_matches():
     rng = make_rng(4)
     for spec in all_specs(3):
         for _ in range(300):
-            outcome = sample_measurement(spec, [1, 2, 3], Basis.X, rng)
+            outcome = measure(GhzRegister([spec]), [1, 2, 3], Basis.X, rng)
             assert sum(outcome.values()) % 2 == spec.delta
 
 
@@ -416,60 +390,91 @@ def test_x_subset_then_z_keeps_branch_structure():
 
 
 # ---------------------------------------------------------------------------
-# Analytic sampler vs statevector oracle
+# Trial register vs statevector oracle
 # ---------------------------------------------------------------------------
 
 
-def _tvd(a, b, shots):
-    return 0.5 * np.abs(a - b).sum() / shots
+class _Pick:
+    """Stands in for the stream of one oracle measurement: draws ``value``
+    whatever the bound, and records the bound."""
+
+    def __init__(self, value):
+        self.value, self.bound = value, None
+
+    def below(self, bound):
+        self.bound = bound
+        return self.value
 
 
-def test_batched_counts_match_single_shot_sampler():
-    shots = 20_000
-    combos = [
-        (ghz_from_index(1, 3), (1, 2, 3), Basis.Z),
-        (ghz_from_index(1, 3), (2, 3), Basis.X),
-        (ghz_from_index(5, 3), (1, 2, 3), Basis.X),
-        (ghz_from_index(2, 2), (1,), Basis.Z),
-    ]
-    for spec, positions, basis in combos:
-        rng = make_rng(8, spec.index, len(positions), int(basis))
-        batched = sample_outcome_counts(spec, positions, basis, rng, shots)
-        loop = np.zeros_like(batched)
-        for _ in range(shots):
-            outcome = sample_measurement(spec, positions, basis, rng)
-            pattern = 0
-            for p in sorted(positions):
-                pattern = (pattern << 1) | outcome[p]
-            loop[pattern] += 1
-        assert _tvd(batched, loop, shots) < 0.03
+def _oracle_schedule(reg, schedule, weight=Fraction(1)):
+    """The exact joint distribution of a schedule's outcomes on the oracle:
+    each step picks one pattern of a power-of-two support, uniformly."""
+    if not schedule:
+        return Counter({(): weight})
+    (particle, basis), rest = schedule[0], schedule[1:]
+    probe = _Pick(0)
+    reg.clone().measure([particle], basis, probe)
+    assert probe.bound & (probe.bound - 1) == 0, probe.bound
+    joint = Counter()
+    for value in range(probe.bound):
+        branch = reg.clone()
+        bit = branch.measure([particle], basis, _Pick(value))[particle]
+        for outcomes, p in _oracle_schedule(branch, rest, weight / probe.bound).items():
+            joint[(bit,) + outcomes] += p
+    return joint
 
 
-def test_sampler_oracle_equivalence_smoke():
-    # Full-scale (n <= 4, 10^5 shots) equivalence runs in the acceptance
-    # battery; this keeps a fast guard on every n = 2, 3 combination.
-    shots = 20_000
-    worst = 0.0
-    for n in (2, 3):
+def _register_schedule(spec, schedule):
+    """The exact joint distribution of a schedule's outcomes on the trial
+    register: one run per pattern of the fair bits its steps read (one
+    each), all equally likely."""
+    joint = Counter()
+    for bits in product((0, 1), repeat=len(schedule)):
+        reg, rng = GhzRegister([spec]), Stream(_FairBits(bits))
+        outcomes = tuple(reg.measure([particle - 1], [basis], rng)[0] for particle, basis in schedule)
+        joint[outcomes] += Fraction(1, 2 ** len(schedule))
+    return joint
+
+
+@pytest.mark.parametrize("n, count", [(2, 32), (3, 384)])
+def test_sequential_schedules_match_the_oracle_exactly(n, count):
+    # Every particle order and basis per step, one particle per step, so
+    # each step sees what earlier measurements left: 416 schedules at n <= 3.
+    schedules = 0
+    for spec in all_specs(n):
+        for order in permutations(range(1, n + 1)):
+            for bases in product((Basis.Z, Basis.X), repeat=n):
+                schedule = list(zip(order, bases))
+                want = _oracle_schedule(OracleRegister(spec), schedule)
+                assert _register_schedule(spec, schedule) == want, (spec, schedule)
+                schedules += 1
+    assert schedules == count
+
+
+class _Integers:
+    """Draws as the oracle drew from a ``Generator``: ``integers(0, bound)``."""
+
+    def __init__(self, generator):
+        self.generator = generator
+
+    def below(self, bound):
+        return int(self.generator.integers(0, bound))
+
+
+def test_oracle_picks_what_integers_picks():
+    # The oracle picks a support pattern with one draw below the support's
+    # size, which must be the value ``integers(0, size)`` gives.
+    for n in (2, 3, 4):
         for spec in all_specs(n):
-            for basis in (Basis.Z, Basis.X):
-                for mask in range(1, 2**n):
-                    positions = [p + 1 for p in range(n) if mask & (1 << p)]
-                    rng_a = make_rng(9, n, spec.index, int(basis), mask, 0)
-                    rng_b = make_rng(9, n, spec.index, int(basis), mask, 1)
-                    a = sample_outcome_counts(spec, positions, basis, rng_a, shots)
-                    b = oracle_outcome_counts(spec, positions, basis, rng_b, shots)
-                    worst = max(worst, _tvd(a, b, shots))
-    assert worst < 0.035
-
-
-def test_proper_subset_x_is_uniform_chisquare():
-    spec = ghz_from_index(1, 3)
-    rng = make_rng(10)
-    counts = sample_outcome_counts(spec, (2, 3), Basis.X, rng, 100_000)
-    assert scipy_stats.chisquare(counts).pvalue > 0.001
-    oracle_counts = oracle_outcome_counts(spec, (2, 3), Basis.X, rng, 100_000)
-    assert scipy_stats.chisquare(oracle_counts).pvalue > 0.001
+            rng, reference = make_rng(33, n, spec.index), np.random.default_rng(seed_sequence(33, n, spec.index))
+            for _ in range(20):
+                runs = []
+                for source in (rng, _Integers(reference)):
+                    reg = OracleRegister(spec)
+                    first = reg.measure_mixed({n: Basis.X}, source)
+                    runs.append((first, reg.measure_mixed({p: Basis(p % 2) for p in range(1, n)}, source)))
+                assert runs[0] == runs[1], spec
+            assert rng.bits(3, 32) == reference.integers(0, 2**32, size=3).tolist()
 
 
 def test_oracle_exact_distributions():

@@ -315,6 +315,32 @@ def test_an_idle_worker_survives_ctrl_c(monkeypatch):
         assert run_scenario(scenario, jobs=2).to_json() == run_scenario(scenario).to_json()
 
 
+@pytest.mark.parametrize("reaped", [True, False], ids=["reaped", "dying"])
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_a_killed_idle_worker_is_reported_and_replaced(monkeypatch, method, reaped):
+    # A worker already gone breaks its pipe on the next send; one still
+    # dying, as a rule, resets it on the next receive instead.  Either way
+    # it is reported as a worker that exited.
+    monkeypatch.setattr(qpcsim.harness, "Process", multiprocessing.get_context(method).Process)
+    qpcsim.harness._stop_workers()
+    scenario = small_scenario(trials=4)
+    try:
+        with _within(60):
+            run_scenario(scenario, jobs=2)
+            ((_, killed),) = qpcsim.harness._workers
+            os.kill(killed.pid, signal.SIGKILL)
+            if reaped:
+                killed.join()
+            with pytest.raises(RuntimeError, match="exited with code -9"):
+                run_scenario(scenario, jobs=2)
+            assert qpcsim.harness._workers == []
+            assert run_scenario(scenario, jobs=2).to_json() == run_scenario(scenario).to_json()
+            ((_, fresh),) = qpcsim.harness._workers
+            assert fresh.pid != killed.pid and fresh.is_alive()
+    finally:
+        qpcsim.harness._stop_workers()
+
+
 _CALL_AND_WAIT = """
 import multiprocessing, sys
 from qpcsim.harness import Scenario, run_scenario

@@ -15,11 +15,15 @@ from qpcsim.photons import (
     interleave,
     public_discussion,
 )
-from qpcsim.stream import replay_choice
+from qpcsim.stream import Stream, replay_choice
+
+
+def seed_sequence(*key):
+    return np.random.SeedSequence(entropy=987002, spawn_key=key)
 
 
 def make_rng(*key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=987002, spawn_key=key))
+    return Stream(np.random.PCG64(seed_sequence(*key)))
 
 
 def photons(states):
@@ -38,6 +42,13 @@ def test_generate_decoys_frequencies():
     assert generate_decoys(0, make_rng(2)) == []
     with pytest.raises(ValueError):
         generate_decoys(-1, make_rng(3))
+
+
+@pytest.mark.parametrize("count", [0, 1, 33])
+def test_generate_decoys_draws_what_integers_draws(count):
+    rng, reference = make_rng(40, count), np.random.default_rng(seed_sequence(40, count))
+    assert generate_decoys(count, rng) == reference.integers(0, 4, size=count).tolist()
+    assert rng.bits(3, 32) == reference.integers(0, 2**32, size=3).tolist()
 
 
 def test_matching_basis_is_deterministic():
@@ -94,7 +105,7 @@ def test_interleave_trivial_and_lengths():
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12), st.integers())
 @settings(max_examples=60, deadline=None)
 def test_interleave_preserves_carrier_order(num_carriers, num_decoys, seed_key):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=987003, spawn_key=(abs(seed_key) % 2**32,)))
+    rng = Stream(np.random.PCG64(np.random.SeedSequence(entropy=987003, spawn_key=(abs(seed_key) % 2**32,))))
     carriers = [f"carrier-{i}" for i in range(num_carriers)]
     (decoys, draws), = interleave(num_carriers, num_decoys, 1, rng)
     link = Link(None, carriers, decoys, replay_choice(num_carriers + num_decoys, num_decoys, draws))
@@ -117,12 +128,12 @@ def _draw_links_one_by_one(carriers, decoys, links, rng):
 
 
 def _assert_one_call_equals_per_link_calls(population, decoys, links, key):
-    rng, reference = make_rng(*key), make_rng(*key)
+    rng, reference = make_rng(*key), np.random.default_rng(seed_sequence(*key))
     carriers = population - decoys
     drawn = interleave(carriers, decoys, links, rng)
     merged = [(states, replay_choice(population, decoys, draws)) for states, draws in drawn]
     assert merged == _draw_links_one_by_one(carriers, decoys, links, reference)
-    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.bits(3, 32) == reference.integers(0, 2**32, size=3).tolist()
 
 
 @pytest.mark.parametrize(
@@ -139,7 +150,7 @@ def test_one_call_draws_what_per_link_calls_draw_at_the_sampler_cutoffs(populati
 
 
 def test_one_call_draws_what_per_link_calls_draw():
-    setup = make_rng(31)
+    setup = np.random.default_rng(seed_sequence(31))
     for case in range(600):
         population = int(setup.integers(1, 70))
         decoys = int(setup.integers(0, population + 1))
@@ -169,7 +180,7 @@ def test_intercept_resend_per_decoy_detection_quarter():
     for _ in range(trials):
         prep = generate_decoys(1, rng)[0]
         reg, ids = photons([prep])
-        reg.measure(ids, [Basis(int(rng.integers(0, 2)))], rng, forward=True)
+        reg.measure(ids, [Basis(rng.below(2))], rng, forward=True)
         detected += reg.measure(ids, [Basis(prep >> 1)], rng)[0] != prep & 1
     assert abs(detected / trials - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / trials)
 
@@ -183,7 +194,7 @@ def test_intercept_resend_sequence_detection_curve():
         for _ in range(trials):
             decoys = generate_decoys(l, rng)
             reg, ids = photons(decoys)
-            reg.measure(ids, rng.integers(0, 2, size=l).tolist(), rng, forward=True)
+            reg.measure(ids, rng.bits(l), rng, forward=True)
             results = reg.measure(ids, [Basis(d >> 1) for d in decoys], rng)
             detected += not public_discussion([Basis(d >> 1) for d in decoys], results, decoys).passed
         assert abs(detected / trials - target) <= 3 * np.sqrt(target * (1 - target) / trials)

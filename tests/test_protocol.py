@@ -10,7 +10,7 @@ import pytest
 
 from qpcsim import harness, protocol
 from qpcsim.adversaries import TP1, AdversaryStrategy, EveInterceptResend, TpFakeResult
-from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, sample_measurement
+from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index
 from qpcsim.harness import Scenario, _draw_secrets, run_trial
 from qpcsim.photons import Link, QuantumChannel, interleave, public_discussion
 from qpcsim.protocol import (
@@ -35,12 +35,16 @@ from qpcsim.stream import RAW_WORDS, Stream
 from qpcsim.suites import _SCENARIOS
 
 
+def seed_sequence(*key):
+    return np.random.SeedSequence(entropy=987004, spawn_key=key)
+
+
 def make_rng(*key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=987004, spawn_key=key))
+    return Stream(np.random.PCG64(seed_sequence(*key)))
 
 
 def random_secrets(n, m, rng):
-    return [[int(b) for b in rng.integers(0, 2, size=m)] for _ in range(n)]
+    return [rng.bits(m) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +235,8 @@ def test_zhang_anticorrelated_bell_state():
     spec = GhzSpec((0, 1), 1)
     rng = make_rng(10)
     for _ in range(100):
-        outcome = sample_measurement(spec, [1, 2], Basis.Z, rng)
-        assert outcome[1] ^ outcome[2] == 1
+        first, second = GhzRegister([spec]).measure([0, 1], [Basis.Z, Basis.Z], rng)
+        assert first ^ second == 1
 
 
 def test_zhang_fake_result_goes_undetected():
@@ -391,13 +395,13 @@ class _LinkTaps(AdversaryStrategy):
 
 
 def _intercept_resend(link, rng):
-    link.measure(rng.integers(0, 2, size=len(link.slots)).tolist(), rng, forward=True)
+    link.measure(rng.bits(len(link.slots)), rng, forward=True)
 
 
 def _flip_decoy_bits(link, rng):
     """Flip some decoys' bits in their own basis: no draw tells them apart."""
     slots = link.state.slots
-    for i, flip in zip(link.decoy_ids, rng.integers(0, 2, size=len(link.decoy_ids)).tolist()):
+    for i, flip in zip(link.decoy_ids, rng.bits(len(link.decoy_ids))):
         slots[i] ^= flip
 
 
@@ -408,10 +412,10 @@ def _measure_every_decoy(run, registers, decoy_count, tolerance, rng):
     reports = []
     n = registers.particles
     for k in range(1, n + 1):
-        decoys = rng.integers(0, 4, size=decoy_count).tolist()
+        decoys = rng.bits(decoy_count, 2)
         carried = range(k - 1, registers.n, n)
         decoy_ids = registers.add_photons(decoys)
-        slots = sorted(rng.choice(len(carried) + decoy_count, size=decoy_count, replace=False).tolist())
+        slots = rng.sample(len(carried) + decoy_count, decoy_count)
         link = Link(registers, carried, decoy_ids, slots)
         QuantumChannel(TP1, f"P{k}", run.taps(k)).transmit(link, rng)
         bases = [d >> 1 for d in decoys]
@@ -420,7 +424,7 @@ def _measure_every_decoy(run, registers, decoy_count, tolerance, rng):
 
 
 def test_decoy_check_matches_measuring_every_decoy():
-    setup = make_rng(70)
+    setup = np.random.default_rng(seed_sequence(70))
     tap_choices = [(), (_intercept_resend,), (_flip_decoy_bits,), (_intercept_resend, _flip_decoy_bits)]
     mismatched = tolerated = 0
     for case in range(300):
@@ -436,7 +440,7 @@ def test_decoy_check_matches_measuring_every_decoy():
         assert [(c["passed"], c["mismatches"], c["total"]) for c in t.decoy_checks] == expected
         for attr in ("slots", "branch", "parity", "left"):
             assert getattr(registers, attr) == getattr(reference, attr), attr
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert rng.bits(3, 32) == reference_rng.bits(3, 32)
         mismatched += sum(report[1] > 0 for report in expected)
         tolerated += sum(report[0] and report[1] > 0 for report in expected)
     # The cases reach both disturbed outcomes, so the comparison is not vacuous.
@@ -492,7 +496,7 @@ class _CountingStream(Stream):
 def _counted_trial(scenario):
     """The draws of one trial, its secrets drawn as the harness draws them,
     and the sizes of the raw generator calls that served them."""
-    source = _RawCounter(make_rng(80, scenario.n, scenario.check_rounds or 0).bit_generator)
+    source = _RawCounter(np.random.PCG64(seed_sequence(80, scenario.n, scenario.check_rounds or 0)))
     rng = _CountingStream(source)
     secrets = _draw_secrets(scenario, rng)
     if scenario.protocol == "proposed":

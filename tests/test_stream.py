@@ -93,29 +93,6 @@ def test_a_trial_stream_refills_where_it_left_off():
     assert stream.bits(3, 32) == _next_draws(reference)
 
 
-# A wrapped generator's stream fetches only what each draw needs, so it
-# refills within almost every draw and splits runs of bounds across refills.
-@pytest.mark.parametrize("kept", [False, True])
-def test_wrapped_generator_starts_and_ends_where_its_draws_do(kept):
-    plan = make_rng(4, kept)
-    for case in range(100):
-        calls = _random_calls(plan)
-        rng, reference = make_rng(5, case), make_rng(5, case)
-        if kept:  # one 32-bit draw leaves the high half of a 64-bit output kept
-            assert int(rng.integers(0, 2)) == int(reference.integers(0, 2))
-            assert rng.bit_generator.state["has_uint32"] == 1
-        with Stream.wrap(rng) as stream:
-            got = [_from_stream(stream, call) for call in calls]
-        assert got == [_from_generator(reference, call) for call in calls], case
-        assert rng.bit_generator.state == reference.bit_generator.state, case
-        assert _next_draws(rng) == _next_draws(reference)
-
-
-def test_wrap_needs_a_bit_generator_that_splits_its_outputs():
-    with pytest.raises(TypeError, match="MT19937"):
-        Stream.wrap(np.random.Generator(np.random.MT19937(1)))
-
-
 def test_bounds_outside_32_bits_are_rejected():
     for bad in ([0], [2**32 + 1], [3, -1]):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ An adversary is one dataclass: its params plus the hooks a protocol run
 calls at fixed points (register preparation, quantum channel taps, the
 classical position broadcast, and result announcements).  After the run
 ``finalize`` scores it from the run's transcript as an ``AttackOutcome``
-(detection flag plus the attacker's per-bit guessing record against a
-victim's secret).
+(the attacker's per-bit guessing record against a victim's secret); the
+attack counts as detected exactly when the run aborts.
 
 Guessing accounts only for what the attacker can actually see: its own
 measurement records, its legitimate role knowledge, and all public
@@ -59,9 +59,6 @@ ALL_KINDS = (
 class AttackOutcome:
     """What a strategy achieved in one run."""
 
-    kind: str
-    detected: bool
-    detection_step: Optional[int]
     bits_guessed: int = 0
     bits_correct: int = 0
     extras: Dict[str, int] = field(default_factory=dict)
@@ -77,14 +74,6 @@ class AdversaryStrategy:
         """The object whose hooks one run calls: the strategy itself, or a
         fresh copy for kinds that record during a run."""
         return self
-
-    def participants(self) -> Dict[str, Tuple[int, ...]]:
-        """The participant indices each param names, for range checks."""
-        return {}
-
-    def states(self) -> Dict[str, GhzSpec]:
-        """The state each param names, for particle-count checks."""
-        return {}
 
     def override_preparation(self, n: int, count: int, rng: Stream):
         """Return (registers, true_states, claimed_specs) or None for honest."""
@@ -135,9 +124,6 @@ class EveInterceptResend(AdversaryStrategy):
     def start_run(self) -> "EveInterceptResend":
         return replace(self)
 
-    def participants(self) -> Dict[str, Tuple[int, ...]]:
-        return {"links": self.links, "victim": () if self.victim is None else (self.victim,)}
-
     def taps(self, link: int):
         if link not in self.links:
             return ()
@@ -178,7 +164,7 @@ class EveInterceptResend(AdversaryStrategy):
         return None
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        out = AttackOutcome()
         if t.aborted or self.victim is None:
             return out
         secret = t.secrets[self.victim - 1]
@@ -240,10 +226,6 @@ class Tp1FakeInitialState(AdversaryStrategy):
     built: Dict[Tuple[int, int], tuple] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_TP1_FAKE_STATE
 
-    def states(self) -> Dict[str, GhzSpec]:
-        named = {"true_state": self.true_state, "claimed": self.claimed}
-        return {name: state for name, state in named.items() if isinstance(state, GhzSpec)}
-
     def override_preparation(self, n: int, count: int, rng: Stream):
         return _fixed_preparation(self.built, n, count, self._prepare)
 
@@ -263,8 +245,19 @@ class Tp1FakeInitialState(AdversaryStrategy):
         return registers, true_states, [claimed] * count
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        out = AttackOutcome()
         if t.aborted:
+            return out
+        if TP in t.announcements:
+            # The baseline's TP receives only c1 ^ c2, and knows k1 ^ k2 of
+            # what it handed out, product or entangled alike: it reads
+            # s1 ^ s2, one bit per comparison position.
+            for idx, position in enumerate(t.comparison_positions):
+                true = t.true_states[position]
+                pad = pair_xor(true, 1, 2) if isinstance(true, GhzSpec) else true[0] ^ true[1]
+                guess = t.comps[1][idx] ^ t.comps[2][idx] ^ pad
+                out.bits_correct += int(guess == t.secrets[0][idx] ^ t.secrets[1][idx])
+            out.bits_guessed = len(t.comparison_positions)
             return out
         # The preparer knows exactly what it handed out.  A product
         # preparation fixes every key bit; a wrong entangled preparation
@@ -304,9 +297,6 @@ class TpFakeResult(AdversaryStrategy):
         if self.pairs != "all":
             self.pairs = {(min(p), max(p)) for p in self.pairs}
 
-    def participants(self) -> Dict[str, Tuple[int, ...]]:
-        return {"pairs": () if self.pairs == "all" else tuple(p for pair in sorted(self.pairs) for p in pair)}
-
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
         # The baseline has a single announcer (TP), which any fake-result
         # strategy targets.
@@ -315,7 +305,7 @@ class TpFakeResult(AdversaryStrategy):
         return DIFFERENT if verdict == IDENTICAL else IDENTICAL
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        return AttackOutcome(self.kind, t.aborted, t.abort_step)
+        return AttackOutcome()
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +328,8 @@ class ParticipantInfer(AdversaryStrategy):
     counterfactual: bool = False
     kind = KIND_PARTICIPANT_INFER
 
-    def participants(self) -> Dict[str, Tuple[int, ...]]:
-        return {"attacker": (self.attacker,), "victim": (self.victim,)}
-
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        out = AttackOutcome()
         if t.aborted:
             return out
         own = t.keys[self.attacker]
@@ -396,9 +383,6 @@ class ClassicalPositionTamper(AdversaryStrategy):
         run.built = self.built
         return run
 
-    def states(self) -> Dict[str, GhzSpec]:
-        return {} if self.spec_pair is None else {"pair[0]": self.spec_pair[0], "pair[1]": self.spec_pair[1]}
-
     def override_preparation(self, n: int, count: int, rng: Stream):
         if self.policy != POLICY_PAIRED:
             return None
@@ -444,7 +428,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
         return received
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome(self.kind, t.aborted, t.abort_step)
+        out = AttackOutcome()
         distinct = sum(
             1
             for _, p, target in self.tampered
@@ -479,28 +463,40 @@ def _list_param(value: object, name: str, what: str) -> list:
     return list(value)
 
 
-def _spec_from(value: object, what: str) -> GhzSpec:
-    if isinstance(value, GhzSpec):
-        return value
+def _participant(value: object, name: str, n: int) -> int:
+    p = _int_param(value, name)
+    if p > n:
+        raise ConfigError(f"adversary param `{name}` must name a participant in 1..{n}, got {p}")
+    return p
+
+
+def _spec_from(value: object, what: str, n: int) -> GhzSpec:
+    spec = value
     if isinstance(value, dict):
         try:
-            return GhzSpec.from_dict(value)
+            spec = GhzSpec.from_dict(value)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid state for `{what}`: {exc}") from exc
-    raise ConfigError(f"`{what}` must be a state object with keys q/delta")
+    if not isinstance(spec, GhzSpec):
+        raise ConfigError(f"`{what}` must be a state object with keys q/delta")
+    if spec.n != n:
+        raise ConfigError(f"adversary param `{what}` must be a {n}-particle state, got {spec.n}")
+    return spec
 
 
-def _pair_from(value: object) -> Tuple[int, int]:
+def _pair_from(value: object, n: int) -> Tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"adversary param `pairs` must hold [i, j] participant pairs, got {value!r}")
-    i, j = (_int_param(v, "pairs") for v in value)
+    i, j = (_participant(v, "pairs", n) for v in value)
     if i == j:
         raise ConfigError(f"adversary param `pairs` must pair two distinct participants, got {value!r}")
     return i, j
 
 
-def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryStrategy:
-    """Build a strategy from config-document data, validating params."""
+def strategy_from_config(kind: str, params: Optional[dict], n: int) -> AdversaryStrategy:
+    """Build a strategy from config-document data for a run of n
+    participants, validating params: the participants they name must be in
+    1..n, and the states they name must have n particles."""
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise ConfigError(f"field `adversary.params` must be an object, got {params!r}")
@@ -513,28 +509,28 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
         victim = params.get("victim")
         cls = Tp2Intercept if kind == KIND_TP2_INTERCEPT else EveInterceptResend
         return cls(
-            links=tuple(_int_param(x, "links") for x in links),
-            victim=None if victim is None else _int_param(victim, "victim"),
+            links=tuple(_participant(x, "links", n) for x in links),
+            victim=None if victim is None else _participant(victim, "victim", n),
         )
     if kind == KIND_TP1_FAKE_STATE:
         _require_keys(params, {"true_state", "claimed"}, kind)
         true_state = params.get("true_state", "zeros")
         if true_state != "zeros":
-            true_state = _spec_from(true_state, "true_state")
+            true_state = _spec_from(true_state, "true_state", n)
         claimed = params.get("claimed")
         if claimed is not None:
-            claimed = _spec_from(claimed, "claimed")
+            claimed = _spec_from(claimed, "claimed", n)
         return Tp1FakeInitialState(true_state=true_state, claimed=claimed)
     if kind in (KIND_TP1_FAKE_RESULT, KIND_TP2_FAKE_RESULT):
         _require_keys(params, {"pairs"}, kind)
         pairs = params.get("pairs", "all")
         if pairs != "all":
-            pairs = [_pair_from(p) for p in _list_param(pairs, "pairs", '[i, j] pairs (or "all")')]
+            pairs = [_pair_from(p, n) for p in _list_param(pairs, "pairs", '[i, j] pairs (or "all")')]
         return TpFakeResult(announcer=TP2 if kind == KIND_TP2_FAKE_RESULT else TP1, pairs=pairs)
     if kind == KIND_PARTICIPANT_INFER:
         _require_keys(params, {"attacker", "victim", "counterfactual"}, kind)
-        attacker = _int_param(params.get("attacker", 1), "attacker")
-        victim = _int_param(params.get("victim", 2), "victim")
+        attacker = _participant(params.get("attacker", 1), "attacker", n)
+        victim = _participant(params.get("victim", 2), "victim", n)
         if attacker == victim:
             raise ConfigError(f"adversary params `attacker` and `victim` must differ, both are {attacker}")
         counterfactual = params.get("counterfactual", False)
@@ -550,7 +546,7 @@ def strategy_from_config(kind: str, params: Optional[dict] = None) -> AdversaryS
         if pair is not None:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError("tamper param `pair` must hold exactly two states")
-            pair = (_spec_from(pair[0], "pair[0]"), _spec_from(pair[1], "pair[1]"))
+            pair = (_spec_from(pair[0], "pair[0]", n), _spec_from(pair[1], "pair[1]", n))
         count = _int_param(params.get("count", 1), "count", low=0)
         return ClassicalPositionTamper(count=count, policy=policy, spec_pair=pair)
     raise ConfigError(f"unknown adversary kind `{kind}` (expected one of {', '.join(ALL_KINDS)})")

@@ -92,12 +92,6 @@ class GhzSpec:
             value = (value << 1) | b
         return value
 
-    def label(self) -> str:
-        q = "".join(str(b) for b in self.q)
-        qbar = "".join(str(1 - b) for b in self.q)
-        sign = "-" if self.delta else "+"
-        return f"(|{q}> {sign} |{qbar}>)/sqrt(2)"
-
     def to_dict(self) -> dict:
         return {"q": "".join(str(b) for b in self.q), "delta": self.delta}
 

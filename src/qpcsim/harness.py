@@ -15,14 +15,14 @@ import signal
 # Unused here: the benchmark's tracer still wraps this name (as
 # adversaries.RunHandle is kept for it).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import adversaries
+from . import adversaries, ghz
 from . import protocol as proto
 from .errors import ConfigError
 from .stream import Stream, TrialSeeds
@@ -51,6 +51,11 @@ MAX_JOBS = 64
 class AdversarySpec:
     kind: str = "none"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # A config's `params: null` reads as no params.
+        if self.params is None:
+            self.params = {}
 
 
 @dataclass
@@ -88,40 +93,25 @@ class Scenario:
 
     def strategy(self) -> adversaries.AdversaryStrategy:
         """The adversary this scenario names, built from its params."""
-        return adversaries.strategy_from_config(self.adversary.kind, self.adversary.params)
+        return adversaries.strategy_from_config(self.adversary.kind, self.adversary.params, self.n)
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"field `protocol` must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if not _is_int(self.n) or self.n < 2:
-            raise ConfigError(f"field `n` must be an integer >= 2, got {self.n!r}")
-        if self.n > 20:
-            raise ConfigError(f"field `n` must be <= 20, got {self.n}")
+        for name, low, high in _INT_BOUNDS:
+            value = getattr(self, name)
+            # A field whose default is None may be None.
+            if value is None and getattr(Scenario, name) is None:
+                continue
+            if not _is_int(value) or value < low or (high is not None and value > high):
+                bound = f">= {low}" if high is None else f"in {low}..{high}"
+                raise ConfigError(f"field `{name}` must be an integer {bound}, got {value!r}")
         if self.protocol == "zhang_baseline" and self.n != 2:
             raise ConfigError("field `n` must be 2 for the zhang_baseline protocol")
-        if not _is_int(self.m) or not 1 <= self.m <= MAX_M:
-            raise ConfigError(f"field `m` must be an integer in 1..{MAX_M}, got {self.m!r}")
-        if self.check_rounds is not None:
-            if not _is_int(self.check_rounds) or not 0 <= self.check_rounds <= MAX_CHECK_ROUNDS:
-                raise ConfigError(
-                    f"field `check_rounds` must be an integer in 0..{MAX_CHECK_ROUNDS}, got {self.check_rounds!r}"
-                )
-            if self.protocol == "proposed" and self.check_rounds > self.m:
-                raise ConfigError(f"field `check_rounds` must be <= m={self.m}, got {self.check_rounds}")
-        if self.decoy_count is not None and (
-            not _is_int(self.decoy_count) or not 0 <= self.decoy_count <= MAX_DECOY_COUNT
-        ):
-            raise ConfigError(
-                f"field `decoy_count` must be an integer in 0..{MAX_DECOY_COUNT}, got {self.decoy_count!r}"
-            )
+        if self.protocol == "proposed" and self.check_rounds is not None and self.check_rounds > self.m:
+            raise ConfigError(f"field `check_rounds` must be <= m={self.m}, got {self.check_rounds}")
         if self.variant not in proto.VARIANTS:
             raise ConfigError(f"field `variant` must be one of {proto.VARIANTS}, got {self.variant!r}")
-        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
-            raise ConfigError(f"field `trials` must be an integer in 1..{MAX_TRIALS}, got {self.trials!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"field `seed` must be a nonnegative integer, got {self.seed!r}")
-        if not _is_int(self.decoy_tolerance) or self.decoy_tolerance < 0:
-            raise ConfigError(f"field `decoy_tolerance` must be a nonnegative integer, got {self.decoy_tolerance!r}")
         if not isinstance(self.announce_r_vectors, bool):
             raise ConfigError(f"field `announce_r_vectors` must be true or false, got {self.announce_r_vectors!r}")
         if self.protocol == "zhang_baseline":
@@ -161,57 +151,35 @@ class Scenario:
                     f"field `secrets.policy`: forced_unequal would take about {1 / distinct:.3g} draws of"
                     f" {self.n} secrets per trial (at most 1000 allowed); raise m or use uniform"
                 )
-        # Constructing the strategy validates kind and params; the
-        # participants it names must exist in a run of n, and the states it
-        # names must have n particles.
-        strategy = self.strategy()
-        for param, indices in strategy.participants().items():
-            for p in indices:
-                if not 1 <= p <= self.n:
-                    raise ConfigError(f"adversary param `{param}` must name a participant in 1..{self.n}, got {p}")
-        for param, state in strategy.states().items():
-            if state.n != self.n:
-                raise ConfigError(f"adversary param `{param}` must be a {self.n}-particle state, got {state.n}")
+        # Constructing the strategy checks kind and params against n.
+        self.strategy()
 
     def to_config(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "protocol": self.protocol,
-            "n": self.n,
-            "m": self.m,
-            "check_rounds": self.check_rounds,
-            "decoy_count": self.decoy_count,
-            "variant": self.variant,
-            "adversary": {"kind": self.adversary.kind, "params": self.adversary.params},
-            "secrets": {"policy": self.secrets.policy, "values": self.secrets.values},
-            "trials": self.trials,
-            "seed": self.seed,
-            "announce_r_vectors": self.announce_r_vectors,
-            "decoy_tolerance": self.decoy_tolerance,
-        }
+        doc = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = dict(vars(value)) if f.name in _SECTIONS else value
+        return doc
+
+
+# The integer fields and their bounds, inclusive (None: unbounded above).
+_INT_BOUNDS = (
+    ("n", 2, ghz.MAX_PARTICLES),
+    ("m", 1, MAX_M),
+    ("check_rounds", 0, MAX_CHECK_ROUNDS),
+    ("decoy_count", 0, MAX_DECOY_COUNT),
+    ("trials", 1, MAX_TRIALS),
+    ("seed", 0, None),
+    ("decoy_tolerance", 0, None),
+)
+# The fields that are nested objects in a config document.
+_SECTIONS = {"adversary": AdversarySpec, "secrets": SecretsSpec}
+_TOP_KEYS = {f.name for f in fields(Scenario)} | {"schema_version", "output"}
 
 
 def _is_int(value: object) -> bool:
     # JSON true/false arrive as bool, which Python counts as an int.
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-_TOP_KEYS = {
-    "schema_version",
-    "protocol",
-    "n",
-    "m",
-    "check_rounds",
-    "decoy_count",
-    "variant",
-    "adversary",
-    "secrets",
-    "trials",
-    "seed",
-    "announce_r_vectors",
-    "decoy_tolerance",
-    "output",
-}
 
 
 def scenario_from_config(doc: dict) -> Scenario:
@@ -227,34 +195,22 @@ def scenario_from_config(doc: dict) -> Scenario:
     version = doc.get("schema_version")
     if not _is_int(version) or version != SCHEMA_VERSION:
         raise ConfigError(f"field `schema_version` must be {SCHEMA_VERSION}, got {version!r}")
-    adversary_doc = _section(doc, "adversary", ("kind", "params"))
-    secrets_doc = _section(doc, "secrets", ("policy", "values"))
+    # Only the fields the document has: the dataclasses hold the defaults.
+    values = {f.name: doc[f.name] for f in fields(Scenario) if f.name in doc}
+    for name, spec in _SECTIONS.items():
+        values[name] = spec(**_section(doc, name, [f.name for f in fields(spec)]))
     output_doc = _section(doc, "output", ("path", "format"))
     path, fmt = output_doc.get("path"), output_doc.get("format")
     if path is not None and not isinstance(path, str):
         raise ConfigError(f"field `output.path` must be a string, got {path!r}")
     if fmt not in (None, "json", "csv"):
         raise ConfigError(f"field `output.format` must be json or csv, got {fmt!r}")
-    params = adversary_doc.get("params")
-    scenario = Scenario(
-        protocol=doc.get("protocol", "proposed"),
-        n=doc.get("n", 3),
-        m=doc.get("m", 16),
-        check_rounds=doc.get("check_rounds"),
-        decoy_count=doc.get("decoy_count"),
-        variant=doc.get("variant", proto.VARIANT_BROADCAST),
-        adversary=AdversarySpec(adversary_doc.get("kind", "none"), {} if params is None else params),
-        secrets=SecretsSpec(secrets_doc.get("policy", "uniform"), secrets_doc.get("values")),
-        trials=doc.get("trials", 1000),
-        seed=doc.get("seed", 0),
-        announce_r_vectors=doc.get("announce_r_vectors", False),
-        decoy_tolerance=doc.get("decoy_tolerance", 0),
-    )
+    scenario = Scenario(**values)
     scenario.validate()
     return scenario
 
 
-def _section(doc: dict, name: str, keys: Tuple[str, ...]) -> dict:
+def _section(doc: dict, name: str, keys: Sequence[str]) -> dict:
     """A nested object of a config document; absent or null reads as empty."""
     section = doc.get(name)
     if section is None:
@@ -419,7 +375,8 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         bump(f"arbiter_{t.arbiter.lower()}")
     attack = t.attack
     if attack is not None:
-        if attack.detected:
+        # An attack is detected exactly when its run aborts.
+        if t.aborted:
             bump("attack_detected")
         bump("attack_bits_guessed", attack.bits_guessed)
         bump("attack_bits_correct", attack.bits_correct)
@@ -428,11 +385,11 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         tampered = attack.extras.get("tampered", 0)
         if tampered:
             bump("tamper_runs")
-            if attack.detected:
+            if t.aborted:
                 bump("tamper_runs_detected")
             if attack.extras.get("tampered_distinct", 0) == tampered:
                 bump("tamper_distinct_runs")
-                if attack.detected:
+                if t.aborted:
                     bump("tamper_distinct_runs_detected")
     # Exact pairwise identity of the computed result vectors, checked
     # against the drawn secrets.

@@ -17,7 +17,7 @@ from qpcsim.adversaries import (
 )
 from qpcsim.errors import ConfigError
 from qpcsim.ghz import ghz_from_index
-from qpcsim.protocol import VARIANT_TP2_RELAY, run_proposed
+from qpcsim.protocol import VARIANT_TP2_RELAY, run_proposed, run_zhang_baseline
 from qpcsim.stream import Stream
 
 SIGMA3 = lambda p, n: 3 * np.sqrt(p * (1 - p) / n)  # noqa: E731
@@ -209,6 +209,20 @@ def test_fake_state_with_wrong_entangled_preparation():
     assert abs(hits / bits - 0.5) <= SIGMA3(0.5, bits)
 
 
+@pytest.mark.parametrize("true_state", ["zeros", GhzSpec((0, 1), 1)], ids=["zeros", "entangled"])
+def test_baseline_preparer_reads_the_xor_it_receives(true_state):
+    # The baseline's TP receives only c1 ^ c2.  Knowing k1 ^ k2 of whatever
+    # it prepared, product or entangled, it reads s1 ^ s2 exactly: one bit
+    # per comparison position, which is what r reveals.
+    for trial in range(40):
+        rng = make_rng(31, trial)
+        secrets = random_secrets(2, 6, rng)
+        t = run_zhang_baseline(6, secrets, check_rounds=0,
+                               adversary=Tp1FakeInitialState(true_state=true_state), rng=rng, record_events=False)
+        assert not t.aborted
+        assert t.attack.bits_correct == t.attack.bits_guessed == 6
+
+
 # ---------------------------------------------------------------------------
 # Fake results
 # ---------------------------------------------------------------------------
@@ -348,35 +362,50 @@ def test_tamper_undetected_runs_can_complete_with_wrong_verdicts():
 
 
 def test_strategy_from_config_valid():
-    assert strategy_from_config("none").kind == "none"
-    eve = strategy_from_config("eve_intercept_resend", {"links": [2], "victim": 1})
+    assert strategy_from_config("none", None, 3).kind == "none"
+    eve = strategy_from_config("eve_intercept_resend", {"links": [2], "victim": 1}, 3)
     assert eve.links == (2,) and eve.victim == 1
     tamper = strategy_from_config(
         "classical_position_tamper",
         {"count": 3, "policy": "paired_specs", "pair": [{"q": "000", "delta": 0}, {"q": "011", "delta": 0}]},
+        3,
     )
     assert tamper.spec_pair[1] == ghz_from_index(7, 3)
-    fake = strategy_from_config("tp1_fake_initial_state", {"claimed": {"q": "000", "delta": 0}})
+    fake = strategy_from_config("tp1_fake_initial_state", {"claimed": {"q": "000", "delta": 0}}, 3)
     assert fake.claimed == GhzSpec((0, 0, 0), 0)
     # A state's bits may also be given as a list of integers.
-    fake = strategy_from_config("tp1_fake_initial_state", {"true_state": {"q": [0, 1, 1], "delta": 1}})
+    fake = strategy_from_config("tp1_fake_initial_state", {"true_state": {"q": [0, 1, 1], "delta": 1}}, 3)
     assert fake.true_state == GhzSpec((0, 1, 1), 1)
-    infer = strategy_from_config("participant_infer", {"attacker": 2, "victim": 3, "counterfactual": True})
+    infer = strategy_from_config("participant_infer", {"attacker": 2, "victim": 3, "counterfactual": True}, 3)
     assert infer.counterfactual
     # Pairs are unordered: [2, 1] names the announced pair (1, 2).
-    assert strategy_from_config("tp2_fake_result", {"pairs": [[2, 1], [1, 3]]}).pairs == {(1, 2), (1, 3)}
+    assert strategy_from_config("tp2_fake_result", {"pairs": [[2, 1], [1, 3]]}, 3).pairs == {(1, 2), (1, 3)}
 
 
 def test_strategy_from_config_errors():
     with pytest.raises(ConfigError, match="unknown adversary kind"):
-        strategy_from_config("quantum_hacker")
+        strategy_from_config("quantum_hacker", None, 3)
     with pytest.raises(ConfigError, match="unknown adversary param"):
-        strategy_from_config("eve_intercept_resend", {"strength": 2})
+        strategy_from_config("eve_intercept_resend", {"strength": 2}, 3)
     with pytest.raises(ConfigError, match="links"):
-        strategy_from_config("eve_intercept_resend", {"links": []})
+        strategy_from_config("eve_intercept_resend", {"links": []}, 3)
     with pytest.raises(ConfigError, match="policy"):
-        strategy_from_config("classical_position_tamper", {"policy": "sneaky"})
+        strategy_from_config("classical_position_tamper", {"policy": "sneaky"}, 3)
     with pytest.raises(ConfigError, match="pair"):
-        strategy_from_config("classical_position_tamper", {"pair": [{"q": "000", "delta": 0}]})
+        strategy_from_config("classical_position_tamper", {"pair": [{"q": "000", "delta": 0}]}, 3)
     with pytest.raises(ConfigError, match="true_state"):
-        strategy_from_config("tp1_fake_initial_state", {"true_state": 7})
+        strategy_from_config("tp1_fake_initial_state", {"true_state": 7}, 3)
+
+
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("eve_intercept_resend", {"links": [4]}, "links"),
+        ("tp1_fake_result", {"pairs": [[1, 4]]}, "pairs"),
+        ("participant_infer", {"victim": 0}, "victim"),
+        ("tp1_fake_initial_state", {"claimed": {"q": "00", "delta": 0}}, "claimed"),
+    ],
+)
+def test_strategy_from_config_checks_params_against_n(kind, params, name):
+    with pytest.raises(ConfigError, match=f"`{name}`"):
+        strategy_from_config(kind, params, 3)

@@ -3,6 +3,7 @@ result emission round-trips."""
 
 import contextlib
 import dataclasses
+import json
 import multiprocessing
 import os
 import signal
@@ -16,6 +17,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import qpcsim.harness
+from qpcsim import suites
 from qpcsim.errors import ConfigError
 from qpcsim.harness import (
     MAX_CHECK_ROUNDS,
@@ -169,10 +171,33 @@ def test_scenario_from_config_rejects_unknown_keys():
         scenario_from_config([1, 2])
 
 
+def _stored_configs():
+    """(name, document, Scenario the document stands for or None): a small
+    scenario, every suite template, every shipped config and the scenario of
+    every golden result."""
+    root = Path(__file__).resolve().parent.parent
+    small = small_scenario(adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
+    yield "small", small.to_config(), small
+    for key, (_, template) in suites._SCENARIOS.items():
+        yield key, template.to_config(), template
+    for path in sorted((root / "configs").glob("*.json")):
+        yield path.name, json.loads(path.read_text()), None
+    for path in sorted((root / "tests" / "data" / "golden").glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "scenario" in doc:
+            yield path.name, doc["scenario"], None
+
+
 def test_scenario_config_round_trip():
-    scenario = small_scenario(adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
-    rebuilt = scenario_from_config(scenario.to_config())
-    assert rebuilt == scenario
+    for name, doc, expected in _stored_configs():
+        scenario = scenario_from_config(doc)
+        assert expected is None or scenario == expected, name
+        config = scenario.to_config()
+        assert scenario_from_config(config) == scenario, name
+        # to_config writes every field; each field the document has keeps its bytes.
+        stored = {key: value for key, value in doc.items() if key != "output"}
+        written = {key: config[key] for key in stored}
+        assert json.dumps(written, sort_keys=True) == json.dumps(stored, sort_keys=True), name
 
 
 # ---------------------------------------------------------------------------

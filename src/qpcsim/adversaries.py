@@ -1,11 +1,12 @@
 """Pluggable attack strategies.
 
-An adversary is one dataclass: its params plus the hooks a protocol run
-calls at fixed points (register preparation, quantum channel taps, the
-classical position broadcast, and result announcements).  After the run
-``finalize`` scores it from the run's transcript as an ``AttackOutcome``
-(the attacker's per-bit guessing record against a victim's secret); the
-attack counts as detected exactly when the run aborts.
+An adversary is one dataclass per kind: its ``kind``, its params (the init
+fields, with their defaults), and the hooks a protocol run calls at fixed
+points (register preparation, quantum channel taps, the classical position
+broadcast, and result announcements).  After the run ``finalize`` scores it
+from the run's transcript as an ``AttackOutcome`` (the attacker's per-bit
+guessing record against a victim's secret); the attack counts as detected
+exactly when the run aborts.
 
 Guessing accounts only for what the attacker can actually see: its own
 measurement records, its legitimate role knowledge, and all public
@@ -17,7 +18,7 @@ statistics and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -43,17 +44,6 @@ KIND_TP2_INTERCEPT = "tp2_intercept"
 KIND_PARTICIPANT_INFER = "participant_infer"
 KIND_POSITION_TAMPER = "classical_position_tamper"
 
-ALL_KINDS = (
-    KIND_NONE,
-    KIND_EVE,
-    KIND_TP1_FAKE_STATE,
-    KIND_TP1_FAKE_RESULT,
-    KIND_TP2_FAKE_RESULT,
-    KIND_TP2_INTERCEPT,
-    KIND_PARTICIPANT_INFER,
-    KIND_POSITION_TAMPER,
-)
-
 
 @dataclass
 class AttackOutcome:
@@ -64,6 +54,7 @@ class AttackOutcome:
     extras: Dict[str, int] = field(default_factory=dict)
 
 
+@dataclass
 class AdversaryStrategy:
     """Base strategy: no params, and hooks that do nothing and draw no
     randomness, which is an honest run."""
@@ -287,13 +278,13 @@ class Tp1FakeInitialState(AdversaryStrategy):
 
 @dataclass
 class TpFakeResult(AdversaryStrategy):
-    """Announce the opposite verdict for the chosen pairs."""
+    """TP1 (or the baseline's TP) announcing the opposite verdict for the chosen pairs."""
 
-    announcer: str = TP1
     pairs: object = "all"  # "all" or a collection of (i, j) participant pairs
+    kind = KIND_TP1_FAKE_RESULT
+    announcer = TP1
 
     def __post_init__(self) -> None:
-        self.kind = KIND_TP2_FAKE_RESULT if self.announcer == TP2 else KIND_TP1_FAKE_RESULT
         if self.pairs != "all":
             self.pairs = {(min(p), max(p)) for p in self.pairs}
 
@@ -306,6 +297,14 @@ class TpFakeResult(AdversaryStrategy):
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         return AttackOutcome()
+
+
+@dataclass
+class Tp2FakeResult(TpFakeResult):
+    """The checking third party announcing the opposite verdicts."""
+
+    kind = KIND_TP2_FAKE_RESULT
+    announcer = TP2
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
 
     count: int = 1
     policy: str = POLICY_PAIRED
-    spec_pair: Optional[Tuple[GhzSpec, GhzSpec]] = None
+    pair: Optional[Tuple[GhzSpec, GhzSpec]] = None
     # (round, true position, substituted position), recorded during one run.
     tampered: List[Tuple[int, int, int]] = field(init=False, default_factory=list, repr=False, compare=False)
     # The paired preparation per (n, count), shared by every run's copy.
@@ -389,7 +388,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
         return _fixed_preparation(self.built, n, count, self._prepare)
 
     def _prepare(self, n: int, count: int):
-        pair = self.spec_pair or (
+        pair = self.pair or (
             GhzSpec((0,) * n, 0),
             GhzSpec((0,) + (1,) * (n - 1), 0),
         )
@@ -445,10 +444,10 @@ class ClassicalPositionTamper(AdversaryStrategy):
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(params: dict, allowed: set, kind: str) -> None:
-    for key in params:
-        if key not in allowed:
-            raise ConfigError(f"unknown adversary param `{key}` for kind `{kind}`")
+# In the order the unknown-kind error message lists them.
+KINDS = {cls.kind: cls for cls in (AdversaryStrategy, EveInterceptResend, Tp1FakeInitialState, TpFakeResult,
+                                   Tp2FakeResult, Tp2Intercept, ParticipantInfer, ClassicalPositionTamper)}
+ALL_KINDS = tuple(KINDS)
 
 
 def _int_param(value: object, name: str, low: int = 1) -> int:
@@ -493,60 +492,58 @@ def _pair_from(value: object, n: int) -> Tuple[int, int]:
     return i, j
 
 
+def _param(name: str, value: object, n: int) -> object:
+    """Adversary param ``name`` read from a config document for n participants."""
+    if name in ("attacker", "victim"):
+        return _participant(value, name, n)
+    if name == "links":
+        return tuple(_participant(x, name, n) for x in _list_param(value, name, "participants"))
+    if name == "pairs":
+        if value == "all":
+            return value
+        return [_pair_from(p, n) for p in _list_param(value, name, '[i, j] pairs (or "all")')]
+    if name == "true_state" and value == "zeros":
+        return value
+    if name in ("true_state", "claimed"):
+        return _spec_from(value, name, n)
+    if name == "pair":
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError("tamper param `pair` must hold exactly two states")
+        return _spec_from(value[0], "pair[0]", n), _spec_from(value[1], "pair[1]", n)
+    if name == "count":
+        return _int_param(value, name, low=0)
+    if name == "policy":
+        if value not in (POLICY_PAIRED, POLICY_RANDOM):
+            raise ConfigError(f"unknown tamper policy `{value}`")
+        return value
+    if name == "counterfactual":
+        if not isinstance(value, bool):
+            raise ConfigError(f"adversary param `{name}` must be true or false, got {value!r}")
+        return value
+    raise AssertionError(f"adversary param `{name}` has no parser")
+
+
 def strategy_from_config(kind: str, params: Optional[dict], n: int) -> AdversaryStrategy:
     """Build a strategy from config-document data for a run of n
-    participants, validating params: the participants they name must be in
-    1..n, and the states they name must have n particles."""
+    participants.  Its params are the init fields of the kind's class: each
+    one given must name participants in 1..n and states of n particles, may
+    be null only if its default is None, and one left out keeps its default."""
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise ConfigError(f"field `adversary.params` must be an object, got {params!r}")
-    if kind == KIND_NONE:
-        _require_keys(params, set(), kind)
-        return NONE
-    if kind in (KIND_EVE, KIND_TP2_INTERCEPT):
-        _require_keys(params, {"links", "victim"}, kind)
-        links = _list_param(params.get("links", (1,)), "links", "participants")
-        victim = params.get("victim")
-        cls = Tp2Intercept if kind == KIND_TP2_INTERCEPT else EveInterceptResend
-        return cls(
-            links=tuple(_participant(x, "links", n) for x in links),
-            victim=None if victim is None else _participant(victim, "victim", n),
-        )
-    if kind == KIND_TP1_FAKE_STATE:
-        _require_keys(params, {"true_state", "claimed"}, kind)
-        true_state = params.get("true_state", "zeros")
-        if true_state != "zeros":
-            true_state = _spec_from(true_state, "true_state", n)
-        claimed = params.get("claimed")
-        if claimed is not None:
-            claimed = _spec_from(claimed, "claimed", n)
-        return Tp1FakeInitialState(true_state=true_state, claimed=claimed)
-    if kind in (KIND_TP1_FAKE_RESULT, KIND_TP2_FAKE_RESULT):
-        _require_keys(params, {"pairs"}, kind)
-        pairs = params.get("pairs", "all")
-        if pairs != "all":
-            pairs = [_pair_from(p, n) for p in _list_param(pairs, "pairs", '[i, j] pairs (or "all")')]
-        return TpFakeResult(announcer=TP2 if kind == KIND_TP2_FAKE_RESULT else TP1, pairs=pairs)
-    if kind == KIND_PARTICIPANT_INFER:
-        _require_keys(params, {"attacker", "victim", "counterfactual"}, kind)
-        attacker = _participant(params.get("attacker", 1), "attacker", n)
-        victim = _participant(params.get("victim", 2), "victim", n)
-        if attacker == victim:
-            raise ConfigError(f"adversary params `attacker` and `victim` must differ, both are {attacker}")
-        counterfactual = params.get("counterfactual", False)
-        if not isinstance(counterfactual, bool):
-            raise ConfigError(f"adversary param `counterfactual` must be true or false, got {counterfactual!r}")
-        return ParticipantInfer(attacker, victim, counterfactual)
-    if kind == KIND_POSITION_TAMPER:
-        _require_keys(params, {"count", "policy", "pair"}, kind)
-        policy = params.get("policy", POLICY_PAIRED)
-        if policy not in (POLICY_PAIRED, POLICY_RANDOM):
-            raise ConfigError(f"unknown tamper policy `{policy}`")
-        pair = params.get("pair")
-        if pair is not None:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError("tamper param `pair` must hold exactly two states")
-            pair = (_spec_from(pair[0], "pair[0]", n), _spec_from(pair[1], "pair[1]", n))
-        count = _int_param(params.get("count", 1), "count", low=0)
-        return ClassicalPositionTamper(count=count, policy=policy, spec_pair=pair)
-    raise ConfigError(f"unknown adversary kind `{kind}` (expected one of {', '.join(ALL_KINDS)})")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown adversary kind `{kind}` (expected one of {', '.join(ALL_KINDS)})")
+    defaults = {f.name: f.default for f in fields(cls) if f.init}
+    for key in params:
+        if key not in defaults:
+            raise ConfigError(f"unknown adversary param `{key}` for kind `{kind}`")
+    # Parsed in field order, so the param an error names does not depend on key order.
+    strategy = cls(**{
+        name: None if params[name] is None and default is None else _param(name, params[name], n)
+        for name, default in defaults.items()
+        if name in params
+    })
+    if isinstance(strategy, ParticipantInfer) and strategy.attacker == strategy.victim:
+        raise ConfigError(f"adversary params `attacker` and `victim` must differ, both are {strategy.attacker}")
+    return strategy

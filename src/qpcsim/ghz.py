@@ -352,10 +352,6 @@ class OracleRegister:
         reg._consumed = set()
         return reg
 
-    @property
-    def consumed(self) -> frozenset:
-        return frozenset(self._consumed)
-
     def clone(self) -> "OracleRegister":
         reg = object.__new__(OracleRegister)
         reg.n = self.n
@@ -426,14 +422,6 @@ class OracleRegister:
                 pattern = (pattern << 1) | ((z >> (self.n - p)) & 1)
             counts[pattern] += 1
         return counts / len(work._signs)
-
-    def amplitudes(self) -> np.ndarray:
-        """Dense statevector (float), for inspection and cross-checks."""
-        vec = np.zeros(2**self.n, dtype=np.float64)
-        scale = 1.0 / np.sqrt(len(self._signs))
-        for z, s in self._signs.items():
-            vec[z] = s * scale
-        return vec
 
 
 def all_specs(n: int) -> List[GhzSpec]:

@@ -9,6 +9,8 @@ plain order-independent counter merge.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import signal
@@ -18,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,10 +225,11 @@ def _section(doc: dict, name: str, keys: Sequence[str]) -> dict:
     return section
 
 
-def wilson_interval(successes: int, count: int, z: float = _Z95) -> Tuple[float, float]:
-    """Wilson score interval; behaves sensibly at rates near 0 and 1."""
+def wilson_interval(successes: int, count: int) -> Tuple[float, float]:
+    """Wilson 95% score interval; behaves sensibly at rates near 0 and 1."""
     if count == 0:
         return 0.0, 1.0
+    z = _Z95
     p = successes / count
     denom = 1.0 + z * z / count
     center = (p + z * z / (2 * count)) / denom
@@ -256,6 +259,13 @@ def closed_form(kind: str, l: int, links: int = 1, tolerance: int = 0) -> float:
     if kind == "tamper_detection":
         return 1.0 - 0.5**l
     raise ValueError(f"unknown closed-form kind `{kind}`")
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV with fields quoted where they need it, None as an empty field and a float as its repr."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 @dataclass
@@ -295,11 +305,10 @@ class TrialStats:
         )
 
     def to_csv(self) -> str:
-        lines = ["name,estimate,ci_low,ci_high,target,trials"]
-        for r in self.rows:
-            target = "" if r.target is None else repr(r.target)
-            lines.append(f"{r.name},{r.estimate!r},{r.ci_low!r},{r.ci_high!r},{target},{r.count}")
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("name", "estimate", "ci_low", "ci_high", "target", "trials"),
+            ((r.name, r.estimate, r.ci_low, r.ci_high, r.target, r.count) for r in self.rows),
+        )
 
     @staticmethod
     def from_json(text: str) -> "TrialStats":
@@ -309,14 +318,10 @@ class TrialStats:
 
     @staticmethod
     def rows_from_csv(text: str) -> List[MetricRow]:
-        lines = [line for line in text.splitlines() if line]
-        rows = []
-        for line in lines[1:]:
-            name, est, lo, hi, target, count = line.split(",")
-            rows.append(
-                MetricRow(name, float(est), float(lo), float(hi), None if target == "" else float(target), int(count))
-            )
-        return rows
+        return [
+            MetricRow(name, float(est), float(lo), float(hi), None if target == "" else float(target), int(count))
+            for name, est, lo, hi, target, count in [row for row in csv.reader(text.splitlines()) if row][1:]
+        ]
 
 
 def _draw_secrets(scenario: Scenario, rng: Stream) -> List[List[int]]:

@@ -182,10 +182,6 @@ class Transcript:
         self.abort_cause = cause
         self.add(step, "protocol", "abort", cause=cause)
 
-    @property
-    def completed(self) -> bool:
-        return not self.aborted
-
     def to_dict(self) -> dict:
         pair_key = lambda pair: f"{pair[0]}-{pair[1]}"  # noqa: E731
         return {
@@ -216,8 +212,8 @@ class Transcript:
             },
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _validate_common(n: int, m: int, secrets: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:

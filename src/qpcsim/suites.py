@@ -13,7 +13,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby, product
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -31,7 +31,7 @@ from .adversaries import (
 )
 from .errors import ConfigError
 from .ghz import Basis, GhzRegister, GhzSpec, OracleRegister, all_specs, ghz_from_index, pair_xor, x_expansion
-from .harness import AdversarySpec, Scenario, TrialStats, metric_rows, run_scenario
+from .harness import AdversarySpec, Scenario, TrialStats, csv_text, metric_rows, run_scenario
 from .protocol import VARIANT_TP2_RELAY
 from .stream import Stream
 
@@ -48,17 +48,6 @@ class SuiteRow:
     tolerance: str
     passed: bool
     info: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "measured": self.measured,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "info": self.info,
-        }
 
 
 @dataclass
@@ -85,21 +74,16 @@ class SuiteResult:
                 "suite": self.name,
                 "seed": self.seed,
                 "passed": self.passed,
-                "rows": [row.to_dict() for row in self.rows],
+                "rows": [asdict(row) for row in self.rows],
             },
             sort_keys=True,
             indent=2,
         )
 
     def to_csv(self) -> str:
-        lines = ["id,name,measured,target,tolerance,passed,info"]
-        for r in self.rows:
-            target = "" if r.target is None else repr(r.target)
-            info = r.info.replace(",", ";")
-            lines.append(f"{r.id},{r.name},{r.measured!r},{target},{r.tolerance},{r.passed},{info}")
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(SuiteRow)], map(astuple, self.rows))
 
-    def format_table(self, with_durations: bool = True) -> str:
+    def format_table(self) -> str:
         header = f"{'id':<22} {'measured':>12} {'target':>12} {'tolerance':<22} result"
         lines = [header, "-" * len(header)]
         for r in self.rows:
@@ -109,7 +93,7 @@ class SuiteResult:
             )
             if r.info:
                 lines.append(f"    {r.info}")
-        if with_durations and self.durations:
+        if self.durations:
             per_criterion = " ".join(f"{crit}={secs:.2f}" for crit, secs in self.durations.items())
             lines.append(f"wall seconds per criterion: {per_criterion}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")

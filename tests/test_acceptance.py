@@ -12,6 +12,7 @@ instead (see the failure message).  It is kept failing deliberately rather
 than weakened.
 """
 
+import csv
 import hashlib
 
 import pytest
@@ -129,6 +130,14 @@ def test_criterion_8_algebraic_invariants(battery):
 
 def test_suite_json_is_byte_identical(battery):
     assert hashlib.sha256(battery.to_json().encode()).hexdigest() == SUITE_JSON_SHA256
+
+
+def test_suite_csv_has_one_field_per_column(battery):
+    # Row names such as "honest correctness, n=2" hold commas.
+    lines = list(csv.reader(battery.to_csv().splitlines()))
+    assert lines[0] == ["id", "name", "measured", "target", "tolerance", "passed", "info"]
+    assert all(len(line) == 7 for line in lines)
+    assert [(line[0], line[1], line[6]) for line in lines[1:]] == [(r.id, r.name, r.info) for r in battery.rows]
 
 
 def test_criterion_9_determinism_across_jobs(battery):

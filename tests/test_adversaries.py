@@ -1,16 +1,21 @@
 """Attack-strategy tests: detection statistics against closed forms and
 honest accounting of what each attacker actually learns."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from qpcsim.adversaries import (
+    ALL_KINDS,
+    KINDS,
     ClassicalPositionTamper,
     EveInterceptResend,
     GhzSpec,
     NONE,
     ParticipantInfer,
     Tp1FakeInitialState,
+    Tp2FakeResult,
     Tp2Intercept,
     TpFakeResult,
     strategy_from_config,
@@ -229,11 +234,11 @@ def test_baseline_preparer_reads_the_xor_it_receives(true_state):
 
 
 def test_fake_result_always_conflicts():
-    for announcer in ("TP1", "TP2"):
+    for cls, announcer in ((TpFakeResult, "TP1"), (Tp2FakeResult, "TP2")):
         for trial in range(100):
             rng = make_rng(13, trial)
             t = run_proposed(3, 4, random_secrets(3, 4, rng),
-                             adversary=TpFakeResult(announcer), rng=rng, record_events=False)
+                             adversary=cls(), rng=rng, record_events=False)
             assert t.aborted and t.abort_step == 7
             assert t.arbiter == announcer
 
@@ -241,7 +246,7 @@ def test_fake_result_always_conflicts():
 def test_fake_result_pair_subset():
     rng = make_rng(14)
     t = run_proposed(3, 4, random_secrets(3, 4, rng),
-                     adversary=TpFakeResult("TP1", pairs=[(1, 2)]), rng=rng)
+                     adversary=TpFakeResult(pairs=[(1, 2)]), rng=rng)
     assert not t.pair_results[(1, 2)]["accepted"]
     assert t.pair_results[(1, 3)]["accepted"]
     assert t.pair_results[(2, 3)]["accepted"]
@@ -370,7 +375,7 @@ def test_strategy_from_config_valid():
         {"count": 3, "policy": "paired_specs", "pair": [{"q": "000", "delta": 0}, {"q": "011", "delta": 0}]},
         3,
     )
-    assert tamper.spec_pair[1] == ghz_from_index(7, 3)
+    assert tamper.pair[1] == ghz_from_index(7, 3)
     fake = strategy_from_config("tp1_fake_initial_state", {"claimed": {"q": "000", "delta": 0}}, 3)
     assert fake.claimed == GhzSpec((0, 0, 0), 0)
     # A state's bits may also be given as a list of integers.
@@ -385,6 +390,8 @@ def test_strategy_from_config_valid():
 def test_strategy_from_config_errors():
     with pytest.raises(ConfigError, match="unknown adversary kind"):
         strategy_from_config("quantum_hacker", None, 3)
+    with pytest.raises(ConfigError, match="unknown adversary kind"):
+        strategy_from_config(["none"], None, 3)
     with pytest.raises(ConfigError, match="unknown adversary param"):
         strategy_from_config("eve_intercept_resend", {"strength": 2}, 3)
     with pytest.raises(ConfigError, match="links"):
@@ -395,6 +402,9 @@ def test_strategy_from_config_errors():
         strategy_from_config("classical_position_tamper", {"pair": [{"q": "000", "delta": 0}]}, 3)
     with pytest.raises(ConfigError, match="true_state"):
         strategy_from_config("tp1_fake_initial_state", {"true_state": 7}, 3)
+    # The default victim is 2.
+    with pytest.raises(ConfigError, match="must differ, both are 2"):
+        strategy_from_config("participant_infer", {"attacker": 2}, 3)
 
 
 @pytest.mark.parametrize(
@@ -409,3 +419,43 @@ def test_strategy_from_config_errors():
 def test_strategy_from_config_checks_params_against_n(kind, params, name):
     with pytest.raises(ConfigError, match=f"`{name}`"):
         strategy_from_config(kind, params, 3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_strategy_from_config_defaults_are_the_class_defaults(kind):
+    strategy = strategy_from_config(kind, {}, 3)
+    assert type(strategy) is KINDS[kind] and strategy.kind == kind
+    assert strategy == KINDS[kind]()
+
+
+def test_all_kinds_order():
+    # The unknown-kind error message lists the kinds in this order.
+    assert ALL_KINDS == (
+        "none",
+        "eve_intercept_resend",
+        "tp1_fake_initial_state",
+        "tp1_fake_result",
+        "tp2_fake_result",
+        "tp2_intercept",
+        "participant_infer",
+        "classical_position_tamper",
+    )
+
+
+def test_fuzzed_params_are_init_fields():
+    from test_config_fuzz import _PARAMS
+
+    assert set(_PARAMS) == set(ALL_KINDS)
+    for kind, params in _PARAMS.items():
+        # Every init field is a param, and each has a parser.
+        assert set(params) == {f.name for f in fields(KINDS[kind]) if f.init}, kind
+        strategy_from_config(kind, params, 3)
+
+
+def test_null_params_only_where_the_default_is_none():
+    assert strategy_from_config("eve_intercept_resend", {"victim": None}, 3).victim is None
+    assert strategy_from_config("tp1_fake_initial_state", {"claimed": None}, 3).claimed is None
+    assert strategy_from_config("classical_position_tamper", {"pair": None}, 3).pair is None
+    for kind, name in (("participant_infer", "victim"), ("eve_intercept_resend", "links")):
+        with pytest.raises(ConfigError, match=f"`{name}`"):
+            strategy_from_config(kind, {name: None}, 3)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qpcsim import harness, protocol
-from qpcsim.adversaries import TP1, AdversaryStrategy, EveInterceptResend, TpFakeResult
+from qpcsim.adversaries import TP1, AdversaryStrategy, EveInterceptResend, Tp2FakeResult, TpFakeResult
 from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index
 from qpcsim.harness import Scenario, _draw_secrets, run_trial
 from qpcsim.photons import Link, QuantumChannel, interleave, public_discussion
@@ -193,7 +193,7 @@ def test_arbiter_identifies_liar():
 
 def test_conflict_aborts_and_names_liar_in_run():
     rng = make_rng(6)
-    t = run_proposed(3, 4, random_secrets(3, 4, rng), adversary=TpFakeResult("TP2"), rng=rng)
+    t = run_proposed(3, 4, random_secrets(3, 4, rng), adversary=Tp2FakeResult(), rng=rng)
     assert t.aborted and t.abort_step == 7 and t.abort_cause == CAUSE_CONFLICT
     assert t.arbiter == "TP2"
 
@@ -244,7 +244,7 @@ def test_zhang_fake_result_goes_undetected():
     for trial in range(200):
         rng = make_rng(11, trial)
         secrets = random_secrets(2, 4, rng)
-        t = run_zhang_baseline(4, secrets, adversary=TpFakeResult("TP"), rng=rng, record_events=False)
+        t = run_zhang_baseline(4, secrets, adversary=TpFakeResult(), rng=rng, record_events=False)
         assert not t.aborted
         truth = IDENTICAL if secrets[0] == secrets[1] else DIFFERENT
         info = t.pair_results[(1, 2)]

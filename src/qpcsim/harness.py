@@ -13,18 +13,19 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import signal
 # Unused here: the benchmark's tracer still wraps this name (as
 # adversaries.RunHandle is kept for it).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, fields
-from multiprocessing import Pipe, Process
+from functools import partial
 from multiprocessing.connection import Connection
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import adversaries, ghz
+from . import adversaries, block, ghz
 from . import protocol as proto
 from .errors import ConfigError
 from .stream import Stream, TrialSeeds
@@ -427,7 +428,7 @@ def run_trial(
     """
     if seeds is None:
         seeds = TrialSeeds(scenario.seed)
-    rng = Stream(np.random.default_rng(seeds(trial)).bit_generator)
+    rng = Stream(_bit_generator(seeds, trial))
     secrets = _draw_secrets(scenario, rng)
     options = dict(
         check_rounds=scenario.effective_check_rounds(),
@@ -444,10 +445,21 @@ def run_trial(
     return proto.run_zhang_baseline(scenario.m, secrets, **options)
 
 
+def _bit_generator(seeds: TrialSeeds, trial: int):
+    """Trial ``trial``'s PCG64, seeded from ``seeds``: the one source of
+    every draw of the trial, whichever engine runs it."""
+    return np.random.default_rng(seeds(trial)).bit_generator
+
+
 def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
     strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
     totals: Dict[str, int] = {}
-    for trial in range(start, stop):
+    trials: Iterable[int] = range(start, stop)
+    if block.covers(scenario, strategy):
+        # The block engine counts the trials the state check aborts; the
+        # others run here.
+        totals, trials = block.state_check(scenario, strategy, trials, partial(_bit_generator, seeds))
+    for trial in trials:
         _extract(run_trial(scenario, strategy, trial, False, seeds), totals)
     return totals
 
@@ -521,11 +533,15 @@ def metric_rows(totals: Dict[str, int], targets: Dict[str, float]) -> List[Metri
     return rows
 
 
+# Where trial workers and their pipes come from: the default context, whose
+# start method is the one set_start_method last chose (fork on Linux up to
+# Python 3.13).  Not get_context(), which would fix the method at import.
+_CONTEXT = multiprocessing
 # Trial workers of run_scenario, started on first need and reused by every
 # later call in this process: the parent end of each worker's pipe and its
 # process.  A call waits for every worker it uses and a failed call stops
 # them all, so between calls every worker here is idle.
-_workers: List[Tuple[Connection, Process]] = []
+_workers: List[Tuple[Connection, multiprocessing.Process]] = []
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
@@ -582,8 +598,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
 
 def _start_worker() -> None:
     """Start one more trial worker."""
-    end, worker_end = Pipe()
-    worker = Process(target=_serve, args=(worker_end, end), daemon=True)
+    end, worker_end = _CONTEXT.Pipe()
+    worker = _CONTEXT.Process(target=_serve, args=(worker_end, end), daemon=True)
     worker.start()
     worker_end.close()
     _workers.append((end, worker))

@@ -29,8 +29,12 @@ from typing import List, Sequence
 import numpy as np
 
 # 64-bit outputs fetched at once by a trial's stream: enough for every
-# trial of the acceptance battery (at most 357 at n = 5, m = 16) in one call.
-RAW_WORDS = 384
+# trial of the acceptance battery in one call.  The most a battery trial
+# reads is 778 32-bit outputs (389 words), at n = 5, m = 16: the 698 it
+# draws at most before its key measurement, plus that measurement's
+# read-ahead of n * m = 80 fair bits (``GhzRegister.measure``).  The spare
+# word leaves room for Lemire redraws, each one output more.
+RAW_WORDS = 390
 
 _LOW = 0xFFFFFFFF
 _EMPTY = np.zeros(0, dtype=np.uint32)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import pytest
@@ -218,11 +219,15 @@ def _no_worker(*args, **kwargs):
     raise AssertionError("a worker was started")
 
 
+# A start context that starts no worker.
+_NO_WORKERS = SimpleNamespace(Pipe=_no_worker, Process=_no_worker)
+
+
 def forbid_workers(monkeypatch):
     """Make any share sent to a trial worker fail the test: hide the workers
     that earlier calls left idle and forbid starting a new one."""
     monkeypatch.setattr(qpcsim.harness, "_workers", [])
-    monkeypatch.setattr(qpcsim.harness, "Process", _no_worker)
+    monkeypatch.setattr(qpcsim.harness, "_CONTEXT", _NO_WORKERS)
 
 
 def test_jobs_must_be_a_positive_int(monkeypatch):
@@ -312,7 +317,7 @@ def test_workers_are_reused_across_calls(monkeypatch):
     scenario = small_scenario(trials=8, n=3)
     with _within(30):
         first = run_scenario(scenario, jobs=2)
-        monkeypatch.setattr(qpcsim.harness, "Process", _no_worker)
+        monkeypatch.setattr(qpcsim.harness, "_CONTEXT", _NO_WORKERS)
         second = run_scenario(dataclasses.replace(scenario, seed=8), jobs=2)
     assert first.to_json() == run_scenario(scenario).to_json()
     assert second.to_json() == run_scenario(dataclasses.replace(scenario, seed=8)).to_json()
@@ -336,7 +341,7 @@ def test_an_idle_worker_survives_ctrl_c(monkeypatch):
         for worker in multiprocessing.active_children():
             os.kill(worker.pid, signal.SIGINT)
         time.sleep(0.2)
-        monkeypatch.setattr(qpcsim.harness, "Process", _no_worker)
+        monkeypatch.setattr(qpcsim.harness, "_CONTEXT", _NO_WORKERS)
         assert run_scenario(scenario, jobs=2).to_json() == run_scenario(scenario).to_json()
 
 
@@ -346,7 +351,7 @@ def test_a_killed_idle_worker_is_reported_and_replaced(monkeypatch, method, reap
     # A worker already gone breaks its pipe on the next send; one still
     # dying, as a rule, resets it on the next receive instead.  Either way
     # it is reported as a worker that exited.
-    monkeypatch.setattr(qpcsim.harness, "Process", multiprocessing.get_context(method).Process)
+    monkeypatch.setattr(qpcsim.harness, "_CONTEXT", multiprocessing.get_context(method))
     qpcsim.harness._stop_workers()
     scenario = small_scenario(trials=4)
     try:
@@ -362,6 +367,25 @@ def test_a_killed_idle_worker_is_reported_and_replaced(monkeypatch, method, reap
             assert run_scenario(scenario, jobs=2).to_json() == run_scenario(scenario).to_json()
             ((_, fresh),) = qpcsim.harness._workers
             assert fresh.pid != killed.pid and fresh.is_alive()
+    finally:
+        qpcsim.harness._stop_workers()
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_jobs_2_gives_the_bytes_of_jobs_1_under_each_start_method(monkeypatch, method):
+    # A worker started by forkserver or spawn imports qpcsim afresh.  The
+    # fake preparation runs through the block engine, Eve through the
+    # per-trial loop.
+    monkeypatch.setattr(qpcsim.harness, "_CONTEXT", multiprocessing.get_context(method))
+    qpcsim.harness._stop_workers()
+    try:
+        with _within(120):
+            for key in ("fake_c8", "eve_l10"):
+                offset, template = suites._SCENARIOS[key]
+                scenario = dataclasses.replace(template, trials=301, seed=offset)
+                assert run_scenario(scenario, jobs=2).to_json() == run_scenario(scenario).to_json(), key
+            ((_, worker),) = qpcsim.harness._workers
+            assert isinstance(worker, multiprocessing.get_context(method).Process)
     finally:
         qpcsim.harness._stop_workers()
 

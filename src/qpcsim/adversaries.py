@@ -19,6 +19,7 @@ statistics and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -60,6 +61,7 @@ class AdversaryStrategy:
     randomness, which is an honest run."""
 
     kind = KIND_NONE
+    party = None  # the third party the attacker is, or None: an outsider or a participant
 
     def start_run(self) -> "AdversaryStrategy":
         """The object whose hooks one run calls: the strategy itself, or a
@@ -190,6 +192,7 @@ class Tp2Intercept(EveInterceptResend):
     """
 
     kind = KIND_TP2_INTERCEPT
+    party = TP2
     use_spec_knowledge = True
 
 
@@ -198,12 +201,14 @@ class Tp2Intercept(EveInterceptResend):
 # ---------------------------------------------------------------------------
 
 
-def _fixed_preparation(built: dict, n: int, count: int, build):
-    """A fresh copy of the preparation ``build(n, count)`` returns, which is
-    built once per (n, count) and kept in ``built``."""
-    if (n, count) not in built:
-        built[(n, count)] = build(n, count)
-    registers, true_states, claimed = built[(n, count)]
+@lru_cache(maxsize=8)  # the unmeasured preparations, each built once per process
+def _built(build, *args):
+    return build(*args)
+
+
+def _fixed_preparation(build, *args):
+    """A fresh copy of the preparation ``build(*args)`` returns."""
+    registers, true_states, claimed = _built(build, *args)
     return registers.copy(), list(true_states), list(claimed)
 
 
@@ -213,27 +218,25 @@ class Tp1FakeInitialState(AdversaryStrategy):
 
     true_state: object = "zeros"  # "zeros" or a GhzSpec
     claimed: Optional[GhzSpec] = None
-    # (n, count) -> the unmeasured preparation, built on first use.
-    built: Dict[Tuple[int, int], tuple] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_TP1_FAKE_STATE
+    party = TP1
 
     def override_preparation(self, n: int, count: int, rng: Stream):
-        return _fixed_preparation(self.built, n, count, self._prepare)
+        return _fixed_preparation(self._prepare, self.true_state, self.claimed, n, count)
 
-    def _prepare(self, n: int, count: int):
-        claimed = self.claimed or GhzSpec((0,) * n, 0)
+    @staticmethod
+    def _prepare(true_state, claimed: Optional[GhzSpec], n: int, count: int):
+        claimed = claimed or GhzSpec((0,) * n, 0)
         if claimed.n != n:
             raise ConfigError(f"claimed state has {claimed.n} particles, protocol has {n}")
-        if self.true_state == "zeros":
-            bits = (0,) * n
-            registers = ProductRegister([bits] * count)
-            true_states: List[object] = [bits] * count
+        if true_state == "zeros":
+            true_state = (0,) * n
+            registers = ProductRegister([true_state] * count)
         else:
-            if self.true_state.n != n:
-                raise ConfigError(f"true state has {self.true_state.n} particles, protocol has {n}")
-            registers = GhzRegister([self.true_state] * count)
-            true_states = [self.true_state] * count
-        return registers, true_states, [claimed] * count
+            if true_state.n != n:
+                raise ConfigError(f"true state has {true_state.n} particles, protocol has {n}")
+            registers = GhzRegister([true_state] * count)
+        return registers, [true_state] * count, [claimed] * count
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         out = AttackOutcome()
@@ -282,16 +285,16 @@ class TpFakeResult(AdversaryStrategy):
 
     pairs: object = "all"  # "all" or a collection of (i, j) participant pairs
     kind = KIND_TP1_FAKE_RESULT
-    announcer = TP1
+    party = TP1
 
     def __post_init__(self) -> None:
         if self.pairs != "all":
             self.pairs = {(min(p), max(p)) for p in self.pairs}
 
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
-        # The baseline has a single announcer (TP), which any fake-result
-        # strategy targets.
-        if announcer not in (self.announcer, TP) or (self.pairs != "all" and pair not in self.pairs):
+        # The baseline's single announcer (TP) stands in for TP1; validation
+        # keeps TP2's kinds off the baseline.
+        if announcer not in (self.party, TP) or (self.pairs != "all" and pair not in self.pairs):
             return verdict
         return DIFFERENT if verdict == IDENTICAL else IDENTICAL
 
@@ -304,7 +307,7 @@ class Tp2FakeResult(TpFakeResult):
     """The checking third party announcing the opposite verdicts."""
 
     kind = KIND_TP2_FAKE_RESULT
-    announcer = TP2
+    party = TP2
 
 
 # ---------------------------------------------------------------------------
@@ -373,25 +376,19 @@ class ClassicalPositionTamper(AdversaryStrategy):
     pair: Optional[Tuple[GhzSpec, GhzSpec]] = None
     # (round, true position, substituted position), recorded during one run.
     tampered: List[Tuple[int, int, int]] = field(init=False, default_factory=list, repr=False, compare=False)
-    # The paired preparation per (n, count), shared by every run's copy.
-    built: Dict[Tuple[int, int], tuple] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_POSITION_TAMPER
 
     def start_run(self) -> "ClassicalPositionTamper":
-        run = replace(self)
-        run.built = self.built
-        return run
+        return replace(self)
 
     def override_preparation(self, n: int, count: int, rng: Stream):
         if self.policy != POLICY_PAIRED:
             return None
-        return _fixed_preparation(self.built, n, count, self._prepare)
+        return _fixed_preparation(self._prepare, self.pair and tuple(self.pair), n, count)
 
-    def _prepare(self, n: int, count: int):
-        pair = self.pair or (
-            GhzSpec((0,) * n, 0),
-            GhzSpec((0,) + (1,) * (n - 1), 0),
-        )
+    @staticmethod
+    def _prepare(pair: Optional[Tuple[GhzSpec, GhzSpec]], n: int, count: int):
+        pair = pair or (GhzSpec((0,) * n, 0), GhzSpec((0,) + (1,) * (n - 1), 0))
         for spec in pair:
             if spec.n != n:
                 raise ConfigError(f"tamper pair state has {spec.n} particles, protocol has {n}")

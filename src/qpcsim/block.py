@@ -77,10 +77,9 @@ class _Shape:
     def __init__(self, scenario, strategy) -> None:
         n, m = scenario.n, scenario.m
         c, l = scenario.effective_check_rounds(), scenario.effective_decoy_count()
-        roles = proto._PROPOSED if scenario.protocol == "proposed" else proto._BASELINE
-        total = roles.register_count(m, c)
+        total = scenario.roles.register_count(m, c)
         self.n, self.m, self.c, self.total = n, m, c, total
-        self.check_step = roles.check_step
+        self.check_step = scenario.roles.check_step
         policy = scenario.secrets.policy
         self.secret_draws = {"explicit": 0, "forced_equal": m}.get(policy, n * m)
         self.distinct = policy == "forced_unequal"

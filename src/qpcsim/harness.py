@@ -32,7 +32,7 @@ from .stream import Stream, TrialSeeds
 
 SCHEMA_VERSION = 1
 
-PROTOCOLS = ("proposed", "zhang_baseline")
+PROTOCOLS = tuple(proto.PROTOCOLS)
 SECRET_POLICIES = ("explicit", "uniform", "forced_equal", "forced_unequal")
 
 # 95% two-sided normal quantile, for Wilson score intervals.
@@ -84,23 +84,26 @@ class Scenario:
     announce_r_vectors: bool = False
     decoy_tolerance: int = 0
 
+    @property
+    def roles(self) -> "proto._Roles":
+        """The named protocol's entry in ``protocol.PROTOCOLS``."""
+        return proto.PROTOCOLS[self.protocol]
+
     def effective_check_rounds(self) -> int:
-        if self.check_rounds is not None:
-            return self.check_rounds
-        return self.m if self.protocol == "proposed" else 0
+        return self.roles.checks_per_m * self.m if self.check_rounds is None else self.check_rounds
 
     def effective_decoy_count(self) -> int:
-        if self.decoy_count is not None:
-            return self.decoy_count
-        return 2 * self.m if self.protocol == "proposed" else self.m
+        return self.roles.decoys_per_m * self.m if self.decoy_count is None else self.decoy_count
 
     def strategy(self) -> adversaries.AdversaryStrategy:
         """The adversary this scenario names, built from its params."""
         return adversaries.strategy_from_config(self.adversary.kind, self.adversary.params, self.n)
 
     def validate(self) -> None:
+        # A tuple, not the table: a list or object would be unhashable there.
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"field `protocol` must be one of {PROTOCOLS}, got {self.protocol!r}")
+        roles = self.roles
         for name, low, high in _INT_BOUNDS:
             value = getattr(self, name)
             # A field whose default is None may be None.
@@ -109,28 +112,14 @@ class Scenario:
             if not _is_int(value) or value < low or (high is not None and value > high):
                 bound = f">= {low}" if high is None else f"in {low}..{high}"
                 raise ConfigError(f"field `{name}` must be an integer {bound}, got {value!r}")
-        if self.protocol == "zhang_baseline" and self.n != 2:
-            raise ConfigError("field `n` must be 2 for the zhang_baseline protocol")
-        if self.protocol == "proposed" and self.check_rounds is not None and self.check_rounds > self.m:
+        if roles.participants not in (None, self.n):
+            raise ConfigError(f"field `n` must be {roles.participants} for the {self.protocol} protocol")
+        if self.check_rounds is not None and not roles.leaves_m(self.m, self.check_rounds):
             raise ConfigError(f"field `check_rounds` must be <= m={self.m}, got {self.check_rounds}")
         if self.variant not in proto.VARIANTS:
             raise ConfigError(f"field `variant` must be one of {proto.VARIANTS}, got {self.variant!r}")
         if not isinstance(self.announce_r_vectors, bool):
             raise ConfigError(f"field `announce_r_vectors` must be true or false, got {self.announce_r_vectors!r}")
-        if self.protocol == "zhang_baseline":
-            # The baseline's check positions travel on the participants'
-            # authenticated channel, so it has no relayed variant and a
-            # position tamperer would only swap the preparation.  Its runner
-            # publishes no result vectors, and announce_r_vectors is to be
-            # redefined as the announcers' cross-check of them (ROADMAP).
-            if self.variant != proto.VARIANT_BROADCAST:
-                raise ConfigError(f"field `variant` must be {proto.VARIANT_BROADCAST} for the zhang_baseline protocol")
-            if self.announce_r_vectors:
-                raise ConfigError("field `announce_r_vectors` must be false for the zhang_baseline protocol")
-            if self.adversary.kind == adversaries.KIND_POSITION_TAMPER:
-                raise ConfigError(
-                    f"field `adversary.kind` {self.adversary.kind} is not supported by the zhang_baseline protocol"
-                )
         if self.secrets.policy not in SECRET_POLICIES:
             raise ConfigError(f"field `secrets.policy` must be one of {SECRET_POLICIES}, got {self.secrets.policy!r}")
         if self.secrets.policy == "explicit":
@@ -155,7 +144,19 @@ class Scenario:
                     f" {self.n} secrets per trial (at most 1000 allowed); raise m or use uniform"
                 )
         # Constructing the strategy checks kind and params against n.
-        self.strategy()
+        strategy = self.strategy()
+        if not roles.monitored:
+            # No TP2 relays the check positions (the baseline's ride an
+            # authenticated channel, out of a tamperer's reach), no result
+            # vectors are published, and nobody can attack as TP2.
+            if self.variant != proto.VARIANT_BROADCAST:
+                raise ConfigError(f"field `variant` must be {proto.VARIANT_BROADCAST} for the {self.protocol} protocol")
+            if self.announce_r_vectors:
+                raise ConfigError(f"field `announce_r_vectors` must be false for the {self.protocol} protocol")
+            if strategy.party == proto.TP2 or isinstance(strategy, adversaries.ClassicalPositionTamper):
+                raise ConfigError(
+                    f"field `adversary.kind` {strategy.kind} is not supported by the {self.protocol} protocol"
+                )
 
     def to_config(self) -> dict:
         doc = {"schema_version": SCHEMA_VERSION}
@@ -344,6 +345,7 @@ def _draw_secrets(scenario: Scenario, rng: Stream) -> List[List[int]]:
 
 def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
     """Count one trial's outcomes into the counters ``c``, in place."""
+    roles = proto.PROTOCOLS[t.protocol]
 
     def bump(key: str, value: int = 1) -> None:
         c[key] = c.get(key, 0) + value
@@ -365,7 +367,7 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         bump_nonzero(
             "pairs_verdict_correct",
             sum(
-                info["accepted"] and info.get("tp1_verdict", info.get("tp_verdict")) == info["ground_truth"]
+                info["accepted"] and info[roles.verdict_keys[0]] == info["ground_truth"]
                 for info in pairs
             ),
         )
@@ -400,8 +402,7 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
     # Exact pairwise identity of the computed result vectors, checked
     # against the drawn secrets.
     if not t.aborted and t.r_values:
-        source = proto.TP1 if proto.TP1 in t.r_values else proto.TP
-        r_values = t.r_values[source]
+        r_values = t.r_values[roles.announcers[0]]
         bump_nonzero("pairs_r_checked", len(r_values))
         bump_nonzero(
             "pairs_r_exact",
@@ -430,15 +431,10 @@ def run_trial(
         seeds = TrialSeeds(scenario.seed)
     rng = Stream(_bit_generator(seeds, trial))
     secrets = _draw_secrets(scenario, rng)
-    options = dict(
-        check_rounds=scenario.effective_check_rounds(),
-        decoy_count=scenario.effective_decoy_count(),
-        adversary=strategy,
-        rng=rng,
-        decoy_tolerance=scenario.decoy_tolerance,
-        record_events=record_events,
-    )
-    if scenario.protocol == "proposed":
+    # A size left None takes the protocol's default in its runner.
+    options = dict(check_rounds=scenario.check_rounds, decoy_count=scenario.decoy_count, adversary=strategy, rng=rng,
+                   decoy_tolerance=scenario.decoy_tolerance, record_events=record_events)
+    if scenario.roles.monitored:  # only a monitored protocol has variants and result vectors to publish
         return proto.run_proposed(
             scenario.n, scenario.m, secrets, variant=scenario.variant, announce_r=scenario.announce_r_vectors, **options
         )

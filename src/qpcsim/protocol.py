@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import xor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -236,27 +237,44 @@ class _Roles:
 
     protocol: str  # the transcript's protocol name
     announcers: Tuple[str, ...]  # third parties that announce verdicts; the first prepares and distributes
+    participants: Optional[int]  # the participant count the protocol fixes, or None: any n
+    checks_per_m: int  # default check rounds per secret bit
+    decoys_per_m: int  # default decoys per link per secret bit
     prepare: Callable[[int, int, Stream], List[GhzSpec]]  # the honest preparation of (n, count) registers
     register_count: Callable[[int, int], int]  # registers prepared for (m, check rounds)
     joint_submitter: Optional[str]  # who submits the XOR of all masked strings, or None: each its own
     check_step: int  # transcript step of the state check; keys are measured in the next, verdicts announced 3 after
     check_verdict: Tuple[str, str]  # actor and kind of the check's verdict event
     log_traffic: bool  # log every send, the check positions, and each check round's bases and outcomes
-    verdict_keys: Tuple[str, ...]  # pair_results key of each announcer's verdict
+
+    @property
+    def monitored(self) -> bool:
+        """Whether TP2 monitors TP1: only then is there a variant, an r vector to publish, or a TP2 to attack as."""
+        return TP2 in self.announcers
+
+    @cached_property
+    def verdict_keys(self) -> Tuple[str, ...]:
+        """The ``pair_results`` key of each announcer's verdict."""
+        return tuple(f"{announcer.lower()}_verdict" for announcer in self.announcers)
+
+    def leaves_m(self, m: int, c: int) -> bool:
+        """Whether c check rounds leave the m registers the comparison needs."""
+        return c >= 0 and self.register_count(m, c) - c >= m
 
 
 _PROPOSED = _Roles(
-    "proposed", (TP1, TP2), lambda n, count, rng: [ghz_from_index(i + 1, n) for i in rng.bits(count, n)],
-    lambda m, c: 2 * m, None, 3, (TP2, "check_verdict"), True, ("tp1_verdict", "tp2_verdict"),
+    "proposed", (TP1, TP2), None, 1, 2, lambda n, count, rng: [ghz_from_index(i + 1, n) for i in rng.bits(count, n)],
+    lambda m, c: 2 * m, None, 3, (TP2, "check_verdict"), True,
 )
 # The baseline's helper draws each register from two Bell states by one
 # bit.  Its participants XOR their masked strings together and submit once;
 # its transcript records only the decoy checks and the check verdict.
 _BELL = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
 _BASELINE = _Roles(
-    "zhang_baseline", (TP,), lambda n, count, rng: [_BELL[b] for b in rng.bits(count)],
-    lambda m, c: m + c, "P1+P2", 4, ("P1+P2", "state_check"), False, ("tp_verdict",),
+    "zhang_baseline", (TP,), 2, 0, 1, lambda n, count, rng: [_BELL[b] for b in rng.bits(count)],
+    lambda m, c: m + c, "P1+P2", 4, ("P1+P2", "state_check"), False,
 )
+PROTOCOLS = {roles.protocol: roles for roles in (_PROPOSED, _BASELINE)}
 
 
 def _distribute(
@@ -422,20 +440,17 @@ def run_proposed(
     TP1 prepares 2m registers, of which ``check_rounds`` (default m) are
     checked.  ``rng`` is the trial's ``Stream``.
     """
-    c = m if check_rounds is None else check_rounds
-    if not 0 <= c <= m:
-        raise ValueError(f"check rounds must be in 0..m={m}, got {c}")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    l = 2 * m if decoy_count is None else decoy_count
-    return _run(_PROPOSED, n, m, secrets, c, l, variant, adversary, rng, announce_r, decoy_tolerance, record_events)
+    return _run(_PROPOSED, n, m, secrets, check_rounds, decoy_count, variant, adversary, rng, announce_r,
+                decoy_tolerance, record_events)
 
 
 def run_zhang_baseline(
     m: int,
     secrets: Sequence[Sequence[int]],
     *,
-    check_rounds: int = 0,
+    check_rounds: Optional[int] = None,
     decoy_count: Optional[int] = None,
     adversary: Optional[AdversaryStrategy] = None,
     rng: Stream,
@@ -449,34 +464,27 @@ def run_zhang_baseline(
     before submission, and the helper alone announces the verdict.  There is
     no second announcer, so a flipped verdict is simply accepted.
 
-    The helper prepares m + check_rounds pairs so the optional state check
-    (which consumes pairs and needs the participant-to-participant
+    The helper prepares m + check_rounds (default 0) pairs so the optional
+    state check (which consumes pairs and needs the participant-to-participant
     authenticated channel that strangers lack) leaves m for comparison.
     The check positions travel on that channel, so no variant applies and
     nothing can tamper with them.  ``rng`` is as for ``run_proposed``.
     """
-    if check_rounds < 0:
-        raise ValueError("check rounds must be nonnegative")
-    l = m if decoy_count is None else decoy_count
-    return _run(_BASELINE, 2, m, secrets, check_rounds, l, None, adversary, rng, False, decoy_tolerance, record_events)
+    return _run(_BASELINE, _BASELINE.participants, m, secrets, check_rounds, decoy_count, None, adversary, rng, False,
+                decoy_tolerance, record_events)
 
 
 def _run(
-    roles: _Roles,
-    n: int,
-    m: int,
-    secrets: Sequence[Sequence[int]],
-    c: int,
-    l: int,
-    variant: Optional[str],
-    adversary: Optional[AdversaryStrategy],
-    rng: Stream,
-    announce_r: bool,
-    decoy_tolerance: int,
-    record_events: bool,
+    roles: _Roles, n: int, m: int, secrets: Sequence[Sequence[int]], check_rounds: Optional[int],
+    decoy_count: Optional[int], variant: Optional[str], adversary: Optional[AdversaryStrategy], rng: Stream,
+    announce_r: bool, decoy_tolerance: int, record_events: bool,
 ) -> Transcript:
-    """Steps 1-7 of either protocol; ``variant`` is None where no variant applies."""
+    """Steps 1-7 of either protocol; ``variant`` is None where none applies, a size None takes its default."""
     secrets = _validate_common(n, m, secrets)
+    c = roles.checks_per_m * m if check_rounds is None else check_rounds
+    l = roles.decoys_per_m * m if decoy_count is None else decoy_count
+    if not roles.leaves_m(m, c):
+        raise ValueError(f"check rounds must be nonnegative and leave m={m} registers, got {c}")
     if l < 0:
         raise ValueError("decoy count must be nonnegative")
     strategy = adversary or NONE

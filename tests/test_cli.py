@@ -210,6 +210,8 @@ def test_adversary_state_size_rejected_before_pool_starts(tmp_path, capsys, monk
         (three, {"kind": "tp1_fake_initial_state", "params": {"claimed": {"q": "0000", "delta": 0}}}, "claimed"),
         (three, {"kind": "classical_position_tamper", "params": {"pair": [zeros, {"q": "0110", "delta": 0}]}}, "pair[1]"),
         ({"protocol": "zhang_baseline"}, {"kind": "classical_position_tamper"}, "adversary.kind"),
+        ({"protocol": "zhang_baseline"}, {"kind": "tp2_fake_result"}, "adversary.kind"),
+        ({"protocol": "zhang_baseline"}, {"kind": "tp2_intercept"}, "adversary.kind"),
     ]
     for overrides, adversary, field in cases:
         cfg = write_config(tmp_path, adversary=adversary, **overrides)

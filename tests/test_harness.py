@@ -108,8 +108,10 @@ def test_validation_names_offending_fields():
         (dict(n=3, adversary=AdversarySpec(FAKE_STATE, {"claimed": {"q": "0000", "delta": 0}})), "claimed"),
         (dict(n=3, adversary=AdversarySpec(TAMPER, {"pair": [ZEROS3, {"q": "0110", "delta": 0}]})), r"pair\[1\]"),
         # The baseline's check positions ride the participants' authenticated
-        # channel, and its runner publishes no result vectors.
+        # channel, its runner publishes no result vectors, and it has no TP2.
         (dict(protocol="zhang_baseline", adversary=AdversarySpec(TAMPER)), "adversary.kind"),
+        (dict(protocol="zhang_baseline", adversary=AdversarySpec("tp2_fake_result")), "adversary.kind"),
+        (dict(protocol="zhang_baseline", adversary=AdversarySpec("tp2_intercept")), "adversary.kind"),
         (dict(protocol="zhang_baseline", variant="tp2_relay"), "variant"),
         (dict(protocol="zhang_baseline", announce_r_vectors=True), "announce_r_vectors"),
     ]

@@ -292,8 +292,8 @@ class TpFakeResult(AdversaryStrategy):
             self.pairs = {(min(p), max(p)) for p in self.pairs}
 
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
-        # The baseline's single announcer (TP) stands in for TP1; validation
-        # keeps TP2's kinds off the baseline.
+        # The baseline's single announcer (TP) stands in for TP1;
+        # ``_Roles.admits`` keeps TP2's kinds off the baseline.
         if announcer not in (self.party, TP) or (self.pairs != "all" and pair not in self.pairs):
             return verdict
         return DIFFERENT if verdict == IDENTICAL else IDENTICAL

@@ -153,10 +153,10 @@ class Scenario:
                 raise ConfigError(f"field `variant` must be {proto.VARIANT_BROADCAST} for the {self.protocol} protocol")
             if self.announce_r_vectors:
                 raise ConfigError(f"field `announce_r_vectors` must be false for the {self.protocol} protocol")
-            if strategy.party == proto.TP2 or isinstance(strategy, adversaries.ClassicalPositionTamper):
-                raise ConfigError(
-                    f"field `adversary.kind` {strategy.kind} is not supported by the {self.protocol} protocol"
-                )
+        if not roles.admits(strategy):
+            raise ConfigError(
+                f"field `adversary.kind` {strategy.kind} is not supported by the {self.protocol} protocol"
+            )
 
     def to_config(self) -> dict:
         doc = {"schema_version": SCHEMA_VERSION}

@@ -28,7 +28,7 @@ from itertools import chain
 from operator import xor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy
+from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import CheckReport, Link, QuantumChannel, interleave, public_discussion
 from .stream import Stream, replay_choice
@@ -251,6 +251,11 @@ class _Roles:
     def monitored(self) -> bool:
         """Whether TP2 monitors TP1: only then is there a variant, an r vector to publish, or a TP2 to attack as."""
         return TP2 in self.announcers
+
+    def admits(self, strategy: AdversaryStrategy) -> bool:
+        """Whether a run can hold ``strategy``: only a monitored protocol has
+        a TP2 to attack as and check positions on a plain broadcast."""
+        return self.monitored or not (strategy.party == TP2 or isinstance(strategy, ClassicalPositionTamper))
 
     @cached_property
     def verdict_keys(self) -> Tuple[str, ...]:
@@ -488,6 +493,8 @@ def _run(
     if l < 0:
         raise ValueError("decoy count must be nonnegative")
     strategy = adversary or NONE
+    if not roles.admits(strategy):
+        raise ValueError(f"adversary kind {strategy.kind} is not supported by the {roles.protocol} protocol")
     run = strategy.start_run()
     total = roles.register_count(m, c)
     preparer, *others = roles.announcers

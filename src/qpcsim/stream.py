@@ -14,7 +14,10 @@ the top k bits of u.  PCG64 makes its 32-bit outputs by splitting each
 and applies the same rule, so each of its draws gives, value for value,
 what the ``integers`` or ``choice`` call it stands for would give at the
 same point of the generator's sequence (tests/test_stream.py pins this
-against the installed numpy).
+against the installed numpy).  ``Rows`` draws by the same rules for a block
+of trials at once, a row per trial, over a fixed number of outputs each,
+and marks the rows whose draws it cannot follow: a Lemire redraw, or a
+read past those outputs.
 
 ``TrialSeeds`` seeds each trial's bit generator as
 ``SeedSequence(entropy=seed, spawn_key=(trial,))`` would, without building
@@ -143,6 +146,98 @@ class Stream:
     def sample(self, population: int, size: int) -> List[int]:
         """``sorted(choice(population, size, replace=False))``."""
         return replay_choice(population, size, self.run(_choice_bounds(population, size)))
+
+
+class Rows:
+    """The draws of a block of trials, a row per trial: each row draws from
+    the first ``words`` 64-bit outputs of its trial's bit generator, by the
+    rule and with the method names of ``Stream``, each returning an array
+    with a row per trial.
+
+    A row has its own cursor: one number while every row has drawn alike,
+    an array once their draws differ.  A row is marked in ``redraw`` where
+    Lemire's rule would redraw one of its bounded draws, so that it and
+    every later value differ from its ``Stream``'s, and in ``past`` once it
+    has drawn past its outputs; a read past them repeats the last output.
+    """
+
+    __slots__ = ("_words", "_rows", "_at", "redraw")
+
+    def __init__(self, bit_generators, words: int) -> None:
+        raw = np.stack([bit_generator.random_raw(words) for bit_generator in bit_generators])
+        # An explicit little-endian view puts the low half first on any host.
+        self._words = raw.astype("<u8", copy=False).view("<u4")
+        self._rows = np.arange(len(raw))[:, None]
+        self._at = 0
+        self.redraw = np.zeros(len(raw), dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.redraw)
+
+    @property
+    def past(self) -> np.ndarray:
+        """The rows that have drawn past their outputs."""
+        return (self._at > self._words.shape[1]) | np.zeros_like(self.redraw)
+
+    def _outputs(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of each row, as uint64, left unread."""
+        at, width = self._at, self._words.shape[1]
+        if isinstance(at, int) and at + count <= width:
+            return self._words[:, at : at + count].astype(np.uint64)
+        index = np.minimum(np.add.outer(at, np.arange(count)), width - 1)
+        return self._words[self._rows, index].astype(np.uint64)
+
+    def _take(self, count: int) -> np.ndarray:
+        values = self._outputs(count)
+        self.skip(count)
+        return values
+
+    def bits(self, count: int, width: int = 1) -> np.ndarray:
+        """Each row's ``Stream.bits(count, width)``."""
+        if not width:
+            return np.zeros((len(self), count), dtype=np.int64)
+        return (self._take(count) >> (32 - width)).astype(np.int64)
+
+    def peek(self, count: int) -> np.ndarray:
+        """Each row's ``Stream.peek(count)``: fair bits left undrawn."""
+        return (self._outputs(count) >> 31).astype(np.int64)
+
+    def skip(self, count) -> None:
+        """``Stream.skip``: ``count`` is a number, or one per row."""
+        self._at = self._at + count
+
+    def below(self, bounds: np.ndarray) -> np.ndarray:
+        """Each row's ``Stream.below`` of its own bound."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        product = self._outputs(1)[:, 0] * bounds
+        self.redraw |= (product & _LOW) < _threshold(bounds)
+        self.skip(bounds > 1)  # a bound of 1 draws nothing, and its value is 0
+        return (product >> 32).astype(np.int64)
+
+    def run(self, bounds: Bounds) -> np.ndarray:
+        """Each row's ``Stream.run(bounds)``."""
+        product = self._take(len(bounds.wide)) * bounds.wide
+        self.redraw |= ((product & _LOW) < bounds.threshold).any(axis=1)
+        values = (product >> 32).astype(np.int64)
+        if bounds.units:  # each draws a 0 in its place
+            values = np.insert(values, [i - k for k, i in enumerate(bounds.units)], 0, axis=1)
+        return values
+
+    def sample(self, population: int, size: int) -> np.ndarray:
+        """Each row's ``Stream.sample(population, size)``, a row ascending.
+
+        Floyd's steps, as ``replay_choice`` takes them: for j = population -
+        size .. population - 1, the step's draw joins the sample, or j does
+        if the draw is already there.
+        """
+        if _tail_shuffle(population, size):
+            raise ValueError(f"a sample of {size} of {population} shuffles the tail, which rows do not replay")
+        draws = self.run(_choice_bounds(population, size))
+        chosen = np.zeros(len(draws) * population, dtype=bool)  # a row per trial, flat
+        starts = self._rows[:, 0] * population
+        for j, value in zip(range(population - size, population), draws.T + starts):
+            chosen[np.where(chosen[value], starts + j, value)] = True
+        return np.nonzero(chosen)[0].reshape(len(draws), size) - starts[:, None]
 
 
 # Generator.choice(population, size, replace=False) samples by a tail

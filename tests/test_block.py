@@ -75,6 +75,25 @@ def test_the_baseline_fake_state_config_counts_as_the_scalar_trial():
     _assert_same(scenario, 0, 400)
 
 
+def test_the_tamper_l4_config_counts_as_the_scalar_trial():
+    scenario = harness.scenario_from_config(json.loads((CONFIGS / "tamper_l4.json").read_text()))
+    _assert_same(scenario, 0, 400)
+
+
+@pytest.mark.parametrize("scenario", [
+    # 120 of 123 registers checked: the positions' sample is nearly the population.
+    Scenario(protocol="zhang_baseline", n=2, m=3, check_rounds=120, decoy_count=5, seed=41,
+             adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {})),
+    # Every one of 40 rounds tampered: the rounds' sample is the whole population.
+    Scenario(n=3, m=40, check_rounds=40, decoy_count=3, seed=41,
+             adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 40})),
+], ids=["baseline_fake_c120", "tamper_c40"])
+def test_larger_shapes_are_decided_as_the_scalar_trial(scenario):
+    counters, rerun = _engine(scenario, range(200))
+    assert rerun == []
+    assert counters == _scalar(scenario, range(200))
+
+
 def test_no_other_kind_and_no_unchecked_run_is_covered():
     fake = AdversarySpec(KIND_TP1_FAKE_STATE, {})
     for scenario in [

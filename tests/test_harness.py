@@ -348,7 +348,7 @@ def test_an_idle_worker_survives_ctrl_c(monkeypatch):
 
 
 @pytest.mark.parametrize("reaped", [True, False], ids=["reaped", "dying"])
-@pytest.mark.parametrize("method", ["fork", "spawn"])
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_a_killed_idle_worker_is_reported_and_replaced(monkeypatch, method, reaped):
     # A worker already gone breaks its pipe on the next send; one still
     # dying, as a rule, resets it on the next receive instead.  Either way

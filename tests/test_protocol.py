@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from qpcsim import harness, protocol
-from qpcsim.adversaries import TP1, AdversaryStrategy, EveInterceptResend, Tp2FakeResult, TpFakeResult
+from qpcsim.adversaries import (
+    TP1,
+    AdversaryStrategy,
+    ClassicalPositionTamper,
+    EveInterceptResend,
+    Tp2FakeResult,
+    Tp2Intercept,
+    TpFakeResult,
+)
 from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index
 from qpcsim.harness import Scenario, _draw_secrets, run_trial
 from qpcsim.photons import Link, QuantumChannel, interleave, public_discussion
@@ -286,6 +294,20 @@ def test_zhang_calls_every_hook_but_the_position_tamper():
     t = run_zhang_baseline(4, random_secrets(2, 4, rng), check_rounds=2, adversary=recording, rng=rng)
     assert not t.aborted
     assert recording.called == {"override_preparation", "taps", "flip_verdict", "finalize"}
+
+
+@pytest.mark.parametrize("strategy", [Tp2FakeResult(), Tp2Intercept(victim=1), ClassicalPositionTamper(count=1)],
+                         ids=lambda strategy: strategy.kind)
+def test_the_baseline_runner_rejects_the_kinds_it_has_no_party_for(strategy):
+    # No TP2 to attack as, and no check positions on a plain broadcast: the
+    # runner refuses these kinds as config validation does, not only behind it.
+    rng = make_rng(21)
+    with pytest.raises(ValueError, match=strategy.kind):
+        run_zhang_baseline(4, random_secrets(2, 4, rng), check_rounds=2, adversary=strategy, rng=rng)
+    with pytest.raises(harness.ConfigError, match="adversary.kind"):
+        Scenario(protocol="zhang_baseline", n=2, m=4, check_rounds=2,
+                 adversary=harness.AdversarySpec(strategy.kind, {})).validate()
+    run_proposed(2, 4, random_secrets(2, 4, rng), adversary=strategy, rng=rng)
 
 
 def test_zhang_with_state_check_rounds():

@@ -1,21 +1,25 @@
 """Steps 1-3 of a block of trials as arrays, for the scenarios whose state
 check can abort a trial before anything taps it: a first third party that
-prepares fake states (under either protocol) and a position tamperer on the
-classical broadcast, each with at least one check round.
+prepares fake states (under either protocol) and a ``paired_specs``
+position tamperer on the classical broadcast, each with at least one check
+round and with secrets that are never drawn again.  So every trial shares
+one fixed preparation.
 
 Each trial's draws are read through ``stream.Rows``, a row per trial, call
 for call as ``run_trial`` makes them through the trial's ``Stream``: the
-secrets, any preparation that draws, the decoy run, the check positions,
-the tamperer's rounds and targets, the bases, and the check measurements,
-which draw as ``GhzRegister.measure`` draws on fresh registers.  So every
-value is the one the trial's own ``Stream`` would draw.  With no tap, every
-decoy arrives as prepared, so the decoy run only moves the cursor.
+secrets, the decoy run, the check positions, the tamperer's rounds and
+targets, the bases, and the check measurements, which draw as
+``GhzRegister.measure`` draws on fresh registers.  So every value is the
+one the trial's own ``Stream`` would draw.  With no tap, every decoy
+arrives as prepared, so the decoy run only moves the cursor.  Each trial's
+outputs are fetched whole, as many as it can read before its check ends; a
+scenario whose trials can read more than ``RAW_WORDS`` words leaves every
+trial to the scalar loop.
 
 A trial the state check aborts is counted here as ``harness._extract``
 counts it.  Every other trial is left to be rerun from its seed by the
-scalar ``run_trial``: one the check passes, one that ``Rows`` marks (a
-bounded draw that Lemire's rule would redraw, or a read past the outputs
-fetched for it), and one whose ``forced_unequal`` secrets would be redrawn.
+scalar ``run_trial``: one the check passes, and one with a bounded draw
+that Lemire's rule would redraw.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from .stream import _CHUNK, RAW_WORDS, Rows, _choice_bounds
 
 def covers(scenario, strategy) -> bool:
     """Whether the engine decides ``scenario``'s trials: the state check can
-    abort them, and no tap acts before it."""
-    if scenario.effective_check_rounds() == 0:
+    abort them, no tap acts before it, and the preparation is fixed."""
+    if scenario.effective_check_rounds() == 0 or scenario.secrets.policy == "forced_unequal":
         return False
     if isinstance(strategy, ClassicalPositionTamper):
-        return scenario.variant == proto.VARIANT_BROADCAST
+        return scenario.variant == proto.VARIANT_BROADCAST and strategy.policy == POLICY_PAIRED
     return isinstance(strategy, Tp1FakeInitialState)
 
 
@@ -49,7 +53,7 @@ def state_check(
     trial's seeded bit generator; trials go through the engine in blocks
     that start at multiples of ``TrialSeeds``' chunk."""
     shape = _Shape(scenario, strategy)
-    if not shape.fits:  # every trial reads past its outputs before the check
+    if shape.words > RAW_WORDS:  # a trial may read past one fetch of its Stream
         return {}, list(trials)
     counts = np.zeros(len(_COUNTS), dtype=np.int64)
     rerun: List[int] = []
@@ -73,31 +77,22 @@ class _Shape:
         n, m = scenario.n, scenario.m
         c, l = scenario.effective_check_rounds(), scenario.effective_decoy_count()
         total = scenario.roles.register_count(m, c)
-        self.n, self.m, self.c, self.total = n, m, c, total
+        self.n, self.c, self.total = n, c, total
         self.check_step = scenario.roles.check_step
-        policy = scenario.secrets.policy
-        self.secret_draws = {"explicit": 0, "forced_equal": m}.get(policy, n * m)
-        self.distinct = policy == "forced_unequal"
-        # The fake and the paired preparations draw nothing; a random
-        # tamperer leaves the honest preparation, one n-bit draw a register.
-        prepared = strategy.start_run().override_preparation(n, total, None)
-        self.prepare_draws = total if prepared is None else 0
-        if prepared is not None:
-            _, true_states, claimed = prepared
-            self.true, self.claimed = _registers(true_states), _registers(claimed)
+        self.secret_draws = {"explicit": 0, "forced_equal": m}.get(scenario.secrets.policy, n * m)
+        _, true_states, claimed = strategy.start_run().override_preparation(n, total, None)
+        self.true, self.claimed = _registers(true_states), _registers(claimed)
         self.decoys = _run_bounds(total, l, n) if l else None
-        tamper = isinstance(strategy, ClassicalPositionTamper)
-        self.wanted = min(strategy.count, c) if tamper else 0
-        self.tamper, self.paired = tamper, tamper and strategy.policy == POLICY_PAIRED
-        prefix = self.secret_draws + self.prepare_draws + len(_choice_bounds(total, c).wide)
+        self.tamper = isinstance(strategy, ClassicalPositionTamper)
+        self.wanted = min(strategy.count, c) if self.tamper else 0
+        reads = self.secret_draws + len(_choice_bounds(total, c).wide)
         if self.decoys is not None:
-            prefix += len(self.decoys.wide)
+            reads += len(self.decoys.wide)
         if self.wanted:
-            prefix += len(_choice_bounds(c, self.wanted).wide)
-        # The most a trial reads: the prefix, a target per tampered round,
-        # the bases, and the measurements' read-ahead.
-        self.words = min(RAW_WORDS, (prefix + self.wanted + c + n * c + 1) // 2)
-        self.fits = prefix <= 2 * self.words
+            reads += len(_choice_bounds(c, self.wanted).wide)
+        # The most a trial reads, in 64-bit words: the draws above, a target
+        # per tampered round, the bases, and the measurements' read-ahead.
+        self.words = (reads + self.wanted + c + n * c + 1) // 2
 
     def counters(self, counts: np.ndarray) -> Dict[str, int]:
         """``_extract``'s counters of the aborted trials whose sums are ``counts``."""
@@ -121,9 +116,8 @@ class _Shape:
 
 
 class _States(NamedTuple):
-    """The registers of a block's trials: the bits (trial, register,
-    particle), and the phase and whether the register is a product state
-    (trial, register)."""
+    """The registers every trial shares: the bits (register, particle), and
+    the phase and whether the register is a product state (register)."""
 
     q: np.ndarray
     delta: np.ndarray
@@ -131,9 +125,9 @@ class _States(NamedTuple):
 
 
 def _registers(states) -> _States:
-    """The registers of a preparation list (a GhzSpec, or a product state's
-    bit tuple) that every trial of a block shares, as read-only views.  A
-    preparation repeats a few state objects, each read once."""
+    """The registers of a preparation list: a GhzSpec, or a product state's
+    bit tuple, each.  A preparation repeats a few state objects, each read
+    once."""
     distinct = {id(state): state for state in states}
     code = {key: i for i, key in enumerate(distinct)}
     which = np.array([code[id(state)] for state in states])
@@ -141,32 +135,21 @@ def _registers(states) -> _States:
     q = np.array([state.q if entangled else state for state, entangled in zip(distinct.values(), ghz)], dtype=np.uint8)
     delta = np.array([state.delta if entangled else 0 for state, entangled in zip(distinct.values(), ghz)],
                      dtype=np.uint8)
-    return _States(*(np.broadcast_to(a, (_CHUNK, *a.shape)) for a in (q[which], delta[which], ~np.array(ghz)[which])))
+    return _States(q[which], delta[which], ~np.array(ghz)[which])
 
 
 def _decide(shape: _Shape, draws: Rows) -> Tuple[np.ndarray, np.ndarray]:
     """Steps 1-3 of one block: whether each trial is decided here (its check
-    aborts and nothing sent it off the arrays), and the ``_COUNTS`` sums of
-    those trials."""
+    aborts and Lemire's rule redraws none of its draws), and the ``_COUNTS``
+    sums of those trials."""
     n, c, total = shape.n, shape.c, shape.total
+    true, claimed = shape.true, shape.claimed
     count = len(draws)
     trials = np.arange(count)
     rows = trials[:, None]
 
-    # Step 1: the secrets, and any preparation that draws.  Only distinct
-    # secrets are looked at: an aborted trial's counters do not hold them.
-    secrets = draws.bits(shape.secret_draws)
-    repeated = False
-    if shape.distinct:
-        secrets = secrets.reshape(count, n, shape.m)
-        repeated = (secrets[:, :, None] == secrets[:, None]).all(axis=3).sum(axis=(1, 2)) != n
-    if shape.prepare_draws:
-        # ghz_from_index(v + 1, n): phase v & 1, q[k] = bit n - k of v.
-        index = draws.bits(total, n)
-        q = (index[:, :, None] >> np.arange(n, 0, -1)) & 1
-        true = claimed = _States(q, index & 1, np.zeros((count, total), dtype=bool))
-    else:
-        true, claimed = shape.true, shape.claimed
+    # Step 1: the secrets, which an aborted trial's counters do not hold.
+    draws.bits(shape.secret_draws)
     # Step 2: no tap, so every decoy passes; its draws only move the cursor.
     if shape.decoys is not None:
         draws.run(shape.decoys)
@@ -180,14 +163,14 @@ def _decide(shape: _Shape, draws: Rows) -> Tuple[np.ndarray, np.ndarray]:
         free = np.ones((count, total), dtype=bool)
         free[rows, positions] = False
         true_at = positions[rows, rounds]
-        # A paired preparation alternates, so the partner state sits at the
-        # positions of the other parity; a random substitute is any position.
-        # A target used leaves the free ones.
-        partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None] if shape.paired else None
+        # The paired preparation alternates, so the partner state sits at
+        # the positions of the other parity.  A target used leaves the free
+        # ones.
+        partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None]
         for i, r in enumerate(rounds.T):
             # A round's target is one draw below its pool's size, if the pool
             # holds any.
-            pool = (free & partner[:, i] if shape.paired else free).cumsum(axis=1)
+            pool = (free & partner[:, i]).cumsum(axis=1)
             size = pool[:, -1]
             pick = draws.below(np.maximum(size, 1))
             target = np.where(size > 0, (pool > pick[:, None]).argmax(axis=1), true_at[:, i])
@@ -206,8 +189,7 @@ def _decide(shape: _Shape, draws: Rows) -> Tuple[np.ndarray, np.ndarray]:
     # draws only on the first particle of each entangled register.
     k = np.arange(n)
     reg = np.where(k == 0, positions[:, :, None], received[:, :, None])
-    row = rows[:, :, None]
-    product = true.product[row, reg]
+    product = true.product[reg]
     split = tampered[:, :, None]
     drawn = np.where(x[:, :, None], product | split | (k < n - 1), ~product & ((k == 0) | (split & (k == 1))))
     flat = drawn.reshape(count, c * n)
@@ -216,21 +198,21 @@ def _decide(shape: _Shape, draws: Rows) -> Tuple[np.ndarray, np.ndarray]:
     draws.skip(flat.sum(axis=1))
     # A Z outcome is q[k] XOR the branch the group's first particle drew.
     branch = np.where(split & (k >= 1), bits[:, :, 1:2], bits[:, :, :1]) & ~product
-    claimed_q = claimed.q[rows, positions]
-    claimed_delta = claimed.delta[rows, positions]
-    z_off = true.q[row, reg, k] ^ branch ^ claimed_q
+    claimed_q = claimed.q[positions]
+    claimed_delta = claimed.delta[positions]
+    z_off = true.q[reg, k] ^ branch ^ claimed_q
     whole = ~tampered & ~product[:, :, 0]
-    x_parity = np.where(whole, true.delta[rows, positions], np.bitwise_xor.reduce(bits, axis=2))
+    x_parity = np.where(whole, true.delta[positions], np.bitwise_xor.reduce(bits, axis=2))
     failed = np.where(x, x_parity != claimed_delta, (z_off != z_off[:, :, :1]).any(axis=2))
 
-    kept = failed.any(axis=1) & ~draws.redraw & ~draws.past & ~repeated
+    kept = failed.any(axis=1) & ~draws.redraw
     tamper_count = tampered.sum(axis=1)
     distinct = 0
     if shape.tamper:
         # A substitute is distinct when its true state is not the state
         # claimed for the checked register.
-        differs = (true.product[rows, received] | (true.q[rows, received] != claimed_q).any(axis=2)
-                   | (true.delta[rows, received] != claimed_delta))
+        differs = (true.product[received] | (true.q[received] != claimed_q).any(axis=2)
+                   | (true.delta[received] != claimed_delta))
         distinct = (tampered & differs).sum(axis=1)
     runs = tamper_count > 0
     x_rounds = x.sum(axis=1)

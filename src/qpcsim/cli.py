@@ -46,6 +46,17 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _seed(text: str) -> int:
+    """A seed given on the command line: an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 _JOBS_HELP = (
     "processes sharing the trials: this one and N-1 workers (1..CPU count, at most"
     f" {MAX_JOBS}).  Workers start on first need and are reused for the life of this"
@@ -64,21 +75,21 @@ def build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one scenario from a config document")
     run.add_argument("--config", required=True, help="path to a scenario config (JSON)")
     run.add_argument("--trials", type=int, help="override the config's trial count")
-    run.add_argument("--seed", type=int, help="override the config's seed")
+    run.add_argument("--seed", type=_seed, help="override the config's seed")
     run.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=_JOBS_HELP)
     run.add_argument("--out", help="write results here instead of stdout")
     run.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
 
     suite = sub.add_parser("suite", help="run a built-in experiment suite")
     suite.add_argument("name", help=f"suite name (available: {', '.join(SUITE_NAMES)})")
-    suite.add_argument("--seed", type=int, help=f"suite seed (default {DEFAULT_SEED})")
+    suite.add_argument("--seed", type=_seed, help=f"suite seed (default {DEFAULT_SEED})")
     suite.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=_JOBS_HELP)
     suite.add_argument("--out", help="write the result table here as well")
     suite.add_argument("--format", choices=("json", "csv"), default="json")
 
     transcript = sub.add_parser("transcript", help="dump one run's full transcript")
     transcript.add_argument("--config", required=True, help="path to a scenario config (JSON)")
-    transcript.add_argument("--seed", type=int, help="override the config's seed")
+    transcript.add_argument("--seed", type=_seed, help="override the config's seed")
     transcript.add_argument(
         "--trial", type=int, metavar="K", help="dump trial K of the config, 0 <= K < trials (default: trials must be 1)"
     )
@@ -114,6 +125,19 @@ def _effective_seed(doc: dict, override: Optional[int]) -> None:
         print(f"seed: {doc['seed']} (drawn from the system; pass --seed to replay)", file=sys.stderr)
 
 
+def _check_out(path: Optional[str], error: type, name: str) -> None:
+    """Raise ``error`` naming ``name`` unless ``path`` is empty or a file
+    that can be written in an existing directory: checked before any trial
+    runs, not when the output is written."""
+    if not path:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise error(f"{name} must name a file, not the directory {path!r}")
+    if not target.parent.is_dir():
+        raise error(f"{name} must name a file in an existing directory, got {path!r}")
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
@@ -127,16 +151,21 @@ def cmd_run(args) -> int:
         doc["trials"] = args.trials
     _effective_seed(doc, args.seed)
     scenario = scenario_from_config(doc)
-    stats = run_scenario(scenario, jobs=args.jobs)
     output_doc = doc.get("output") or {}
-    fmt = args.format or output_doc.get("format") or "json"
     out = args.out or output_doc.get("path")
+    if args.out:
+        _check_out(out, UsageError, "--out")
+    else:
+        _check_out(out, ConfigError, "field `output.path`")
+    stats = run_scenario(scenario, jobs=args.jobs)
+    fmt = args.format or output_doc.get("format") or "json"
     _write(stats.to_json() if fmt == "json" else stats.to_csv(), out)
     return EXIT_OK
 
 
 def cmd_suite(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    _check_out(args.out, UsageError, "--out")
     result = run_suite(args.name, seed=seed, jobs=args.jobs)
     print(result.format_table())
     if args.out:
@@ -155,6 +184,7 @@ def cmd_transcript(args) -> int:
         trial = 0
     elif not 0 <= trial < scenario.trials:
         raise UsageError(f"--trial must be in 0..{scenario.trials - 1} for {scenario.trials} trials, got {trial}")
+    _check_out(args.out, UsageError, "--out")
     transcript = run_trial(scenario, scenario.strategy(), trial, record_events=True)
     _write(transcript.to_json(), args.out)
     return EXIT_OK

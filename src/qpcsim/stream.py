@@ -16,8 +16,8 @@ what the ``integers`` or ``choice`` call it stands for would give at the
 same point of the generator's sequence (tests/test_stream.py pins this
 against the installed numpy).  ``Rows`` draws by the same rules for a block
 of trials at once, a row per trial, over a fixed number of outputs each,
-and marks the rows whose draws it cannot follow: a Lemire redraw, or a
-read past those outputs.
+and marks the rows whose draws it cannot follow: those with a Lemire
+redraw.
 
 ``TrialSeeds`` seeds each trial's bit generator as
 ``SeedSequence(entropy=seed, spawn_key=(trial,))`` would, without building
@@ -36,7 +36,9 @@ import numpy as np
 # reads is 778 32-bit outputs (389 words), at n = 5, m = 16: the 698 it
 # draws at most before its key measurement, plus that measurement's
 # read-ahead of n * m = 80 fair bits (``GhzRegister.measure``).  The spare
-# word leaves room for Lemire redraws, each one output more.
+# word leaves room for Lemire redraws, each one output more.  It also caps
+# the outputs the block engine fetches for a trial: a scenario whose trials
+# can read more before their state check ends runs trial by trial.
 RAW_WORDS = 390
 
 _LOW = 0xFFFFFFFF
@@ -157,8 +159,8 @@ class Rows:
     A row has its own cursor: one number while every row has drawn alike,
     an array once their draws differ.  A row is marked in ``redraw`` where
     Lemire's rule would redraw one of its bounded draws, so that it and
-    every later value differ from its ``Stream``'s, and in ``past`` once it
-    has drawn past its outputs; a read past them repeats the last output.
+    every later value differ from its ``Stream``'s.  A read past the
+    outputs fetched raises ``IndexError``.
     """
 
     __slots__ = ("_words", "_rows", "_at", "redraw")
@@ -174,18 +176,12 @@ class Rows:
     def __len__(self) -> int:
         return len(self.redraw)
 
-    @property
-    def past(self) -> np.ndarray:
-        """The rows that have drawn past their outputs."""
-        return (self._at > self._words.shape[1]) | np.zeros_like(self.redraw)
-
     def _outputs(self, count: int) -> np.ndarray:
         """The next ``count`` outputs of each row, as uint64, left unread."""
-        at, width = self._at, self._words.shape[1]
-        if isinstance(at, int) and at + count <= width:
+        at = self._at
+        if isinstance(at, int) and at + count <= self._words.shape[1]:
             return self._words[:, at : at + count].astype(np.uint64)
-        index = np.minimum(np.add.outer(at, np.arange(count)), width - 1)
-        return self._words[self._rows, index].astype(np.uint64)
+        return self._words[self._rows, np.add.outer(at, np.arange(count))].astype(np.uint64)
 
     def _take(self, count: int) -> np.ndarray:
         values = self._outputs(count)

@@ -14,7 +14,8 @@ import qpcsim.cli
 import qpcsim.harness
 from qpcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpcsim.harness import MAX_JOBS, TrialStats, scenario_from_config
-from test_harness import FailingScenario, boom, forbid_workers
+from test_harness import forbid_workers
+from worker_faults import FailingScenario, boom
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -125,6 +126,45 @@ def test_invalid_json_config(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "not valid JSON" in err["message"]
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+def _forbid_runs(monkeypatch):
+    """Make running any trial, through any command, fail the test."""
+    for name in ("run_scenario", "run_trial", "run_suite"):
+        monkeypatch.setattr(qpcsim.cli, name, _no_run)
+
+
+def _commands(tmp_path):
+    cfg = str(write_config(tmp_path, trials=1))
+    return (["run", "--config", cfg], ["suite", "paper_tables"], ["transcript", "--config", cfg])
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_an_output_path_that_cannot_be_written_is_rejected_before_any_trial_runs(tmp_path, capsys, monkeypatch,
+                                                                                  where):
+    _forbid_runs(monkeypatch)
+    out = str(tmp_path / "missing" / "out.json") if where == "missing_directory" else str(tmp_path)
+    cases = [(argv + ["--out", out], "usage", "--out") for argv in _commands(tmp_path)]
+    output_path = write_config(tmp_path, "output.json", output={"path": out})
+    cases.append((["run", "--config", str(output_path)], "config", "`output.path`"))
+    for argv, category, name in cases:
+        assert main(argv) == EXIT_CONFIG, argv
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == category and name in err["message"], (argv, err)
+
+
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Not a config error naming a seed derived from it, as a suite's rows are.
+    _forbid_runs(monkeypatch)
+    for argv in _commands(tmp_path):
+        for seed in ("-1", "seven"):
+            assert main(argv + ["--seed", seed]) == EXIT_CONFIG, argv
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["category"] == "usage" and "--seed" in err["message"], (argv, err)
 
 
 def test_transcript_requires_single_trial(tmp_path, capsys):

@@ -12,7 +12,6 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Optional
 
 import pytest
 from scipy import stats as scipy_stats
@@ -37,6 +36,7 @@ from qpcsim.harness import (
     scenario_from_config,
     wilson_interval,
 )
+from worker_faults import FailingScenario, boom, caller_fails, exit_3, sleep_60
 
 
 FAKE_STATE = "tp1_fake_initial_state"
@@ -246,40 +246,6 @@ def test_max_jobs_is_allowed(monkeypatch):
     assert run_scenario(small_scenario(trials=1), jobs=MAX_JOBS).counters["trials"] == 1
 
 
-@dataclasses.dataclass
-class FailingScenario(Scenario):
-    """A scenario whose trials call ``in_worker`` in any process but the
-    one that made it, and ``in_caller`` in that one.  A worker receives it
-    in each call's message, so it fails there however long ago the worker
-    started."""
-
-    in_worker: Optional[Callable[[], None]] = None
-    in_caller: Optional[Callable[[], None]] = None
-    caller_pid: int = dataclasses.field(default_factory=os.getpid)
-
-    def effective_check_rounds(self) -> int:
-        fail = self.in_caller if os.getpid() == self.caller_pid else self.in_worker
-        if fail is not None:
-            fail()
-        return super().effective_check_rounds()
-
-
-def boom():
-    raise ValueError("boom")
-
-
-def _exit_3():
-    os._exit(3)
-
-
-def _caller_fails():
-    raise KeyError("caller share")
-
-
-def _sleep_60():
-    time.sleep(60)
-
-
 @contextlib.contextmanager
 def _within(seconds):
     """Fail, rather than hang, if the block takes longer than ``seconds``."""
@@ -296,26 +262,36 @@ def _within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_worker_exception_reaches_the_caller():
+@pytest.fixture(params=["fork", "forkserver", "spawn"])
+def start_method(request, monkeypatch):
+    """Start the test's workers by each start method, with none left idle
+    from before the test and none left after it."""
+    monkeypatch.setattr(qpcsim.harness, "_CONTEXT", multiprocessing.get_context(request.param))
+    qpcsim.harness._stop_workers()
+    yield request.param
+    qpcsim.harness._stop_workers()
+
+
+def test_worker_exception_reaches_the_caller(start_method):
     with _within(30), pytest.raises(ValueError, match="^boom$"):
         run_scenario(FailingScenario(n=2, m=2, trials=9, seed=7, in_worker=boom), jobs=3)
     assert multiprocessing.active_children() == []
 
 
-def test_worker_that_exits_without_sending_is_an_error():
+def test_worker_that_exits_without_sending_is_an_error(start_method):
     with _within(30), pytest.raises(RuntimeError, match="exited with code 3"):
-        run_scenario(FailingScenario(n=2, m=2, trials=4, seed=7, in_worker=_exit_3), jobs=2)
+        run_scenario(FailingScenario(n=2, m=2, trials=4, seed=7, in_worker=exit_3), jobs=2)
     assert multiprocessing.active_children() == []
 
 
-def test_caller_share_error_terminates_the_workers():
-    scenario = FailingScenario(n=2, m=2, trials=4, seed=7, in_worker=_sleep_60, in_caller=_caller_fails)
+def test_caller_share_error_terminates_the_workers(start_method):
+    scenario = FailingScenario(n=2, m=2, trials=4, seed=7, in_worker=sleep_60, in_caller=caller_fails)
     with _within(30), pytest.raises(KeyError, match="caller share"):
         run_scenario(scenario, jobs=2)
     assert multiprocessing.active_children() == []
 
 
-def test_workers_are_reused_across_calls(monkeypatch):
+def test_workers_are_reused_across_calls(start_method, monkeypatch):
     scenario = small_scenario(trials=8, n=3)
     with _within(30):
         first = run_scenario(scenario, jobs=2)
@@ -325,7 +301,7 @@ def test_workers_are_reused_across_calls(monkeypatch):
     assert second.to_json() == run_scenario(dataclasses.replace(scenario, seed=8)).to_json()
 
 
-def test_a_failed_call_stops_idle_workers_too():
+def test_a_failed_call_stops_idle_workers_too(start_method):
     with _within(30):
         run_scenario(small_scenario(trials=6), jobs=3)
         assert len(multiprocessing.active_children()) >= 2
@@ -335,7 +311,7 @@ def test_a_failed_call_stops_idle_workers_too():
     assert multiprocessing.active_children() == []
 
 
-def test_an_idle_worker_survives_ctrl_c(monkeypatch):
+def test_an_idle_worker_survives_ctrl_c(start_method, monkeypatch):
     scenario = small_scenario(trials=4)
     with _within(30):
         run_scenario(scenario, jobs=2)

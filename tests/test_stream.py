@@ -185,13 +185,13 @@ def _stream_value(stream, call, row):
     return _from_stream(stream, call)
 
 
-def _assert_rows_draw_as_streams(calls, seeds, replaced, words):
-    """Rows over the first ``words`` outputs of each seed's PCG64 against a
-    ``Stream`` per seed, call by call: a row is marked for a redraw exactly
-    when its stream redraws, and as past its outputs exactly when its
-    stream has read past them; until then it draws its stream's values.
-    Returns the rows marked for a redraw and the rows marked as past."""
-    rows = Rows([_Source(make_rng(*seed).bit_generator, doctored) for seed, doctored in zip(seeds, replaced)], words)
+def _assert_rows_draw_as_streams(calls, seeds, replaced):
+    """Rows over the first 2 * RAW_WORDS outputs of each seed's PCG64
+    against a ``Stream`` per seed, call by call: a row is marked for a
+    redraw exactly when its stream redraws, and until then it draws its
+    stream's values.  Returns the rows marked for a redraw."""
+    rows = Rows([_Source(make_rng(*seed).bit_generator, doctored) for seed, doctored in zip(seeds, replaced)],
+                2 * RAW_WORDS)
     sources = [_Source(make_rng(*seed).bit_generator, doctored) for seed, doctored in zip(seeds, replaced)]
     streams = [Stream(source) for source in sources]
 
@@ -207,16 +207,12 @@ def _assert_rows_draw_as_streams(calls, seeds, replaced, words):
             want = _stream_value(stream, call, r)
             if marked[r]:
                 continue
-            reads = _reads(call, r)
-            assert rows.past[r] == (before[r] + reads > 2 * words), (call, r)
-            if rows.past[r]:
-                continue
-            assert rows.redraw[r] == (position(r) - before[r] > reads), (call, r)
+            assert rows.redraw[r] == (position(r) - before[r] > _reads(call, r)), (call, r)
             if rows.redraw[r]:
                 redrawn += 1
             else:
                 assert got[r] == want, (call, r)
-    return redrawn, int(rows.past.sum())
+    return redrawn
 
 
 def test_rows_draw_what_each_rows_stream_draws():
@@ -224,7 +220,7 @@ def test_rows_draw_what_each_rows_stream_draws():
     redrawn = 0
     for case in range(60):
         seeds = [(5, case, r) for r in range(6)]
-        redrawn += _assert_rows_draw_as_streams(_row_calls(plan, 6), seeds, [{}] * 6, 2 * RAW_WORDS)[0]
+        redrawn += _assert_rows_draw_as_streams(_row_calls(plan, 6), seeds, [{}] * 6)
     assert redrawn > 60  # the bounds just above 2^31 redraw about half the time
 
 
@@ -235,24 +231,22 @@ def test_rows_mark_a_redraw_where_a_doctored_stream_redraws():
     for case in range(60):
         seeds = [(7, case, r) for r in range(6)]
         replaced = [dict.fromkeys(plan.integers(0, 300, size=3).tolist(), 0) for _ in seeds]
-        redrawn += _assert_rows_draw_as_streams(_row_calls(plan, 6), seeds, replaced, 2 * RAW_WORDS)[0]
+        redrawn += _assert_rows_draw_as_streams(_row_calls(plan, 6), seeds, replaced)
     assert redrawn > 120
 
 
-def test_rows_mark_the_reads_past_their_outputs():
-    plan = make_rng(8)
-    past = 0
-    for case in range(60):
-        seeds = [(9, case, r) for r in range(6)]
-        words = int(plan.integers(1, 240))
-        past += _assert_rows_draw_as_streams(_row_calls(plan, 6), seeds, [{}] * 6, words)[1]
-    assert 40 < past < 320
+def test_rows_refuse_a_read_past_their_outputs():
     # Reading every output is not reading past them.
     rows = Rows([make_rng(11, r).bit_generator for r in range(3)], 4)
     rows.bits(8)
-    assert not rows.past.any()
-    rows.skip(np.array([0, 1, 0]))
-    assert rows.past.tolist() == [False, True, False]
+    with pytest.raises(IndexError):
+        rows.bits(1)
+    # Nor is it once the rows' cursors differ.
+    rows = Rows([make_rng(11, r).bit_generator for r in range(3)], 4)
+    rows.skip(np.array([7, 8, 6]))
+    rows.peek(0)
+    with pytest.raises(IndexError):
+        rows.peek(1)
 
 
 def test_rows_do_not_replay_a_tail_shuffle():

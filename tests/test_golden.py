@@ -3,20 +3,24 @@
 Each case pins the exact counters of a small scenario (n=3, m=4, about 30
 trials) or the full transcript ``qpcsim transcript`` writes for it, so any
 change to the order of random draws, the protocol steps or the counter
-extraction shows up here first.  Regenerate the files under
+extraction shows up here first.  A sha256 per battery shape also pins the
+transcripts of its first 40 trials.  Regenerate the files under
 ``tests/data/golden/`` only for a deliberate draw-order change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from qpcsim.adversaries import ALL_KINDS, KIND_POSITION_TAMPER
+from qpcsim.adversaries import ALL_KINDS, KIND_EVE, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT, KIND_TP2_FAKE_RESULT
 from qpcsim.cli import EXIT_OK, main
-from qpcsim.harness import run_scenario, scenario_from_config
+from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, run_scenario, run_trial, scenario_from_config
+from qpcsim.suites import _SCENARIOS
 
 DATA = Path(__file__).parent / "data" / "golden"
 
@@ -97,7 +101,41 @@ def _transcript_cases() -> dict:
             trials=1, decoy_count=2, decoy_tolerance=1, adversary=_adversary("eve_intercept_resend", {"links": [1]})
         ),
         "transcript_fake_state": _doc(trials=1, adversary=_adversary("tp1_fake_initial_state")),
+        "transcript_tp1_flip": _doc(trials=1, adversary=_adversary(KIND_TP1_FAKE_RESULT)),
     }
+
+
+def _battery_shapes() -> dict:
+    """Every suite scenario, plus shapes the suite does not run."""
+    shapes = {key: template for key, (_, template) in _SCENARIOS.items()}
+    shapes.update(
+        baseline_check0=Scenario(protocol="zhang_baseline", n=2, m=4, check_rounds=0),
+        proposed_check0=Scenario(n=3, m=4, check_rounds=0),
+        tamper_random=Scenario(
+            n=3, m=8, check_rounds=4, decoy_count=2,
+            adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 2, "policy": "random"}),
+        ),
+        eve_two_links_tolerated=Scenario(
+            n=3, m=4, decoy_count=3, decoy_tolerance=2, adversary=AdversarySpec(KIND_EVE, {"links": [1, 2], "victim": 1})
+        ),
+        tp2_flip_pairs=Scenario(n=3, m=4, adversary=AdversarySpec(KIND_TP2_FAKE_RESULT, {"pairs": [[1, 3]]})),
+        forced_equal=Scenario(n=3, m=4, secrets=SecretsSpec(policy="forced_equal")),
+        r_vectors_tp1_flip=Scenario(n=3, m=4, announce_r_vectors=True, adversary=AdversarySpec(KIND_TP1_FAKE_RESULT)),
+    )
+    return shapes
+
+
+def _transcript_digests() -> dict:
+    """The sha256 of the transcripts of trials 0-39 at seed 3, per shape."""
+    digests = {}
+    for key, template in _battery_shapes().items():
+        scenario = replace(template, seed=3)
+        scenario.validate()
+        strategy, digest = scenario.strategy(), hashlib.sha256()
+        for trial in range(40):
+            digest.update(run_trial(scenario, strategy, trial, True).to_json().encode())
+        digests[key] = digest.hexdigest()
+    return digests
 
 
 def _stats_json(doc: dict) -> str:
@@ -120,6 +158,13 @@ def test_stats_match_golden(name):
 @pytest.mark.parametrize("name", sorted(_transcript_cases()))
 def test_transcript_matches_golden(name, tmp_path):
     assert _transcript_json(_transcript_cases()[name], tmp_path) == (DATA / f"{name}.json").read_text()
+
+
+def test_transcripts_of_every_battery_shape_match_their_digests():
+    expected = json.loads((DATA / "transcript_digests.json").read_text())
+    got = _transcript_digests()
+    assert got.keys() == expected.keys()
+    assert [key for key in got if got[key] != expected[key]] == []
 
 
 def _golden_result(name: str) -> dict:
@@ -146,6 +191,16 @@ def test_fake_state_transcript_hands_out_product_states():
     assert result["claimed_states"] == [{"q": "000", "delta": 0}] * 8
 
 
+def test_tp1_flip_transcript_aborts_on_conflicting_announcements():
+    doc = json.loads((DATA / "transcript_tp1_flip.json").read_text())
+    result = doc["result"]
+    assert (result["abort_step"], result["abort_cause"], result["arbiter"]) == (7, "announcement_conflict", "TP1")
+    assert all(not info["accepted"] for info in result["pairs"].values())
+    *_, abort, liar = doc["events"]
+    assert abort == {"step": 7, "actor": "protocol", "kind": "abort", "payload": {"cause": "announcement_conflict"}}
+    assert liar == {"step": 7, "actor": "Arbiter", "kind": "liar_identified", "payload": {"liar": "TP1"}}
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -155,3 +210,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case, doc in _transcript_cases().items():
             (DATA / f"{case}.json").write_text(_transcript_json(doc, Path(tmp)))
+    (DATA / "transcript_digests.json").write_text(json.dumps(_transcript_digests(), indent=2) + "\n")

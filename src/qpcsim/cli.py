@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, UsageError
-from .harness import MAX_JOBS, run_scenario, run_trial, scenario_from_config
+from .harness import MAX_JOBS, MAX_TRIALS, run_scenario, run_trial, scenario_from_config
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -32,29 +32,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text: str, low: int, high: float, wanted: str) -> int:
+    """``text`` as an integer in low..high, or a type error saying it must be ``wanted``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if not low <= value <= high:
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+    return value
+
+
 def _jobs(text: str) -> int:
     """Process count for the trials: at most one per CPU and at most MAX_JOBS."""
     limit = min(os.cpu_count() or 1, MAX_JOBS)
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in 1..{limit} (the CPU count, at most {MAX_JOBS}), got {text!r}"
-        )
-    return jobs
+    return _integer(text, 1, limit, f"an integer in 1..{limit} (the CPU count, at most {MAX_JOBS})")
 
 
 def _seed(text: str) -> int:
     """A seed given on the command line: an integer >= 0."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return seed
+    return _integer(text, 0, float("inf"), "an integer >= 0")
+
+
+def _trials(text: str) -> int:
+    """A trial count given on the command line, bounded as a config's is."""
+    return _integer(text, 1, MAX_TRIALS, f"an integer in 1..{MAX_TRIALS}")
 
 
 _JOBS_HELP = (
@@ -74,7 +76,7 @@ def build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run one scenario from a config document")
     run.add_argument("--config", required=True, help="path to a scenario config (JSON)")
-    run.add_argument("--trials", type=int, help="override the config's trial count")
+    run.add_argument("--trials", type=_trials, help="override the config's trial count")
     run.add_argument("--seed", type=_seed, help="override the config's seed")
     run.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=_JOBS_HELP)
     run.add_argument("--out", help="write results here instead of stdout")
@@ -185,7 +187,7 @@ def cmd_transcript(args) -> int:
     elif not 0 <= trial < scenario.trials:
         raise UsageError(f"--trial must be in 0..{scenario.trials - 1} for {scenario.trials} trials, got {trial}")
     _check_out(args.out, UsageError, "--out")
-    transcript = run_trial(scenario, scenario.strategy(), trial, record_events=True)
+    transcript = run_trial(scenario, scenario.strategy(), trial)
     _write(transcript.to_json(), args.out)
     return EXIT_OK
 

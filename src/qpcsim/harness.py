@@ -414,7 +414,6 @@ def run_trial(
     scenario: Scenario,
     strategy: adversaries.AdversaryStrategy,
     trial: int,
-    record_events: bool,
     seeds: Optional[TrialSeeds] = None,
 ) -> proto.Transcript:
     """Run trial number ``trial`` of a scenario and return its transcript,
@@ -433,7 +432,7 @@ def run_trial(
     secrets = _draw_secrets(scenario, rng)
     # A size left None takes the protocol's default in its runner.
     options = dict(check_rounds=scenario.check_rounds, decoy_count=scenario.decoy_count, adversary=strategy, rng=rng,
-                   decoy_tolerance=scenario.decoy_tolerance, record_events=record_events)
+                   decoy_tolerance=scenario.decoy_tolerance)
     if scenario.roles.monitored:  # only a monitored protocol has variants and result vectors to publish
         return proto.run_proposed(
             scenario.n, scenario.m, secrets, variant=scenario.variant, announce_r=scenario.announce_r_vectors, **options
@@ -456,7 +455,7 @@ def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
         # others run here.
         totals, trials = block.state_check(scenario, strategy, trials, partial(_bit_generator, seeds))
     for trial in trials:
-        _extract(run_trial(scenario, strategy, trial, False, seeds), totals)
+        _extract(run_trial(scenario, strategy, trial, seeds), totals)
     return totals
 
 

@@ -84,6 +84,7 @@ class Step3Report(NamedTuple):
     passed: bool
     failures: Tuple[int, ...]
     bases: Tuple[int, ...]
+    outcomes: Sequence[Sequence[int]]
 
 
 def step3_check(
@@ -111,7 +112,7 @@ def step3_check(
             ok = bits == spec.q or bits == spec.complement()
         if not ok:
             failures.append(r)
-    return Step3Report(not failures, tuple(failures), tuple(map(int, bases)))
+    return Step3Report(not failures, tuple(failures), tuple(map(int, bases)), outcomes)
 
 
 def arbiter_identify(
@@ -148,13 +149,11 @@ def _state_to_dict(state: object) -> dict:
 
 
 class Transcript:
-    """Ordered event record of one run plus its outcome summary."""
+    """Outcome summary of one run; ``events`` rebuilds its ordered event record from it."""
 
-    def __init__(self, protocol: str, params: dict, record_events: bool = True) -> None:
+    def __init__(self, protocol: str, params: dict) -> None:
         self.protocol = protocol
         self.params = params
-        self.record_events = record_events
-        self.events: List[dict] = []
         self.aborted = False
         self.abort_step: Optional[int] = None
         self.abort_cause: Optional[str] = None
@@ -163,6 +162,7 @@ class Transcript:
         self.true_states: List[object] = []
         self.checked_positions: List[int] = []
         self.comparison_positions: List[int] = []
+        self.key_positions: Dict[int, List[int]] = {}  # participant -> the registers it measured into its key
         self.keys: Dict[int, Tuple[int, ...]] = {}
         self.comps: Dict[int, Tuple[int, ...]] = {}
         self.announcements: Dict[str, Dict[Tuple[int, int], Announcement]] = {}
@@ -173,15 +173,58 @@ class Transcript:
         self.arbiter: Optional[str] = None
         self.attack = None
 
-    def add(self, step: int, actor: str, kind: str, **payload) -> None:
-        if self.record_events:
-            self.events.append({"step": step, "actor": actor, "kind": kind, "payload": payload})
-
     def mark_abort(self, step: int, cause: str) -> None:
         self.aborted = True
         self.abort_step = step
         self.abort_cause = cause
-        self.add(step, "protocol", "abort", cause=cause)
+
+    @property
+    def events(self) -> List[dict]:
+        """The run's public record in order.  A run that aborts leaves every
+        later field empty, so nothing past its abort is logged."""
+        roles = PROTOCOLS[self.protocol]
+        preparer, *others = roles.announcers
+        check_step, announce_step = roles.check_step, roles.check_step + 3
+        registers = len(self.claimed_specs)
+        events: List[dict] = []
+
+        def add(step: int, actor: str, kind: str, **payload) -> None:
+            events.append({"step": step, "actor": actor, "kind": kind, "payload": payload})
+
+        add(1, preparer, "prepare", registers=registers)
+        for check in self.decoy_checks:
+            k = check["participant"]
+            if roles.log_traffic:
+                add(2, preparer, "quantum_send", to=f"P{k}", carriers=registers, decoys=check["total"])
+            add(2, f"P{k}", "decoy_check", passed=check["passed"], mismatches=check["mismatches"])
+        if self.abort_step != 2:
+            for other in others:
+                add(2, preparer, "initial_states", to=other, count=registers)
+        report = self.step3
+        if report is not None:
+            if roles.log_traffic:
+                add(3, "P1", "check_positions", positions=self.checked_positions, variant=self.params["variant"])
+                add(3, "P2", "check_bases", bases=list(report.bases))
+                for r, outcome in enumerate(report.outcomes):
+                    add(3, "all", "check_measurement", round=r, outcome=dict(enumerate(outcome, 1)))
+            add(check_step, *roles.check_verdict, passed=report.passed, failures=list(report.failures))
+        for k, positions in self.key_positions.items():
+            add(check_step + 1, f"P{k}", "key_measurement", positions=positions)
+            if roles.joint_submitter is None:
+                add(check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.announcers))
+        if roles.joint_submitter and self.key_positions:
+            add(check_step + 2, roles.joint_submitter, "comparison_submitted", to=preparer)
+        for announcer, by_pair in self.announcements.items():
+            for pair, announcement in by_pair.items():
+                add(announce_step, announcer, "announcement", pair=list(pair), verdict=announcement.verdict)
+        if others:  # a lone announcer stands unchecked
+            for pair, info in self.pair_results.items():
+                add(announce_step + 1, "participants", "cross_check", pair=list(pair), accepted=info["accepted"])
+        if self.aborted:
+            add(self.abort_step, "protocol", "abort", cause=self.abort_cause)
+        if self.abort_cause == CAUSE_CONFLICT:
+            add(announce_step + 1, "Arbiter", "liar_identified", liar=self.arbiter)
+        return events
 
     def to_dict(self) -> dict:
         pair_key = lambda pair: f"{pair[0]}-{pair[1]}"  # noqa: E731
@@ -318,8 +361,6 @@ def _distribute(
                 slot_ids = replay_choice(carriers + decoy_count, decoy_count, placement)
                 link = Link(registers, range(k - 1, registers.n, n), decoy_ids, slot_ids)
                 QuantumChannel(roles.announcers[0], f"P{k}", taps[k - 1]).transmit(link, rng)
-            if roles.log_traffic and t.record_events:
-                t.add(2, roles.announcers[0], "quantum_send", to=f"P{k}", carriers=carriers, decoys=decoy_count)
             arrived = slots[first : first + decoy_count]
             if arrived == decoys:
                 report = CheckReport(True, 0, decoy_count)
@@ -333,8 +374,6 @@ def _distribute(
             t.decoy_checks.append(
                 {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
             )
-            if t.record_events:  # here and below: build no payload that is not kept
-                t.add(2, f"P{k}", "decoy_check", passed=report.passed, mismatches=report.mismatches)
         start = end + 1
     if not all(check["passed"] for check in t.decoy_checks):
         t.mark_abort(2, CAUSE_DECOY)
@@ -357,27 +396,19 @@ def _check_rounds(
     """
     positions = believed[1]
     bases = rng.bits(len(positions))
-    if roles.log_traffic and t.record_events:
-        t.add(3, "P2", "check_bases", bases=bases)
     n = registers.particles
     ids = [believed[k][r] * n + k - 1 for r in range(len(positions)) for k in range(1, n + 1)]
     bits = registers.measure(ids, [b for b in bases for _ in range(n)], rng)
     outcomes = [bits[s : s + n] for s in range(0, len(bits), n)]
-    if roles.log_traffic and t.record_events:
-        for r, outcome in enumerate(outcomes):
-            t.add(3, "all", "check_measurement", round=r, outcome=dict(zip(range(1, n + 1), outcome)))
     report = step3_check([t.claimed_specs[p] for p in positions], bases, outcomes)
     t.step3 = report
     t.checked_positions = positions
-    if t.record_events:
-        t.add(roles.check_step, *roles.check_verdict, passed=report.passed, failures=list(report.failures))
     if not report.passed:
         t.mark_abort(roles.check_step, CAUSE_STATE_CHECK)
 
 
 def _measure_keys(
     t: Transcript,
-    roles: _Roles,
     registers: GhzRegister,
     believed: Dict[int, List[int]],
     rng: Stream,
@@ -392,7 +423,7 @@ def _measure_keys(
     m = t.params["m"]
     n, total = registers.particles, len(t.claimed_specs)
     kept: Dict[Tuple[int, ...], List[int]] = {}  # participants that believe the same checks keep the same registers
-    positions = {}
+    positions = t.key_positions
     for k in range(1, n + 1):
         key = tuple(believed[k])
         if key not in kept:
@@ -406,12 +437,6 @@ def _measure_keys(
     for k in range(1, n + 1):
         t.keys[k] = key = tuple(bits[(k - 1) * m : k * m])
         t.comps[k] = xor_bits(key, t.secrets[k - 1])
-        if t.record_events:
-            t.add(roles.check_step + 1, f"P{k}", "key_measurement", positions=positions[k])
-            if roles.joint_submitter is None:
-                t.add(roles.check_step + 2, f"P{k}", "comparison_submitted", to=list(roles.announcers))
-    if roles.joint_submitter and t.record_events:
-        t.add(roles.check_step + 2, roles.joint_submitter, "comparison_submitted", to=roles.announcers[0])
 
 
 def _pads(specs: Sequence[GhzSpec]) -> List[Tuple[int, ...]]:
@@ -438,7 +463,6 @@ def run_proposed(
     rng: Stream,
     announce_r: bool = False,
     decoy_tolerance: int = 0,
-    record_events: bool = True,
 ) -> Transcript:
     """One full run of the two-watchdog multiparty comparison.
 
@@ -448,7 +472,7 @@ def run_proposed(
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     return _run(_PROPOSED, n, m, secrets, check_rounds, decoy_count, variant, adversary, rng, announce_r,
-                decoy_tolerance, record_events)
+                decoy_tolerance)
 
 
 def run_zhang_baseline(
@@ -460,7 +484,6 @@ def run_zhang_baseline(
     adversary: Optional[AdversaryStrategy] = None,
     rng: Stream,
     decoy_tolerance: int = 0,
-    record_events: bool = True,
 ) -> Transcript:
     """One run of the single-third-party two-party baseline.
 
@@ -476,13 +499,13 @@ def run_zhang_baseline(
     nothing can tamper with them.  ``rng`` is as for ``run_proposed``.
     """
     return _run(_BASELINE, _BASELINE.participants, m, secrets, check_rounds, decoy_count, None, adversary, rng, False,
-                decoy_tolerance, record_events)
+                decoy_tolerance)
 
 
 def _run(
     roles: _Roles, n: int, m: int, secrets: Sequence[Sequence[int]], check_rounds: Optional[int],
     decoy_count: Optional[int], variant: Optional[str], adversary: Optional[AdversaryStrategy], rng: Stream,
-    announce_r: bool, decoy_tolerance: int, record_events: bool,
+    announce_r: bool, decoy_tolerance: int,
 ) -> Transcript:
     """Steps 1-7 of either protocol; ``variant`` is None where none applies, a size None takes its default."""
     secrets = _validate_common(n, m, secrets)
@@ -497,12 +520,11 @@ def _run(
         raise ValueError(f"adversary kind {strategy.kind} is not supported by the {roles.protocol} protocol")
     run = strategy.start_run()
     total = roles.register_count(m, c)
-    preparer, *others = roles.announcers
 
     params = {"n": n, "m": m, "check_rounds": c, "decoy_count": l, "adversary": strategy.kind}
     if variant is not None:
         params["variant"] = variant
-    t = Transcript(roles.protocol, params, record_events)
+    t = Transcript(roles.protocol, params)
     t.secrets = secrets
 
     # Step 1: prepare the registers (or whatever the preparer fakes).
@@ -511,15 +533,10 @@ def _run(
         specs = roles.prepare(n, total, rng)
         prepared = GhzRegister(specs), specs, specs
     registers, t.true_states, t.claimed_specs = prepared
-    if t.record_events:
-        t.add(1, preparer, "prepare", registers=total)
 
     _distribute(t, roles, run, registers, l, decoy_tolerance, rng)
     if t.aborted:
         return _finalize(t, run, rng)
-    if t.record_events:
-        for other in others:
-            t.add(2, preparer, "initial_states", to=other, count=len(t.claimed_specs))
 
     # Step 3: cooperative correctness check of c randomly chosen registers.
     believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
@@ -530,20 +547,17 @@ def _run(
         # third party always gets the true list over its authenticated
         # channel, as do the baseline's participants over theirs.
         received = run.tamper_positions(positions, total, rng) if variant == VARIANT_BROADCAST else positions
-        if roles.log_traffic and t.record_events:
-            t.add(3, "P1", "check_positions", positions=positions, variant=variant)
         believed = {1: positions, **{k: received for k in range(2, n + 1)}}
         _check_rounds(t, roles, registers, believed, rng)
         if t.aborted:
             return _finalize(t, run, rng)
 
-    _measure_keys(t, roles, registers, believed, rng)
+    _measure_keys(t, registers, believed, rng)
 
     # Step 6: every announcer announces a verdict per pair.  They hold the
     # same claimed states and masked strings (or the baseline's XOR of them),
     # so each pair's result vector is computed once and each announcer gets a
     # copy.  The pad of pair (i, j) is the XOR of i's and j's pads against P1.
-    announce_step = roles.check_step + 3
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     compared = [t.claimed_specs[p] for p in t.comparison_positions]
     pads = _pads(compared)
@@ -558,13 +572,11 @@ def _run(
             r = r_values[pair]
             verdict = run.flip_verdict(announcer, pair, verdict_for(r))
             by_pair[pair] = Announcement(announcer, pair, verdict, r if announce_r else None)
-            if t.record_events:
-                t.add(announce_step, announcer, "announcement", pair=list(pair), verdict=verdict)
 
     # Step 7: participants cross-compare the first and the last announcer's
     # verdicts; a lone announcer is both, under one key, and stands unchecked.
     key1, key2 = roles.verdict_keys[0], roles.verdict_keys[-1]
-    first, last = t.announcements[preparer], t.announcements[roles.announcers[-1]]
+    first, last = t.announcements[roles.announcers[0]], t.announcements[roles.announcers[-1]]
     cross_checked = first is not last
     conflict = False
     for pair in pairs:
@@ -572,12 +584,8 @@ def _run(
         accepted = cross_check(a1, a2) if cross_checked else True
         truth = IDENTICAL if secrets[pair[0] - 1] == secrets[pair[1] - 1] else DIFFERENT
         t.pair_results[pair] = {key1: a1.verdict, key2: a2.verdict, "accepted": accepted, "ground_truth": truth}
-        if cross_checked and t.record_events:
-            t.add(announce_step + 1, "participants", "cross_check", pair=list(pair), accepted=accepted)
         conflict = conflict or not accepted
     if conflict:
-        t.mark_abort(announce_step + 1, CAUSE_CONFLICT)
+        t.mark_abort(roles.check_step + 4, CAUSE_CONFLICT)
         t.arbiter = arbiter_identify(compared, t.comps, first, last)
-        if t.record_events:
-            t.add(announce_step + 1, "Arbiter", "liar_identified", liar=t.arbiter)
     return _finalize(t, run, rng)

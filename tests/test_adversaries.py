@@ -43,7 +43,7 @@ def test_eve_step2_detection_matches_closed_form():
     for trial in range(trials):
         rng = make_rng(1, trial)
         t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=l,
-                         adversary=EveInterceptResend(links=(1,)), rng=rng, record_events=False)
+                         adversary=EveInterceptResend(links=(1,)), rng=rng)
         detected += t.abort_step == 2
     target = 1 - 0.75**l
     assert abs(detected / trials - target) <= SIGMA3(target, trials)
@@ -58,7 +58,7 @@ def test_eve_also_trips_the_state_check():
     for trial in range(trials):
         rng = make_rng(2, trial)
         t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=0, check_rounds=2,
-                         adversary=EveInterceptResend(links=(1,)), rng=rng, record_events=False)
+                         adversary=EveInterceptResend(links=(1,)), rng=rng)
         survivors += 1  # no decoys, so every run reaches the check
         step3 += t.abort_step == 3
     target = 1 - 0.75**2
@@ -70,8 +70,7 @@ def test_eve_learns_nothing_about_untapped_victim():
     for trial in range(2000):
         rng = make_rng(3, trial)
         t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=2, decoy_count=2,
-                         adversary=EveInterceptResend(links=(1,), victim=2), rng=rng,
-                         record_events=False)
+                         adversary=EveInterceptResend(links=(1,), victim=2), rng=rng)
         if not t.aborted:
             hits += t.attack.bits_correct
             bits += t.attack.bits_guessed
@@ -88,8 +87,7 @@ def test_eve_pins_tapped_victims_bits_at_three_quarters():
     for trial in range(2000):
         rng = make_rng(4, trial)
         t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=2, decoy_count=2,
-                         adversary=EveInterceptResend(links=(1,), victim=1), rng=rng,
-                         record_events=False)
+                         adversary=EveInterceptResend(links=(1,), victim=1), rng=rng)
         if not t.aborted:
             hits += t.attack.bits_correct
             bits += t.attack.bits_guessed
@@ -105,7 +103,7 @@ def test_tp2_intercept_detection_matches_eve():
         for trial in range(trials):
             rng = make_rng(salt, trial)
             t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=l,
-                             adversary=build(), rng=rng, record_events=False)
+                             adversary=build(), rng=rng)
             detected += t.abort_step == 2
         rates.append(detected / trials)
     target = 1 - 0.75**l
@@ -121,8 +119,7 @@ def test_tp2_records_beat_legitimate_view():
     for trial in range(2500):
         rng = make_rng(7, trial)
         t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=2, decoy_count=2,
-                         adversary=Tp2Intercept(links=(1,), victim=2), rng=rng,
-                         record_events=False)
+                         adversary=Tp2Intercept(links=(1,), victim=2), rng=rng)
         if not t.aborted:
             hits += t.attack.bits_correct
             bits += t.attack.bits_guessed
@@ -136,7 +133,7 @@ def test_tp2_no_decoys_is_never_detected():
     for trial in range(100):
         rng = make_rng(8, trial)
         t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=0, check_rounds=0,
-                         adversary=Tp2Intercept(links=(1,)), rng=rng, record_events=False)
+                         adversary=Tp2Intercept(links=(1,)), rng=rng)
         assert not t.aborted
 
 
@@ -150,7 +147,7 @@ def test_fake_state_x_rounds_detect_half_z_rounds_never():
     for trial in range(2500):
         rng = make_rng(9, trial)
         t = run_proposed(3, 4, random_secrets(3, 4, rng), check_rounds=4, decoy_count=2,
-                         adversary=Tp1FakeInitialState(), rng=rng, record_events=False)
+                         adversary=Tp1FakeInitialState(), rng=rng)
         if t.step3 is None:
             continue
         failed = set(t.step3.failures)
@@ -172,7 +169,7 @@ def test_fake_state_overall_detection_curve():
         for trial in range(trials):
             rng = make_rng(10, c, trial)
             t = run_proposed(3, 4, random_secrets(3, 4, rng), check_rounds=c, decoy_count=2,
-                             adversary=Tp1FakeInitialState(), rng=rng, record_events=False)
+                             adversary=Tp1FakeInitialState(), rng=rng)
             detected += t.aborted
         target = 1 - 0.75**c
         assert abs(detected / trials - target) <= SIGMA3(target, trials)
@@ -185,7 +182,7 @@ def test_fake_state_z_checks_never_detect_when_unchecked_in_x():
     for trial in range(50):
         rng = make_rng(11, trial)
         t = run_proposed(3, 4, random_secrets(3, 4, rng), check_rounds=0, decoy_count=2,
-                         adversary=Tp1FakeInitialState(), rng=rng, record_events=False)
+                         adversary=Tp1FakeInitialState(), rng=rng)
         assert not t.aborted
         assert t.attack.bits_guessed == 3 * 4
         assert t.attack.bits_correct == t.attack.bits_guessed
@@ -203,7 +200,7 @@ def test_fake_state_with_wrong_entangled_preparation():
         t = run_proposed(
             3, 4, random_secrets(3, 4, rng), check_rounds=2, decoy_count=2,
             adversary=Tp1FakeInitialState(true_state=GhzSpec((0, 0, 0), 1), claimed=GhzSpec((0, 0, 0), 0)),
-            rng=rng, record_events=False,
+            rng=rng
         )
         detected += t.aborted
         if not t.aborted:
@@ -223,7 +220,7 @@ def test_baseline_preparer_reads_the_xor_it_receives(true_state):
         rng = make_rng(31, trial)
         secrets = random_secrets(2, 6, rng)
         t = run_zhang_baseline(6, secrets, check_rounds=0,
-                               adversary=Tp1FakeInitialState(true_state=true_state), rng=rng, record_events=False)
+                               adversary=Tp1FakeInitialState(true_state=true_state), rng=rng)
         assert not t.aborted
         assert t.attack.bits_correct == t.attack.bits_guessed == 6
 
@@ -238,7 +235,7 @@ def test_fake_result_always_conflicts():
         for trial in range(100):
             rng = make_rng(13, trial)
             t = run_proposed(3, 4, random_secrets(3, 4, rng),
-                             adversary=cls(), rng=rng, record_events=False)
+                             adversary=cls(), rng=rng)
             assert t.aborted and t.abort_step == 7
             assert t.arbiter == announcer
 
@@ -255,8 +252,7 @@ def test_fake_result_pair_subset():
 def test_no_adversary_keeps_announcements_honest():
     for trial in range(100):
         rng = make_rng(15, trial)
-        t = run_proposed(2, 4, random_secrets(2, 4, rng), adversary=NONE, rng=rng,
-                         record_events=False)
+        t = run_proposed(2, 4, random_secrets(2, 4, rng), adversary=NONE, rng=rng)
         assert not t.aborted
 
 
@@ -282,8 +278,7 @@ def test_participant_infer_accuracies():
     for trial in range(1500):
         rng = make_rng(16, trial)
         t = run_proposed(3, 8, random_secrets(3, 8, rng),
-                         adversary=ParticipantInfer(attacker=1, victim=2), rng=rng,
-                         record_events=False)
+                         adversary=ParticipantInfer(attacker=1, victim=2), rng=rng)
         hits += t.attack.bits_correct
         bits += t.attack.bits_guessed
     assert abs(hits / bits - 0.5) <= SIGMA3(0.5, bits)
@@ -292,7 +287,7 @@ def test_participant_infer_accuracies():
         rng = make_rng(17, trial)
         t = run_proposed(3, 8, random_secrets(3, 8, rng),
                          adversary=ParticipantInfer(attacker=1, victim=2, counterfactual=True),
-                         rng=rng, record_events=False)
+                         rng=rng)
         assert t.attack.bits_correct == t.attack.bits_guessed == 8
 
     rng = make_rng(18)
@@ -312,7 +307,7 @@ def test_tamper_paired_detection_half_per_check():
     for trial in range(trials):
         rng = make_rng(19, trial)
         t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=4, decoy_count=2,
-                         adversary=ClassicalPositionTamper(count=1), rng=rng, record_events=False)
+                         adversary=ClassicalPositionTamper(count=1), rng=rng)
         assert t.attack.extras["tampered"] == 1
         assert t.attack.extras["tampered_distinct"] == 1
         detected += t.aborted
@@ -325,7 +320,7 @@ def test_tamper_relay_variant_is_immune():
         secrets = random_secrets(3, 8, rng)
         t = run_proposed(3, 8, secrets, check_rounds=4, decoy_count=2,
                          variant=VARIANT_TP2_RELAY,
-                         adversary=ClassicalPositionTamper(count=4), rng=rng, record_events=False)
+                         adversary=ClassicalPositionTamper(count=4), rng=rng)
         assert not t.aborted
         assert t.attack.extras["tampered"] == 0
         for (i, j), info in t.pair_results.items():
@@ -338,8 +333,7 @@ def test_tamper_random_policy_reports_distinct_pairs():
     for trial in range(500):
         rng = make_rng(21, trial)
         t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=4, decoy_count=2,
-                         adversary=ClassicalPositionTamper(count=2, policy="random"), rng=rng,
-                         record_events=False)
+                         adversary=ClassicalPositionTamper(count=2, policy="random"), rng=rng)
         tampered += t.attack.extras["tampered"]
         distinct += t.attack.extras["tampered_distinct"]
     assert tampered == 1000
@@ -353,7 +347,7 @@ def test_tamper_undetected_runs_can_complete_with_wrong_verdicts():
         rng = make_rng(22, trial)
         secrets = [[0] * 8] * 3  # equal secrets: honest verdicts all identical
         t = run_proposed(3, 8, secrets, check_rounds=4, decoy_count=2,
-                         adversary=ClassicalPositionTamper(count=4), rng=rng, record_events=False)
+                         adversary=ClassicalPositionTamper(count=4), rng=rng)
         if not t.aborted:
             completed += 1
             wrong += any(info["tp1_verdict"] != "identical" for info in t.pair_results.values())

@@ -31,7 +31,7 @@ def _scalar(scenario, trials):
     strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
     totals = {}
     for trial in trials:
-        _extract(run_trial(scenario, strategy, trial, False, seeds), totals)
+        _extract(run_trial(scenario, strategy, trial, seeds), totals)
     return totals
 
 
@@ -243,7 +243,7 @@ def _logged(monkeypatch, scenario, trial):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "Stream", logged)
-        t = run_trial(scenario, scenario.strategy(), trial, False)
+        t = run_trial(scenario, scenario.strategy(), trial)
     return t, logs[0]
 
 

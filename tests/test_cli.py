@@ -13,7 +13,7 @@ import pytest
 import qpcsim.cli
 import qpcsim.harness
 from qpcsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from qpcsim.harness import MAX_JOBS, TrialStats, scenario_from_config
+from qpcsim.harness import MAX_JOBS, MAX_TRIALS, TrialStats, scenario_from_config
 from test_harness import forbid_workers
 from worker_faults import FailingScenario, boom
 
@@ -167,6 +167,16 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
             assert err["category"] == "usage" and "--seed" in err["message"], (argv, err)
 
 
+def test_a_trial_count_out_of_bounds_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Not a config error naming the field `trials`, which the user never wrote.
+    _forbid_runs(monkeypatch)
+    cfg = str(write_config(tmp_path))
+    for trials in ("0", "-5", str(MAX_TRIALS + 1), "many"):
+        assert main(["run", "--config", cfg, "--trials", trials]) == EXIT_CONFIG, trials
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "usage" and "--trials" in err["message"], (trials, err)
+
+
 def test_transcript_requires_single_trial(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=5)
     assert main(["transcript", "--config", str(cfg)]) == EXIT_CONFIG
@@ -180,7 +190,7 @@ def test_transcript_of_trial_k_is_that_trial_of_the_run(tmp_path):
     for k in (0, 7, 11):
         out = tmp_path / f"trial{k}.json"
         assert main(["transcript", "--config", str(cfg), "--trial", str(k), "--out", str(out)]) == EXIT_OK
-        assert out.read_text() == qpcsim.harness.run_trial(scenario, scenario.strategy(), k, True).to_json()
+        assert out.read_text() == qpcsim.harness.run_trial(scenario, scenario.strategy(), k).to_json()
 
 
 @pytest.mark.parametrize("trial", ["-1", "12", "13", "seven"])

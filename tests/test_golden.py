@@ -133,7 +133,7 @@ def _transcript_digests() -> dict:
         scenario.validate()
         strategy, digest = scenario.strategy(), hashlib.sha256()
         for trial in range(40):
-            digest.update(run_trial(scenario, strategy, trial, True).to_json().encode())
+            digest.update(run_trial(scenario, strategy, trial).to_json().encode())
         digests[key] = digest.hexdigest()
     return digests
 

@@ -478,7 +478,7 @@ def test_explicit_secrets_flow_into_run():
     scenario = small_scenario(
         trials=1, m=2, secrets=SecretsSpec(policy="explicit", values=[[0, 1], [1, 1]])
     )
-    transcript = run_trial(scenario, scenario.strategy(), 0, record_events=True)
+    transcript = run_trial(scenario, scenario.strategy(), 0)
     assert transcript.comps[1] == tuple(a ^ b for a, b in zip(transcript.keys[1], (0, 1)))
     assert transcript.pair_results[(1, 2)]["ground_truth"] == "different"
     assert transcript.events
@@ -536,9 +536,9 @@ def test_csv_round_trip():
 
 def test_run_trial_respects_seed_stream():
     scenario = small_scenario(trials=1)
-    t1 = run_trial(scenario, scenario.strategy(), 0, record_events=True)
-    t2 = run_trial(scenario, scenario.strategy(), 0, record_events=True)
-    t3 = run_trial(scenario, scenario.strategy(), 1, record_events=True)
+    t1 = run_trial(scenario, scenario.strategy(), 0)
+    t2 = run_trial(scenario, scenario.strategy(), 0)
+    t3 = run_trial(scenario, scenario.strategy(), 1)
     assert t1.to_json() == t2.to_json() != t3.to_json()
 
 

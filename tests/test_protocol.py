@@ -18,6 +18,7 @@ from qpcsim.adversaries import (
     Tp2Intercept,
     TpFakeResult,
 )
+from qpcsim.cli import EXIT_OK, main
 from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index
 from qpcsim.harness import Scenario, _draw_secrets, run_trial
 from qpcsim.photons import Link, QuantumChannel, interleave, public_discussion
@@ -39,7 +40,7 @@ from qpcsim.protocol import (
     verdict_for,
     xor_bits,
 )
-from qpcsim.stream import RAW_WORDS, Stream
+from qpcsim.stream import RAW_WORDS, Stream, TrialSeeds
 from qpcsim.suites import _SCENARIOS
 
 
@@ -65,7 +66,7 @@ def test_honest_runs_satisfy_result_identity():
         for trial in range(60):
             rng = make_rng(1, n, trial)
             secrets = random_secrets(n, 8, rng)
-            t = run_proposed(n, 8, secrets, rng=rng, record_events=False)
+            t = run_proposed(n, 8, secrets, rng=rng)
             assert not t.aborted
             for source in ("TP1", "TP2"):
                 for (i, j), r in t.r_values[source].items():
@@ -125,7 +126,7 @@ def test_key_bits_are_uniform_over_runs():
     trials = 3000
     for trial in range(trials):
         rng = make_rng(5, trial)
-        t = run_proposed(2, 2, secrets, rng=rng, record_events=False)
+        t = run_proposed(2, 2, secrets, rng=rng)
         ones += np.array(t.comps[1])
     sigma = 3 * 0.5 / np.sqrt(trials)
     assert np.all(np.abs(ones / trials - 0.5) <= sigma)
@@ -209,7 +210,7 @@ def test_conflict_aborts_and_names_liar_in_run():
 def test_honest_runs_never_conflict():
     for trial in range(200):
         rng = make_rng(7, trial)
-        t = run_proposed(2, 4, random_secrets(2, 4, rng), rng=rng, record_events=False)
+        t = run_proposed(2, 4, random_secrets(2, 4, rng), rng=rng)
         assert not t.aborted
 
 
@@ -230,7 +231,7 @@ def test_zhang_honest_verdict_matches_truth():
     for trial in range(100):
         rng = make_rng(9, trial)
         secrets = random_secrets(2, 6, rng)
-        t = run_zhang_baseline(6, secrets, rng=rng, record_events=False)
+        t = run_zhang_baseline(6, secrets, rng=rng)
         assert not t.aborted
         truth = IDENTICAL if secrets[0] == secrets[1] else DIFFERENT
         assert t.pair_results[(1, 2)]["tp_verdict"] == truth
@@ -252,7 +253,7 @@ def test_zhang_fake_result_goes_undetected():
     for trial in range(200):
         rng = make_rng(11, trial)
         secrets = random_secrets(2, 4, rng)
-        t = run_zhang_baseline(4, secrets, adversary=TpFakeResult(), rng=rng, record_events=False)
+        t = run_zhang_baseline(4, secrets, adversary=TpFakeResult(), rng=rng)
         assert not t.aborted
         truth = IDENTICAL if secrets[0] == secrets[1] else DIFFERENT
         info = t.pair_results[(1, 2)]
@@ -327,7 +328,7 @@ def test_zhang_with_state_check_rounds():
 
 def test_transcript_round_trips_through_json():
     rng = make_rng(13)
-    t = run_proposed(3, 4, random_secrets(3, 4, rng), rng=rng, record_events=True)
+    t = run_proposed(3, 4, random_secrets(3, 4, rng), rng=rng)
     text = t.to_json()
     doc = json.loads(text)
     assert doc["schema_version"] == 1
@@ -338,11 +339,36 @@ def test_transcript_round_trips_through_json():
     assert any(e["kind"] == "announcement" for e in doc["events"])
 
 
-def test_record_events_flag_suppresses_event_log():
+def test_every_transcript_carries_its_full_event_log(tmp_path):
     rng = make_rng(14)
-    t = run_proposed(2, 4, random_secrets(2, 4, rng), rng=rng, record_events=False)
-    assert t.events == []
-    assert t.pair_results  # outcome summary still present
+    t = run_proposed(2, 4, random_secrets(2, 4, rng), rng=rng)
+    assert [e["kind"] for e in t.events] == (
+        ["prepare"] + ["quantum_send", "decoy_check"] * 2 + ["initial_states", "check_positions", "check_bases"]
+        + ["check_measurement"] * 4 + ["check_verdict"] + ["key_measurement", "comparison_submitted"] * 2
+        + ["announcement"] * 2 + ["cross_check"]
+    )
+    rng = make_rng(14)
+    t = run_proposed(2, 4, random_secrets(2, 4, rng), decoy_count=16, adversary=EveInterceptResend(links=(1,)), rng=rng)
+    assert t.abort_step == 2
+    assert t.events[-1] == {"step": 2, "actor": "protocol", "kind": "abort", "payload": {"cause": t.abort_cause}}
+    # As a counted trial of a run: the block's strategy and seeds, no switch.
+    scenario = Scenario(n=2, m=2, decoy_count=2, trials=12, seed=11,
+                        adversary=harness.AdversarySpec("eve_intercept_resend", {"links": [1]}))
+    config = tmp_path / "eve.json"
+    config.write_text(json.dumps(scenario.to_config()))
+    strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
+    aborted = 0
+    for k in range(scenario.trials):
+        t = run_trial(scenario, strategy, k, seeds)
+        assert t.events[0]["kind"] == "prepare"
+        if t.aborted:
+            aborted += 1
+            assert t.events[-1] == {"step": t.abort_step, "actor": "protocol", "kind": "abort",
+                                    "payload": {"cause": t.abort_cause}}
+        out = tmp_path / f"trial{k}.json"
+        assert main(["transcript", "--config", str(config), "--trial", str(k), "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == t.to_json()
+    assert 0 < aborted < scenario.trials
 
 
 def test_same_seed_same_transcript():
@@ -384,7 +410,7 @@ def test_abort_causes_are_machine_readable():
         rng = make_rng(18, trial)
         t = run_proposed(
             2, 2, random_secrets(2, 2, rng), decoy_count=8,
-            adversary=EveInterceptResend(links=(1,)), rng=rng, record_events=False,
+            adversary=EveInterceptResend(links=(1,)), rng=rng,
         )
         if t.aborted:
             found.add((t.abort_step, t.abort_cause))
@@ -395,7 +421,7 @@ def test_abort_causes_are_machine_readable():
         rng = make_rng(19, trial)
         t = run_proposed(
             3, 4, random_secrets(3, 4, rng), check_rounds=4, decoy_count=2,
-            adversary=Tp1FakeInitialState(), rng=rng, record_events=False,
+            adversary=Tp1FakeInitialState(), rng=rng,
         )
         if t.aborted:
             detected = (t.abort_step, t.abort_cause)
@@ -456,7 +482,7 @@ def test_decoy_check_matches_measuring_every_decoy():
         run = _LinkTaps({k: tap_choices[int(setup.integers(0, 4))] for k in range(1, n + 1)})
         registers, reference = GhzRegister(specs), GhzRegister(specs)
         rng, reference_rng = make_rng(71, case), make_rng(71, case)
-        t = Transcript("proposed", {}, record_events=False)
+        t = Transcript("proposed", {})
         _distribute(t, _PROPOSED, run, registers, decoy_count, tolerance, rng)
         expected = _measure_every_decoy(run, reference, decoy_count, tolerance, reference_rng)
         assert [(c["passed"], c["mismatches"], c["total"]) for c in t.decoy_checks] == expected
@@ -522,9 +548,9 @@ def _counted_trial(scenario):
     rng = _CountingStream(source)
     secrets = _draw_secrets(scenario, rng)
     if scenario.protocol == "proposed":
-        t = run_proposed(scenario.n, scenario.m, secrets, rng=rng, record_events=False)
+        t = run_proposed(scenario.n, scenario.m, secrets, rng=rng)
     else:
-        t = run_zhang_baseline(scenario.m, secrets, check_rounds=scenario.check_rounds, rng=rng, record_events=False)
+        t = run_zhang_baseline(scenario.m, secrets, check_rounds=scenario.check_rounds, rng=rng)
     assert not t.aborted
     return rng.draws, source.sizes
 
@@ -584,7 +610,7 @@ def test_every_battery_trial_makes_one_raw_generator_call(monkeypatch, key):
     scenario, trials = _SHAPES[key]
     strategy = scenario.strategy()
     for trial in range(trials):
-        run_trial(scenario, strategy, trial, record_events=False)
+        run_trial(scenario, strategy, trial)
     assert len(made) == trials
     for rng in made:
         assert rng.calls == [] and rng.bit_generator.sizes == [RAW_WORDS]
@@ -602,6 +628,5 @@ def test_tap_splits_the_link_draw_at_the_tapped_link(monkeypatch):
     for tapped, runs in [((), [3]), ((1,), [1, 2]), ((2,), [2, 1]), ((3,), [3]), ((1, 2), [1, 1, 1])]:
         drawn.clear()
         adversary = EveInterceptResend(links=tapped) if tapped else None
-        run_proposed(3, 4, random_secrets(3, 4, make_rng(82)), decoy_count=8, adversary=adversary, rng=make_rng(81),
-                     record_events=False)
+        run_proposed(3, 4, random_secrets(3, 4, make_rng(82)), decoy_count=8, adversary=adversary, rng=make_rng(81))
         assert drawn == runs, tapped

@@ -351,7 +351,7 @@ def test_every_transcript_carries_its_full_event_log(tmp_path):
     t = run_proposed(2, 4, random_secrets(2, 4, rng), decoy_count=16, adversary=EveInterceptResend(links=(1,)), rng=rng)
     assert t.abort_step == 2
     assert t.events[-1] == {"step": 2, "actor": "protocol", "kind": "abort", "payload": {"cause": t.abort_cause}}
-    # As a counted trial of a run: the block's strategy and seeds, no switch.
+    # As `_run_block` counts a trial: one strategy and one TrialSeeds for every trial.
     scenario = Scenario(n=2, m=2, decoy_count=2, trials=12, seed=11,
                         adversary=harness.AdversarySpec("eve_intercept_resend", {"links": [1]}))
     config = tmp_path / "eve.json"

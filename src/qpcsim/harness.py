@@ -451,9 +451,9 @@ def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
     totals: Dict[str, int] = {}
     trials: Iterable[int] = range(start, stop)
     if block.covers(scenario, strategy):
-        # The block engine counts the trials the state check aborts; the
-        # others run here.
-        totals, trials = block.state_check(scenario, strategy, trials, partial(_bit_generator, seeds))
+        # The block engine counts the trials the decoy or state check
+        # aborts; the others run here.
+        totals, trials = block.decide(scenario, strategy, trials, partial(_bit_generator, seeds))
     for trial in trials:
         _extract(run_trial(scenario, strategy, trial, seeds), totals)
     return totals

@@ -283,12 +283,17 @@ class _Roles:
     participants: Optional[int]  # the participant count the protocol fixes, or None: any n
     checks_per_m: int  # default check rounds per secret bit
     decoys_per_m: int  # default decoys per link per secret bit
-    prepare: Callable[[int, int, Stream], List[GhzSpec]]  # the honest preparation of (n, count) registers
+    prepare_width: Callable[[int], int]  # bits each register of n particles draws in the honest preparation
+    prepared: Callable[[int, List[int]], List[GhzSpec]]  # the registers of n particles those draws prepare
     register_count: Callable[[int, int], int]  # registers prepared for (m, check rounds)
     joint_submitter: Optional[str]  # who submits the XOR of all masked strings, or None: each its own
     check_step: int  # transcript step of the state check; keys are measured in the next, verdicts announced 3 after
     check_verdict: Tuple[str, str]  # actor and kind of the check's verdict event
     log_traffic: bool  # log every send, the check positions, and each check round's bases and outcomes
+
+    def prepare(self, n: int, count: int, rng: Stream) -> List[GhzSpec]:
+        """The honest preparation of ``count`` registers of n particles, in one draw."""
+        return self.prepared(n, rng.bits(count, self.prepare_width(n)))
 
     @property
     def monitored(self) -> bool:
@@ -311,7 +316,7 @@ class _Roles:
 
 
 _PROPOSED = _Roles(
-    "proposed", (TP1, TP2), None, 1, 2, lambda n, count, rng: [ghz_from_index(i + 1, n) for i in rng.bits(count, n)],
+    "proposed", (TP1, TP2), None, 1, 2, lambda n: n, lambda n, drawn: [ghz_from_index(i + 1, n) for i in drawn],
     lambda m, c: 2 * m, None, 3, (TP2, "check_verdict"), True,
 )
 # The baseline's helper draws each register from two Bell states by one
@@ -319,7 +324,7 @@ _PROPOSED = _Roles(
 # its transcript records only the decoy checks and the check verdict.
 _BELL = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
 _BASELINE = _Roles(
-    "zhang_baseline", (TP,), 2, 0, 1, lambda n, count, rng: [_BELL[b] for b in rng.bits(count)],
+    "zhang_baseline", (TP,), 2, 0, 1, lambda n: 1, lambda n, drawn: [_BELL[b] for b in drawn],
     lambda m, c: m + c, "P1+P2", 4, ("P1+P2", "state_check"), False,
 )
 PROTOCOLS = {roles.protocol: roles for roles in (_PROPOSED, _BASELINE)}

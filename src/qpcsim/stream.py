@@ -220,17 +220,24 @@ class Rows:
         return values
 
     def sample(self, population: int, size: int) -> np.ndarray:
-        """Each row's ``Stream.sample(population, size)``, a row ascending.
+        """Each row's ``Stream.sample(population, size)``, a row ascending."""
+        _refuse_tail_shuffle(population, size)  # before anything is read
+        return self.replay(population, size, self.run(_choice_bounds(population, size)))
+
+    @staticmethod
+    def replay(population: int, size: int, draws: np.ndarray) -> np.ndarray:
+        """Each row's ``replay_choice(population, size, row)``, a row
+        ascending: ``draws`` holds a row per trial of the values drawn under
+        ``choice_bounds(population, size)``, as a ``run`` returns them.
 
         Floyd's steps, as ``replay_choice`` takes them: for j = population -
         size .. population - 1, the step's draw joins the sample, or j does
-        if the draw is already there.
+        if the draw is already there.  The shuffle draws after them only
+        reorder the sample.
         """
-        if _tail_shuffle(population, size):
-            raise ValueError(f"a sample of {size} of {population} shuffles the tail, which rows do not replay")
-        draws = self.run(_choice_bounds(population, size))
+        _refuse_tail_shuffle(population, size)
         chosen = np.zeros(len(draws) * population, dtype=bool)  # a row per trial, flat
-        starts = self._rows[:, 0] * population
+        starts = np.arange(len(draws)) * population
         for j, value in zip(range(population - size, population), draws.T + starts):
             chosen[np.where(chosen[value], starts + j, value)] = True
         return np.nonzero(chosen)[0].reshape(len(draws), size) - starts[:, None]
@@ -240,6 +247,11 @@ class Rows:
 # Fisher-Yates shuffle when both hold, and by Floyd's algorithm otherwise.
 def _tail_shuffle(population: int, size: int) -> bool:
     return population > 10000 and size > population // 50
+
+
+def _refuse_tail_shuffle(population: int, size: int) -> None:
+    if _tail_shuffle(population, size):
+        raise ValueError(f"a sample of {size} of {population} shuffles the tail, which rows do not replay")
 
 
 def choice_bounds(population: int, size: int) -> List[int]:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpcsim import block, harness
-from qpcsim.adversaries import KIND_POSITION_TAMPER, KIND_TP1_FAKE_STATE
+from qpcsim.adversaries import (KIND_EVE, KIND_POSITION_TAMPER, KIND_TP1_FAKE_STATE, KIND_TP2_INTERCEPT,
+                                EveInterceptResend)
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
 from qpcsim.stream import RAW_WORDS, Stream
 from qpcsim.suites import _SCENARIOS
@@ -23,7 +24,8 @@ from test_golden import _stats_cases
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
-COVERED = ("acquainted", "fake_c4", "fake_c8", "fake_c16", "tamper_l1", "tamper_l4", "tamper_l8")
+COVERED = ("eve_l1", "eve_l5", "eve_l10", "eve_l20", "acquainted", "fake_c4", "fake_c8", "fake_c16", "tamper_l1",
+           "tamper_l4", "tamper_l8", "tp2_intercept")
 
 
 def _scalar(scenario, trials):
@@ -38,7 +40,7 @@ def _scalar(scenario, trials):
 def _engine(scenario, trials):
     """The engine's counters and the trials it leaves to rerun."""
     seeds = TrialSeeds(scenario.seed)
-    return block.state_check(scenario, scenario.strategy(), trials, partial(harness._bit_generator, seeds))
+    return block.decide(scenario, scenario.strategy(), trials, partial(harness._bit_generator, seeds))
 
 
 def _assert_same(scenario, start, stop):
@@ -47,7 +49,8 @@ def _assert_same(scenario, start, stop):
 
 
 def test_the_covered_battery_scenarios():
-    # The state check can abort these before anything taps; the others keep the per-trial loop.
+    # The decoy check of the first tapped link, or the state check before
+    # anything taps, can abort these; the others keep the per-trial loop.
     covered = {key for key, (_, scenario) in _SCENARIOS.items() if block.covers(scenario, scenario.strategy())}
     assert covered == set(COVERED)
 
@@ -61,8 +64,17 @@ def test_covered_battery_scenarios_count_as_the_scalar_trial(key):
     _assert_same(scenario, 37, 171)
 
 
+@pytest.mark.parametrize("key", sorted(_SCENARIOS))
+def test_every_battery_scenario_counts_alike_through_both_engines(key):
+    offset, template = _SCENARIOS[key]
+    scenario = replace(template, seed=1000 * 21 + offset)
+    assert harness._run_block(scenario, 37, 101) == _scalar(scenario, range(37, 101))
+
+
 _GOLDEN_COVERED = ("proposed_classical_position_tamper", "proposed_tp1_fake_initial_state",
-                   "proposed_tp1_fake_initial_state_entangled")
+                   "proposed_tp1_fake_initial_state_entangled", "proposed_eve_intercept_resend",
+                   "proposed_eve_three_links", "proposed_eve_tolerance", "proposed_tp2_intercept",
+                   "proposed_tp2_intercept_two_links", "zhang_eve", "zhang_eve_check2")
 
 
 @pytest.mark.parametrize("name", _GOLDEN_COVERED)
@@ -109,17 +121,21 @@ def test_the_engine_covers_exactly_the_benchmark_shapes_it_serves(monkeypatch):
         scenarios = {shape.name: harness.scenario_from_config(workloads._config_doc(shape, 1, 0)) for shape in shapes}
         return {name for name, scenario in scenarios.items() if block.covers(scenario, scenario.strategy())}
 
-    assert covered(workloads.ATTACK_SHAPES) == {"fake_state.c4", "fake_state.c8", "fake_state.c16", "tamper.l1",
-                                                "tamper.l4", "tamper.l8"}
+    assert covered(workloads.ATTACK_SHAPES) == {"eve.l1", "eve.l5", "eve.l10", "eve.l20", "fake_state.c4",
+                                                "fake_state.c8", "fake_state.c16", "tamper.l1", "tamper.l4",
+                                                "tamper.l8", "tp2_intercept.v1"}
     assert covered(workloads.HONEST_SHAPES) == set()
 
 
 def test_no_other_kind_and_no_unchecked_run_is_covered():
     fake = AdversarySpec(KIND_TP1_FAKE_STATE, {})
+    eve = AdversarySpec(KIND_EVE, {"links": [1]})
     for scenario in [
         Scenario(),
-        Scenario(adversary=AdversarySpec("eve_intercept_resend", {"links": [1]})),
-        Scenario(adversary=AdversarySpec("tp2_intercept", {"links": [1]})),
+        # A decoy check that cannot abort: no decoys, or no more than it tolerates.
+        Scenario(adversary=eve, decoy_count=0),
+        Scenario(adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [1]}), decoy_count=2, decoy_tolerance=2),
+        Scenario(adversary=eve, decoy_count=2, decoy_tolerance=3),
         Scenario(adversary=AdversarySpec("tp1_fake_result", {})),
         Scenario(adversary=AdversarySpec("participant_infer", {})),
         Scenario(adversary=fake, check_rounds=0),
@@ -129,6 +145,7 @@ def test_no_other_kind_and_no_unchecked_run_is_covered():
         Scenario(adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 2, "policy": "random"})),
         # Secrets that may be drawn again.
         Scenario(adversary=fake, secrets=SecretsSpec("forced_unequal")),
+        Scenario(adversary=eve, secrets=SecretsSpec("forced_unequal")),
     ]:
         scenario.validate()
         assert not block.covers(scenario, scenario.strategy()), scenario
@@ -174,6 +191,35 @@ def _covered_scenarios(draw):
 @settings(max_examples=200, deadline=None)
 @given(scenario=_covered_scenarios(), start=st.integers(0, 200), length=st.integers(1, 150))
 def test_random_covered_shapes_count_as_the_scalar_trial(scenario, start, length):
+    scenario.validate()
+    _assert_same(scenario, start, start + length)
+
+
+@st.composite
+def _intercept_scenarios(draw):
+    baseline = draw(st.booleans())
+    n = 2 if baseline else draw(st.integers(2, 6))
+    m = draw(st.integers(1, 8))
+    l = draw(st.integers(1, 40))
+    policy = draw(st.sampled_from([policy for policy in harness.SECRET_POLICIES if policy != "forced_unequal"]))
+    values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
+    # Any tapped links, in any order: the first tapped one may be the last link.
+    params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))}
+    victim = draw(st.none() | st.integers(1, n))
+    if victim is not None:
+        params["victim"] = victim
+    kind = KIND_EVE if baseline else draw(st.sampled_from([KIND_EVE, KIND_TP2_INTERCEPT]))
+    return Scenario(
+        protocol="zhang_baseline" if baseline else "proposed", n=n, m=m,
+        check_rounds=draw(st.integers(0, m + 2 if baseline else m)), decoy_count=l,
+        decoy_tolerance=draw(st.integers(0, l - 1)), adversary=AdversarySpec(kind, params),
+        secrets=SecretsSpec(policy, values), seed=draw(st.integers(0, 2**40)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=_intercept_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
+def test_random_intercept_shapes_count_as_the_scalar_trial(scenario, start, length):
     scenario.validate()
     _assert_same(scenario, start, start + length)
 
@@ -259,14 +305,17 @@ def _doctor(monkeypatch, trial, replaced):
 
 
 def _pinned(monkeypatch, scenario, trials, replacing):
-    """The first of ``trials`` that the state check still aborts once the
-    outputs ``replacing(log)`` names, from its undoctored run's log, are
-    replaced; that trial stays doctored."""
+    """The first of ``trials`` that the engine's check (the decoy check of
+    an intercept, else the state check) still aborts once the outputs
+    ``replacing(log)`` names, from its undoctored run's log, are replaced;
+    that trial stays doctored."""
+    tapped = isinstance(scenario.strategy(), EveInterceptResend)
+    aborts = (2, "decoy_mismatch") if tapped else (3, "state_check_failed")
     for trial in trials:
         with monkeypatch.context() as attempt:
             _doctor(attempt, trial, replacing(_logged(attempt, scenario, trial)[1]))
             t, log = _logged(attempt, scenario, trial)
-            if (t.abort_step, t.abort_cause) == (3, "state_check_failed"):
+            if (t.abort_step, t.abort_cause) == aborts:
                 break
     else:
         raise AssertionError("no trial to pin")
@@ -281,10 +330,11 @@ def _assert_rerun(scenario, trials, trial):
     assert counters == _scalar(scenario, trials)
 
 
-def _first_redrawable(start, bounds):
-    """The output index of the first draw of a run that a 0 would redraw."""
-    wide = [b for b in bounds.values if b > 1]
-    return start + next(i for i, b in enumerate(wide) if (2**32 - b) % b)
+def _first_redrawable(start, bounds, after=0):
+    """The output index of the first draw of a run, from its draw ``after``
+    on, that a 0 would redraw."""
+    first = next(i for i, b in enumerate(bounds.values) if i >= after and (2**32 - b) % b)
+    return start + sum(b > 1 for b in bounds.values[:first])
 
 
 # With every round checked the state check aborts nearly every trial
@@ -294,6 +344,9 @@ _FAKE = Scenario(n=3, m=16, check_rounds=16, decoy_count=2, trials=1, seed=31,
                  adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {}))
 _TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
                    adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 8}))
+# Link 2 is the first tapped one, and 16 decoys on it abort 1 - (3/4)^16 of
+# the trials at its decoy check.
+_EVE = Scenario(n=3, m=4, decoy_count=16, trials=1, seed=31, adversary=AdversarySpec(KIND_EVE, {"links": [2]}))
 
 
 @pytest.mark.parametrize("scenario, where", [
@@ -301,12 +354,17 @@ _TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
     (_FAKE, 1),  # the check positions' sample
     (_TAMPER, 2),  # the tamperer's sample of rounds
     (_TAMPER, "target"),  # one tampered round's target, a `below`
-], ids=["decoy_run", "positions_run", "rounds_run", "target_below"])
+    (_EVE, "placement"),  # the tapped link's decoy placement, inside the run of links 1 and 2
+], ids=["decoy_run", "positions_run", "rounds_run", "target_below", "tapped_placement"])
 def test_a_trial_with_a_lemire_redraw_is_rerun(monkeypatch, scenario, where):
     def replacing(log):
-        if where != "target":
-            return {_first_redrawable(*log.runs[where]): 0}
-        return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
+        if where == "target":
+            return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
+        if where == "placement":
+            # Link 2's draws are the run's second half: its 16 decoys, then its placement.
+            start, bounds = log.runs[0]
+            return {_first_redrawable(start, bounds, after=len(bounds.values) // 2 + 16): 0}
+        return {_first_redrawable(*log.runs[where]): 0}
 
     trial, (_, log) = _pinned(monkeypatch, scenario, range(40), replacing)
     assert log.redraws > 0
@@ -323,13 +381,16 @@ _FAKE_ZEROS = AdversarySpec(KIND_TP1_FAKE_STATE, {})
     Scenario(protocol="zhang_baseline", n=2, m=1, check_rounds=380, seed=5, adversary=_FAKE_ZEROS),
     # 384 secret bits, 127 position draws, 64 bases and 384 fair bits.
     Scenario(n=6, m=64, check_rounds=64, decoy_count=0, seed=5, adversary=_FAKE_ZEROS),
-], ids=["fake_c150", "tamper_c100", "baseline_fake_c380", "fake_n6_c64"])
+    # 128 secret bits, 128 registers, a run of 191 draws, 192 bases and
+    # the read-ahead of 192 + 64 bits.
+    Scenario(n=2, m=64, decoy_count=64, seed=5, adversary=AdversarySpec(KIND_EVE, {"links": [1]})),
+], ids=["fake_c150", "tamper_c100", "baseline_fake_c380", "fake_n6_c64", "eve_l64"])
 def test_a_shape_that_can_read_past_one_fetch_is_left_to_the_scalar_loop(scenario):
     def unfetched(trial):
         raise AssertionError(f"trial {trial}'s generator was called")
 
     strategy = scenario.strategy()
     assert block.covers(scenario, strategy)
-    assert block._Shape(scenario, strategy).words > RAW_WORDS
-    assert block.state_check(scenario, strategy, range(3, 70), unfetched) == ({}, list(range(3, 70)))
+    assert block._shape(scenario, strategy).words > RAW_WORDS
+    assert block.decide(scenario, strategy, range(3, 70), unfetched) == ({}, list(range(3, 70)))
     assert harness._run_block(scenario, 0, 70) == _scalar(scenario, range(70))

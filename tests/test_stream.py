@@ -9,7 +9,7 @@ numpy.
 import numpy as np
 import pytest
 
-from qpcsim.stream import RAW_WORDS, Bounds, Rows, Stream, _choice_bounds, _tail_shuffle
+from qpcsim.stream import RAW_WORDS, Bounds, Rows, Stream, _choice_bounds, _tail_shuffle, choice_bounds, replay_choice
 
 # Lemire's rule redraws about half the time for a bound just above 2^31.
 _REJECTING = (2**31 + 1, 2**31 + 3, 3 * 2**30 + 1)
@@ -249,7 +249,24 @@ def test_rows_refuse_a_read_past_their_outputs():
         rows.peek(1)
 
 
+def test_rows_replay_the_samples_a_run_drew():
+    # Each row of draws under choice_bounds, as a run returns them, replays
+    # to the sample replay_choice makes of it.
+    plan = make_rng(12)
+    shapes = [(int(p), int(plan.integers(0, p + 1))) for p in plan.integers(1, 120, size=60)]
+    shapes += [(p, p) for p in (1, 2, 17, 64, 300)] + [(p, 1) for p in (1, 2, 17, 399)]
+    for population, size in shapes:
+        bounds = choice_bounds(population, size)
+        draws = (plan.random((7, len(bounds))) * bounds).astype(np.int64)
+        got = Rows.replay(population, size, draws)
+        assert got.shape == (7, size)
+        for row, drawn in zip(got.tolist(), draws.tolist()):
+            assert row == replay_choice(population, size, drawn), (population, size, drawn)
+
+
 def test_rows_do_not_replay_a_tail_shuffle():
     rows = Rows([make_rng(10).bit_generator], 8)
     with pytest.raises(ValueError):
         rows.sample(10001, 201)
+    with pytest.raises(ValueError):
+        Rows.replay(10001, 201, np.zeros((1, len(choice_bounds(10001, 201))), dtype=np.int64))

@@ -50,7 +50,7 @@ def covers(scenario, strategy) -> bool:
     if scenario.secrets.policy == "forced_unequal":
         return False
     if isinstance(strategy, EveInterceptResend):  # an outside Eve, or TP2's intercept
-        return bool(strategy.links) and scenario.effective_decoy_count() > scenario.decoy_tolerance
+        return scenario.effective_decoy_count() > scenario.decoy_tolerance
     if scenario.effective_check_rounds() == 0:
         return False
     if isinstance(strategy, ClassicalPositionTamper):

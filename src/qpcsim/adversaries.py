@@ -19,7 +19,9 @@ statistics and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -27,6 +29,7 @@ from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
 from .stream import Stream
 
 if TYPE_CHECKING:
+    from .harness import Scenario
     from .protocol import Transcript
 
 TP1 = "TP1"
@@ -87,6 +90,10 @@ class AdversaryStrategy:
         """Score the finished (or aborted) run from its transcript."""
         return None
 
+    def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
+        """The exact rate, by metric name, that this kind's runs of ``scenario`` are held against."""
+        return {}
+
 
 # The benchmark's tracer (perfbench/tracing.py) finds every hook class by
 # walking ``RunHandle.__subclasses__()``.
@@ -96,6 +103,19 @@ NONE = AdversaryStrategy()
 
 def _coin(rng: Stream) -> int:
     return rng.below(2)
+
+
+def intercept_detection(l: int, links: int = 1, tolerance: int = 0) -> Fraction:
+    """1 - P[Bin(l, 1/4) <= tolerance]^links: one of ``links`` tapped runs of l decoys, each caught at
+    1/4 (wrong basis 1/2, then visible 1/2), fails a check that passes up to ``tolerance`` mismatches."""
+    # 4^l P[Bin(l, 1/4) = j] = comb(l, j) 3^(l - j), each term from the last.
+    terms = accumulate(range(min(tolerance, l)), lambda term, j: term * (l - j) // (3 * j + 3), initial=3**l)
+    return 1 - Fraction(sum(terms), 4**l) ** links
+
+
+def tamper_detection(l: int) -> Fraction:
+    """1 - (1/2)^l: l substituted check positions across a two-state pair are caught."""
+    return 1 - Fraction(1, 2**l)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +136,11 @@ class EveInterceptResend(AdversaryStrategy):
 
     def start_run(self) -> "EveInterceptResend":
         return replace(self)
+
+    def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
+        # Each distinct tapped link runs its own decoy check.
+        rate = intercept_detection(scenario.effective_decoy_count(), len(set(self.links)), scenario.decoy_tolerance)
+        return {"detected_step2_rate": rate}
 
     def taps(self, link: int):
         if link not in self.links:
@@ -223,6 +248,15 @@ class Tp1FakeInitialState(AdversaryStrategy):
 
     def override_preparation(self, n: int, count: int, rng: Stream):
         return _fixed_preparation(self._prepare, self.true_state, self.claimed, n, count)
+
+    def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
+        # All-|0> preparation against an all-|0>-vector claim: an X round
+        # trips with probability 1/2, a Z round never, so each round of
+        # random basis detects with probability 1/4, as an intercepted decoy.
+        if self.true_state != "zeros" or self.claimed is not None:
+            return {}
+        rate = intercept_detection(scenario.effective_check_rounds())
+        return {"detected_step3_rate": rate, "x_check_fail_rate": Fraction(1, 2), "z_check_fail_rate": Fraction(0)}
 
     @staticmethod
     def _prepare(true_state, claimed: Optional[GhzSpec], n: int, count: int):
@@ -380,6 +414,17 @@ class ClassicalPositionTamper(AdversaryStrategy):
 
     def start_run(self) -> "ClassicalPositionTamper":
         return replace(self)
+
+    def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
+        from .protocol import VARIANT_BROADCAST  # protocol imports this module
+        # 1-(1/2)^l holds for substitutes that hold the partner state of a
+        # two-state preparation.  A random substitute is an independent
+        # register, which a check round catches at a rate that depends on n
+        # (0.635 at n = 3 against 0.494 at n = 2 for l = 1), so it gets none.
+        if self.policy != POLICY_PAIRED or scenario.variant != VARIANT_BROADCAST:
+            return {}
+        rate = tamper_detection(min(self.count, scenario.effective_check_rounds()))
+        return {"detected_step3_rate": rate, "tamper_detection_conditional": rate}
 
     def override_preparation(self, n: int, count: int, rng: Stream):
         if self.policy != POLICY_PAIRED:

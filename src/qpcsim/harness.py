@@ -19,6 +19,7 @@ import signal
 # adversaries.RunHandle is kept for it).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 from functools import partial
 from multiprocessing.connection import Connection
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -242,24 +243,13 @@ def wilson_interval(successes: int, count: int) -> Tuple[float, float]:
 
 
 def closed_form(kind: str, l: int, links: int = 1, tolerance: int = 0) -> float:
-    """Published detection-rate formulas.
-
-    ``intercept_detection``: 1 - (3/4)^l for l checked decoys against an
-    intercept-resend tap (per decoy: wrong basis 1/2 times visible 1/2), and
-    likewise for l random-basis check rounds against an all-|0> preparation
-    (per round: X basis 1/2 times failed parity 1/2).  With ``links``
-    distinct tapped links whose checks each pass up to ``tolerance``
-    mismatches, it is 1 - P[Bin(l, 1/4) <= tolerance]^links.
-    ``tamper_detection``: 1 - (1/2)^l for l substituted check positions
-    across a two-state preparation pair.
-    """
+    """The float view the benchmark imports of the exact rates of the same names in ``adversaries``."""
     if l < 0:
         raise ValueError("l must be nonnegative")
     if kind == "intercept_detection":
-        passed = sum(math.comb(l, j) * 0.25**j * 0.75 ** (l - j) for j in range(min(tolerance, l) + 1))
-        return 1.0 - passed**links
+        return float(adversaries.intercept_detection(l, links, tolerance))
     if kind == "tamper_detection":
-        return 1.0 - 0.5**l
+        return float(adversaries.tamper_detection(l))
     raise ValueError(f"unknown closed-form kind `{kind}`")
 
 
@@ -464,37 +454,6 @@ def _merge(into: Dict[str, int], part: Dict[str, int]) -> None:
         into[key] = into.get(key, 0) + value
 
 
-def _targets(scenario: Scenario) -> Dict[str, float]:
-    strategy = scenario.strategy()
-    targets: Dict[str, float] = {}
-    l = scenario.effective_decoy_count()
-    c = scenario.effective_check_rounds()
-    if isinstance(strategy, adversaries.EveInterceptResend):  # TP2's intercept too
-        links = len(set(strategy.links))
-        targets["detected_step2_rate"] = closed_form("intercept_detection", l, links, scenario.decoy_tolerance)
-    elif (
-        isinstance(strategy, adversaries.ClassicalPositionTamper)
-        and strategy.policy == adversaries.POLICY_PAIRED
-        and scenario.variant == proto.VARIANT_BROADCAST
-    ):
-        # 1-(1/2)^l holds for substitutes that hold the partner state of a
-        # two-state preparation.  A random substitute is an independent
-        # register, which a check round catches at a rate that depends on n
-        # (0.635 at n = 3 against 0.494 at n = 2 for l = 1), so it gets none.
-        count = min(strategy.count, c)
-        targets["detected_step3_rate"] = closed_form("tamper_detection", count)
-        targets["tamper_detection_conditional"] = closed_form("tamper_detection", count)
-    elif isinstance(strategy, adversaries.Tp1FakeInitialState):
-        # All-|0> preparation against an all-|0>-vector claim: an X round
-        # trips with probability 1/2, a Z round never, so each round of
-        # random basis detects with probability 1/4, as an intercepted decoy.
-        if strategy.true_state == "zeros" and strategy.claimed is None:
-            targets["detected_step3_rate"] = closed_form("intercept_detection", c)
-            targets["x_check_fail_rate"] = 0.5
-            targets["z_check_fail_rate"] = 0.0
-    return targets
-
-
 _ROW_DEFS = (
     # (metric name, successes key, denominator key)
     ("abort_rate", "aborted", "trials"),
@@ -514,9 +473,9 @@ _ROW_DEFS = (
 )
 
 
-def metric_rows(totals: Dict[str, int], targets: Dict[str, float]) -> List[MetricRow]:
+def metric_rows(totals: Dict[str, int], targets: Dict[str, Fraction]) -> List[MetricRow]:
     """Every rate with a nonzero denominator in ``totals``, with its Wilson
-    interval and its target from ``targets``, if any."""
+    interval and, as a float, its exact target from ``targets``, if any."""
     rows: List[MetricRow] = []
     for name, num_key, den_key in _ROW_DEFS:
         denom = totals.get(den_key, 0)
@@ -524,7 +483,8 @@ def metric_rows(totals: Dict[str, int], targets: Dict[str, float]) -> List[Metri
             continue
         num = totals.get(num_key, 0)
         lo, hi = wilson_interval(num, denom)
-        rows.append(MetricRow(name, num / denom, lo, hi, targets.get(name), denom))
+        target = targets.get(name)
+        rows.append(MetricRow(name, num / denom, lo, hi, None if target is None else float(target), denom))
     return rows
 
 
@@ -556,6 +516,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     if not _is_int(jobs) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
     scenario.validate()
+    targets = scenario.strategy().targets(scenario)
     trials = scenario.trials
     parts = min(trials, jobs)
     bounds = [round(i * trials / parts) for i in range(parts + 1)]
@@ -588,7 +549,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     except BaseException:
         _stop_workers()
         raise
-    return TrialStats(scenario.to_config(), totals, metric_rows(totals, _targets(scenario)))
+    return TrialStats(scenario.to_config(), totals, metric_rows(totals, targets))
 
 
 def _start_worker() -> None:

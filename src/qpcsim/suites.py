@@ -14,6 +14,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from fractions import Fraction
 from functools import partial
 from itertools import groupby, product
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -202,7 +203,7 @@ class _Row:
     # A harness metric name, or a measure function of the pooled stats
     # (measured rows are held exactly).
     metric: Union[str, Callable[[TrialStats], float]]
-    target: Optional[float]  # None: the scenario's closed-form MetricRow.target
+    target: Optional[float]  # None: the MetricRow.target its adversary kind states
     rule: str  # EXACT, or THREE_SIGMA around the target over the metric's count
     info: str = ""  # format template over the pooled counters `c` and the `also` result
     also: Optional[Callable[[TrialStats], bool]] = None  # a further condition the row requires
@@ -262,9 +263,9 @@ _ROWS: Tuple[_Row, ...] = (
              THREE_SIGMA)
         for c in (4, 8, 16)
     ),
-    _Row("4.x_round", "per-X-round detection of the fake preparation", _FAKE, "x_check_fail_rate", 0.5, THREE_SIGMA,
+    _Row("4.x_round", "per-X-round detection of the fake preparation", _FAKE, "x_check_fail_rate", None, THREE_SIGMA,
          "{c[x_check_failures]}/{c[x_check_rounds]} X rounds failed"),
-    _Row("4.z_round", "Z rounds never expose the fake preparation", _FAKE, "z_check_fail_rate", 0.0, EXACT,
+    _Row("4.z_round", "Z rounds never expose the fake preparation", _FAKE, "z_check_fail_rate", None, EXACT,
          "{c[z_check_rounds]} Z rounds"),
     _Row("4.strangers", "baseline between strangers never sees the fake preparation", ("strangers",), "abort_rate",
          0.0, EXACT, "{c[completed]}/{c[trials]} runs completed"),
@@ -292,13 +293,15 @@ _ROWS: Tuple[_Row, ...] = (
 
 
 def _pooled(stats: List[TrialStats]) -> TrialStats:
-    """One scenario's stats, or the merged counters of several (no targets)."""
+    """One scenario's stats, or the merged counters of several with the targets they all state alike."""
     if len(stats) == 1:
         return stats[0]
     totals: Counter = Counter()
     for part in stats:
         totals.update(part.counters)
-    return TrialStats({}, totals, metric_rows(totals, {}))
+    stated = [{row.name: row.target for row in part.rows if row.target is not None} for part in stats]
+    alike = {name: Fraction(t) for name, t in stated[0].items() if all(s.get(name) == t for s in stated)}
+    return TrialStats({}, totals, metric_rows(totals, alike))
 
 
 def _evaluate(row: _Row, stats: TrialStats) -> SuiteRow:

@@ -2,6 +2,8 @@
 honest accounting of what each attacker actually learns."""
 
 from dataclasses import fields
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from qpcsim.adversaries import (
     Tp2FakeResult,
     Tp2Intercept,
     TpFakeResult,
+    intercept_detection,
     strategy_from_config,
+    tamper_detection,
 )
 from qpcsim.errors import ConfigError
 from qpcsim.ghz import ghz_from_index
@@ -26,6 +30,18 @@ from qpcsim.protocol import VARIANT_TP2_RELAY, run_proposed, run_zhang_baseline
 from qpcsim.stream import Stream
 
 SIGMA3 = lambda p, n: 3 * np.sqrt(p * (1 - p) / n)  # noqa: E731
+
+
+@pytest.mark.parametrize(
+    "l, links, tolerance", [(0, 1, 0), (1, 1, 0), (4, 2, 1), (7, 3, 9), (40, 1, 3), (2000, 1, 1500)]
+)
+def test_intercept_detection_is_the_exact_binomial_tail(l, links, tolerance):
+    passed = sum(Fraction(comb(l, j) * 3 ** (l - j), 4**l) for j in range(min(tolerance, l) + 1))
+    assert intercept_detection(l, links, tolerance) == 1 - passed**links
+
+
+def test_tamper_detection_is_exact():
+    assert [tamper_detection(l) for l in (0, 1, 3)] == [0, Fraction(1, 2), Fraction(7, 8)]
 
 
 def make_rng(*key):

@@ -2,6 +2,7 @@
 round-trips, and the transcript dump."""
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -317,3 +318,15 @@ def test_zhang_config_runs(tmp_path):
     stats = TrialStats.from_json(out.read_text())
     assert stats.row("abort_rate").estimate == 0.0
     assert stats.row("verdict_correct_rate").estimate == 0.0
+
+
+def test_a_tolerant_check_of_many_decoys_states_a_finite_target(tmp_path):
+    # P[Bin(2000, 1/4) <= 1500] is summed over 4^2000, far past a float's range.
+    cfg = write_config(
+        tmp_path, m=1, decoy_count=2000, decoy_tolerance=1500, trials=1,
+        adversary={"kind": "eve_intercept_resend", "params": {"links": [1]}},
+    )
+    out = tmp_path / "stats.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    target = TrialStats.from_json(out.read_text()).row("detected_step2_rate").target
+    assert isinstance(target, float) and math.isfinite(target)

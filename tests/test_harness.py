@@ -29,7 +29,6 @@ from qpcsim.harness import (
     Scenario,
     SecretsSpec,
     TrialStats,
-    _targets,
     closed_form,
     run_scenario,
     run_trial,
@@ -446,11 +445,12 @@ def test_step2_target_counts_tapped_links_and_tolerance(kind, links, tolerance):
         n=3, decoy_count=4, decoy_tolerance=tolerance, adversary=AdversarySpec(kind, {"links": list(links)})
     )
     target = 1 - scipy_stats.binom.cdf(tolerance, 4, 0.25) ** len(links)
-    assert _targets(scenario)["detected_step2_rate"] == pytest.approx(target, abs=1e-12)
+    targets = scenario.strategy().targets(scenario)
+    assert float(targets["detected_step2_rate"]) == pytest.approx(target, abs=1e-12)
     twice = small_scenario(
         n=3, decoy_count=4, decoy_tolerance=tolerance, adversary=AdversarySpec(kind, {"links": list(links) * 2})
     )
-    assert _targets(twice) == _targets(scenario)
+    assert twice.strategy().targets(twice) == targets
 
 
 def test_step2_target_matches_the_measured_rate():

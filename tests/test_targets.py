@@ -1,13 +1,17 @@
-"""Every closed-form target the harness gives a metric, held against runs.
+"""Every closed-form target an adversary kind states, held against runs.
 
-For each (kind, policy, variant) that ``harness._targets`` gives targets, a
-few thousand trials at two or three shapes must meet each target: exactly
-where it is 0 or 1, otherwise within 4 sigma.  A second test fails when a
-shape gets targets that no guarded shape covers, so a new target cannot
-skip the guard.
+Each kind states its exact targets as ``Fraction``s through its
+``targets(scenario)``, and a run prints each as a float.  For each (kind,
+policy, variant) that states targets, a few thousand trials at two or three
+shapes must meet each target: exactly where it is 0 or 1, otherwise within
+4 sigma.  A second test fails when a shape gets targets that no guarded
+shape covers, so a new target cannot skip the guard, and holds every stated
+target to a ``Fraction`` in [0, 1] that its run prints as its float.
 """
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +25,7 @@ from qpcsim.adversaries import (
     POLICY_RANDOM,
 )
 from qpcsim.errors import ConfigError
-from qpcsim.harness import PROTOCOLS, _targets, run_scenario, scenario_from_config
+from qpcsim.harness import PROTOCOLS, run_scenario, scenario_from_config
 from qpcsim.protocol import VARIANT_BROADCAST, VARIANT_TP2_RELAY, VARIANTS
 
 TRIALS = 1200
@@ -32,6 +36,10 @@ def _doc(n, m, kind, params=None, variant=VARIANT_BROADCAST, **fields):
     doc["adversary"] = {"kind": kind, "params": params or {}}
     doc.update(fields)
     return doc
+
+
+def _targets(scenario):
+    return scenario.strategy().targets(scenario)
 
 
 def _key(scenario):
@@ -121,6 +129,11 @@ def test_every_shape_with_targets_is_guarded():
     assert len(shapes) > 30
     unguarded = [(s.protocol, _key(s)) for s in shapes if _targets(s) and _key(s) not in _GUARDED]
     assert unguarded == []
+    for shape in shapes:
+        targets = _targets(shape)
+        assert all(isinstance(t, Fraction) and 0 <= t <= 1 for t in targets.values()), targets
+        printed = {row.name: row.target for row in run_scenario(dataclasses.replace(shape, trials=40)).rows}
+        assert printed == {name: float(targets[name]) if name in targets else None for name in printed}
     # The relayed tamper and the random policy get no target.
     assert not _targets(scenario_from_config(_doc(2, 4, KIND_POSITION_TAMPER, {}, VARIANT_TP2_RELAY)))
     assert not _targets(scenario_from_config(_doc(2, 4, KIND_POSITION_TAMPER, {"policy": POLICY_RANDOM})))

@@ -1,52 +1,45 @@
-"""Steps 1-3 of a block of trials as arrays, for the scenarios whose trials
-an early check can abort, each with secrets that are never drawn again:
+"""Steps 1-7 of a block of trials as arrays, and the adversary's score, for
+the scenarios whose trials an early check can abort, each with secrets that
+are never drawn again:
 
 * an intercept-resend tap (an outside Eve, or TP2 acting as one) under
-  either protocol, with more decoys per link than the check tolerates: the
-  step-2 decoy check of the first tapped link can abort a trial;
+  either protocol, with more decoys per link than the check tolerates;
 * a first third party that prepares fake states (under either protocol)
   and a ``paired_specs`` position tamperer on the classical broadcast, each
-  with at least one check round: the step-3 state check can abort a trial
-  before anything taps it, and every trial shares one fixed preparation.
+  with at least one check round and one fixed preparation that every trial
+  shares.
 
 Each trial's draws are read through ``stream.Rows``, a row per trial, call
 for call as ``run_trial`` makes them through the trial's ``Stream``: the
-secrets, the honest preparation, the decoy run, the check positions, the
-tamperer's rounds and targets, the bases, and the measurements, which draw
-as ``GhzRegister.measure`` draws.  So every value is the one the trial's
-own ``Stream`` would draw.  Each trial's outputs are fetched whole, as many
-as it can read before its check ends; a scenario whose trials can read
-more than ``RAW_WORDS`` words leaves every trial to the scalar loop.
+secrets, the honest preparation, each run of links, the taps' bases, the
+check positions, the tamperer's rounds and targets, the check bases, the
+measurements and the attacker's coins.  So every value is the one the
+trial's own ``Stream`` would draw.  The registers are arrays with a trial
+axis, held as ``GhzRegister`` holds one trial's, and ``_Trials.measure``
+draws as ``GhzRegister.measure`` draws.
 
-A tapped trial's registers are never built.  Only untapped links precede
-the first tapped one, so their decoys pass and their draws only move the
-cursor.  On that link the tap draws one fair bit per carrier and one per
-decoy it measures in a basis other than the decoy's own, and the check
-draws one per such decoy; only the check's bits are read.  With no tap,
-every decoy arrives as prepared.
-
-A trial the check aborts is counted here as ``harness._extract`` counts it.
-Every other trial is left to be rerun from its seed by the scalar
-``run_trial``: one the check passes, and one with a bounded draw that
-Lemire's rule would redraw.
+A trial leaves the block's arrays as soon as a check aborts it.  None of
+these kinds flips a verdict, so both announcers agree and no trial aborts at
+step 7.  Every trial is counted as ``harness._extract`` counts it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, NamedTuple
 
 import numpy as np
 
 from . import protocol as proto
 from .adversaries import POLICY_PAIRED, ClassicalPositionTamper, EveInterceptResend, Tp1FakeInitialState
-from .ghz import GhzSpec
+from .ghz import HELD, MEASURED, GhzSpec
 from .photons import _run_bounds
-from .stream import _CHUNK, RAW_WORDS, Rows, _choice_bounds
+from .stream import _CHUNK, Rows
 
 
 def covers(scenario, strategy) -> bool:
-    """Whether the engine decides ``scenario``'s trials: a check can abort
-    them before any key is measured, and it follows every draw up to it."""
+    """Whether the engine runs ``scenario``'s trials: a check can abort
+    them before any key is measured."""
     if scenario.secrets.policy == "forced_unequal":
         return False
     if isinstance(strategy, EveInterceptResend):  # an outside Eve, or TP2's intercept
@@ -58,239 +51,469 @@ def covers(scenario, strategy) -> bool:
     return isinstance(strategy, Tp1FakeInitialState)
 
 
-def decide(
-    scenario, strategy, trials: range, generator: Callable[[int], object]
-) -> Tuple[Dict[str, int], List[int]]:
-    """The counters of the trials in ``trials`` that the check aborts, and
-    the trials left to rerun, ascending.  ``generator(trial)`` is the
-    trial's seeded bit generator; trials go through the engine in blocks
-    that start at multiples of ``TrialSeeds``' chunk."""
-    shape = _shape(scenario, strategy)
-    if shape.words > RAW_WORDS:  # a trial may read past one fetch of its Stream
-        return {}, list(trials)
-    counts = np.zeros(len(shape.COUNTS), dtype=np.int64)
-    rerun: List[int] = []
+def decide(scenario, strategy, trials: range, generator: Callable[[int], object]) -> Dict[str, int]:
+    """The summed ``harness._extract`` counters of the trials in ``trials``.
+    ``generator(trial)`` is the trial's seeded bit generator; trials go
+    through the engine in blocks that start at multiples of ``TrialSeeds``'
+    chunk."""
+    program = _Program(scenario, strategy)
     for first in range(trials.start - trials.start % _CHUNK, trials.stop, _CHUNK):
-        block = range(max(first, trials.start), min(first + _CHUNK, trials.stop))
-        kept, part = shape.decide(Rows(map(generator, block), shape.words))
-        counts += part
-        rerun.extend(trial for trial, done in zip(block, kept.tolist()) if not done)
-    return shape.counters(counts), rerun
-
-
-def _shape(scenario, strategy):
-    return (_DecoyCheck if isinstance(strategy, EveInterceptResend) else _StateCheck)(scenario, strategy)
-
-
-def _secret_draws(scenario) -> int:
-    return {"explicit": 0, "forced_equal": scenario.m}.get(scenario.secrets.policy, scenario.n * scenario.m)
-
-
-def _aborted(count: int, step: int, cause: str) -> Dict[str, int]:
-    """The ``_extract`` counters that ``count`` trials aborted at ``step``
-    for ``cause`` all hold: each detects its attack and guesses no bit."""
-    return {"trials": count, "aborted": count, f"abort_step{step}": count, f"abort_{cause}": count,
-            "attack_detected": count, "attack_bits_guessed": 0, "attack_bits_correct": 0}
-
-
-class _DecoyCheck:
-    """What every trial of an intercept-resend scenario draws up to the
-    decoy check of its first tapped link, k0."""
-
-    COUNTS = ("aborted",)
-
-    def __init__(self, scenario, strategy) -> None:
-        l = scenario.effective_decoy_count()
-        self.l, self.tolerance = l, scenario.decoy_tolerance
-        self.total = scenario.roles.register_count(scenario.m, scenario.effective_check_rounds())
-        self.width = scenario.roles.prepare_width(scenario.n)
-        self.secret_draws = _secret_draws(scenario)
-        k0 = min(strategy.links)
-        self.links = _run_bounds(self.total, l, k0)  # links 1..k0, in one run
-        self.at = len(self.links.values) * (k0 - 1) // k0  # where link k0's draws start
-        # The most a trial reads, in 32-bit outputs: the draws up to the tap
-        # (the preparation reads one a register), the tap's bases and its
-        # measurement's read-ahead of one a slot, then the check's read-ahead
-        # of one a decoy.
-        reads = self.secret_draws + self.total + len(self.links.wide) + 2 * (self.total + l) + l
-        self.words = (reads + 1) // 2
-
-    def decide(self, draws: Rows) -> Tuple[np.ndarray, np.ndarray]:
-        """Whether each trial is decided here (link k0's check aborts it and
-        Lemire's rule redraws none of its draws), and how many are."""
-        l, slots = self.l, self.total + self.l
-        rows = np.arange(len(draws))[:, None]
-        draws.bits(self.secret_draws)
-        draws.bits(self.total, self.width)  # the honest preparation
-        link = draws.run(self.links)[:, self.at :]
-        decoys = link[:, :l]
-        # Decoy d rides in slot ``placed[:, d]``: the placement is ascending,
-        # and the decoys are placed in order.
-        placed = Rows.replay(slots, l, link[:, l:])
-        # The tap's measurement draws on every carrier and on each decoy
-        # measured in the other basis, which it resends in that basis.
-        moved = draws.bits(slots)[rows, placed] != decoys >> 1
-        draws.skip(self.total + moved.sum(axis=1))
-        # The check measures each moved decoy, in order, in its own basis.
-        checked = draws.peek(l)[rows, np.maximum(moved.cumsum(axis=1) - 1, 0)]
-        mismatches = (moved & (checked != decoys & 1)).sum(axis=1)
-        kept = (mismatches > self.tolerance) & ~draws.redraw
-        return kept, np.array([np.count_nonzero(kept)])
-
-    def counters(self, counts: np.ndarray) -> Dict[str, int]:
-        """``_extract``'s counters of the ``counts[0]`` aborted trials."""
-        aborted = int(counts[0])
-        return _aborted(aborted, 2, proto.CAUSE_DECOY) if aborted else {}
-
-
-class _StateCheck:
-    """What every trial of one scenario draws and holds up to its state check."""
-
-    # The sums ``decide`` returns, in order.
-    COUNTS = ("aborted", "x_check_rounds", "z_check_rounds", "x_check_failures", "z_check_failures", "tampered",
-              "tampered_distinct", "tamper_runs", "tamper_distinct_runs")
-
-    def __init__(self, scenario, strategy) -> None:
-        n, m = scenario.n, scenario.m
-        c, l = scenario.effective_check_rounds(), scenario.effective_decoy_count()
-        total = scenario.roles.register_count(m, c)
-        self.n, self.c, self.total = n, c, total
-        self.check_step = scenario.roles.check_step
-        self.secret_draws = _secret_draws(scenario)
-        _, true_states, claimed = strategy.start_run().override_preparation(n, total, None)
-        self.true, self.claimed = _registers(true_states), _registers(claimed)
-        self.decoys = _run_bounds(total, l, n) if l else None
-        self.tamper = isinstance(strategy, ClassicalPositionTamper)
-        self.wanted = min(strategy.count, c) if self.tamper else 0
-        reads = self.secret_draws + len(_choice_bounds(total, c).wide)
-        if self.decoys is not None:
-            reads += len(self.decoys.wide)
-        if self.wanted:
-            reads += len(_choice_bounds(c, self.wanted).wide)
-        # The most a trial reads, in 64-bit words: the draws above, a target
-        # per tampered round, the bases, and the measurements' read-ahead.
-        self.words = (reads + self.wanted + c + n * c + 1) // 2
-
-    def counters(self, counts: np.ndarray) -> Dict[str, int]:
-        """``_extract``'s counters of the aborted trials whose sums are ``counts``."""
-        sums = dict(zip(self.COUNTS, counts.tolist()))
-        aborted = sums["aborted"]
-        if not aborted:
-            return {}
-        out = _aborted(aborted, self.check_step, proto.CAUSE_STATE_CHECK)
-        # Counted only when nonzero, as _extract bumps them.
-        for key in ("x_check_rounds", "z_check_rounds", "x_check_failures", "z_check_failures"):
-            if sums[key]:
-                out[key] = sums[key]
-        if self.tamper:
-            out.update(attack_tampered=sums["tampered"], attack_tampered_distinct=sums["tampered_distinct"])
-            for runs in ("tamper_runs", "tamper_distinct_runs"):
-                if sums[runs]:
-                    out[runs] = out[f"{runs}_detected"] = sums[runs]
-        return out
-
-    def decide(self, draws: Rows) -> Tuple[np.ndarray, np.ndarray]:
-        """Steps 1-3 of one block: whether each trial is decided here (its
-        check aborts and Lemire's rule redraws none of its draws), and the
-        ``COUNTS`` sums of those trials."""
-        n, c, total = self.n, self.c, self.total
-        true, claimed = self.true, self.claimed
-        count = len(draws)
-        trials = np.arange(count)
-        rows = trials[:, None]
-
-        # Step 1: the secrets, which an aborted trial's counters do not hold.
-        draws.bits(self.secret_draws)
-        # Step 2: no tap, so every decoy passes; its draws only move the cursor.
-        if self.decoys is not None:
-            draws.run(self.decoys)
-
-        # Step 3: the check positions, the tamperer's substitutes, the bases.
-        positions = draws.sample(total, c)
-        received = positions
-        if self.wanted:
-            rounds = draws.sample(c, self.wanted)
-            received = positions.copy()
-            free = np.ones((count, total), dtype=bool)
-            free[rows, positions] = False
-            true_at = positions[rows, rounds]
-            # The paired preparation alternates, so the partner state sits at
-            # the positions of the other parity.  A target used leaves the free
-            # ones.
-            partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None]
-            for i, r in enumerate(rounds.T):
-                # A round's target is one draw below its pool's size, if the pool
-                # holds any.
-                pool = (free & partner[:, i]).cumsum(axis=1)
-                size = pool[:, -1]
-                pick = draws.below(np.maximum(size, 1))
-                target = np.where(size > 0, (pool > pick[:, None]).argmax(axis=1), true_at[:, i])
-                received[trials, r] = target
-                free[trials, target] = False
-        # A substitute is never a checked position.
-        tampered = received != positions
-        x = draws.bits(c).astype(bool)
-
-        # The check measurements: particle k of register reg[:, r, k] in round
-        # r.  Every register is fresh and measured in one round at most: all n
-        # particles of an untampered round's register, or P1's particle of the
-        # checked register and the others' of the substitute.  So an X
-        # measurement draws except on the last particle of an entangled
-        # register measured whole, which carries the phase; a Z measurement
-        # draws only on the first particle of each entangled register.
-        k = np.arange(n)
-        reg = np.where(k == 0, positions[:, :, None], received[:, :, None])
-        product = true.product[reg]
-        split = tampered[:, :, None]
-        drawn = np.where(x[:, :, None], product | split | (k < n - 1), ~product & ((k == 0) | (split & (k == 1))))
-        flat = drawn.reshape(count, c * n)
-        fair = draws.peek(c * n)
-        bits = fair[rows, np.maximum(flat.cumsum(axis=1) - 1, 0)].reshape(count, c, n)
-        draws.skip(flat.sum(axis=1))
-        # A Z outcome is q[k] XOR the branch the group's first particle drew.
-        branch = np.where(split & (k >= 1), bits[:, :, 1:2], bits[:, :, :1]) & ~product
-        claimed_q = claimed.q[positions]
-        claimed_delta = claimed.delta[positions]
-        z_off = true.q[reg, k] ^ branch ^ claimed_q
-        whole = ~tampered & ~product[:, :, 0]
-        x_parity = np.where(whole, true.delta[positions], np.bitwise_xor.reduce(bits, axis=2))
-        failed = np.where(x, x_parity != claimed_delta, (z_off != z_off[:, :, :1]).any(axis=2))
-
-        kept = failed.any(axis=1) & ~draws.redraw
-        tamper_count = tampered.sum(axis=1)
-        distinct = 0
-        if self.tamper:
-            # A substitute is distinct when its true state is not the state
-            # claimed for the checked register.
-            differs = (true.product[received] | (true.q[received] != claimed_q).any(axis=2)
-                       | (true.delta[received] != claimed_delta))
-            distinct = (tampered & differs).sum(axis=1)
-        runs = tamper_count > 0
-        x_rounds = x.sum(axis=1)
-        x_failed = (failed & x).sum(axis=1)
-        per_trial = [x_rounds, c - x_rounds, x_failed, failed.sum(axis=1) - x_failed, tamper_count, distinct, runs,
-                     runs & (distinct == tamper_count)]
-        return kept, np.array([kept, *np.broadcast_arrays(*per_trial)], dtype=np.int64) @ kept
+        program.run(Rows(map(generator, range(max(first, trials.start), min(first + _CHUNK, trials.stop)))))
+    return program.counters()
 
 
 class _States(NamedTuple):
-    """The registers every trial shares: the bits (register, particle), and
-    the phase and whether the register is a product state (register)."""
+    """Registers as arrays: the bits (..., register, particle), and the
+    phase and whether the register is a product state (..., register)."""
 
     q: np.ndarray
     delta: np.ndarray
     product: np.ndarray
 
 
-def _registers(states) -> _States:
-    """The registers of a preparation list: a GhzSpec, or a product state's
-    bit tuple, each.  A preparation repeats a few state objects, each read
-    once."""
+@lru_cache(maxsize=8)  # a fixed preparation, for each run_scenario call that uses it
+def _registers(states: tuple) -> _States:
+    """The registers of a preparation, a GhzSpec or a product state's bit
+    tuple each, with a trial axis of a full block.  A preparation repeats
+    a few state objects, each read once."""
     distinct = {id(state): state for state in states}
     code = {key: i for i, key in enumerate(distinct)}
     which = np.array([code[id(state)] for state in states])
     ghz = [isinstance(state, GhzSpec) for state in distinct.values()]
-    q = np.array([state.q if entangled else state for state, entangled in zip(distinct.values(), ghz)], dtype=np.uint8)
+    q = np.array([state.q if entangled else state for state, entangled in zip(distinct.values(), ghz)], dtype=np.int8)
     delta = np.array([state.delta if entangled else 0 for state, entangled in zip(distinct.values(), ghz)],
-                     dtype=np.uint8)
-    return _States(q[which], delta[which], ~np.array(ghz)[which])
+                     dtype=np.int8)
+    shared = [np.repeat(a[which][None], _CHUNK, axis=0) for a in (q, delta, ~np.array(ghz))]
+    for a in shared:  # every call that uses the preparation reads these
+        a.flags.writeable = False
+    return _States(*shared)
+
+
+class _Trials:
+    """The trials of a block that no check has aborted: their draws, and
+    arrays with a trial axis first, from which ``keep`` drops a trial.
+
+    The registers are held as ``GhzRegister`` holds one trial's, but
+    particle-major: ``slot`` (trial, id) is HELD, MEASURED or a photon state
+    0..3, with particle k of register r at id ``(k - 1) * total + r`` and
+    the decoys of link k, in order, from id ``n * total + (k - 1) * l``;
+    ``branch`` (trial, register) is -1 until a Z measurement sets it,
+    ``parity`` is the X parity and ``held`` counts the particles still held.
+    ``q`` (trial, particle, register) holds the true bits, ``claimed_q``
+    (trial, register, particle) and ``claimed_delta`` the claimed states,
+    ``tap_basis`` and ``tap_bit`` (trial, link - 1, register) what a tap on
+    each link measured, and ``positions`` and ``received`` the check
+    positions P1 chose and those P2..Pn received.
+    """
+
+    def __init__(self, draws: Rows, secrets: np.ndarray, true: _States, claimed: _States, photons: int) -> None:
+        count, total, n = true.q.shape
+        self.draws, self.secrets = draws, secrets
+        self.q = np.ascontiguousarray(true.q.transpose(0, 2, 1))
+        self.claimed_q, self.claimed_delta = claimed.q, claimed.delta
+        self.branch = np.where(true.product, 0, -1).astype(np.int8)
+        self.parity = true.delta.astype(np.int8)
+        self.held = np.full((count, total), n, dtype=np.int8)
+        self.slot = np.full((count, n * total + photons), HELD, dtype=np.int8)
+        self.offsets = np.arange(0, self.slot.size, self.slot.shape[1])[:, None]  # where each row's slots start
+        self.positions = self.received = np.zeros((count, 0), dtype=np.int64)
+        self.tap_basis = self.tap_bit = None  # set where a tap is scored
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+    def keep(self, alive: np.ndarray) -> bool:
+        """Drop every trial where ``alive`` is false; whether any is left.
+        A block none of whose trials is left is not run further."""
+        if not alive.any():
+            return False
+        if not alive.all():
+            self.draws.keep(alive)
+            for name in ("secrets", "q", "claimed_q", "claimed_delta", "branch", "parity", "held", "slot", "tap_basis",
+                         "tap_bit", "positions", "received"):
+                value = getattr(self, name)
+                if value is not None:
+                    setattr(self, name, value[alive])
+            self.offsets = self.offsets[: len(self.held)]
+        return True
+
+    def measure(self, ids: np.ndarray, bases: np.ndarray, forward: bool = False) -> np.ndarray:
+        """Each trial's ``GhzRegister.measure(ids, bases, rng, forward)``:
+        ``ids`` and ``bases`` hold a row per trial, and so do the outcomes.
+
+        Every step measures the particles of one register in one basis, in
+        ascending order, so a register's draws follow from its state alone:
+        a Z measurement draws the branch, while it is unset, at the first
+        particle measured, and an X measurement draws at every particle but
+        the last one held of a register whose branch is unset, which
+        carries the parity.  A photon draws only in the other basis.  A tap,
+        the one measurement that forwards, measures one particle of each
+        register.
+        """
+        count, size = ids.shape
+        flat = ids + self.offsets  # into each flat view below
+        slot = self.slot.ravel()
+        state = slot.take(flat)
+        held = state < 0  # HELD: no measured particle is measured again
+        photons, registers = not held.all(), held.any()
+        drawn = state >> 1 != bases if photons else held
+        if registers:
+            if forward:
+                drawn, settle = self._single(ids, bases, held, drawn)
+            else:
+                drawn, settle = self._grouped(ids, bases, held, drawn)
+        taken = drawn.cumsum(axis=1)
+        bit = self.draws.peek(size).ravel().take(taken + (np.arange(-1, count * size - 1, size)[:, None]))
+        self.draws.skip(taken[:, -1])
+        out = np.where(drawn, bit, state & 1) if photons else bit
+        if registers:
+            out = np.where(held, settle(bit), out) if photons else settle(bit)
+        # A measured particle is gone, or forwarded as a photon in the
+        # measured eigenstate; a photon is re-prepared in it.
+        slot[flat] = bases << 1 | out if forward or not registers else np.where(held, MEASURED, bases << 1 | out)
+        return out
+
+    def _single(self, ids, bases, held, drawn):
+        """``measure``'s draws on held particles, no two of one register:
+        whether each id draws, and a function from the bits drawn to the
+        held particles' outcomes that leaves their registers measured."""
+        n, total = self.q.shape[1:]
+        trial = self.offsets // self.slot.shape[1]
+        reg = ids % total + trial * total  # into the flat (trial, register) views below
+        unset = self.branch.ravel().take(reg) < 0
+        z = bases == 0
+        carries = ~z & unset & (self.held.ravel().take(reg) == 1)
+        drawn = np.where(held, np.where(z, unset, ~carries), drawn)
+
+        def settle(bit):
+            branch, parity, counts = self.branch.ravel(), self.parity.ravel(), self.held.ravel()
+            q = self.q.ravel().take(ids + trial * (n * total), mode="clip")  # a photon's is never read
+            out = np.where(z, q ^ np.where(unset, bit, branch.take(reg)), np.where(carries, parity.take(reg), bit))
+            sets, flips = held & z & unset, held & ~z & ~carries
+            branch[reg[sets]] = bit[sets]
+            parity[reg[flips]] ^= bit[flips].astype(np.int8)
+            counts[reg[held]] -= 1
+            return out
+
+        return drawn, settle
+
+    def _grouped(self, ids, bases, held, drawn):
+        """``measure``'s draws on held particles, any of one register:
+        whether each id draws, and a function from the bits drawn to the
+        held particles' outcomes that leaves their registers measured."""
+        count = len(ids)
+        n, total = self.q.shape[1:]
+        flat = ids + self.offsets
+        # Each held particle measured, by (trial, particle, register): 1 in
+        # Z and 2 in X, then whether it draws, then its outcome.
+        code = np.zeros(self.slot.shape, dtype=np.int8)
+        dense, particles = code.ravel(), code[:, : n * total].reshape(count, n, total)
+        dense[flat] = np.where(held, bases + 1, 0)
+        z, x = particles == 1, particles == 2
+        unset = self.branch < 0
+        first, carries = np.empty_like(z), np.empty_like(x)
+        branching = unset
+        for k in range(n):
+            first[:, k] = z[:, k] & branching
+            branching = branching & ~z[:, k]
+        last_x = unset & (x.sum(axis=1, dtype=np.int8) == self.held)
+        for k in reversed(range(n)):
+            carries[:, k] = x[:, k] & last_x
+            last_x = last_x & ~x[:, k]
+        x_draws = x & ~carries
+        particles[...] = first | x_draws
+        drawn = np.where(held, dense.take(flat) != 0, drawn)
+
+        def settle(bit):
+            dense[flat] = bit
+            # The branch a register drew, and the parity its X draws leave.
+            branch = np.where(unset & ~branching, np.bitwise_or.reduce(particles & first, axis=1), self.branch)
+            x_bits = np.bitwise_xor.reduce(particles & x_draws, axis=1)
+            particles[...] = np.where(z, self.q ^ branch[:, None],
+                                      np.where(carries, (self.parity ^ x_bits)[:, None], particles))
+            self.branch = branch.astype(np.int8)
+            self.parity ^= x_bits
+            self.held -= (z | x).sum(axis=1, dtype=np.int8)
+            return dense.take(flat)
+
+        return drawn, settle
+
+
+def _first_unchecked(checked: np.ndarray, total: int, m: int) -> np.ndarray:
+    """Each row's first m of ``total`` registers that its row of
+    ``checked`` leaves out, ascending."""
+    free = np.ones((len(checked), total), dtype=bool)
+    free[np.arange(len(checked))[:, None], checked] = False
+    return np.nonzero(free & (free.cumsum(axis=1) <= m))[1].reshape(len(checked), m)
+
+
+def _coins(draws: Rows, needed: np.ndarray) -> np.ndarray:
+    """A fair coin, ``rng.below(2)``, for each true entry of ``needed``, in
+    order along each row; the other entries are 0."""
+    fair = draws.peek(needed.shape[1])
+    draws.skip(needed.sum(axis=1))
+    return np.where(needed, fair[np.arange(len(needed))[:, None], np.maximum(needed.cumsum(axis=1) - 1, 0)], 0)
+
+
+class _Program:
+    """The trials of one scenario, a block at a time, and their counters."""
+
+    def __init__(self, scenario, strategy) -> None:
+        self.roles = scenario.roles
+        self.n, self.m = n, m = scenario.n, scenario.m
+        self.c = c = scenario.effective_check_rounds()
+        self.l = scenario.effective_decoy_count()
+        self.total = total = self.roles.register_count(m, c)
+        self.tolerance = scenario.decoy_tolerance
+        self.secrets = scenario.secrets
+        self.strategy = strategy
+        self.tapped = {k for k in range(1, n + 1) if strategy.taps(k)}
+        self.tamper = isinstance(strategy, ClassicalPositionTamper)
+        self.wanted = min(strategy.count, c) if self.tamper else 0
+        self.scored = isinstance(strategy, EveInterceptResend) and strategy.victim is not None
+        fixed = strategy.start_run().override_preparation(n, total, None)
+        self.fixed = fixed and (_registers(tuple(fixed[1])), _registers(tuple(fixed[2])))  # the true and claimed states
+        # Every trial's attack is scored, so these are bumped on every trial.
+        always = ("attack_bits_guessed", "attack_bits_correct")
+        self.sums = dict.fromkeys(always + (("attack_tampered", "attack_tampered_distinct") if self.tamper else ()), 0)
+
+    def bump(self, key: str, value) -> None:
+        self.sums[key] = self.sums.get(key, 0) + int(value)
+
+    def abort(self, count: int, step: int, cause: str) -> None:
+        """Count ``count`` trials aborted at ``step`` for ``cause``: each detects its attack."""
+        for key in ("aborted", f"abort_step{step}", f"abort_{cause}", "attack_detected"):
+            self.bump(key, count)
+
+    def counters(self) -> Dict[str, int]:
+        """The counters summed so far, with the keys ``_extract`` leaves: a
+        sum of 0 leaves its key out, but for the attack's own counts, and
+        a victim's legitimate guesses once any are scored."""
+        if not self.sums.get("trials"):
+            return {}
+        kept = {"attack_bits_guessed", "attack_bits_correct", "attack_tampered", "attack_tampered_distinct"}
+        if self.sums.get("attack_legit_bits_guessed"):
+            kept.add("attack_legit_bits_correct")
+        return {key: value for key, value in self.sums.items() if value or key in kept}
+
+    def run(self, draws: Rows) -> None:
+        """Run one block of trials, a row of ``draws`` each, and sum their counters."""
+        n, m, count = self.n, self.m, len(draws)
+        if not count:
+            return
+        self.bump("trials", count)
+        # Step 1: the secrets, then the preparation.
+        policy = self.secrets.policy
+        if policy == "explicit":
+            secrets = np.repeat(np.array(self.secrets.values)[None], count, axis=0)
+        elif policy == "forced_equal":
+            secrets = np.repeat(draws.bits(m)[:, None], n, axis=1)
+        else:
+            secrets = draws.bits(n * m).reshape(count, n, m)
+        if self.fixed:
+            true, claimed = (_States(*(a[:count] for a in states)) for states in self.fixed)
+        else:
+            q, delta = self.roles.prepared_arrays(n, draws.bits(self.total, self.roles.prepare_width(n)))
+            true = claimed = _States(q.astype(np.int8), delta.astype(np.int8), np.zeros(delta.shape, dtype=bool))
+        trials = _Trials(draws, secrets, true, claimed, n * self.l)
+        if self.scored:
+            trials.tap_basis = np.zeros((count, n, self.total), dtype=np.int8)
+            trials.tap_bit = np.zeros_like(trials.tap_basis)
+        if self._distribute(trials) and self._check(trials):
+            self._compare(trials)
+
+    def _distribute(self, trials: _Trials) -> bool:
+        """Step 2: each run of links, as ``interleave`` draws them up to and
+        including the next tapped link, and each tapped link's tap and decoy
+        check.  Whether any trial passes every check."""
+        start = 1
+        for end in [k for k in range(1, self.n) if k in self.tapped] + [self.n]:
+            links = end - start + 1
+            drawn = trials.draws.run(_run_bounds(self.total, self.l, links)) if self.l else None
+            if end in self.tapped:
+                passed = self._tap(trials, end, drawn[:, drawn.shape[1] - drawn.shape[1] // links :])
+                self.abort(np.count_nonzero(~passed), 2, proto.CAUSE_DECOY)
+                if not trials.keep(passed):
+                    return False
+            start = end + 1
+        return True
+
+    def _tap(self, trials: _Trials, k: int, link: np.ndarray) -> np.ndarray:
+        """Link k's tap, which measures every slot in a random basis and
+        forwards what it saw, then the link's decoy check: whether each
+        trial passes it.  ``link`` holds the link's decoy states and the
+        draws that place them."""
+        n, l, total = self.n, self.l, self.total
+        count = len(trials)
+        decoys = link[:, :l]
+        first = n * total + (k - 1) * l  # the id of the link's first decoy
+        trials.slot[:, first : first + l] = decoys
+        # Decoy d rides in the d-th placed slot, and the carriers fill the
+        # others in register order.
+        decoy = Rows.chosen(total + l, l, link[:, l:])
+        carrier = ~decoy
+        before = decoy.cumsum(axis=1)  # the decoys up to each slot
+        ids = np.where(decoy, first - 1 + before, (k - 1) * total + np.arange(total + l) - before)
+        bases = trials.draws.bits(total + l)
+        bits = trials.measure(ids, bases, forward=True)
+        if self.scored:
+            trials.tap_basis[:, k - 1] = bases[carrier].reshape(count, total)
+            trials.tap_bit[:, k - 1] = bits[carrier].reshape(count, total)
+        # The check measures each decoy in its own basis: one the tap left
+        # as prepared reads its bit without a draw.
+        checked = trials.measure(np.broadcast_to(np.arange(first, first + l), (count, l)), decoys >> 1)
+        return np.count_nonzero(checked != decoys & 1, axis=1) <= self.tolerance
+
+    def _check(self, trials: _Trials) -> bool:
+        """Step 3: the check positions, the substitutes P2..Pn receive, and
+        the check rounds.  Whether any trial passes."""
+        n, c = self.n, self.c
+        if not c:
+            return True
+        draws, count = trials.draws, len(trials)
+        rows = np.arange(count)[:, None]
+        positions = draws.sample(self.total, c)
+        received = self._substitutes(draws, positions) if self.wanted else positions
+        x = draws.bits(c)
+        # Round r measures P1's particle of register positions[r] and the
+        # others' of received[r], in the round's basis.
+        k = np.arange(n)
+        reg = np.where(k == 0, positions[..., None], received[..., None])
+        bits = trials.measure((reg + k * self.total).reshape(count, c * n), np.repeat(x, n, axis=1))
+        bits = bits.reshape(count, c, n)
+        claimed_q, claimed_delta = trials.claimed_q[rows, positions], trials.claimed_delta[rows, positions]
+        # A Z round must see the claimed bits up to one global flip, an X
+        # round the claimed phase as the parity of its outcomes.
+        off = bits ^ claimed_q
+        failed = np.where(x, (bits.sum(axis=2) & 1) != claimed_delta, (off != off[..., :1]).any(axis=2))
+        x_rounds, x_failures = np.count_nonzero(x), np.count_nonzero(failed & (x == 1))
+        self.bump("x_check_rounds", x_rounds)
+        self.bump("z_check_rounds", x.size - x_rounds)
+        self.bump("x_check_failures", x_failures)
+        self.bump("z_check_failures", np.count_nonzero(failed) - x_failures)
+        aborted = failed.any(axis=1)
+        if self.tamper:
+            # A paired preparation is claimed as prepared, so a substitute is
+            # distinct when its state is not the one claimed for the round.
+            tampered = received != positions
+            differs = ((trials.claimed_q[rows, received] != claimed_q).any(axis=2)
+                       | (trials.claimed_delta[rows, received] != claimed_delta))
+            tampers, distinct = tampered.sum(axis=1), (tampered & differs).sum(axis=1)
+            runs, distinct_runs = tampers > 0, (tampers > 0) & (distinct == tampers)
+            self.bump("attack_tampered", tampers.sum())
+            self.bump("attack_tampered_distinct", distinct.sum())
+            for key, hit in (("tamper_runs", runs), ("tamper_distinct_runs", distinct_runs)):
+                self.bump(key, np.count_nonzero(hit))
+                self.bump(f"{key}_detected", np.count_nonzero(hit & aborted))
+        self.abort(np.count_nonzero(aborted), self.roles.check_step, proto.CAUSE_STATE_CHECK)
+        trials.positions, trials.received = positions, received
+        return trials.keep(~aborted)
+
+    def _substitutes(self, draws: Rows, positions: np.ndarray) -> np.ndarray:
+        """Each trial's ``ClassicalPositionTamper.tamper_positions`` under a
+        paired preparation: the check positions P2..Pn receive."""
+        count, total = len(positions), self.total
+        trials = np.arange(count)
+        rows = trials[:, None]
+        rounds = draws.sample(self.c, self.wanted)
+        received = positions.copy()
+        free = np.ones((count, total), dtype=bool)
+        free[rows, positions] = False
+        true_at = positions[rows, rounds]
+        # The paired preparation alternates, so the partner state sits at the
+        # positions of the other parity.  A target used leaves the free ones.
+        partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None]
+        for i, r in enumerate(rounds.T):
+            # A round's target is one draw below its pool's size, if the pool
+            # holds any.
+            pool = (free & partner[:, i]).cumsum(axis=1)
+            size = pool[:, -1]
+            pick = draws.below(np.maximum(size, 1))
+            target = np.where(size > 0, (pool > pick[:, None]).argmax(axis=1), true_at[:, i])
+            received[trials, r] = target
+            free[trials, target] = False
+        return received
+
+    def _compare(self, trials: _Trials) -> None:
+        """Steps 4-7 of the trials left, none of which aborts, and the
+        attacker's score of each."""
+        n, m, count = self.n, self.m, len(trials)
+        rows = np.arange(count)[:, None]
+        # Step 4: each participant Z-measures the first m registers it
+        # believes unchecked.  P1 chose the checks, so its list is the true one.
+        kept = _first_unchecked(trials.positions, self.total, m)
+        others = _first_unchecked(trials.received, self.total, m) if self.wanted else kept
+        reg = np.concatenate((kept[:, None], np.repeat(others[:, None], n - 1, axis=1)), axis=1)
+        ids = (reg + np.arange(n)[:, None] * self.total).reshape(count, n * m)
+        keys = trials.measure(ids, np.zeros_like(ids)).reshape(count, n, m)
+        # Steps 5-7: pair (i, j)'s result vector XORs both masked strings and
+        # both pads against P1, each pad read from the claimed states.  Both
+        # announcers announce its verdict alike, so the cross-check accepts.
+        padded = keys ^ trials.claimed_q[rows, kept].transpose(0, 2, 1)
+        s = trials.secrets
+        i, j = np.triu_indices(n, 1)
+        r = padded[:, i] ^ padded[:, j] ^ s[:, i] ^ s[:, j]
+        self.bump("completed", count)
+        self.bump("pairs_total", r.shape[0] * r.shape[1])
+        self.bump("pairs_verdict_correct", np.count_nonzero(r.any(axis=2) == (s[:, i] != s[:, j]).any(axis=2)))
+        self.bump("pairs_r_checked", r.shape[0] * r.shape[1])
+        self.bump("pairs_r_exact", np.count_nonzero((padded[:, i] == padded[:, j]).all(axis=2)))
+        if isinstance(self.strategy, EveInterceptResend):
+            self._score_intercept(trials, kept, keys)
+        elif isinstance(self.strategy, Tp1FakeInitialState):
+            self._score_fake(trials, kept, keys)
+
+    def _score_fake(self, trials: _Trials, kept: np.ndarray, keys: np.ndarray) -> None:
+        """``Tp1FakeInitialState.finalize`` of completed trials."""
+        n, m, count = self.n, self.m, len(trials)
+        # (trial, participant, bit)
+        true_q = trials.q[np.arange(count)[:, None, None], np.arange(n)[:, None], kept[:, None]]
+        if not self.roles.monitored:
+            # The baseline's TP reads s1 ^ s2 from c1 ^ c2 and the pad k1 ^ k2
+            # of what it prepared.
+            self.bump("attack_bits_guessed", count * m)
+            self.bump("attack_bits_correct", np.count_nonzero(keys[:, 0] ^ keys[:, 1] == true_q[:, 0] ^ true_q[:, 1]))
+            return
+        # The preparer knows each key bit of a product preparation, and
+        # guesses those of an entangled one, participant by participant.
+        guessed = np.repeat(~self.fixed[0].product[0, kept][:, None], n, axis=1)
+        coins = _coins(trials.draws, guessed.reshape(count, n * m)).reshape(count, n, m)
+        self.bump("attack_bits_guessed", count * n * m)
+        self.bump("attack_bits_correct", np.count_nonzero(np.where(guessed, coins, true_q) == keys))
+
+    def _score_intercept(self, trials: _Trials, kept: np.ndarray, keys: np.ndarray) -> None:
+        """``EveInterceptResend.finalize`` (or ``Tp2Intercept``'s) of
+        completed trials: the victim's key bit at each comparison position,
+        read from a Z intercept where the attacker can, else a coin."""
+        strategy, m, count = self.strategy, self.m, len(trials)
+        victim = strategy.victim
+        if victim is None:
+            return
+        rows = np.arange(count)[:, None, None]
+        basis = trials.tap_basis[rows, np.arange(self.n)[:, None], kept[:, None]]  # (trial, link - 1, bit)
+        bit = trials.tap_bit[rows, np.arange(self.n)[:, None], kept[:, None]]
+        key = keys[:, victim - 1]
+        known = np.zeros((count, m), dtype=bool)
+        guess = np.zeros((count, m), dtype=np.int64)
+        if strategy.use_spec_knowledge:
+            # TP2 knows the claimed states: a Z intercept on a tapped link,
+            # the first in ``links`` order, gives the branch and with it
+            # every participant's key bit.  Each bit also gets a coin, the
+            # same guess from its legitimate view alone.
+            q = trials.claimed_q[rows[..., 0], kept]
+            for link in strategy.links:
+                read = ~known & (basis[:, link - 1] == 0)
+                guess = np.where(read, q[..., victim - 1] ^ bit[:, link - 1] ^ q[..., link - 1], guess)
+                known |= read
+            coins = _coins(trials.draws, np.stack((~known, np.ones_like(known)), axis=2).reshape(count, 2 * m))
+            guess = np.where(known, guess, coins[:, 0::2])
+            self.bump("attack_legit_bits_guessed", count * m)
+            self.bump("attack_legit_bits_correct", np.count_nonzero(coins[:, 1::2] == key))
+        else:
+            # A stranger reads only a Z intercept on the victim's own link.
+            if victim in self.tapped:
+                known = basis[:, victim - 1] == 0
+                guess = bit[:, victim - 1]
+            guess = np.where(known, guess, _coins(trials.draws, ~known))
+        self.bump("attack_bits_guessed", count * m)
+        self.bump("attack_bits_correct", np.count_nonzero(guess == key))

@@ -438,13 +438,10 @@ def _bit_generator(seeds: TrialSeeds, trial: int):
 
 def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
     strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
-    totals: Dict[str, int] = {}
-    trials: Iterable[int] = range(start, stop)
     if block.covers(scenario, strategy):
-        # The block engine counts the trials the decoy or state check
-        # aborts; the others run here.
-        totals, trials = block.decide(scenario, strategy, trials, partial(_bit_generator, seeds))
-    for trial in trials:
+        return block.decide(scenario, strategy, range(start, stop), partial(_bit_generator, seeds))
+    totals: Dict[str, int] = {}
+    for trial in range(start, stop):
         _extract(run_trial(scenario, strategy, trial, seeds), totals)
     return totals
 

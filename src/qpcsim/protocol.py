@@ -28,6 +28,8 @@ from itertools import chain
 from operator import xor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import CheckReport, Link, QuantumChannel, interleave, public_discussion
@@ -285,6 +287,7 @@ class _Roles:
     decoys_per_m: int  # default decoys per link per secret bit
     prepare_width: Callable[[int], int]  # bits each register of n particles draws in the honest preparation
     prepared: Callable[[int, List[int]], List[GhzSpec]]  # the registers of n particles those draws prepare
+    prepared_arrays: Callable[[int, np.ndarray], Tuple[np.ndarray, np.ndarray]]  # their q (..., n) and delta, as arrays
     register_count: Callable[[int, int], int]  # registers prepared for (m, check rounds)
     joint_submitter: Optional[str]  # who submits the XOR of all masked strings, or None: each its own
     check_step: int  # transcript step of the state check; keys are measured in the next, verdicts announced 3 after
@@ -317,14 +320,18 @@ class _Roles:
 
 _PROPOSED = _Roles(
     "proposed", (TP1, TP2), None, 1, 2, lambda n: n, lambda n, drawn: [ghz_from_index(i + 1, n) for i in drawn],
+    # ghz_from_index(i + 1, n) has delta = i & 1 and q[k] = (i >> (n - k)) & 1.
+    lambda n, drawn: (drawn[..., None] >> (n - np.arange(n)) & 1, drawn & 1),
     lambda m, c: 2 * m, None, 3, (TP2, "check_verdict"), True,
 )
 # The baseline's helper draws each register from two Bell states by one
 # bit.  Its participants XOR their masked strings together and submit once;
 # its transcript records only the decoy checks and the check verdict.
 _BELL = (GhzSpec((0, 0), 0), GhzSpec((0, 1), 1))
+_BELL_Q, _BELL_DELTA = np.array([spec.q for spec in _BELL]), np.array([spec.delta for spec in _BELL])
 _BASELINE = _Roles(
     "zhang_baseline", (TP,), 2, 0, 1, lambda n: 1, lambda n, drawn: [_BELL[b] for b in drawn],
+    lambda n, drawn: (_BELL_Q[drawn], _BELL_DELTA[drawn]),
     lambda m, c: m + c, "P1+P2", 4, ("P1+P2", "state_check"), False,
 )
 PROTOCOLS = {roles.protocol: roles for roles in (_PROPOSED, _BASELINE)}

@@ -15,9 +15,8 @@ and applies the same rule, so each of its draws gives, value for value,
 what the ``integers`` or ``choice`` call it stands for would give at the
 same point of the generator's sequence (tests/test_stream.py pins this
 against the installed numpy).  ``Rows`` draws by the same rules for a block
-of trials at once, a row per trial, over a fixed number of outputs each,
-and marks the rows whose draws it cannot follow: those with a Lemire
-redraw.
+of trials at once, a row per trial, each row from its own trial's bit
+generator, so that every row draws what its trial's ``Stream`` draws.
 
 ``TrialSeeds`` seeds each trial's bit generator as
 ``SeedSequence(entropy=seed, spawn_key=(trial,))`` would, without building
@@ -36,9 +35,8 @@ import numpy as np
 # reads is 778 32-bit outputs (389 words), at n = 5, m = 16: the 698 it
 # draws at most before its key measurement, plus that measurement's
 # read-ahead of n * m = 80 fair bits (``GhzRegister.measure``).  The spare
-# word leaves room for Lemire redraws, each one output more.  It also caps
-# the outputs the block engine fetches for a trial: a scenario whose trials
-# can read more before their state check ends runs trial by trial.
+# word leaves room for Lemire redraws, each one output more.  ``Rows``
+# fetches each of its rows' outputs as many at a time.
 RAW_WORDS = 390
 
 _LOW = 0xFFFFFFFF
@@ -152,51 +150,91 @@ class Stream:
 
 class Rows:
     """The draws of a block of trials, a row per trial: each row draws from
-    the first ``words`` 64-bit outputs of its trial's bit generator, by the
-    rule and with the method names of ``Stream``, each returning an array
-    with a row per trial.
+    its trial's bit generator by the rule, and with the method names, of
+    ``Stream``, each call returning an array with a row per trial, so that
+    every row draws, value for value, what its trial's ``Stream`` draws.
 
     A row has its own cursor: one number while every row has drawn alike,
-    an array once their draws differ.  A row is marked in ``redraw`` where
-    Lemire's rule would redraw one of its bounded draws, so that it and
-    every later value differ from its ``Stream``'s.  A read past the
-    outputs fetched raises ``IndexError``.
+    an array once their draws differ.  Every row's outputs are fetched
+    ``RAW_WORDS`` words at a time, as a ``Stream`` fetches them, whenever a
+    row reads past those fetched.  Where Lemire's rule redraws a bounded
+    draw of a row, that row draws again on its own, as its ``Stream`` does.
     """
 
-    __slots__ = ("_words", "_rows", "_at", "redraw")
+    __slots__ = ("_sources", "_words", "_starts", "_at")
 
-    def __init__(self, bit_generators, words: int) -> None:
-        raw = np.stack([bit_generator.random_raw(words) for bit_generator in bit_generators])
-        # An explicit little-endian view puts the low half first on any host.
-        self._words = raw.astype("<u8", copy=False).view("<u4")
-        self._rows = np.arange(len(raw))[:, None]
+    def __init__(self, bit_generators) -> None:
+        self._sources = list(bit_generators)
+        self._words = np.zeros((len(self._sources), 0), dtype=np.uint32)  # each row's 32-bit outputs
+        self._starts = np.zeros(len(self._sources), dtype=np.int64)  # where each row starts in ``_words.ravel()``
         self._at = 0
-        self.redraw = np.zeros(len(raw), dtype=bool)
 
     def __len__(self) -> int:
-        return len(self.redraw)
+        return len(self._sources)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every row where ``rows`` is false."""
+        self._sources = [source for source, kept in zip(self._sources, rows.tolist()) if kept]
+        self._words = self._words[rows]
+        self._starts = self._starts[: len(self._sources)]
+        if np.ndim(self._at):
+            self._at = self._at[rows]
+
+    def _fetch(self, short: int) -> None:
+        """Fetch at least ``short`` more outputs for every row."""
+        raw = np.empty((len(self._sources), max(RAW_WORDS, (short + 1) // 2)), dtype=np.uint64)
+        for row, source in enumerate(self._sources):
+            raw[row] = source.random_raw(raw.shape[1])
+        # An explicit little-endian view puts the low half first on any host.
+        fresh = raw.astype("<u8", copy=False).view("<u4")
+        self._words = np.concatenate((self._words, fresh), axis=1)
+        self._starts = np.arange(0, self._words.size, self._words.shape[1])
 
     def _outputs(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs of each row, as uint64, left unread."""
-        at = self._at
-        if isinstance(at, int) and at + count <= self._words.shape[1]:
-            return self._words[:, at : at + count].astype(np.uint64)
-        return self._words[self._rows, np.add.outer(at, np.arange(count))].astype(np.uint64)
+        """The next ``count`` outputs of each row, left unread."""
+        at, width = self._at, self._words.shape[1]
+        if not np.ndim(at):
+            if at + count > width:
+                self._fetch(at + count - width)
+            return self._words[:, at : at + count]
+        end = at.max(initial=0) + count
+        if end > width:
+            self._fetch(end - width)
+        return self._words.ravel().take((at + self._starts)[:, None] + np.arange(count))
 
     def _take(self, count: int) -> np.ndarray:
         values = self._outputs(count)
         self.skip(count)
         return values
 
+    def _redraw(self, row: int, back: int, bounds: np.ndarray, thresholds: np.ndarray) -> List[int]:
+        """Row ``row``'s draws below ``bounds`` (each above 1) taken again,
+        one at a time as ``Stream.below`` takes them, from ``back`` outputs
+        before its cursor; the cursor moves past them."""
+        if not np.ndim(self._at):
+            self._at = np.full(len(self), self._at, dtype=np.int64)
+        at, values = int(self._at[row]) - back, []
+        for bound, threshold in zip(bounds.tolist(), thresholds.tolist()):
+            while True:
+                if at == self._words.shape[1]:
+                    self._fetch(1)
+                m = int(self._words[row, at]) * bound
+                at += 1
+                if m & _LOW >= threshold:
+                    values.append(m >> 32)
+                    break
+        self._at[row] = at
+        return values
+
     def bits(self, count: int, width: int = 1) -> np.ndarray:
         """Each row's ``Stream.bits(count, width)``."""
         if not width:
             return np.zeros((len(self), count), dtype=np.int64)
-        return (self._take(count) >> (32 - width)).astype(np.int64)
+        return self._take(count) >> (32 - width)
 
     def peek(self, count: int) -> np.ndarray:
         """Each row's ``Stream.peek(count)``: fair bits left undrawn."""
-        return (self._outputs(count) >> 31).astype(np.int64)
+        return self._outputs(count) >> 31
 
     def skip(self, count) -> None:
         """``Stream.skip``: ``count`` is a number, or one per row."""
@@ -206,22 +244,30 @@ class Rows:
         """Each row's ``Stream.below`` of its own bound."""
         bounds = np.asarray(bounds, dtype=np.uint64)
         product = self._outputs(1)[:, 0] * bounds
-        self.redraw |= (product & _LOW) < _threshold(bounds)
+        values = (product >> 32).astype(np.int64)
+        low = product & _LOW
         self.skip(bounds > 1)  # a bound of 1 draws nothing, and its value is 0
-        return (product >> 32).astype(np.int64)
+        # The redraw threshold lies below the bound.
+        for row in np.flatnonzero(low < bounds).tolist():
+            threshold = _threshold(int(bounds[row]))
+            if low[row] < threshold:
+                values[row] = self._redraw(row, 1, bounds[row : row + 1], np.array([threshold]))[0]
+        return values
 
     def run(self, bounds: Bounds) -> np.ndarray:
-        """Each row's ``Stream.run(bounds)``."""
-        product = self._take(len(bounds.wide)) * bounds.wide
-        self.redraw |= ((product & _LOW) < bounds.threshold).any(axis=1)
+        """Each row's ``Stream.run(bounds)``: a row that would redraw any of
+        its draws draws the run again one by one from its start."""
+        count = len(bounds.wide)
+        product = self._take(count) * bounds.wide
         values = (product >> 32).astype(np.int64)
+        for row in np.flatnonzero(((product & _LOW) < bounds.threshold).any(axis=1)).tolist():
+            values[row] = self._redraw(row, count, bounds.wide, bounds.threshold)
         if bounds.units:  # each draws a 0 in its place
             values = np.insert(values, [i - k for k, i in enumerate(bounds.units)], 0, axis=1)
         return values
 
     def sample(self, population: int, size: int) -> np.ndarray:
         """Each row's ``Stream.sample(population, size)``, a row ascending."""
-        _refuse_tail_shuffle(population, size)  # before anything is read
         return self.replay(population, size, self.run(_choice_bounds(population, size)))
 
     @staticmethod
@@ -233,25 +279,30 @@ class Rows:
         Floyd's steps, as ``replay_choice`` takes them: for j = population -
         size .. population - 1, the step's draw joins the sample, or j does
         if the draw is already there.  The shuffle draws after them only
-        reorder the sample.
+        reorder the sample.  A tail shuffle is replayed row by row.
         """
-        _refuse_tail_shuffle(population, size)
+        return np.nonzero(Rows.chosen(population, size, draws))[1].reshape(len(draws), size)
+
+    @staticmethod
+    def chosen(population: int, size: int, draws: np.ndarray) -> np.ndarray:
+        """Whether each of ``range(population)`` is in each row's sample
+        that ``replay`` gives, a row per trial."""
+        if _tail_shuffle(population, size):
+            chosen = np.zeros((len(draws), population), dtype=bool)
+            for row, drawn in enumerate(draws.tolist()):
+                chosen[row, replay_choice(population, size, drawn)] = True
+            return chosen
         chosen = np.zeros(len(draws) * population, dtype=bool)  # a row per trial, flat
         starts = np.arange(len(draws)) * population
-        for j, value in zip(range(population - size, population), draws.T + starts):
-            chosen[np.where(chosen[value], starts + j, value)] = True
-        return np.nonzero(chosen)[0].reshape(len(draws), size) - starts[:, None]
+        for value, j in zip(draws.T + starts, starts + np.arange(population - size, population)[:, None]):
+            chosen[np.where(chosen[value], j, value)] = True
+        return chosen.reshape(len(draws), population)
 
 
 # Generator.choice(population, size, replace=False) samples by a tail
 # Fisher-Yates shuffle when both hold, and by Floyd's algorithm otherwise.
 def _tail_shuffle(population: int, size: int) -> bool:
     return population > 10000 and size > population // 50
-
-
-def _refuse_tail_shuffle(population: int, size: int) -> None:
-    if _tail_shuffle(population, size):
-        raise ValueError(f"a sample of {size} of {population} shuffles the tail, which rows do not replay")
 
 
 def choice_bounds(population: int, size: int) -> List[int]:

@@ -1,6 +1,6 @@
 """The block engine against the scalar trial: for every scenario it covers,
-its counters plus those of the trials it leaves to rerun are exactly the
-summed ``_extract(run_trial(...))`` counters, zero-valued keys included."""
+its counters are exactly the summed ``_extract(run_trial(...))`` counters,
+zero-valued keys included, and no trial of it goes through ``run_trial``."""
 
 import importlib.util
 import json
@@ -38,14 +38,23 @@ def _scalar(scenario, trials):
 
 
 def _engine(scenario, trials):
-    """The engine's counters and the trials it leaves to rerun."""
+    """The engine's counters of ``trials``."""
     seeds = TrialSeeds(scenario.seed)
     return block.decide(scenario, scenario.strategy(), trials, partial(harness._bit_generator, seeds))
 
 
+def _unreached(*args):
+    raise AssertionError("a covered trial went through run_trial")
+
+
 def _assert_same(scenario, start, stop):
+    """``_run_block`` counts trials start..stop as the scalar trial does,
+    with ``run_trial`` out of its reach."""
     assert block.covers(scenario, scenario.strategy())
-    assert harness._run_block(scenario, start, stop) == _scalar(scenario, range(start, stop))
+    expected = _scalar(scenario, range(start, stop))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "run_trial", _unreached)
+        assert harness._run_block(scenario, start, stop) == expected
 
 
 def test_the_covered_battery_scenarios():
@@ -94,6 +103,18 @@ def test_the_tamper_l4_config_counts_as_the_scalar_trial():
     _assert_same(scenario, 0, 400)
 
 
+def test_no_covered_trial_goes_through_run_trial():
+    # Every covered battery shape, covered golden and shipped covered config,
+    # each run by _run_block with run_trial made to raise.
+    scenarios = [replace(template, seed=1000 * 22 + offset) for key, (offset, template) in _SCENARIOS.items()
+                 if key in COVERED]
+    scenarios += [harness.scenario_from_config(_stats_cases()[name]) for name in _GOLDEN_COVERED]
+    scenarios += [harness.scenario_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+                  for name in ("baseline_fake_state", "tamper_l4")]
+    for scenario in scenarios:
+        _assert_same(scenario, 0, 100)
+
+
 @pytest.mark.parametrize("scenario", [
     # 120 of 123 registers checked: the positions' sample is nearly the population.
     Scenario(protocol="zhang_baseline", n=2, m=3, check_rounds=120, decoy_count=5, seed=41,
@@ -103,9 +124,7 @@ def test_the_tamper_l4_config_counts_as_the_scalar_trial():
              adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 40})),
 ], ids=["baseline_fake_c120", "tamper_c40"])
 def test_larger_shapes_are_decided_as_the_scalar_trial(scenario):
-    counters, rerun = _engine(scenario, range(200))
-    assert rerun == []
-    assert counters == _scalar(scenario, range(200))
+    assert _engine(scenario, range(200)) == _scalar(scenario, range(200))
 
 
 def test_the_engine_covers_exactly_the_benchmark_shapes_it_serves(monkeypatch):
@@ -169,6 +188,9 @@ def _covered_scenarios(draw):
     c = draw(st.integers(1, m + 2 if baseline else m))
     policy = draw(st.sampled_from([policy for policy in harness.SECRET_POLICIES if policy != "forced_unequal"]))
     values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
+    # Steps 6-7 run in the engine: the proposed protocol's variant and r
+    # vectors are drawn too (a tamperer is covered on the broadcast only).
+    variant, announce_r = "classical_broadcast", False if baseline else draw(st.booleans())
     if baseline or draw(st.booleans()):
         params = {}
         if draw(st.booleans()):
@@ -176,6 +198,8 @@ def _covered_scenarios(draw):
         if draw(st.booleans()):
             params["claimed"] = draw(_spec(n))
         adversary = AdversarySpec(KIND_TP1_FAKE_STATE, params)
+        if not baseline:
+            variant = draw(st.sampled_from(["classical_broadcast", "tp2_relay"]))
     else:
         params = {"count": draw(st.integers(0, c + 1)), "policy": "paired_specs"}
         if draw(st.booleans()):
@@ -183,8 +207,8 @@ def _covered_scenarios(draw):
         adversary = AdversarySpec(KIND_POSITION_TAMPER, params)
     return Scenario(
         protocol="zhang_baseline" if baseline else "proposed", n=n, m=m, check_rounds=c,
-        decoy_count=draw(st.integers(0, 40)), adversary=adversary, secrets=SecretsSpec(policy, values),
-        seed=draw(st.integers(0, 2**40)),
+        decoy_count=draw(st.integers(0, 40)), variant=variant, announce_r_vectors=announce_r, adversary=adversary,
+        secrets=SecretsSpec(policy, values), seed=draw(st.integers(0, 2**40)),
     )
 
 
@@ -205,6 +229,7 @@ def _intercept_scenarios(draw):
     values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
     # Any tapped links, in any order: the first tapped one may be the last link.
     params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))}
+    # Any victim or none, its link tapped or not: the attacker's coins are drawn in the engine.
     victim = draw(st.none() | st.integers(1, n))
     if victim is not None:
         params["victim"] = victim
@@ -213,6 +238,8 @@ def _intercept_scenarios(draw):
         protocol="zhang_baseline" if baseline else "proposed", n=n, m=m,
         check_rounds=draw(st.integers(0, m + 2 if baseline else m)), decoy_count=l,
         decoy_tolerance=draw(st.integers(0, l - 1)), adversary=AdversarySpec(kind, params),
+        variant="classical_broadcast" if baseline else draw(st.sampled_from(["classical_broadcast", "tp2_relay"])),
+        announce_r_vectors=False if baseline else draw(st.booleans()),
         secrets=SecretsSpec(policy, values), seed=draw(st.integers(0, 2**40)),
     )
 
@@ -225,7 +252,7 @@ def test_random_intercept_shapes_count_as_the_scalar_trial(scenario, start, leng
 
 
 # ---------------------------------------------------------------------------
-# The ways off the arrays, each pinned on one trial
+# Draws the arrays once handed back, each pinned on one trial
 # ---------------------------------------------------------------------------
 
 
@@ -305,29 +332,17 @@ def _doctor(monkeypatch, trial, replaced):
 
 
 def _pinned(monkeypatch, scenario, trials, replacing):
-    """The first of ``trials`` that the engine's check (the decoy check of
-    an intercept, else the state check) still aborts once the outputs
-    ``replacing(log)`` names, from its undoctored run's log, are replaced;
-    that trial stays doctored."""
-    tapped = isinstance(scenario.strategy(), EveInterceptResend)
-    aborts = (2, "decoy_mismatch") if tapped else (3, "state_check_failed")
+    """The first of ``trials`` that makes the draw ``replacing(log)`` names
+    from its undoctored run's log, doctored to read the outputs it gives,
+    and the log of its doctored run."""
     for trial in trials:
-        with monkeypatch.context() as attempt:
-            _doctor(attempt, trial, replacing(_logged(attempt, scenario, trial)[1]))
-            t, log = _logged(attempt, scenario, trial)
-            if (t.abort_step, t.abort_cause) == aborts:
-                break
-    else:
-        raise AssertionError("no trial to pin")
-    _doctor(monkeypatch, trial, replacing(_logged(monkeypatch, scenario, trial)[1]))
-    return trial, _logged(monkeypatch, scenario, trial)
-
-
-def _assert_rerun(scenario, trials, trial):
-    counters, rerun = _engine(scenario, trials)
-    assert trial in rerun
-    harness._merge(counters, _scalar(scenario, rerun))
-    assert counters == _scalar(scenario, trials)
+        try:
+            replaced = replacing(_logged(monkeypatch, scenario, trial)[1])
+        except (IndexError, StopIteration):  # the trial aborts before that draw
+            continue
+        _doctor(monkeypatch, trial, replaced)
+        return _logged(monkeypatch, scenario, trial)[1]
+    raise AssertionError("no trial to pin")
 
 
 def _first_redrawable(start, bounds, after=0):
@@ -338,8 +353,7 @@ def _first_redrawable(start, bounds, after=0):
 
 
 # With every round checked the state check aborts nearly every trial
-# (1 - (3/4)^16 of the fake preparations, 1 - 2^-8 of the tampered runs), so
-# a pinned trial is rerun only for the reason it is pinned for.
+# (1 - (3/4)^16 of the fake preparations, 1 - 2^-8 of the tampered runs).
 _FAKE = Scenario(n=3, m=16, check_rounds=16, decoy_count=2, trials=1, seed=31,
                  adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {}))
 _TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
@@ -347,6 +361,10 @@ _TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
 # Link 2 is the first tapped one, and 16 decoys on it abort 1 - (3/4)^16 of
 # the trials at its decoy check.
 _EVE = Scenario(n=3, m=4, decoy_count=16, trials=1, seed=31, adversary=AdversarySpec(KIND_EVE, {"links": [2]}))
+# Two decoys on link 2 pass 9/16 of the trials on to the check positions,
+# the third run, and on to TP2's coins.
+_TP2 = Scenario(n=3, m=4, decoy_count=2, trials=1, seed=31,
+                adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [2], "victim": 1}))
 
 
 @pytest.mark.parametrize("scenario, where", [
@@ -355,8 +373,9 @@ _EVE = Scenario(n=3, m=4, decoy_count=16, trials=1, seed=31, adversary=Adversary
     (_TAMPER, 2),  # the tamperer's sample of rounds
     (_TAMPER, "target"),  # one tampered round's target, a `below`
     (_EVE, "placement"),  # the tapped link's decoy placement, inside the run of links 1 and 2
-], ids=["decoy_run", "positions_run", "rounds_run", "target_below", "tapped_placement"])
-def test_a_trial_with_a_lemire_redraw_is_rerun(monkeypatch, scenario, where):
+    (_TP2, 2),  # the check positions' sample after a tap
+], ids=["decoy_run", "positions_run", "rounds_run", "target_below", "tapped_placement", "positions_after_tap"])
+def test_a_trial_with_a_lemire_redraw_is_decided_in_the_engine(monkeypatch, scenario, where):
     def replacing(log):
         if where == "target":
             return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
@@ -366,9 +385,21 @@ def test_a_trial_with_a_lemire_redraw_is_rerun(monkeypatch, scenario, where):
             return {_first_redrawable(start, bounds, after=len(bounds.values) // 2 + 16): 0}
         return {_first_redrawable(*log.runs[where]): 0}
 
-    trial, (_, log) = _pinned(monkeypatch, scenario, range(40), replacing)
+    log = _pinned(monkeypatch, scenario, range(40), replacing)
     assert log.redraws > 0
-    _assert_rerun(scenario, range(40), trial)
+    assert _engine(scenario, range(40)) == _scalar(scenario, range(40))
+
+
+class _Counted:
+    """A trial's bit generator that records how many 64-bit outputs are
+    fetched from it."""
+
+    def __init__(self, bit_generator, fetched):
+        self._source, self._fetched = bit_generator, fetched
+
+    def random_raw(self, size):
+        self._fetched.append(size)
+        return self._source.random_raw(size)
 
 
 _FAKE_ZEROS = AdversarySpec(KIND_TP1_FAKE_STATE, {})
@@ -385,12 +416,9 @@ _FAKE_ZEROS = AdversarySpec(KIND_TP1_FAKE_STATE, {})
     # the read-ahead of 192 + 64 bits.
     Scenario(n=2, m=64, decoy_count=64, seed=5, adversary=AdversarySpec(KIND_EVE, {"links": [1]})),
 ], ids=["fake_c150", "tamper_c100", "baseline_fake_c380", "fake_n6_c64", "eve_l64"])
-def test_a_shape_that_can_read_past_one_fetch_is_left_to_the_scalar_loop(scenario):
-    def unfetched(trial):
-        raise AssertionError(f"trial {trial}'s generator was called")
-
-    strategy = scenario.strategy()
-    assert block.covers(scenario, strategy)
-    assert block._shape(scenario, strategy).words > RAW_WORDS
-    assert block.decide(scenario, strategy, range(3, 70), unfetched) == ({}, list(range(3, 70)))
-    assert harness._run_block(scenario, 0, 70) == _scalar(scenario, range(70))
+def test_a_shape_that_reads_past_one_fetch_is_decided_in_the_engine(scenario):
+    strategy, seeds, fetched = scenario.strategy(), TrialSeeds(scenario.seed), []
+    counters = block.decide(scenario, strategy, range(3, 70),
+                            lambda trial: _Counted(harness._bit_generator(seeds, trial), fetched))
+    assert counters == _scalar(scenario, range(3, 70))
+    assert len(fetched) > 67 and set(fetched) == {RAW_WORDS}  # some row fetched a second time

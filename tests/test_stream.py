@@ -186,12 +186,11 @@ def _stream_value(stream, call, row):
 
 
 def _assert_rows_draw_as_streams(calls, seeds, replaced):
-    """Rows over the first 2 * RAW_WORDS outputs of each seed's PCG64
-    against a ``Stream`` per seed, call by call: a row is marked for a
-    redraw exactly when its stream redraws, and until then it draws its
-    stream's values.  Returns the rows marked for a redraw."""
-    rows = Rows([_Source(make_rng(*seed).bit_generator, doctored) for seed, doctored in zip(seeds, replaced)],
-                2 * RAW_WORDS)
+    """Rows over each seed's PCG64 against a ``Stream`` per seed, call by
+    call: every row draws its stream's values, through its stream's Lemire
+    redraws too, and the draw after them.  Returns how many calls made a
+    row's stream redraw."""
+    rows = Rows([_Source(make_rng(*seed).bit_generator, doctored) for seed, doctored in zip(seeds, replaced)])
     sources = [_Source(make_rng(*seed).bit_generator, doctored) for seed, doctored in zip(seeds, replaced)]
     streams = [Stream(source) for source in sources]
 
@@ -200,18 +199,12 @@ def _assert_rows_draw_as_streams(calls, seeds, replaced):
 
     redrawn = 0
     for call in calls:
-        marked = rows.redraw.copy()
         before = [position(r) for r in range(len(seeds))]
         got = _row_values(rows, call)
         for r, stream in enumerate(streams):
-            want = _stream_value(stream, call, r)
-            if marked[r]:
-                continue
-            assert rows.redraw[r] == (position(r) - before[r] > _reads(call, r)), (call, r)
-            if rows.redraw[r]:
-                redrawn += 1
-            else:
-                assert got[r] == want, (call, r)
+            assert got[r] == _stream_value(stream, call, r), (call, r)
+            redrawn += position(r) - before[r] > _reads(call, r)
+    assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]
     return redrawn
 
 
@@ -224,7 +217,7 @@ def test_rows_draw_what_each_rows_stream_draws():
     assert redrawn > 60  # the bounds just above 2^31 redraw about half the time
 
 
-def test_rows_mark_a_redraw_where_a_doctored_stream_redraws():
+def test_rows_redraw_where_a_doctored_stream_redraws():
     # An output of 0 is redrawn under every bound but a power of two.
     plan = make_rng(6)
     redrawn = 0
@@ -235,18 +228,20 @@ def test_rows_mark_a_redraw_where_a_doctored_stream_redraws():
     assert redrawn > 120
 
 
-def test_rows_refuse_a_read_past_their_outputs():
-    # Reading every output is not reading past them.
-    rows = Rows([make_rng(11, r).bit_generator for r in range(3)], 4)
-    rows.bits(8)
-    with pytest.raises(IndexError):
-        rows.bits(1)
-    # Nor is it once the rows' cursors differ.
-    rows = Rows([make_rng(11, r).bit_generator for r in range(3)], 4)
-    rows.skip(np.array([7, 8, 6]))
-    rows.peek(0)
-    with pytest.raises(IndexError):
-        rows.peek(1)
+def test_rows_fetch_as_their_streams_fetch_past_one_fetch():
+    # Reading every output of a fetch, then one more, alike and once the
+    # rows' cursors differ.
+    rows = Rows([make_rng(11, r).bit_generator for r in range(3)])
+    streams = [Stream(make_rng(11, r).bit_generator) for r in range(3)]
+    assert rows.bits(2 * RAW_WORDS, 7).tolist() == [stream.bits(2 * RAW_WORDS, 7) for stream in streams]
+    assert rows.bits(1).tolist() == [stream.bits(1) for stream in streams]
+    skips = [2 * RAW_WORDS - 2, 2 * RAW_WORDS - 1, 2 * RAW_WORDS + 3]
+    rows.skip(np.array(skips))
+    for stream, skip in zip(streams, skips):
+        stream.peek(skip)  # a stream skips only bits it has peeked
+        stream.skip(skip)
+    assert rows.peek(5).tolist() == [stream.peek(5) for stream in streams]
+    assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]
 
 
 def test_rows_replay_the_samples_a_run_drew():
@@ -264,9 +259,8 @@ def test_rows_replay_the_samples_a_run_drew():
             assert row == replay_choice(population, size, drawn), (population, size, drawn)
 
 
-def test_rows_do_not_replay_a_tail_shuffle():
-    rows = Rows([make_rng(10).bit_generator], 8)
-    with pytest.raises(ValueError):
-        rows.sample(10001, 201)
-    with pytest.raises(ValueError):
-        Rows.replay(10001, 201, np.zeros((1, len(choice_bounds(10001, 201))), dtype=np.int64))
+def test_rows_replay_a_tail_shuffle_as_their_streams_draw_it():
+    rows = Rows([make_rng(10, r).bit_generator for r in range(2)])
+    streams = [Stream(make_rng(10, r).bit_generator) for r in range(2)]
+    assert rows.sample(10001, 201).tolist() == [stream.sample(10001, 201) for stream in streams]
+    assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]

@@ -174,25 +174,27 @@ class _Trials:
         return out
 
     def _single(self, ids, bases, held, drawn):
-        """``measure``'s draws on held particles, no two of one register:
-        whether each id draws, and a function from the bits drawn to the
-        held particles' outcomes that leaves their registers measured."""
-        n, total = self.q.shape[1:]
-        trial = self.offsets // self.slot.shape[1]
-        reg = ids % total + trial * total  # into the flat (trial, register) views below
-        unset = self.branch.ravel().take(reg) < 0
-        z = bases == 0
-        carries = ~z & unset & (self.held.ravel().take(reg) == 1)
-        drawn = np.where(held, np.where(z, unset, ~carries), drawn)
+        """``measure``'s draws on the particles a tap measures, the same
+        particle of every register, in register order: whether each id
+        draws, and a function from the bits drawn to the outcomes that
+        leaves the registers measured."""
+        count, total = self.held.shape
+        at = np.flatnonzero(held)  # register r's particle of trial t at ``at[t * total + r]`` of ``ids.ravel()``
+        particle = ids.ravel()[at[0]] // total
+        z = bases.ravel().take(at).reshape(count, total) == 0
+        unset = self.branch < 0
+        carries = ~z & unset & (self.held == 1)
+        drawn = drawn.copy()
+        drawn.ravel()[at] = np.where(z, unset, ~carries).ravel()
 
         def settle(bit):
-            branch, parity, counts = self.branch.ravel(), self.parity.ravel(), self.held.ravel()
-            q = self.q.ravel().take(ids + trial * (n * total), mode="clip")  # a photon's is never read
-            out = np.where(z, q ^ np.where(unset, bit, branch.take(reg)), np.where(carries, parity.take(reg), bit))
-            sets, flips = held & z & unset, held & ~z & ~carries
-            branch[reg[sets]] = bit[sets]
-            parity[reg[flips]] ^= bit[flips].astype(np.int8)
-            counts[reg[held]] -= 1
+            drew = bit.ravel().take(at).reshape(count, total)
+            branch = np.where(z & unset, drew, self.branch)
+            out = bit.copy()
+            out.ravel()[at] = np.where(z, self.q[:, particle] ^ branch, np.where(carries, self.parity, drew)).ravel()
+            self.parity ^= np.where(z | carries, 0, drew).astype(np.int8)
+            self.branch = branch.astype(np.int8)
+            self.held -= 1
             return out
 
         return drawn, settle
@@ -264,6 +266,7 @@ class _Program:
         self.c = c = scenario.effective_check_rounds()
         self.l = scenario.effective_decoy_count()
         self.total = total = self.roles.register_count(m, c)
+        self.pairs = np.triu_indices(n, 1)  # each pair (i, j), i < j, of participants counted from 0
         self.tolerance = scenario.decoy_tolerance
         self.secrets = scenario.secrets
         self.strategy = strategy
@@ -450,8 +453,7 @@ class _Program:
         # both pads against P1, each pad read from the claimed states.  Both
         # announcers announce its verdict alike, so the cross-check accepts.
         padded = keys ^ trials.claimed_q[rows, kept].transpose(0, 2, 1)
-        s = trials.secrets
-        i, j = np.triu_indices(n, 1)
+        s, (i, j) = trials.secrets, self.pairs
         r = padded[:, i] ^ padded[:, j] ^ s[:, i] ^ s[:, j]
         self.bump("completed", count)
         self.bump("pairs_total", r.shape[0] * r.shape[1])

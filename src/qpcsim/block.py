@@ -25,6 +25,7 @@ step 7.  Every trial is counted as ``harness._extract`` counts it.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import Callable, Dict, NamedTuple
 
@@ -281,6 +282,8 @@ class _Program:
         self.sums = dict.fromkeys(always + (("attack_tampered", "attack_tampered_distinct") if self.tamper else ()), 0)
 
     def bump(self, key: str, value) -> None:
+        # Interned, so that the counter dicts a caller keeps share their names.
+        key = sys.intern(key)
         self.sums[key] = self.sums.get(key, 0) + int(value)
 
     def abort(self, count: int, step: int, cause: str) -> None:

@@ -1,13 +1,9 @@
 """Steps 1-7 of a block of trials as arrays, and the adversary's score, for
-the scenarios whose trials an early check can abort, each with secrets that
-are never drawn again:
-
-* an intercept-resend tap (an outside Eve, or TP2 acting as one) under
-  either protocol, with more decoys per link than the check tolerates;
-* a first third party that prepares fake states (under either protocol)
-  and a ``paired_specs`` position tamperer on the classical broadcast, each
-  with at least one check round and one fixed preparation that every trial
-  shares.
+every adversary kind under either protocol and variant, with secrets that
+are never drawn again: intercept-resend taps (an outside Eve, or TP2 acting
+as one), fake preparations, verdict flips by either third party, an
+inferring participant and position tamperers of either policy, with any
+count of decoys, tolerated mismatches and check rounds.
 
 Each trial's draws are read through ``stream.Rows``, a row per trial, call
 for call as ``run_trial`` makes them through the trial's ``Stream``: the
@@ -18,9 +14,10 @@ trial's own ``Stream`` would draw.  The registers are arrays with a trial
 axis, held as ``GhzRegister`` holds one trial's, and ``_Trials.measure``
 draws as ``GhzRegister.measure`` draws.
 
-A trial leaves the block's arrays as soon as a check aborts it.  None of
-these kinds flips a verdict, so both announcers agree and no trial aborts at
-step 7.  Every trial is counted as ``harness._extract`` counts it.
+A trial leaves the block's arrays as soon as a check aborts it: the decoy
+check of a tapped link, the state check, or the cross-check of the two
+announcers' verdicts, which the arbiter then settles.  Every trial is
+counted as ``harness._extract`` counts it.
 """
 
 from __future__ import annotations
@@ -32,24 +29,22 @@ from typing import Callable, Dict, NamedTuple
 import numpy as np
 
 from . import protocol as proto
-from .adversaries import POLICY_PAIRED, ClassicalPositionTamper, EveInterceptResend, Tp1FakeInitialState
+from .adversaries import (DIFFERENT, IDENTICAL, KIND_NONE, POLICY_PAIRED, ClassicalPositionTamper,
+                          EveInterceptResend, ParticipantInfer, Tp1FakeInitialState)
 from .ghz import HELD, MEASURED, GhzSpec
 from .photons import _run_bounds
 from .stream import _CHUNK, Rows
 
 
 def covers(scenario, strategy) -> bool:
-    """Whether the engine runs ``scenario``'s trials: a check can abort
-    them before any key is measured."""
-    if scenario.secrets.policy == "forced_unequal":
+    """Whether the engine runs ``scenario``'s trials: those of every
+    adversary, but not those whose secrets a trial may draw again."""
+    if scenario.secrets.policy == "forced_unequal":  # its redraw loop stays in harness._draw_secrets
         return False
-    if isinstance(strategy, EveInterceptResend):  # an outside Eve, or TP2's intercept
-        return scenario.effective_decoy_count() > scenario.decoy_tolerance
-    if scenario.effective_check_rounds() == 0:
-        return False
-    if isinstance(strategy, ClassicalPositionTamper):
-        return scenario.variant == proto.VARIANT_BROADCAST and strategy.policy == POLICY_PAIRED
-    return isinstance(strategy, Tp1FakeInitialState)
+    # Honest trials wait for the benchmark to stop keeping every call's
+    # outcome (ROADMAP item 8): at the engine's speed its honest workload
+    # would make enough more calls to raise its peak RSS past its bound.
+    return strategy.kind != KIND_NONE
 
 
 def decide(scenario, strategy, trials: range, generator: Callable[[int], object]) -> Dict[str, int]:
@@ -273,10 +268,21 @@ class _Program:
         self.strategy = strategy
         self.tapped = {k for k in range(1, n + 1) if strategy.taps(k)}
         self.tamper = isinstance(strategy, ClassicalPositionTamper)
-        self.wanted = min(strategy.count, c) if self.tamper else 0
+        # A tamperer reaches only the broadcast: the relayed positions draw no tamper.
+        broadcast = scenario.variant == proto.VARIANT_BROADCAST
+        self.wanted = min(strategy.count, c) if self.tamper and broadcast else 0
         self.scored = isinstance(strategy, EveInterceptResend) and strategy.victim is not None
-        fixed = strategy.start_run().override_preparation(n, total, None)
+        run = strategy.start_run()
+        fixed = run.override_preparation(n, total, None)
         self.fixed = fixed and (_registers(tuple(fixed[1])), _registers(tuple(fixed[2])))  # the true and claimed states
+        # Whether the first and the last announcer announce "different" for
+        # each pair, when the verdict they compute is "identical" and when it
+        # is "different".  A lone announcer is both, and stands unchecked.
+        announcers = self.roles.announcers
+        pairs = [(i + 1, j + 1) for i, j in zip(*self.pairs)]
+        self.says = [[np.array([run.flip_verdict(announcer, pair, verdict) == DIFFERENT for pair in pairs])
+                      for verdict in (IDENTICAL, DIFFERENT)] for announcer in (announcers[0], announcers[-1])]
+        self.cross_checked = len(announcers) > 1
         # Every trial's attack is scored, so these are bumped on every trial.
         always = ("attack_bits_guessed", "attack_bits_correct")
         self.sums = dict.fromkeys(always + (("attack_tampered", "attack_tampered_distinct") if self.tamper else ()), 0)
@@ -321,7 +327,7 @@ class _Program:
         else:
             q, delta = self.roles.prepared_arrays(n, draws.bits(self.total, self.roles.prepare_width(n)))
             true = claimed = _States(q.astype(np.int8), delta.astype(np.int8), np.zeros(delta.shape, dtype=bool))
-        trials = _Trials(draws, secrets, true, claimed, n * self.l)
+        trials = _Trials(draws, secrets.astype(np.int8), true, claimed, n * self.l)
         if self.scored:
             trials.tap_basis = np.zeros((count, n, self.total), dtype=np.int8)
             trials.tap_bit = np.zeros_like(trials.tap_basis)
@@ -335,7 +341,10 @@ class _Program:
         start = 1
         for end in [k for k in range(1, self.n) if k in self.tapped] + [self.n]:
             links = end - start + 1
-            drawn = trials.draws.run(_run_bounds(self.total, self.l, links)) if self.l else None
+            if self.l:
+                drawn = trials.draws.run(_run_bounds(self.total, self.l, links))
+            else:  # without decoys nothing is drawn, but a tap still measures every carrier
+                drawn = np.zeros((len(trials), 0), dtype=np.int64)
             if end in self.tapped:
                 passed = self._tap(trials, end, drawn[:, drawn.shape[1] - drawn.shape[1] // links :])
                 self.abort(np.count_nonzero(~passed), 2, proto.CAUSE_DECOY)
@@ -365,6 +374,8 @@ class _Program:
         if self.scored:
             trials.tap_basis[:, k - 1] = bases[carrier].reshape(count, total)
             trials.tap_bit[:, k - 1] = bits[carrier].reshape(count, total)
+        if not l:
+            return np.ones(count, dtype=bool)
         # The check measures each decoy in its own basis: one the tap left
         # as prepared reads its bit without a draw.
         checked = trials.measure(np.broadcast_to(np.arange(first, first + l), (count, l)), decoys >> 1)
@@ -399,8 +410,10 @@ class _Program:
         self.bump("z_check_failures", np.count_nonzero(failed) - x_failures)
         aborted = failed.any(axis=1)
         if self.tamper:
-            # A paired preparation is claimed as prepared, so a substitute is
-            # distinct when its state is not the one claimed for the round.
+            # A substitute is distinct when its true state is not the one
+            # claimed for the round.  A tamperer's preparation, paired or
+            # honest, is claimed as prepared, so its true state is its
+            # claimed one.
             tampered = received != positions
             differs = ((trials.claimed_q[rows, received] != claimed_q).any(axis=2)
                        | (trials.claimed_delta[rows, received] != claimed_delta))
@@ -416,8 +429,8 @@ class _Program:
         return trials.keep(~aborted)
 
     def _substitutes(self, draws: Rows, positions: np.ndarray) -> np.ndarray:
-        """Each trial's ``ClassicalPositionTamper.tamper_positions`` under a
-        paired preparation: the check positions P2..Pn receive."""
+        """Each trial's ``ClassicalPositionTamper.tamper_positions``: the
+        check positions P2..Pn receive."""
         count, total = len(positions), self.total
         trials = np.arange(count)
         rows = trials[:, None]
@@ -427,8 +440,12 @@ class _Program:
         free[rows, positions] = False
         true_at = positions[rows, rounds]
         # The paired preparation alternates, so the partner state sits at the
-        # positions of the other parity.  A target used leaves the free ones.
-        partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None]
+        # positions of the other parity; a random substitute is any unchecked
+        # position.  A target used leaves the free ones.
+        if self.strategy.policy == POLICY_PAIRED:
+            partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None]
+        else:
+            partner = np.ones((1, self.wanted, 1), dtype=bool)
         for i, r in enumerate(rounds.T):
             # A round's target is one draw below its pool's size, if the pool
             # holds any.
@@ -441,8 +458,8 @@ class _Program:
         return received
 
     def _compare(self, trials: _Trials) -> None:
-        """Steps 4-7 of the trials left, none of which aborts, and the
-        attacker's score of each."""
+        """Steps 4-7 of the trials left, the cross-check of their verdicts,
+        and the attacker's score of each trial that completes."""
         n, m, count = self.n, self.m, len(trials)
         rows = np.arange(count)[:, None]
         # Step 4: each participant Z-measures the first m registers it
@@ -451,22 +468,60 @@ class _Program:
         others = _first_unchecked(trials.received, self.total, m) if self.wanted else kept
         reg = np.concatenate((kept[:, None], np.repeat(others[:, None], n - 1, axis=1)), axis=1)
         ids = (reg + np.arange(n)[:, None] * self.total).reshape(count, n * m)
-        keys = trials.measure(ids, np.zeros_like(ids)).reshape(count, n, m)
-        # Steps 5-7: pair (i, j)'s result vector XORs both masked strings and
-        # both pads against P1, each pad read from the claimed states.  Both
-        # announcers announce its verdict alike, so the cross-check accepts.
+        keys = trials.measure(ids, np.zeros_like(ids)).astype(np.int8).reshape(count, n, m)
+        # Steps 5-6: pair (i, j)'s result vector XORs both masked strings and
+        # both pads against P1, each pad read from the claimed states, so it
+        # is 0 where i's and j's unpadded strings agree.  Each announcer
+        # computes its verdict alike, then announces it, flipped where the
+        # strategy flips it.  Bits are int8, and a pair's are compared, not
+        # XORed: at n = 20 a block holds 190 pairs of m bits per trial.
         padded = keys ^ trials.claimed_q[rows, kept].transpose(0, 2, 1)
         s, (i, j) = trials.secrets, self.pairs
-        r = padded[:, i] ^ padded[:, j] ^ s[:, i] ^ s[:, j]
+        unpadded = padded ^ s
+        computed = (unpadded[:, i] != unpadded[:, j]).any(axis=2)  # (trial, pair): whether the verdict is "different"
+        first, last = (np.where(computed, different, identical) for identical, different in self.says)
+        # Step 7: the participants cross-check the first and the last
+        # announcer.  On a conflict the arbiter recomputes every verdict and
+        # names each announcer that contradicts one.
+        if self.cross_checked:
+            conflict = (first != last).any(axis=1)
+            liars = (first != computed).any(axis=1), (last != computed).any(axis=1)
+            for name, hit in (("tp1", liars[0] & ~liars[1]), ("tp2", ~liars[0] & liars[1]),
+                              ("both", liars[0] & liars[1])):
+                self.bump(f"arbiter_{name}", np.count_nonzero(hit & conflict))
+            self.abort(np.count_nonzero(conflict), self.roles.check_step + 4, proto.CAUSE_CONFLICT)
+            if conflict.any():
+                if not trials.keep(~conflict):
+                    return
+                kept, keys, padded, first = (a[~conflict] for a in (kept, keys, padded, first))
+                s, count = trials.secrets, len(trials)
+        pairs = first.size
         self.bump("completed", count)
-        self.bump("pairs_total", r.shape[0] * r.shape[1])
-        self.bump("pairs_verdict_correct", np.count_nonzero(r.any(axis=2) == (s[:, i] != s[:, j]).any(axis=2)))
-        self.bump("pairs_r_checked", r.shape[0] * r.shape[1])
+        self.bump("pairs_total", pairs)
+        self.bump("pairs_verdict_correct", np.count_nonzero(first == (s[:, i] != s[:, j]).any(axis=2)))
+        self.bump("pairs_r_checked", pairs)
         self.bump("pairs_r_exact", np.count_nonzero((padded[:, i] == padded[:, j]).all(axis=2)))
         if isinstance(self.strategy, EveInterceptResend):
             self._score_intercept(trials, kept, keys)
         elif isinstance(self.strategy, Tp1FakeInitialState):
             self._score_fake(trials, kept, keys)
+        elif isinstance(self.strategy, ParticipantInfer):
+            self._score_infer(trials, kept, keys)
+
+    def _score_infer(self, trials: _Trials, kept: np.ndarray, keys: np.ndarray) -> None:
+        """``ParticipantInfer.finalize`` of completed trials: the attacker's
+        own key bit, XORed with the pair's true pad when it is granted the
+        preparation, guesses the victim's at each comparison position."""
+        strategy, count = self.strategy, len(trials)
+        attacker, victim = strategy.attacker - 1, strategy.victim - 1
+        guess = keys[:, attacker]
+        if strategy.counterfactual:
+            # Every preparation an inferring participant sees is the honest,
+            # entangled one, so ``pair_xor`` of its true state is defined.
+            rows = np.arange(count)[:, None]
+            guess = guess ^ trials.q[rows, attacker, kept] ^ trials.q[rows, victim, kept]
+        self.bump("attack_bits_guessed", count * self.m)
+        self.bump("attack_bits_correct", np.count_nonzero(guess == keys[:, victim]))
 
     def _score_fake(self, trials: _Trials, kept: np.ndarray, keys: np.ndarray) -> None:
         """``Tp1FakeInitialState.finalize`` of completed trials."""

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpcsim import block, harness
-from qpcsim.adversaries import KIND_EVE, KIND_POSITION_TAMPER, KIND_TP1_FAKE_STATE, KIND_TP2_INTERCEPT
+from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT,
+                                KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, POLICY_PAIRED,
+                                POLICY_RANDOM)
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
 from qpcsim.stream import RAW_WORDS, Stream
 from qpcsim.suites import _SCENARIOS
@@ -23,8 +25,9 @@ from test_golden import _stats_cases
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
-COVERED = ("eve_l1", "eve_l5", "eve_l10", "eve_l20", "acquainted", "fake_c4", "fake_c8", "fake_c16", "tamper_l1",
-           "tamper_l4", "tamper_l8", "tp2_intercept")
+COVERED = ("eve_l1", "eve_l5", "eve_l10", "eve_l20", "tp1_flip", "tp2_flip", "baseline_flip", "fake_c4", "fake_c8",
+           "fake_c16", "strangers", "acquainted", "tamper_l1", "tamper_l4", "tamper_l8", "tamper_relay", "infer",
+           "infer_counterfactual", "tp2_intercept")
 
 
 def _scalar(scenario, trials):
@@ -57,8 +60,7 @@ def _assert_same(scenario, start, stop):
 
 
 def test_the_covered_battery_scenarios():
-    # The decoy check of the first tapped link, or the state check before
-    # anything taps, can abort these; the others keep the per-trial loop.
+    # Every scenario with an adversary; the honest ones keep the per-trial loop.
     covered = {key for key, (_, scenario) in _SCENARIOS.items() if block.covers(scenario, scenario.strategy())}
     assert covered == set(COVERED)
 
@@ -79,10 +81,12 @@ def test_every_battery_scenario_counts_alike_through_both_engines(key):
     assert harness._run_block(scenario, 37, 101) == _scalar(scenario, range(37, 101))
 
 
-_GOLDEN_COVERED = ("proposed_classical_position_tamper", "proposed_tp1_fake_initial_state",
-                   "proposed_tp1_fake_initial_state_entangled", "proposed_eve_intercept_resend",
-                   "proposed_eve_three_links", "proposed_eve_tolerance", "proposed_tp2_intercept",
-                   "proposed_tp2_intercept_two_links", "zhang_eve", "zhang_eve_check2")
+_GOLDEN_COVERED = ("proposed_classical_position_tamper", "proposed_eve_intercept_resend", "proposed_eve_three_links",
+                   "proposed_eve_tolerance", "proposed_participant_infer", "proposed_participant_infer_counterfactual",
+                   "proposed_tamper_random", "proposed_tamper_relay", "proposed_tp1_fake_initial_state",
+                   "proposed_tp1_fake_initial_state_entangled", "proposed_tp1_fake_result", "proposed_tp2_fake_result",
+                   "proposed_tp2_fake_result_pairs", "proposed_tp2_intercept", "proposed_tp2_intercept_two_links",
+                   "zhang_eve", "zhang_eve_check2", "zhang_tp1_fake_result")
 
 
 @pytest.mark.parametrize("name", _GOLDEN_COVERED)
@@ -92,14 +96,21 @@ def test_covered_golden_scenarios_count_as_the_scalar_trial(name):
     _assert_same(replace(scenario, seed=scenario.seed + 1), 5, 300)
 
 
-def test_the_baseline_fake_state_config_counts_as_the_scalar_trial():
-    scenario = harness.scenario_from_config(json.loads((CONFIGS / "baseline_fake_state.json").read_text()))
+def test_the_golden_scenarios_left_out_are_the_honest_ones():
+    left_out = set(_stats_cases()) - set(_GOLDEN_COVERED)
+    assert left_out == {"proposed_none", "zhang_none", "zhang_check2"}
+
+
+@pytest.mark.parametrize("config", ["baseline_fake_result", "baseline_fake_state", "eve_l10", "infer_counterfactual",
+                                    "tamper_l4", "tp1_flip", "tp2_intercept"])
+def test_the_shipped_attack_configs_count_as_the_scalar_trial(config):
+    scenario = harness.scenario_from_config(json.loads((CONFIGS / f"{config}.json").read_text()))
     _assert_same(scenario, 0, 400)
 
 
-def test_the_tamper_l4_config_counts_as_the_scalar_trial():
-    scenario = harness.scenario_from_config(json.loads((CONFIGS / "tamper_l4.json").read_text()))
-    _assert_same(scenario, 0, 400)
+def test_every_shipped_config_but_the_honest_one_is_covered():
+    configs = {path.stem: harness.scenario_from_config(json.loads(path.read_text())) for path in CONFIGS.glob("*.json")}
+    assert {name for name, scenario in configs.items() if not block.covers(scenario, scenario.strategy())} == {"honest"}
 
 
 @pytest.mark.parametrize("scenario", [
@@ -127,32 +138,39 @@ def test_the_engine_covers_exactly_the_benchmark_shapes_it_serves(monkeypatch):
         scenarios = {shape.name: harness.scenario_from_config(workloads._config_doc(shape, 1, 0)) for shape in shapes}
         return {name for name, scenario in scenarios.items() if block.covers(scenario, scenario.strategy())}
 
-    assert covered(workloads.ATTACK_SHAPES) == {"eve.l1", "eve.l5", "eve.l10", "eve.l20", "fake_state.c4",
-                                                "fake_state.c8", "fake_state.c16", "tamper.l1", "tamper.l4",
-                                                "tamper.l8", "tp2_intercept.v1"}
+    assert covered(workloads.ATTACK_SHAPES) == {shape.name for shape in workloads.ATTACK_SHAPES}
+    assert len(workloads.ATTACK_SHAPES) == 17
     assert covered(workloads.HONEST_SHAPES) == set()
 
 
-def test_no_other_kind_and_no_unchecked_run_is_covered():
+def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets():
     fake = AdversarySpec(KIND_TP1_FAKE_STATE, {})
     eve = AdversarySpec(KIND_EVE, {"links": [1]})
-    for scenario in [
-        Scenario(),
+    attacks = [
+        Scenario(adversary=fake),
         # A decoy check that cannot abort: no decoys, or no more than it tolerates.
         Scenario(adversary=eve, decoy_count=0),
         Scenario(adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [1]}), decoy_count=2, decoy_tolerance=2),
         Scenario(adversary=eve, decoy_count=2, decoy_tolerance=3),
-        Scenario(adversary=AdversarySpec("tp1_fake_result", {})),
-        Scenario(adversary=AdversarySpec("participant_infer", {})),
+        Scenario(adversary=AdversarySpec(KIND_TP1_FAKE_RESULT, {})),
+        Scenario(adversary=AdversarySpec(KIND_TP2_FAKE_RESULT, {"pairs": [[1, 3]]})),
+        Scenario(protocol="zhang_baseline", n=2, adversary=AdversarySpec(KIND_TP1_FAKE_RESULT, {})),
+        Scenario(adversary=AdversarySpec(KIND_PARTICIPANT_INFER, {"counterfactual": True})),
+        Scenario(protocol="zhang_baseline", n=2, adversary=AdversarySpec(KIND_PARTICIPANT_INFER, {})),
         Scenario(adversary=fake, check_rounds=0),
         Scenario(protocol="zhang_baseline", n=2, adversary=fake),  # no check by default
         Scenario(adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 2}), variant="tp2_relay"),
-        # A random substitute leaves the honest preparation, which draws.
         Scenario(adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 2, "policy": "random"})),
-        # Secrets that may be drawn again.
-        Scenario(adversary=fake, secrets=SecretsSpec("forced_unequal")),
-        Scenario(adversary=eve, secrets=SecretsSpec("forced_unequal")),
-    ]:
+    ]
+    for scenario in attacks:
+        scenario.validate()
+        assert block.covers(scenario, scenario.strategy()), scenario
+    # Honest runs, under either protocol and any secrets, and every run
+    # whose secrets may be drawn again.
+    left_out = [Scenario(), Scenario(protocol="zhang_baseline", n=2, check_rounds=2),
+                Scenario(secrets=SecretsSpec("forced_equal")), Scenario(secrets=SecretsSpec("forced_unequal"))]
+    left_out += [replace(scenario, secrets=SecretsSpec("forced_unequal")) for scenario in attacks]
+    for scenario in left_out:
         scenario.validate()
         assert not block.covers(scenario, scenario.strategy()), scenario
 
@@ -234,6 +252,57 @@ def _intercept_scenarios(draw):
 @settings(max_examples=100, deadline=None)
 @given(scenario=_intercept_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
 def test_random_intercept_shapes_count_as_the_scalar_trial(scenario, start, length):
+    scenario.validate()
+    _assert_same(scenario, start, start + length)
+
+
+@st.composite
+def _any_kind_scenarios(draw):
+    """The shapes no check need abort: verdict flips of any pairs, an
+    inferring participant, a tamperer of either policy on either variant, a
+    fake preparation with no check rounds, and taps whose decoy check
+    tolerates every decoy."""
+    baseline = draw(st.booleans())
+    n = 2 if baseline else draw(st.integers(2, 6))
+    m = draw(st.integers(1, 8))
+    c = draw(st.integers(0, m + 2 if baseline else m))
+    l = draw(st.integers(0, 12))
+    tolerance = draw(st.integers(0, 3))
+    policy = draw(st.sampled_from([policy for policy in harness.SECRET_POLICIES if policy != "forced_unequal"]))
+    values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
+    kinds = [KIND_TP1_FAKE_RESULT, KIND_PARTICIPANT_INFER, KIND_TP1_FAKE_STATE, KIND_EVE]
+    if not baseline:  # the kinds that attack as TP2 or on the broadcast
+        kinds += [KIND_TP2_FAKE_RESULT, KIND_POSITION_TAMPER, KIND_TP2_INTERCEPT]
+    kind = draw(st.sampled_from(kinds))
+    if kind in (KIND_TP1_FAKE_RESULT, KIND_TP2_FAKE_RESULT):
+        pairs = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        params = {"pairs": draw(st.just("all") | st.lists(st.sampled_from(pairs), min_size=1, unique_by=tuple))}
+    elif kind == KIND_PARTICIPANT_INFER:
+        attacker, victim = draw(st.permutations(range(1, n + 1)))[:2]
+        params = {"attacker": attacker, "victim": victim, "counterfactual": draw(st.booleans())}
+    elif kind == KIND_POSITION_TAMPER:
+        params = {"count": draw(st.integers(0, c + 1)), "policy": draw(st.sampled_from([POLICY_PAIRED, POLICY_RANDOM]))}
+    elif kind == KIND_TP1_FAKE_STATE:
+        c = 0
+        params = {"true_state": draw(_spec(n))} if draw(st.booleans()) else {}
+    else:
+        params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))}
+        victim = draw(st.none() | st.integers(1, n))
+        if victim is not None:
+            params["victim"] = victim
+        tolerance = draw(st.integers(l, l + 2))
+    return Scenario(
+        protocol="zhang_baseline" if baseline else "proposed", n=n, m=m, check_rounds=c, decoy_count=l,
+        decoy_tolerance=tolerance, adversary=AdversarySpec(kind, params),
+        variant="classical_broadcast" if baseline else draw(st.sampled_from(["classical_broadcast", "tp2_relay"])),
+        announce_r_vectors=False if baseline else draw(st.booleans()),
+        secrets=SecretsSpec(policy, values), seed=draw(st.integers(0, 2**40)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=_any_kind_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
+def test_random_shapes_of_every_kind_count_as_the_scalar_trial(scenario, start, length):
     scenario.validate()
     _assert_same(scenario, start, start + length)
 

@@ -8,25 +8,38 @@ import os
 import time
 from typing import Callable, Optional
 
+from qpcsim.adversaries import AdversaryStrategy
 from qpcsim.harness import Scenario
 
 
 @dataclasses.dataclass
 class FailingScenario(Scenario):
-    """A scenario whose trials call ``in_worker`` in any process but the
-    one that made it, and ``in_caller`` in that one.  A worker receives it
-    in each call's message, so it fails there however long ago the worker
-    started."""
+    """An honest scenario whose trials call ``in_worker`` in any process
+    but the one that made it, and ``in_caller`` in that one.  A worker
+    receives it in each call's message, so it fails there however long ago
+    the worker started."""
 
     in_worker: Optional[Callable[[], None]] = None
     in_caller: Optional[Callable[[], None]] = None
     caller_pid: int = dataclasses.field(default_factory=os.getpid)
 
-    def effective_check_rounds(self) -> int:
-        fail = self.in_caller if os.getpid() == self.caller_pid else self.in_worker
+    def strategy(self) -> AdversaryStrategy:
+        return _FailingRun(self)
+
+
+@dataclasses.dataclass
+class _FailingRun(AdversaryStrategy):
+    """No adversary, but each run a trial starts calls its scenario's fault
+    for the process it runs in; validating or scoring the scenario does not."""
+
+    scenario: Optional[FailingScenario] = None
+
+    def start_run(self) -> AdversaryStrategy:
+        scenario = self.scenario
+        fail = scenario.in_caller if os.getpid() == scenario.caller_pid else scenario.in_worker
         if fail is not None:
             fail()
-        return super().effective_check_rounds()
+        return self
 
 
 def boom():

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from qpcsim.adversaries import ALL_KINDS, KIND_EVE, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT, KIND_TP2_FAKE_RESULT
+from qpcsim.adversaries import (ALL_KINDS, KIND_EVE, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT, KIND_TP1_FAKE_STATE,
+                                KIND_TP2_FAKE_RESULT)
 from qpcsim.cli import EXIT_OK, main
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, run_scenario, run_trial, scenario_from_config
 from qpcsim.suites import _SCENARIOS
@@ -77,6 +78,14 @@ def _stats_cases() -> dict:
     cases["proposed_eve_tolerance"] = _doc(
         decoy_count=2, decoy_tolerance=1, adversary=_adversary("eve_intercept_resend", {"links": [1], "victim": 1})
     )
+    # Secrets drawn until they differ keep a run on the per-trial path: a
+    # tolerated tap, whose disturbed decoys are measured, and a fake preparation.
+    unequal = {"policy": "forced_unequal"}
+    cases["proposed_eve_tolerance_unequal"] = _doc(
+        decoy_count=2, decoy_tolerance=1, secrets=unequal,
+        adversary=_adversary("eve_intercept_resend", {"links": [1], "victim": 1}),
+    )
+    cases["proposed_tp1_fake_initial_state_unequal"] = _doc(secrets=unequal, adversary=_adversary(KIND_TP1_FAKE_STATE))
     baseline = dict(protocol="zhang_baseline", n=2)
     cases["zhang_none"] = _doc(**baseline)
     cases["zhang_tp1_fake_result"] = _doc(**baseline, adversary=_adversary("tp1_fake_result"))

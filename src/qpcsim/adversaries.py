@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
-from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, pair_xor
+from .ghz import Basis, GhzSpec, pair_xor
 from .stream import Stream
 
 if TYPE_CHECKING:
@@ -71,8 +71,9 @@ class AdversaryStrategy:
         fresh copy for kinds that record during a run."""
         return self
 
-    def override_preparation(self, n: int, count: int, rng: Stream):
-        """Return (registers, true_states, claimed_specs) or None for honest."""
+    def override_preparation(self, n: int, count: int):
+        """The ``(true_states, claimed_specs)`` tuples of a fixed preparation
+        of ``count`` registers of n particles, or None for the honest one."""
         return None
 
     def taps(self, link: int) -> Sequence:
@@ -226,15 +227,9 @@ class Tp2Intercept(EveInterceptResend):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)  # the unmeasured preparations, each built once per process
+@lru_cache(maxsize=8)  # a fixed preparation's states, built once per parameter set
 def _built(build, *args):
     return build(*args)
-
-
-def _fixed_preparation(build, *args):
-    """A fresh copy of the preparation ``build(*args)`` returns."""
-    registers, true_states, claimed = _built(build, *args)
-    return registers.copy(), list(true_states), list(claimed)
 
 
 @dataclass
@@ -246,8 +241,8 @@ class Tp1FakeInitialState(AdversaryStrategy):
     kind = KIND_TP1_FAKE_STATE
     party = TP1
 
-    def override_preparation(self, n: int, count: int, rng: Stream):
-        return _fixed_preparation(self._prepare, self.true_state, self.claimed, n, count)
+    def override_preparation(self, n: int, count: int):
+        return _built(self._prepare, self.true_state, self.claimed, n, count)
 
     def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
         # All-|0> preparation against an all-|0>-vector claim: an X round
@@ -265,12 +260,9 @@ class Tp1FakeInitialState(AdversaryStrategy):
             raise ConfigError(f"claimed state has {claimed.n} particles, protocol has {n}")
         if true_state == "zeros":
             true_state = (0,) * n
-            registers = ProductRegister([true_state] * count)
-        else:
-            if true_state.n != n:
-                raise ConfigError(f"true state has {true_state.n} particles, protocol has {n}")
-            registers = GhzRegister([true_state] * count)
-        return registers, [true_state] * count, [claimed] * count
+        elif true_state.n != n:
+            raise ConfigError(f"true state has {true_state.n} particles, protocol has {n}")
+        return (true_state,) * count, (claimed,) * count
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         out = AttackOutcome()
@@ -426,10 +418,10 @@ class ClassicalPositionTamper(AdversaryStrategy):
         rate = tamper_detection(min(self.count, scenario.effective_check_rounds()))
         return {"detected_step3_rate": rate, "tamper_detection_conditional": rate}
 
-    def override_preparation(self, n: int, count: int, rng: Stream):
+    def override_preparation(self, n: int, count: int):
         if self.policy != POLICY_PAIRED:
             return None
-        return _fixed_preparation(self._prepare, self.pair and tuple(self.pair), n, count)
+        return _built(self._prepare, self.pair and tuple(self.pair), n, count)
 
     @staticmethod
     def _prepare(pair: Optional[Tuple[GhzSpec, GhzSpec]], n: int, count: int):
@@ -437,8 +429,8 @@ class ClassicalPositionTamper(AdversaryStrategy):
         for spec in pair:
             if spec.n != n:
                 raise ConfigError(f"tamper pair state has {spec.n} particles, protocol has {n}")
-        specs = [pair[p % 2] for p in range(count)]
-        return GhzRegister(specs), specs, specs
+        specs = tuple(pair[p % 2] for p in range(count))
+        return specs, specs
 
     def tamper_positions(
         self, true_positions: List[int], total: int, rng: Stream

@@ -273,8 +273,8 @@ class _Program:
         self.wanted = min(strategy.count, c) if self.tamper and broadcast else 0
         self.scored = isinstance(strategy, EveInterceptResend) and strategy.victim is not None
         run = strategy.start_run()
-        fixed = run.override_preparation(n, total, None)
-        self.fixed = fixed and (_registers(tuple(fixed[1])), _registers(tuple(fixed[2])))  # the true and claimed states
+        fixed = run.override_preparation(n, total)
+        self.fixed = fixed and tuple(map(_registers, fixed))  # the true and claimed states
         # Whether the first and the last announcer announce "different" for
         # each pair, when the verdict they compute is "identical" and when it
         # is "different".  A lone announcer is both, and stands unchecked.

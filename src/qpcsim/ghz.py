@@ -219,14 +219,6 @@ class GhzRegister:
         self.slots = [HELD] * (particles * len(rows))
         self.particles, self.n = particles, particles * len(rows)
 
-    def copy(self) -> "GhzRegister":
-        """An independent register in the same state: measuring one leaves
-        the other as it was.  ``q`` is never written, so the two share it."""
-        new = object.__new__(type(self))
-        new.q, new.particles, new.n = self.q, self.particles, self.n
-        new.branch, new.parity, new.left, new.slots = self.branch[:], self.parity[:], self.left[:], self.slots[:]
-        return new
-
     def add_photons(self, states: Sequence[int]) -> List[int]:
         """Put photons in the given states in flight; returns their ids."""
         if not set(states) <= {0, 1, 2, 3}:

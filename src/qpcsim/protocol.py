@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
-from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
+from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, ghz_from_index, pair_xor
 from .photons import CheckReport, Link, QuantumChannel, interleave, public_discussion
 from .stream import Stream, replay_choice
 # Unused here since interleave draws the decoys: the benchmark's tracer
@@ -294,10 +294,6 @@ class _Roles:
     check_verdict: Tuple[str, str]  # actor and kind of the check's verdict event
     log_traffic: bool  # log every send, the check positions, and each check round's bases and outcomes
 
-    def prepare(self, n: int, count: int, rng: Stream) -> List[GhzSpec]:
-        """The honest preparation of ``count`` registers of n particles, in one draw."""
-        return self.prepared(n, rng.bits(count, self.prepare_width(n)))
-
     @property
     def monitored(self) -> bool:
         """Whether TP2 monitors TP1: only then is there a variant, an r vector to publish, or a TP2 to attack as."""
@@ -355,9 +351,9 @@ def _distribute(
     Nothing draws between two links unless the first is tapped, so one
     ``interleave`` call draws every link up to and including the next
     tapped one, and only a tapped link's decoy slots are worked out.  A
-    decoy measured in its own basis reads its bit without a draw, so only
-    the decoys a tap left in another state than their preparation are
-    measured; that keeps every draw, in order, of measuring them all.
+    link whose decoys all arrive as prepared passes without a measurement;
+    otherwise each decoy is measured in its prepared basis, which draws
+    only for a decoy a tap left in the other basis.
     """
     n = registers.particles
     slots = registers.slots
@@ -377,12 +373,9 @@ def _distribute(
             if arrived == decoys:
                 report = CheckReport(True, 0, decoy_count)
             else:
-                changed = [d for d in range(decoy_count) if arrived[d] != decoys[d]]
-                results = [state & 1 for state in decoys]
-                bits = registers.measure([first + d for d in changed], [decoys[d] >> 1 for d in changed], rng)
-                for d, bit in zip(changed, bits):
-                    results[d] = bit
-                report = public_discussion([d >> 1 for d in decoys], results, decoys, decoy_tolerance)
+                bases = [d >> 1 for d in decoys]
+                results = registers.measure(range(first, first + decoy_count), bases, rng)
+                report = public_discussion(bases, results, decoys, decoy_tolerance)
             t.decoy_checks.append(
                 {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
             )
@@ -539,12 +532,14 @@ def _run(
     t = Transcript(roles.protocol, params)
     t.secrets = secrets
 
-    # Step 1: prepare the registers (or whatever the preparer fakes).
-    prepared = run.override_preparation(n, total, rng)
+    # Step 1: prepare the registers in one draw (or whatever the preparer
+    # fakes), each a GhzSpec or a product state's bit tuple.
+    prepared = run.override_preparation(n, total)
     if prepared is None:
-        specs = roles.prepare(n, total, rng)
-        prepared = GhzRegister(specs), specs, specs
-    registers, t.true_states, t.claimed_specs = prepared
+        specs = roles.prepared(n, rng.bits(total, roles.prepare_width(n)))
+        prepared = specs, specs
+    t.true_states, t.claimed_specs = prepared
+    registers = (ProductRegister if isinstance(t.true_states[0], tuple) else GhzRegister)(t.true_states)
 
     _distribute(t, roles, run, registers, l, decoy_tolerance, rng)
     if t.aborted:

@@ -268,7 +268,7 @@ class _Recording(AdversaryStrategy):
     def __init__(self):
         self.called = set()
 
-    def override_preparation(self, n, count, rng):
+    def override_preparation(self, n, count):
         self.called.add("override_preparation")
 
     def taps(self, link):

@@ -47,14 +47,24 @@ def covers(scenario, strategy) -> bool:
     return strategy.kind != KIND_NONE
 
 
+# The most particle and decoy slots a block holds, over all its trials.  A
+# block's arrays grow with them: at n = 20, m = 4096 (327,680 slots a
+# trial) a block of 64 trials peaked at 807 MB and one of 8 at 170 MB.
+# Every battery, golden and benchmark shape, at most 320 slots a trial,
+# keeps blocks of 64.
+_BLOCK_SLOTS = 2**22
+
+
 def decide(scenario, strategy, trials: range, generator: Callable[[int], object]) -> Dict[str, int]:
     """The summed ``harness._extract`` counters of the trials in ``trials``.
     ``generator(trial)`` is the trial's seeded bit generator; trials go
-    through the engine in blocks that start at multiples of ``TrialSeeds``'
-    chunk."""
+    through the engine a chunk of ``TrialSeeds`` at a time, chunks starting
+    at multiples of 64, each in blocks of ``_Program.rows`` trials."""
     program = _Program(scenario, strategy)
     for first in range(trials.start - trials.start % _CHUNK, trials.stop, _CHUNK):
-        program.run(Rows(map(generator, range(max(first, trials.start), min(first + _CHUNK, trials.stop)))))
+        chunk = range(max(first, trials.start), min(first + _CHUNK, trials.stop))
+        for at in range(0, len(chunk), program.rows):
+            program.run(Rows(map(generator, chunk[at : at + program.rows])))
     return program.counters()
 
 
@@ -262,6 +272,10 @@ class _Program:
         self.c = c = scenario.effective_check_rounds()
         self.l = scenario.effective_decoy_count()
         self.total = total = self.roles.register_count(m, c)
+        # Trials a block: a power of two, halved while a block would hold more than _BLOCK_SLOTS slots.
+        self.rows = _CHUNK
+        while self.rows > 1 and self.rows * n * (total + self.l) > _BLOCK_SLOTS:
+            self.rows //= 2
         self.pairs = np.triu_indices(n, 1)  # each pair (i, j), i < j, of participants counted from 0
         self.tolerance = scenario.decoy_tolerance
         self.secrets = scenario.secrets

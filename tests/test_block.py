@@ -74,13 +74,6 @@ def test_covered_battery_scenarios_count_as_the_scalar_trial(key):
     _assert_same(scenario, 37, 171)
 
 
-@pytest.mark.parametrize("key", sorted(_SCENARIOS))
-def test_every_battery_scenario_counts_alike_through_both_engines(key):
-    offset, template = _SCENARIOS[key]
-    scenario = replace(template, seed=1000 * 21 + offset)
-    assert harness._run_block(scenario, 37, 101) == _scalar(scenario, range(37, 101))
-
-
 # Every golden with an adversary, but those whose secrets may be drawn again.
 _GOLDEN_COVERED = sorted(set(_stats_cases()) - {"proposed_none", "zhang_none", "zhang_check2",
                                                 "proposed_eve_tolerance_unequal",
@@ -112,22 +105,46 @@ def test_larger_shapes_are_decided_as_the_scalar_trial(scenario):
     assert _engine(scenario, range(200)) == _scalar(scenario, range(200))
 
 
-def test_the_engine_covers_exactly_the_benchmark_shapes_it_serves(monkeypatch):
-    # Any narrowing of the engine below the traffic attack_mix sends it fails
-    # here.  The workload table is loaded from its file; its dataclasses look
-    # their module up in sys.modules.
+def _benchmark_scenarios(monkeypatch, shapes_name):
+    """The benchmark's scenarios of one shape table, by name.  The workload
+    table is loaded from its file; its dataclasses look their module up in
+    sys.modules."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    shapes = getattr(workloads, shapes_name)
+    return {shape.name: harness.scenario_from_config(workloads._config_doc(shape, 1, 0)) for shape in shapes}
 
-    def covered(shapes):
-        scenarios = {shape.name: harness.scenario_from_config(workloads._config_doc(shape, 1, 0)) for shape in shapes}
+
+def test_the_engine_covers_exactly_the_benchmark_shapes_it_serves(monkeypatch):
+    # Any narrowing of the engine below the traffic attack_mix sends it fails here.
+    def covered(scenarios):
         return {name for name, scenario in scenarios.items() if block.covers(scenario, scenario.strategy())}
 
-    assert covered(workloads.ATTACK_SHAPES) == {shape.name for shape in workloads.ATTACK_SHAPES}
-    assert len(workloads.ATTACK_SHAPES) == 17
-    assert covered(workloads.HONEST_SHAPES) == set()
+    attacks = _benchmark_scenarios(monkeypatch, "ATTACK_SHAPES")
+    assert covered(attacks) == set(attacks) and len(attacks) == 17
+    assert covered(_benchmark_scenarios(monkeypatch, "HONEST_SHAPES")) == set()
+
+
+def test_every_battery_golden_and_benchmark_shape_runs_in_blocks_of_64(monkeypatch):
+    scenarios = [scenario for _, scenario in _SCENARIOS.values()]
+    scenarios += [harness.scenario_from_config(doc) for doc in _stats_cases().values()]
+    for shapes_name in ("ATTACK_SHAPES", "HONEST_SHAPES"):
+        scenarios += _benchmark_scenarios(monkeypatch, shapes_name).values()
+    assert {block._Program(scenario, scenario.strategy()).rows for scenario in scenarios} == {64}
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+def test_a_shape_split_into_smaller_blocks_counts_as_the_scalar_trial(monkeypatch, rows):
+    # 3 * (8 registers + 2 decoys) = 30 slots a trial; a tolerated tap lets
+    # trials with disturbed decoys reach the later steps and the victim's coins.
+    scenario = Scenario(n=3, m=4, decoy_count=2, decoy_tolerance=1, seed=23,
+                        adversary=AdversarySpec(KIND_EVE, {"links": [1, 3], "victim": 1}))
+    monkeypatch.setattr(block, "_BLOCK_SLOTS", 30 * rows + 29)
+    assert block._Program(scenario, scenario.strategy()).rows == rows
+    _assert_same(scenario, 0, 64)
+    _assert_same(scenario, 37, 171)
 
 
 def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets():

@@ -272,7 +272,7 @@ class _Program:
         self.c = c = scenario.effective_check_rounds()
         self.l = scenario.effective_decoy_count()
         self.total = total = self.roles.register_count(m, c)
-        # Trials a block: a power of two, halved while a block would hold more than _BLOCK_SLOTS slots.
+        # Trials a block: a power of two, so that blocks split a chunk evenly.
         self.rows = _CHUNK
         while self.rows > 1 and self.rows * n * (total + self.l) > _BLOCK_SLOTS:
             self.rows //= 2

@@ -49,10 +49,11 @@ def covers(scenario, strategy) -> bool:
 
 # The most particle and decoy slots a block holds, over all its trials.  A
 # block's arrays grow with them: at n = 20, m = 4096 (327,680 slots a
-# trial) a block of 64 trials peaked at 807 MB and one of 8 at 170 MB.
+# trial) a block of 64 trials peaked at 807 MB and one of 4 at 119 MB, and
+# with 4096 decoys a link and every link tapped one of 16 reached 234 MB.
 # Every battery, golden and benchmark shape, at most 320 slots a trial,
 # keeps blocks of 64.
-_BLOCK_SLOTS = 2**22
+_BLOCK_SLOTS = 2**21
 
 
 def decide(scenario, strategy, trials: range, generator: Callable[[int], object]) -> Dict[str, int]:

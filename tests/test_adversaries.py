@@ -438,6 +438,32 @@ def test_strategy_from_config_defaults_are_the_class_defaults(kind):
     assert strategy == KINDS[kind]()
 
 
+_ZEROS, _PARTNER = GhzSpec((0, 0, 0), 0), GhzSpec((0, 1, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "kind, params, expected",
+    [pytest.param(kind, {}, None, id=kind)
+     for kind in ALL_KINDS if kind not in ("tp1_fake_initial_state", "classical_position_tamper")]
+    + [
+        pytest.param("tp1_fake_initial_state", {}, (((0, 0, 0),) * 4, (_ZEROS,) * 4), id="fake_zeros"),
+        pytest.param("tp1_fake_initial_state",
+                     {"true_state": {"q": "011", "delta": 1}, "claimed": {"q": "011", "delta": 0}},
+                     ((GhzSpec((0, 1, 1), 1),) * 4, (_PARTNER,) * 4), id="fake_entangled"),
+        pytest.param("classical_position_tamper", {}, ((_ZEROS, _PARTNER) * 2,) * 2, id="tamper_paired"),
+        pytest.param("classical_position_tamper", {"policy": "random"}, None, id="tamper_random"),
+    ],
+)
+def test_a_fixed_preparation_is_a_pair_of_state_tuples_built_once(kind, params, expected):
+    states = strategy_from_config(kind, params, 3).override_preparation(3, 4)
+    assert states == expected
+    if expected is not None:
+        # A fresh strategy of the same params gets the very same tuples,
+        # which the block engine's register lookup matches by identity.
+        again = strategy_from_config(kind, params, 3).override_preparation(3, 4)
+        assert again[0] is states[0] and again[1] is states[1]
+
+
 def test_all_kinds_order():
     # The unknown-kind error message lists the kinds in this order.
     assert ALL_KINDS == (

@@ -147,6 +147,19 @@ def test_a_shape_split_into_smaller_blocks_counts_as_the_scalar_trial(monkeypatc
     _assert_same(scenario, 37, 171)
 
 
+@pytest.mark.parametrize("key", COVERED)
+def test_covered_battery_scenarios_split_into_blocks_of_8_count_as_the_scalar_trial(monkeypatch, key):
+    # Every adversary kind's program, run 8 trials a block: the share starts
+    # and ends inside blocks, and crosses two 64-trial chunks.
+    offset, template = _SCENARIOS[key]
+    scenario = replace(template, seed=1000 * 22 + offset)
+    program = block._Program(scenario, scenario.strategy())
+    slots = program.n * (program.total + program.l)
+    monkeypatch.setattr(block, "_BLOCK_SLOTS", 9 * slots - 1)
+    assert block._Program(scenario, scenario.strategy()).rows == 8
+    _assert_same(scenario, 37, 171)
+
+
 def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets():
     fake = AdversarySpec(KIND_TP1_FAKE_STATE, {})
     eve = AdversarySpec(KIND_EVE, {"links": [1]})

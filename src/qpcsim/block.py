@@ -14,10 +14,12 @@ trial's own ``Stream`` would draw.  The registers are arrays with a trial
 axis, held as ``GhzRegister`` holds one trial's, and ``_Trials.measure``
 draws as ``GhzRegister.measure`` draws.
 
-A trial leaves the block's arrays as soon as a check aborts it: the decoy
-check of a tapped link, the state check, or the cross-check of the two
-announcers' verdicts, which the arbiter then settles.  Every trial is
-counted as ``harness._extract`` counts it.
+A share runs in blocks of up to 64 trials from its first trial on, fewer
+where a trial holds many slots (``_BLOCK_SLOTS``).  A trial leaves the
+block's arrays as soon as a check aborts it: the decoy check of a tapped
+link, the state check, or the cross-check of the two announcers' verdicts,
+which the arbiter then settles.  Every trial is counted as
+``harness._extract`` counts it.
 """
 
 from __future__ import annotations
@@ -49,23 +51,21 @@ def covers(scenario, strategy) -> bool:
 
 # The most particle and decoy slots a block holds, over all its trials.  A
 # block's arrays grow with them: at n = 20, m = 4096 (327,680 slots a
-# trial) a block of 64 trials peaked at 807 MB and one of 4 at 119 MB, and
-# with 4096 decoys a link and every link tapped one of 16 reached 234 MB.
-# Every battery, golden and benchmark shape, at most 320 slots a trial,
-# keeps blocks of 64.
+# trial) a block of 64 trials peaked at 807 MB, and a 64-trial share in
+# blocks of 6 at 146 MB; with 4096 decoys a link and every link tapped
+# (245,760 slots) one in blocks of 8 peaked at 134 MB.  Every battery,
+# golden and benchmark shape, at most 320 slots a trial, keeps blocks of 64.
 _BLOCK_SLOTS = 2**21
 
 
 def decide(scenario, strategy, trials: range, generator: Callable[[int], object]) -> Dict[str, int]:
     """The summed ``harness._extract`` counters of the trials in ``trials``.
     ``generator(trial)`` is the trial's seeded bit generator; trials go
-    through the engine a chunk of ``TrialSeeds`` at a time, chunks starting
-    at multiples of 64, each in blocks of ``_Program.rows`` trials."""
+    through the engine in blocks of ``_Program.rows`` trials, the first
+    starting at the first of ``trials``."""
     program = _Program(scenario, strategy)
-    for first in range(trials.start - trials.start % _CHUNK, trials.stop, _CHUNK):
-        chunk = range(max(first, trials.start), min(first + _CHUNK, trials.stop))
-        for at in range(0, len(chunk), program.rows):
-            program.run(Rows(map(generator, chunk[at : at + program.rows])))
+    for first in range(trials.start, trials.stop, program.rows):
+        program.run(Rows(map(generator, range(first, min(first + program.rows, trials.stop)))))
     return program.counters()
 
 
@@ -148,14 +148,14 @@ class _Trials:
         """Each trial's ``GhzRegister.measure(ids, bases, rng, forward)``:
         ``ids`` and ``bases`` hold a row per trial, and so do the outcomes.
 
-        Every step measures the particles of one register in one basis, in
-        ascending order, so a register's draws follow from its state alone:
-        a Z measurement draws the branch, while it is unset, at the first
-        particle measured, and an X measurement draws at every particle but
-        the last one held of a register whose branch is unset, which
-        carries the parity.  A photon draws only in the other basis.  A tap,
-        the one measurement that forwards, measures one particle of each
-        register.
+        Every step measures a register's particles in one basis, in
+        ascending order (a tap, the one measurement that forwards, measures
+        one particle of each register), so a register's draws follow from
+        its state alone: a Z measurement draws the branch, while it is
+        unset, at the first particle measured, and an X measurement draws at
+        every particle but the last one held of a register whose branch is
+        unset, which carries the parity.  A photon draws only in the other
+        basis.
         """
         count, size = ids.shape
         flat = ids + self.offsets  # into each flat view below
@@ -165,10 +165,7 @@ class _Trials:
         photons, registers = not held.all(), held.any()
         drawn = state >> 1 != bases if photons else held
         if registers:
-            if forward:
-                drawn, settle = self._single(ids, bases, held, drawn)
-            else:
-                drawn, settle = self._grouped(ids, bases, held, drawn)
+            drawn, settle = self._particles(ids, bases, held, drawn)
         taken = drawn.cumsum(axis=1)
         bit = self.draws.peek(size).ravel().take(taken + (np.arange(-1, count * size - 1, size)[:, None]))
         self.draws.skip(taken[:, -1])
@@ -180,36 +177,10 @@ class _Trials:
         slot[flat] = bases << 1 | out if forward or not registers else np.where(held, MEASURED, bases << 1 | out)
         return out
 
-    def _single(self, ids, bases, held, drawn):
-        """``measure``'s draws on the particles a tap measures, the same
-        particle of every register, in register order: whether each id
-        draws, and a function from the bits drawn to the outcomes that
-        leaves the registers measured."""
-        count, total = self.held.shape
-        at = np.flatnonzero(held)  # register r's particle of trial t at ``at[t * total + r]`` of ``ids.ravel()``
-        particle = ids.ravel()[at[0]] // total
-        z = bases.ravel().take(at).reshape(count, total) == 0
-        unset = self.branch < 0
-        carries = ~z & unset & (self.held == 1)
-        drawn = drawn.copy()
-        drawn.ravel()[at] = np.where(z, unset, ~carries).ravel()
-
-        def settle(bit):
-            drew = bit.ravel().take(at).reshape(count, total)
-            branch = np.where(z & unset, drew, self.branch)
-            out = bit.copy()
-            out.ravel()[at] = np.where(z, self.q[:, particle] ^ branch, np.where(carries, self.parity, drew)).ravel()
-            self.parity ^= np.where(z | carries, 0, drew).astype(np.int8)
-            self.branch = branch.astype(np.int8)
-            self.held -= 1
-            return out
-
-        return drawn, settle
-
-    def _grouped(self, ids, bases, held, drawn):
-        """``measure``'s draws on held particles, any of one register:
-        whether each id draws, and a function from the bits drawn to the
-        held particles' outcomes that leaves their registers measured."""
+    def _particles(self, ids, bases, held, drawn):
+        """``measure``'s draws on held particles: whether each id draws, and
+        a function from the bits drawn to the held particles' outcomes that
+        leaves their registers measured."""
         count = len(ids)
         n, total = self.q.shape[1:]
         flat = ids + self.offsets
@@ -273,10 +244,7 @@ class _Program:
         self.c = c = scenario.effective_check_rounds()
         self.l = scenario.effective_decoy_count()
         self.total = total = self.roles.register_count(m, c)
-        # Trials a block: a power of two, so that blocks split a chunk evenly.
-        self.rows = _CHUNK
-        while self.rows > 1 and self.rows * n * (total + self.l) > _BLOCK_SLOTS:
-            self.rows //= 2
+        self.rows = min(_CHUNK, max(1, _BLOCK_SLOTS // (n * (total + self.l))))  # trials a block
         self.pairs = np.triu_indices(n, 1)  # each pair (i, j), i < j, of participants counted from 0
         self.tolerance = scenario.decoy_tolerance
         self.secrets = scenario.secrets
@@ -356,10 +324,7 @@ class _Program:
         start = 1
         for end in [k for k in range(1, self.n) if k in self.tapped] + [self.n]:
             links = end - start + 1
-            if self.l:
-                drawn = trials.draws.run(_run_bounds(self.total, self.l, links))
-            else:  # without decoys nothing is drawn, but a tap still measures every carrier
-                drawn = np.zeros((len(trials), 0), dtype=np.int64)
+            drawn = trials.draws.run(_run_bounds(self.total, self.l, links))
             if end in self.tapped:
                 passed = self._tap(trials, end, drawn[:, drawn.shape[1] - drawn.shape[1] // links :])
                 self.abort(np.count_nonzero(~passed), 2, proto.CAUSE_DECOY)

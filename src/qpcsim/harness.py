@@ -43,7 +43,7 @@ _Z95 = 1.959963984540054
 # (at most m = 16, 32 decoys and 10^4 trials), so that a config cannot ask
 # one trial for billions of draws or a run for years of trials.
 MAX_M = 4096
-MAX_DECOY_COUNT = 4096
+MAX_DECOY_COUNT = 2 * MAX_M  # the default 2m decoys at the largest m
 MAX_CHECK_ROUNDS = 4096
 MAX_TRIALS = 10_000_000
 # Bound on run_scenario's jobs.  A call uses at most MAX_JOBS - 1 trial

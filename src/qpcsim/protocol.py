@@ -350,32 +350,26 @@ def _distribute(
 
     Nothing draws between two links unless the first is tapped, so one
     ``interleave`` call draws every link up to and including the next
-    tapped one, and only a tapped link's decoy slots are worked out.  A
-    link whose decoys all arrive as prepared passes without a measurement;
-    otherwise each decoy is measured in its prepared basis, which draws
-    only for a decoy a tap left in the other basis.
+    tapped one.  Only a tapped link's decoys are put in flight: an untapped
+    link's arrive as prepared and pass.  A tapped link's decoys are each
+    measured in their prepared basis, which draws only for a decoy the tap
+    left in the other basis.
     """
     n = registers.particles
-    slots = registers.slots
     carriers = registers.n // n
     taps = [run.taps(k) for k in range(1, n + 1)]
     start = 1
     for end in [k for k in range(1, n) if taps[k - 1]] + [n]:
         for k, (decoys, placement) in enumerate(interleave(carriers, decoy_count, end - start + 1, rng), start):
-            first = len(slots)
-            slots.extend(decoys)  # in flight, as add_photons puts them; drawn in 0..3
             if taps[k - 1]:
-                decoy_ids = range(first, first + decoy_count)
+                decoy_ids = registers.add_photons(decoys)
                 slot_ids = replay_choice(carriers + decoy_count, decoy_count, placement)
                 link = Link(registers, range(k - 1, registers.n, n), decoy_ids, slot_ids)
                 QuantumChannel(roles.announcers[0], f"P{k}", taps[k - 1]).transmit(link, rng)
-            arrived = slots[first : first + decoy_count]
-            if arrived == decoys:
-                report = CheckReport(True, 0, decoy_count)
-            else:
                 bases = [d >> 1 for d in decoys]
-                results = registers.measure(range(first, first + decoy_count), bases, rng)
-                report = public_discussion(bases, results, decoys, decoy_tolerance)
+                report = public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, decoy_tolerance)
+            else:
+                report = CheckReport(True, 0, decoy_count)
             t.decoy_checks.append(
                 {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
             )

@@ -154,8 +154,7 @@ class Rows:
     ``Stream``, each call returning an array with a row per trial, so that
     every row draws, value for value, what its trial's ``Stream`` draws.
 
-    A row has its own cursor: one number while every row has drawn alike,
-    an array once their draws differ.  Every row's outputs are fetched
+    Each row has its own cursor.  Every row's outputs are fetched
     ``RAW_WORDS`` words at a time, as a ``Stream`` fetches them, whenever a
     row reads past those fetched.  Where Lemire's rule redraws a bounded
     draw of a row, that row draws again on its own, as its ``Stream`` does.
@@ -167,7 +166,7 @@ class Rows:
         self._sources = list(bit_generators)
         self._words = np.zeros((len(self._sources), 0), dtype=np.uint32)  # each row's 32-bit outputs
         self._starts = np.zeros(len(self._sources), dtype=np.int64)  # where each row starts in ``_words.ravel()``
-        self._at = 0
+        self._at = np.zeros(len(self._sources), dtype=np.int64)  # each row's next unread output
 
     def __len__(self) -> int:
         return len(self._sources)
@@ -177,8 +176,7 @@ class Rows:
         self._sources = [source for source, kept in zip(self._sources, rows.tolist()) if kept]
         self._words = self._words[rows]
         self._starts = self._starts[: len(self._sources)]
-        if np.ndim(self._at):
-            self._at = self._at[rows]
+        self._at = self._at[rows]
 
     def _fetch(self, short: int) -> None:
         """Fetch at least ``short`` more outputs for every row."""
@@ -192,15 +190,10 @@ class Rows:
 
     def _outputs(self, count: int) -> np.ndarray:
         """The next ``count`` outputs of each row, left unread."""
-        at, width = self._at, self._words.shape[1]
-        if not np.ndim(at):
-            if at + count > width:
-                self._fetch(at + count - width)
-            return self._words[:, at : at + count]
-        end = at.max(initial=0) + count
-        if end > width:
-            self._fetch(end - width)
-        return self._words.ravel().take((at + self._starts)[:, None] + np.arange(count))
+        short = self._at.max(initial=0) + count - self._words.shape[1]
+        if short > 0:
+            self._fetch(short)
+        return self._words.ravel().take((self._at + self._starts)[:, None] + np.arange(count))
 
     def _take(self, count: int) -> np.ndarray:
         values = self._outputs(count)
@@ -211,8 +204,6 @@ class Rows:
         """Row ``row``'s draws below ``bounds`` (each above 1) taken again,
         one at a time as ``Stream.below`` takes them, from ``back`` outputs
         before its cursor; the cursor moves past them."""
-        if not np.ndim(self._at):
-            self._at = np.full(len(self), self._at, dtype=np.int64)
         at, values = int(self._at[row]) - back, []
         for bound, threshold in zip(bounds.tolist(), thresholds.tolist()):
             while True:

@@ -69,7 +69,7 @@ def test_the_covered_battery_scenarios():
 def test_covered_battery_scenarios_count_as_the_scalar_trial(key):
     offset, template = _SCENARIOS[key]
     scenario = replace(template, seed=1000 * 20 + offset)
-    # A share from 0, and one that starts and ends inside 64-trial blocks.
+    # A share from 0, and one that starts and ends inside 64-trial chunks of TrialSeeds.
     _assert_same(scenario, 0, 200)
     _assert_same(scenario, 37, 171)
 
@@ -150,7 +150,7 @@ def test_a_shape_split_into_smaller_blocks_counts_as_the_scalar_trial(monkeypatc
 @pytest.mark.parametrize("key", COVERED)
 def test_covered_battery_scenarios_split_into_blocks_of_8_count_as_the_scalar_trial(monkeypatch, key):
     # Every adversary kind's program, run 8 trials a block: the share starts
-    # and ends inside blocks, and crosses two 64-trial chunks.
+    # and ends inside blocks, and crosses two 64-trial chunks of TrialSeeds.
     offset, template = _SCENARIOS[key]
     scenario = replace(template, seed=1000 * 22 + offset)
     program = block._Program(scenario, scenario.strategy())

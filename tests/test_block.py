@@ -1,6 +1,8 @@
 """The block engine against the scalar trial: for every scenario it covers,
 its counters are exactly the summed ``_extract(run_trial(...))`` counters,
-zero-valued keys included, and no trial of it goes through ``run_trial``."""
+zero-valued keys included, and no trial of it goes through ``run_trial``.
+Its one measurement is also held against a ``GhzRegister`` per row, call by
+call."""
 
 import importlib.util
 import json
@@ -9,6 +11,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,9 @@ from qpcsim import block, harness
 from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT,
                                 KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, POLICY_PAIRED,
                                 POLICY_RANDOM)
+from qpcsim.ghz import HELD, GhzRegister, ghz_from_index
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
-from qpcsim.stream import RAW_WORDS, Stream
+from qpcsim.stream import RAW_WORDS, Rows, Stream
 from qpcsim.suites import _SCENARIOS
 from test_golden import _stats_cases
 
@@ -249,8 +253,9 @@ def _intercept_scenarios(draw):
     l = draw(st.integers(1, 40))
     policy = draw(st.sampled_from([policy for policy in harness.SECRET_POLICIES if policy != "forced_unequal"]))
     values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
-    # Any tapped links, in any order: the first tapped one may be the last link.
-    params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))}
+    # Any tapped links, in any order and with repeats, as a config may list
+    # them: the first tapped one may be the last link.
+    params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n + 1))}
     # Any victim or none, its link tapped or not: the attacker's coins are drawn in the engine.
     victim = draw(st.none() | st.integers(1, n))
     if victim is not None:
@@ -303,7 +308,7 @@ def _any_kind_scenarios(draw):
         c = 0
         params = {"true_state": draw(_spec(n))} if draw(st.booleans()) else {}
     else:
-        params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))}
+        params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n + 1))}  # repeats included
         victim = draw(st.none() | st.integers(1, n))
         if victim is not None:
             params["victim"] = victim
@@ -322,6 +327,123 @@ def _any_kind_scenarios(draw):
 def test_random_shapes_of_every_kind_count_as_the_scalar_trial(scenario, start, length):
     scenario.validate()
     _assert_same(scenario, start, start + length)
+
+
+# ---------------------------------------------------------------------------
+# The block's measurement against a GhzRegister per row, call by call
+# ---------------------------------------------------------------------------
+
+
+def _random_block(plan, count, n, total, photons):
+    """``count`` trials of ``total`` random registers, each a GHZ state or a
+    product state, and ``photons`` decoys: the block's ``_Trials``, and a
+    ``GhzRegister`` and a ``Stream`` per row that hold and draw the same."""
+    product = plan.integers(0, 2, size=(count, total)).astype(bool)
+    specs = [[ghz_from_index(int(i), n) for i in row] for row in plan.integers(1, 2**n + 1, size=(count, total))]
+    q = np.where(product[..., None], plan.integers(0, 2, size=(count, total, n)),
+                 [[spec.q for spec in row] for row in specs]).astype(np.int8)
+    delta = np.where(product, 0, [[spec.delta for spec in row] for row in specs]).astype(np.int8)
+    states = block._States(q, delta, product)
+    seeds = plan.integers(0, 2**63, size=count).tolist()
+    trials = block._Trials(Rows(np.random.PCG64(seed) for seed in seeds), np.zeros((count, n, 1), dtype=np.int8),
+                           states, states, photons)
+    decoys = plan.integers(0, 4, size=(count, photons))
+    trials.slot[:, n * total :] = decoys
+    rows = []
+    for row, seed in enumerate(seeds):
+        registers = GhzRegister.__new__(GhzRegister)  # a product register's branch is set from the start
+        registers._hold(list(map(tuple, q[row].tolist())), [0 if p else None for p in product[row].tolist()],
+                        delta[row].tolist())
+        registers.add_photons(decoys[row].tolist())
+        rows.append((registers, Stream(np.random.PCG64(seed))))
+    return trials, rows
+
+
+def _register_id(n, total, at):
+    """A row's ``GhzRegister`` id of the block's id ``at``: particle k of
+    register r is ``(k - 1) * total + r`` in the block and ``r * n + k - 1``
+    in the register; photons follow the particles in both."""
+    return at % total * n + at // total if at < n * total else at
+
+
+def _random_call(plan, trials, n, total):
+    """A random ``measure`` call's ids and bases, a row per trial, and
+    whether it forwards: a tap, which measures particle k of every register
+    in register order, in random bases, with decoys at random slots; a step
+    on some registers' held particles, each register's ascending and in
+    one basis, with photons among them; or photons alone.  None if no call
+    of the kind drawn is left."""
+    count, width = trials.slot.shape
+    held = trials.slot[:, : n * total].reshape(count, n, total) == HELD
+    kind = int(plan.integers(0, 3))
+    links = np.flatnonzero(held.all(axis=(0, 2)))
+    if kind == 0:
+        if not len(links):
+            return None
+        k, decoys = int(plan.choice(links)), int(plan.integers(0, width - n * total + 1))
+        ids = np.empty((count, total + decoys), dtype=np.int64)
+        for row in ids:
+            decoy = np.zeros(total + decoys, dtype=bool)
+            decoy[plan.choice(total + decoys, decoys, replace=False)] = True
+            row[decoy] = np.sort(plan.choice(np.arange(n * total, width), decoys, replace=False))
+            row[~decoy] = k * total + np.arange(total)
+        return ids, plan.integers(0, 2, size=ids.shape), True
+    counts = held.sum(axis=1)  # (trial, register)
+    size = groups = 0
+    if kind == 1 and counts.max(axis=1).min():
+        size = int(plan.integers(1, counts.max(axis=1).min() + 1))
+        groups = int(plan.integers(1, (counts >= size).sum(axis=1).min() + 1))
+    # Photons: the decoys, and what a tap forwarded in a particle's place.
+    free = [np.flatnonzero(slots >= 0) for slots in trials.slot]
+    extra = int(plan.integers(0 if groups else 1, min(map(len, free)) + 1)) if min(map(len, free)) else 0
+    if not groups + extra:
+        return None
+    ids, bases = [], []
+    for row in range(count):
+        row_ids, row_bases = [], []
+        for r in [r for r in plan.permutation(total) if counts[row, r] >= size][:groups]:
+            row_ids += (np.sort(plan.choice(np.flatnonzero(held[row, :, r]), size, replace=False)) * total + r).tolist()
+            row_bases += [int(plan.integers(0, 2))] * size
+        for at in plan.choice(free[row], extra, replace=False).tolist():
+            place = int(plan.integers(0, len(row_ids) + 1))
+            row_ids.insert(place, at)
+            row_bases.insert(place, int(plan.integers(0, 2)))
+        ids.append(row_ids)
+        bases.append(row_bases)
+    return np.array(ids), np.array(bases), False
+
+
+def test_measure_draws_as_a_register_per_row_call_by_call():
+    # Each call's outcomes, each register's branch, parity and particles
+    # held, every slot, and the draws after the calls, against a
+    # ``GhzRegister.measure`` per row.
+    plan = np.random.default_rng(np.random.SeedSequence(entropy=7717))
+    calls = {"tap": 0, "step": 0, "photons": 0}
+    for _ in range(60):
+        count, n, total, photons = (int(plan.integers(1, 6)), int(plan.integers(2, 6)), int(plan.integers(1, 7)),
+                                    int(plan.integers(0, 7)))
+        trials, rows = _random_block(plan, count, n, total, photons)
+        for _ in range(10):
+            call = _random_call(plan, trials, n, total)
+            if call is None:
+                continue
+            ids, bases, forward = call
+            calls["tap" if forward else "photons" if (ids >= n * total).all() else "step"] += 1
+            out = trials.measure(ids, bases, forward)
+            for row, (registers, stream) in enumerate(rows):
+                ref_ids = [_register_id(n, total, at) for at in ids[row].tolist()]
+                assert out[row].tolist() == registers.measure(ref_ids, bases[row].tolist(), stream, forward)
+                assert [None if b < 0 else b for b in trials.branch[row].tolist()] == registers.branch
+                assert trials.parity[row].tolist() == registers.parity
+                assert trials.held[row].tolist() == [registers.slots[r * n : (r + 1) * n].count(HELD)
+                                                     for r in range(total)]
+                assert trials.slot[row].tolist() == [registers.slots[_register_id(n, total, at)]
+                                                     for at in range(trials.slot.shape[1])]
+        next_draws = trials.draws.bits(3, 32)
+        for row, (_, stream) in enumerate(rows):
+            assert next_draws[row].tolist() == stream.bits(3, 32)
+    # Every kind of call is reached, so the comparison is not vacuous.
+    assert calls["tap"] > 30 and calls["step"] > 150 and calls["photons"] > 50
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def test_size_fields_are_bounded(base, field, bound):
         scenario_from_config({**doc, field: bound + 1})
 
 
+def test_the_default_decoy_count_lies_inside_its_bound():
+    # The default 2m decoys reach the bound an explicit decoy_count has at the largest m.
+    scenario = Scenario(m=MAX_M)
+    scenario.validate()
+    assert scenario.effective_decoy_count() == MAX_DECOY_COUNT
+    assert scenario_from_config({"schema_version": 1, "m": MAX_M, "decoy_count": MAX_DECOY_COUNT}).m == MAX_M
+
+
 def test_zhang_requires_two_participants():
     with pytest.raises(ConfigError, match="`n`"):
         Scenario(protocol="zhang_baseline", n=3, m=2, trials=5, seed=1).validate()

@@ -378,7 +378,7 @@ def _random_call(plan, trials, n, total):
     kind = int(plan.integers(0, 3))
     links = np.flatnonzero(held.all(axis=(0, 2)))
     if kind == 0:
-        if not len(links):
+        if not links.size:
             return None
         k, decoys = int(plan.choice(links)), int(plan.integers(0, width - n * total + 1))
         ids = np.empty((count, total + decoys), dtype=np.int64)
@@ -395,7 +395,7 @@ def _random_call(plan, trials, n, total):
         groups = int(plan.integers(1, (counts >= size).sum(axis=1).min() + 1))
     # Photons: the decoys, and what a tap forwarded in a particle's place.
     free = [np.flatnonzero(slots >= 0) for slots in trials.slot]
-    extra = int(plan.integers(0 if groups else 1, min(map(len, free)) + 1)) if min(map(len, free)) else 0
+    extra = int(plan.integers(0, min(map(len, free)) + 1))
     if not groups + extra:
         return None
     ids, bases = [], []

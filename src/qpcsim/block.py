@@ -14,8 +14,8 @@ trial's own ``Stream`` would draw.  The registers are arrays with a trial
 axis, held as ``GhzRegister`` holds one trial's, and ``_Trials.measure``
 draws as ``GhzRegister.measure`` draws.
 
-A share runs in blocks of up to 64 trials from its first trial on, fewer
-where a trial holds many slots (``_BLOCK_SLOTS``).  A trial leaves the
+A share runs in blocks of up to ``_ROWS`` trials from its first trial on,
+fewer where a trial holds many slots (``_BLOCK_SLOTS``).  A trial leaves the
 block's arrays as soon as a check aborts it: the decoy check of a tapped
 link, the state check, or the cross-check of the two announcers' verdicts,
 which the arbiter then settles.  Every trial is counted as
@@ -35,7 +35,7 @@ from .adversaries import (DIFFERENT, IDENTICAL, KIND_NONE, POLICY_PAIRED, Classi
                           EveInterceptResend, ParticipantInfer, Tp1FakeInitialState)
 from .ghz import HELD, MEASURED, GhzSpec
 from .photons import _run_bounds
-from .stream import _CHUNK, Rows
+from .stream import Rows
 
 
 def covers(scenario, strategy) -> bool:
@@ -53,9 +53,19 @@ def covers(scenario, strategy) -> bool:
 # block's arrays grow with them: at n = 20, m = 4096 (327,680 slots a
 # trial) a block of 64 trials peaked at 807 MB, and a 64-trial share in
 # blocks of 6 at 146 MB; with 4096 decoys a link and every link tapped
-# (245,760 slots) one in blocks of 8 peaked at 134 MB.  Every battery,
-# golden and benchmark shape, at most 320 slots a trial, keeps blocks of 64.
+# (245,760 slots) one in blocks of 8 peaked at 134 MB; at n = 4, m = 256
+# (4,096 slots) a 1,024-trial share in blocks of ``_ROWS`` peaked at
+# 160 MB.  Every battery, golden and benchmark shape, at most 320 slots a
+# trial, runs in blocks of ``_ROWS``.
 _BLOCK_SLOTS = 2**21
+
+# The most trials a block holds.  Each block pays a fixed cost of small
+# numpy calls, about 0.5 ms.  A 10,000-trial share of the benchmark's
+# tp2_intercept shape (n = 3, m = 16; 2 vCPUs, Python 3.11, numpy 2.4)
+# took 0.21-0.27 s CPU in blocks of 256, 512 or 1,024 trials, against
+# 0.30-0.53 s in blocks of 64, and peaked at 41, 43 and 48 MB, against
+# 38.5 MB; blocks of 2,048 ran no faster and peaked at 57 MB.
+_ROWS = 512
 
 
 def decide(scenario, strategy, trials: range, generator: Callable[[int], object]) -> Dict[str, int]:
@@ -81,8 +91,8 @@ class _States(NamedTuple):
 @lru_cache(maxsize=8)  # a fixed preparation, for each run_scenario call that uses it
 def _registers(states: tuple) -> _States:
     """The registers of a preparation, a GhzSpec or a product state's bit
-    tuple each, with a trial axis of a full block.  A preparation repeats
-    a few state objects, each read once."""
+    tuple each, with a trial axis of ``_ROWS`` rows that all view one row.
+    A preparation repeats a few state objects, each read once."""
     distinct = {id(state): state for state in states}
     code = {key: i for i, key in enumerate(distinct)}
     which = np.array([code[id(state)] for state in states])
@@ -90,10 +100,10 @@ def _registers(states: tuple) -> _States:
     q = np.array([state.q if entangled else state for state, entangled in zip(distinct.values(), ghz)], dtype=np.int8)
     delta = np.array([state.delta if entangled else 0 for state, entangled in zip(distinct.values(), ghz)],
                      dtype=np.int8)
-    shared = [np.repeat(a[which][None], _CHUNK, axis=0) for a in (q, delta, ~np.array(ghz))]
-    for a in shared:  # every call that uses the preparation reads these
-        a.flags.writeable = False
-    return _States(*shared)
+    # Read-only views, shared by every call that uses the preparation: a
+    # copy a row would hold 84 MB a preparation at n = 20, m = 4096.
+    rows = [a[which] for a in (q, delta, ~np.array(ghz))]
+    return _States(*(np.broadcast_to(a, (_ROWS,) + a.shape) for a in rows))
 
 
 class _Trials:
@@ -167,8 +177,8 @@ class _Trials:
         if registers:
             drawn, settle = self._particles(ids, bases, held, drawn)
         taken = drawn.cumsum(axis=1)
-        bit = self.draws.peek(size).ravel().take(taken + (np.arange(-1, count * size - 1, size)[:, None]))
-        self.draws.skip(taken[:, -1])
+        bit = self.draws.peek(size).ravel().take(taken + (np.arange(count) * size - 1)[:, None])
+        self.draws.skip(drawn.sum(axis=1))
         out = np.where(drawn, bit, state & 1) if photons else bit
         if registers:
             out = np.where(held, settle(bit), out) if photons else settle(bit)
@@ -181,23 +191,28 @@ class _Trials:
         """``measure``'s draws on held particles: whether each id draws, and
         a function from the bits drawn to the held particles' outcomes that
         leaves their registers measured."""
-        count = len(ids)
-        n, total = self.q.shape[1:]
-        flat = ids + self.offsets
+        count, n, total = self.q.shape
         # Each held particle measured, by (trial, particle, register): 1 in
-        # Z and 2 in X, then whether it draws, then its outcome.
-        code = np.zeros(self.slot.shape, dtype=np.int8)
-        dense, particles = code.ravel(), code[:, : n * total].reshape(count, n, total)
-        dense[flat] = np.where(held, bases + 1, 0)
+        # Z and 2 in X, then whether it draws, then its outcome.  Every
+        # other id goes to its row's last column, which no held id reads.
+        at = np.where(held, ids, n * total)
+        code = np.zeros((count, n * total + 1), dtype=np.int8)
+        flat = at + np.arange(0, code.size, n * total + 1)[:, None]
+        dense = code.ravel()
+        dense[flat] = bases + 1
+        # Only particles lo..hi - 1 are measured: one for a tap, all n for a
+        # check round or the key measurement.
+        lo, hi = int(at.min()) // total, int(np.where(held, ids, 0).max()) // total + 1
+        particles, q = code[:, lo * total : hi * total].reshape(count, hi - lo, total), self.q[:, lo:hi]
         z, x = particles == 1, particles == 2
         unset = self.branch < 0
         first, carries = np.empty_like(z), np.empty_like(x)
         branching = unset
-        for k in range(n):
+        for k in range(hi - lo):
             first[:, k] = z[:, k] & branching
             branching = branching & ~z[:, k]
         last_x = unset & (x.sum(axis=1, dtype=np.int8) == self.held)
-        for k in reversed(range(n)):
+        for k in reversed(range(hi - lo)):
             carries[:, k] = x[:, k] & last_x
             last_x = last_x & ~x[:, k]
         x_draws = x & ~carries
@@ -209,7 +224,7 @@ class _Trials:
             # The branch a register drew, and the parity its X draws leave.
             branch = np.where(unset & ~branching, np.bitwise_or.reduce(particles & first, axis=1), self.branch)
             x_bits = np.bitwise_xor.reduce(particles & x_draws, axis=1)
-            particles[...] = np.where(z, self.q ^ branch[:, None],
+            particles[...] = np.where(z, q ^ branch[:, None],
                                       np.where(carries, (self.parity ^ x_bits)[:, None], particles))
             self.branch = branch.astype(np.int8)
             self.parity ^= x_bits
@@ -244,7 +259,7 @@ class _Program:
         self.c = c = scenario.effective_check_rounds()
         self.l = scenario.effective_decoy_count()
         self.total = total = self.roles.register_count(m, c)
-        self.rows = min(_CHUNK, max(1, _BLOCK_SLOTS // (n * (total + self.l))))  # trials a block
+        self.rows = min(_ROWS, max(1, _BLOCK_SLOTS // (n * (total + self.l))))  # trials a block
         self.pairs = np.triu_indices(n, 1)  # each pair (i, j), i < j, of participants counted from 0
         self.tolerance = scenario.decoy_tolerance
         self.secrets = scenario.secrets
@@ -354,8 +369,6 @@ class _Program:
         if self.scored:
             trials.tap_basis[:, k - 1] = bases[carrier].reshape(count, total)
             trials.tap_bit[:, k - 1] = bits[carrier].reshape(count, total)
-        if not l:
-            return np.ones(count, dtype=bool)
         # The check measures each decoy in its own basis: one the tap left
         # as prepared reads its bit without a draw.
         checked = trials.measure(np.broadcast_to(np.arange(first, first + l), (count, l)), decoys >> 1)

@@ -131,12 +131,29 @@ def test_the_engine_covers_exactly_the_benchmark_shapes_it_serves(monkeypatch):
     assert covered(_benchmark_scenarios(monkeypatch, "HONEST_SHAPES")) == set()
 
 
-def test_every_battery_golden_and_benchmark_shape_runs_in_blocks_of_64(monkeypatch):
+def test_every_battery_golden_and_benchmark_shape_runs_in_full_blocks(monkeypatch):
     scenarios = [scenario for _, scenario in _SCENARIOS.values()]
     scenarios += [harness.scenario_from_config(doc) for doc in _stats_cases().values()]
     for shapes_name in ("ATTACK_SHAPES", "HONEST_SHAPES"):
         scenarios += _benchmark_scenarios(monkeypatch, shapes_name).values()
-    assert {block._Program(scenario, scenario.strategy()).rows for scenario in scenarios} == {64}
+    assert {block._Program(scenario, scenario.strategy()).rows for scenario in scenarios} == {block._ROWS}
+
+
+def test_a_full_block_across_many_seed_chunks_counts_as_the_scalar_trial():
+    # A fixed preparation, read by a block of _ROWS trials that spans nine
+    # 64-trial chunks of TrialSeeds, and by a shorter last block.
+    offset, template = _SCENARIOS["fake_c8"]
+    scenario = replace(template, seed=1000 * 23 + offset)
+    assert block._Program(scenario, scenario.strategy()).rows == block._ROWS < 600 - 37
+    _assert_same(scenario, 37, 600)
+
+
+def test_a_fixed_preparation_is_held_as_one_row():
+    offset, template = _SCENARIOS["tamper_l4"]
+    program = block._Program(template, template.strategy())
+    for states in program.fixed:  # the true and the claimed states
+        for a in states:
+            assert a.shape[0] == block._ROWS and a.strides[0] == 0 and not a.flags.writeable
 
 
 @pytest.mark.parametrize("rows", [1, 8])
@@ -444,6 +461,20 @@ def test_measure_draws_as_a_register_per_row_call_by_call():
             assert next_draws[row].tolist() == stream.bits(3, 32)
     # Every kind of call is reached, so the comparison is not vacuous.
     assert calls["tap"] > 30 and calls["step"] > 150 and calls["photons"] > 50
+
+
+def test_an_empty_measure_draws_nothing():
+    # A zero-decoy check measures no id: each row's outcomes are empty, and
+    # its slots and draws are left as they were.
+    plan = np.random.default_rng(np.random.SeedSequence(entropy=7718))
+    trials, rows = _random_block(plan, 3, 3, 4, 2)
+    slot = trials.slot.copy()
+    out = trials.measure(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64))
+    assert out.shape == (3, 0)
+    assert (trials.slot == slot).all()
+    next_draws = trials.draws.bits(3, 32)
+    for row, (_, stream) in enumerate(rows):
+        assert next_draws[row].tolist() == stream.bits(3, 32)
 
 
 # ---------------------------------------------------------------------------

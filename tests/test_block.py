@@ -149,7 +149,7 @@ def test_a_full_block_across_many_seed_chunks_counts_as_the_scalar_trial():
 
 
 def test_a_fixed_preparation_is_held_as_one_row():
-    offset, template = _SCENARIOS["tamper_l4"]
+    _, template = _SCENARIOS["tamper_l4"]
     program = block._Program(template, template.strategy())
     for states in program.fixed:  # the true and the claimed states
         for a in states:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Dict, NamedTuple
 
 import numpy as np
@@ -52,19 +53,21 @@ def covers(scenario, strategy) -> bool:
 # The most particle and decoy slots a block holds, over all its trials.  A
 # block's arrays grow with them: at n = 20, m = 4096 (327,680 slots a
 # trial) a block of 64 trials peaked at 807 MB, and a 64-trial share in
-# blocks of 6 at 146 MB; with 4096 decoys a link and every link tapped
-# (245,760 slots) one in blocks of 8 peaked at 134 MB; at n = 4, m = 256
+# blocks of 6 at 140 MB; with 4096 decoys a link and every link tapped
+# (245,760 slots) one in blocks of 8 peaked at 130 MB; at n = 4, m = 256
 # (4,096 slots) a 1,024-trial share in blocks of ``_ROWS`` peaked at
-# 160 MB.  Every battery, golden and benchmark shape, at most 320 slots a
+# 147 MB.  Every battery, golden and benchmark shape, at most 320 slots a
 # trial, runs in blocks of ``_ROWS``.
 _BLOCK_SLOTS = 2**21
 
 # The most trials a block holds.  Each block pays a fixed cost of small
-# numpy calls, about 0.5 ms.  A 10,000-trial share of the benchmark's
-# tp2_intercept shape (n = 3, m = 16; 2 vCPUs, Python 3.11, numpy 2.4)
-# took 0.21-0.27 s CPU in blocks of 256, 512 or 1,024 trials, against
-# 0.30-0.53 s in blocks of 64, and peaked at 41, 43 and 48 MB, against
-# 38.5 MB; blocks of 2,048 ran no faster and peaked at 57 MB.
+# numpy calls, 0.2-0.5 ms a block of one trial of the benchmark's attack
+# shapes.  A 10,000-trial share of its tp2_intercept shape (n = 3, m = 16;
+# 2 vCPUs, Python 3.11, numpy 2.4, best of 5) took 0.15, 0.15 and 0.12 s
+# CPU in blocks of 256, 512 or 1,024 trials, against 0.24 s in blocks of
+# 64, and peaked at 40, 42 and 45 MB, against 39.5 MB; blocks of 2,048
+# took 0.12 s and peaked at 52 MB (``Rows`` fetching ``stream.FETCH_WORDS``
+# words a row at a time; 0.21-0.27 s and 41-48 MB at 390).
 _ROWS = 512
 
 
@@ -234,6 +237,13 @@ class _Trials:
         return drawn, settle
 
 
+@lru_cache(maxsize=None)  # one entry for each n up to ghz.MAX_PARTICLES
+def _pairs(n: int) -> tuple:
+    """Each pair (i, j), i < j, of n participants counted from 0: the
+    arrays of its i and of its j, in ``itertools.combinations`` order."""
+    return np.triu_indices(n, 1)
+
+
 def _first_unchecked(checked: np.ndarray, total: int, m: int) -> np.ndarray:
     """Each row's first m of ``total`` registers that its row of
     ``checked`` leaves out, ascending."""
@@ -260,7 +270,7 @@ class _Program:
         self.l = scenario.effective_decoy_count()
         self.total = total = self.roles.register_count(m, c)
         self.rows = min(_ROWS, max(1, _BLOCK_SLOTS // (n * (total + self.l))))  # trials a block
-        self.pairs = np.triu_indices(n, 1)  # each pair (i, j), i < j, of participants counted from 0
+        self.pairs = _pairs(n)
         self.tolerance = scenario.decoy_tolerance
         self.secrets = scenario.secrets
         self.strategy = strategy
@@ -277,9 +287,9 @@ class _Program:
         # each pair, when the verdict they compute is "identical" and when it
         # is "different".  A lone announcer is both, and stands unchecked.
         announcers = self.roles.announcers
-        pairs = [(i + 1, j + 1) for i, j in zip(*self.pairs)]
-        self.says = [[np.array([run.flip_verdict(announcer, pair, verdict) == DIFFERENT for pair in pairs])
-                      for verdict in (IDENTICAL, DIFFERENT)] for announcer in (announcers[0], announcers[-1])]
+        pairs = list(combinations(range(1, n + 1), 2))  # in the order of ``_pairs``
+        self.says = np.array([[[run.flip_verdict(announcer, pair, verdict) == DIFFERENT for pair in pairs]
+                               for verdict in (IDENTICAL, DIFFERENT)] for announcer in (announcers[0], announcers[-1])])
         self.cross_checked = len(announcers) > 1
         # Every trial's attack is scored, so these are bumped on every trial.
         always = ("attack_bits_guessed", "attack_bits_correct")

@@ -100,7 +100,8 @@ class Scenario:
         """The adversary this scenario names, built from its params."""
         return adversaries.strategy_from_config(self.adversary.kind, self.adversary.params, self.n)
 
-    def validate(self) -> None:
+    def validate(self) -> adversaries.AdversaryStrategy:
+        """Check every field; return the adversary strategy they name."""
         # A tuple, not the table: a list or object would be unhashable there.
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"field `protocol` must be one of {PROTOCOLS}, got {self.protocol!r}")
@@ -158,6 +159,7 @@ class Scenario:
             raise ConfigError(
                 f"field `adversary.kind` {strategy.kind} is not supported by the {self.protocol} protocol"
             )
+        return strategy
 
     def to_config(self) -> dict:
         doc = {"schema_version": SCHEMA_VERSION}
@@ -436,8 +438,8 @@ def _bit_generator(seeds: TrialSeeds, trial: int):
     return np.random.default_rng(seeds(trial)).bit_generator
 
 
-def _run_block(scenario: Scenario, start: int, stop: int) -> Dict[str, int]:
-    strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
+def _run_block(scenario: Scenario, strategy: adversaries.AdversaryStrategy, start: int, stop: int) -> Dict[str, int]:
+    seeds = TrialSeeds(scenario.seed)
     if block.covers(scenario, strategy):
         return block.decide(scenario, strategy, range(start, stop), partial(_bit_generator, seeds))
     totals: Dict[str, int] = {}
@@ -504,16 +506,17 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
     runs the first and one trial worker runs each of the others.  Workers
     start on first need and are reused for the life of this process, so
     only a process that makes several calls with ``jobs`` > 1 saves their
-    start-up.  Each call sends a worker its scenario and share in the
-    message; apart from that, a worker runs the modules as they were when it
-    started (a fork, on Linux), not as they are now.  A worker's exception
-    is raised here.  Any failed call terminates and joins every worker, and
-    workers also end when this process exits.
+    start-up.  Each call sends a worker its scenario, the scenario's
+    strategy (built once a call, by ``Scenario.validate``) and its share in
+    the message; apart from that, a worker runs the modules as they were
+    when it started (a fork, on Linux), not as they are now.  A worker's
+    exception is raised here.  Any failed call terminates and joins every
+    worker, and workers also end when this process exits.
     """
     if not _is_int(jobs) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
-    scenario.validate()
-    targets = scenario.strategy().targets(scenario)
+    strategy = scenario.validate()
+    targets = strategy.targets(scenario)
     trials = scenario.trials
     parts = min(trials, jobs)
     bounds = [round(i * trials / parts) for i in range(parts + 1)]
@@ -525,13 +528,13 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> TrialStats:
         # EOF or a reset pipe on the receive, depending on when it died.
         for (end, worker), start, stop in zip(used, bounds[1:-1], bounds[2:]):
             try:
-                end.send((scenario, start, stop))
+                end.send((scenario, strategy, start, stop))
             except OSError:
                 worker.join()
                 raise RuntimeError(
                     f"a trial worker exited with code {worker.exitcode} before its share was sent"
                 ) from None
-        totals = _run_block(scenario, bounds[0], bounds[1])
+        totals = _run_block(scenario, strategy, bounds[0], bounds[1])
         for end, worker in used:
             try:
                 part = end.recv()
@@ -569,9 +572,9 @@ def _stop_workers() -> None:
 
 
 def _serve(conn: Connection, parent_end: Connection) -> None:
-    """A trial worker's body: for each ``(scenario, start, stop)`` received,
-    send back the counters of trials ``start..stop``, or the exception they
-    raise, until the pipe reaches EOF."""
+    """A trial worker's body: for each ``(scenario, strategy, start, stop)``
+    received, send back the counters of trials ``start..stop``, or the
+    exception they raise, until the pipe reaches EOF."""
     # A forked worker inherits the parent end of its own pipe and of every
     # older worker's.  Holding none of them, each worker sees EOF, and ends,
     # once the parent is gone, even when the parent was killed.
@@ -584,9 +587,9 @@ def _serve(conn: Connection, parent_end: Connection) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
-            scenario, start, stop = conn.recv()
+            scenario, strategy, start, stop = conn.recv()
             try:
-                message = _run_block(scenario, start, stop)
+                message = _run_block(scenario, strategy, start, stop)
             except Exception as exc:  # noqa: BLE001 - raised again in the caller
                 message = exc
             conn.send(message)

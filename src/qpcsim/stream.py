@@ -35,9 +35,17 @@ import numpy as np
 # reads is 778 32-bit outputs (389 words), at n = 5, m = 16: the 698 it
 # draws at most before its key measurement, plus that measurement's
 # read-ahead of n * m = 80 fair bits (``GhzRegister.measure``).  The spare
-# word leaves room for Lemire redraws, each one output more.  ``Rows``
-# fetches each of its rows' outputs as many at a time.
+# word leaves room for Lemire redraws, each one output more.
 RAW_WORDS = 390
+
+# 64-bit outputs ``Rows`` fetches at least at once for each of its rows.  A
+# fetch costs a row one generator call, about 0.6 us, and 2.5 ns a word,
+# and the rows of the benchmark's attack shapes read 34 to 489 32-bit
+# outputs, most of them under 256.  A 25-row block that read 24 outputs at
+# a time (2 vCPUs, Python 3.11, numpy 2.4) took 44, 48 and 57 us to read 36
+# outputs at 64, 128 and 256 words a fetch, against 66 us at ``RAW_WORDS``
+# a fetch, and 262, 211 and 185 us to read 490, against 200 us.
+FETCH_WORDS = 128
 
 _LOW = 0xFFFFFFFF
 _EMPTY = np.zeros(0, dtype=np.uint32)
@@ -154,43 +162,61 @@ class Rows:
     ``Stream``, each call returning an array with a row per trial, so that
     every row draws, value for value, what its trial's ``Stream`` draws.
 
-    Each row has its own cursor.  Every row's outputs are fetched
-    ``RAW_WORDS`` words at a time, as a ``Stream`` fetches them, whenever a
-    row reads past those fetched.  Where Lemire's rule redraws a bounded
-    draw of a row, that row draws again on its own, as its ``Stream`` does.
+    Each row has its own cursor.  The rows' outputs sit in one
+    little-endian uint32 buffer, a row each, fetched only as far as the
+    rows read: a read past the fetched outputs fetches ``FETCH_WORDS``
+    words for every row, or as many as the read needs, and the buffer
+    grows by half at least when they overflow it.  A ``Stream`` fetches
+    ``RAW_WORDS`` at a time; the sizes differ, never the values.  Where
+    Lemire's rule redraws a bounded draw of a row, that row draws again on
+    its own, as its ``Stream`` does.
     """
 
-    __slots__ = ("_sources", "_words", "_starts", "_at")
+    __slots__ = ("_sources", "_words", "_filled", "_starts", "_at")
 
     def __init__(self, bit_generators) -> None:
         self._sources = list(bit_generators)
-        self._words = np.zeros((len(self._sources), 0), dtype=np.uint32)  # each row's 32-bit outputs
+        # Each row's 32-bit outputs, fetched into the first ``_filled`` columns.
+        self._words = np.zeros((len(self._sources), 0), dtype="<u4")
+        self._filled = 0
         self._starts = np.zeros(len(self._sources), dtype=np.int64)  # where each row starts in ``_words.ravel()``
         self._at = np.zeros(len(self._sources), dtype=np.int64)  # each row's next unread output
 
     def __len__(self) -> int:
         return len(self._sources)
 
+    def _resize(self, words: np.ndarray) -> None:
+        """Hold the rows' outputs in ``words``, a row each."""
+        self._words = words
+        self._starts = np.arange(0, words.size, words.shape[1])
+
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row where ``rows`` is false."""
         self._sources = [source for source, kept in zip(self._sources, rows.tolist()) if kept]
-        self._words = self._words[rows]
-        self._starts = self._starts[: len(self._sources)]
+        self._resize(self._words[rows, : self._filled])
         self._at = self._at[rows]
 
     def _fetch(self, short: int) -> None:
-        """Fetch at least ``short`` more outputs for every row."""
-        raw = np.empty((len(self._sources), max(RAW_WORDS, (short + 1) // 2)), dtype=np.uint64)
-        for row, source in enumerate(self._sources):
-            raw[row] = source.random_raw(raw.shape[1])
+        """Fetch at least ``short`` more outputs for every row, and at least
+        ``FETCH_WORDS`` words.  When they overflow the buffer it grows by half
+        at least, in whole words: doubling held the filled outputs of a large
+        block in up to twice their memory (CI's `full` shape peaked at 177 MB
+        against 148 MB)."""
+        words = max(FETCH_WORDS, (int(short) + 1) // 2)
+        start, end = self._filled, self._filled + 2 * words
+        if end > self._words.shape[1]:
+            grown = np.empty((len(self._sources), max(end, self._words.shape[1] * 3 // 4 * 2)), dtype="<u4")
+            grown[:, :start] = self._words[:, :start]
+            self._resize(grown)
         # An explicit little-endian view puts the low half first on any host.
-        fresh = raw.astype("<u8", copy=False).view("<u4")
-        self._words = np.concatenate((self._words, fresh), axis=1)
-        self._starts = np.arange(0, self._words.size, self._words.shape[1])
+        raw = self._words.view("<u8")
+        for row, source in enumerate(self._sources):
+            raw[row, start // 2 : end // 2] = source.random_raw(words)
+        self._filled = end
 
     def _outputs(self, count: int) -> np.ndarray:
         """The next ``count`` outputs of each row, left unread."""
-        short = self._at.max(initial=0) + count - self._words.shape[1]
+        short = self._at.max(initial=0) + count - self._filled
         if short > 0:
             self._fetch(short)
         return self._words.ravel().take((self._at + self._starts)[:, None] + np.arange(count))
@@ -207,7 +233,7 @@ class Rows:
         at, values = int(self._at[row]) - back, []
         for bound, threshold in zip(bounds.tolist(), thresholds.tolist()):
             while True:
-                if at == self._words.shape[1]:
+                if at == self._filled:
                     self._fetch(1)
                 m = int(self._words[row, at]) * bound
                 at += 1
@@ -281,7 +307,7 @@ class Rows:
         if _tail_shuffle(population, size):
             chosen = np.zeros((len(draws), population), dtype=bool)
             for row, drawn in enumerate(draws.tolist()):
-                chosen[row, replay_choice(population, size, drawn)] = True
+                chosen[row, _shuffled_tail(population, size, drawn)] = True
             return chosen
         chosen = np.zeros(len(draws) * population, dtype=bool)  # a row per trial, flat
         starts = np.arange(len(draws)) * population
@@ -319,15 +345,22 @@ def replay_choice(population: int, size: int, draws: Sequence[int]) -> List[int]
     """The sample, ascending, that ``choice(population, size, replace=False)``
     makes from ``draws``, the values drawn under ``choice_bounds``."""
     if _tail_shuffle(population, size):
-        moved = {}  # the shuffled positions of range(population) that moved
-        for i, j in zip(range(population - 1, max(population - size, 1) - 1, -1), draws):
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return sorted(moved.get(i, i) for i in range(population - size, population))
+        return sorted(_shuffled_tail(population, size, draws))
     chosen = set()
     # The shuffle draws that follow only reorder the sample.
     for j, value in zip(range(population - size, population), draws):
         chosen.add(j if value in chosen else value)
     return sorted(chosen)
+
+
+def _shuffled_tail(population: int, size: int, draws: Sequence[int]) -> List[int]:
+    """The sample a tail shuffle makes from ``draws``, in shuffled order:
+    the last ``size`` of ``range(population)`` once each is swapped with
+    the one its draw names."""
+    order = list(range(population))
+    for i, j in zip(range(population - 1, max(population - size, 1) - 1, -1), draws):
+        order[i], order[j] = order[j], order[i]
+    return order[population - size :]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit
@@ -353,6 +386,34 @@ def _mix(x: int, y: int) -> int:
     return value ^ value >> 16
 
 
+@lru_cache(maxsize=8)
+def _hashes(words: int) -> tuple:
+    """What SeedSequence's hash of a seed of ``words`` 32-bit words (at
+    least the pool's four), then of a trial's word, uses whatever the words:
+    the (xored, multiplier) pair of each hash of the seed's words, in turn,
+    then the trial word's pairs, one for each pool word it is hashed into,
+    as two arrays.  A hash xors its word with a multiplier that then steps
+    on before it multiplies."""
+    steps, multiplier = [], _INIT_A
+    for _ in range(_POOL * words + _POOL):  # the pool's words, their mixing, the seed's other words, the trial's
+        stepped = multiplier * _MULT_A & _LOW
+        steps.append((multiplier, stepped))
+        multiplier = stepped
+    xored, multipliers = (np.array(column, dtype=np.uint32) for column in zip(*steps[-_POOL:]))
+    return steps[:-_POOL], xored, multipliers
+
+
+@lru_cache(maxsize=None)
+def _register_trial_seed() -> None:
+    """Make ``TrialSeed`` an ISeedSequence, the seed object numpy's bit
+    generators take, once.  Not at import: importing numpy.random with
+    qpcsim, before a run's first trial, raised a run's peak RSS by about
+    1 MB (perfbench attack_mix, Python 3.11, numpy 2.4)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(TrialSeed)
+
+
 class TrialSeeds:
     """The seed of each trial of one run: for trial t,
     ``SeedSequence(entropy=seed, spawn_key=(t,))``, made without building
@@ -373,26 +434,18 @@ class TrialSeeds:
     def __init__(self, seed: int) -> None:
         if seed < 0:
             raise ValueError(f"a seed must be nonnegative, got {seed}")
-        # numpy's bit generators take a seed object that is an
-        # ISeedSequence.  Registered here and not at import: importing
-        # numpy.random with qpcsim, before a run's first trial, raised a
-        # run's peak RSS by about 1 MB (perfbench attack_mix, Python 3.11,
-        # numpy 2.4).
-        from numpy.random.bit_generator import ISeedSequence
-
-        ISeedSequence.register(TrialSeed)
+        _register_trial_seed()
         words = [seed & _LOW]
         while seed > _LOW:
             seed >>= 32
             words.append(seed & _LOW)
         words += [0] * (_POOL - len(words))
-        multiplier = _INIT_A
+        steps, self._xored, self._multipliers = _hashes(len(words))
+        steps = iter(steps)
 
         def hashed(word: int) -> int:
-            nonlocal multiplier
-            word ^= multiplier
-            multiplier = multiplier * _MULT_A & _LOW
-            word = word * multiplier & _LOW
+            xored, multiplier = next(steps)
+            word = (word ^ xored) * multiplier & _LOW
             return word ^ word >> 16
 
         pool = [hashed(word) for word in words[:_POOL]]
@@ -404,11 +457,6 @@ class TrialSeeds:
             for dst in range(_POOL):
                 pool[dst] = _mix(pool[dst], hashed(word))
         self._mixed = _MIX_L * np.array(pool, dtype=np.uint32)  # as the mix takes it
-        # The trial's word is hashed into each pool word in turn, each time
-        # with the multiplier as it then stands.
-        steps = [multiplier * pow(_MULT_A, d, 2**32) & _LOW for d in range(_POOL + 1)]
-        self._xored = np.array(steps[:-1], dtype=np.uint32)
-        self._multipliers = np.array(steps[1:], dtype=np.uint32)
         self._first, self._states = -1, None
 
     def __call__(self, trial: int) -> "TrialSeed":

@@ -22,7 +22,7 @@ from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_
                                 POLICY_RANDOM)
 from qpcsim.ghz import HELD, GhzRegister, ghz_from_index
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
-from qpcsim.stream import RAW_WORDS, Rows, Stream
+from qpcsim.stream import FETCH_WORDS, Rows, Stream
 from qpcsim.suites import _SCENARIOS
 from test_golden import _stats_cases
 
@@ -60,7 +60,7 @@ def _assert_same(scenario, start, stop):
     expected = _scalar(scenario, range(start, stop))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "run_trial", _unreached)
-        assert harness._run_block(scenario, start, stop) == expected
+        assert harness._run_block(scenario, scenario.strategy(), start, stop) == expected
 
 
 def test_the_covered_battery_scenarios():
@@ -647,4 +647,6 @@ def test_a_shape_that_reads_past_one_fetch_is_decided_in_the_engine(scenario):
     counters = block.decide(scenario, strategy, range(3, 70),
                             lambda trial: _Counted(harness._bit_generator(seeds, trial), fetched))
     assert counters == _scalar(scenario, range(3, 70))
-    assert len(fetched) > 67 and set(fetched) == {RAW_WORDS}  # some row fetched a second time
+    # Some row fetched a second time, and no fetch took fewer than FETCH_WORDS
+    # words (tests/test_stream.py pins how many more).
+    assert len(fetched) > 67 and min(fetched) == FETCH_WORDS

@@ -9,7 +9,8 @@ numpy.
 import numpy as np
 import pytest
 
-from qpcsim.stream import RAW_WORDS, Bounds, Rows, Stream, _choice_bounds, _tail_shuffle, choice_bounds, replay_choice
+from qpcsim.stream import (FETCH_WORDS, RAW_WORDS, Bounds, Rows, Stream, _choice_bounds, _tail_shuffle, choice_bounds,
+                           replay_choice)
 
 # Lemire's rule redraws about half the time for a bound just above 2^31.
 _REJECTING = (2**31 + 1, 2**31 + 3, 3 * 2**30 + 1)
@@ -241,6 +242,44 @@ def test_rows_fetch_as_their_streams_fetch_past_one_fetch():
         stream.peek(skip)  # a stream skips only bits it has peeked
         stream.skip(skip)
     assert rows.peek(5).tolist() == [stream.peek(5) for stream in streams]
+    assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]
+
+
+def test_rows_fetch_as_far_as_their_rows_read():
+    # Each fetch takes FETCH_WORDS words from every row, or the words one
+    # read needs past the filled outputs where that is more.
+    sources = [_Source(make_rng(13, r).bit_generator) for r in range(2)]
+    rows = Rows(sources)
+    streams = [Stream(make_rng(13, r).bit_generator) for r in range(2)]
+    for count, read in ((3, 2 * FETCH_WORDS), (2 * FETCH_WORDS - 3, 2 * FETCH_WORDS), (1, 4 * FETCH_WORDS),
+                        (6 * FETCH_WORDS, 8 * FETCH_WORDS + 2)):
+        assert rows.bits(count, 32).tolist() == [stream.bits(count, 32) for stream in streams]
+        assert [source.read for source in sources] == [read, read], count
+
+
+def test_a_redraw_and_a_keep_cross_the_end_of_the_filled_outputs():
+    # Four fetches fill 8 * FETCH_WORDS outputs of a buffer of 9 * FETCH_WORDS.
+    # Rows 0 and 2 read a 0, which a bound of 3 redraws, at the last filled
+    # output, so their redraws fetch; then row 1 leaves, and the others read
+    # on past the filled outputs and the buffer.
+    filled = 8 * FETCH_WORDS
+    replaced = [{filled - 1: 0}, {}, {filled - 1: 0}]
+
+    def sources():
+        return [_Source(make_rng(14, r).bit_generator, doctored) for r, doctored in enumerate(replaced)]
+
+    fetched = sources()
+    rows, streams = Rows(fetched), [Stream(source) for source in sources()]
+    for count in (1, filled // 4, filled // 4, filled // 4, filled // 4 - 2):
+        assert rows.bits(count, 32).tolist() == [stream.bits(count, 32) for stream in streams]
+    assert [source.read for source in fetched] == [filled] * 3
+    assert rows.below(np.array([3, 3, 3])).tolist() == [stream.below(3) for stream in streams]
+    assert [source.read for source in fetched] == [filled + 2 * FETCH_WORDS] * 3
+    rows.keep(np.array([True, False, True]))
+    del streams[1]
+    assert rows.bits(filled // 2, 32).tolist() == [stream.bits(filled // 2, 32) for stream in streams]
+    assert [source.read for source in fetched] == [filled + 4 * FETCH_WORDS + 2, filled + 2 * FETCH_WORDS,
+                                                   filled + 4 * FETCH_WORDS + 2]
     assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]
 
 

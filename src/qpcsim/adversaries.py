@@ -22,7 +22,9 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ConfigError
 from .ghz import Basis, GhzSpec, pair_xor
@@ -65,6 +67,9 @@ class AdversaryStrategy:
 
     kind = KIND_NONE
     party = None  # the third party the attacker is, or None: an outsider or a participant
+    # The counters a run reports even at 0: ``_extract``'s of the
+    # ``AttackOutcome`` every kind but ``none`` (which ``block`` never runs) returns.
+    counts = ("attack_bits_guessed", "attack_bits_correct")
 
     def start_run(self) -> "AdversaryStrategy":
         """The object whose hooks one run calls: the strategy itself, or a
@@ -76,13 +81,25 @@ class AdversaryStrategy:
         of ``count`` registers of n particles, or None for the honest one."""
         return None
 
+    # ``taps``, ``tamper_positions`` and ``finalize`` each have an array
+    # twin: the same move for a block of trials (``block._Program``, whose
+    # ``_Trials`` draw through ``trials.draws``), which the engine makes only
+    # if one class defines the hook and its twin.
+
     def taps(self, link: int) -> Sequence:
         return ()
 
-    def tamper_positions(
-        self, true_positions: List[int], total: int, rng: Stream
-    ) -> List[int]:
+    def tap_rows(self, link: int) -> Optional[Callable]:
+        """None, or ``tap(trials, ids, carrier)`` measuring the link's slots
+        ``ids`` (``carrier``: the register particles) and forwarding them."""
+        return None
+
+    def tamper_positions(self, true_positions: List[int], total: int, rng: Stream) -> List[int]:
         return list(true_positions)
+
+    def tamper_rows(self, program, trials, positions: np.ndarray, check: Callable) -> np.ndarray:
+        """Whether each trial fails ``check`` of the positions P2..Pn receive."""
+        return check(positions)
 
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
         return verdict
@@ -90,6 +107,9 @@ class AdversaryStrategy:
     def finalize(self, t: "Transcript", rng: Stream) -> Optional[AttackOutcome]:
         """Score the finished (or aborted) run from its transcript."""
         return None
+
+    def finalize_rows(self, program, trials, kept: np.ndarray, keys: np.ndarray) -> None:
+        """Score completed trials from their comparison positions and keys."""
 
     def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
         """The exact rate, by metric name, that this kind's runs of ``scenario`` are held against."""
@@ -100,10 +120,6 @@ class AdversaryStrategy:
 # walking ``RunHandle.__subclasses__()``.
 RunHandle = AdversaryStrategy
 NONE = AdversaryStrategy()
-
-
-def _coin(rng: Stream) -> int:
-    return rng.below(2)
 
 
 def intercept_detection(l: int, links: int = 1, tolerance: int = 0) -> Fraction:
@@ -156,6 +172,18 @@ class EveInterceptResend(AdversaryStrategy):
 
         return (tap,)
 
+    def tap_rows(self, link: int) -> Optional[Callable]:
+        if link not in self.links:
+            return None
+
+        def tap(trials, ids, carrier):
+            bases = trials.draws.bits(ids.shape[1])
+            bits = trials.measure(ids, bases, forward=True)
+            if self.victim is not None:  # what the victim's guesses read: each register's basis << 1 | bit
+                trials.records[link] = (bases << 1 | bits)[carrier].reshape(len(trials), -1).astype(np.int8)
+
+        return tap
+
     def _guess_key_bit(self, t: "Transcript", position: int) -> Optional[int]:
         """Best key-bit guess for the victim from records + public traffic."""
         if self.use_spec_knowledge:
@@ -183,29 +211,53 @@ class EveInterceptResend(AdversaryStrategy):
         return None
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome()
         if t.aborted or self.victim is None:
-            return out
-        secret = t.secrets[self.victim - 1]
-        comp = t.comps[self.victim]
-        hits = 0
-        legit_hits = 0
+            return AttackOutcome()
+        secret, comp, bits = t.secrets[self.victim - 1], t.comps[self.victim], len(t.comparison_positions)
+        hits = legit_hits = 0
         for idx, position in enumerate(t.comparison_positions):
             k_hat = self._guess_key_bit(t, position)
-            if k_hat is None:
-                k_hat = _coin(rng)
-            if (k_hat ^ comp[idx]) == secret[idx]:
-                hits += 1
+            hits += ((rng.below(2) if k_hat is None else k_hat) ^ comp[idx]) == secret[idx]
             if self.use_spec_knowledge:
                 # Same guess made from the legitimate view alone (no records).
-                if (_coin(rng) ^ comp[idx]) == secret[idx]:
-                    legit_hits += 1
-        out.bits_guessed = len(t.comparison_positions)
-        out.bits_correct = hits
+                legit_hits += (rng.below(2) ^ comp[idx]) == secret[idx]
         if self.use_spec_knowledge:
-            out.extras["legit_bits_guessed"] = len(t.comparison_positions)
-            out.extras["legit_bits_correct"] = legit_hits
-        return out
+            return AttackOutcome(bits, hits, {"legit_bits_guessed": bits, "legit_bits_correct": legit_hits})
+        return AttackOutcome(bits, hits)
+
+    def finalize_rows(self, program, trials, kept, keys) -> None:
+        """The victim's key bit at each comparison position, read from a Z
+        intercept where the attacker can, else a coin."""
+        victim = self.victim
+        if victim is None:
+            return
+        (count, m), records = kept.shape, trials.records
+        rows = np.arange(count)[:, None]
+        key = keys[:, victim - 1]
+        known = np.zeros((count, m), dtype=bool)
+        guess = np.zeros((count, m), dtype=np.int64)
+        if self.use_spec_knowledge:
+            # A Z intercept on a tapped link, the first in ``links`` order,
+            # gives the branch and with it every participant's key bit.  Each
+            # bit also gets a coin, the same guess from the legitimate view alone.
+            q = trials.claimed_q[rows, kept]
+            for link in self.links:
+                seen = records[link][rows, kept]
+                read = ~known & (seen >> 1 == int(Basis.Z))
+                guess = np.where(read, q[..., victim - 1] ^ (seen & 1) ^ q[..., link - 1], guess)
+                known |= read
+            coins = trials.draws.coins(np.stack((~known, np.ones_like(known)), axis=2).reshape(count, 2 * m))
+            guess = np.where(known, guess, coins[:, 0::2])
+            program.bump("attack_legit_bits_guessed", count * m)
+            program.bump("attack_legit_bits_correct", np.count_nonzero(coins[:, 1::2] == key))
+        else:
+            # A stranger reads only a Z intercept on the victim's own link.
+            if victim in records:
+                seen = records[victim][rows, kept]
+                known, guess = seen >> 1 == int(Basis.Z), seen & 1
+            guess = np.where(known, guess, trials.draws.coins(~known))
+        program.bump("attack_bits_guessed", count * m)
+        program.bump("attack_bits_correct", np.count_nonzero(guess == key))
 
 
 @dataclass
@@ -265,39 +317,44 @@ class Tp1FakeInitialState(AdversaryStrategy):
         return (true_state,) * count, (claimed,) * count
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome()
         if t.aborted:
-            return out
+            return AttackOutcome()
+        positions, hits = t.comparison_positions, 0
         if TP in t.announcements:
             # The baseline's TP receives only c1 ^ c2, and knows k1 ^ k2 of
             # what it handed out, product or entangled alike: it reads
             # s1 ^ s2, one bit per comparison position.
-            for idx, position in enumerate(t.comparison_positions):
+            for idx, position in enumerate(positions):
                 true = t.true_states[position]
                 pad = pair_xor(true, 1, 2) if isinstance(true, GhzSpec) else true[0] ^ true[1]
-                guess = t.comps[1][idx] ^ t.comps[2][idx] ^ pad
-                out.bits_correct += int(guess == t.secrets[0][idx] ^ t.secrets[1][idx])
-            out.bits_guessed = len(t.comparison_positions)
-            return out
+                hits += t.comps[1][idx] ^ t.comps[2][idx] ^ pad == t.secrets[0][idx] ^ t.secrets[1][idx]
+            return AttackOutcome(len(positions), hits)
         # The preparer knows exactly what it handed out.  A product
         # preparation fixes every key bit; a wrong entangled preparation
         # still hides the branch, leaving it guessing.
-        hits = 0
-        bits = 0
         for participant in range(1, t.params["n"] + 1):
-            secret = t.secrets[participant - 1]
-            comp = t.comps[participant]
-            for idx, position in enumerate(t.comparison_positions):
+            secret, comp = t.secrets[participant - 1], t.comps[participant]
+            for idx, position in enumerate(positions):
                 true = t.true_states[position]
-                if isinstance(true, GhzSpec):
-                    k_hat = _coin(rng)
-                else:
-                    k_hat = true[participant - 1]
-                hits += int((k_hat ^ comp[idx]) == secret[idx])
-                bits += 1
-        out.bits_guessed = bits
-        out.bits_correct = hits
-        return out
+                k_hat = rng.below(2) if isinstance(true, GhzSpec) else true[participant - 1]
+                hits += (k_hat ^ comp[idx]) == secret[idx]
+        return AttackOutcome(t.params["n"] * len(positions), hits)
+
+    def finalize_rows(self, program, trials, kept, keys) -> None:
+        n, (count, m) = program.n, kept.shape
+        # (trial, participant, bit)
+        true_q = trials.q[np.arange(count)[:, None, None], np.arange(n)[:, None], kept[:, None]]
+        if not program.roles.monitored:
+            # The baseline's TP reads s1 ^ s2 from c1 ^ c2 and the pad k1 ^ k2
+            # of what it prepared.
+            program.bump("attack_bits_guessed", count * m)
+            program.bump("attack_bits_correct", np.count_nonzero(keys[:, 0] ^ keys[:, 1] == true_q[:, 0] ^ true_q[:, 1]))
+            return
+        # The preparer knows each key bit of its product preparation, and
+        # guesses each of an entangled one with a fair coin, as ``rng.below(2)`` draws it.
+        guess = true_q if self.true_state == "zeros" else trials.draws.bits(n * m).reshape(count, n, m)
+        program.bump("attack_bits_guessed", count * n * m)
+        program.bump("attack_bits_correct", np.count_nonzero(guess == keys))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +383,9 @@ class TpFakeResult(AdversaryStrategy):
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         return AttackOutcome()
+
+    def finalize_rows(self, program, trials, kept, keys) -> None:
+        """A flipped verdict guesses no bit."""
 
 
 @dataclass
@@ -357,9 +417,8 @@ class ParticipantInfer(AdversaryStrategy):
     kind = KIND_PARTICIPANT_INFER
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome()
         if t.aborted:
-            return out
+            return AttackOutcome()
         own = t.keys[self.attacker]
         comp = t.comps[self.victim]
         secret = t.secrets[self.victim - 1]
@@ -372,9 +431,18 @@ class ParticipantInfer(AdversaryStrategy):
                     raise ValueError("counterfactual inference needs an entangled preparation")
                 k_hat ^= pair_xor(true, self.attacker, self.victim)
             hits += int((k_hat ^ comp[idx]) == secret[idx])
-        out.bits_guessed = len(t.comparison_positions)
-        out.bits_correct = hits
-        return out
+        return AttackOutcome(len(t.comparison_positions), hits)
+
+    def finalize_rows(self, program, trials, kept, keys) -> None:
+        (count, m), attacker, victim = kept.shape, self.attacker - 1, self.victim - 1
+        guess = keys[:, attacker]
+        if self.counterfactual:
+            # Every preparation an inferring participant sees is the honest,
+            # entangled one, so ``pair_xor`` of its true state is defined.
+            rows = np.arange(count)[:, None]
+            guess = guess ^ trials.q[rows, attacker, kept] ^ trials.q[rows, victim, kept]
+        program.bump("attack_bits_guessed", count * m)
+        program.bump("attack_bits_correct", np.count_nonzero(guess == keys[:, victim]))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +471,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
     # (round, true position, substituted position), recorded during one run.
     tampered: List[Tuple[int, int, int]] = field(init=False, default_factory=list, repr=False, compare=False)
     kind = KIND_POSITION_TAMPER
+    counts = AdversaryStrategy.counts + ("attack_tampered", "attack_tampered_distinct")
 
     def start_run(self) -> "ClassicalPositionTamper":
         return replace(self)
@@ -432,9 +501,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
         specs = tuple(pair[p % 2] for p in range(count))
         return specs, specs
 
-    def tamper_positions(
-        self, true_positions: List[int], total: int, rng: Stream
-    ) -> List[int]:
+    def tamper_positions(self, true_positions: List[int], total: int, rng: Stream) -> List[int]:
         rounds_total = len(true_positions)
         wanted = min(self.count, rounds_total)
         if wanted == 0:
@@ -460,17 +527,60 @@ class ClassicalPositionTamper(AdversaryStrategy):
             self.tampered.append((r, p, target))
         return received
 
+    def tamper_rows(self, program, trials, positions, check):
+        draws, (count, c), total = trials.draws, positions.shape, program.total
+        wanted = min(self.count, c)
+        if not wanted:
+            return check(positions)
+        trial, rows = np.arange(count), np.arange(count)[:, None]
+        rounds = draws.sample(c, wanted)
+        received = positions.copy()
+        free = np.ones((count, total), dtype=bool)
+        free[rows, positions] = False
+        true_at = positions[rows, rounds]
+        # The paired preparation alternates, so the partner state sits at the
+        # positions of the other parity; a random substitute is any unchecked
+        # position.  A target used leaves the free ones.
+        if self.policy == POLICY_PAIRED:
+            partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None]
+        else:
+            partner = np.ones((1, wanted, 1), dtype=bool)
+        for i, r in enumerate(rounds.T):
+            # A round's target is one draw below its pool's size, if the pool
+            # holds any.
+            pool = (free & partner[:, i]).cumsum(axis=1)
+            size = pool[:, -1]
+            pick = draws.below(np.maximum(size, 1))
+            target = np.where(size > 0, (pool > pick[:, None]).argmax(axis=1), true_at[:, i])
+            received[trial, r] = target
+            free[trial, target] = False
+        failed = check(received)
+        # A substitute is distinct when its true state is not the one claimed
+        # for the round.  A tamperer's preparation, paired or honest, is
+        # claimed as prepared, so its true state is its claimed one.
+        tampered = received != positions
+        q, delta = trials.claimed_q, trials.claimed_delta
+        differs = ((q[rows, received] != q[rows, positions]).any(axis=2)
+                   | (delta[rows, received] != delta[rows, positions]))
+        tampers, distinct = tampered.sum(axis=1), (tampered & differs).sum(axis=1)
+        program.bump("attack_tampered", tampers.sum())
+        program.bump("attack_tampered_distinct", distinct.sum())
+        for key, hit in (("tamper_runs", tampers > 0), ("tamper_distinct_runs", (tampers > 0) & (distinct == tampers))):
+            program.bump(key, np.count_nonzero(hit))
+            program.bump(f"{key}_detected", np.count_nonzero(hit & failed))
+        return failed
+
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        out = AttackOutcome()
         distinct = sum(
             1
             for _, p, target in self.tampered
             if not isinstance(t.true_states[target], GhzSpec)
             or t.claimed_specs[p] != t.true_states[target]
         )
-        out.extras["tampered"] = len(self.tampered)
-        out.extras["tampered_distinct"] = distinct
-        return out
+        return AttackOutcome(extras={"tampered": len(self.tampered), "tampered_distinct": distinct})
+
+    def finalize_rows(self, program, trials, kept, keys) -> None:
+        """``tamper_rows`` counts the tampering."""
 
 
 # ---------------------------------------------------------------------------

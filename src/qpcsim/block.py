@@ -1,16 +1,11 @@
 """Steps 1-7 of a block of trials as arrays, and the adversary's score, for
 every adversary kind under either protocol and variant, with secrets that
-are never drawn again: intercept-resend taps (an outside Eve, or TP2 acting
-as one), fake preparations, verdict flips by either third party, an
-inferring participant and position tamperers of either policy, with any
-count of decoys, tolerated mismatches and check rounds.
+are never drawn again, and any count of decoys, tolerated mismatches and
+check rounds.  A kind makes its own moves through its array hooks.
 
 Each trial's draws are read through ``stream.Rows``, a row per trial, call
-for call as ``run_trial`` makes them through the trial's ``Stream``: the
-secrets, the honest preparation, each run of links, the taps' bases, the
-check positions, the tamperer's rounds and targets, the check bases, the
-measurements and the attacker's coins.  So every value is the one the
-trial's own ``Stream`` would draw.  The registers are arrays with a trial
+for call as ``run_trial`` makes them through the trial's ``Stream``, so
+every value is the one the trial's own ``Stream`` would draw.  The registers are arrays with a trial
 axis, held as ``GhzRegister`` holds one trial's, and ``_Trials.measure``
 draws as ``GhzRegister.measure`` draws.
 
@@ -25,15 +20,14 @@ which the arbiter then settles.  Every trial is counted as
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Dict, NamedTuple
 
 import numpy as np
 
 from . import protocol as proto
-from .adversaries import (DIFFERENT, IDENTICAL, KIND_NONE, POLICY_PAIRED, ClassicalPositionTamper,
-                          EveInterceptResend, ParticipantInfer, Tp1FakeInitialState)
+from .adversaries import DIFFERENT, IDENTICAL, KIND_NONE
 from .ghz import HELD, MEASURED, GhzSpec
 from .photons import _run_bounds
 from .stream import Rows
@@ -41,13 +35,27 @@ from .stream import Rows
 
 def covers(scenario, strategy) -> bool:
     """Whether the engine runs ``scenario``'s trials: those of every
-    adversary, but not those whose secrets a trial may draw again."""
+    adversary whose moves it can make, but not those whose secrets a trial
+    may draw again."""
     if scenario.secrets.policy == "forced_unequal":  # its redraw loop stays in harness._draw_secrets
         return False
-    # Honest trials wait for the benchmark to stop keeping every call's
-    # outcome (ROADMAP item 8): at the engine's speed its honest workload
-    # would make enough more calls to raise its peak RSS past its bound.
-    return strategy.kind != KIND_NONE
+    # Honest trials wait for the benchmark to fold each call's outcome as it
+    # goes (ROADMAP item 21 step a): at the engine's speed its honest
+    # workload would keep enough more calls to raise its peak RSS past its bound.
+    return strategy.kind != KIND_NONE and _twinned(type(strategy))
+
+
+# Each scalar hook the per-trial loop calls, and its array twin the engine calls.
+_TWINS = (("taps", "tap_rows"), ("tamper_positions", "tamper_rows"), ("finalize", "finalize_rows"))
+
+
+@lru_cache(maxsize=None)
+def _twinned(kind: type) -> bool:
+    """Whether one class of ``kind``'s MRO defines each scalar hook and its
+    twin: a move added to the scalar hook alone would be lost here."""
+    def definer(name):
+        return next(cls for cls in kind.__mro__ if name in cls.__dict__)
+    return all(definer(scalar) is definer(twin) for scalar, twin in _TWINS)
 
 
 # The most particle and decoy slots a block holds, over all its trials.  A
@@ -121,9 +129,9 @@ class _Trials:
     ``parity`` is the X parity and ``held`` counts the particles still held.
     ``q`` (trial, particle, register) holds the true bits, ``claimed_q``
     (trial, register, particle) and ``claimed_delta`` the claimed states,
-    ``tap_basis`` and ``tap_bit`` (trial, link - 1, register) what a tap on
-    each link measured, and ``positions`` and ``received`` the check
-    positions P1 chose and those P2..Pn received.
+    ``positions`` and ``received`` the check positions P1 chose and those
+    P2..Pn received (None where they are P1's), and ``records`` the
+    adversary's own arrays, by name.
     """
 
     def __init__(self, draws: Rows, secrets: np.ndarray, true: _States, claimed: _States, photons: int) -> None:
@@ -136,8 +144,8 @@ class _Trials:
         self.held = np.full((count, total), n, dtype=np.int8)
         self.slot = np.full((count, n * total + photons), HELD, dtype=np.int8)
         self.offsets = np.arange(0, self.slot.size, self.slot.shape[1])[:, None]  # where each row's slots start
-        self.positions = self.received = np.zeros((count, 0), dtype=np.int64)
-        self.tap_basis = self.tap_bit = None  # set where a tap is scored
+        self.positions, self.received = np.zeros((count, 0), dtype=np.int64), None
+        self.records = {}
 
     def __len__(self) -> int:
         return len(self.held)
@@ -149,11 +157,12 @@ class _Trials:
             return False
         if not alive.all():
             self.draws.keep(alive)
-            for name in ("secrets", "q", "claimed_q", "claimed_delta", "branch", "parity", "held", "slot", "tap_basis",
-                         "tap_bit", "positions", "received"):
+            for name in ("secrets", "q", "claimed_q", "claimed_delta", "branch", "parity", "held", "slot", "positions",
+                         "received"):
                 value = getattr(self, name)
                 if value is not None:
                     setattr(self, name, value[alive])
+            self.records = {name: value[alive] for name, value in self.records.items()}
             self.offsets = self.offsets[: len(self.held)]
         return True
 
@@ -252,14 +261,6 @@ def _first_unchecked(checked: np.ndarray, total: int, m: int) -> np.ndarray:
     return np.nonzero(free & (free.cumsum(axis=1) <= m))[1].reshape(len(checked), m)
 
 
-def _coins(draws: Rows, needed: np.ndarray) -> np.ndarray:
-    """A fair coin, ``rng.below(2)``, for each true entry of ``needed``, in
-    order along each row; the other entries are 0."""
-    fair = draws.peek(needed.shape[1])
-    draws.skip(needed.sum(axis=1))
-    return np.where(needed, fair[np.arange(len(needed))[:, None], np.maximum(needed.cumsum(axis=1) - 1, 0)], 0)
-
-
 class _Program:
     """The trials of one scenario, a block at a time, and their counters."""
 
@@ -274,12 +275,9 @@ class _Program:
         self.tolerance = scenario.decoy_tolerance
         self.secrets = scenario.secrets
         self.strategy = strategy
-        self.tapped = {k for k in range(1, n + 1) if strategy.taps(k)}
-        self.tamper = isinstance(strategy, ClassicalPositionTamper)
+        self.taps = {k: tap for k in range(1, n + 1) if (tap := strategy.tap_rows(k))}
         # A tamperer reaches only the broadcast: the relayed positions draw no tamper.
-        broadcast = scenario.variant == proto.VARIANT_BROADCAST
-        self.wanted = min(strategy.count, c) if self.tamper and broadcast else 0
-        self.scored = isinstance(strategy, EveInterceptResend) and strategy.victim is not None
+        self.broadcast = scenario.variant == proto.VARIANT_BROADCAST
         run = strategy.start_run()
         fixed = run.override_preparation(n, total)
         self.fixed = fixed and tuple(map(_registers, fixed))  # the true and claimed states
@@ -291,9 +289,7 @@ class _Program:
         self.says = np.array([[[run.flip_verdict(announcer, pair, verdict) == DIFFERENT for pair in pairs]
                                for verdict in (IDENTICAL, DIFFERENT)] for announcer in (announcers[0], announcers[-1])])
         self.cross_checked = len(announcers) > 1
-        # Every trial's attack is scored, so these are bumped on every trial.
-        always = ("attack_bits_guessed", "attack_bits_correct")
-        self.sums = dict.fromkeys(always + (("attack_tampered", "attack_tampered_distinct") if self.tamper else ()), 0)
+        self.sums = dict.fromkeys(strategy.counts, 0)
 
     def bump(self, key: str, value) -> None:
         # Interned, so that the counter dicts a caller keeps share their names.
@@ -307,11 +303,11 @@ class _Program:
 
     def counters(self) -> Dict[str, int]:
         """The counters summed so far, with the keys ``_extract`` leaves: a
-        sum of 0 leaves its key out, but for the attack's own counts, and
+        sum of 0 leaves its key out, but for the attack's own ``counts``, and
         a victim's legitimate guesses once any are scored."""
         if not self.sums.get("trials"):
             return {}
-        kept = {"attack_bits_guessed", "attack_bits_correct", "attack_tampered", "attack_tampered_distinct"}
+        kept = set(self.strategy.counts)
         if self.sums.get("attack_legit_bits_guessed"):
             kept.add("attack_legit_bits_correct")
         return {key: value for key, value in self.sums.items() if value or key in kept}
@@ -336,9 +332,6 @@ class _Program:
             q, delta = self.roles.prepared_arrays(n, draws.bits(self.total, self.roles.prepare_width(n)))
             true = claimed = _States(q.astype(np.int8), delta.astype(np.int8), np.zeros(delta.shape, dtype=bool))
         trials = _Trials(draws, secrets.astype(np.int8), true, claimed, n * self.l)
-        if self.scored:
-            trials.tap_basis = np.zeros((count, n, self.total), dtype=np.int8)
-            trials.tap_bit = np.zeros_like(trials.tap_basis)
         if self._distribute(trials) and self._check(trials):
             self._compare(trials)
 
@@ -347,10 +340,10 @@ class _Program:
         including the next tapped link, and each tapped link's tap and decoy
         check.  Whether any trial passes every check."""
         start = 1
-        for end in [k for k in range(1, self.n) if k in self.tapped] + [self.n]:
+        for end in [k for k in range(1, self.n) if k in self.taps] + [self.n]:
             links = end - start + 1
             drawn = trials.draws.run(_run_bounds(self.total, self.l, links))
-            if end in self.tapped:
+            if end in self.taps:
                 passed = self._tap(trials, end, drawn[:, drawn.shape[1] - drawn.shape[1] // links :])
                 self.abort(np.count_nonzero(~passed), 2, proto.CAUSE_DECOY)
                 if not trials.keep(passed):
@@ -359,10 +352,9 @@ class _Program:
         return True
 
     def _tap(self, trials: _Trials, k: int, link: np.ndarray) -> np.ndarray:
-        """Link k's tap, which measures every slot in a random basis and
-        forwards what it saw, then the link's decoy check: whether each
-        trial passes it.  ``link`` holds the link's decoy states and the
-        draws that place them."""
+        """Link k's tap, the adversary's, then the link's decoy check:
+        whether each trial passes it.  ``link`` holds the link's decoy
+        states and the draws that place them."""
         n, l, total = self.n, self.l, self.total
         count = len(trials)
         decoys = link[:, :l]
@@ -371,14 +363,9 @@ class _Program:
         # Decoy d rides in the d-th placed slot, and the carriers fill the
         # others in register order.
         decoy = Rows.chosen(total + l, l, link[:, l:])
-        carrier = ~decoy
         before = decoy.cumsum(axis=1)  # the decoys up to each slot
         ids = np.where(decoy, first - 1 + before, (k - 1) * total + np.arange(total + l) - before)
-        bases = trials.draws.bits(total + l)
-        bits = trials.measure(ids, bases, forward=True)
-        if self.scored:
-            trials.tap_basis[:, k - 1] = bases[carrier].reshape(count, total)
-            trials.tap_bit[:, k - 1] = bits[carrier].reshape(count, total)
+        self.taps[k](trials, ids, ~decoy)
         # The check measures each decoy in its own basis: one the tap left
         # as prepared reads its bit without a draw.
         checked = trials.measure(np.broadcast_to(np.arange(first, first + l), (count, l)), decoys >> 1)
@@ -387,14 +374,20 @@ class _Program:
     def _check(self, trials: _Trials) -> bool:
         """Step 3: the check positions, the substitutes P2..Pn receive, and
         the check rounds.  Whether any trial passes."""
-        n, c = self.n, self.c
-        if not c:
+        if not self.c:
             return True
-        draws, count = trials.draws, len(trials)
+        positions = trials.draws.sample(self.total, self.c)
+        check = partial(self._rounds, trials, positions)
+        failed = self.strategy.tamper_rows(self, trials, positions, check) if self.broadcast else check(positions)
+        self.abort(np.count_nonzero(failed), self.roles.check_step, proto.CAUSE_STATE_CHECK)
+        return trials.keep(~failed)
+
+    def _rounds(self, trials: _Trials, positions: np.ndarray, received: np.ndarray) -> np.ndarray:
+        """The check rounds of P1's ``positions`` and the ``received`` ones:
+        whether each trial fails any."""
+        n, c, count = self.n, self.c, len(trials)
         rows = np.arange(count)[:, None]
-        positions = draws.sample(self.total, c)
-        received = self._substitutes(draws, positions) if self.wanted else positions
-        x = draws.bits(c)
+        x = trials.draws.bits(c)
         # Round r measures P1's particle of register positions[r] and the
         # others' of received[r], in the round's basis.
         k = np.arange(n)
@@ -411,54 +404,8 @@ class _Program:
         self.bump("z_check_rounds", x.size - x_rounds)
         self.bump("x_check_failures", x_failures)
         self.bump("z_check_failures", np.count_nonzero(failed) - x_failures)
-        aborted = failed.any(axis=1)
-        if self.tamper:
-            # A substitute is distinct when its true state is not the one
-            # claimed for the round.  A tamperer's preparation, paired or
-            # honest, is claimed as prepared, so its true state is its
-            # claimed one.
-            tampered = received != positions
-            differs = ((trials.claimed_q[rows, received] != claimed_q).any(axis=2)
-                       | (trials.claimed_delta[rows, received] != claimed_delta))
-            tampers, distinct = tampered.sum(axis=1), (tampered & differs).sum(axis=1)
-            runs, distinct_runs = tampers > 0, (tampers > 0) & (distinct == tampers)
-            self.bump("attack_tampered", tampers.sum())
-            self.bump("attack_tampered_distinct", distinct.sum())
-            for key, hit in (("tamper_runs", runs), ("tamper_distinct_runs", distinct_runs)):
-                self.bump(key, np.count_nonzero(hit))
-                self.bump(f"{key}_detected", np.count_nonzero(hit & aborted))
-        self.abort(np.count_nonzero(aborted), self.roles.check_step, proto.CAUSE_STATE_CHECK)
-        trials.positions, trials.received = positions, received
-        return trials.keep(~aborted)
-
-    def _substitutes(self, draws: Rows, positions: np.ndarray) -> np.ndarray:
-        """Each trial's ``ClassicalPositionTamper.tamper_positions``: the
-        check positions P2..Pn receive."""
-        count, total = len(positions), self.total
-        trials = np.arange(count)
-        rows = trials[:, None]
-        rounds = draws.sample(self.c, self.wanted)
-        received = positions.copy()
-        free = np.ones((count, total), dtype=bool)
-        free[rows, positions] = False
-        true_at = positions[rows, rounds]
-        # The paired preparation alternates, so the partner state sits at the
-        # positions of the other parity; a random substitute is any unchecked
-        # position.  A target used leaves the free ones.
-        if self.strategy.policy == POLICY_PAIRED:
-            partner = (np.arange(total) & 1) != (true_at & 1)[:, :, None]
-        else:
-            partner = np.ones((1, self.wanted, 1), dtype=bool)
-        for i, r in enumerate(rounds.T):
-            # A round's target is one draw below its pool's size, if the pool
-            # holds any.
-            pool = (free & partner[:, i]).cumsum(axis=1)
-            size = pool[:, -1]
-            pick = draws.below(np.maximum(size, 1))
-            target = np.where(size > 0, (pool > pick[:, None]).argmax(axis=1), true_at[:, i])
-            received[trials, r] = target
-            free[trials, target] = False
-        return received
+        trials.positions, trials.received = positions, None if received is positions else received
+        return failed.any(axis=1)
 
     def _compare(self, trials: _Trials) -> None:
         """Steps 4-7 of the trials left, the cross-check of their verdicts,
@@ -468,7 +415,7 @@ class _Program:
         # Step 4: each participant Z-measures the first m registers it
         # believes unchecked.  P1 chose the checks, so its list is the true one.
         kept = _first_unchecked(trials.positions, self.total, m)
-        others = _first_unchecked(trials.received, self.total, m) if self.wanted else kept
+        others = kept if trials.received is None else _first_unchecked(trials.received, self.total, m)
         reg = np.concatenate((kept[:, None], np.repeat(others[:, None], n - 1, axis=1)), axis=1)
         ids = (reg + np.arange(n)[:, None] * self.total).reshape(count, n * m)
         keys = trials.measure(ids, np.zeros_like(ids)).astype(np.int8).reshape(count, n, m)
@@ -504,79 +451,4 @@ class _Program:
         self.bump("pairs_verdict_correct", np.count_nonzero(first == (s[:, i] != s[:, j]).any(axis=2)))
         self.bump("pairs_r_checked", pairs)
         self.bump("pairs_r_exact", np.count_nonzero((padded[:, i] == padded[:, j]).all(axis=2)))
-        if isinstance(self.strategy, EveInterceptResend):
-            self._score_intercept(trials, kept, keys)
-        elif isinstance(self.strategy, Tp1FakeInitialState):
-            self._score_fake(trials, kept, keys)
-        elif isinstance(self.strategy, ParticipantInfer):
-            self._score_infer(trials, kept, keys)
-
-    def _score_infer(self, trials: _Trials, kept: np.ndarray, keys: np.ndarray) -> None:
-        """``ParticipantInfer.finalize`` of completed trials: the attacker's
-        own key bit, XORed with the pair's true pad when it is granted the
-        preparation, guesses the victim's at each comparison position."""
-        strategy, count = self.strategy, len(trials)
-        attacker, victim = strategy.attacker - 1, strategy.victim - 1
-        guess = keys[:, attacker]
-        if strategy.counterfactual:
-            # Every preparation an inferring participant sees is the honest,
-            # entangled one, so ``pair_xor`` of its true state is defined.
-            rows = np.arange(count)[:, None]
-            guess = guess ^ trials.q[rows, attacker, kept] ^ trials.q[rows, victim, kept]
-        self.bump("attack_bits_guessed", count * self.m)
-        self.bump("attack_bits_correct", np.count_nonzero(guess == keys[:, victim]))
-
-    def _score_fake(self, trials: _Trials, kept: np.ndarray, keys: np.ndarray) -> None:
-        """``Tp1FakeInitialState.finalize`` of completed trials."""
-        n, m, count = self.n, self.m, len(trials)
-        # (trial, participant, bit)
-        true_q = trials.q[np.arange(count)[:, None, None], np.arange(n)[:, None], kept[:, None]]
-        if not self.roles.monitored:
-            # The baseline's TP reads s1 ^ s2 from c1 ^ c2 and the pad k1 ^ k2
-            # of what it prepared.
-            self.bump("attack_bits_guessed", count * m)
-            self.bump("attack_bits_correct", np.count_nonzero(keys[:, 0] ^ keys[:, 1] == true_q[:, 0] ^ true_q[:, 1]))
-            return
-        # The preparer knows each key bit of a product preparation, and
-        # guesses those of an entangled one, participant by participant.
-        guessed = np.repeat(~self.fixed[0].product[0, kept][:, None], n, axis=1)
-        coins = _coins(trials.draws, guessed.reshape(count, n * m)).reshape(count, n, m)
-        self.bump("attack_bits_guessed", count * n * m)
-        self.bump("attack_bits_correct", np.count_nonzero(np.where(guessed, coins, true_q) == keys))
-
-    def _score_intercept(self, trials: _Trials, kept: np.ndarray, keys: np.ndarray) -> None:
-        """``EveInterceptResend.finalize`` (or ``Tp2Intercept``'s) of
-        completed trials: the victim's key bit at each comparison position,
-        read from a Z intercept where the attacker can, else a coin."""
-        strategy, m, count = self.strategy, self.m, len(trials)
-        victim = strategy.victim
-        if victim is None:
-            return
-        rows = np.arange(count)[:, None, None]
-        basis = trials.tap_basis[rows, np.arange(self.n)[:, None], kept[:, None]]  # (trial, link - 1, bit)
-        bit = trials.tap_bit[rows, np.arange(self.n)[:, None], kept[:, None]]
-        key = keys[:, victim - 1]
-        known = np.zeros((count, m), dtype=bool)
-        guess = np.zeros((count, m), dtype=np.int64)
-        if strategy.use_spec_knowledge:
-            # TP2 knows the claimed states: a Z intercept on a tapped link,
-            # the first in ``links`` order, gives the branch and with it
-            # every participant's key bit.  Each bit also gets a coin, the
-            # same guess from its legitimate view alone.
-            q = trials.claimed_q[rows[..., 0], kept]
-            for link in strategy.links:
-                read = ~known & (basis[:, link - 1] == 0)
-                guess = np.where(read, q[..., victim - 1] ^ bit[:, link - 1] ^ q[..., link - 1], guess)
-                known |= read
-            coins = _coins(trials.draws, np.stack((~known, np.ones_like(known)), axis=2).reshape(count, 2 * m))
-            guess = np.where(known, guess, coins[:, 0::2])
-            self.bump("attack_legit_bits_guessed", count * m)
-            self.bump("attack_legit_bits_correct", np.count_nonzero(coins[:, 1::2] == key))
-        else:
-            # A stranger reads only a Z intercept on the victim's own link.
-            if victim in self.tapped:
-                known = basis[:, victim - 1] == 0
-                guess = bit[:, victim - 1]
-            guess = np.where(known, guess, _coins(trials.draws, ~known))
-        self.bump("attack_bits_guessed", count * m)
-        self.bump("attack_bits_correct", np.count_nonzero(guess == key))
+        self.strategy.finalize_rows(self, trials, kept, keys)

@@ -18,7 +18,7 @@ import signal
 # Unused here: the benchmark's tracer still wraps this name (as
 # adversaries.RunHandle is kept for it).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from multiprocessing.connection import Connection
@@ -292,7 +292,7 @@ class TrialStats:
                 "schema_version": SCHEMA_VERSION,
                 "scenario": self.scenario,
                 "counters": {k: self.counters[k] for k in sorted(self.counters)},
-                "metrics": [asdict(r) for r in self.rows],
+                "metrics": [vars(r) for r in self.rows],
             },
             sort_keys=True,
             indent=2,

@@ -257,6 +257,13 @@ class Rows:
         """``Stream.skip``: ``count`` is a number, or one per row."""
         self._at = self._at + count
 
+    def coins(self, needed: np.ndarray) -> np.ndarray:
+        """A fair coin, ``Stream.below(2)``, for each true entry of ``needed``,
+        in order along each row; the other entries are 0."""
+        fair = self.peek(needed.shape[1])
+        self.skip(needed.sum(axis=1))
+        return np.where(needed, fair[np.arange(len(needed))[:, None], np.maximum(needed.cumsum(axis=1) - 1, 0)], 0)
+
     def below(self, bounds: np.ndarray) -> np.ndarray:
         """Each row's ``Stream.below`` of its own bound."""
         bounds = np.asarray(bounds, dtype=np.uint64)

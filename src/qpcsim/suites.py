@@ -13,7 +13,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 from itertools import groupby, product
@@ -75,7 +75,7 @@ class SuiteResult:
                 "suite": self.name,
                 "seed": self.seed,
                 "passed": self.passed,
-                "rows": [asdict(row) for row in self.rows],
+                "rows": [vars(row) for row in self.rows],
             },
             sort_keys=True,
             indent=2,

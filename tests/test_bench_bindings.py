@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import qpcsim.adversaries
+import qpcsim.block
 import qpcsim.cli
 import qpcsim.ghz
 import qpcsim.harness
 import qpcsim.photons
 import qpcsim.protocol
+from qpcsim.suites import _SCENARIOS
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 MODULES = (qpcsim.adversaries, qpcsim.cli, qpcsim.ghz, qpcsim.harness, qpcsim.photons, qpcsim.protocol)
@@ -58,3 +60,12 @@ def test_tracer_installs_and_restores_every_binding(in_process):
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+def test_the_battery_attacks_stay_in_the_block_engine_under_the_tracer():
+    # The tracer wraps each kind's scalar hooks in the class that defines
+    # them, so every hook and its array twin keep one defining class.
+    attacks = [scenario for _, scenario in _SCENARIOS.values() if scenario.adversary.kind != "none"]
+    with _load_tracing().Tracer().installed(in_process=True):
+        qpcsim.block._twinned.cache_clear()
+        assert len(attacks) == 19 and all(qpcsim.block.covers(s, s.strategy()) for s in attacks)

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpcsim import block, harness
+from qpcsim import adversaries, block, harness
 from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT,
-                                KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, POLICY_PAIRED,
-                                POLICY_RANDOM)
+                                KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, KINDS, POLICY_PAIRED,
+                                POLICY_RANDOM, Tp2Intercept)
 from qpcsim.ghz import HELD, GhzRegister, ghz_from_index
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
 from qpcsim.stream import FETCH_WORDS, Rows, Stream
@@ -181,7 +181,47 @@ def test_covered_battery_scenarios_split_into_blocks_of_8_count_as_the_scalar_tr
     _assert_same(scenario, 37, 171)
 
 
-def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets():
+class _KeyBasisTap(Tp2Intercept):
+    """TP2 tapping every slot of its links in the key basis, a move given
+    to its scalar ``taps`` alone: the block engine, which makes a tap
+    through ``tap_rows``, would tap in random bases instead."""
+
+    kind = "tp2_intercept_key_basis"
+
+    def taps(self, link: int):
+        if link not in self.links:
+            return ()
+
+        def tap(delivery, rng):
+            order = delivery.slots
+            bits = delivery.measure([0] * len(order), rng, forward=True)
+            self.records[link] = [(0, bit) for i, bit in zip(order, bits) if i < delivery.state.n]
+
+        return (tap,)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_kind_defines_a_scalar_hook_and_its_array_twin_in_one_class(kind):
+    def definer(name):
+        return next(cls for cls in KINDS[kind].__mro__ if name in vars(cls))
+
+    for scalar, twin in block._TWINS:
+        assert definer(scalar) is definer(twin), (kind, scalar, twin)
+
+
+def test_a_move_given_to_a_scalar_hook_alone_runs_on_the_per_trial_loop():
+    # A key-basis tap reads every key bit: 0.7482 at n = 2, m = 4 when the
+    # engine ran it with its own random bases.
+    scenario = Scenario(n=2, m=4, check_rounds=0, decoy_count=1, seed=11,
+                        adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [1], "victim": 2}))
+    strategy = _KeyBasisTap(links=(1,), victim=2)
+    assert not block.covers(scenario, strategy)
+    totals = harness._run_block(scenario, strategy, 0, 2000)
+    (row,) = [row for row in harness.metric_rows(totals, {}) if row.name == "attack_bit_accuracy"]
+    assert row.estimate == 1.0 and row.count > 1000
+
+
+def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets(monkeypatch):
     fake = AdversarySpec(KIND_TP1_FAKE_STATE, {})
     eve = AdversarySpec(KIND_EVE, {"links": [1]})
     attacks = [
@@ -208,6 +248,9 @@ def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets():
     left_out = [Scenario(), Scenario(protocol="zhang_baseline", n=2, check_rounds=2),
                 Scenario(secrets=SecretsSpec("forced_equal")), Scenario(secrets=SecretsSpec("forced_unequal"))]
     left_out += [replace(scenario, secrets=SecretsSpec("forced_unequal")) for scenario in attacks]
+    # A kind whose move lives in a scalar hook but not in its array twin.
+    monkeypatch.setitem(adversaries.KINDS, _KeyBasisTap.kind, _KeyBasisTap)
+    left_out.append(Scenario(adversary=AdversarySpec(_KeyBasisTap.kind, {"links": [1], "victim": 2})))
     for scenario in left_out:
         scenario.validate()
         assert not block.covers(scenario, scenario.strategy()), scenario

@@ -67,8 +67,8 @@ class AdversaryStrategy:
 
     kind = KIND_NONE
     party = None  # the third party the attacker is, or None: an outsider or a participant
-    # The counters a run reports even at 0: ``_extract``'s of the
-    # ``AttackOutcome`` every kind but ``none`` (which ``block`` never runs) returns.
+    # The counters each run reports even at 0, as ``_extract`` counts the
+    # ``AttackOutcome`` of every kind but ``none`` (which ``block`` never runs).
     counts = ("attack_bits_guessed", "attack_bits_correct")
 
     def start_run(self) -> "AdversaryStrategy":
@@ -98,7 +98,7 @@ class AdversaryStrategy:
         return list(true_positions)
 
     def tamper_rows(self, program, trials, positions: np.ndarray, check: Callable) -> np.ndarray:
-        """Whether each trial fails ``check`` of the positions P2..Pn receive."""
+        """Whether each trial fails ``check(received)``, the check rounds of the positions P2..Pn receive."""
         return check(positions)
 
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
@@ -327,7 +327,7 @@ class Tp1FakeInitialState(AdversaryStrategy):
             for idx, position in enumerate(positions):
                 true = t.true_states[position]
                 pad = pair_xor(true, 1, 2) if isinstance(true, GhzSpec) else true[0] ^ true[1]
-                hits += t.comps[1][idx] ^ t.comps[2][idx] ^ pad == t.secrets[0][idx] ^ t.secrets[1][idx]
+                hits += (t.comps[1][idx] ^ t.comps[2][idx] ^ pad) == (t.secrets[0][idx] ^ t.secrets[1][idx])
             return AttackOutcome(len(positions), hits)
         # The preparer knows exactly what it handed out.  A product
         # preparation fixes every key bit; a wrong entangled preparation

@@ -131,7 +131,7 @@ class _Trials:
     (trial, register, particle) and ``claimed_delta`` the claimed states,
     ``positions`` and ``received`` the check positions P1 chose and those
     P2..Pn received (None where they are P1's), and ``records`` the
-    adversary's own arrays, by name.
+    adversary's own arrays with a trial axis first, by its keys.
     """
 
     def __init__(self, draws: Rows, secrets: np.ndarray, true: _States, claimed: _States, photons: int) -> None:

@@ -122,6 +122,8 @@ RunHandle = AdversaryStrategy
 NONE = AdversaryStrategy()
 
 
+# Cached: every run_scenario call asks its kind for its targets.
+@lru_cache(maxsize=256)
 def intercept_detection(l: int, links: int = 1, tolerance: int = 0) -> Fraction:
     """1 - P[Bin(l, 1/4) <= tolerance]^links: one of ``links`` tapped runs of l decoys, each caught at
     1/4 (wrong basis 1/2, then visible 1/2), fails a check that passes up to ``tolerance`` mismatches."""
@@ -130,6 +132,7 @@ def intercept_detection(l: int, links: int = 1, tolerance: int = 0) -> Fraction:
     return 1 - Fraction(sum(terms), 4**l) ** links
 
 
+@lru_cache(maxsize=256)
 def tamper_detection(l: int) -> Fraction:
     """1 - (1/2)^l: l substituted check positions across a two-state pair are caught."""
     return 1 - Fraction(1, 2**l)

@@ -99,11 +99,21 @@ class _States(NamedTuple):
     product: np.ndarray
 
 
-@lru_cache(maxsize=8)  # a fixed preparation, for each run_scenario call that uses it
+# A fixed preparation's registers, found by the identity of its state
+# tuple, which ``adversaries._built`` makes once for each parameter set: a
+# lookup by value hashes every register's GhzSpec, about 28 of the 40 us a
+# tamper_l4 ``_Program()`` takes (timeit, 2-vCPU machine).  Each entry
+# holds its tuple, so no other tuple can take its id while it is cached.
+_PREPARED: Dict[int, tuple] = {}
+_PREPARED_MAX = 8
+
+
 def _registers(states: tuple) -> _States:
     """The registers of a preparation, a GhzSpec or a product state's bit
     tuple each, with a trial axis of ``_ROWS`` rows that all view one row.
     A preparation repeats a few state objects, each read once."""
+    if id(states) in _PREPARED:
+        return _PREPARED[id(states)][1]
     distinct = {id(state): state for state in states}
     code = {key: i for i, key in enumerate(distinct)}
     which = np.array([code[id(state)] for state in states])
@@ -114,7 +124,11 @@ def _registers(states: tuple) -> _States:
     # Read-only views, shared by every call that uses the preparation: a
     # copy a row would hold 84 MB a preparation at n = 20, m = 4096.
     rows = [a[which] for a in (q, delta, ~np.array(ghz))]
-    return _States(*(np.broadcast_to(a, (_ROWS,) + a.shape) for a in rows))
+    registers = _States(*(np.broadcast_to(a, (_ROWS,) + a.shape) for a in rows))
+    if len(_PREPARED) == _PREPARED_MAX:
+        del _PREPARED[next(iter(_PREPARED))]  # the oldest
+    _PREPARED[id(states)] = states, registers
+    return registers
 
 
 class _Trials:
@@ -261,6 +275,12 @@ def _first_unchecked(checked: np.ndarray, total: int, m: int) -> np.ndarray:
     return np.nonzero(free & (free.cumsum(axis=1) <= m))[1].reshape(len(checked), m)
 
 
+@lru_cache(maxsize=None)  # a few steps and causes
+def _abort_keys(step: int, cause: str) -> tuple:
+    """The counters an abort at ``step`` for ``cause`` bumps, interned as ``_Program.bump`` interns them."""
+    return tuple(map(sys.intern, ("aborted", f"abort_step{step}", f"abort_{cause}", "attack_detected")))
+
+
 class _Program:
     """The trials of one scenario, a block at a time, and their counters."""
 
@@ -298,8 +318,8 @@ class _Program:
 
     def abort(self, count: int, step: int, cause: str) -> None:
         """Count ``count`` trials aborted at ``step`` for ``cause``: each detects its attack."""
-        for key in ("aborted", f"abort_step{step}", f"abort_{cause}", "attack_detected"):
-            self.bump(key, count)
+        for key in _abort_keys(step, cause):
+            self.sums[key] = self.sums.get(key, 0) + int(count)
 
     def counters(self) -> Dict[str, int]:
         """The counters summed so far, with the keys ``_extract`` leaves: a

@@ -20,7 +20,9 @@ generator, so that every row draws what its trial's ``Stream`` draws.
 
 ``TrialSeeds`` seeds each trial's bit generator as
 ``SeedSequence(entropy=seed, spawn_key=(trial,))`` would, without building
-one per trial.
+one per trial: what depends on the seed alone is hashed once a run, and
+what depends on a 64-trial chunk alone once a process.  A ``TrialSeed``
+hands PCG64 its four state words as they are.
 """
 
 from __future__ import annotations
@@ -388,37 +390,57 @@ _CHUNK = 64
 _CHUNK_TRIALS = np.arange(_CHUNK, dtype=np.uint32)[:, None]
 
 
-def _mix(x: int, y: int) -> int:
-    value = (_MIX_L * x - _MIX_R * y) & _LOW
-    return value ^ value >> 16
-
-
 @lru_cache(maxsize=8)
 def _hashes(words: int) -> tuple:
     """What SeedSequence's hash of a seed of ``words`` 32-bit words (at
-    least the pool's four), then of a trial's word, uses whatever the words:
-    the (xored, multiplier) pair of each hash of the seed's words, in turn,
-    then the trial word's pairs, one for each pool word it is hashed into,
-    as two arrays.  A hash xors its word with a multiplier that then steps
-    on before it multiplies."""
+    least the pool's four) uses whatever the words: the (xored, multiplier)
+    pair of each pool word's first hash, then a (source, pool word, xored,
+    multiplier) for each mix that follows, the sources counted from 0 in the
+    pool, then in the seed's words past it; then the trial word's pairs, one
+    for each pool word it is hashed into, as two arrays.  A hash xors its
+    word with a multiplier that then steps on before it multiplies."""
     steps, multiplier = [], _INIT_A
     for _ in range(_POOL * words + _POOL):  # the pool's words, their mixing, the seed's other words, the trial's
         stepped = multiplier * _MULT_A & _LOW
         steps.append((multiplier, stepped))
         multiplier = stepped
+    mixes = [(src, dst) for src in range(words) for dst in range(_POOL) if src != dst]
     xored, multipliers = (np.array(column, dtype=np.uint32) for column in zip(*steps[-_POOL:]))
-    return steps[:-_POOL], xored, multipliers
+    return steps[:_POOL], [ends + step for ends, step in zip(mixes, steps[_POOL:-_POOL])], xored, multipliers
+
+
+@lru_cache(maxsize=16)
+def _trial_hashes(words: int, first: int) -> np.ndarray:
+    """What the mix of each trial word of the chunk from trial ``first``
+    into each pool word subtracts, for a seed of ``words`` words: the same
+    for every seed, a row per trial."""
+    xored, multipliers = _hashes(words)[2:]
+    value = ((_CHUNK_TRIALS + np.uint32(first)) ^ xored) * multipliers
+    value = _MIX_R * (value ^ value >> 16)
+    value.flags.writeable = False
+    return value
+
+
+class _Seed:
+    """The base of ``TrialSeed`` that ``_register_trial_seed`` makes an
+    ISeedSequence.  A class registered with an ABC is looked up in its
+    registry at each ``isinstance``, a subclass of one only once: numpy's
+    check of a trial's seed took 0.55 us through ``TrialSeed`` registered
+    itself, 0.23 us through this base (timeit, 2-vCPU machine)."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
 def _register_trial_seed() -> None:
     """Make ``TrialSeed`` an ISeedSequence, the seed object numpy's bit
-    generators take, once.  Not at import: importing numpy.random with
-    qpcsim, before a run's first trial, raised a run's peak RSS by about
-    1 MB (perfbench attack_mix, Python 3.11, numpy 2.4)."""
+    generators take, once, by registering its base ``_Seed``.  Not at
+    import: importing numpy.random with qpcsim, before a run's first trial,
+    raised a run's peak RSS by about 1 MB (perfbench attack_mix, Python
+    3.11, numpy 2.4)."""
     from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(TrialSeed)
+    ISeedSequence.register(_Seed)
 
 
 class TrialSeeds:
@@ -431,12 +453,14 @@ class TrialSeeds:
     follows; then any seed words past four; then the spawn key's words.
     Each word goes through a hash whose multiplier steps on at every use,
     whatever the word.  So all but the trial's own word depend on the seed
-    alone and are hashed here, once.  The trials' words, and the state
-    words drawn from their pools, are hashed ``_CHUNK`` trials at a time in
-    numpy's uint32 arithmetic, which wraps as the hash's does.
+    alone and are hashed here, once, in Python's integers.  The trials'
+    words, and the state words drawn from their pools, are hashed
+    ``_CHUNK`` trials at a time in numpy's uint32 arithmetic, which wraps
+    as the hash's does; the trial words' own hashes depend on the seed's
+    word count and the chunk alone, and are made once for each.
     """
 
-    __slots__ = ("_mixed", "_xored", "_multipliers", "_first", "_states")
+    __slots__ = ("_words", "_mixed", "_first", "_states")
 
     def __init__(self, seed: int) -> None:
         if seed < 0:
@@ -447,23 +471,15 @@ class TrialSeeds:
             seed >>= 32
             words.append(seed & _LOW)
         words += [0] * (_POOL - len(words))
-        steps, self._xored, self._multipliers = _hashes(len(words))
-        steps = iter(steps)
-
-        def hashed(word: int) -> int:
-            xored, multiplier = next(steps)
-            word = (word ^ xored) * multiplier & _LOW
-            return word ^ word >> 16
-
-        pool = [hashed(word) for word in words[:_POOL]]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashed(pool[src]))
-        for word in words[_POOL:]:
-            for dst in range(_POOL):
-                pool[dst] = _mix(pool[dst], hashed(word))
-        self._mixed = _MIX_L * np.array(pool, dtype=np.uint32)  # as the mix takes it
+        self._words = len(words)
+        first, mixes = _hashes(len(words))[:2]
+        pool = [(word ^ xored) * multiplier & _LOW for word, (xored, multiplier) in zip(words, first)]
+        pool = [value ^ value >> 16 for value in pool] + words[_POOL:]
+        for src, dst, xored, multiplier in mixes:
+            value = (pool[src] ^ xored) * multiplier & _LOW
+            value = _MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16) & _LOW
+            pool[dst] = value ^ value >> 16
+        self._mixed = _MIX_L * np.array(pool[:_POOL], dtype=np.uint32)  # as the mix takes it
         self._first, self._states = -1, None
 
     def __call__(self, trial: int) -> "TrialSeed":
@@ -472,8 +488,7 @@ class TrialSeeds:
         row = trial % _CHUNK
         if trial - row != self._first:
             self._first = trial - row
-            value = ((_CHUNK_TRIALS + np.uint32(self._first)) ^ self._xored) * self._multipliers
-            pool = self._mixed - _MIX_R * (value ^ value >> 16)
+            pool = self._mixed - _trial_hashes(self._words, self._first)
             pool ^= pool >> 16
             words = (np.concatenate((pool, pool), axis=1) ^ _OUT_XORED) * _OUT_MULTIPLIERS
             words ^= words >> 16
@@ -481,11 +496,11 @@ class TrialSeeds:
         return TrialSeed(self._states[row])
 
 
-class TrialSeed:
+class TrialSeed(_Seed):
     """One trial's state words, which numpy's bit generators draw their
     initial state from through ``generate_state``, as from the
     SeedSequence: the 4 64-bit words PCG64 takes.  An ISeedSequence once
-    ``TrialSeeds`` has registered it."""
+    ``TrialSeeds`` has registered its base."""
 
     __slots__ = ("_state",)
 
@@ -493,6 +508,8 @@ class TrialSeed:
         self._state = state
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and dtype is np.uint64:  # PCG64's request, as it makes it
+            return self._state
         if np.dtype(dtype) != np.uint64 or n_words > len(self._state):
             raise ValueError(f"a trial seed holds the {len(self._state)} uint64 words PCG64 takes")
         return self._state[:n_words]

@@ -3,6 +3,7 @@ honest accounting of what each attacker actually learns."""
 
 from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -42,6 +43,17 @@ def test_intercept_detection_is_the_exact_binomial_tail(l, links, tolerance):
 
 def test_tamper_detection_is_exact():
     assert [tamper_detection(l) for l in (0, 1, 3)] == [0, Fraction(1, 2), Fraction(7, 8)]
+
+
+def test_the_cached_targets_are_the_functions_they_cache():
+    # Each twice: the second call is a cache hit.  (2000, 1, 1500) is CI's
+    # tolerant check, summed over 4^2000.
+    for args in [*product((0, 1, 2, 5, 20), (1, 2, 3), (0, 1, 4, 20)), (2000, 1, 1500)]:
+        for _ in range(2):
+            assert intercept_detection(*args) == intercept_detection.__wrapped__(*args), args
+    assert intercept_detection(2000, 1, 1500) is intercept_detection(2000, 1, 1500)
+    for l in [*range(40), 2000] * 2:
+        assert tamper_detection(l) == tamper_detection.__wrapped__(l), l
 
 
 def make_rng(*key):

@@ -20,7 +20,7 @@ from qpcsim import adversaries, block, harness
 from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT,
                                 KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, KINDS, POLICY_PAIRED,
                                 POLICY_RANDOM, Tp2Intercept)
-from qpcsim.ghz import HELD, GhzRegister, ghz_from_index
+from qpcsim.ghz import HELD, GhzRegister, GhzSpec, ghz_from_index
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
 from qpcsim.stream import FETCH_WORDS, Rows, Stream
 from qpcsim.suites import _SCENARIOS
@@ -154,6 +154,44 @@ def test_a_fixed_preparation_is_held_as_one_row():
     for states in program.fixed:  # the true and the claimed states
         for a in states:
             assert a.shape[0] == block._ROWS and a.strides[0] == 0 and not a.flags.writeable
+
+
+def test_a_fixed_preparation_is_found_by_identity(monkeypatch):
+    _, template = _SCENARIOS["tamper_l4"]
+    first = block._Program(template, template.strategy())
+    hashed = []
+    real = GhzSpec.__hash__
+    monkeypatch.setattr(GhzSpec, "__hash__", lambda spec: hashed.append(spec) or real(spec))
+    second = block._Program(template, template.strategy())
+    assert not hashed
+    assert all(a is b for states in zip(first.fixed, second.fixed) for a, b in zip(*states))
+
+
+def _assert_registers_of(states):
+    registers = block._registers(states)
+    ghz = [isinstance(state, GhzSpec) for state in states]
+    assert registers.q[0].tolist() == [list(s.q if g else s) for s, g in zip(states, ghz)]
+    assert registers.delta[0].tolist() == [s.delta if g else 0 for s, g in zip(states, ghz)]
+    assert registers.product[0].tolist() == [not g for g in ghz]
+
+
+def test_each_preparation_gets_its_own_registers_within_the_cache_bound(monkeypatch):
+    monkeypatch.setattr(block, "_PREPARED", {})
+    specs = [GhzSpec((0, a, b), d) for a in (0, 1) for b in (0, 1) for d in (0, 1)]
+    kept = tuple(specs[:3]) + ((1, 0, 1),)
+    equal = tuple(list(kept))  # value-equal, another object
+    assert equal == kept and equal is not kept
+    _assert_registers_of(kept)
+    _assert_registers_of(equal)
+    assert len(block._PREPARED) == 2
+    # More distinct preparations than the cache holds evict the oldest;
+    # tuples made after an eviction may take an evicted one's id.
+    for i in range(3 * block._PREPARED_MAX):
+        _assert_registers_of(tuple(specs[(i + k) % 8] for k in range(i % 5 + 1)) + ((i % 2, 1, 0),))
+        assert len(block._PREPARED) <= block._PREPARED_MAX
+    assert id(kept) not in block._PREPARED
+    del kept, equal
+    _assert_registers_of(tuple(specs[:3]) + ((1, 0, 1),))
 
 
 @pytest.mark.parametrize("rows", [1, 8])

@@ -460,7 +460,7 @@ class TrialSeeds:
     word count and the chunk alone, and are made once for each.
     """
 
-    __slots__ = ("_words", "_mixed", "_first", "_states")
+    __slots__ = ("_seed_words", "_mixed", "_first", "_states")
 
     def __init__(self, seed: int) -> None:
         if seed < 0:
@@ -471,9 +471,9 @@ class TrialSeeds:
             seed >>= 32
             words.append(seed & _LOW)
         words += [0] * (_POOL - len(words))
-        self._words = len(words)
-        first, mixes = _hashes(len(words))[:2]
-        pool = [(word ^ xored) * multiplier & _LOW for word, (xored, multiplier) in zip(words, first)]
+        self._seed_words = len(words)
+        initial, mixes = _hashes(len(words))[:2]
+        pool = [(word ^ xored) * multiplier & _LOW for word, (xored, multiplier) in zip(words, initial)]
         pool = [value ^ value >> 16 for value in pool] + words[_POOL:]
         for src, dst, xored, multiplier in mixes:
             value = (pool[src] ^ xored) * multiplier & _LOW
@@ -488,7 +488,7 @@ class TrialSeeds:
         row = trial % _CHUNK
         if trial - row != self._first:
             self._first = trial - row
-            pool = self._mixed - _trial_hashes(self._words, self._first)
+            pool = self._mixed - _trial_hashes(self._seed_words, self._first)
             pool ^= pool >> 16
             words = (np.concatenate((pool, pool), axis=1) ^ _OUT_XORED) * _OUT_MULTIPLIERS
             words ^= words >> 16

@@ -60,6 +60,9 @@ class AttackOutcome:
     extras: Dict[str, int] = field(default_factory=dict)
 
 
+_GUESSES = ("attack_bits_guessed", "attack_bits_correct")  # in every attacking kind's ``counts``
+
+
 @dataclass
 class AdversaryStrategy:
     """Base strategy: no params, and hooks that do nothing and draw no
@@ -68,8 +71,8 @@ class AdversaryStrategy:
     kind = KIND_NONE
     party = None  # the third party the attacker is, or None: an outsider or a participant
     # The counters each run reports even at 0, as ``_extract`` counts the
-    # ``AttackOutcome`` of every kind but ``none`` (which ``block`` never runs).
-    counts = ("attack_bits_guessed", "attack_bits_correct")
+    # ``AttackOutcome`` its ``finalize`` returns: none for an honest run.
+    counts = ()
 
     def start_run(self) -> "AdversaryStrategy":
         """The object whose hooks one run calls: the strategy itself, or a
@@ -152,6 +155,7 @@ class EveInterceptResend(AdversaryStrategy):
     # (basis, bit) per register of each tapped link, recorded during one run.
     records: Dict[int, List[Tuple[int, int]]] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_EVE
+    counts = _GUESSES
     use_spec_knowledge = False
 
     def start_run(self) -> "EveInterceptResend":
@@ -294,6 +298,7 @@ class Tp1FakeInitialState(AdversaryStrategy):
     true_state: object = "zeros"  # "zeros" or a GhzSpec
     claimed: Optional[GhzSpec] = None
     kind = KIND_TP1_FAKE_STATE
+    counts = _GUESSES
     party = TP1
 
     def override_preparation(self, n: int, count: int):
@@ -371,6 +376,7 @@ class TpFakeResult(AdversaryStrategy):
 
     pairs: object = "all"  # "all" or a collection of (i, j) participant pairs
     kind = KIND_TP1_FAKE_RESULT
+    counts = _GUESSES
     party = TP1
 
     def __post_init__(self) -> None:
@@ -418,6 +424,7 @@ class ParticipantInfer(AdversaryStrategy):
     victim: int = 2
     counterfactual: bool = False
     kind = KIND_PARTICIPANT_INFER
+    counts = _GUESSES
 
     def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
         if t.aborted:
@@ -474,7 +481,7 @@ class ClassicalPositionTamper(AdversaryStrategy):
     # (round, true position, substituted position), recorded during one run.
     tampered: List[Tuple[int, int, int]] = field(init=False, default_factory=list, repr=False, compare=False)
     kind = KIND_POSITION_TAMPER
-    counts = AdversaryStrategy.counts + ("attack_tampered", "attack_tampered_distinct")
+    counts = _GUESSES + ("attack_tampered", "attack_tampered_distinct")
 
     def start_run(self) -> "ClassicalPositionTamper":
         return replace(self)

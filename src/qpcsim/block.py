@@ -356,15 +356,18 @@ class _Program:
             self._compare(trials)
 
     def _distribute(self, trials: _Trials) -> bool:
-        """Step 2: each run of links, as ``interleave`` draws them up to and
+        """Step 2: each run of links that ``interleave`` draws, up to and
         including the next tapped link, and each tapped link's tap and decoy
-        check.  Whether any trial passes every check."""
+        check.  Whether any trial passes every check.  As ``interleave``
+        draws them, the untapped links' draws are consumed, and only a
+        tapped link's are made."""
         start = 1
         for end in [k for k in range(1, self.n) if k in self.taps] + [self.n]:
-            links = end - start + 1
-            drawn = trials.draws.run(_run_bounds(self.total, self.l, links))
+            consumed = end - start + (end not in self.taps)
+            if consumed:
+                trials.draws.consume(_run_bounds(self.total, self.l, consumed))
             if end in self.taps:
-                passed = self._tap(trials, end, drawn[:, drawn.shape[1] - drawn.shape[1] // links :])
+                passed = self._tap(trials, end, trials.draws.run(_run_bounds(self.total, self.l, 1)))
                 self.abort(np.count_nonzero(~passed), 2, proto.CAUSE_DECOY)
                 if not trials.keep(passed):
                     return False

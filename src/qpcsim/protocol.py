@@ -350,26 +350,27 @@ def _distribute(
 
     Nothing draws between two links unless the first is tapped, so one
     ``interleave`` call draws every link up to and including the next
-    tapped one.  Only a tapped link's decoys are put in flight: an untapped
-    link's arrive as prepared and pass.  A tapped link's decoys are each
-    measured in their prepared basis, which draws only for a decoy the tap
-    left in the other basis.
+    tapped one, and reads only that one: an untapped link's draws are
+    consumed, and its decoys arrive as prepared and pass.  A tapped link's
+    decoys are put in flight and each measured in its prepared basis, which
+    draws only for a decoy the tap left in the other basis.
     """
     n = registers.particles
     carriers = registers.n // n
     taps = [run.taps(k) for k in range(1, n + 1)]
+    arrived = CheckReport(True, 0, decoy_count)
     start = 1
     for end in [k for k in range(1, n) if taps[k - 1]] + [n]:
-        for k, (decoys, placement) in enumerate(interleave(carriers, decoy_count, end - start + 1, rng), start):
-            if taps[k - 1]:
-                decoy_ids = registers.add_photons(decoys)
-                slot_ids = replay_choice(carriers + decoy_count, decoy_count, placement)
-                link = Link(registers, range(k - 1, registers.n, n), decoy_ids, slot_ids)
-                QuantumChannel(roles.announcers[0], f"P{k}", taps[k - 1]).transmit(link, rng)
-                bases = [d >> 1 for d in decoys]
-                report = public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, decoy_tolerance)
-            else:
-                report = CheckReport(True, 0, decoy_count)
+        tapped = taps[end - 1]
+        reports = [arrived] * (end - start + 1)
+        for decoys, placement in interleave(carriers, decoy_count, end - start + 1, rng, read=1 if tapped else 0):
+            decoy_ids = registers.add_photons(decoys)
+            slot_ids = replay_choice(carriers + decoy_count, decoy_count, placement)
+            link = Link(registers, range(end - 1, registers.n, n), decoy_ids, slot_ids)
+            QuantumChannel(roles.announcers[0], f"P{end}", tapped).transmit(link, rng)
+            bases = [d >> 1 for d in decoys]
+            reports[-1] = public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, decoy_tolerance)
+        for k, report in enumerate(reports, start):
             t.decoy_checks.append(
                 {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
             )

@@ -61,9 +61,10 @@ def _threshold(bound: int) -> int:
 class Bounds:
     """A run of bounds, each the exclusive upper bound of one draw, with
     what drawing them at once needs: the bounds above 1 (a bound of 1 draws
-    nothing) and their redraw thresholds."""
+    nothing), the same mod 2^32 (``low``: its product with an output in
+    uint32 arithmetic is the low half checked), and their redraw thresholds."""
 
-    __slots__ = ("values", "wide", "threshold", "units")
+    __slots__ = ("values", "wide", "low", "threshold", "units")
 
     def __init__(self, values: Sequence[int]) -> None:
         if any(not 1 <= b <= 0x100000000 for b in values):
@@ -71,13 +72,15 @@ class Bounds:
         self.values = list(values)
         wide = [b for b in self.values if b > 1]
         self.wide = np.array(wide, dtype=np.uint64)
+        self.low = self.wide.astype(np.uint32)  # 2^32 wraps to 0, whose threshold is 0
         self.threshold = np.array([_threshold(b) for b in wide], dtype=np.uint32)
         self.units = [i for i, b in enumerate(self.values) if b == 1]
 
 
 class Stream:
     """The draws of one trial, in order, from the outputs of one bit
-    generator, fetched ``RAW_WORDS`` at a time."""
+    generator, fetched ``RAW_WORDS`` at a time.  A run whose values no step
+    reads, such as an untapped link's decoys, is drawn past by ``consume``."""
 
     __slots__ = ("_source", "_words", "_at")
 
@@ -153,6 +156,15 @@ class Stream:
             values.insert(i, 0)
         return values
 
+    def consume(self, bounds: Bounds) -> None:
+        """Draw past ``run(bounds)`` as it draws, redraws included, without
+        making the values: only the redraw check is made."""
+        count = len(bounds.wide)
+        if np.count_nonzero(self._take(count) * bounds.low < bounds.threshold):
+            self._at -= count
+            for bound in bounds.values:
+                self.below(bound)
+
     def sample(self, population: int, size: int) -> List[int]:
         """``sorted(choice(population, size, replace=False))``."""
         return replay_choice(population, size, self.run(_choice_bounds(population, size)))
@@ -170,8 +182,8 @@ class Rows:
     words for every row, or as many as the read needs, and the buffer
     grows by half at least when they overflow it.  A ``Stream`` fetches
     ``RAW_WORDS`` at a time; the sizes differ, never the values.  Where
-    Lemire's rule redraws a bounded draw of a row, that row draws again on
-    its own, as its ``Stream`` does.
+    Lemire's rule redraws a bounded draw of a row, in a run it makes or one
+    it consumes, that row draws again on its own, as its ``Stream`` does.
     """
 
     __slots__ = ("_sources", "_words", "_filled", "_starts", "_at")
@@ -291,6 +303,14 @@ class Rows:
         if bounds.units:  # each draws a 0 in its place
             values = np.insert(values, [i - k for k, i in enumerate(bounds.units)], 0, axis=1)
         return values
+
+    def consume(self, bounds: Bounds) -> None:
+        """Each row's ``Stream.consume(bounds)``: every row moves past its
+        run, and a row that would redraw draws it again one by one."""
+        count = len(bounds.wide)
+        redrawn = (self._take(count) * bounds.low < bounds.threshold).any(axis=1)
+        for row in np.flatnonzero(redrawn).tolist():
+            self._redraw(row, count, bounds.wide, bounds.threshold)
 
     def sample(self, population: int, size: int) -> np.ndarray:
         """Each row's ``Stream.sample(population, size)``, a row ascending."""

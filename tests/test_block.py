@@ -294,6 +294,21 @@ def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets(monkeypatch)
         assert not block.covers(scenario, scenario.strategy()), scenario
 
 
+@pytest.mark.parametrize("scenario", [
+    *(_SCENARIOS[f"honest_n{n}"][1] for n in (2, 3, 4, 5)),
+    Scenario(n=3, m=4, seed=9, secrets=SecretsSpec("forced_equal")),
+    Scenario(n=3, m=4, seed=9, secrets=SecretsSpec("explicit", [[0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]])),
+], ids=["honest_n2", "honest_n3", "honest_n4", "honest_n5", "forced_equal", "explicit"])
+def test_honest_shapes_are_decided_by_the_engine_as_the_scalar_trial(scenario):
+    # ``covers`` still turns honest runs away (ROADMAP item 21, step a), but
+    # the engine already counts them exactly, zero-valued keys included,
+    # over two blocks of trials.
+    assert not block.covers(scenario, scenario.strategy())
+    trials = range(3, 3 + block._ROWS + 88)
+    assert block.decide(scenario, scenario.strategy(), trials,
+                        partial(harness._bit_generator, TrialSeeds(scenario.seed))) == _scalar(scenario, trials)
+
+
 # ---------------------------------------------------------------------------
 # Random covered shapes
 # ---------------------------------------------------------------------------
@@ -582,7 +597,8 @@ class _Doctored:
 
 class _Log(Stream):
     """A trial's stream that logs where each bounded draw starts, as an
-    output index, and counts Lemire redraws."""
+    output index, and counts Lemire redraws.  A consumed run is logged as a
+    run: it draws past the same outputs."""
 
     def __init__(self, bit_generator):
         super().__init__(bit_generator)
@@ -603,6 +619,10 @@ class _Log(Stream):
     def run(self, bounds):
         self.runs.append((self.position(), bounds))
         return super().run(bounds)
+
+    def consume(self, bounds):
+        self.runs.append((self.position(), bounds))
+        return super().consume(bounds)
 
     def below(self, bound):
         self.belows.append((self.position(), bound))
@@ -668,28 +688,30 @@ _TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
 # Link 2 is the first tapped one, and 16 decoys on it abort 1 - (3/4)^16 of
 # the trials at its decoy check.
 _EVE = Scenario(n=3, m=4, decoy_count=16, trials=1, seed=31, adversary=AdversarySpec(KIND_EVE, {"links": [2]}))
-# Two decoys on link 2 pass 9/16 of the trials on to the check positions,
-# the third run, and on to TP2's coins.
+# Two decoys on link 2 pass 9/16 of the trials on to link 3, the check
+# positions, the fourth run (links 1 and 3 are consumed, link 2 is drawn),
+# and on to TP2's coins: a redraw in any of them moves what follows.
 _TP2 = Scenario(n=3, m=4, decoy_count=2, trials=1, seed=31,
                 adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [2], "victim": 1}))
 
 
 @pytest.mark.parametrize("scenario, where", [
-    (_FAKE, 0),  # the run of every link's decoy draws
+    (_FAKE, 0),  # the consumed run of every link's decoy draws
     (_FAKE, 1),  # the check positions' sample
     (_TAMPER, 2),  # the tamperer's sample of rounds
     (_TAMPER, "target"),  # one tampered round's target, a `below`
-    (_EVE, "placement"),  # the tapped link's decoy placement, inside the run of links 1 and 2
-    (_TP2, 2),  # the check positions' sample after a tap
-], ids=["decoy_run", "positions_run", "rounds_run", "target_below", "tapped_placement", "positions_after_tap"])
+    (_TP2, 0),  # link 1's consumed run, before the tapped link 2
+    (_EVE, "placement"),  # the tapped link's decoy placement, in the run of link 2 after link 1's
+    (_TP2, 3),  # the check positions' sample after a tap and the consumed link 3
+], ids=["decoy_run", "positions_run", "rounds_run", "target_below", "consumed_before_tap", "tapped_placement",
+        "positions_after_tap"])
 def test_a_trial_with_a_lemire_redraw_is_decided_in_the_engine(monkeypatch, scenario, where):
     def replacing(log):
         if where == "target":
             return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
         if where == "placement":
-            # Link 2's draws are the run's second half: its 16 decoys, then its placement.
-            start, bounds = log.runs[0]
-            return {_first_redrawable(start, bounds, after=len(bounds.values) // 2 + 16): 0}
+            # Link 2's draws are the second run: its 16 decoys, then its placement.
+            return {_first_redrawable(*log.runs[1], after=16): 0}
         return {_first_redrawable(*log.runs[where]): 0}
 
     log = _pinned(monkeypatch, scenario, range(40), replacing)

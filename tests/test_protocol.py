@@ -539,6 +539,10 @@ class _CountingStream(Stream):
         self.draws.append("run")
         return super().run(bounds)
 
+    def consume(self, bounds):
+        self.draws.append("consume")
+        return super().consume(bounds)
+
     def sample(self, population, size):
         values = super().sample(population, size)
         self.draws[-1] = "sample"  # its run of bounds
@@ -561,20 +565,21 @@ def _counted_trial(scenario):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_honest_trial_draws_seven_times_from_one_raw_call(n):
-    # Secrets, preparation, every link, check positions, check bases and
-    # the two measurement runs, all from one random_raw call; drawing
-    # through Generator.integers and Generator.choice made 7 calls.
+    # Secrets, preparation, every link (consumed: no step reads an
+    # untapped link), check positions, check bases and the two measurement
+    # runs, all from one random_raw call; drawing through
+    # Generator.integers and Generator.choice made 7 calls.
     draws, sizes = _counted_trial(Scenario(n=n, m=16))
-    assert draws == ["bits", "bits", "run", "sample", "bits", "peek", "peek"]
+    assert draws == ["bits", "bits", "consume", "sample", "bits", "peek", "peek"]
     assert sizes == [RAW_WORDS]
 
 
 @pytest.mark.parametrize("check_rounds, count", [(0, 4), (4, 7)])
 def test_baseline_trial_generator_calls(check_rounds, count):
-    # Secrets, preparation, both links and the key run, plus check
-    # positions, bases and outcomes when it checks: one random_raw call.
+    # Secrets, preparation, both links (consumed) and the key run, plus
+    # check positions, bases and outcomes when it checks: one random_raw call.
     draws, sizes = _counted_trial(Scenario(protocol="zhang_baseline", n=2, m=16, check_rounds=check_rounds))
-    assert len(draws) == count and sizes == [RAW_WORDS]
+    assert len(draws) == count and draws[2] == "consume" and sizes == [RAW_WORDS]
 
 
 class _RecordedGenerator:
@@ -623,9 +628,9 @@ def test_every_battery_trial_makes_one_raw_generator_call(monkeypatch, key):
 def test_tap_splits_the_link_draw_at_the_tapped_link(monkeypatch):
     drawn = []
 
-    def recorded(carriers, decoys, links, rng):
+    def recorded(carriers, decoys, links, rng, read=None):
         drawn.append(links)
-        return interleave(carriers, decoys, links, rng)
+        return interleave(carriers, decoys, links, rng, read)
 
     monkeypatch.setattr(protocol, "interleave", recorded)
     # One interleave call per run of links; a run ends at a tapped link or the last.

@@ -303,3 +303,97 @@ def test_rows_replay_a_tail_shuffle_as_their_streams_draw_it():
     streams = [Stream(make_rng(10, r).bit_generator) for r in range(2)]
     assert rows.sample(10001, 201).tolist() == [stream.sample(10001, 201) for stream in streams]
     assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]
+
+
+# ---------------------------------------------------------------------------
+# consume: a run drawn past without its values
+# ---------------------------------------------------------------------------
+
+# Units, powers of two (whose redraw threshold is 0), small bounds that
+# almost never redraw, and bounds that redraw about half the time.
+_CONSUMED = [1, 2, 3, 4, 5, 7, 8, 64, 1000, 2**31, 2**32, *_REJECTING]
+# A run whose first, middle and last draws above 1 redraw an output of 0.
+_DOCTORED = Bounds([3, 4, 1, 5, 64, 7, 2**32, 1, 1000, 6])
+_DOCTORED_AT = {"first": 0, "middle": 4, "last": 7}
+
+
+def _position(source, stream):
+    """The index of the next output ``stream`` reads from ``source``."""
+    return source.read - (len(stream._words) - stream._at)
+
+
+def _run_and_consume(seed, lead, bounds, replaced=()):
+    """Two streams of one doctored seed, each past ``lead`` outputs, one
+    after ``run(bounds)`` and one after ``consume(bounds)``; where each
+    stands."""
+    sources = [_Source(make_rng(*seed).bit_generator, replaced) for _ in range(2)]
+    ran, consumed = (Stream(source) for source in sources)
+    for stream in (ran, consumed):
+        stream.bits(lead, 32)
+    ran.run(bounds)
+    assert consumed.consume(bounds) is None
+    return (ran, consumed), [_position(source, stream) for source, stream in zip(sources, (ran, consumed))]
+
+
+def test_consume_leaves_a_stream_where_run_leaves_it():
+    plan = make_rng(15)
+    redrawn = 0
+    for case in range(200):
+        bounds = Bounds([_CONSUMED[i] for i in plan.integers(0, len(_CONSUMED), size=int(plan.integers(0, 60)))])
+        lead = int(plan.integers(0, 2 * RAW_WORDS))  # some runs cross a refill
+        (ran, consumed), (after_run, after_consume) = _run_and_consume((16, case), lead, bounds)
+        assert after_consume == after_run, (case, bounds.values)
+        redrawn += after_run > lead + len(bounds.wide)
+        # Every later draw agrees: a run's values, then fair words.
+        assert consumed.run(bounds) == ran.run(bounds)
+        assert consumed.bits(3, 32) == ran.bits(3, 32)
+    assert redrawn > 40
+
+
+@pytest.mark.parametrize("where", sorted(_DOCTORED_AT))
+def test_consume_redraws_where_a_doctored_run_redraws(where):
+    lead = 5
+    (ran, consumed), (after_run, after_consume) = _run_and_consume((17,), lead, _DOCTORED,
+                                                                   {lead + _DOCTORED_AT[where]: 0})
+    assert after_consume == after_run > lead + len(_DOCTORED.wide)
+    assert consumed.bits(3, 32) == ran.bits(3, 32)
+
+
+@pytest.mark.parametrize("where", sorted(_DOCTORED_AT))
+def test_rows_consume_moves_each_row_as_its_stream_consumes(where):
+    # Only row 2 reads the doctored 0, so only its run is drawn again; its
+    # cursor then runs ahead of the others'.
+    lead, count = 2 * FETCH_WORDS - 3, len(_DOCTORED.wide)  # the run crosses a fetch
+    replaced = [{}, {}, {lead + _DOCTORED_AT[where]: 0}, {}]
+    rows = Rows([_Source(make_rng(18, r).bit_generator, doctored) for r, doctored in enumerate(replaced)])
+    sources = [_Source(make_rng(18, r).bit_generator, doctored) for r, doctored in enumerate(replaced)]
+    streams = [Stream(source) for source in sources]
+    assert rows.bits(lead, 32).tolist() == [stream.bits(lead, 32) for stream in streams]
+    rows.consume(_DOCTORED)
+    for stream in streams:
+        stream.consume(_DOCTORED)
+    positions = [_position(source, stream) for source, stream in zip(sources, streams)]
+    assert rows._at.tolist() == positions
+    assert [at > lead + count for at in positions] == [False, False, True, False]
+    assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]
+
+
+def test_rows_consume_as_their_streams_consume_random_runs():
+    plan = make_rng(19)
+    redrawn = 0
+    for case in range(60):
+        bounds = Bounds([_CONSUMED[i] for i in plan.integers(0, len(_CONSUMED), size=int(plan.integers(0, 60)))])
+        rows = Rows([make_rng(20, case, r).bit_generator for r in range(5)])
+        streams = [Stream(make_rng(20, case, r).bit_generator) for r in range(5)]
+        lead = plan.integers(0, 3 * FETCH_WORDS, size=5)
+        rows.skip(lead)
+        for stream, skip in zip(streams, lead.tolist()):
+            stream.peek(skip)  # a stream skips only bits it has peeked
+            stream.skip(skip)
+        rows.consume(bounds)
+        for stream in streams:
+            stream.consume(bounds)
+        redrawn += np.count_nonzero(rows._at > lead + len(bounds.wide))
+        assert rows.run(bounds).tolist() == [stream.run(bounds) for stream in streams], case
+        assert rows.bits(3, 32).tolist() == [stream.bits(3, 32) for stream in streams]
+    assert redrawn > 20

@@ -685,12 +685,12 @@ _FAKE = Scenario(n=3, m=16, check_rounds=16, decoy_count=2, trials=1, seed=31,
                  adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {}))
 _TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
                    adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 8}))
-# Link 2 is the first tapped one, and 16 decoys on it abort 1 - (3/4)^16 of
-# the trials at its decoy check.
-_EVE = Scenario(n=3, m=4, decoy_count=16, trials=1, seed=31, adversary=AdversarySpec(KIND_EVE, {"links": [2]}))
-# Two decoys on link 2 pass 9/16 of the trials on to link 3, the check
-# positions, the fourth run (links 1 and 3 are consumed, link 2 is drawn),
-# and on to TP2's coins: a redraw in any of them moves what follows.
+# Link 2 is the first tapped one.  Its two decoys pass 9/16 of the trials
+# on to link 3, the check positions, the fourth run (links 1 and 3 are
+# consumed, link 2 is drawn), and on to TP2's coins, so a redraw in link 1,
+# in link 2's placement or after them moves what a passing trial counts.
+# With 16 decoys, 1 - (3/4)^16 of the trials would abort at link 2 whatever
+# its placement drew, and a placement redraw the engine skipped would go unseen.
 _TP2 = Scenario(n=3, m=4, decoy_count=2, trials=1, seed=31,
                 adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [2], "victim": 1}))
 
@@ -701,7 +701,7 @@ _TP2 = Scenario(n=3, m=4, decoy_count=2, trials=1, seed=31,
     (_TAMPER, 2),  # the tamperer's sample of rounds
     (_TAMPER, "target"),  # one tampered round's target, a `below`
     (_TP2, 0),  # link 1's consumed run, before the tapped link 2
-    (_EVE, "placement"),  # the tapped link's decoy placement, in the run of link 2 after link 1's
+    (_TP2, "placement"),  # the tapped link's decoy placement, in the run of link 2 after link 1's
     (_TP2, 3),  # the check positions' sample after a tap and the consumed link 3
 ], ids=["decoy_run", "positions_run", "rounds_run", "target_below", "consumed_before_tap", "tapped_placement",
         "positions_after_tap"])
@@ -710,8 +710,8 @@ def test_a_trial_with_a_lemire_redraw_is_decided_in_the_engine(monkeypatch, scen
         if where == "target":
             return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
         if where == "placement":
-            # Link 2's draws are the second run: its 16 decoys, then its placement.
-            return {_first_redrawable(*log.runs[1], after=16): 0}
+            # Link 2's draws are the second run: its decoys, then their placement.
+            return {_first_redrawable(*log.runs[1], after=scenario.decoy_count): 0}
         return {_first_redrawable(*log.runs[where]): 0}
 
     log = _pinned(monkeypatch, scenario, range(40), replacing)

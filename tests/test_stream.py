@@ -331,7 +331,7 @@ def _run_and_consume(seed, lead, bounds, replaced=()):
     for stream in (ran, consumed):
         stream.bits(lead, 32)
     ran.run(bounds)
-    assert consumed.consume(bounds) is None
+    consumed.consume(bounds)
     return (ran, consumed), [_position(source, stream) for source, stream in zip(sources, (ran, consumed))]
 
 

@@ -49,6 +49,7 @@ KIND_TP2_FAKE_RESULT = "tp2_fake_result"
 KIND_TP2_INTERCEPT = "tp2_intercept"
 KIND_PARTICIPANT_INFER = "participant_infer"
 KIND_POSITION_TAMPER = "classical_position_tamper"
+_GUESSES = ("attack_bits_guessed", "attack_bits_correct")  # in every attacking kind's ``counts``
 
 
 @dataclass
@@ -58,9 +59,6 @@ class AttackOutcome:
     bits_guessed: int = 0
     bits_correct: int = 0
     extras: Dict[str, int] = field(default_factory=dict)
-
-
-_GUESSES = ("attack_bits_guessed", "attack_bits_correct")  # in every attacking kind's ``counts``
 
 
 @dataclass

@@ -356,11 +356,9 @@ class _Program:
             self._compare(trials)
 
     def _distribute(self, trials: _Trials) -> bool:
-        """Step 2: each run of links that ``interleave`` draws, up to and
-        including the next tapped link, and each tapped link's tap and decoy
-        check.  Whether any trial passes every check.  As ``interleave``
-        draws them, the untapped links' draws are consumed, and only a
-        tapped link's are made."""
+        """Step 2: each run of links up to and including the next tapped
+        link, its untapped links consumed as ``interleave`` consumes them, and
+        each tapped link's tap and decoy check.  Whether any trial passes every check."""
         start = 1
         for end in [k for k in range(1, self.n) if k in self.taps] + [self.n]:
             consumed = end - start + (end not in self.taps)

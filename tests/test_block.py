@@ -1,14 +1,20 @@
-"""The block engine against the scalar trial: for every scenario it covers,
-its counters are exactly the summed ``_extract(run_trial(...))`` counters,
-zero-valued keys included, and no trial of it goes through ``run_trial``.
-Its one measurement is also held against a ``GhzRegister`` per row, call by
-call."""
+"""The block engine against the per-trial program: for every attack shape
+below, its counters are exactly the summed ``_extract(run_trial(...))``
+counters the per-trial program gave, zero-valued keys included, kept as
+goldens in ``tests/data/golden/engine_counters.json``.  Its one measurement
+is also held against a ``GhzRegister`` per row, call by call.
+
+Regenerate the goldens only for a deliberate draw-order change::
+
+    PYTHONPATH=src python tests/test_block.py
+"""
 
 import importlib.util
 import json
+import random
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +26,7 @@ from qpcsim import adversaries, block, harness
 from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT,
                                 KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, KINDS, POLICY_PAIRED,
                                 POLICY_RANDOM, Tp2Intercept)
+from qpcsim.errors import ConfigError
 from qpcsim.ghz import HELD, GhzRegister, GhzSpec, ghz_from_index
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
 from qpcsim.stream import FETCH_WORDS, Rows, Stream
@@ -28,6 +35,7 @@ from test_golden import _stats_cases
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+GOLDEN = ROOT / "tests" / "data" / "golden" / "engine_counters.json"
 
 COVERED = ("eve_l1", "eve_l5", "eve_l10", "eve_l20", "tp1_flip", "tp2_flip", "baseline_flip", "fake_c4", "fake_c8",
            "fake_c16", "strangers", "acquainted", "tamper_l1", "tamper_l4", "tamper_l8", "tamper_relay", "infer",
@@ -63,6 +71,185 @@ def _assert_same(scenario, start, stop):
         assert harness._run_block(scenario, scenario.strategy(), start, stop) == expected
 
 
+# ---------------------------------------------------------------------------
+# The golden cases
+# ---------------------------------------------------------------------------
+
+
+# Every golden stats case with an adversary.
+_GOLDEN_ATTACKS = sorted(set(_stats_cases()) - {"proposed_none", "zhang_none", "zhang_check2"})
+_ATTACK_CONFIGS = sorted(path.stem for path in CONFIGS.glob("*.json") if path.stem != "honest")
+_LARGER = {
+    # 120 of 123 registers checked: the positions' sample is nearly the population.
+    "baseline_fake_c120": Scenario(protocol="zhang_baseline", n=2, m=3, check_rounds=120, decoy_count=5, seed=41,
+                                   adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {})),
+    # Every one of 40 rounds tampered: the rounds' sample is the whole population.
+    "tamper_c40": Scenario(n=3, m=40, check_rounds=40, decoy_count=3, seed=41,
+                           adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 40})),
+}
+# 3 * (8 registers + 2 decoys) = 30 slots a trial; a tolerated tap lets
+# trials with disturbed decoys reach the later steps and the victim's coins.
+_SPLIT = Scenario(n=3, m=4, decoy_count=2, decoy_tolerance=1, seed=23,
+                  adversary=AdversarySpec(KIND_EVE, {"links": [1, 3], "victim": 1}))
+_FAKE_ZEROS = AdversarySpec(KIND_TP1_FAKE_STATE, {})
+_FETCHED = {
+    "fake_c150": Scenario(n=2, m=150, check_rounds=150, decoy_count=0, seed=5, adversary=_FAKE_ZEROS),
+    "tamper_c100": Scenario(n=2, m=100, check_rounds=100, decoy_count=0, seed=5,
+                            adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 100})),
+    "baseline_fake_c380": Scenario(protocol="zhang_baseline", n=2, m=1, check_rounds=380, seed=5,
+                                   adversary=_FAKE_ZEROS),
+    # 384 secret bits, 127 position draws, 64 bases and 384 fair bits.
+    "fake_n6_c64": Scenario(n=6, m=64, check_rounds=64, decoy_count=0, seed=5, adversary=_FAKE_ZEROS),
+    # 128 secret bits, 128 registers, a run of 191 draws, 192 bases and
+    # the read-ahead of 192 + 64 bits.
+    "eve_l64": Scenario(n=2, m=64, decoy_count=64, seed=5, adversary=AdversarySpec(KIND_EVE, {"links": [1]})),
+}
+# With every round checked the state check aborts nearly every trial
+# (1 - (3/4)^16 of the fake preparations, 1 - 2^-8 of the tampered runs).
+_FAKE = Scenario(n=3, m=16, check_rounds=16, decoy_count=2, trials=1, seed=31,
+                 adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {}))
+_TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
+                   adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 8}))
+# Link 2 is the first tapped one.  Its two decoys pass 9/16 of the trials
+# on to link 3, the check positions, the fourth run (links 1 and 3 are
+# consumed, link 2 is drawn), and on to TP2's coins, so a redraw in link 1,
+# in link 2's placement or after them moves what a passing trial counts.
+# With 16 decoys, 1 - (3/4)^16 of the trials would abort at link 2 whatever
+# its placement drew, and a placement redraw the engine skipped would go unseen.
+_TP2 = Scenario(n=3, m=4, decoy_count=2, trials=1, seed=31,
+                adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [2], "victim": 1}))
+# Each a trial of 40 whose one output is set to 0 where Lemire's rule
+# redraws it, and where its draw lies: a run's index in the trial's log of
+# runs (consumed ones included), or a named draw.
+_REDRAWN = {
+    "decoy_run": (_FAKE, 0),  # the consumed run of every link's decoy draws
+    "positions_run": (_FAKE, 1),  # the check positions' sample
+    "rounds_run": (_TAMPER, 2),  # the tamperer's sample of rounds
+    "target_below": (_TAMPER, "target"),  # one tampered round's target, a `below`
+    "consumed_before_tap": (_TP2, 0),  # link 1's consumed run, before the tapped link 2
+    "tapped_placement": (_TP2, "placement"),  # the tapped link's decoy placement, in the run of link 2 after link 1's
+    "positions_after_tap": (_TP2, 3),  # the check positions' sample after a tap and the consumed link 3
+}
+
+
+def _random_spec(draw, n):
+    return {"q": "0" + "".join(draw.choice("01") for _ in range(n - 1)), "delta": draw.randint(0, 1)}
+
+
+def _random_attack(draw):
+    """One attack shape of any kind, drawn by ``draw`` (a ``random.Random``)
+    from the space the engine runs: either protocol and variant, any sizes,
+    tolerances and secret policy, several tapped links, repeats included,
+    and any victim, pairs, tamper policy and fixed preparation."""
+    baseline = draw.random() < 0.3
+    n = 2 if baseline else draw.randint(2, 6)
+    m = draw.randint(1, 8)
+    c = draw.randint(0, m + 2 if baseline else m)
+    l = draw.randint(0, 12)
+    tolerance = draw.randint(0, 3)
+    kinds = [KIND_TP1_FAKE_RESULT, KIND_PARTICIPANT_INFER, KIND_TP1_FAKE_STATE, KIND_EVE]
+    if not baseline:  # the kinds that attack as TP2 or on the broadcast
+        kinds += [KIND_TP2_FAKE_RESULT, KIND_POSITION_TAMPER, KIND_TP2_INTERCEPT]
+    kind = draw.choice(kinds)
+    if kind in (KIND_TP1_FAKE_RESULT, KIND_TP2_FAKE_RESULT):
+        pairs = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        params = {"pairs": "all" if draw.random() < 0.5 else draw.sample(pairs, draw.randint(1, len(pairs)))}
+    elif kind == KIND_PARTICIPANT_INFER:
+        attacker, victim = draw.sample(range(1, n + 1), 2)
+        params = {"attacker": attacker, "victim": victim, "counterfactual": draw.random() < 0.5}
+    elif kind == KIND_POSITION_TAMPER:
+        params = {"count": draw.randint(0, c + 1), "policy": draw.choice([POLICY_PAIRED, POLICY_RANDOM])}
+        if params["policy"] == POLICY_PAIRED and draw.random() < 0.5:
+            params["pair"] = [_random_spec(draw, n), _random_spec(draw, n)]
+    elif kind == KIND_TP1_FAKE_STATE:
+        params = {}
+        if draw.random() < 0.5:
+            params["true_state"] = _random_spec(draw, n)
+        if draw.random() < 0.5:
+            params["claimed"] = _random_spec(draw, n)
+    else:
+        l = draw.randint(1, 12)
+        params = {"links": [draw.randint(1, n) for _ in range(draw.randint(1, n + 1))]}  # repeats included
+        if draw.random() < 0.7:
+            params["victim"] = draw.randint(1, n)
+        tolerance = draw.randint(0, l + 1)
+    policy = draw.choice(harness.SECRET_POLICIES)
+    values = [[draw.randint(0, 1) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
+    scenario = Scenario(
+        protocol="zhang_baseline" if baseline else "proposed", n=n, m=m, check_rounds=c, decoy_count=l,
+        decoy_tolerance=tolerance, adversary=AdversarySpec(kind, params),
+        variant="classical_broadcast" if baseline else draw.choice(["classical_broadcast", "tp2_relay"]),
+        announce_r_vectors=not baseline and draw.random() < 0.5,
+        secrets=SecretsSpec(policy, values), seed=draw.randint(0, 2**40),
+    )
+    try:
+        scenario.validate()
+    except ConfigError:  # too few distinct secrets to draw them unequal
+        scenario = replace(scenario, secrets=SecretsSpec("uniform"))
+    start = draw.randint(0, 200)
+    return scenario, start, start + draw.randint(1, 120)
+
+
+def _golden_cases():
+    """Every golden case by name: a scenario, and the trials start..stop it counts."""
+    cases = {}
+    for key in COVERED:
+        offset, template = _SCENARIOS[key]
+        scenario = replace(template, seed=1000 * 20 + offset)
+        # A share from 0, and one that starts and ends inside 64-trial chunks of TrialSeeds.
+        cases[f"battery_{key}"] = (scenario, 0, 200)
+        cases[f"battery_{key}_inner"] = (scenario, 37, 171)
+    for name in _GOLDEN_ATTACKS:
+        scenario = harness.scenario_from_config(_stats_cases()[name])
+        cases[f"golden_{name}"] = (replace(scenario, seed=scenario.seed + 1), 5, 300)
+    for config in _ATTACK_CONFIGS:
+        cases[f"config_{config}"] = (harness.scenario_from_config(json.loads((CONFIGS / f"{config}.json").read_text())),
+                                     0, 400)
+    for name, scenario in _LARGER.items():
+        cases[f"larger_{name}"] = (scenario, 0, 200)
+    # A fixed preparation, read by a block of _ROWS trials that spans nine
+    # 64-trial chunks of TrialSeeds, and by a shorter last block.
+    offset, template = _SCENARIOS["fake_c8"]
+    cases["chunks_fake_c8"] = (replace(template, seed=1000 * 23 + offset), 37, 600)
+    cases["split"] = (_SPLIT, 0, 64)
+    cases["split_inner"] = (_SPLIT, 37, 171)
+    for name, scenario in _FETCHED.items():
+        cases[f"fetch_{name}"] = (scenario, 3, 70)
+    for name, (scenario, _) in _REDRAWN.items():
+        cases[f"redraw_{name}"] = (scenario, 0, 40)
+    draw = random.Random(36)
+    for i in range(60):
+        cases[f"random_{i:02d}"] = _random_attack(draw)
+    return cases
+
+
+_CASES = _golden_cases()
+
+
+@lru_cache(maxsize=None)
+def _goldens():
+    return json.loads(GOLDEN.read_text())
+
+
+def _golden(case):
+    """Golden case ``case``: the counters the per-trial program gave, with
+    the scenario and trials that gave them, as they are named here."""
+    scenario, start, stop = _CASES[case]
+    entry = _goldens()[case]
+    assert entry["config"] == json.loads(json.dumps(scenario.to_config())) and entry["trials"] == [start, stop]
+    return entry
+
+
+def _assert_golden(case):
+    """``_run_block`` counts golden case ``case`` as the per-trial program did."""
+    scenario, start, stop = _CASES[case]
+    assert harness._run_block(scenario, scenario.strategy(), start, stop) == _golden(case)["counters"]
+
+
+def test_every_golden_case_has_its_counters():
+    assert sorted(_goldens()) == sorted(_CASES)
+
+
 def test_the_covered_battery_scenarios():
     # Every scenario with an adversary; the honest ones keep the per-trial loop.
     covered = {key for key, (_, scenario) in _SCENARIOS.items() if block.covers(scenario, scenario.strategy())}
@@ -71,42 +258,24 @@ def test_the_covered_battery_scenarios():
 
 @pytest.mark.parametrize("key", COVERED)
 def test_covered_battery_scenarios_count_as_the_scalar_trial(key):
-    offset, template = _SCENARIOS[key]
-    scenario = replace(template, seed=1000 * 20 + offset)
-    # A share from 0, and one that starts and ends inside 64-trial chunks of TrialSeeds.
-    _assert_same(scenario, 0, 200)
-    _assert_same(scenario, 37, 171)
+    _assert_golden(f"battery_{key}")
+    _assert_golden(f"battery_{key}_inner")
 
 
-# Every golden with an adversary, but those whose secrets may be drawn again.
-_GOLDEN_COVERED = sorted(set(_stats_cases()) - {"proposed_none", "zhang_none", "zhang_check2",
-                                                "proposed_eve_tolerance_unequal",
-                                                "proposed_tp1_fake_initial_state_unequal"})
-
-
-@pytest.mark.parametrize("name", _GOLDEN_COVERED)
+@pytest.mark.parametrize("name", _GOLDEN_ATTACKS)
 def test_covered_golden_scenarios_count_as_the_scalar_trial(name):
-    scenario = harness.scenario_from_config(_stats_cases()[name])
-    _assert_same(scenario, 0, scenario.trials)
-    _assert_same(replace(scenario, seed=scenario.seed + 1), 5, 300)
+    # Trials 0..29 at the golden's own seed are pinned by its stats file.
+    _assert_golden(f"golden_{name}")
 
 
-@pytest.mark.parametrize("config", sorted(path.stem for path in CONFIGS.glob("*.json") if path.stem != "honest"))
+@pytest.mark.parametrize("config", _ATTACK_CONFIGS)
 def test_the_shipped_attack_configs_count_as_the_scalar_trial(config):
-    scenario = harness.scenario_from_config(json.loads((CONFIGS / f"{config}.json").read_text()))
-    _assert_same(scenario, 0, 400)
+    _assert_golden(f"config_{config}")
 
 
-@pytest.mark.parametrize("scenario", [
-    # 120 of 123 registers checked: the positions' sample is nearly the population.
-    Scenario(protocol="zhang_baseline", n=2, m=3, check_rounds=120, decoy_count=5, seed=41,
-             adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {})),
-    # Every one of 40 rounds tampered: the rounds' sample is the whole population.
-    Scenario(n=3, m=40, check_rounds=40, decoy_count=3, seed=41,
-             adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 40})),
-], ids=["baseline_fake_c120", "tamper_c40"])
-def test_larger_shapes_are_decided_as_the_scalar_trial(scenario):
-    assert _engine(scenario, range(200)) == _scalar(scenario, range(200))
+@pytest.mark.parametrize("name", sorted(_LARGER))
+def test_larger_shapes_are_decided_as_the_scalar_trial(name):
+    _assert_golden(f"larger_{name}")
 
 
 def _benchmark_scenarios(monkeypatch, shapes_name):
@@ -140,12 +309,9 @@ def test_every_battery_golden_and_benchmark_shape_runs_in_full_blocks(monkeypatc
 
 
 def test_a_full_block_across_many_seed_chunks_counts_as_the_scalar_trial():
-    # A fixed preparation, read by a block of _ROWS trials that spans nine
-    # 64-trial chunks of TrialSeeds, and by a shorter last block.
-    offset, template = _SCENARIOS["fake_c8"]
-    scenario = replace(template, seed=1000 * 23 + offset)
-    assert block._Program(scenario, scenario.strategy()).rows == block._ROWS < 600 - 37
-    _assert_same(scenario, 37, 600)
+    scenario, start, stop = _CASES["chunks_fake_c8"]
+    assert block._Program(scenario, scenario.strategy()).rows == block._ROWS < stop - start
+    _assert_golden("chunks_fake_c8")
 
 
 def test_a_fixed_preparation_is_held_as_one_row():
@@ -196,27 +362,22 @@ def test_each_preparation_gets_its_own_registers_within_the_cache_bound(monkeypa
 
 @pytest.mark.parametrize("rows", [1, 8])
 def test_a_shape_split_into_smaller_blocks_counts_as_the_scalar_trial(monkeypatch, rows):
-    # 3 * (8 registers + 2 decoys) = 30 slots a trial; a tolerated tap lets
-    # trials with disturbed decoys reach the later steps and the victim's coins.
-    scenario = Scenario(n=3, m=4, decoy_count=2, decoy_tolerance=1, seed=23,
-                        adversary=AdversarySpec(KIND_EVE, {"links": [1, 3], "victim": 1}))
     monkeypatch.setattr(block, "_BLOCK_SLOTS", 30 * rows + 29)
-    assert block._Program(scenario, scenario.strategy()).rows == rows
-    _assert_same(scenario, 0, 64)
-    _assert_same(scenario, 37, 171)
+    assert block._Program(_SPLIT, _SPLIT.strategy()).rows == rows
+    _assert_golden("split")
+    _assert_golden("split_inner")
 
 
 @pytest.mark.parametrize("key", COVERED)
 def test_covered_battery_scenarios_split_into_blocks_of_8_count_as_the_scalar_trial(monkeypatch, key):
     # Every adversary kind's program, run 8 trials a block: the share starts
     # and ends inside blocks, and crosses two 64-trial chunks of TrialSeeds.
-    offset, template = _SCENARIOS[key]
-    scenario = replace(template, seed=1000 * 22 + offset)
+    scenario = _CASES[f"battery_{key}_inner"][0]
     program = block._Program(scenario, scenario.strategy())
     slots = program.n * (program.total + program.l)
     monkeypatch.setattr(block, "_BLOCK_SLOTS", 9 * slots - 1)
     assert block._Program(scenario, scenario.strategy()).rows == 8
-    _assert_same(scenario, 37, 171)
+    _assert_golden(f"battery_{key}_inner")
 
 
 class _KeyBasisTap(Tp2Intercept):
@@ -307,6 +468,24 @@ def test_honest_shapes_are_decided_by_the_engine_as_the_scalar_trial(scenario):
     trials = range(3, 3 + block._ROWS + 88)
     assert block.decide(scenario, scenario.strategy(), trials,
                         partial(harness._bit_generator, TrialSeeds(scenario.seed))) == _scalar(scenario, trials)
+
+
+@pytest.mark.parametrize("case", [case for case in _CASES if case.startswith("random_")])
+def test_random_attack_shapes_count_as_the_per_trial_program(case):
+    _assert_golden(case)
+
+
+def test_the_random_attack_shapes_reach_every_move():
+    shapes = [scenario for case, (scenario, _, _) in _CASES.items() if case.startswith("random_")]
+    params = [scenario.adversary.params for scenario in shapes]
+    assert {scenario.adversary.kind for scenario in shapes} == set(KINDS) - {"none"}
+    assert {scenario.protocol for scenario in shapes} == {"proposed", "zhang_baseline"}
+    assert {scenario.secrets.policy for scenario in shapes} == set(harness.SECRET_POLICIES)
+    assert any(scenario.variant == "tp2_relay" and scenario.adversary.kind == KIND_POSITION_TAMPER
+               for scenario in shapes)
+    assert any(p.get("policy") == POLICY_RANDOM for p in params)
+    assert any(len(set(p.get("links", ()))) > 1 for p in params)
+    assert any(scenario.decoy_tolerance and "links" in scenario.adversary.params for scenario in shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +837,6 @@ def _doctor(monkeypatch, trial, replaced):
     monkeypatch.setattr(harness, "_bit_generator", doctored)
 
 
-def _pinned(monkeypatch, scenario, trials, replacing):
-    """The first of ``trials`` that makes the draw ``replacing(log)`` names
-    from its undoctored run's log, doctored to read the outputs it gives,
-    and the log of its doctored run."""
-    for trial in trials:
-        try:
-            replaced = replacing(_logged(monkeypatch, scenario, trial)[1])
-        except (IndexError, StopIteration):  # the trial aborts before that draw
-            continue
-        _doctor(monkeypatch, trial, replaced)
-        return _logged(monkeypatch, scenario, trial)[1]
-    raise AssertionError("no trial to pin")
-
-
 def _first_redrawable(start, bounds, after=0):
     """The output index of the first draw of a run, from its draw ``after``
     on, that a 0 would redraw."""
@@ -679,44 +844,25 @@ def _first_redrawable(start, bounds, after=0):
     return start + sum(b > 1 for b in bounds.values[:first])
 
 
-# With every round checked the state check aborts nearly every trial
-# (1 - (3/4)^16 of the fake preparations, 1 - 2^-8 of the tampered runs).
-_FAKE = Scenario(n=3, m=16, check_rounds=16, decoy_count=2, trials=1, seed=31,
-                 adversary=AdversarySpec(KIND_TP1_FAKE_STATE, {}))
-_TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
-                   adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 8}))
-# Link 2 is the first tapped one.  Its two decoys pass 9/16 of the trials
-# on to link 3, the check positions, the fourth run (links 1 and 3 are
-# consumed, link 2 is drawn), and on to TP2's coins, so a redraw in link 1,
-# in link 2's placement or after them moves what a passing trial counts.
-# With 16 decoys, 1 - (3/4)^16 of the trials would abort at link 2 whatever
-# its placement drew, and a placement redraw the engine skipped would go unseen.
-_TP2 = Scenario(n=3, m=4, decoy_count=2, trials=1, seed=31,
-                adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [2], "victim": 1}))
+def _replacing(scenario, where, log):
+    """The output, of the trial ``log`` logs, that ``_REDRAWN``'s ``where``
+    names, set to 0 where Lemire's rule redraws it."""
+    if where == "target":
+        return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
+    if where == "placement":
+        # Link 2's draws are the second run: its decoys, then their placement.
+        return {_first_redrawable(*log.runs[1], after=scenario.decoy_count): 0}
+    return {_first_redrawable(*log.runs[where]): 0}
 
 
-@pytest.mark.parametrize("scenario, where", [
-    (_FAKE, 0),  # the consumed run of every link's decoy draws
-    (_FAKE, 1),  # the check positions' sample
-    (_TAMPER, 2),  # the tamperer's sample of rounds
-    (_TAMPER, "target"),  # one tampered round's target, a `below`
-    (_TP2, 0),  # link 1's consumed run, before the tapped link 2
-    (_TP2, "placement"),  # the tapped link's decoy placement, in the run of link 2 after link 1's
-    (_TP2, 3),  # the check positions' sample after a tap and the consumed link 3
-], ids=["decoy_run", "positions_run", "rounds_run", "target_below", "consumed_before_tap", "tapped_placement",
-        "positions_after_tap"])
-def test_a_trial_with_a_lemire_redraw_is_decided_in_the_engine(monkeypatch, scenario, where):
-    def replacing(log):
-        if where == "target":
-            return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
-        if where == "placement":
-            # Link 2's draws are the second run: its decoys, then their placement.
-            return {_first_redrawable(*log.runs[1], after=scenario.decoy_count): 0}
-        return {_first_redrawable(*log.runs[where]): 0}
-
-    log = _pinned(monkeypatch, scenario, range(40), replacing)
-    assert log.redraws > 0
-    assert _engine(scenario, range(40)) == _scalar(scenario, range(40))
+@pytest.mark.parametrize("name", sorted(_REDRAWN))
+def test_a_trial_with_a_lemire_redraw_is_decided_in_the_engine(monkeypatch, name):
+    entry = _golden(f"redraw_{name}")
+    _doctor(monkeypatch, entry["trial"], {int(at): value for at, value in entry["replaced"].items()})
+    redraw, redraws = Rows._redraw, []
+    monkeypatch.setattr(Rows, "_redraw", lambda self, row, *args: redraws.append(row) or redraw(self, row, *args))
+    assert _engine(_REDRAWN[name][0], range(40)) == entry["counters"]
+    assert redraws
 
 
 class _Counted:
@@ -731,25 +877,39 @@ class _Counted:
         return self._source.random_raw(size)
 
 
-_FAKE_ZEROS = AdversarySpec(KIND_TP1_FAKE_STATE, {})
-
-
-@pytest.mark.parametrize("scenario", [
-    Scenario(n=2, m=150, check_rounds=150, decoy_count=0, seed=5, adversary=_FAKE_ZEROS),
-    Scenario(n=2, m=100, check_rounds=100, decoy_count=0, seed=5,
-             adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 100})),
-    Scenario(protocol="zhang_baseline", n=2, m=1, check_rounds=380, seed=5, adversary=_FAKE_ZEROS),
-    # 384 secret bits, 127 position draws, 64 bases and 384 fair bits.
-    Scenario(n=6, m=64, check_rounds=64, decoy_count=0, seed=5, adversary=_FAKE_ZEROS),
-    # 128 secret bits, 128 registers, a run of 191 draws, 192 bases and
-    # the read-ahead of 192 + 64 bits.
-    Scenario(n=2, m=64, decoy_count=64, seed=5, adversary=AdversarySpec(KIND_EVE, {"links": [1]})),
-], ids=["fake_c150", "tamper_c100", "baseline_fake_c380", "fake_n6_c64", "eve_l64"])
-def test_a_shape_that_reads_past_one_fetch_is_decided_in_the_engine(scenario):
+@pytest.mark.parametrize("name", sorted(_FETCHED))
+def test_a_shape_that_reads_past_one_fetch_is_decided_in_the_engine(name):
+    scenario, start, stop = _CASES[f"fetch_{name}"]
     strategy, seeds, fetched = scenario.strategy(), TrialSeeds(scenario.seed), []
-    counters = block.decide(scenario, strategy, range(3, 70),
+    counters = block.decide(scenario, strategy, range(start, stop),
                             lambda trial: _Counted(harness._bit_generator(seeds, trial), fetched))
-    assert counters == _scalar(scenario, range(3, 70))
+    assert counters == _golden(f"fetch_{name}")["counters"]
     # Some row fetched a second time, and no fetch took fewer than FETCH_WORDS
     # words (tests/test_stream.py pins how many more).
     assert len(fetched) > 67 and min(fetched) == FETCH_WORDS
+
+
+def _write_goldens():
+    """Each golden case's counters, from the per-trial program; a redrawn
+    case's trial is the first of its 40 that makes the named draw."""
+    entries = {}
+    for case, (scenario, start, stop) in _CASES.items():
+        entry = {"config": scenario.to_config(), "trials": [start, stop]}
+        with pytest.MonkeyPatch.context() as patch:
+            if case.startswith("redraw_"):
+                where = _REDRAWN[case[len("redraw_"):]][1]
+                for trial in range(start, stop):
+                    try:
+                        replaced = _replacing(scenario, where, _logged(patch, scenario, trial)[1])
+                    except (IndexError, StopIteration):  # the trial aborts before that draw
+                        continue
+                    entry.update(trial=trial, replaced=replaced)
+                    _doctor(patch, trial, replaced)
+                    break
+            entry["counters"] = _scalar(scenario, range(start, stop))
+        entries[case] = entry
+    GOLDEN.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _write_goldens()

@@ -130,6 +130,10 @@ def _battery_shapes() -> dict:
         tp2_flip_pairs=Scenario(n=3, m=4, adversary=AdversarySpec(KIND_TP2_FAKE_RESULT, {"pairs": [[1, 3]]})),
         forced_equal=Scenario(n=3, m=4, secrets=SecretsSpec(policy="forced_equal")),
         r_vectors_tp1_flip=Scenario(n=3, m=4, announce_r_vectors=True, adversary=AdversarySpec(KIND_TP1_FAKE_RESULT)),
+        # Link 2's decoys are checked, and listed, in trials whose link 1 failed.
+        eve_links_1_2=Scenario(n=3, m=4, decoy_count=3, adversary=AdversarySpec(KIND_EVE, {"links": [1, 2]})),
+        fake_state_unequal=Scenario(n=3, m=4, secrets=SecretsSpec(policy="forced_unequal"),
+                                    adversary=AdversarySpec(KIND_TP1_FAKE_STATE)),
     )
     return shapes
 

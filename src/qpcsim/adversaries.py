@@ -1,12 +1,12 @@
 """Pluggable attack strategies.
 
 An adversary is one dataclass per kind: its ``kind``, its params (the init
-fields, with their defaults), and the hooks a protocol run calls at fixed
-points (register preparation, quantum channel taps, the classical position
-broadcast, and result announcements).  After the run ``finalize`` scores it
-from the run's transcript as an ``AttackOutcome`` (the attacker's per-bit
-guessing record against a victim's secret); the attack counts as detected
-exactly when the run aborts.
+fields, with their defaults), and the hooks the block engine
+(``block._Program``) calls at fixed points of a block of trials: register
+preparation, quantum channel taps, the classical position broadcast, result
+announcements, and ``finalize_rows``, which scores the attacker's per-bit
+guesses against a victim's secret.  The attack counts as detected exactly
+when its trial aborts.
 
 Guessing accounts only for what the attacker can actually see: its own
 measurement records, its legitimate role knowledge, and all public
@@ -18,21 +18,21 @@ statistics and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .ghz import Basis, GhzSpec, pair_xor
-from .stream import Stream
+from .ghz import Basis, GhzSpec
+# Unused here: the benchmark's tracer still wraps this name.
+from .ghz import pair_xor  # noqa: F401
 
 if TYPE_CHECKING:
     from .harness import Scenario
-    from .protocol import Transcript
 
 TP1 = "TP1"
 TP2 = "TP2"
@@ -53,50 +53,27 @@ _GUESSES = ("attack_bits_guessed", "attack_bits_correct")  # in every attacking 
 
 
 @dataclass
-class AttackOutcome:
-    """What a strategy achieved in one run."""
-
-    bits_guessed: int = 0
-    bits_correct: int = 0
-    extras: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class AdversaryStrategy:
     """Base strategy: no params, and hooks that do nothing and draw no
     randomness, which is an honest run."""
 
     kind = KIND_NONE
     party = None  # the third party the attacker is, or None: an outsider or a participant
-    # The counters each run reports even at 0, as ``_extract`` counts the
-    # ``AttackOutcome`` its ``finalize`` returns: none for an honest run.
+    # The counters each run reports even at 0: none for an honest run.
     counts = ()
-
-    def start_run(self) -> "AdversaryStrategy":
-        """The object whose hooks one run calls: the strategy itself, or a
-        fresh copy for kinds that record during a run."""
-        return self
 
     def override_preparation(self, n: int, count: int):
         """The ``(true_states, claimed_specs)`` tuples of a fixed preparation
         of ``count`` registers of n particles, or None for the honest one."""
         return None
 
-    # ``taps``, ``tamper_positions`` and ``finalize`` each have an array
-    # twin: the same move for a block of trials (``block._Program``, whose
-    # ``_Trials`` draw through ``trials.draws``), which the engine makes only
-    # if one class defines the hook and its twin.
-
-    def taps(self, link: int) -> Sequence:
-        return ()
+    # The array hooks each make a move for a block of trials, whose
+    # ``block._Trials`` draw through ``trials.draws``.
 
     def tap_rows(self, link: int) -> Optional[Callable]:
         """None, or ``tap(trials, ids, carrier)`` measuring the link's slots
         ``ids`` (``carrier``: the register particles) and forwarding them."""
         return None
-
-    def tamper_positions(self, true_positions: List[int], total: int, rng: Stream) -> List[int]:
-        return list(true_positions)
 
     def tamper_rows(self, program, trials, positions: np.ndarray, check: Callable) -> np.ndarray:
         """Whether each trial fails ``check(received)``, the check rounds of the positions P2..Pn receive."""
@@ -104,10 +81,6 @@ class AdversaryStrategy:
 
     def flip_verdict(self, announcer: str, pair: Tuple[int, int], verdict: str) -> str:
         return verdict
-
-    def finalize(self, t: "Transcript", rng: Stream) -> Optional[AttackOutcome]:
-        """Score the finished (or aborted) run from its transcript."""
-        return None
 
     def finalize_rows(self, program, trials, kept: np.ndarray, keys: np.ndarray) -> None:
         """Score completed trials from their comparison positions and keys."""
@@ -120,7 +93,6 @@ class AdversaryStrategy:
 # The benchmark's tracer (perfbench/tracing.py) finds every hook class by
 # walking ``RunHandle.__subclasses__()``.
 RunHandle = AdversaryStrategy
-NONE = AdversaryStrategy()
 
 
 # Cached: every run_scenario call asks its kind for its targets.
@@ -150,32 +122,14 @@ class EveInterceptResend(AdversaryStrategy):
 
     links: Tuple[int, ...] = (1,)
     victim: Optional[int] = None
-    # (basis, bit) per register of each tapped link, recorded during one run.
-    records: Dict[int, List[Tuple[int, int]]] = field(init=False, default_factory=dict, repr=False, compare=False)
     kind = KIND_EVE
     counts = _GUESSES
     use_spec_knowledge = False
-
-    def start_run(self) -> "EveInterceptResend":
-        return replace(self)
 
     def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
         # Each distinct tapped link runs its own decoy check.
         rate = intercept_detection(scenario.effective_decoy_count(), len(set(self.links)), scenario.decoy_tolerance)
         return {"detected_step2_rate": rate}
-
-    def taps(self, link: int):
-        if link not in self.links:
-            return ()
-
-        def tap(delivery, rng):
-            order = delivery.slots
-            bases = rng.bits(len(order))
-            bits = delivery.measure(bases, rng, forward=True)
-            # Register particles have the ids below the state's count of them.
-            self.records[link] = [(b, bit) for i, b, bit in zip(order, bases, bits) if i < delivery.state.n]
-
-        return (tap,)
 
     def tap_rows(self, link: int) -> Optional[Callable]:
         if link not in self.links:
@@ -188,47 +142,6 @@ class EveInterceptResend(AdversaryStrategy):
                 trials.records[link] = (bases << 1 | bits)[carrier].reshape(len(trials), -1).astype(np.int8)
 
         return tap
-
-    def _guess_key_bit(self, t: "Transcript", position: int) -> Optional[int]:
-        """Best key-bit guess for the victim from records + public traffic."""
-        if self.use_spec_knowledge:
-            # A third party legitimately knows the claimed preparations, so
-            # any matching-basis intercept on any tapped link reveals the
-            # register's branch and with it every participant's key bit.
-            spec = t.claimed_specs[position]
-            for link in self.links:
-                rec = self.records.get(link)
-                if rec is None:
-                    continue
-                basis, bit = rec[position]
-                if basis == int(Basis.Z):
-                    branch = bit ^ spec.q[link - 1]
-                    return spec.q[self.victim - 1] ^ branch
-            return None
-        # A stranger has no preparation knowledge: only a matching-basis
-        # intercept on the victim's own link pins that key bit.
-        rec = self.records.get(self.victim)
-        if rec is None:
-            return None
-        basis, bit = rec[position]
-        if basis == int(Basis.Z):
-            return bit
-        return None
-
-    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        if t.aborted or self.victim is None:
-            return AttackOutcome()
-        secret, comp, bits = t.secrets[self.victim - 1], t.comps[self.victim], len(t.comparison_positions)
-        hits = legit_hits = 0
-        for idx, position in enumerate(t.comparison_positions):
-            k_hat = self._guess_key_bit(t, position)
-            hits += ((rng.below(2) if k_hat is None else k_hat) ^ comp[idx]) == secret[idx]
-            if self.use_spec_knowledge:
-                # Same guess made from the legitimate view alone (no records).
-                legit_hits += (rng.below(2) ^ comp[idx]) == secret[idx]
-        if self.use_spec_knowledge:
-            return AttackOutcome(bits, hits, {"legit_bits_guessed": bits, "legit_bits_correct": legit_hits})
-        return AttackOutcome(bits, hits)
 
     def finalize_rows(self, program, trials, kept, keys) -> None:
         """The victim's key bit at each comparison position, read from a Z
@@ -322,30 +235,6 @@ class Tp1FakeInitialState(AdversaryStrategy):
             raise ConfigError(f"true state has {true_state.n} particles, protocol has {n}")
         return (true_state,) * count, (claimed,) * count
 
-    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        if t.aborted:
-            return AttackOutcome()
-        positions, hits = t.comparison_positions, 0
-        if TP in t.announcements:
-            # The baseline's TP receives only c1 ^ c2, and knows k1 ^ k2 of
-            # what it handed out, product or entangled alike: it reads
-            # s1 ^ s2, one bit per comparison position.
-            for idx, position in enumerate(positions):
-                true = t.true_states[position]
-                pad = pair_xor(true, 1, 2) if isinstance(true, GhzSpec) else true[0] ^ true[1]
-                hits += (t.comps[1][idx] ^ t.comps[2][idx] ^ pad) == (t.secrets[0][idx] ^ t.secrets[1][idx])
-            return AttackOutcome(len(positions), hits)
-        # The preparer knows exactly what it handed out.  A product
-        # preparation fixes every key bit; a wrong entangled preparation
-        # still hides the branch, leaving it guessing.
-        for participant in range(1, t.params["n"] + 1):
-            secret, comp = t.secrets[participant - 1], t.comps[participant]
-            for idx, position in enumerate(positions):
-                true = t.true_states[position]
-                k_hat = rng.below(2) if isinstance(true, GhzSpec) else true[participant - 1]
-                hits += (k_hat ^ comp[idx]) == secret[idx]
-        return AttackOutcome(t.params["n"] * len(positions), hits)
-
     def finalize_rows(self, program, trials, kept, keys) -> None:
         n, (count, m) = program.n, kept.shape
         # (trial, participant, bit)
@@ -357,7 +246,7 @@ class Tp1FakeInitialState(AdversaryStrategy):
             program.bump("attack_bits_correct", np.count_nonzero(keys[:, 0] ^ keys[:, 1] == true_q[:, 0] ^ true_q[:, 1]))
             return
         # The preparer knows each key bit of its product preparation, and
-        # guesses each of an entangled one with a fair coin, as ``rng.below(2)`` draws it.
+        # guesses each of an entangled one with a fair coin.
         guess = true_q if self.true_state == "zeros" else trials.draws.bits(n * m).reshape(count, n, m)
         program.bump("attack_bits_guessed", count * n * m)
         program.bump("attack_bits_correct", np.count_nonzero(guess == keys))
@@ -388,12 +277,6 @@ class TpFakeResult(AdversaryStrategy):
             return verdict
         return DIFFERENT if verdict == IDENTICAL else IDENTICAL
 
-    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        return AttackOutcome()
-
-    def finalize_rows(self, program, trials, kept, keys) -> None:
-        """A flipped verdict guesses no bit."""
-
 
 @dataclass
 class Tp2FakeResult(TpFakeResult):
@@ -423,23 +306,6 @@ class ParticipantInfer(AdversaryStrategy):
     counterfactual: bool = False
     kind = KIND_PARTICIPANT_INFER
     counts = _GUESSES
-
-    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        if t.aborted:
-            return AttackOutcome()
-        own = t.keys[self.attacker]
-        comp = t.comps[self.victim]
-        secret = t.secrets[self.victim - 1]
-        hits = 0
-        for idx, position in enumerate(t.comparison_positions):
-            k_hat = own[idx]
-            if self.counterfactual:
-                true = t.true_states[position]
-                if not isinstance(true, GhzSpec):
-                    raise ValueError("counterfactual inference needs an entangled preparation")
-                k_hat ^= pair_xor(true, self.attacker, self.victim)
-            hits += int((k_hat ^ comp[idx]) == secret[idx])
-        return AttackOutcome(len(t.comparison_positions), hits)
 
     def finalize_rows(self, program, trials, kept, keys) -> None:
         (count, m), attacker, victim = kept.shape, self.attacker - 1, self.victim - 1
@@ -476,13 +342,8 @@ class ClassicalPositionTamper(AdversaryStrategy):
     count: int = 1
     policy: str = POLICY_PAIRED
     pair: Optional[Tuple[GhzSpec, GhzSpec]] = None
-    # (round, true position, substituted position), recorded during one run.
-    tampered: List[Tuple[int, int, int]] = field(init=False, default_factory=list, repr=False, compare=False)
     kind = KIND_POSITION_TAMPER
     counts = _GUESSES + ("attack_tampered", "attack_tampered_distinct")
-
-    def start_run(self) -> "ClassicalPositionTamper":
-        return replace(self)
 
     def targets(self, scenario: "Scenario") -> Dict[str, Fraction]:
         from .protocol import VARIANT_BROADCAST  # protocol imports this module
@@ -508,32 +369,6 @@ class ClassicalPositionTamper(AdversaryStrategy):
                 raise ConfigError(f"tamper pair state has {spec.n} particles, protocol has {n}")
         specs = tuple(pair[p % 2] for p in range(count))
         return specs, specs
-
-    def tamper_positions(self, true_positions: List[int], total: int, rng: Stream) -> List[int]:
-        rounds_total = len(true_positions)
-        wanted = min(self.count, rounds_total)
-        if wanted == 0:
-            return list(true_positions)
-        rounds = rng.sample(rounds_total, wanted)
-        checked = set(true_positions)
-        # The unchecked positions of each start, in order; a target used
-        # leaves its pool.
-        pools: Dict[int, List[int]] = {}
-        received = list(true_positions)
-        for r in rounds:
-            p = true_positions[r]
-            # A paired preparation alternates, so the partner state sits at
-            # the positions of the other parity.
-            start, step = (1 - (p & 1), 2) if self.policy == POLICY_PAIRED else (0, 1)
-            if start not in pools:
-                pools[start] = [t for t in range(start, total, step) if t not in checked]
-            pool = pools[start]
-            if not pool:
-                continue
-            target = pool.pop(rng.below(len(pool)))
-            received[r] = target
-            self.tampered.append((r, p, target))
-        return received
 
     def tamper_rows(self, program, trials, positions, check):
         draws, (count, c), total = trials.draws, positions.shape, program.total
@@ -577,18 +412,6 @@ class ClassicalPositionTamper(AdversaryStrategy):
             program.bump(key, np.count_nonzero(hit))
             program.bump(f"{key}_detected", np.count_nonzero(hit & failed))
         return failed
-
-    def finalize(self, t: "Transcript", rng: Stream) -> AttackOutcome:
-        distinct = sum(
-            1
-            for _, p, target in self.tampered
-            if not isinstance(t.true_states[target], GhzSpec)
-            or t.claimed_specs[p] != t.true_states[target]
-        )
-        return AttackOutcome(extras={"tampered": len(self.tampered), "tampered_distinct": distinct})
-
-    def finalize_rows(self, program, trials, kept, keys) -> None:
-        """``tamper_rows`` counts the tampering."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Steps 1-7 of a block of trials as arrays, and the adversary's score, for
-every adversary kind under either protocol and variant, with secrets that
-are never drawn again, and any count of decoys, tolerated mismatches and
-check rounds.  A kind makes its own moves through its array hooks.
+every adversary kind under either protocol and variant, any secret policy,
+and any count of decoys, tolerated mismatches and check rounds.  A kind
+makes its own moves through its array hooks.  ``transcript`` renders one
+trial from a one-row run of the same steps.
 
-Each trial's draws are read through ``stream.Rows``, a row per trial, call
-for call as ``run_trial`` makes them through the trial's ``Stream``, so
-every value is the one the trial's own ``Stream`` would draw.  The registers are arrays with a trial
-axis, held as ``GhzRegister`` holds one trial's, and ``_Trials.measure``
-draws as ``GhzRegister.measure`` draws.
+Each trial's draws are read through ``stream.Rows``, a row per trial, so
+that every value is the one the trial's own ``Stream`` would draw, call for
+call as ``protocol``'s per-trial program draws an honest trial.  The
+registers are arrays with a trial axis, held as ``GhzRegister`` holds one
+trial's, and ``_Trials.measure`` draws as ``GhzRegister.measure`` draws.
 
 A share runs in blocks of up to ``_ROWS`` trials from its first trial on,
 fewer where a trial holds many slots (``_BLOCK_SLOTS``).  A trial leaves the
-block's arrays as soon as a check aborts it: the decoy check of a tapped
-link, the state check, or the cross-check of the two announcers' verdicts,
-which the arbiter then settles.  Every trial is counted as
-``harness._extract`` counts it.
+block's arrays as soon as a check aborts it: the decoy checks of the tapped
+links, the state check, or the cross-check of the two announcers' verdicts,
+which the arbiter then settles.  Each step keeps on its ``_Trials`` the
+arrays a transcript reads, by reference.
 """
 
 from __future__ import annotations
@@ -27,35 +28,10 @@ from typing import Callable, Dict, NamedTuple
 import numpy as np
 
 from . import protocol as proto
-from .adversaries import DIFFERENT, IDENTICAL, KIND_NONE
+from .adversaries import DIFFERENT, IDENTICAL, TP1, TP2
 from .ghz import HELD, MEASURED, GhzSpec
 from .photons import _run_bounds
 from .stream import Rows
-
-
-def covers(scenario, strategy) -> bool:
-    """Whether the engine runs ``scenario``'s trials: those of every
-    adversary whose moves it can make, but not those whose secrets a trial
-    may draw again."""
-    if scenario.secrets.policy == "forced_unequal":  # its redraw loop stays in harness._draw_secrets
-        return False
-    # Honest trials wait for the benchmark to fold each call's outcome as it
-    # goes (ROADMAP item 21 step a): at the engine's speed its honest
-    # workload would keep enough more calls to raise its peak RSS past its bound.
-    return strategy.kind != KIND_NONE and _twinned(type(strategy))
-
-
-# Each scalar hook the per-trial loop calls, and its array twin the engine calls.
-_TWINS = (("taps", "tap_rows"), ("tamper_positions", "tamper_rows"), ("finalize", "finalize_rows"))
-
-
-@lru_cache(maxsize=None)
-def _twinned(kind: type) -> bool:
-    """Whether one class of ``kind``'s MRO defines each scalar hook and its
-    twin: a move added to the scalar hook alone would be lost here."""
-    def definer(name):
-        return next(cls for cls in kind.__mro__ if name in cls.__dict__)
-    return all(definer(scalar) is definer(twin) for scalar, twin in _TWINS)
 
 
 # The most particle and decoy slots a block holds, over all its trials.  A
@@ -80,14 +56,70 @@ _ROWS = 512
 
 
 def decide(scenario, strategy, trials: range, generator: Callable[[int], object]) -> Dict[str, int]:
-    """The summed ``harness._extract`` counters of the trials in ``trials``.
-    ``generator(trial)`` is the trial's seeded bit generator; trials go
-    through the engine in blocks of ``_Program.rows`` trials, the first
-    starting at the first of ``trials``."""
+    """The summed counters of the trials in ``trials``.  ``generator(trial)``
+    is the trial's seeded bit generator; trials go through the engine in
+    blocks of ``_Program.rows`` trials, the first starting at the first of
+    ``trials``."""
     program = _Program(scenario, strategy)
     for first in range(trials.start, trials.stop, program.rows):
         program.run(Rows(map(generator, range(first, min(first + program.rows, trials.stop)))))
     return program.counters()
+
+
+_ARBITER = {(True, False): TP1, (False, True): TP2, (True, True): "both"}  # by which announcers lie
+
+
+def transcript(scenario, strategy, generator) -> proto.Transcript:
+    """The transcript of the trial whose seeded bit generator is
+    ``generator``, rendered from the arrays a one-row run keeps."""
+    program = _Program(scenario, strategy)
+    trials = program.run(Rows([generator]))
+    roles, n, c, l = program.roles, program.n, program.c, program.l
+    params = {"n": n, "m": program.m, "check_rounds": c, "decoy_count": l, "adversary": strategy.kind}
+    if roles.monitored:
+        params["variant"] = scenario.variant
+    t = proto.Transcript(roles.protocol, params)
+    secrets = trials.secrets[0].tolist()
+    t.secrets = tuple(map(tuple, secrets))
+    t.true_states = [tuple(q) if product else GhzSpec(tuple(q), delta)
+                     for q, delta, product in zip(*(a[0].tolist() for a in trials.prepared))]
+    t.claimed_specs = [GhzSpec(tuple(q), delta)
+                       for q, delta in zip(trials.claimed_q[0].tolist(), trials.claimed_delta[0].tolist())]
+    for k in range(1, n + 1):
+        mismatches = int(trials.mismatches[k][0]) if k in trials.mismatches else 0
+        t.decoy_checks.append(
+            {"participant": k, "passed": mismatches <= program.tolerance, "mismatches": mismatches, "total": l})
+    if not all(check["passed"] for check in t.decoy_checks):
+        t.mark_abort(2, proto.CAUSE_DECOY)
+        return t
+    if c:
+        bases, outcomes, failed = (a[0].tolist() for a in trials.rounds)
+        failures = tuple(r for r, fail in enumerate(failed) if fail)
+        t.checked_positions = trials.positions[0].tolist()
+        t.step3 = proto.Step3Report(not failures, failures, tuple(bases), outcomes)
+        if failures:
+            t.mark_abort(roles.check_step, proto.CAUSE_STATE_CHECK)
+            return t
+    positions, keys, unpadded = (a[0].tolist() for a in (trials.key_positions, trials.keys, trials.unpadded))
+    t.key_positions = dict(enumerate(positions, 1))
+    t.comparison_positions = positions[0]
+    for k, (key, secret) in enumerate(zip(keys, secrets), 1):
+        t.keys[k], t.comps[k] = tuple(key), tuple(map(int.__xor__, key, secret))
+    pairs = list(combinations(range(1, n + 1), 2))
+    r = [tuple(map(int.__xor__, unpadded[i - 1], unpadded[j - 1])) if scenario.announce_r_vectors else None
+         for i, j in pairs]
+    first, last = ([DIFFERENT if different else IDENTICAL for different in a[0].tolist()] for a in trials.verdicts)
+    for announcer, verdicts in zip(roles.announcers, (first, last)):  # a lone announcer is both
+        t.announcements[announcer] = {pair: proto.Announcement(announcer, pair, verdict, vector)
+                                      for pair, verdict, vector in zip(pairs, verdicts, r)}
+    key1, key2 = roles.verdict_keys[0], roles.verdict_keys[-1]
+    for (i, j), verdict1, verdict2 in zip(pairs, first, last):
+        truth = IDENTICAL if secrets[i - 1] == secrets[j - 1] else DIFFERENT
+        t.pair_results[i, j] = {key1: verdict1, key2: verdict2, "accepted": verdict1 == verdict2, "ground_truth": truth}
+    if first != last:
+        t.mark_abort(roles.check_step + 4, proto.CAUSE_CONFLICT)
+        t.arbiter = _ARBITER[tuple(bool(liar[0]) for liar in trials.liars)]
+    return t
 
 
 class _States(NamedTuple):
@@ -146,11 +178,17 @@ class _Trials:
     ``positions`` and ``received`` the check positions P1 chose and those
     P2..Pn received (None where they are P1's), and ``records`` the
     adversary's own arrays with a trial axis first, by its keys.
+
+    ``prepared`` holds the true states.  Each later step keeps for
+    ``transcript`` the arrays it made that a transcript reads, by tapped link
+    or as tuples: ``mismatches`` (step 2), ``rounds`` (3), ``key_positions``,
+    ``keys``, ``unpadded``, ``verdicts`` and ``liars`` (4-7).  ``keep`` drops
+    no trial from them, so their rows are those of the step that made them.
     """
 
     def __init__(self, draws: Rows, secrets: np.ndarray, true: _States, claimed: _States, photons: int) -> None:
         count, total, n = true.q.shape
-        self.draws, self.secrets = draws, secrets
+        self.draws, self.secrets, self.prepared = draws, secrets, true
         self.q = np.ascontiguousarray(true.q.transpose(0, 2, 1))
         self.claimed_q, self.claimed_delta = claimed.q, claimed.delta
         self.branch = np.where(true.product, 0, -1).astype(np.int8)
@@ -298,15 +336,14 @@ class _Program:
         self.taps = {k: tap for k in range(1, n + 1) if (tap := strategy.tap_rows(k))}
         # A tamperer reaches only the broadcast: the relayed positions draw no tamper.
         self.broadcast = scenario.variant == proto.VARIANT_BROADCAST
-        run = strategy.start_run()
-        fixed = run.override_preparation(n, total)
+        fixed = strategy.override_preparation(n, total)
         self.fixed = fixed and tuple(map(_registers, fixed))  # the true and claimed states
         # Whether the first and the last announcer announce "different" for
         # each pair, when the verdict they compute is "identical" and when it
         # is "different".  A lone announcer is both, and stands unchecked.
         announcers = self.roles.announcers
         pairs = list(combinations(range(1, n + 1), 2))  # in the order of ``_pairs``
-        self.says = np.array([[[run.flip_verdict(announcer, pair, verdict) == DIFFERENT for pair in pairs]
+        self.says = np.array([[[strategy.flip_verdict(announcer, pair, verdict) == DIFFERENT for pair in pairs]
                                for verdict in (IDENTICAL, DIFFERENT)] for announcer in (announcers[0], announcers[-1])])
         self.cross_checked = len(announcers) > 1
         self.sums = dict.fromkeys(strategy.counts, 0)
@@ -332,11 +369,10 @@ class _Program:
             kept.add("attack_legit_bits_correct")
         return {key: value for key, value in self.sums.items() if value or key in kept}
 
-    def run(self, draws: Rows) -> None:
-        """Run one block of trials, a row of ``draws`` each, and sum their counters."""
+    def run(self, draws: Rows) -> "_Trials":
+        """Run one block of trials, a row of ``draws`` each, and sum their
+        counters; the block's trials, as the last step left them."""
         n, m, count = self.n, self.m, len(draws)
-        if not count:
-            return
         self.bump("trials", count)
         # Step 1: the secrets, then the preparation.
         policy = self.secrets.policy
@@ -346,6 +382,11 @@ class _Program:
             secrets = np.repeat(draws.bits(m)[:, None], n, axis=1)
         else:
             secrets = draws.bits(n * m).reshape(count, n, m)
+            if policy == "forced_unequal":  # a row draws all n secrets again until they differ
+                i, j = self.pairs
+                while (again := (secrets[:, i] == secrets[:, j]).all(axis=2).any(axis=1)).any():
+                    secrets[again] = draws.peek(n * m).reshape(count, n, m)[again]
+                    draws.skip(again * (n * m))
         if self.fixed:
             true, claimed = (_States(*(a[:count] for a in states)) for states in self.fixed)
         else:
@@ -354,27 +395,30 @@ class _Program:
         trials = _Trials(draws, secrets.astype(np.int8), true, claimed, n * self.l)
         if self._distribute(trials) and self._check(trials):
             self._compare(trials)
+        return trials
 
     def _distribute(self, trials: _Trials) -> bool:
         """Step 2: each run of links up to and including the next tapped
         link, its untapped links consumed as ``interleave`` consumes them, and
-        each tapped link's tap and decoy check.  Whether any trial passes every check."""
-        start = 1
+        each tapped link's tap and decoy check.  Every link is checked
+        before a trial that fails any check is dropped.  Whether any trial
+        passes every check."""
+        start, failed, trials.mismatches = 1, np.zeros(len(trials), dtype=bool), {}
         for end in [k for k in range(1, self.n) if k in self.taps] + [self.n]:
             consumed = end - start + (end not in self.taps)
             if consumed:
                 trials.draws.consume(_run_bounds(self.total, self.l, consumed))
             if end in self.taps:
-                passed = self._tap(trials, end, trials.draws.run(_run_bounds(self.total, self.l, 1)))
-                self.abort(np.count_nonzero(~passed), 2, proto.CAUSE_DECOY)
-                if not trials.keep(passed):
-                    return False
+                mismatches = self._tap(trials, end, trials.draws.run(_run_bounds(self.total, self.l, 1)))
+                trials.mismatches[end] = mismatches
+                failed |= mismatches > self.tolerance
             start = end + 1
-        return True
+        self.abort(np.count_nonzero(failed), 2, proto.CAUSE_DECOY)
+        return trials.keep(~failed)
 
     def _tap(self, trials: _Trials, k: int, link: np.ndarray) -> np.ndarray:
-        """Link k's tap, the adversary's, then the link's decoy check:
-        whether each trial passes it.  ``link`` holds the link's decoy
+        """Link k's tap, the adversary's, then the link's decoy check: each
+        trial's count of mismatched decoys.  ``link`` holds the link's decoy
         states and the draws that place them."""
         n, l, total = self.n, self.l, self.total
         count = len(trials)
@@ -390,7 +434,7 @@ class _Program:
         # The check measures each decoy in its own basis: one the tap left
         # as prepared reads its bit without a draw.
         checked = trials.measure(np.broadcast_to(np.arange(first, first + l), (count, l)), decoys >> 1)
-        return np.count_nonzero(checked != decoys & 1, axis=1) <= self.tolerance
+        return np.count_nonzero(checked != decoys & 1, axis=1)
 
     def _check(self, trials: _Trials) -> bool:
         """Step 3: the check positions, the substitutes P2..Pn receive, and
@@ -426,6 +470,7 @@ class _Program:
         self.bump("x_check_failures", x_failures)
         self.bump("z_check_failures", np.count_nonzero(failed) - x_failures)
         trials.positions, trials.received = positions, None if received is positions else received
+        trials.rounds = x, bits, failed
         return failed.any(axis=1)
 
     def _compare(self, trials: _Trials) -> None:
@@ -440,6 +485,7 @@ class _Program:
         reg = np.concatenate((kept[:, None], np.repeat(others[:, None], n - 1, axis=1)), axis=1)
         ids = (reg + np.arange(n)[:, None] * self.total).reshape(count, n * m)
         keys = trials.measure(ids, np.zeros_like(ids)).astype(np.int8).reshape(count, n, m)
+        trials.key_positions, trials.keys = reg, keys
         # Steps 5-6: pair (i, j)'s result vector XORs both masked strings and
         # both pads against P1, each pad read from the claimed states, so it
         # is 0 where i's and j's unpadded strings agree.  Each announcer
@@ -451,12 +497,13 @@ class _Program:
         unpadded = padded ^ s
         computed = (unpadded[:, i] != unpadded[:, j]).any(axis=2)  # (trial, pair): whether the verdict is "different"
         first, last = (np.where(computed, different, identical) for identical, different in self.says)
+        trials.unpadded, trials.verdicts = unpadded, (first, last)
         # Step 7: the participants cross-check the first and the last
         # announcer.  On a conflict the arbiter recomputes every verdict and
         # names each announcer that contradicts one.
         if self.cross_checked:
             conflict = (first != last).any(axis=1)
-            liars = (first != computed).any(axis=1), (last != computed).any(axis=1)
+            liars = trials.liars = (first != computed).any(axis=1), (last != computed).any(axis=1)
             for name, hit in (("tp1", liars[0] & ~liars[1]), ("tp2", ~liars[0] & liars[1]),
                               ("both", liars[0] & liars[1])):
                 self.bump(f"arbiter_{name}", np.count_nonzero(hit & conflict))

@@ -319,6 +319,7 @@ class TrialStats:
 
 
 def _draw_secrets(scenario: Scenario, rng: Stream) -> List[List[int]]:
+    """A trial's secrets, under any policy but ``forced_unequal``."""
     n, m = scenario.n, scenario.m
     policy = scenario.secrets.policy
     if policy == "explicit":
@@ -328,15 +329,12 @@ def _draw_secrets(scenario: Scenario, rng: Stream) -> List[List[int]]:
         return [list(row) for _ in range(n)]
     # n*m bits cut into rows are n size-m draws, value for value, as one
     # (n, m) draw gives them (a numpy property tests/test_ghz.py pins).
-    while True:
-        bits = rng.bits(n * m)
-        rows = [bits[s : s + m] for s in range(0, n * m, m)]
-        if policy != "forced_unequal" or len({tuple(r) for r in rows}) == n:
-            return rows
+    bits = rng.bits(n * m)
+    return [bits[s : s + m] for s in range(0, n * m, m)]
 
 
 def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
-    """Count one trial's outcomes into the counters ``c``, in place."""
+    """Count one honest trial's outcomes into the counters ``c``, in place."""
     roles = proto.PROTOCOLS[t.protocol]
 
     def bump(key: str, value: int = 1) -> None:
@@ -371,26 +369,6 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         bump_nonzero("z_check_rounds", len(bases) - x_rounds)
         bump_nonzero("x_check_failures", x_failures)
         bump_nonzero("z_check_failures", len(t.step3.failures) - x_failures)
-    if t.arbiter is not None:
-        bump(f"arbiter_{t.arbiter.lower()}")
-    attack = t.attack
-    if attack is not None:
-        # An attack is detected exactly when its run aborts.
-        if t.aborted:
-            bump("attack_detected")
-        bump("attack_bits_guessed", attack.bits_guessed)
-        bump("attack_bits_correct", attack.bits_correct)
-        for key, value in attack.extras.items():
-            bump(f"attack_{key}", value)
-        tampered = attack.extras.get("tampered", 0)
-        if tampered:
-            bump("tamper_runs")
-            if t.aborted:
-                bump("tamper_runs_detected")
-            if attack.extras.get("tampered_distinct", 0) == tampered:
-                bump("tamper_distinct_runs")
-                if t.aborted:
-                    bump("tamper_distinct_runs_detected")
     # Exact pairwise identity of the computed result vectors, checked
     # against the drawn secrets.
     if not t.aborted and t.r_values:
@@ -408,22 +386,29 @@ def run_trial(
     trial: int,
     seeds: Optional[TrialSeeds] = None,
 ) -> proto.Transcript:
-    """Run trial number ``trial`` of a scenario and return its transcript,
-    which holds the secrets drawn for it.
+    """Trial number ``trial`` of a scenario, as its transcript, which holds
+    the secrets drawn for it: the trial run by the block engine that counts
+    every attack, in a block of its own.
 
     The trial's random stream is derived from the scenario seed by the trial
     index alone, so a trial replays identically whatever runs around it:
     its PCG64 is seeded as by ``SeedSequence(entropy=seed, spawn_key=(trial,))``,
     through ``seeds``, the scenario seed's ``TrialSeeds`` (made here if not
-    given).  Every draw of the trial is served from one ``Stream`` over its
-    bit generator.
+    given).
     """
     if seeds is None:
         seeds = TrialSeeds(scenario.seed)
+    return block.transcript(scenario, strategy, _bit_generator(seeds, trial))
+
+
+def _honest_trial(scenario: Scenario, trial: int, seeds: TrialSeeds) -> proto.Transcript:
+    """Trial ``trial`` of an honest scenario whose secrets are drawn once,
+    run by ``protocol``'s per-trial program, every draw served from one
+    ``Stream`` over the trial's bit generator."""
     rng = Stream(_bit_generator(seeds, trial))
     secrets = _draw_secrets(scenario, rng)
     # A size left None takes the protocol's default in its runner.
-    options = dict(check_rounds=scenario.check_rounds, decoy_count=scenario.decoy_count, adversary=strategy, rng=rng,
+    options = dict(check_rounds=scenario.check_rounds, decoy_count=scenario.decoy_count, rng=rng,
                    decoy_tolerance=scenario.decoy_tolerance)
     if scenario.roles.monitored:  # only a monitored protocol has variants and result vectors to publish
         return proto.run_proposed(
@@ -434,18 +419,22 @@ def run_trial(
 
 def _bit_generator(seeds: TrialSeeds, trial: int):
     """Trial ``trial``'s PCG64, seeded from ``seeds``: the one source of
-    every draw of the trial, whichever engine runs it."""
+    every draw of the trial, whichever program runs it."""
     return np.random.default_rng(seeds(trial)).bit_generator
 
 
 def _run_block(scenario: Scenario, strategy: adversaries.AdversaryStrategy, start: int, stop: int) -> Dict[str, int]:
     seeds = TrialSeeds(scenario.seed)
-    if block.covers(scenario, strategy):
-        return block.decide(scenario, strategy, range(start, stop), partial(_bit_generator, seeds))
-    totals: Dict[str, int] = {}
-    for trial in range(start, stop):
-        _extract(run_trial(scenario, strategy, trial, seeds), totals)
-    return totals
+    # Honest trials whose secrets are drawn once stay on the per-trial
+    # program until the benchmark folds each call's outcome as it goes
+    # (ROADMAP item 21 step a): at the engine's speed its honest workload
+    # would keep enough more calls to raise its peak RSS past its bound.
+    if strategy.kind == adversaries.KIND_NONE and scenario.secrets.policy != "forced_unequal":
+        totals: Dict[str, int] = {}
+        for trial in range(start, stop):
+            _extract(_honest_trial(scenario, trial, seeds), totals)
+        return totals
+    return block.decide(scenario, strategy, range(start, stop), partial(_bit_generator, seeds))
 
 
 def _merge(into: Dict[str, int], part: Dict[str, int]) -> None:

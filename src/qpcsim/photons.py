@@ -35,9 +35,9 @@ class Link:
     The register particles (``carried``, their ids in the run's
     ``GhzRegister``, in register order) travel with decoy photons
     (``decoy_ids``) at the slots ``decoy_slots``, ascending; an interceptor
-    may replace a particle by a photon under the same id.  Only taps read
-    a link, so a run builds one only for a tapped link, and the slot order
-    only when asked for.
+    may replace a particle by a photon under the same id.  No run builds
+    one: the block engine taps a link as arrays.  It is kept, with
+    ``QuantumChannel``, for the methods the benchmark's tracer wraps.
     """
 
     __slots__ = ("state", "carried", "decoy_ids", "decoy_slots")

@@ -17,6 +17,10 @@ Aborts carry a machine-readable cause: ``decoy_mismatch`` (step 2),
 ``state_check_failed`` (step 3), ``announcement_conflict`` (step 7).  One
 body runs both protocols; the baseline's lone third party announces without
 a cross-check, and it numbers its optional state check 4, its announcement 7.
+
+``run_proposed`` and ``run_zhang_baseline`` run one honest trial.  Trials
+with an adversary, and every transcript ``qpcsim transcript`` writes, are
+run by the block engine (``block``), which records into ``Transcript`` too.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adversaries import DIFFERENT, IDENTICAL, NONE, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
-from .ghz import Basis, GhzRegister, GhzSpec, ProductRegister, ghz_from_index, pair_xor
-from .photons import CheckReport, Link, QuantumChannel, interleave, public_discussion
-from .stream import Stream, replay_choice
-# Unused here since interleave draws the decoys: the benchmark's tracer
-# still wraps this name.
-from .photons import generate_decoys  # noqa: F401
+from .adversaries import DIFFERENT, IDENTICAL, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
+from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
+from .photons import interleave
+from .stream import Stream
+# Unused here since an honest run's decoys are only drawn past: the
+# benchmark's tracer still wraps these names.
+from .photons import generate_decoys, public_discussion  # noqa: F401
 
 VARIANT_BROADCAST = "classical_broadcast"
 VARIANT_TP2_RELAY = "tp2_relay"
@@ -173,7 +177,6 @@ class Transcript:
         self.step3: Optional[Step3Report] = None
         self.decoy_checks: List[dict] = []
         self.arbiter: Optional[str] = None
-        self.attack = None
 
     def mark_abort(self, step: int, cause: str) -> None:
         self.aborted = True
@@ -333,71 +336,25 @@ _BASELINE = _Roles(
 PROTOCOLS = {roles.protocol: roles for roles in (_PROPOSED, _BASELINE)}
 
 
-def _distribute(
-    t: Transcript,
-    roles: _Roles,
-    run: AdversaryStrategy,
-    registers: GhzRegister,
-    decoy_count: int,
-    decoy_tolerance: int,
-    rng: Stream,
-) -> None:
+def _distribute(t: Transcript, registers: GhzRegister, decoy_count: int, rng: Stream) -> None:
     """Step 2: particle k of every register goes to participant k with fresh
-    decoys mixed in, through the adversary's taps, and each participant's
-    decoys are then checked in public.
-
-    Marks the decoy abort if any link fails.
-
-    Nothing draws between two links unless the first is tapped, so one
-    ``interleave`` call draws every link up to and including the next
-    tapped one, and reads only that one: an untapped link's draws are
-    consumed, and its decoys arrive as prepared and pass.  A tapped link's
-    decoys are put in flight and each measured in its prepared basis, which
-    draws only for a decoy the tap left in the other basis.
-    """
+    decoys mixed in, and each participant's decoys are then checked in
+    public.  Untapped, every link arrives as sent and passes its check, so
+    one ``interleave`` call draws past every link's draws and reads none."""
     n = registers.particles
-    carriers = registers.n // n
-    taps = [run.taps(k) for k in range(1, n + 1)]
-    arrived = CheckReport(True, 0, decoy_count)
-    start = 1
-    for end in [k for k in range(1, n) if taps[k - 1]] + [n]:
-        tapped = taps[end - 1]
-        reports = [arrived] * (end - start + 1)
-        for decoys, placement in interleave(carriers, decoy_count, end - start + 1, rng, read=1 if tapped else 0):
-            decoy_ids = registers.add_photons(decoys)
-            slot_ids = replay_choice(carriers + decoy_count, decoy_count, placement)
-            link = Link(registers, range(end - 1, registers.n, n), decoy_ids, slot_ids)
-            QuantumChannel(roles.announcers[0], f"P{end}", tapped).transmit(link, rng)
-            bases = [d >> 1 for d in decoys]
-            reports[-1] = public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, decoy_tolerance)
-        for k, report in enumerate(reports, start):
-            t.decoy_checks.append(
-                {"participant": k, "passed": report.passed, "mismatches": report.mismatches, "total": report.total}
-            )
-        start = end + 1
-    if not all(check["passed"] for check in t.decoy_checks):
-        t.mark_abort(2, CAUSE_DECOY)
+    interleave(registers.n // n, decoy_count, n, rng, read=0)
+    t.decoy_checks = [{"participant": k, "passed": True, "mismatches": 0, "total": decoy_count}
+                      for k in range(1, n + 1)]
 
 
-def _check_rounds(
-    t: Transcript,
-    roles: _Roles,
-    registers: GhzRegister,
-    believed: Dict[int, List[int]],
-    rng: Stream,
-) -> None:
+def _check_rounds(t: Transcript, roles: _Roles, registers: GhzRegister, positions: List[int], rng: Stream) -> None:
     """Step 3: in each round every participant measures its particle of one
     checked register in that round's random basis, and the joint outcomes
-    are tested against the claimed preparations.
-
-    ``believed[k]`` is the check-position list participant k acts on.  P1
-    chose the positions, so ``believed[1]`` is the true list.  Marks the
-    state-check abort on failure.
-    """
-    positions = believed[1]
+    are tested against the claimed preparations.  Marks the state-check
+    abort on failure."""
     bases = rng.bits(len(positions))
     n = registers.particles
-    ids = [believed[k][r] * n + k - 1 for r in range(len(positions)) for k in range(1, n + 1)]
+    ids = [p * n + k for p in positions for k in range(n)]
     bits = registers.measure(ids, [b for b in bases for _ in range(n)], rng)
     outcomes = [bits[s : s + n] for s in range(0, len(bits), n)]
     report = step3_check([t.claimed_specs[p] for p in positions], bases, outcomes)
@@ -407,31 +364,16 @@ def _check_rounds(
         t.mark_abort(roles.check_step, CAUSE_STATE_CHECK)
 
 
-def _measure_keys(
-    t: Transcript,
-    registers: GhzRegister,
-    believed: Dict[int, List[int]],
-    rng: Stream,
-) -> None:
-    """Step 4: each participant Z-measures the first m registers it believes
-    unchecked into its key string and masks its secret with it.
-
-    The first m truly unchecked registers carry the comparison; with fewer
-    than m checks the surplus is simply never used.  Under tampering a
-    participant's believed positions may disagree with these.
-    """
+def _measure_keys(t: Transcript, registers: GhzRegister, positions: List[int], rng: Stream) -> None:
+    """Step 4: each participant Z-measures the first m unchecked registers
+    into its key string and masks its secret with it; with fewer than m
+    checks the surplus is simply never used."""
     m = t.params["m"]
     n, total = registers.particles, len(t.claimed_specs)
-    kept: Dict[Tuple[int, ...], List[int]] = {}  # participants that believe the same checks keep the same registers
-    positions = t.key_positions
-    for k in range(1, n + 1):
-        key = tuple(believed[k])
-        if key not in kept:
-            skipped = set(key)
-            kept[key] = [p for p in range(total) if p not in skipped][:m]
-        positions[k] = kept[key]
-    t.comparison_positions = positions[1]  # P1 chose the checks, so its list is the true one
-    ids = [p * n + k - 1 for k in range(1, n + 1) for p in positions[k]]
+    skipped = set(positions)
+    t.comparison_positions = kept = [p for p in range(total) if p not in skipped][:m]
+    t.key_positions = dict.fromkeys(range(1, n + 1), kept)
+    ids = [p * n + k for k in range(n) for p in kept]
     # Every participant skips at most m of the 2m (or m + c) registers.
     bits = registers.measure(ids, [Basis.Z] * len(ids), rng)
     for k in range(1, n + 1):
@@ -445,12 +387,6 @@ def _pads(specs: Sequence[GhzSpec]) -> List[Tuple[int, ...]]:
     return list(zip(*(spec.q for spec in specs)))
 
 
-def _finalize(t: Transcript, run: AdversaryStrategy, rng: Stream) -> Transcript:
-    """Let the adversary score the run from its transcript."""
-    t.attack = run.finalize(t, rng)
-    return t
-
-
 def run_proposed(
     n: int,
     m: int,
@@ -459,20 +395,18 @@ def run_proposed(
     check_rounds: Optional[int] = None,
     decoy_count: Optional[int] = None,
     variant: str = VARIANT_BROADCAST,
-    adversary: Optional[AdversaryStrategy] = None,
     rng: Stream,
     announce_r: bool = False,
     decoy_tolerance: int = 0,
 ) -> Transcript:
-    """One full run of the two-watchdog multiparty comparison.
+    """One full honest run of the two-watchdog multiparty comparison.
 
     TP1 prepares 2m registers, of which ``check_rounds`` (default m) are
     checked.  ``rng`` is the trial's ``Stream``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return _run(_PROPOSED, n, m, secrets, check_rounds, decoy_count, variant, adversary, rng, announce_r,
-                decoy_tolerance)
+    return _run(_PROPOSED, n, m, secrets, check_rounds, decoy_count, variant, rng, announce_r, decoy_tolerance)
 
 
 def run_zhang_baseline(
@@ -481,11 +415,10 @@ def run_zhang_baseline(
     *,
     check_rounds: Optional[int] = None,
     decoy_count: Optional[int] = None,
-    adversary: Optional[AdversaryStrategy] = None,
     rng: Stream,
     decoy_tolerance: int = 0,
 ) -> Transcript:
-    """One run of the single-third-party two-party baseline.
+    """One honest run of the single-third-party two-party baseline.
 
     The single helper prepares Bell pairs drawn from {(|00>+|11>)/sqrt(2),
     (|01>-|10>)/sqrt(2)}, the participants XOR their masked strings together
@@ -498,14 +431,13 @@ def run_zhang_baseline(
     The check positions travel on that channel, so no variant applies and
     nothing can tamper with them.  ``rng`` is as for ``run_proposed``.
     """
-    return _run(_BASELINE, _BASELINE.participants, m, secrets, check_rounds, decoy_count, None, adversary, rng, False,
+    return _run(_BASELINE, _BASELINE.participants, m, secrets, check_rounds, decoy_count, None, rng, False,
                 decoy_tolerance)
 
 
 def _run(
     roles: _Roles, n: int, m: int, secrets: Sequence[Sequence[int]], check_rounds: Optional[int],
-    decoy_count: Optional[int], variant: Optional[str], adversary: Optional[AdversaryStrategy], rng: Stream,
-    announce_r: bool, decoy_tolerance: int,
+    decoy_count: Optional[int], variant: Optional[str], rng: Stream, announce_r: bool, decoy_tolerance: int,
 ) -> Transcript:
     """Steps 1-7 of either protocol; ``variant`` is None where none applies, a size None takes its default."""
     secrets = _validate_common(n, m, secrets)
@@ -515,46 +447,28 @@ def _run(
         raise ValueError(f"check rounds must be nonnegative and leave m={m} registers, got {c}")
     if l < 0:
         raise ValueError("decoy count must be nonnegative")
-    strategy = adversary or NONE
-    if not roles.admits(strategy):
-        raise ValueError(f"adversary kind {strategy.kind} is not supported by the {roles.protocol} protocol")
-    run = strategy.start_run()
     total = roles.register_count(m, c)
 
-    params = {"n": n, "m": m, "check_rounds": c, "decoy_count": l, "adversary": strategy.kind}
+    params = {"n": n, "m": m, "check_rounds": c, "decoy_count": l, "adversary": "none"}
     if variant is not None:
         params["variant"] = variant
     t = Transcript(roles.protocol, params)
     t.secrets = secrets
 
-    # Step 1: prepare the registers in one draw (or whatever the preparer
-    # fakes), each a GhzSpec or a product state's bit tuple.
-    prepared = run.override_preparation(n, total)
-    if prepared is None:
-        specs = roles.prepared(n, rng.bits(total, roles.prepare_width(n)))
-        prepared = specs, specs
-    t.true_states, t.claimed_specs = prepared
-    registers = (ProductRegister if isinstance(t.true_states[0], tuple) else GhzRegister)(t.true_states)
-
-    _distribute(t, roles, run, registers, l, decoy_tolerance, rng)
-    if t.aborted:
-        return _finalize(t, run, rng)
+    # Step 1: prepare the registers in one draw.
+    t.true_states = t.claimed_specs = roles.prepared(n, rng.bits(total, roles.prepare_width(n)))
+    registers = GhzRegister(t.true_states)
+    _distribute(t, registers, l, rng)
 
     # Step 3: cooperative correctness check of c randomly chosen registers.
-    believed: Dict[int, List[int]] = {k: [] for k in range(1, n + 1)}
+    positions: List[int] = []
     if c > 0:
         positions = rng.sample(total, c)
-        # P1's broadcast to the other participants rides the plain classical
-        # channel and is the only thing a tamperer can touch; the checking
-        # third party always gets the true list over its authenticated
-        # channel, as do the baseline's participants over theirs.
-        received = run.tamper_positions(positions, total, rng) if variant == VARIANT_BROADCAST else positions
-        believed = {1: positions, **{k: received for k in range(2, n + 1)}}
-        _check_rounds(t, roles, registers, believed, rng)
+        _check_rounds(t, roles, registers, positions, rng)
         if t.aborted:
-            return _finalize(t, run, rng)
+            return t
 
-    _measure_keys(t, registers, believed, rng)
+    _measure_keys(t, registers, positions, rng)
 
     # Step 6: every announcer announces a verdict per pair.  They hold the
     # same claimed states and masked strings (or the baseline's XOR of them),
@@ -572,8 +486,7 @@ def _run(
         by_pair = t.announcements[announcer] = {}
         for pair in pairs:
             r = r_values[pair]
-            verdict = run.flip_verdict(announcer, pair, verdict_for(r))
-            by_pair[pair] = Announcement(announcer, pair, verdict, r if announce_r else None)
+            by_pair[pair] = Announcement(announcer, pair, verdict_for(r), r if announce_r else None)
 
     # Step 7: participants cross-compare the first and the last announcer's
     # verdicts; a lone announcer is both, under one key, and stands unchecked.
@@ -590,4 +503,4 @@ def _run(
     if conflict:
         t.mark_abort(roles.check_step + 4, CAUSE_CONFLICT)
         t.arbiter = arbiter_identify(compared, t.comps, first, last)
-    return _finalize(t, run, rng)
+    return t

@@ -12,22 +12,16 @@ import pytest
 from qpcsim.adversaries import (
     ALL_KINDS,
     KINDS,
-    ClassicalPositionTamper,
-    EveInterceptResend,
     GhzSpec,
-    NONE,
     ParticipantInfer,
-    Tp1FakeInitialState,
-    Tp2FakeResult,
-    Tp2Intercept,
-    TpFakeResult,
     intercept_detection,
     strategy_from_config,
     tamper_detection,
 )
 from qpcsim.errors import ConfigError
 from qpcsim.ghz import ghz_from_index
-from qpcsim.protocol import VARIANT_TP2_RELAY, run_proposed, run_zhang_baseline
+from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, _run_block, run_scenario, run_trial
+from qpcsim.protocol import VARIANT_TP2_RELAY, run_proposed
 from qpcsim.stream import Stream
 
 SIGMA3 = lambda p, n: 3 * np.sqrt(p * (1 - p) / n)  # noqa: E731
@@ -56,54 +50,39 @@ def test_the_cached_targets_are_the_functions_they_cache():
         assert tamper_detection(l) == tamper_detection.__wrapped__(l), l
 
 
-def make_rng(*key):
-    return Stream(np.random.PCG64(np.random.SeedSequence(entropy=987005, spawn_key=key)))
+def counters(adversary, **fields):
+    """The counters of a run of ``fields`` under ``adversary``."""
+    return run_scenario(Scenario(adversary=adversary, **fields)).counters
 
 
-def random_secrets(n, m, rng):
-    return [rng.bits(m) for _ in range(n)]
+def eve(**params):
+    return AdversarySpec("eve_intercept_resend", {"links": [1], **params})
+
+
+def rate(c, hits, count):
+    return c.get(hits, 0) / c[count]
 
 
 def test_eve_step2_detection_matches_closed_form():
-    l = 5
-    trials = 3000
-    detected = 0
-    for trial in range(trials):
-        rng = make_rng(1, trial)
-        t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=l,
-                         adversary=EveInterceptResend(links=(1,)), rng=rng)
-        detected += t.abort_step == 2
-    target = 1 - 0.75**l
-    assert abs(detected / trials - target) <= SIGMA3(target, trials)
+    c = counters(eve(), n=2, m=2, decoy_count=5, trials=3000, seed=1)
+    target = 1 - 0.75**5
+    assert abs(rate(c, "abort_step2", "trials") - target) <= SIGMA3(target, 3000)
 
 
 def test_eve_also_trips_the_state_check():
     # Carrier disturbance is caught by the cooperative check at 1/4 per
-    # checked register, on top of the decoy statistics.
-    trials = 3000
-    step3 = 0
-    survivors = 0
-    for trial in range(trials):
-        rng = make_rng(2, trial)
-        t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=0, check_rounds=2,
-                         adversary=EveInterceptResend(links=(1,)), rng=rng)
-        survivors += 1  # no decoys, so every run reaches the check
-        step3 += t.abort_step == 3
+    # checked register, on top of the decoy statistics; with no decoys
+    # every run reaches the check.
+    c = counters(eve(), n=2, m=2, decoy_count=0, check_rounds=2, trials=3000, seed=2)
     target = 1 - 0.75**2
-    assert abs(step3 / trials - target) <= SIGMA3(target, trials)
+    assert abs(rate(c, "abort_step3", "trials") - target) <= SIGMA3(target, 3000)
 
 
 def test_eve_learns_nothing_about_untapped_victim():
-    hits = bits = 0
-    for trial in range(2000):
-        rng = make_rng(3, trial)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=2, decoy_count=2,
-                         adversary=EveInterceptResend(links=(1,), victim=2), rng=rng)
-        if not t.aborted:
-            hits += t.attack.bits_correct
-            bits += t.attack.bits_guessed
+    c = counters(eve(victim=2), n=3, m=8, check_rounds=2, decoy_count=2, trials=2000, seed=3)
+    bits = c["attack_bits_guessed"]
     assert bits > 3000
-    assert abs(hits / bits - 0.5) <= SIGMA3(0.5, bits)
+    assert abs(rate(c, "attack_bits_correct", "attack_bits_guessed") - 0.5) <= SIGMA3(0.5, bits)
 
 
 def test_eve_pins_tapped_victims_bits_at_three_quarters():
@@ -111,58 +90,32 @@ def test_eve_pins_tapped_victims_bits_at_three_quarters():
     # so in undetected runs half the victim's key bits are known exactly:
     # accuracy 3/4, not 1/2.  Detection, not secrecy, is the protocol's
     # defense against intercept-resend on the carrier basis.
-    hits = bits = 0
-    for trial in range(2000):
-        rng = make_rng(4, trial)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=2, decoy_count=2,
-                         adversary=EveInterceptResend(links=(1,), victim=1), rng=rng)
-        if not t.aborted:
-            hits += t.attack.bits_correct
-            bits += t.attack.bits_guessed
-    assert abs(hits / bits - 0.75) <= SIGMA3(0.75, bits)
+    c = counters(eve(victim=1), n=3, m=8, check_rounds=2, decoy_count=2, trials=2000, seed=4)
+    assert abs(rate(c, "attack_bits_correct", "attack_bits_guessed") - 0.75) <= SIGMA3(0.75, c["attack_bits_guessed"])
 
 
 def test_tp2_intercept_detection_matches_eve():
-    l = 4
-    trials = 3000
-    rates = []
-    for salt, build in ((5, lambda: EveInterceptResend(links=(1,))), (6, lambda: Tp2Intercept(links=(1,)))):
-        detected = 0
-        for trial in range(trials):
-            rng = make_rng(salt, trial)
-            t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=l,
-                             adversary=build(), rng=rng)
-            detected += t.abort_step == 2
-        rates.append(detected / trials)
-    target = 1 - 0.75**l
-    for rate in rates:
-        assert abs(rate - target) <= SIGMA3(target, trials)
+    target = 1 - 0.75**4
+    for seed, kind in ((5, "eve_intercept_resend"), (6, "tp2_intercept")):
+        c = counters(AdversarySpec(kind, {"links": [1]}), n=2, m=2, decoy_count=4, trials=3000, seed=seed)
+        assert abs(rate(c, "abort_step2", "trials") - target) <= SIGMA3(target, 3000)
 
 
 def test_tp2_records_beat_legitimate_view():
     # With the preparation list in hand, any matching-basis intercept
     # reveals the register branch, so the records-assisted accuracy is 3/4
     # for every victim while the legitimate view alone stays at 1/2.
-    hits = bits = legit_hits = legit_bits = 0
-    for trial in range(2500):
-        rng = make_rng(7, trial)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=2, decoy_count=2,
-                         adversary=Tp2Intercept(links=(1,), victim=2), rng=rng)
-        if not t.aborted:
-            hits += t.attack.bits_correct
-            bits += t.attack.bits_guessed
-            legit_hits += t.attack.extras["legit_bits_correct"]
-            legit_bits += t.attack.extras["legit_bits_guessed"]
-    assert abs(hits / bits - 0.75) <= SIGMA3(0.75, bits)
-    assert abs(legit_hits / legit_bits - 0.5) <= SIGMA3(0.5, legit_bits)
+    c = counters(AdversarySpec("tp2_intercept", {"links": [1], "victim": 2}), n=3, m=8, check_rounds=2,
+                 decoy_count=2, trials=2500, seed=7)
+    assert abs(rate(c, "attack_bits_correct", "attack_bits_guessed") - 0.75) <= SIGMA3(0.75, c["attack_bits_guessed"])
+    legit = c["attack_legit_bits_guessed"]
+    assert abs(rate(c, "attack_legit_bits_correct", "attack_legit_bits_guessed") - 0.5) <= SIGMA3(0.5, legit)
 
 
 def test_tp2_no_decoys_is_never_detected():
-    for trial in range(100):
-        rng = make_rng(8, trial)
-        t = run_proposed(2, 2, random_secrets(2, 2, rng), decoy_count=0, check_rounds=0,
-                         adversary=Tp2Intercept(links=(1,)), rng=rng)
-        assert not t.aborted
+    c = counters(AdversarySpec("tp2_intercept", {"links": [1]}), n=2, m=2, decoy_count=0, check_rounds=0, trials=100,
+                 seed=8)
+    assert c["completed"] == 100 and "aborted" not in c
 
 
 # ---------------------------------------------------------------------------
@@ -170,87 +123,52 @@ def test_tp2_no_decoys_is_never_detected():
 # ---------------------------------------------------------------------------
 
 
+FAKE = AdversarySpec("tp1_fake_initial_state")
+
+
 def test_fake_state_x_rounds_detect_half_z_rounds_never():
-    x_fail = x_total = z_fail = z_total = 0
-    for trial in range(2500):
-        rng = make_rng(9, trial)
-        t = run_proposed(3, 4, random_secrets(3, 4, rng), check_rounds=4, decoy_count=2,
-                         adversary=Tp1FakeInitialState(), rng=rng)
-        if t.step3 is None:
-            continue
-        failed = set(t.step3.failures)
-        for r, basis in enumerate(t.step3.bases):
-            if basis == 1:
-                x_total += 1
-                x_fail += r in failed
-            else:
-                z_total += 1
-                z_fail += r in failed
-    assert z_fail == 0
-    assert abs(x_fail / x_total - 0.5) <= SIGMA3(0.5, x_total)
+    c = counters(FAKE, n=3, m=4, check_rounds=4, decoy_count=2, trials=2500, seed=9)
+    assert c["z_check_rounds"] > 0 and "z_check_failures" not in c
+    assert abs(rate(c, "x_check_failures", "x_check_rounds") - 0.5) <= SIGMA3(0.5, c["x_check_rounds"])
 
 
 def test_fake_state_overall_detection_curve():
-    for c in (2, 4):
-        trials = 3000
-        detected = 0
-        for trial in range(trials):
-            rng = make_rng(10, c, trial)
-            t = run_proposed(3, 4, random_secrets(3, 4, rng), check_rounds=c, decoy_count=2,
-                             adversary=Tp1FakeInitialState(), rng=rng)
-            detected += t.aborted
-        target = 1 - 0.75**c
-        assert abs(detected / trials - target) <= SIGMA3(target, trials)
+    for check_rounds in (2, 4):
+        c = counters(FAKE, n=3, m=4, check_rounds=check_rounds, decoy_count=2, trials=3000, seed=10 + check_rounds)
+        target = 1 - 0.75**check_rounds
+        assert abs(rate(c, "aborted", "trials") - target) <= SIGMA3(target, 3000)
 
 
 def test_fake_state_z_checks_never_detect_when_unchecked_in_x():
     # With a preparation of |000> claimed as the all-0-vector state, a pure
     # Z-round check can never fail, so c = 0 runs always complete and the
     # preparer reads every secret straight off the masked strings.
-    for trial in range(50):
-        rng = make_rng(11, trial)
-        t = run_proposed(3, 4, random_secrets(3, 4, rng), check_rounds=0, decoy_count=2,
-                         adversary=Tp1FakeInitialState(), rng=rng)
-        assert not t.aborted
-        assert t.attack.bits_guessed == 3 * 4
-        assert t.attack.bits_correct == t.attack.bits_guessed
+    c = counters(FAKE, n=3, m=4, check_rounds=0, decoy_count=2, trials=50, seed=11)
+    assert "aborted" not in c
+    assert c["attack_bits_correct"] == c["attack_bits_guessed"] == 50 * 3 * 4
 
 
 def test_fake_state_with_wrong_entangled_preparation():
     # True state (|000>-|111>)/sqrt(2) against a claimed (|000>+|111>)/sqrt(2):
     # X rounds always fail (wrong parity), Z rounds never, so detection is
     # 1-(1/2)^c; and the branch stays hidden, so guessing stays at chance.
-    trials = 2500
-    detected = 0
-    hits = bits = 0
-    for trial in range(trials):
-        rng = make_rng(12, trial)
-        t = run_proposed(
-            3, 4, random_secrets(3, 4, rng), check_rounds=2, decoy_count=2,
-            adversary=Tp1FakeInitialState(true_state=GhzSpec((0, 0, 0), 1), claimed=GhzSpec((0, 0, 0), 0)),
-            rng=rng
-        )
-        detected += t.aborted
-        if not t.aborted:
-            hits += t.attack.bits_correct
-            bits += t.attack.bits_guessed
+    wrong = AdversarySpec("tp1_fake_initial_state",
+                          {"true_state": {"q": "000", "delta": 1}, "claimed": {"q": "000", "delta": 0}})
+    c = counters(wrong, n=3, m=4, check_rounds=2, decoy_count=2, trials=2500, seed=12)
     target = 1 - 0.5**2
-    assert abs(detected / trials - target) <= SIGMA3(target, trials)
-    assert abs(hits / bits - 0.5) <= SIGMA3(0.5, bits)
+    assert abs(rate(c, "aborted", "trials") - target) <= SIGMA3(target, 2500)
+    assert abs(rate(c, "attack_bits_correct", "attack_bits_guessed") - 0.5) <= SIGMA3(0.5, c["attack_bits_guessed"])
 
 
-@pytest.mark.parametrize("true_state", ["zeros", GhzSpec((0, 1), 1)], ids=["zeros", "entangled"])
+@pytest.mark.parametrize("true_state", ["zeros", {"q": "01", "delta": 1}], ids=["zeros", "entangled"])
 def test_baseline_preparer_reads_the_xor_it_receives(true_state):
     # The baseline's TP receives only c1 ^ c2.  Knowing k1 ^ k2 of whatever
     # it prepared, product or entangled, it reads s1 ^ s2 exactly: one bit
     # per comparison position, which is what r reveals.
-    for trial in range(40):
-        rng = make_rng(31, trial)
-        secrets = random_secrets(2, 6, rng)
-        t = run_zhang_baseline(6, secrets, check_rounds=0,
-                               adversary=Tp1FakeInitialState(true_state=true_state), rng=rng)
-        assert not t.aborted
-        assert t.attack.bits_correct == t.attack.bits_guessed == 6
+    c = counters(AdversarySpec("tp1_fake_initial_state", {"true_state": true_state}), protocol="zhang_baseline", n=2,
+                 m=6, check_rounds=0, trials=40, seed=31)
+    assert "aborted" not in c
+    assert c["attack_bits_correct"] == c["attack_bits_guessed"] == 40 * 6
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +177,14 @@ def test_baseline_preparer_reads_the_xor_it_receives(true_state):
 
 
 def test_fake_result_always_conflicts():
-    for cls, announcer in ((TpFakeResult, "TP1"), (Tp2FakeResult, "TP2")):
-        for trial in range(100):
-            rng = make_rng(13, trial)
-            t = run_proposed(3, 4, random_secrets(3, 4, rng),
-                             adversary=cls(), rng=rng)
-            assert t.aborted and t.abort_step == 7
-            assert t.arbiter == announcer
+    for kind, arbiter in (("tp1_fake_result", "arbiter_tp1"), ("tp2_fake_result", "arbiter_tp2")):
+        c = counters(AdversarySpec(kind), n=3, m=4, trials=100, seed=13)
+        assert c["abort_step7"] == c["abort_announcement_conflict"] == c[arbiter] == 100
 
 
 def test_fake_result_pair_subset():
-    rng = make_rng(14)
-    t = run_proposed(3, 4, random_secrets(3, 4, rng),
-                     adversary=TpFakeResult(pairs=[(1, 2)]), rng=rng)
+    scenario = Scenario(n=3, m=4, seed=14, adversary=AdversarySpec("tp1_fake_result", {"pairs": [[1, 2]]}))
+    t = run_trial(scenario, scenario.strategy(), 0)
     assert not t.pair_results[(1, 2)]["accepted"]
     assert t.pair_results[(1, 3)]["accepted"]
     assert t.pair_results[(2, 3)]["accepted"]
@@ -279,21 +192,9 @@ def test_fake_result_pair_subset():
 
 def test_no_adversary_keeps_announcements_honest():
     for trial in range(100):
-        rng = make_rng(15, trial)
-        t = run_proposed(2, 4, random_secrets(2, 4, rng), adversary=NONE, rng=rng)
+        rng = Stream(np.random.PCG64(np.random.SeedSequence(entropy=987005, spawn_key=(15, trial))))
+        t = run_proposed(2, 4, [rng.bits(4) for _ in range(2)], rng=rng)
         assert not t.aborted
-
-
-def test_none_strategy_adds_no_perturbation():
-    # The hook framework must not touch the random stream when inactive:
-    # a run with the null strategy is bit-for-bit the run without one.
-    from qpcsim.adversaries import AdversaryStrategy
-
-    secrets = [[0, 1, 1, 0], [1, 0, 0, 1]]
-    plain = run_proposed(2, 4, secrets, rng=make_rng(30))
-    none = run_proposed(2, 4, secrets, adversary=NONE, rng=make_rng(30))
-    fresh = run_proposed(2, 4, secrets, adversary=AdversaryStrategy(), rng=make_rng(30))
-    assert plain.to_json() == none.to_json() == fresh.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +203,16 @@ def test_none_strategy_adds_no_perturbation():
 
 
 def test_participant_infer_accuracies():
-    hits = bits = 0
-    for trial in range(1500):
-        rng = make_rng(16, trial)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng),
-                         adversary=ParticipantInfer(attacker=1, victim=2), rng=rng)
-        hits += t.attack.bits_correct
-        bits += t.attack.bits_guessed
-    assert abs(hits / bits - 0.5) <= SIGMA3(0.5, bits)
+    c = counters(AdversarySpec("participant_infer", {"attacker": 1, "victim": 2}), n=3, m=8, trials=1500, seed=16)
+    assert abs(rate(c, "attack_bits_correct", "attack_bits_guessed") - 0.5) <= SIGMA3(0.5, c["attack_bits_guessed"])
 
-    for trial in range(100):
-        rng = make_rng(17, trial)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng),
-                         adversary=ParticipantInfer(attacker=1, victim=2, counterfactual=True),
-                         rng=rng)
-        assert t.attack.bits_correct == t.attack.bits_guessed == 8
+    c = counters(AdversarySpec("participant_infer", {"attacker": 1, "victim": 2, "counterfactual": True}), n=3, m=8,
+                 trials=100, seed=17)
+    assert c["attack_bits_correct"] == c["attack_bits_guessed"] == 100 * 8
 
-    rng = make_rng(18)
-    t = run_proposed(3, 8, random_secrets(3, 8, rng),
-                     adversary=ParticipantInfer(attacker=2, victim=2), rng=rng)
-    assert t.attack.bits_correct == t.attack.bits_guessed
+    # A config cannot name the attacker its own victim; the strategy can.
+    c = _run_block(Scenario(n=3, m=8, seed=18), ParticipantInfer(attacker=2, victim=2), 0, 1)
+    assert c["attack_bits_correct"] == c["attack_bits_guessed"] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -329,58 +220,37 @@ def test_participant_infer_accuracies():
 # ---------------------------------------------------------------------------
 
 
+def tamper(**params):
+    return AdversarySpec("classical_position_tamper", params)
+
+
 def test_tamper_paired_detection_half_per_check():
-    trials = 4000
-    detected = 0
-    for trial in range(trials):
-        rng = make_rng(19, trial)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=4, decoy_count=2,
-                         adversary=ClassicalPositionTamper(count=1), rng=rng)
-        assert t.attack.extras["tampered"] == 1
-        assert t.attack.extras["tampered_distinct"] == 1
-        detected += t.aborted
-    assert abs(detected / trials - 0.5) <= SIGMA3(0.5, trials)
+    c = counters(tamper(count=1), n=3, m=8, check_rounds=4, decoy_count=2, trials=4000, seed=19)
+    assert c["attack_tampered"] == c["attack_tampered_distinct"] == 4000
+    assert abs(rate(c, "aborted", "trials") - 0.5) <= SIGMA3(0.5, 4000)
 
 
 def test_tamper_relay_variant_is_immune():
-    for trial in range(200):
-        rng = make_rng(20, trial)
-        secrets = random_secrets(3, 8, rng)
-        t = run_proposed(3, 8, secrets, check_rounds=4, decoy_count=2,
-                         variant=VARIANT_TP2_RELAY,
-                         adversary=ClassicalPositionTamper(count=4), rng=rng)
-        assert not t.aborted
-        assert t.attack.extras["tampered"] == 0
-        for (i, j), info in t.pair_results.items():
-            truth = "identical" if secrets[i - 1] == secrets[j - 1] else "different"
-            assert info["tp1_verdict"] == truth
+    c = counters(tamper(count=4), n=3, m=8, check_rounds=4, decoy_count=2, variant=VARIANT_TP2_RELAY, trials=200,
+                 seed=20)
+    assert "aborted" not in c and c["attack_tampered"] == 0
+    assert c["pairs_verdict_correct"] == c["pairs_total"] == 200 * 3
 
 
 def test_tamper_random_policy_reports_distinct_pairs():
-    distinct = tampered = 0
-    for trial in range(500):
-        rng = make_rng(21, trial)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=4, decoy_count=2,
-                         adversary=ClassicalPositionTamper(count=2, policy="random"), rng=rng)
-        tampered += t.attack.extras["tampered"]
-        distinct += t.attack.extras["tampered_distinct"]
-    assert tampered == 1000
+    c = counters(tamper(count=2, policy="random"), n=3, m=8, check_rounds=4, decoy_count=2, trials=500, seed=21)
+    assert c["attack_tampered"] == 1000
     # Random preparations collide 1/8 of the time for three particles.
-    assert 0 < distinct < tampered
+    assert 0 < c["attack_tampered_distinct"] < c["attack_tampered"]
 
 
 def test_tamper_undetected_runs_can_complete_with_wrong_verdicts():
-    wrong = completed = 0
-    for trial in range(800):
-        rng = make_rng(22, trial)
-        secrets = [[0] * 8] * 3  # equal secrets: honest verdicts all identical
-        t = run_proposed(3, 8, secrets, check_rounds=4, decoy_count=2,
-                         adversary=ClassicalPositionTamper(count=4), rng=rng)
-        if not t.aborted:
-            completed += 1
-            wrong += any(info["tp1_verdict"] != "identical" for info in t.pair_results.values())
-    assert completed > 0
-    assert wrong > 0  # key misalignment corrupts results: the denial-of-service damage
+    # Equal secrets: honest verdicts are all "identical".  A completed run
+    # accepts every verdict, so a verdict counted wrong is a wrong one accepted.
+    c = counters(tamper(count=4), n=3, m=8, check_rounds=4, decoy_count=2, trials=800, seed=22,
+                 secrets=SecretsSpec("explicit", [[0] * 8] * 3))
+    assert c["completed"] > 0
+    assert c.get("pairs_verdict_correct", 0) < c["pairs_total"]  # key misalignment corrupts results: the damage
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ benchmark run does, so that renaming or rerouting any of those bindings
 fails here and not only in the benchmark's own self-test."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import qpcsim.adversaries
-import qpcsim.block
 import qpcsim.cli
 import qpcsim.ghz
 import qpcsim.harness
@@ -63,9 +63,13 @@ def test_tracer_installs_and_restores_every_binding(in_process):
 
 
 def test_the_battery_attacks_stay_in_the_block_engine_under_the_tracer():
-    # The tracer wraps each kind's scalar hooks in the class that defines
-    # them, so every hook and its array twin keep one defining class.
+    # The tracer wraps each kind's hooks in the class that defines them; every
+    # attack still runs in the block engine, never in protocol's runners.
     attacks = [scenario for _, scenario in _SCENARIOS.values() if scenario.adversary.kind != "none"]
-    with _load_tracing().Tracer().installed(in_process=True):
-        qpcsim.block._twinned.cache_clear()
-        assert len(attacks) == 19 and all(qpcsim.block.covers(s, s.strategy()) for s in attacks)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed(in_process=True):
+        for scenario in attacks:
+            qpcsim.harness.run_scenario(replace(scenario, trials=3))
+    spans = {name: count for name, (count, _, _) in tracer.totals().items()}
+    assert len(attacks) == 19 and spans["harness.run_scenario"] == 19
+    assert spans.get("protocol.run", 0) == 0, spans

@@ -1,10 +1,13 @@
 """The block engine against the per-trial program: for every attack shape
-below, its counters are exactly the summed ``_extract(run_trial(...))``
-counters the per-trial program gave, zero-valued keys included, kept as
-goldens in ``tests/data/golden/engine_counters.json``.  Its one measurement
-is also held against a ``GhzRegister`` per row, call by call.
+below, its counters are exactly the summed counters that the per-trial
+program, since deleted for attacks, gave it, zero-valued keys included,
+kept as goldens in ``tests/data/golden/engine_counters.json``.  On honest
+shapes it counts and renders every trial as ``protocol``'s per-trial
+program does.  Its one measurement is also held against a ``GhzRegister``
+per row, call by call.
 
-Regenerate the goldens only for a deliberate draw-order change::
+Regenerate the goldens, from the engine, only for a deliberate draw-order
+change; a redrawn case keeps its trial and the output it sets::
 
     PYTHONPATH=src python tests/test_block.py
 """
@@ -22,10 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpcsim import adversaries, block, harness
+from qpcsim import block, harness
 from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT,
                                 KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, KINDS, POLICY_PAIRED,
-                                POLICY_RANDOM, Tp2Intercept)
+                                POLICY_RANDOM)
 from qpcsim.errors import ConfigError
 from qpcsim.ghz import HELD, GhzRegister, GhzSpec, ghz_from_index
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
@@ -43,11 +46,10 @@ COVERED = ("eve_l1", "eve_l5", "eve_l10", "eve_l20", "tp1_flip", "tp2_flip", "ba
 
 
 def _scalar(scenario, trials):
-    """The summed counters of ``trials``, each run by ``run_trial``."""
-    strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
-    totals = {}
+    """The summed counters of honest ``trials``, each run by the per-trial program."""
+    seeds, totals = TrialSeeds(scenario.seed), {}
     for trial in trials:
-        _extract(run_trial(scenario, strategy, trial, seeds), totals)
+        _extract(harness._honest_trial(scenario, trial, seeds), totals)
     return totals
 
 
@@ -55,20 +57,6 @@ def _engine(scenario, trials):
     """The engine's counters of ``trials``."""
     seeds = TrialSeeds(scenario.seed)
     return block.decide(scenario, scenario.strategy(), trials, partial(harness._bit_generator, seeds))
-
-
-def _unreached(*args):
-    raise AssertionError("a covered trial went through run_trial")
-
-
-def _assert_same(scenario, start, stop):
-    """``_run_block`` counts trials start..stop as the scalar trial does,
-    with ``run_trial`` out of its reach."""
-    assert block.covers(scenario, scenario.strategy())
-    expected = _scalar(scenario, range(start, stop))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "run_trial", _unreached)
-        assert harness._run_block(scenario, scenario.strategy(), start, stop) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +106,16 @@ _TAMPER = Scenario(n=3, m=8, check_rounds=8, decoy_count=2, trials=1, seed=31,
 # its placement drew, and a placement redraw the engine skipped would go unseen.
 _TP2 = Scenario(n=3, m=4, decoy_count=2, trials=1, seed=31,
                 adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [2], "victim": 1}))
-# Each a trial of 40 whose one output is set to 0 where Lemire's rule
-# redraws it, and where its draw lies: a run's index in the trial's log of
-# runs (consumed ones included), or a named draw.
+# Each a trial of 40 whose one output, in the draw named, is set to 0 where
+# Lemire's rule redraws it (each golden holds the trial and the output).
 _REDRAWN = {
-    "decoy_run": (_FAKE, 0),  # the consumed run of every link's decoy draws
-    "positions_run": (_FAKE, 1),  # the check positions' sample
-    "rounds_run": (_TAMPER, 2),  # the tamperer's sample of rounds
-    "target_below": (_TAMPER, "target"),  # one tampered round's target, a `below`
-    "consumed_before_tap": (_TP2, 0),  # link 1's consumed run, before the tapped link 2
-    "tapped_placement": (_TP2, "placement"),  # the tapped link's decoy placement, in the run of link 2 after link 1's
-    "positions_after_tap": (_TP2, 3),  # the check positions' sample after a tap and the consumed link 3
+    "decoy_run": _FAKE,  # the consumed run of every link's decoy draws
+    "positions_run": _FAKE,  # the check positions' sample
+    "rounds_run": _TAMPER,  # the tamperer's sample of rounds
+    "target_below": _TAMPER,  # one tampered round's target, a `below`
+    "consumed_before_tap": _TP2,  # link 1's consumed run, before the tapped link 2
+    "tapped_placement": _TP2,  # the tapped link's decoy placement, in the run of link 2 after link 1's
+    "positions_after_tap": _TP2,  # the check positions' sample after a tap and the consumed link 3
 }
 
 
@@ -215,7 +202,7 @@ def _golden_cases():
     cases["split_inner"] = (_SPLIT, 37, 171)
     for name, scenario in _FETCHED.items():
         cases[f"fetch_{name}"] = (scenario, 3, 70)
-    for name, (scenario, _) in _REDRAWN.items():
+    for name, scenario in _REDRAWN.items():
         cases[f"redraw_{name}"] = (scenario, 0, 40)
     draw = random.Random(36)
     for i in range(60):
@@ -248,12 +235,6 @@ def _assert_golden(case):
 
 def test_every_golden_case_has_its_counters():
     assert sorted(_goldens()) == sorted(_CASES)
-
-
-def test_the_covered_battery_scenarios():
-    # Every scenario with an adversary; the honest ones keep the per-trial loop.
-    covered = {key for key, (_, scenario) in _SCENARIOS.items() if block.covers(scenario, scenario.strategy())}
-    assert covered == set(COVERED)
 
 
 @pytest.mark.parametrize("key", COVERED)
@@ -290,14 +271,23 @@ def _benchmark_scenarios(monkeypatch, shapes_name):
     return {shape.name: harness.scenario_from_config(workloads._config_doc(shape, 1, 0)) for shape in shapes}
 
 
-def test_the_engine_covers_exactly_the_benchmark_shapes_it_serves(monkeypatch):
-    # Any narrowing of the engine below the traffic attack_mix sends it fails here.
-    def covered(scenarios):
-        return {name for name, scenario in scenarios.items() if block.covers(scenario, scenario.strategy())}
+def test_every_attack_and_redrawn_secret_runs_in_the_engine(monkeypatch):
+    # Each battery, benchmark and golden shape, with its secrets and with
+    # forced_unequal ones: attacks and redrawn secrets never reach the
+    # per-trial program, and honest trials with secrets drawn once always do.
+    def unreached(*args):
+        raise AssertionError("a trial reached the program that was not to run it")
 
-    attacks = _benchmark_scenarios(monkeypatch, "ATTACK_SHAPES")
-    assert covered(attacks) == set(attacks) and len(attacks) == 17
-    assert covered(_benchmark_scenarios(monkeypatch, "HONEST_SHAPES")) == set()
+    scenarios = [scenario for _, scenario in _SCENARIOS.values()]
+    scenarios += [harness.scenario_from_config(doc) for doc in _stats_cases().values()]
+    for shapes_name in ("ATTACK_SHAPES", "HONEST_SHAPES"):
+        scenarios += _benchmark_scenarios(monkeypatch, shapes_name).values()
+    scenarios += [replace(scenario, secrets=SecretsSpec("forced_unequal")) for scenario in scenarios]
+    for scenario in scenarios:
+        honest = scenario.adversary.kind == "none" and scenario.secrets.policy != "forced_unequal"
+        with monkeypatch.context() as patch:
+            patch.setattr(*((block, "decide") if honest else (harness, "_honest_trial")), unreached)
+            assert harness._run_block(scenario, scenario.validate(), 0, 3)["trials"] == 3
 
 
 def test_every_battery_golden_and_benchmark_shape_runs_in_full_blocks(monkeypatch):
@@ -380,91 +370,15 @@ def test_covered_battery_scenarios_split_into_blocks_of_8_count_as_the_scalar_tr
     _assert_golden(f"battery_{key}_inner")
 
 
-class _KeyBasisTap(Tp2Intercept):
-    """TP2 tapping every slot of its links in the key basis, a move given
-    to its scalar ``taps`` alone: the block engine, which makes a tap
-    through ``tap_rows``, would tap in random bases instead."""
-
-    kind = "tp2_intercept_key_basis"
-
-    def taps(self, link: int):
-        if link not in self.links:
-            return ()
-
-        def tap(delivery, rng):
-            order = delivery.slots
-            bits = delivery.measure([0] * len(order), rng, forward=True)
-            self.records[link] = [(0, bit) for i, bit in zip(order, bits) if i < delivery.state.n]
-
-        return (tap,)
-
-
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_each_kind_defines_a_scalar_hook_and_its_array_twin_in_one_class(kind):
-    def definer(name):
-        return next(cls for cls in KINDS[kind].__mro__ if name in vars(cls))
-
-    for scalar, twin in block._TWINS:
-        assert definer(scalar) is definer(twin), (kind, scalar, twin)
-
-
-def test_a_move_given_to_a_scalar_hook_alone_runs_on_the_per_trial_loop():
-    # A key-basis tap reads every key bit: 0.7482 at n = 2, m = 4 when the
-    # engine ran it with its own random bases.
-    scenario = Scenario(n=2, m=4, check_rounds=0, decoy_count=1, seed=11,
-                        adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [1], "victim": 2}))
-    strategy = _KeyBasisTap(links=(1,), victim=2)
-    assert not block.covers(scenario, strategy)
-    totals = harness._run_block(scenario, strategy, 0, 2000)
-    (row,) = [row for row in harness.metric_rows(totals, {}) if row.name == "attack_bit_accuracy"]
-    assert row.estimate == 1.0 and row.count > 1000
-
-
-def test_the_engine_leaves_out_only_honest_runs_and_redrawn_secrets(monkeypatch):
-    fake = AdversarySpec(KIND_TP1_FAKE_STATE, {})
-    eve = AdversarySpec(KIND_EVE, {"links": [1]})
-    attacks = [
-        Scenario(adversary=fake),
-        # A decoy check that cannot abort: no decoys, or no more than it tolerates.
-        Scenario(adversary=eve, decoy_count=0),
-        Scenario(adversary=AdversarySpec(KIND_TP2_INTERCEPT, {"links": [1]}), decoy_count=2, decoy_tolerance=2),
-        Scenario(adversary=eve, decoy_count=2, decoy_tolerance=3),
-        Scenario(adversary=AdversarySpec(KIND_TP1_FAKE_RESULT, {})),
-        Scenario(adversary=AdversarySpec(KIND_TP2_FAKE_RESULT, {"pairs": [[1, 3]]})),
-        Scenario(protocol="zhang_baseline", n=2, adversary=AdversarySpec(KIND_TP1_FAKE_RESULT, {})),
-        Scenario(adversary=AdversarySpec(KIND_PARTICIPANT_INFER, {"counterfactual": True})),
-        Scenario(protocol="zhang_baseline", n=2, adversary=AdversarySpec(KIND_PARTICIPANT_INFER, {})),
-        Scenario(adversary=fake, check_rounds=0),
-        Scenario(protocol="zhang_baseline", n=2, adversary=fake),  # no check by default
-        Scenario(adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 2}), variant="tp2_relay"),
-        Scenario(adversary=AdversarySpec(KIND_POSITION_TAMPER, {"count": 2, "policy": "random"})),
-    ]
-    for scenario in attacks:
-        scenario.validate()
-        assert block.covers(scenario, scenario.strategy()), scenario
-    # Honest runs, under either protocol and any secrets, and every run
-    # whose secrets may be drawn again.
-    left_out = [Scenario(), Scenario(protocol="zhang_baseline", n=2, check_rounds=2),
-                Scenario(secrets=SecretsSpec("forced_equal")), Scenario(secrets=SecretsSpec("forced_unequal"))]
-    left_out += [replace(scenario, secrets=SecretsSpec("forced_unequal")) for scenario in attacks]
-    # A kind whose move lives in a scalar hook but not in its array twin.
-    monkeypatch.setitem(adversaries.KINDS, _KeyBasisTap.kind, _KeyBasisTap)
-    left_out.append(Scenario(adversary=AdversarySpec(_KeyBasisTap.kind, {"links": [1], "victim": 2})))
-    for scenario in left_out:
-        scenario.validate()
-        assert not block.covers(scenario, scenario.strategy()), scenario
-
-
 @pytest.mark.parametrize("scenario", [
     *(_SCENARIOS[f"honest_n{n}"][1] for n in (2, 3, 4, 5)),
     Scenario(n=3, m=4, seed=9, secrets=SecretsSpec("forced_equal")),
     Scenario(n=3, m=4, seed=9, secrets=SecretsSpec("explicit", [[0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]])),
 ], ids=["honest_n2", "honest_n3", "honest_n4", "honest_n5", "forced_equal", "explicit"])
 def test_honest_shapes_are_decided_by_the_engine_as_the_scalar_trial(scenario):
-    # ``covers`` still turns honest runs away (ROADMAP item 21, step a), but
-    # the engine already counts them exactly, zero-valued keys included,
+    # Honest runs stay on the per-trial program (ROADMAP item 21, step a),
+    # but the engine already counts them exactly, zero-valued keys included,
     # over two blocks of trials.
-    assert not block.covers(scenario, scenario.strategy())
     trials = range(3, 3 + block._ROWS + 88)
     assert block.decide(scenario, scenario.strategy(), trials,
                         partial(harness._bit_generator, TrialSeeds(scenario.seed))) == _scalar(scenario, trials)
@@ -489,74 +403,21 @@ def test_the_random_attack_shapes_reach_every_move():
 
 
 # ---------------------------------------------------------------------------
-# Random covered shapes
+# Random honest shapes
 # ---------------------------------------------------------------------------
 
 
 @st.composite
-def _spec(draw, n):
-    return {"q": "0" + "".join(draw(st.sampled_from("01")) for _ in range(n - 1)), "delta": draw(st.integers(0, 1))}
-
-
-@st.composite
-def _covered_scenarios(draw):
+def _honest_scenarios(draw):
     baseline = draw(st.booleans())
     n = 2 if baseline else draw(st.integers(2, 6))
     m = draw(st.integers(1, 8))
-    c = draw(st.integers(1, m + 2 if baseline else m))
-    policy = draw(st.sampled_from([policy for policy in harness.SECRET_POLICIES if policy != "forced_unequal"]))
+    policy = draw(st.sampled_from(["explicit", "uniform", "forced_equal"]))
     values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
-    # Steps 6-7 run in the engine: the proposed protocol's variant and r
-    # vectors are drawn too (a tamperer is covered on the broadcast only).
-    variant, announce_r = "classical_broadcast", not baseline and draw(st.booleans())
-    if baseline or draw(st.booleans()):
-        params = {}
-        if draw(st.booleans()):
-            params["true_state"] = draw(_spec(n))
-        if draw(st.booleans()):
-            params["claimed"] = draw(_spec(n))
-        adversary = AdversarySpec(KIND_TP1_FAKE_STATE, params)
-        if not baseline:
-            variant = draw(st.sampled_from(["classical_broadcast", "tp2_relay"]))
-    else:
-        params = {"count": draw(st.integers(0, c + 1)), "policy": "paired_specs"}
-        if draw(st.booleans()):
-            params["pair"] = [draw(_spec(n)), draw(_spec(n))]
-        adversary = AdversarySpec(KIND_POSITION_TAMPER, params)
-    return Scenario(
-        protocol="zhang_baseline" if baseline else "proposed", n=n, m=m, check_rounds=c,
-        decoy_count=draw(st.integers(0, 40)), variant=variant, announce_r_vectors=announce_r, adversary=adversary,
-        secrets=SecretsSpec(policy, values), seed=draw(st.integers(0, 2**40)),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(scenario=_covered_scenarios(), start=st.integers(0, 200), length=st.integers(1, 150))
-def test_random_covered_shapes_count_as_the_scalar_trial(scenario, start, length):
-    scenario.validate()
-    _assert_same(scenario, start, start + length)
-
-
-@st.composite
-def _intercept_scenarios(draw):
-    baseline = draw(st.booleans())
-    n = 2 if baseline else draw(st.integers(2, 6))
-    m = draw(st.integers(1, 8))
-    l = draw(st.integers(1, 40))
-    policy = draw(st.sampled_from([policy for policy in harness.SECRET_POLICIES if policy != "forced_unequal"]))
-    values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
-    # Any tapped links, in any order and with repeats, as a config may list
-    # them: the first tapped one may be the last link.
-    params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n + 1))}
-    # Any victim or none, its link tapped or not: the attacker's coins are drawn in the engine.
-    victim = draw(st.none() | st.integers(1, n))
-    if victim is not None:
-        params["victim"] = victim
-    kind = KIND_EVE if baseline else draw(st.sampled_from([KIND_EVE, KIND_TP2_INTERCEPT]))
     return Scenario(
         protocol="zhang_baseline" if baseline else "proposed", n=n, m=m,
-        check_rounds=draw(st.integers(0, m + 2 if baseline else m)), decoy_count=l,
-        decoy_tolerance=draw(st.integers(0, l - 1)), adversary=AdversarySpec(kind, params),
+        check_rounds=draw(st.integers(0, m + 2 if baseline else m)), decoy_count=draw(st.integers(0, 40)),
+        decoy_tolerance=draw(st.integers(0, 3)),
         variant="classical_broadcast" if baseline else draw(st.sampled_from(["classical_broadcast", "tp2_relay"])),
         announce_r_vectors=False if baseline else draw(st.booleans()),
         secrets=SecretsSpec(policy, values), seed=draw(st.integers(0, 2**40)),
@@ -564,61 +425,15 @@ def _intercept_scenarios(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(scenario=_intercept_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
-def test_random_intercept_shapes_count_as_the_scalar_trial(scenario, start, length):
+@given(scenario=_honest_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
+def test_random_honest_shapes_count_and_render_as_the_per_trial_program(scenario, start, length):
     scenario.validate()
-    _assert_same(scenario, start, start + length)
-
-
-@st.composite
-def _any_kind_scenarios(draw):
-    """The shapes no check need abort: verdict flips of any pairs, an
-    inferring participant, a tamperer of either policy on either variant, a
-    fake preparation with no check rounds, and taps whose decoy check
-    tolerates every decoy."""
-    baseline = draw(st.booleans())
-    n = 2 if baseline else draw(st.integers(2, 6))
-    m = draw(st.integers(1, 8))
-    c = draw(st.integers(0, m + 2 if baseline else m))
-    l = draw(st.integers(0, 12))
-    tolerance = draw(st.integers(0, 3))
-    policy = draw(st.sampled_from([policy for policy in harness.SECRET_POLICIES if policy != "forced_unequal"]))
-    values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
-    kinds = [KIND_TP1_FAKE_RESULT, KIND_PARTICIPANT_INFER, KIND_TP1_FAKE_STATE, KIND_EVE]
-    if not baseline:  # the kinds that attack as TP2 or on the broadcast
-        kinds += [KIND_TP2_FAKE_RESULT, KIND_POSITION_TAMPER, KIND_TP2_INTERCEPT]
-    kind = draw(st.sampled_from(kinds))
-    if kind in (KIND_TP1_FAKE_RESULT, KIND_TP2_FAKE_RESULT):
-        pairs = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        params = {"pairs": draw(st.just("all") | st.lists(st.sampled_from(pairs), min_size=1, unique_by=tuple))}
-    elif kind == KIND_PARTICIPANT_INFER:
-        attacker, victim = draw(st.permutations(range(1, n + 1)))[:2]
-        params = {"attacker": attacker, "victim": victim, "counterfactual": draw(st.booleans())}
-    elif kind == KIND_POSITION_TAMPER:
-        params = {"count": draw(st.integers(0, c + 1)), "policy": draw(st.sampled_from([POLICY_PAIRED, POLICY_RANDOM]))}
-    elif kind == KIND_TP1_FAKE_STATE:
-        c = 0
-        params = {"true_state": draw(_spec(n))} if draw(st.booleans()) else {}
-    else:
-        params = {"links": draw(st.lists(st.integers(1, n), min_size=1, max_size=n + 1))}  # repeats included
-        victim = draw(st.none() | st.integers(1, n))
-        if victim is not None:
-            params["victim"] = victim
-        tolerance = draw(st.integers(l, l + 2))
-    return Scenario(
-        protocol="zhang_baseline" if baseline else "proposed", n=n, m=m, check_rounds=c, decoy_count=l,
-        decoy_tolerance=tolerance, adversary=AdversarySpec(kind, params),
-        variant="classical_broadcast" if baseline else draw(st.sampled_from(["classical_broadcast", "tp2_relay"])),
-        announce_r_vectors=False if baseline else draw(st.booleans()),
-        secrets=SecretsSpec(policy, values), seed=draw(st.integers(0, 2**40)),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(scenario=_any_kind_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
-def test_random_shapes_of_every_kind_count_as_the_scalar_trial(scenario, start, length):
-    scenario.validate()
-    _assert_same(scenario, start, start + length)
+    trials = range(start, start + length)
+    assert _engine(scenario, trials) == _scalar(scenario, trials)
+    strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
+    for trial in trials[:4]:
+        assert run_trial(scenario, strategy, trial, seeds).to_json() == \
+            harness._honest_trial(scenario, trial, seeds).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -774,58 +589,6 @@ class _Doctored:
         return raw
 
 
-class _Log(Stream):
-    """A trial's stream that logs where each bounded draw starts, as an
-    output index, and counts Lemire redraws.  A consumed run is logged as a
-    run: it draws past the same outputs."""
-
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        self.fetched, self.runs, self.belows, self.nexts = 0, [], [], 0
-
-    def _refill(self, short):
-        left = len(self._words) - self._at
-        super()._refill(short)
-        self.fetched += len(self._words) - left
-
-    def position(self):
-        return self.fetched - (len(self._words) - self._at)
-
-    def _next(self):
-        self.nexts += 1
-        return super()._next()
-
-    def run(self, bounds):
-        self.runs.append((self.position(), bounds))
-        return super().run(bounds)
-
-    def consume(self, bounds):
-        self.runs.append((self.position(), bounds))
-        return super().consume(bounds)
-
-    def below(self, bound):
-        self.belows.append((self.position(), bound))
-        return super().below(bound)
-
-    @property
-    def redraws(self):
-        return self.nexts - sum(bound > 1 for _, bound in self.belows)
-
-
-def _logged(monkeypatch, scenario, trial):
-    """Trial ``trial`` run by ``run_trial`` over a ``_Log``, and the log."""
-    logs = []
-
-    def logged(bit_generator):
-        logs.append(_Log(bit_generator))
-        return logs[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "Stream", logged)
-        t = run_trial(scenario, scenario.strategy(), trial)
-    return t, logs[0]
-
-
 def _doctor(monkeypatch, trial, replaced):
     """Make trial ``trial``'s generator, for both engines, read ``replaced``."""
     plain = harness._bit_generator
@@ -837,31 +600,13 @@ def _doctor(monkeypatch, trial, replaced):
     monkeypatch.setattr(harness, "_bit_generator", doctored)
 
 
-def _first_redrawable(start, bounds, after=0):
-    """The output index of the first draw of a run, from its draw ``after``
-    on, that a 0 would redraw."""
-    first = next(i for i, b in enumerate(bounds.values) if i >= after and (2**32 - b) % b)
-    return start + sum(b > 1 for b in bounds.values[:first])
-
-
-def _replacing(scenario, where, log):
-    """The output, of the trial ``log`` logs, that ``_REDRAWN``'s ``where``
-    names, set to 0 where Lemire's rule redraws it."""
-    if where == "target":
-        return {next(at for at, bound in log.belows if (2**32 - bound) % bound): 0}
-    if where == "placement":
-        # Link 2's draws are the second run: its decoys, then their placement.
-        return {_first_redrawable(*log.runs[1], after=scenario.decoy_count): 0}
-    return {_first_redrawable(*log.runs[where]): 0}
-
-
 @pytest.mark.parametrize("name", sorted(_REDRAWN))
 def test_a_trial_with_a_lemire_redraw_is_decided_in_the_engine(monkeypatch, name):
     entry = _golden(f"redraw_{name}")
     _doctor(monkeypatch, entry["trial"], {int(at): value for at, value in entry["replaced"].items()})
     redraw, redraws = Rows._redraw, []
     monkeypatch.setattr(Rows, "_redraw", lambda self, row, *args: redraws.append(row) or redraw(self, row, *args))
-    assert _engine(_REDRAWN[name][0], range(40)) == entry["counters"]
+    assert _engine(_REDRAWN[name], range(40)) == entry["counters"]
     assert redraws
 
 
@@ -890,24 +635,14 @@ def test_a_shape_that_reads_past_one_fetch_is_decided_in_the_engine(name):
 
 
 def _write_goldens():
-    """Each golden case's counters, from the per-trial program; a redrawn
-    case's trial is the first of its 40 that makes the named draw."""
-    entries = {}
+    """Each golden case's counters, from the engine."""
+    entries = _goldens()
     for case, (scenario, start, stop) in _CASES.items():
-        entry = {"config": scenario.to_config(), "trials": [start, stop]}
         with pytest.MonkeyPatch.context() as patch:
             if case.startswith("redraw_"):
-                where = _REDRAWN[case[len("redraw_"):]][1]
-                for trial in range(start, stop):
-                    try:
-                        replaced = _replacing(scenario, where, _logged(patch, scenario, trial)[1])
-                    except (IndexError, StopIteration):  # the trial aborts before that draw
-                        continue
-                    entry.update(trial=trial, replaced=replaced)
-                    _doctor(patch, trial, replaced)
-                    break
-            entry["counters"] = _scalar(scenario, range(start, stop))
-        entries[case] = entry
+                _doctor(patch, entries[case]["trial"], {int(at): v for at, v in entries[case]["replaced"].items()})
+            entries[case].update(config=scenario.to_config(), trials=[start, stop],
+                                 counters=harness._run_block(scenario, scenario.validate(), start, stop))
     GOLDEN.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
 
 

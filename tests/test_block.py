@@ -643,7 +643,9 @@ def _write_goldens():
                 _doctor(patch, entries[case]["trial"], {int(at): v for at, v in entries[case]["replaced"].items()})
             entries[case].update(config=scenario.to_config(), trials=[start, stop],
                                  counters=harness._run_block(scenario, scenario.validate(), start, stop))
-    GOLDEN.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    # A case a line.
+    GOLDEN.write_text("{\n" + ",\n".join(f"{json.dumps(case)}: {json.dumps(entries[case], sort_keys=True)}"
+                                          for case in sorted(entries)) + "\n}\n")
 
 
 if __name__ == "__main__":

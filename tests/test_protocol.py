@@ -348,12 +348,14 @@ def test_validation_errors():
 
 
 def test_abort_causes_are_machine_readable():
+    def causes(scenario, trials):
+        runs = (run_trial(scenario, scenario.strategy(), k) for k in range(trials))
+        return {(t.abort_step, t.abort_cause) for t in runs if t.aborted}
+
     eve = Scenario(n=2, m=2, decoy_count=8, seed=18, adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
-    found = {(t.abort_step, t.abort_cause) for t in (run_trial(eve, eve.strategy(), k) for k in range(80)) if t.aborted}
-    assert (2, CAUSE_DECOY) in found
+    assert (2, CAUSE_DECOY) in causes(eve, 80)
     fake = Scenario(n=3, m=4, check_rounds=4, decoy_count=2, seed=19, adversary=AdversarySpec("tp1_fake_initial_state"))
-    found = {(t.abort_step, t.abort_cause) for t in (run_trial(fake, fake.strategy(), k) for k in range(50)) if t.aborted}
-    assert found == {(3, CAUSE_STATE_CHECK)}
+    assert causes(fake, 50) == {(3, CAUSE_STATE_CHECK)}
 
 
 # ---------------------------------------------------------------------------

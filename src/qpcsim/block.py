@@ -128,36 +128,22 @@ class _States(NamedTuple):
     product: np.ndarray
 
 
-# A fixed preparation's registers, found by the identity of its state
-# tuple, which ``adversaries._built`` makes once for each parameter set: a
-# lookup by value hashes every register's GhzSpec, about 28 of the 40 us a
-# tamper_l4 ``_Program()`` takes (timeit, 2-vCPU machine).  Each entry
-# holds its tuple, so no other tuple can take its id while it is cached.
-_PREPARED: Dict[int, tuple] = {}
-_PREPARED_MAX = 8
-
-
+@lru_cache(maxsize=8)  # a few fixed preparations; ``adversaries._built`` shares each one's tuple
 def _registers(states: tuple) -> _States:
     """The registers of a preparation, a GhzSpec or a product state's bit
     tuple each, with a trial axis of ``_ROWS`` rows that all view one row.
-    A preparation repeats a few state objects, each read once."""
-    if id(states) in _PREPARED:
-        return _PREPARED[id(states)][1]
-    distinct = {id(state): state for state in states}
-    code = {key: i for i, key in enumerate(distinct)}
-    which = np.array([code[id(state)] for state in states])
-    ghz = [isinstance(state, GhzSpec) for state in distinct.values()]
-    q = np.array([state.q if entangled else state for state, entangled in zip(distinct.values(), ghz)], dtype=np.int8)
-    delta = np.array([state.delta if entangled else 0 for state, entangled in zip(distinct.values(), ghz)],
-                     dtype=np.int8)
+    Found again by the states' values, which hash cheaply: a GhzSpec keeps
+    its hash.  A preparation repeats a few states, each read once."""
+    code = {state: i for i, state in enumerate(dict.fromkeys(states))}
+    which = np.array([code[state] for state in states])
+    distinct = list(code)
+    ghz = [isinstance(state, GhzSpec) for state in distinct]
+    q = np.array([state.q if entangled else state for state, entangled in zip(distinct, ghz)], dtype=np.int8)
+    delta = np.array([state.delta if entangled else 0 for state, entangled in zip(distinct, ghz)], dtype=np.int8)
     # Read-only views, shared by every call that uses the preparation: a
     # copy a row would hold 84 MB a preparation at n = 20, m = 4096.
     rows = [a[which] for a in (q, delta, ~np.array(ghz))]
-    registers = _States(*(np.broadcast_to(a, (_ROWS,) + a.shape) for a in rows))
-    if len(_PREPARED) == _PREPARED_MAX:
-        del _PREPARED[next(iter(_PREPARED))]  # the oldest
-    _PREPARED[id(states)] = states, registers
-    return registers
+    return _States(*(np.broadcast_to(a, (_ROWS,) + a.shape) for a in rows))
 
 
 class _Trials:

@@ -187,7 +187,7 @@ def cmd_transcript(args) -> int:
     elif not 0 <= trial < scenario.trials:
         raise UsageError(f"--trial must be in 0..{scenario.trials - 1} for {scenario.trials} trials, got {trial}")
     _check_out(args.out, UsageError, "--out")
-    transcript = run_trial(scenario, scenario.strategy(), trial)
+    transcript = run_trial(scenario, trial)
     _write(transcript.to_json(), args.out)
     return EXIT_OK
 

@@ -70,6 +70,11 @@ class GhzSpec:
             raise ValueError("q must start with 0")
         # Kept: the state check compares every Z round with it.
         object.__setattr__(self, "_complement", tuple(1 - b for b in self.q))
+        # Kept: the block engine finds a fixed preparation by its states' values.
+        object.__setattr__(self, "_hash", hash((self.q, self.delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -96,12 +96,9 @@ class Scenario:
     def effective_decoy_count(self) -> int:
         return self.roles.decoys_per_m * self.m if self.decoy_count is None else self.decoy_count
 
-    def strategy(self) -> adversaries.AdversaryStrategy:
-        """The adversary this scenario names, built from its params."""
-        return adversaries.strategy_from_config(self.adversary.kind, self.adversary.params, self.n)
-
     def validate(self) -> adversaries.AdversaryStrategy:
-        """Check every field; return the adversary strategy they name."""
+        """Check every field; return the adversary strategy they name, the
+        one place a strategy is made from a scenario."""
         # A tuple, not the table: a list or object would be unhashable there.
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"field `protocol` must be one of {PROTOCOLS}, got {self.protocol!r}")
@@ -146,7 +143,7 @@ class Scenario:
                     f" {self.n} secrets per trial (at most 1000 allowed); raise m or use uniform"
                 )
         # Constructing the strategy checks kind and params against n.
-        strategy = self.strategy()
+        strategy = adversaries.strategy_from_config(self.adversary.kind, self.adversary.params, self.n)
         if not roles.monitored:
             # No TP2 relays the check positions (the baseline's ride an
             # authenticated channel, out of a tamperer's reach), no result
@@ -380,25 +377,18 @@ def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
         )
 
 
-def run_trial(
-    scenario: Scenario,
-    strategy: adversaries.AdversaryStrategy,
-    trial: int,
-    seeds: Optional[TrialSeeds] = None,
-) -> proto.Transcript:
+def run_trial(scenario: Scenario, trial: int) -> proto.Transcript:
     """Trial number ``trial`` of a scenario, as its transcript, which holds
     the secrets drawn for it: the trial run by the block engine that counts
-    every attack, in a block of its own.
+    every attack, in a block of its own, with the strategy the scenario
+    names.  The scenario is checked first, as ``run_scenario`` checks it.
 
     The trial's random stream is derived from the scenario seed by the trial
     index alone, so a trial replays identically whatever runs around it:
-    its PCG64 is seeded as by ``SeedSequence(entropy=seed, spawn_key=(trial,))``,
-    through ``seeds``, the scenario seed's ``TrialSeeds`` (made here if not
-    given).
+    its PCG64 is seeded as by ``SeedSequence(entropy=seed, spawn_key=(trial,))``.
     """
-    if seeds is None:
-        seeds = TrialSeeds(scenario.seed)
-    return block.transcript(scenario, strategy, _bit_generator(seeds, trial))
+    strategy = scenario.validate()
+    return block.transcript(scenario, strategy, _bit_generator(TrialSeeds(scenario.seed), trial))
 
 
 def _honest_trial(scenario: Scenario, trial: int, seeds: TrialSeeds) -> proto.Transcript:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence
 
 from .ghz import Basis
 from .stream import Bounds, Stream, choice_bounds
@@ -68,8 +68,6 @@ class Link:
 # measurement shows as two nested ``photons.slot_measure`` spans.
 CarrierSlot = DecoySlot = Link
 
-Tap = Callable[[Link, Stream], None]
-
 
 class QuantumChannel:
     """Point-to-point quantum link.
@@ -79,7 +77,7 @@ class QuantumChannel:
     is delivered untouched.
     """
 
-    def __init__(self, sender: str, receiver: str, taps: Sequence[Tap] = ()) -> None:
+    def __init__(self, sender: str, receiver: str, taps: Sequence[Callable[[Link, Stream], None]] = ()) -> None:
         self.sender = sender
         self.receiver = receiver
         self.taps = list(taps)
@@ -95,28 +93,20 @@ def _run_bounds(carriers: int, decoys: int, links: int) -> Bounds:
     return Bounds(([4] * decoys + choice_bounds(carriers + decoys, decoys)) * links)
 
 
-def interleave(carriers: int, decoys: int, links: int, rng: Stream,
-               read: Optional[int] = None) -> List[Tuple[List[int], List[int]]]:
-    """Draw ``links`` consecutive links in one run of draws, and return the
-    last ``read`` of them, all by default.
+def interleave(carriers: int, decoys: int, links: int, rng: Stream) -> None:
+    """Draw past ``links`` consecutive links in one run of draws, making no
+    value (``Stream.consume``): the stream moves as ``rng.run(_run_bounds(
+    carriers, decoys, links))`` moves it.
 
-    Each link gets ``decoys`` uniform decoy states and the draws that choose
+    Each link draws ``decoys`` uniform decoy states and the draws that choose
     their slots among its ``carriers`` carriers: per link, the values of
     ``integers(0, 4, size=decoys)`` and of the draws of
     ``choice(carriers + decoys, decoys, replace=False)``, one link after the
-    other, drawn as one ``Stream.run``.  ``replay_choice`` turns a link's
-    placement draws into its decoy slots.  The links before the last
-    ``read`` are only drawn past (``Stream.consume``): the stream moves as
-    one run of all of them moves it, but no value of theirs is made.
+    other.  ``replay_choice`` turns a link's placement draws into its decoy
+    slots.  The block engine draws a tapped link's values under the same
+    bounds, with ``Rows.run``.
     """
-    read = links if read is None else read
-    if decoys and read < links:
-        rng.consume(_run_bounds(carriers, decoys, links - read))
-    if not decoys or not read:
-        return [([], [])] * read
-    drawn = rng.run(_run_bounds(carriers, decoys, read))
-    step = len(drawn) // read
-    return [(drawn[s : s + decoys], drawn[s + decoys : s + step]) for s in range(0, len(drawn), step)]
+    rng.consume(_run_bounds(carriers, decoys, links))
 
 
 class CheckReport(NamedTuple):

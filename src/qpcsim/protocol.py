@@ -340,9 +340,9 @@ def _distribute(t: Transcript, registers: GhzRegister, decoy_count: int, rng: St
     """Step 2: particle k of every register goes to participant k with fresh
     decoys mixed in, and each participant's decoys are then checked in
     public.  Untapped, every link arrives as sent and passes its check, so
-    one ``interleave`` call draws past every link's draws and reads none."""
+    one ``interleave`` call draws past every link's draws."""
     n = registers.particles
-    interleave(registers.n // n, decoy_count, n, rng, read=0)
+    interleave(registers.n // n, decoy_count, n, rng)
     t.decoy_checks = [{"participant": k, "passed": True, "mismatches": 0, "total": decoy_count}
                       for k in range(1, n + 1)]
 

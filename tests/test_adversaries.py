@@ -184,7 +184,7 @@ def test_fake_result_always_conflicts():
 
 def test_fake_result_pair_subset():
     scenario = Scenario(n=3, m=4, seed=14, adversary=AdversarySpec("tp1_fake_result", {"pairs": [[1, 2]]}))
-    t = run_trial(scenario, scenario.strategy(), 0)
+    t = run_trial(scenario, 0)
     assert not t.pair_results[(1, 2)]["accepted"]
     assert t.pair_results[(1, 3)]["accepted"]
     assert t.pair_results[(2, 3)]["accepted"]
@@ -340,8 +340,8 @@ def test_a_fixed_preparation_is_a_pair_of_state_tuples_built_once(kind, params, 
     states = strategy_from_config(kind, params, 3).override_preparation(3, 4)
     assert states == expected
     if expected is not None:
-        # A fresh strategy of the same params gets the very same tuples,
-        # which the block engine's register lookup matches by identity.
+        # A fresh strategy of the same params gets the very same tuples, so
+        # the block engine's value-keyed register cache matches them at once.
         again = strategy_from_config(kind, params, 3).override_preparation(3, 4)
         assert again[0] is states[0] and again[1] is states[1]
 

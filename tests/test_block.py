@@ -56,7 +56,7 @@ def _scalar(scenario, trials):
 def _engine(scenario, trials):
     """The engine's counters of ``trials``."""
     seeds = TrialSeeds(scenario.seed)
-    return block.decide(scenario, scenario.strategy(), trials, partial(harness._bit_generator, seeds))
+    return block.decide(scenario, scenario.validate(), trials, partial(harness._bit_generator, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def _golden(case):
 def _assert_golden(case):
     """``_run_block`` counts golden case ``case`` as the per-trial program did."""
     scenario, start, stop = _CASES[case]
-    assert harness._run_block(scenario, scenario.strategy(), start, stop) == _golden(case)["counters"]
+    assert harness._run_block(scenario, scenario.validate(), start, stop) == _golden(case)["counters"]
 
 
 def test_every_golden_case_has_its_counters():
@@ -295,32 +295,21 @@ def test_every_battery_golden_and_benchmark_shape_runs_in_full_blocks(monkeypatc
     scenarios += [harness.scenario_from_config(doc) for doc in _stats_cases().values()]
     for shapes_name in ("ATTACK_SHAPES", "HONEST_SHAPES"):
         scenarios += _benchmark_scenarios(monkeypatch, shapes_name).values()
-    assert {block._Program(scenario, scenario.strategy()).rows for scenario in scenarios} == {block._ROWS}
+    assert {block._Program(scenario, scenario.validate()).rows for scenario in scenarios} == {block._ROWS}
 
 
 def test_a_full_block_across_many_seed_chunks_counts_as_the_scalar_trial():
     scenario, start, stop = _CASES["chunks_fake_c8"]
-    assert block._Program(scenario, scenario.strategy()).rows == block._ROWS < stop - start
+    assert block._Program(scenario, scenario.validate()).rows == block._ROWS < stop - start
     _assert_golden("chunks_fake_c8")
 
 
 def test_a_fixed_preparation_is_held_as_one_row():
     _, template = _SCENARIOS["tamper_l4"]
-    program = block._Program(template, template.strategy())
+    program = block._Program(template, template.validate())
     for states in program.fixed:  # the true and the claimed states
         for a in states:
             assert a.shape[0] == block._ROWS and a.strides[0] == 0 and not a.flags.writeable
-
-
-def test_a_fixed_preparation_is_found_by_identity(monkeypatch):
-    _, template = _SCENARIOS["tamper_l4"]
-    first = block._Program(template, template.strategy())
-    hashed = []
-    real = GhzSpec.__hash__
-    monkeypatch.setattr(GhzSpec, "__hash__", lambda spec: hashed.append(spec) or real(spec))
-    second = block._Program(template, template.strategy())
-    assert not hashed
-    assert all(a is b for states in zip(first.fixed, second.fixed) for a, b in zip(*states))
 
 
 def _assert_registers_of(states):
@@ -329,31 +318,40 @@ def _assert_registers_of(states):
     assert registers.q[0].tolist() == [list(s.q if g else s) for s, g in zip(states, ghz)]
     assert registers.delta[0].tolist() == [s.delta if g else 0 for s, g in zip(states, ghz)]
     assert registers.product[0].tolist() == [not g for g in ghz]
+    for a in registers:
+        assert a.shape[0] == block._ROWS and a.strides[0] == 0 and not a.flags.writeable
+    return registers
 
 
-def test_each_preparation_gets_its_own_registers_within_the_cache_bound(monkeypatch):
-    monkeypatch.setattr(block, "_PREPARED", {})
-    specs = [GhzSpec((0, a, b), d) for a in (0, 1) for b in (0, 1) for d in (0, 1)]
-    kept = tuple(specs[:3]) + ((1, 0, 1),)
-    equal = tuple(list(kept))  # value-equal, another object
-    assert equal == kept and equal is not kept
-    _assert_registers_of(kept)
-    _assert_registers_of(equal)
-    assert len(block._PREPARED) == 2
-    # More distinct preparations than the cache holds evict the oldest;
-    # tuples made after an eviction may take an evicted one's id.
-    for i in range(3 * block._PREPARED_MAX):
-        _assert_registers_of(tuple(specs[(i + k) % 8] for k in range(i % 5 + 1)) + ((i % 2, 1, 0),))
-        assert len(block._PREPARED) <= block._PREPARED_MAX
-    assert id(kept) not in block._PREPARED
-    del kept, equal
-    _assert_registers_of(tuple(specs[:3]) + ((1, 0, 1),))
+_SPECS = [GhzSpec((0, a, b), d) for a in (0, 1) for b in (0, 1) for d in (0, 1)]
+
+
+def test_a_preparation_is_found_by_its_values():
+    block._registers.cache_clear()
+    kept = tuple(_SPECS[:3]) + ((1, 0, 1),)
+    equal = tuple(GhzSpec(s.q, s.delta) for s in _SPECS[:3]) + ((1, 0, 1),)  # value-equal, other objects
+    assert equal == kept and equal is not kept and equal[0] is not kept[0]
+    registers = _assert_registers_of(kept)
+    assert all(a is b for a, b in zip(_assert_registers_of(equal), registers))
+    assert block._registers.cache_info().currsize == 1
+
+
+def test_each_preparation_gets_its_own_registers_within_the_cache_bound():
+    block._registers.cache_clear()
+    specs = _SPECS
+    registers = _assert_registers_of(tuple(specs[:3]) + ((1, 0, 1),))
+    # Every other preparation gets its own registers, and the cache keeps
+    # at most 8 of them.
+    for i in range(24):
+        other = _assert_registers_of(tuple(specs[(i + k) % 8] for k in range(i % 5 + 1)) + ((i % 2, 1, 0),))
+        assert not any(a is b for a, b in zip(other, registers))
+        assert block._registers.cache_info().currsize <= 8
 
 
 @pytest.mark.parametrize("rows", [1, 8])
 def test_a_shape_split_into_smaller_blocks_counts_as_the_scalar_trial(monkeypatch, rows):
     monkeypatch.setattr(block, "_BLOCK_SLOTS", 30 * rows + 29)
-    assert block._Program(_SPLIT, _SPLIT.strategy()).rows == rows
+    assert block._Program(_SPLIT, _SPLIT.validate()).rows == rows
     _assert_golden("split")
     _assert_golden("split_inner")
 
@@ -363,10 +361,10 @@ def test_covered_battery_scenarios_split_into_blocks_of_8_count_as_the_scalar_tr
     # Every adversary kind's program, run 8 trials a block: the share starts
     # and ends inside blocks, and crosses two 64-trial chunks of TrialSeeds.
     scenario = _CASES[f"battery_{key}_inner"][0]
-    program = block._Program(scenario, scenario.strategy())
+    program = block._Program(scenario, scenario.validate())
     slots = program.n * (program.total + program.l)
     monkeypatch.setattr(block, "_BLOCK_SLOTS", 9 * slots - 1)
-    assert block._Program(scenario, scenario.strategy()).rows == 8
+    assert block._Program(scenario, scenario.validate()).rows == 8
     _assert_golden(f"battery_{key}_inner")
 
 
@@ -380,7 +378,7 @@ def test_honest_shapes_are_decided_by_the_engine_as_the_scalar_trial(scenario):
     # but the engine already counts them exactly, zero-valued keys included,
     # over two blocks of trials.
     trials = range(3, 3 + block._ROWS + 88)
-    assert block.decide(scenario, scenario.strategy(), trials,
+    assert block.decide(scenario, scenario.validate(), trials,
                         partial(harness._bit_generator, TrialSeeds(scenario.seed))) == _scalar(scenario, trials)
 
 
@@ -427,12 +425,11 @@ def _honest_scenarios(draw):
 @settings(max_examples=100, deadline=None)
 @given(scenario=_honest_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
 def test_random_honest_shapes_count_and_render_as_the_per_trial_program(scenario, start, length):
-    scenario.validate()
     trials = range(start, start + length)
     assert _engine(scenario, trials) == _scalar(scenario, trials)
-    strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
+    seeds = TrialSeeds(scenario.seed)
     for trial in trials[:4]:
-        assert run_trial(scenario, strategy, trial, seeds).to_json() == \
+        assert run_trial(scenario, trial).to_json() == \
             harness._honest_trial(scenario, trial, seeds).to_json()
 
 
@@ -625,7 +622,7 @@ class _Counted:
 @pytest.mark.parametrize("name", sorted(_FETCHED))
 def test_a_shape_that_reads_past_one_fetch_is_decided_in_the_engine(name):
     scenario, start, stop = _CASES[f"fetch_{name}"]
-    strategy, seeds, fetched = scenario.strategy(), TrialSeeds(scenario.seed), []
+    strategy, seeds, fetched = scenario.validate(), TrialSeeds(scenario.seed), []
     counters = block.decide(scenario, strategy, range(start, stop),
                             lambda trial: _Counted(harness._bit_generator(seeds, trial), fetched))
     assert counters == _golden(f"fetch_{name}")["counters"]

@@ -191,7 +191,7 @@ def test_transcript_of_trial_k_is_that_trial_of_the_run(tmp_path):
     for k in (0, 7, 11):
         out = tmp_path / f"trial{k}.json"
         assert main(["transcript", "--config", str(cfg), "--trial", str(k), "--out", str(out)]) == EXIT_OK
-        assert out.read_text() == qpcsim.harness.run_trial(scenario, scenario.strategy(), k).to_json()
+        assert out.read_text() == qpcsim.harness.run_trial(scenario, k).to_json()
 
 
 @pytest.mark.parametrize("trial", ["-1", "12", "13", "seven"])

@@ -111,12 +111,15 @@ def test_validation_names_offending_fields():
         (dict(protocol="zhang_baseline", adversary=AdversarySpec(TAMPER)), "adversary.kind"),
         (dict(protocol="zhang_baseline", adversary=AdversarySpec("tp2_fake_result")), "adversary.kind"),
         (dict(protocol="zhang_baseline", adversary=AdversarySpec("tp2_intercept")), "adversary.kind"),
+        (dict(protocol="zhang_baseline", n=3), "`n`"),
         (dict(protocol="zhang_baseline", variant="tp2_relay"), "variant"),
         (dict(protocol="zhang_baseline", announce_r_vectors=True), "announce_r_vectors"),
     ]
+    # A transcript's replay checks its scenario as a run does.
     for overrides, needle in cases:
-        with pytest.raises(ConfigError, match=needle):
-            small_scenario(**overrides).validate()
+        for entry in (Scenario.validate, lambda scenario: run_trial(scenario, 0)):
+            with pytest.raises(ConfigError, match=needle):
+                entry(small_scenario(**overrides))
     # About 323 and 416 expected attempts per trial, and the largest m, still validate.
     for n, m in ((12, 4), (8, 3), (20, MAX_M)):
         small_scenario(n=n, m=m, secrets=SecretsSpec(policy="forced_unequal")).validate()
@@ -453,12 +456,12 @@ def test_step2_target_counts_tapped_links_and_tolerance(kind, links, tolerance):
         n=3, decoy_count=4, decoy_tolerance=tolerance, adversary=AdversarySpec(kind, {"links": list(links)})
     )
     target = 1 - scipy_stats.binom.cdf(tolerance, 4, 0.25) ** len(links)
-    targets = scenario.strategy().targets(scenario)
+    targets = scenario.validate().targets(scenario)
     assert float(targets["detected_step2_rate"]) == pytest.approx(target, abs=1e-12)
     twice = small_scenario(
         n=3, decoy_count=4, decoy_tolerance=tolerance, adversary=AdversarySpec(kind, {"links": list(links) * 2})
     )
-    assert twice.strategy().targets(twice) == targets
+    assert twice.validate().targets(twice) == targets
 
 
 def test_step2_target_matches_the_measured_rate():
@@ -486,7 +489,7 @@ def test_explicit_secrets_flow_into_run():
     scenario = small_scenario(
         trials=1, m=2, secrets=SecretsSpec(policy="explicit", values=[[0, 1], [1, 1]])
     )
-    transcript = run_trial(scenario, scenario.strategy(), 0)
+    transcript = run_trial(scenario, 0)
     assert transcript.comps[1] == tuple(a ^ b for a, b in zip(transcript.keys[1], (0, 1)))
     assert transcript.pair_results[(1, 2)]["ground_truth"] == "different"
     assert transcript.events
@@ -544,9 +547,9 @@ def test_csv_round_trip():
 
 def test_run_trial_respects_seed_stream():
     scenario = small_scenario(trials=1)
-    t1 = run_trial(scenario, scenario.strategy(), 0)
-    t2 = run_trial(scenario, scenario.strategy(), 0)
-    t3 = run_trial(scenario, scenario.strategy(), 1)
+    t1 = run_trial(scenario, 0)
+    t2 = run_trial(scenario, 0)
+    t3 = run_trial(scenario, 1)
     assert t1.to_json() == t2.to_json() != t3.to_json()
 
 

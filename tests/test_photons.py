@@ -11,6 +11,7 @@ from qpcsim.photons import (
     DecoyState,
     Link,
     QuantumChannel,
+    _run_bounds,
     generate_decoys,
     interleave,
     public_discussion,
@@ -91,23 +92,33 @@ def test_disturbance_chain_minus_through_z():
     assert abs(mismatches / trials - 0.5) <= 3 * 0.5 / np.sqrt(trials)
 
 
-def test_interleave_trivial_and_lengths():
-    (_, draws), = interleave(0, 1, 1, make_rng(7))
+def _links(carriers, decoys, links, rng):
+    """Each of ``links`` links' decoy states and placement draws, drawn as
+    the block engine draws a tapped link: one ``run`` of the links' bounds."""
+    if not decoys:
+        return [([], [])] * links
+    drawn = rng.run(_run_bounds(carriers, decoys, links))
+    step = len(drawn) // links
+    return [(drawn[s : s + decoys], drawn[s + decoys : s + step]) for s in range(0, len(drawn), step)]
+
+
+def test_link_trivial_and_lengths():
+    (_, draws), = _links(0, 1, 1, make_rng(7))
     link = Link(None, [], [DecoyState.Z1], replay_choice(1, 1, draws))
     assert link.decoy_slots == [0]
     assert link.slots == [DecoyState.Z1]
     carriers = ["c0", "c1", "c2", "c3"]
-    (decoys, draws), = interleave(len(carriers), 4, 1, make_rng(9))
+    (decoys, draws), = _links(len(carriers), 4, 1, make_rng(9))
     link = Link(None, carriers, decoys, replay_choice(len(carriers) + len(decoys), len(decoys), draws))
     assert len(link.slots) == 8 and len(link.decoy_slots) == 4
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12), st.integers())
 @settings(max_examples=60, deadline=None)
-def test_interleave_preserves_carrier_order(num_carriers, num_decoys, seed_key):
+def test_link_preserves_carrier_order(num_carriers, num_decoys, seed_key):
     rng = Stream(np.random.PCG64(np.random.SeedSequence(entropy=987003, spawn_key=(abs(seed_key) % 2**32,))))
     carriers = [f"carrier-{i}" for i in range(num_carriers)]
-    (decoys, draws), = interleave(num_carriers, num_decoys, 1, rng)
+    (decoys, draws), = _links(num_carriers, num_decoys, 1, rng)
     link = Link(None, carriers, decoys, replay_choice(num_carriers + num_decoys, num_decoys, draws))
     merged, positions = link.slots, link.decoy_slots
     assert len(merged) == num_carriers + num_decoys
@@ -118,7 +129,7 @@ def test_interleave_preserves_carrier_order(num_carriers, num_decoys, seed_key):
 
 
 def _draw_links_one_by_one(carriers, decoys, links, rng):
-    """What ``interleave`` replaces: per link, its decoy states and its
+    """What one run of links replaces: per link, its decoy states and its
     sorted decoy slots, each drawn by its own generator call."""
     drawn = []
     for _ in range(links):
@@ -130,10 +141,15 @@ def _draw_links_one_by_one(carriers, decoys, links, rng):
 def _assert_one_call_equals_per_link_calls(population, decoys, links, key):
     rng, reference = make_rng(*key), np.random.default_rng(seed_sequence(*key))
     carriers = population - decoys
-    drawn = interleave(carriers, decoys, links, rng)
+    drawn = _links(carriers, decoys, links, rng)
     merged = [(states, replay_choice(population, decoys, draws)) for states, draws in drawn]
     assert merged == _draw_links_one_by_one(carriers, decoys, links, reference)
-    assert rng.bits(3, 32) == reference.integers(0, 2**32, size=3).tolist()
+    after = reference.integers(0, 2**32, size=3).tolist()
+    assert rng.bits(3, 32) == after
+    # ``interleave`` draws past the same links, making none of their values.
+    consumed = make_rng(*key)
+    interleave(carriers, decoys, links, consumed)
+    assert consumed.bits(3, 32) == after
 
 
 @pytest.mark.parametrize(

@@ -190,7 +190,7 @@ def test_arbiter_identifies_liar():
 
 def test_conflict_aborts_and_names_liar_in_run():
     scenario = Scenario(n=3, m=4, seed=6, adversary=AdversarySpec("tp2_fake_result"))
-    t = run_trial(scenario, scenario.strategy(), 0)
+    t = run_trial(scenario, 0)
     assert t.aborted and t.abort_step == 7 and t.abort_cause == CAUSE_CONFLICT
     assert t.arbiter == "TP2"
 
@@ -293,18 +293,16 @@ def test_every_transcript_carries_its_full_event_log(tmp_path):
         + ["announcement"] * 2 + ["cross_check"]
     )
     eve = Scenario(n=2, m=4, decoy_count=16, seed=14, adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
-    t = run_trial(eve, eve.strategy(), 0)
+    t = run_trial(eve, 0)
     assert t.abort_step == 2
     assert t.events[-1] == {"step": 2, "actor": "protocol", "kind": "abort", "payload": {"cause": t.abort_cause}}
-    # As `_run_block` counts a trial: one strategy and one TrialSeeds for every trial.
     scenario = Scenario(n=2, m=2, decoy_count=2, trials=12, seed=11,
                         adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))
     config = tmp_path / "eve.json"
     config.write_text(json.dumps(scenario.to_config()))
-    strategy, seeds = scenario.strategy(), TrialSeeds(scenario.seed)
     aborted = 0
     for k in range(scenario.trials):
-        t = run_trial(scenario, strategy, k, seeds)
+        t = run_trial(scenario, k)
         assert t.events[0]["kind"] == "prepare"
         if t.aborted:
             aborted += 1
@@ -349,7 +347,7 @@ def test_validation_errors():
 
 def test_abort_causes_are_machine_readable():
     def causes(scenario, trials):
-        runs = (run_trial(scenario, scenario.strategy(), k) for k in range(trials))
+        runs = (run_trial(scenario, k) for k in range(trials))
         return {(t.abort_step, t.abort_cause) for t in runs if t.aborted}
 
     eve = Scenario(n=2, m=2, decoy_count=8, seed=18, adversary=AdversarySpec("eve_intercept_resend", {"links": [1]}))

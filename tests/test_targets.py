@@ -39,7 +39,7 @@ def _doc(n, m, kind, params=None, variant=VARIANT_BROADCAST, **fields):
 
 
 def _targets(scenario):
-    return scenario.strategy().targets(scenario)
+    return scenario.validate().targets(scenario)
 
 
 def _key(scenario):

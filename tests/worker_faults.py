@@ -23,7 +23,8 @@ class FailingScenario(Scenario):
     in_caller: Optional[Callable[[], None]] = None
     caller_pid: int = dataclasses.field(default_factory=os.getpid)
 
-    def strategy(self) -> AdversaryStrategy:
+    def validate(self) -> AdversaryStrategy:
+        super().validate()
         return _FailingRun(self)
 
 

@@ -68,55 +68,30 @@ def decide(scenario, strategy, trials: range, generator: Callable[[int], object]
 
 def transcript(scenario, strategy, generator) -> proto.Transcript:
     """The transcript of the trial whose seeded bit generator is
-    ``generator``, rendered from the arrays a one-row run keeps."""
+    ``generator``, laid out by ``protocol.record`` from the arrays a one-row
+    run keeps; a step past the trial's abort keeps none."""
     program = _Program(scenario, strategy)
     trials = program.run(Rows([generator]))
-    roles, n, c, l = program.roles, program.n, program.c, program.l
-    params = {"n": n, "m": program.m, "check_rounds": c, "decoy_count": l, "adversary": strategy.kind}
-    if roles.monitored:
-        params["variant"] = scenario.variant
-    t = proto.Transcript(roles.protocol, params)
-    secrets = trials.secrets[0].tolist()
-    t.secrets = tuple(map(tuple, secrets))
-    t.true_states = [tuple(q) if product else GhzSpec(tuple(q), delta)
-                     for q, delta, product in zip(*(a[0].tolist() for a in trials.prepared))]
-    t.claimed_specs = [GhzSpec(tuple(q), delta)
-                       for q, delta in zip(trials.claimed_q[0].tolist(), trials.claimed_delta[0].tolist())]
-    for k in range(1, n + 1):
-        mismatches = int(trials.mismatches[k][0]) if k in trials.mismatches else 0
-        t.decoy_checks.append(
-            {"participant": k, "passed": mismatches <= program.tolerance, "mismatches": mismatches, "total": l})
-    if not all(check["passed"] for check in t.decoy_checks):
-        t.mark_abort(2, proto.CAUSE_DECOY)
-        return t
-    if c:
-        bases, outcomes, failed = (a[0].tolist() for a in trials.rounds)
-        failures = tuple(r for r, fail in enumerate(failed) if fail)
-        t.checked_positions = trials.positions[0].tolist()
-        t.step3 = proto.Step3Report(not failures, failures, tuple(bases), outcomes)
-        if failures:
-            t.mark_abort(roles.check_step, proto.CAUSE_STATE_CHECK)
-            return t
-    positions, keys, unpadded = (a[0].tolist() for a in (trials.key_positions, trials.keys, trials.unpadded))
-    t.key_positions = dict(enumerate(positions, 1))
-    t.comparison_positions = positions[0]
-    for k, (key, secret) in enumerate(zip(keys, secrets), 1):
-        t.keys[k], t.comps[k] = tuple(key), tuple(map(int.__xor__, key, secret))
-    pairs = list(combinations(range(1, n + 1), 2))
-    r = [tuple(map(int.__xor__, unpadded[i - 1], unpadded[j - 1])) if scenario.announce_r_vectors else None
-         for i, j in pairs]
-    first, last = ([DIFFERENT if different else IDENTICAL for different in a[0].tolist()] for a in trials.verdicts)
-    for announcer, verdicts in zip(roles.announcers, (first, last)):  # a lone announcer is both
-        t.announcements[announcer] = {pair: proto.Announcement(announcer, pair, verdict, vector)
-                                      for pair, verdict, vector in zip(pairs, verdicts, r)}
-    key1, key2 = roles.verdict_keys[0], roles.verdict_keys[-1]
-    for (i, j), verdict1, verdict2 in zip(pairs, first, last):
-        truth = IDENTICAL if secrets[i - 1] == secrets[j - 1] else DIFFERENT
-        t.pair_results[i, j] = {key1: verdict1, key2: verdict2, "accepted": verdict1 == verdict2, "ground_truth": truth}
-    if first != last:
-        t.mark_abort(roles.check_step + 4, proto.CAUSE_CONFLICT)
-        t.arbiter = next(liar for liar in (TP1, TP2, "both") if program.sums.get(f"arbiter_{liar.lower()}"))
-    return t
+
+    def row(arrays):
+        return None if arrays is None else arrays[0].tolist()
+
+    states = [tuple(q) if product else GhzSpec(tuple(q), delta)
+              for q, delta, product in zip(*map(row, trials.prepared))]
+    claimed = [GhzSpec(tuple(q), delta) for q, delta in zip(row(trials.claimed_q), row(trials.claimed_delta))]
+    step3 = r = verdicts = None
+    if trials.rounds is not None:
+        bases, outcomes, failed = map(row, trials.rounds)
+        failures = tuple(k for k, fail in enumerate(failed) if fail)
+        step3 = proto.Step3Report(not failures, failures, tuple(bases), outcomes)
+    if trials.verdicts is not None:
+        unpadded, (i, j) = trials.unpadded[0], _pairs(program.n)
+        r = list(map(tuple, (unpadded[i] ^ unpadded[j]).tolist()))
+        verdicts = tuple([DIFFERENT if different else IDENTICAL for different in row(a)] for a in trials.verdicts)
+    arbiter = next((liar for liar in (TP1, TP2, "both") if program.sums.get(f"arbiter_{liar.lower()}")), None)
+    return proto.record(scenario, strategy.kind, row(trials.secrets), states, claimed,
+                        {k: int(a[0]) for k, a in trials.mismatches.items()}, step3, row(trials.positions),
+                        row(trials.key_positions), row(trials.keys), r, verdicts, arbiter)
 
 
 class _States(NamedTuple):
@@ -165,8 +140,9 @@ class _Trials:
     ``prepared`` holds the true states.  Each later step keeps for
     ``transcript`` the arrays it made that a transcript reads, by tapped link
     or as tuples: ``mismatches`` (step 2), ``rounds`` (3), ``key_positions``,
-    ``keys``, ``unpadded`` and ``verdicts`` (4-7).  ``keep`` drops
-    no trial from them, so their rows are those of the step that made them.
+    ``keys``, ``unpadded`` and ``verdicts`` (4-7), each None until its step
+    runs.  ``keep`` drops no trial from them, so their rows are those of the
+    step that made them.
     """
 
     def __init__(self, draws: Rows, secrets: np.ndarray, true: _States, claimed: _States, photons: int) -> None:
@@ -181,6 +157,7 @@ class _Trials:
         self.offsets = np.arange(0, self.slot.size, self.slot.shape[1])[:, None]  # where each row's slots start
         self.positions, self.received = np.zeros((count, 0), dtype=np.int64), None
         self.records = {}
+        self.rounds = self.key_positions = self.keys = self.unpadded = self.verdicts = None
 
     def __len__(self) -> int:
         return len(self.held)
@@ -376,11 +353,11 @@ class _Program:
             q, delta = self.roles.prepared_arrays(n, draws.bits(self.total, self.roles.prepare_width(n)))
             true = claimed = _States(q.astype(np.int8), delta.astype(np.int8), np.zeros(delta.shape, dtype=bool))
         trials = _Trials(draws, secrets.astype(np.int8), true, claimed, n * self.l)
-        if self._distribute(trials) and self._check(trials):
+        if self._links(trials) and self._check(trials):
             self._compare(trials)
         return trials
 
-    def _distribute(self, trials: _Trials) -> bool:
+    def _links(self, trials: _Trials) -> bool:
         """Step 2: each run of links up to and including the next tapped
         link, its untapped links consumed as ``interleave`` consumes them, and
         each tapped link's tap and decoy check.  Every link is checked

@@ -315,21 +315,6 @@ class TrialStats:
         ]
 
 
-def _draw_secrets(scenario: Scenario, rng: Stream) -> List[List[int]]:
-    """A trial's secrets, under any policy but ``forced_unequal``."""
-    n, m = scenario.n, scenario.m
-    policy = scenario.secrets.policy
-    if policy == "explicit":
-        return [list(row) for row in scenario.secrets.values]
-    if policy == "forced_equal":
-        row = rng.bits(m)
-        return [list(row) for _ in range(n)]
-    # n*m bits cut into rows are n size-m draws, value for value, as one
-    # (n, m) draw gives them (a numpy property tests/test_ghz.py pins).
-    bits = rng.bits(n * m)
-    return [bits[s : s + m] for s in range(0, n * m, m)]
-
-
 def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
     """Count one honest trial's outcomes into the counters ``c``, in place."""
     roles = proto.PROTOCOLS[t.protocol]
@@ -381,30 +366,17 @@ def run_trial(scenario: Scenario, trial: int) -> proto.Transcript:
     """Trial number ``trial`` of a scenario, as its transcript, which holds
     the secrets drawn for it: the trial run by the block engine that counts
     every attack, in a block of its own, with the strategy the scenario
-    names.  The scenario is checked first, as ``run_scenario`` checks it.
+    names.  The scenario is checked first, as ``run_scenario`` checks it,
+    and ``trial`` must be one of its trials, an integer in 0..trials - 1.
 
     The trial's random stream is derived from the scenario seed by the trial
     index alone, so a trial replays identically whatever runs around it:
     its PCG64 is seeded as by ``SeedSequence(entropy=seed, spawn_key=(trial,))``.
     """
     strategy = scenario.validate()
+    if not _is_int(trial) or not 0 <= trial < scenario.trials:
+        raise ValueError(f"trial must be an integer in 0..{scenario.trials - 1}, got {trial!r}")
     return block.transcript(scenario, strategy, _bit_generator(TrialSeeds(scenario.seed), trial))
-
-
-def _honest_trial(scenario: Scenario, trial: int, seeds: TrialSeeds) -> proto.Transcript:
-    """Trial ``trial`` of an honest scenario whose secrets are drawn once,
-    run by ``protocol``'s per-trial program, every draw served from one
-    ``Stream`` over the trial's bit generator."""
-    rng = Stream(_bit_generator(seeds, trial))
-    secrets = _draw_secrets(scenario, rng)
-    # A size left None takes the protocol's default in its runner.  No
-    # untapped link mismatches, so the decoy tolerance has nothing to pass.
-    options = dict(check_rounds=scenario.check_rounds, decoy_count=scenario.decoy_count, rng=rng)
-    if scenario.roles.monitored:  # only a monitored protocol has variants and result vectors to publish
-        return proto.run_proposed(
-            scenario.n, scenario.m, secrets, variant=scenario.variant, announce_r=scenario.announce_r_vectors, **options
-        )
-    return proto.run_zhang_baseline(scenario.m, secrets, **options)
 
 
 def _bit_generator(seeds: TrialSeeds, trial: int):
@@ -420,9 +392,11 @@ def _run_block(scenario: Scenario, strategy: adversaries.AdversaryStrategy, star
     # (ROADMAP item 21 step a): at the engine's speed its honest workload
     # would keep enough more calls to raise its peak RSS past its bound.
     if strategy.kind == adversaries.KIND_NONE and scenario.secrets.policy != "forced_unequal":
+        # Through the module, whose two names the benchmark's tracer wraps.
+        run = proto.run_proposed if scenario.roles.monitored else proto.run_zhang_baseline
         totals: Dict[str, int] = {}
         for trial in range(start, stop):
-            _extract(_honest_trial(scenario, trial, seeds), totals)
+            _extract(run(scenario, Stream(_bit_generator(seeds, trial))), totals)
         return totals
     return block.decide(scenario, strategy, range(start, stop), partial(_bit_generator, seeds))
 

@@ -18,9 +18,10 @@ Aborts carry a machine-readable cause: ``decoy_mismatch`` (step 2),
 body runs both protocols; the baseline's lone third party announces without
 a cross-check, and it numbers its optional state check 4, its announcement 7.
 
-``run_proposed`` and ``run_zhang_baseline`` run one honest trial.  Trials
-with an adversary, and every transcript ``qpcsim transcript`` writes, are
-run by the block engine (``block``), which records into ``Transcript`` too.
+``run_proposed`` and ``run_zhang_baseline`` run one honest trial of a
+checked ``Scenario``.  Trials with an adversary, and every transcript
+``qpcsim transcript`` writes, are run by the block engine (``block``).  Both
+programs lay a run's ``Transcript`` out through ``record``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import combinations
 from operator import xor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adversaries import DIFFERENT, IDENTICAL, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
+from .adversaries import DIFFERENT, IDENTICAL, KIND_NONE, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import interleave
 from .stream import Stream
@@ -72,6 +73,8 @@ class Announcement(NamedTuple):
     r: Optional[Tuple[int, ...]] = None
 
 
+# No run calls this since ``record`` accepts a pair whose two verdicts agree:
+# the benchmark's tracer still wraps it, and the tests read it.
 def cross_check(a1: Announcement, a2: Announcement) -> bool:
     """True iff the two announcements agree (verdicts, and vectors if both
     were published); disagreement means one announcer lied."""
@@ -265,18 +268,60 @@ class Transcript:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _validate_common(n: int, m: int, secrets: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    if n < 2:
-        raise ValueError("need at least two participants")
-    if m < 1:
-        raise ValueError("secret length m must be positive")
-    if len(secrets) != n:
-        raise ValueError(f"expected {n} secrets, got {len(secrets)}")
-    fixed = tuple(tuple(map(int, s)) for s in secrets)
-    if {len(bits) for bits in fixed} != {m} or not {0, 1}.issuperset(chain.from_iterable(fixed)):
-        idx = next(i for i, bits in enumerate(fixed) if len(bits) != m or not {0, 1}.issuperset(bits))
-        raise ValueError(f"secret {idx + 1} must be {m} bits")
-    return fixed
+def record(scenario, kind: str, secrets, states: List[object], claimed: List[GhzSpec], mismatches: Dict[int, int],
+           step3: Optional[Step3Report] = None, checked=(), key_positions=None, keys=None, r=None, verdicts=None,
+           arbiter: Optional[str] = None) -> Transcript:
+    """The transcript of one run of ``scenario`` under adversary ``kind``,
+    laid out from what each step it reached made, whichever program ran it.
+
+    Step 1 made the ``secrets``, the true ``states`` and the ``claimed``
+    specs; step 2 each tapped link's decoy ``mismatches``; step 3, where the
+    scenario checks, the ``step3`` report of the ``checked`` positions;
+    step 4 each participant's ``key_positions`` and ``keys``; step 6 each
+    pair's result vector ``r`` and the ``verdicts`` of the first and the
+    last announcer (a lone announcer is both), pairs in ``combinations``
+    order; step 7 the ``arbiter``'s liar.  The first check that fails ends
+    the run: nothing past it is laid out.
+    """
+    roles, n, l = scenario.roles, scenario.n, scenario.effective_decoy_count()
+    params = {"n": n, "m": scenario.m, "check_rounds": scenario.effective_check_rounds(), "decoy_count": l,
+              "adversary": kind}
+    if roles.monitored:
+        params["variant"] = scenario.variant
+    t = Transcript(roles.protocol, params)
+    t.secrets = secrets = tuple(map(tuple, secrets))
+    t.true_states, t.claimed_specs = states, claimed
+    tolerance = scenario.decoy_tolerance
+    t.decoy_checks = [{"participant": k, "passed": mismatches.get(k, 0) <= tolerance,
+                       "mismatches": mismatches.get(k, 0), "total": l} for k in range(1, n + 1)]
+    if any(count > tolerance for count in mismatches.values()):
+        t.mark_abort(2, CAUSE_DECOY)
+        return t
+    if step3 is not None:
+        t.step3, t.checked_positions = step3, checked
+        if not step3.passed:
+            t.mark_abort(roles.check_step, CAUSE_STATE_CHECK)
+            return t
+    t.key_positions = dict(enumerate(key_positions, 1))
+    t.comparison_positions = key_positions[0]
+    for k, (key, secret) in enumerate(zip(keys, secrets), 1):
+        t.keys[k] = key = tuple(key)
+        t.comps[k] = xor_bits(key, secret)
+    pairs = list(combinations(range(1, n + 1), 2))
+    t.r_values = dict.fromkeys(roles.announcers, dict(zip(pairs, r)))
+    vectors = r if scenario.announce_r_vectors else [None] * len(pairs)
+    for announcer, announced in zip(roles.announcers, verdicts):  # a lone announcer is both
+        t.announcements[announcer] = {pair: Announcement(announcer, pair, verdict, vector)
+                                      for pair, verdict, vector in zip(pairs, announced, vectors)}
+    first, last = verdicts
+    key1, key2 = roles.verdict_keys[0], roles.verdict_keys[-1]
+    for (i, j), verdict1, verdict2 in zip(pairs, first, last):
+        truth = IDENTICAL if secrets[i - 1] == secrets[j - 1] else DIFFERENT
+        t.pair_results[i, j] = {key1: verdict1, key2: verdict2, "accepted": verdict1 == verdict2, "ground_truth": truth}
+    if first != last:
+        t.mark_abort(roles.check_step + 4, CAUSE_CONFLICT)
+        t.arbiter = arbiter
+    return t
 
 
 @dataclass(frozen=True)
@@ -336,49 +381,47 @@ _BASELINE = _Roles(
 PROTOCOLS = {roles.protocol: roles for roles in (_PROPOSED, _BASELINE)}
 
 
-def _distribute(t: Transcript, registers: GhzRegister, decoy_count: int, rng: Stream) -> None:
-    """Step 2: particle k of every register goes to participant k with fresh
-    decoys mixed in, and each participant's decoys are then checked in
-    public.  Untapped, every link arrives as sent and passes its check, so
-    one ``interleave`` call draws past every link's draws."""
-    n = registers.particles
-    interleave(registers.n // n, decoy_count, n, rng)
-    t.decoy_checks = [{"participant": k, "passed": True, "mismatches": 0, "total": decoy_count}
-                      for k in range(1, n + 1)]
+def _secrets(scenario, rng: Stream) -> List[List[int]]:
+    """Step 1's secrets, drawn first, as the block engine draws them."""
+    n, m = scenario.n, scenario.m
+    policy = scenario.secrets.policy
+    if policy == "explicit":
+        return scenario.secrets.values
+    if policy == "forced_equal":
+        return [rng.bits(m)] * n
+    while True:
+        # n*m bits cut into rows are n size-m draws, value for value, as one
+        # (n, m) draw gives them (a numpy property tests/test_ghz.py pins).
+        bits = rng.bits(n * m)
+        secrets = [bits[s : s + m] for s in range(0, n * m, m)]
+        # forced_unequal draws all n again until they differ.
+        if policy != "forced_unequal" or len(set(map(tuple, secrets))) == n:
+            return secrets
 
 
-def _check_rounds(t: Transcript, roles: _Roles, registers: GhzRegister, positions: List[int], rng: Stream) -> None:
+def _check_rounds(registers: GhzRegister, positions: List[int], claimed: List[GhzSpec], rng: Stream) -> Step3Report:
     """Step 3: in each round every participant measures its particle of one
     checked register in that round's random basis, and the joint outcomes
-    are tested against the claimed preparations.  Marks the state-check
-    abort on failure."""
+    are tested against the ``claimed`` preparations of the ``positions``."""
     bases = rng.bits(len(positions))
     n = registers.particles
     ids = [p * n + k for p in positions for k in range(n)]
     bits = registers.measure(ids, [b for b in bases for _ in range(n)], rng)
     outcomes = [bits[s : s + n] for s in range(0, len(bits), n)]
-    report = step3_check([t.claimed_specs[p] for p in positions], bases, outcomes)
-    t.step3 = report
-    t.checked_positions = positions
-    if not report.passed:
-        t.mark_abort(roles.check_step, CAUSE_STATE_CHECK)
+    return step3_check(claimed, bases, outcomes)
 
 
-def _measure_keys(t: Transcript, registers: GhzRegister, positions: List[int], rng: Stream) -> None:
-    """Step 4: each participant Z-measures the first m unchecked registers
-    into its key string and masks its secret with it; with fewer than m
-    checks the surplus is simply never used."""
-    m = t.params["m"]
-    n, total = registers.particles, len(t.claimed_specs)
+def _measure_keys(registers: GhzRegister, positions: List[int], m: int, rng: Stream) -> Tuple[List[int], list]:
+    """Step 4: each participant Z-measures the first m registers the check
+    left into its key string; with fewer than m checks the surplus is simply
+    never used.  The registers measured, and each participant's key."""
+    n = registers.particles
     skipped = set(positions)
-    t.comparison_positions = kept = [p for p in range(total) if p not in skipped][:m]
-    t.key_positions = dict.fromkeys(range(1, n + 1), kept)
+    kept = [p for p in range(registers.n // n) if p not in skipped][:m]
     ids = [p * n + k for k in range(n) for p in kept]
     # Every participant skips at most m of the 2m (or m + c) registers.
     bits = registers.measure(ids, [Basis.Z] * len(ids), rng)
-    for k in range(1, n + 1):
-        t.keys[k] = key = tuple(bits[(k - 1) * m : k * m])
-        t.comps[k] = xor_bits(key, t.secrets[k - 1])
+    return kept, [bits[k * m : (k + 1) * m] for k in range(n)]
 
 
 def _pads(specs: Sequence[GhzSpec]) -> List[Tuple[int, ...]]:
@@ -387,36 +430,19 @@ def _pads(specs: Sequence[GhzSpec]) -> List[Tuple[int, ...]]:
     return list(zip(*(spec.q for spec in specs)))
 
 
-def run_proposed(
-    n: int,
-    m: int,
-    secrets: Sequence[Sequence[int]],
-    *,
-    check_rounds: Optional[int] = None,
-    decoy_count: Optional[int] = None,
-    variant: str = VARIANT_BROADCAST,
-    rng: Stream,
-    announce_r: bool = False,
-) -> Transcript:
-    """One full honest run of the two-watchdog multiparty comparison.
+def run_proposed(scenario, rng: Stream) -> Transcript:
+    """One honest trial of a two-watchdog multiparty ``scenario`` that
+    ``Scenario.validate`` accepted, drawn from ``rng``, the trial's ``Stream``.
 
-    TP1 prepares 2m registers, of which ``check_rounds`` (default m) are
-    checked.  ``rng`` is the trial's ``Stream``.
+    TP1 prepares 2m registers, of which the scenario's check rounds
+    (default m) are checked.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return _run(_PROPOSED, n, m, secrets, check_rounds, decoy_count, variant, rng, announce_r)
+    return _run(scenario, rng)
 
 
-def run_zhang_baseline(
-    m: int,
-    secrets: Sequence[Sequence[int]],
-    *,
-    check_rounds: Optional[int] = None,
-    decoy_count: Optional[int] = None,
-    rng: Stream,
-) -> Transcript:
-    """One honest run of the single-third-party two-party baseline.
+def run_zhang_baseline(scenario, rng: Stream) -> Transcript:
+    """One honest trial of a single-third-party two-party baseline
+    ``scenario``, as for ``run_proposed``.
 
     The single helper prepares Bell pairs drawn from {(|00>+|11>)/sqrt(2),
     (|01>-|10>)/sqrt(2)}, the participants XOR their masked strings together
@@ -427,73 +453,44 @@ def run_zhang_baseline(
     state check (which consumes pairs and needs the participant-to-participant
     authenticated channel that strangers lack) leaves m for comparison.
     The check positions travel on that channel, so no variant applies and
-    nothing can tamper with them.  ``rng`` is as for ``run_proposed``.
+    nothing can tamper with them.
     """
-    return _run(_BASELINE, _BASELINE.participants, m, secrets, check_rounds, decoy_count, None, rng, False)
+    return _run(scenario, rng)
 
 
-def _run(
-    roles: _Roles, n: int, m: int, secrets: Sequence[Sequence[int]], check_rounds: Optional[int],
-    decoy_count: Optional[int], variant: Optional[str], rng: Stream, announce_r: bool,
-) -> Transcript:
-    """Steps 1-7 of either protocol; ``variant`` is None where none applies, a size None takes its default."""
-    secrets = _validate_common(n, m, secrets)
-    c = roles.checks_per_m * m if check_rounds is None else check_rounds
-    l = roles.decoys_per_m * m if decoy_count is None else decoy_count
-    if not roles.leaves_m(m, c):
-        raise ValueError(f"check rounds must be nonnegative and leave m={m} registers, got {c}")
-    if l < 0:
-        raise ValueError("decoy count must be nonnegative")
+def _run(scenario, rng: Stream) -> Transcript:
+    """Steps 1-7 of one honest trial of either protocol, with the sizes,
+    variant and published vectors of ``scenario``."""
+    roles, n, m = scenario.roles, scenario.n, scenario.m
+    c = scenario.effective_check_rounds()
     total = roles.register_count(m, c)
 
-    params = {"n": n, "m": m, "check_rounds": c, "decoy_count": l, "adversary": "none"}
-    if variant is not None:
-        params["variant"] = variant
-    t = Transcript(roles.protocol, params)
-    t.secrets = secrets
-
-    # Step 1: prepare the registers in one draw.
-    t.true_states = t.claimed_specs = roles.prepared(n, rng.bits(total, roles.prepare_width(n)))
-    registers = GhzRegister(t.true_states)
-    _distribute(t, registers, l, rng)
+    # Step 1: the secrets, then the registers, each in one draw.
+    secrets = _secrets(scenario, rng)
+    states = roles.prepared(n, rng.bits(total, roles.prepare_width(n)))
+    registers = GhzRegister(states)
+    # Step 2: particle k of every register goes to participant k with fresh
+    # decoys mixed in, and each participant's decoys are then checked in
+    # public.  Untapped, every link arrives as sent and passes its check, so
+    # one ``interleave`` call draws past every link's draws.
+    interleave(total, scenario.effective_decoy_count(), n, rng)
 
     # Step 3: cooperative correctness check of c randomly chosen registers.
-    positions: List[int] = []
-    if c > 0:
-        positions = rng.sample(total, c)
-        _check_rounds(t, roles, registers, positions, rng)
-        if t.aborted:
-            return t
+    # Honest registers pass every round; ``record`` would end the run at a
+    # failed one all the same.
+    positions = rng.sample(total, c) if c else []
+    report = _check_rounds(registers, positions, [states[p] for p in positions], rng) if c else None
+    kept, keys = _measure_keys(registers, positions, m, rng)
 
-    _measure_keys(t, registers, positions, rng)
-
-    # Step 6: every announcer announces a verdict per pair.  They hold the
-    # same claimed states and masked strings (or the baseline's XOR of them),
-    # so each pair's result vector is computed once and each announcer gets a
-    # copy.  The pad of pair (i, j) is the XOR of i's and j's pads against P1.
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    compared = [t.claimed_specs[p] for p in t.comparison_positions]
-    pads = _pads(compared)
-    unpadded = {k: tuple(map(xor, pads[k - 1], t.comps[k])) for k in range(2, n + 1)}
-    unpadded[1] = t.comps[1]
-    r_values = {(i, j): xor_bits(unpadded[i], unpadded[j]) for i, j in pairs}
-    t.r_values = {announcer: dict(r_values) for announcer in roles.announcers}
-    t.announcements = {}
-    for announcer in roles.announcers:
-        by_pair = t.announcements[announcer] = {}
-        for pair in pairs:
-            r = r_values[pair]
-            by_pair[pair] = Announcement(announcer, pair, verdict_for(r), r if announce_r else None)
-
-    # Step 7: participants cross-compare the first and the last announcer's
-    # verdicts; a lone announcer is both, under one key, and stands unchecked.
-    # Honest announcers announce alike, so no pair conflicts.
-    key1, key2 = roles.verdict_keys[0], roles.verdict_keys[-1]
-    first, last = t.announcements[roles.announcers[0]], t.announcements[roles.announcers[-1]]
-    cross_checked = first is not last
-    for pair in pairs:
-        a1, a2 = first[pair], last[pair]
-        accepted = cross_check(a1, a2) if cross_checked else True
-        truth = IDENTICAL if secrets[pair[0] - 1] == secrets[pair[1] - 1] else DIFFERENT
-        t.pair_results[pair] = {key1: a1.verdict, key2: a2.verdict, "accepted": accepted, "ground_truth": truth}
-    return t
+    # Steps 5-6: every announcer holds the same claimed states and masked
+    # strings (or the baseline's XOR of them), so each pair's result vector
+    # is computed once and each announcer announces its verdict.  The pad of
+    # pair (i, j) is the XOR of i's and j's pads against P1.  Honest
+    # announcers announce alike, so no pair conflicts at step 7.
+    pads = _pads([states[p] for p in kept])
+    unpadded = [xor_bits(key, secret) for key, secret in zip(keys, secrets)]
+    unpadded[1:] = [tuple(map(xor, pad, comp)) for pad, comp in zip(pads[1:], unpadded[1:])]
+    r = [xor_bits(unpadded[i - 1], unpadded[j - 1]) for i, j in combinations(range(1, n + 1), 2)]
+    verdicts = [verdict_for(v) for v in r]
+    return record(scenario, KIND_NONE, secrets, states, states, {}, report, positions, [kept] * n, keys, r,
+                  (verdicts, verdicts))

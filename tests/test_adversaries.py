@@ -193,7 +193,7 @@ def test_fake_result_pair_subset():
 def test_no_adversary_keeps_announcements_honest():
     for trial in range(100):
         rng = Stream(np.random.PCG64(np.random.SeedSequence(entropy=987005, spawn_key=(15, trial))))
-        t = run_proposed(2, 4, [rng.bits(4) for _ in range(2)], rng=rng)
+        t = run_proposed(Scenario(n=2, m=4), rng)
         assert not t.aborted
 
 

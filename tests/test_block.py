@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpcsim import block, harness
+from qpcsim import protocol as proto
 from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_TAMPER, KIND_TP1_FAKE_RESULT,
                                 KIND_TP1_FAKE_STATE, KIND_TP2_FAKE_RESULT, KIND_TP2_INTERCEPT, KINDS, POLICY_PAIRED,
                                 POLICY_RANDOM)
@@ -45,11 +46,17 @@ COVERED = ("eve_l1", "eve_l5", "eve_l10", "eve_l20", "tp1_flip", "tp2_flip", "ba
            "infer_counterfactual", "tp2_intercept")
 
 
+def _per_trial(scenario, trial):
+    """Honest trial ``trial`` of ``scenario``, run by ``protocol``'s per-trial program."""
+    run = proto.run_proposed if scenario.roles.monitored else proto.run_zhang_baseline
+    return run(scenario, Stream(harness._bit_generator(TrialSeeds(scenario.seed), trial)))
+
+
 def _scalar(scenario, trials):
     """The summed counters of honest ``trials``, each run by the per-trial program."""
-    seeds, totals = TrialSeeds(scenario.seed), {}
+    totals = {}
     for trial in trials:
-        _extract(harness._honest_trial(scenario, trial, seeds), totals)
+        _extract(_per_trial(scenario, trial), totals)
     return totals
 
 
@@ -286,7 +293,8 @@ def test_every_attack_and_redrawn_secret_runs_in_the_engine(monkeypatch):
     for scenario in scenarios:
         honest = scenario.adversary.kind == "none" and scenario.secrets.policy != "forced_unequal"
         with monkeypatch.context() as patch:
-            patch.setattr(*((block, "decide") if honest else (harness, "_honest_trial")), unreached)
+            for name in ("decide",) if honest else ("run_proposed", "run_zhang_baseline"):
+                patch.setattr(block if honest else proto, name, unreached)
             assert harness._run_block(scenario, scenario.validate(), 0, 3)["trials"] == 3
 
 
@@ -410,7 +418,8 @@ def _honest_scenarios(draw):
     baseline = draw(st.booleans())
     n = 2 if baseline else draw(st.integers(2, 6))
     m = draw(st.integers(1, 8))
-    policy = draw(st.sampled_from(["explicit", "uniform", "forced_equal"]))
+    # forced_unequal only where n distinct secrets of m bits exist.
+    policy = draw(st.sampled_from(["explicit", "uniform", "forced_equal"] + ["forced_unequal"] * (2**m >= n)))
     values = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)] if policy == "explicit" else None
     return Scenario(
         protocol="zhang_baseline" if baseline else "proposed", n=n, m=m,
@@ -427,10 +436,8 @@ def _honest_scenarios(draw):
 def test_random_honest_shapes_count_and_render_as_the_per_trial_program(scenario, start, length):
     trials = range(start, start + length)
     assert _engine(scenario, trials) == _scalar(scenario, trials)
-    seeds = TrialSeeds(scenario.seed)
     for trial in trials[:4]:
-        assert run_trial(scenario, trial).to_json() == \
-            harness._honest_trial(scenario, trial, seeds).to_json()
+        assert run_trial(scenario, trial).to_json() == _per_trial(scenario, trial).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ def test_validation_names_offending_fields():
         (dict(secrets=SecretsSpec(policy="telepathy")), "secrets.policy"),
         (dict(secrets=SecretsSpec(policy="explicit", values=[[0, 1]])), "secrets.values"),
         (dict(secrets=SecretsSpec(policy="explicit", values=[[0], [1]])), "secrets.values"),
+        (dict(m=4, secrets=SecretsSpec(policy="explicit", values=[[0, 1], [1, 1]])), r"secrets.values\[0\]"),
         (dict(secrets=SecretsSpec(policy="uniform", values=[[0, 1], [0, 1]])), "secrets.values"),
         (dict(m=1, n=3, protocol="proposed", secrets=SecretsSpec(policy="forced_unequal")), "forced_unequal"),
         # Distinct secrets are drawn by redrawing all n: about 8.8e5 and 6.9e3
@@ -112,6 +113,7 @@ def test_validation_names_offending_fields():
         (dict(protocol="zhang_baseline", adversary=AdversarySpec("tp2_fake_result")), "adversary.kind"),
         (dict(protocol="zhang_baseline", adversary=AdversarySpec("tp2_intercept")), "adversary.kind"),
         (dict(protocol="zhang_baseline", n=3), "`n`"),
+        (dict(protocol="zhang_baseline", check_rounds=-1), "check_rounds"),
         (dict(protocol="zhang_baseline", variant="tp2_relay"), "variant"),
         (dict(protocol="zhang_baseline", announce_r_vectors=True), "announce_r_vectors"),
     ]
@@ -546,11 +548,27 @@ def test_csv_round_trip():
 
 
 def test_run_trial_respects_seed_stream():
-    scenario = small_scenario(trials=1)
+    scenario = small_scenario(trials=2)
     t1 = run_trial(scenario, 0)
     t2 = run_trial(scenario, 0)
     t3 = run_trial(scenario, 1)
     assert t1.to_json() == t2.to_json() != t3.to_json()
+
+
+def test_the_readme_library_example_runs():
+    # README's "Library use" block, run as written, so that it follows the API.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+
+
+def test_run_trial_rejects_a_trial_its_scenario_does_not_have(monkeypatch):
+    scenario = small_scenario(trials=5)
+    assert not run_trial(scenario, 4).aborted
+    monkeypatch.setattr(qpcsim.harness, "_bit_generator", None)  # no trial's stream is made
+    for trial in (-1, 5, 2**70, 1.5, True):
+        with pytest.raises(ValueError, match=r"trial must be an integer in 0\.\.4, got"):
+            run_trial(scenario, trial)
 
 
 def test_broken_pair_law_is_caught_by_correctness_metrics(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from qpcsim import harness
 from qpcsim.cli import EXIT_OK, main
 from qpcsim.ghz import Basis, GhzRegister, GhzSpec
-from qpcsim.harness import AdversarySpec, Scenario, _draw_secrets, run_scenario, run_trial
+from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, run_scenario, run_trial
 from qpcsim.protocol import (
     CAUSE_CONFLICT,
     CAUSE_DECOY,
@@ -28,7 +28,7 @@ from qpcsim.protocol import (
     verdict_for,
     xor_bits,
 )
-from qpcsim.stream import RAW_WORDS, Stream, TrialSeeds
+from qpcsim.stream import RAW_WORDS, Stream
 from qpcsim.suites import _SCENARIOS
 
 
@@ -40,10 +40,6 @@ def make_rng(*key):
     return Stream(np.random.PCG64(seed_sequence(*key)))
 
 
-def random_secrets(n, m, rng):
-    return [rng.bits(m) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Honest runs
 # ---------------------------------------------------------------------------
@@ -52,9 +48,8 @@ def random_secrets(n, m, rng):
 def test_honest_runs_satisfy_result_identity():
     for n in (2, 3, 4):
         for trial in range(60):
-            rng = make_rng(1, n, trial)
-            secrets = random_secrets(n, 8, rng)
-            t = run_proposed(n, 8, secrets, rng=rng)
+            t = run_proposed(Scenario(n=n, m=8), make_rng(1, n, trial))
+            secrets = t.secrets
             assert not t.aborted
             for source in ("TP1", "TP2"):
                 for (i, j), r in t.r_values[source].items():
@@ -67,16 +62,13 @@ def test_honest_runs_satisfy_result_identity():
 
 
 def test_equal_secrets_announce_identical():
-    rng = make_rng(2)
-    secrets = [[1, 0, 1, 1]] * 3
-    t = run_proposed(3, 4, secrets, rng=rng)
+    t = run_proposed(Scenario(n=3, m=4, secrets=SecretsSpec("explicit", [[1, 0, 1, 1]] * 3)), make_rng(2))
     assert all(info["tp1_verdict"] == IDENTICAL for info in t.pair_results.values())
 
 
 def test_check_consumption_accounting():
     for c in (0, 2, 4, 8):
-        rng = make_rng(3, c)
-        t = run_proposed(3, 8, random_secrets(3, 8, rng), check_rounds=c, rng=rng)
+        t = run_proposed(Scenario(n=3, m=8, check_rounds=c), make_rng(3, c))
         assert len(t.checked_positions) == c
         assert len(t.comparison_positions) == 8
         assert not set(t.checked_positions) & set(t.comparison_positions)
@@ -100,21 +92,18 @@ def test_masking_arithmetic_example():
 
 
 def test_keys_match_comparisons_in_transcript():
-    rng = make_rng(4)
-    secrets = random_secrets(3, 6, rng)
-    t = run_proposed(3, 6, secrets, rng=rng)
+    t = run_proposed(Scenario(n=3, m=6), make_rng(4))
     for k in (1, 2, 3):
-        assert t.comps[k] == xor_bits(t.keys[k], secrets[k - 1])
+        assert t.comps[k] == xor_bits(t.keys[k], t.secrets[k - 1])
 
 
 def test_key_bits_are_uniform_over_runs():
     # Fixed secrets; the masked strings should look like one-time-pad output.
-    secrets = [[1, 1], [0, 1]]
+    scenario = Scenario(n=2, m=2, secrets=SecretsSpec("explicit", [[1, 1], [0, 1]]))
     ones = np.zeros(2, dtype=int)
     trials = 3000
     for trial in range(trials):
-        rng = make_rng(5, trial)
-        t = run_proposed(2, 2, secrets, rng=rng)
+        t = run_proposed(scenario, make_rng(5, trial))
         ones += np.array(t.comps[1])
     sigma = 3 * 0.5 / np.sqrt(trials)
     assert np.all(np.abs(ones / trials - 0.5) <= sigma)
@@ -197,14 +186,12 @@ def test_conflict_aborts_and_names_liar_in_run():
 
 def test_honest_runs_never_conflict():
     for trial in range(200):
-        rng = make_rng(7, trial)
-        t = run_proposed(2, 4, random_secrets(2, 4, rng), rng=rng)
+        t = run_proposed(Scenario(n=2, m=4), make_rng(7, trial))
         assert not t.aborted
 
 
 def test_announced_vectors_still_cross_check():
-    rng = make_rng(8)
-    t = run_proposed(2, 4, random_secrets(2, 4, rng), announce_r=True, rng=rng)
+    t = run_proposed(Scenario(n=2, m=4, announce_r_vectors=True), make_rng(8))
     assert not t.aborted
     ann = t.announcements["TP1"][(1, 2)]
     assert ann.r is not None
@@ -217,9 +204,8 @@ def test_announced_vectors_still_cross_check():
 
 def test_zhang_honest_verdict_matches_truth():
     for trial in range(100):
-        rng = make_rng(9, trial)
-        secrets = random_secrets(2, 6, rng)
-        t = run_zhang_baseline(6, secrets, rng=rng)
+        t = run_zhang_baseline(Scenario(protocol="zhang_baseline", n=2, m=6), make_rng(9, trial))
+        secrets = t.secrets
         assert not t.aborted
         truth = IDENTICAL if secrets[0] == secrets[1] else DIFFERENT
         assert t.pair_results[(1, 2)]["tp_verdict"] == truth
@@ -257,13 +243,11 @@ def test_the_baseline_runner_rejects_the_kinds_it_has_no_party_for(adversary):
 
 
 def test_zhang_with_state_check_rounds():
-    rng = make_rng(12)
-    secrets = random_secrets(2, 5, rng)
-    t = run_zhang_baseline(5, secrets, check_rounds=3, rng=rng)
+    t = run_zhang_baseline(Scenario(protocol="zhang_baseline", n=2, m=5, check_rounds=3), make_rng(12))
     assert not t.aborted
     assert len(t.checked_positions) == 3
     assert len(t.comparison_positions) == 5
-    assert t.r_values["TP"][(1, 2)] == xor_bits(secrets[0], secrets[1])
+    assert t.r_values["TP"][(1, 2)] == xor_bits(t.secrets[0], t.secrets[1])
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +256,7 @@ def test_zhang_with_state_check_rounds():
 
 
 def test_transcript_round_trips_through_json():
-    rng = make_rng(13)
-    t = run_proposed(3, 4, random_secrets(3, 4, rng), rng=rng)
+    t = run_proposed(Scenario(n=3, m=4), make_rng(13))
     text = t.to_json()
     doc = json.loads(text)
     assert doc["schema_version"] == 1
@@ -285,8 +268,7 @@ def test_transcript_round_trips_through_json():
 
 
 def test_every_transcript_carries_its_full_event_log(tmp_path):
-    rng = make_rng(14)
-    t = run_proposed(2, 4, random_secrets(2, 4, rng), rng=rng)
+    t = run_proposed(Scenario(n=2, m=4), make_rng(14))
     assert [e["kind"] for e in t.events] == (
         ["prepare"] + ["quantum_send", "decoy_check"] * 2 + ["initial_states", "check_positions", "check_bases"]
         + ["check_measurement"] * 4 + ["check_verdict"] + ["key_measurement", "comparison_submitted"] * 2
@@ -315,34 +297,15 @@ def test_every_transcript_carries_its_full_event_log(tmp_path):
 
 
 def test_same_seed_same_transcript():
-    secrets = [[0, 1, 1, 0], [1, 1, 0, 0]]
-    t1 = run_proposed(2, 4, secrets, rng=make_rng(15))
-    t2 = run_proposed(2, 4, secrets, rng=make_rng(15))
+    scenario = Scenario(n=2, m=4, secrets=SecretsSpec("explicit", [[0, 1, 1, 0], [1, 1, 0, 0]]))
+    t1 = run_proposed(scenario, make_rng(15))
+    t2 = run_proposed(scenario, make_rng(15))
     assert t1.to_json() == t2.to_json()
 
 
 def test_relay_variant_runs_honestly():
-    rng = make_rng(16)
-    t = run_proposed(3, 4, random_secrets(3, 4, rng), variant=VARIANT_TP2_RELAY, rng=rng)
+    t = run_proposed(Scenario(n=3, m=4, variant=VARIANT_TP2_RELAY), make_rng(16))
     assert not t.aborted
-
-
-def test_validation_errors():
-    rng = make_rng(17)
-    with pytest.raises(ValueError):
-        run_proposed(1, 4, [[0] * 4], rng=rng)
-    with pytest.raises(ValueError):
-        run_proposed(2, 0, [[], []], rng=rng)
-    with pytest.raises(ValueError):
-        run_proposed(2, 4, [[0, 1], [1, 1]], rng=rng)  # wrong secret length
-    with pytest.raises(ValueError):
-        run_proposed(2, 4, [[0] * 4] * 3, rng=rng)  # wrong secret count
-    with pytest.raises(ValueError):
-        run_proposed(2, 4, [[0] * 4] * 2, check_rounds=5, rng=rng)
-    with pytest.raises(ValueError):
-        run_proposed(2, 4, [[0] * 4] * 2, variant="bogus", rng=rng)
-    with pytest.raises(ValueError):
-        run_zhang_baseline(4, [[0] * 4] * 2, check_rounds=-1, rng=rng)
 
 
 def test_abort_causes_are_machine_readable():
@@ -407,15 +370,11 @@ class _CountingStream(Stream):
 
 
 def _counted_trial(scenario):
-    """The draws of one trial, its secrets drawn as the harness draws them,
-    and the sizes of the raw generator calls that served them."""
+    """The draws of one trial, its secrets included, and the sizes of the
+    raw generator calls that served them."""
     source = _RawCounter(np.random.PCG64(seed_sequence(80, scenario.n, scenario.check_rounds or 0)))
     rng = _CountingStream(source)
-    secrets = _draw_secrets(scenario, rng)
-    if scenario.protocol == "proposed":
-        t = run_proposed(scenario.n, scenario.m, secrets, rng=rng)
-    else:
-        t = run_zhang_baseline(scenario.m, secrets, check_rounds=scenario.check_rounds, rng=rng)
+    t = (run_proposed if scenario.protocol == "proposed" else run_zhang_baseline)(scenario, rng)
     assert not t.aborted
     return rng.draws, source.sizes
 
@@ -475,9 +434,7 @@ def test_every_honest_battery_trial_makes_one_raw_generator_call(monkeypatch, ke
     random = SimpleNamespace(SeedSequence=np.random.SeedSequence, default_rng=default_rng)
     monkeypatch.setattr(harness, "np", SimpleNamespace(random=random))
     scenario, trials = _SHAPES[key]
-    seeds = TrialSeeds(scenario.seed)
-    for trial in range(trials):
-        harness._honest_trial(scenario, trial, seeds)
+    harness._run_block(scenario, scenario.validate(), 0, trials)
     assert len(made) == trials
     for rng in made:
         assert rng.calls == [] and rng.bit_generator.sizes == [RAW_WORDS]

@@ -521,4 +521,6 @@ def strategy_from_config(kind: str, params: Optional[dict], n: int) -> Adversary
     })
     if isinstance(strategy, ParticipantInfer) and strategy.attacker == strategy.victim:
         raise ConfigError(f"adversary params `attacker` and `victim` must differ, both are {strategy.attacker}")
+    if isinstance(strategy, ClassicalPositionTamper) and strategy.pair is not None and strategy.policy != POLICY_PAIRED:
+        raise ConfigError(f"adversary param `pair` is only allowed with policy `{POLICY_PAIRED}`")
     return strategy

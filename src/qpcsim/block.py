@@ -319,9 +319,9 @@ class _Program:
             self.sums[key] = self.sums.get(key, 0) + int(count)
 
     def counters(self) -> Dict[str, int]:
-        """The counters summed so far, with the keys ``_extract`` leaves: a
-        sum of 0 leaves its key out, but for the attack's own ``counts``, and
-        a victim's legitimate guesses once any are scored."""
+        """The counters summed so far, with the keys the per-trial program
+        leaves: a sum of 0 leaves its key out, but for the attack's own
+        ``counts``, and a victim's legitimate guesses once any are scored."""
         if not self.sums.get("trials"):
             return {}
         kept = set(self.strategy.counts)

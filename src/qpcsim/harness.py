@@ -315,53 +315,6 @@ class TrialStats:
         ]
 
 
-def _extract(t: proto.Transcript, c: Dict[str, int]) -> None:
-    """Count one honest trial's outcomes into the counters ``c``, in place."""
-    roles = proto.PROTOCOLS[t.protocol]
-
-    def bump(key: str, value: int = 1) -> None:
-        c[key] = c.get(key, 0) + value
-
-    def bump_nonzero(key: str, value: int) -> None:
-        # A count that is 0 leaves its key out, as bumping once per item would.
-        if value:
-            c[key] = c.get(key, 0) + value
-
-    bump("trials")
-    if t.aborted:
-        bump("aborted")
-        bump(f"abort_step{t.abort_step}")
-        bump(f"abort_{t.abort_cause}")
-    else:
-        bump("completed")
-        pairs = t.pair_results.values()
-        bump_nonzero("pairs_total", len(pairs))
-        bump_nonzero(
-            "pairs_verdict_correct",
-            sum(
-                info["accepted"] and info[roles.verdict_keys[0]] == info["ground_truth"]
-                for info in pairs
-            ),
-        )
-    if t.step3 is not None:
-        bases = t.step3.bases
-        x_rounds = sum(bases)
-        x_failures = sum(bases[r] for r in t.step3.failures)
-        bump_nonzero("x_check_rounds", x_rounds)
-        bump_nonzero("z_check_rounds", len(bases) - x_rounds)
-        bump_nonzero("x_check_failures", x_failures)
-        bump_nonzero("z_check_failures", len(t.step3.failures) - x_failures)
-    # Exact pairwise identity of the computed result vectors, checked
-    # against the drawn secrets.
-    if not t.aborted and t.r_values:
-        r_values = t.r_values[roles.announcers[0]]
-        bump_nonzero("pairs_r_checked", len(r_values))
-        bump_nonzero(
-            "pairs_r_exact",
-            sum(tuple(r) == proto.xor_bits(t.secrets[i - 1], t.secrets[j - 1]) for (i, j), r in r_values.items()),
-        )
-
-
 def run_trial(scenario: Scenario, trial: int) -> proto.Transcript:
     """Trial number ``trial`` of a scenario, as its transcript, which holds
     the secrets drawn for it: the trial run by the block engine that counts
@@ -396,7 +349,7 @@ def _run_block(scenario: Scenario, strategy: adversaries.AdversaryStrategy, star
         run = proto.run_proposed if scenario.roles.monitored else proto.run_zhang_baseline
         totals: Dict[str, int] = {}
         for trial in range(start, stop):
-            _extract(run(scenario, Stream(_bit_generator(seeds, trial))), totals)
+            _merge(totals, run(scenario, Stream(_bit_generator(seeds, trial))))
         return totals
     return block.decide(scenario, strategy, range(start, stop), partial(_bit_generator, seeds))
 

@@ -18,10 +18,10 @@ Aborts carry a machine-readable cause: ``decoy_mismatch`` (step 2),
 body runs both protocols; the baseline's lone third party announces without
 a cross-check, and it numbers its optional state check 4, its announcement 7.
 
-``run_proposed`` and ``run_zhang_baseline`` run one honest trial of a
-checked ``Scenario``.  Trials with an adversary, and every transcript
-``qpcsim transcript`` writes, are run by the block engine (``block``).  Both
-programs lay a run's ``Transcript`` out through ``record``.
+``run_proposed`` and ``run_zhang_baseline`` count one honest trial of a
+checked ``Scenario``.  Trials with an adversary, and every transcript, are
+run by the block engine (``block``), which lays a run's ``Transcript`` out
+through ``record``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adversaries import DIFFERENT, IDENTICAL, KIND_NONE, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
+from .adversaries import DIFFERENT, IDENTICAL, TP, TP1, TP2, AdversaryStrategy, ClassicalPositionTamper
 from .ghz import Basis, GhzRegister, GhzSpec, ghz_from_index, pair_xor
 from .photons import interleave
 from .stream import Stream
@@ -175,7 +175,6 @@ class Transcript:
         self.keys: Dict[int, Tuple[int, ...]] = {}
         self.comps: Dict[int, Tuple[int, ...]] = {}
         self.announcements: Dict[str, Dict[Tuple[int, int], Announcement]] = {}
-        self.r_values: Dict[str, Dict[Tuple[int, int], Tuple[int, ...]]] = {}
         self.pair_results: Dict[Tuple[int, int], dict] = {}
         self.step3: Optional[Step3Report] = None
         self.decoy_checks: List[dict] = []
@@ -272,7 +271,8 @@ def record(scenario, kind: str, secrets, states: List[object], claimed: List[Ghz
            step3: Optional[Step3Report] = None, checked=(), key_positions=None, keys=None, r=None, verdicts=None,
            arbiter: Optional[str] = None) -> Transcript:
     """The transcript of one run of ``scenario`` under adversary ``kind``,
-    laid out from what each step it reached made, whichever program ran it.
+    laid out from what each step it reached made, as the block engine's
+    ``transcript`` reads it from a one-row run.
 
     Step 1 made the ``secrets``, the true ``states`` and the ``claimed``
     specs; step 2 each tapped link's decoy ``mismatches``; step 3, where the
@@ -308,7 +308,6 @@ def record(scenario, kind: str, secrets, states: List[object], claimed: List[Ghz
         t.keys[k] = key = tuple(key)
         t.comps[k] = xor_bits(key, secret)
     pairs = list(combinations(range(1, n + 1), 2))
-    t.r_values = dict.fromkeys(roles.announcers, dict(zip(pairs, r)))
     vectors = r if scenario.announce_r_vectors else [None] * len(pairs)
     for announcer, announced in zip(roles.announcers, verdicts):  # a lone announcer is both
         t.announcements[announcer] = {pair: Announcement(announcer, pair, verdict, vector)
@@ -430,9 +429,10 @@ def _pads(specs: Sequence[GhzSpec]) -> List[Tuple[int, ...]]:
     return list(zip(*(spec.q for spec in specs)))
 
 
-def run_proposed(scenario, rng: Stream) -> Transcript:
-    """One honest trial of a two-watchdog multiparty ``scenario`` that
-    ``Scenario.validate`` accepted, drawn from ``rng``, the trial's ``Stream``.
+def run_proposed(scenario, rng: Stream) -> Dict[str, int]:
+    """The counters of one honest trial of a two-watchdog multiparty
+    ``scenario`` that ``Scenario.validate`` accepted, drawn from ``rng``, the
+    trial's ``Stream``.
 
     TP1 prepares 2m registers, of which the scenario's check rounds
     (default m) are checked.
@@ -440,9 +440,9 @@ def run_proposed(scenario, rng: Stream) -> Transcript:
     return _run(scenario, rng)
 
 
-def run_zhang_baseline(scenario, rng: Stream) -> Transcript:
-    """One honest trial of a single-third-party two-party baseline
-    ``scenario``, as for ``run_proposed``.
+def run_zhang_baseline(scenario, rng: Stream) -> Dict[str, int]:
+    """The counters of one honest trial of a single-third-party two-party
+    baseline ``scenario``, as for ``run_proposed``.
 
     The single helper prepares Bell pairs drawn from {(|00>+|11>)/sqrt(2),
     (|01>-|10>)/sqrt(2)}, the participants XOR their masked strings together
@@ -458,9 +458,10 @@ def run_zhang_baseline(scenario, rng: Stream) -> Transcript:
     return _run(scenario, rng)
 
 
-def _run(scenario, rng: Stream) -> Transcript:
-    """Steps 1-7 of one honest trial of either protocol, with the sizes,
-    variant and published vectors of ``scenario``."""
+def _run(scenario, rng: Stream) -> Dict[str, int]:
+    """Steps 1-7 of one honest trial of either protocol, with the sizes and
+    secrets of ``scenario``: the trial's counters, as the block engine
+    counts them, but that a count of 0 leaves its key out."""
     roles, n, m = scenario.roles, scenario.n, scenario.m
     c = scenario.effective_check_rounds()
     total = roles.register_count(m, c)
@@ -476,21 +477,34 @@ def _run(scenario, rng: Stream) -> Transcript:
     interleave(total, scenario.effective_decoy_count(), n, rng)
 
     # Step 3: cooperative correctness check of c randomly chosen registers.
-    # Honest registers pass every round; ``record`` would end the run at a
-    # failed one all the same.
+    # Honest registers pass every round; a failed one would end the trial
+    # all the same.
+    counts = {"trials": 1}
     positions = rng.sample(total, c) if c else []
     report = _check_rounds(registers, positions, [states[p] for p in positions], rng) if c else None
-    kept, keys = _measure_keys(registers, positions, m, rng)
-
-    # Steps 5-6: every announcer holds the same claimed states and masked
-    # strings (or the baseline's XOR of them), so each pair's result vector
-    # is computed once and each announcer announces its verdict.  The pad of
-    # pair (i, j) is the XOR of i's and j's pads against P1.  Honest
-    # announcers announce alike, so no pair conflicts at step 7.
-    pads = _pads([states[p] for p in kept])
-    unpadded = [xor_bits(key, secret) for key, secret in zip(keys, secrets)]
-    unpadded[1:] = [tuple(map(xor, pad, comp)) for pad, comp in zip(pads[1:], unpadded[1:])]
-    r = [xor_bits(unpadded[i - 1], unpadded[j - 1]) for i, j in combinations(range(1, n + 1), 2)]
-    verdicts = [verdict_for(v) for v in r]
-    return record(scenario, KIND_NONE, secrets, states, states, {}, report, positions, [kept] * n, keys, r,
-                  (verdicts, verdicts))
+    if report is not None:
+        x_rounds, x_failures = sum(report.bases), sum(report.bases[k] for k in report.failures)
+        counts.update(x_check_rounds=x_rounds, z_check_rounds=c - x_rounds, x_check_failures=x_failures,
+                      z_check_failures=len(report.failures) - x_failures)
+    if report is not None and not report.passed:
+        counts.update({"aborted": 1, f"abort_step{roles.check_step}": 1, f"abort_{CAUSE_STATE_CHECK}": 1})
+    else:
+        kept, keys = _measure_keys(registers, positions, m, rng)
+        # Steps 5-6: every announcer holds the same claimed states and masked
+        # strings (or the baseline's XOR of them), so each pair's result
+        # vector is computed once, and its verdict is "different" where the
+        # vector is nonzero.  The pad of pair (i, j) is the XOR of i's and
+        # j's pads against P1.  Honest announcers announce alike, so step 7
+        # accepts every pair.  A verdict is correct where the vector is
+        # nonzero exactly when the secrets differ, and a vector exact where
+        # it is their XOR.
+        pads = _pads([states[p] for p in kept])
+        unpadded = [xor_bits(key, secret) for key, secret in zip(keys, secrets)]
+        unpadded[1:] = [tuple(map(xor, pad, comp)) for pad, comp in zip(pads[1:], unpadded[1:])]
+        pairs = list(combinations(range(n), 2))
+        r = [xor_bits(unpadded[i], unpadded[j]) for i, j in pairs]
+        truth = [xor_bits(secrets[i], secrets[j]) for i, j in pairs]
+        counts.update(completed=1, pairs_total=len(pairs),
+                      pairs_verdict_correct=sum(any(v) == any(t) for v, t in zip(r, truth)),
+                      pairs_r_checked=len(pairs), pairs_r_exact=sum(v == t for v, t in zip(r, truth)))
+    return {key: value for key, value in counts.items() if value}

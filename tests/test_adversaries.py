@@ -21,8 +21,7 @@ from qpcsim.adversaries import (
 from qpcsim.errors import ConfigError
 from qpcsim.ghz import ghz_from_index
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, _run_block, run_scenario, run_trial
-from qpcsim.protocol import VARIANT_TP2_RELAY, run_proposed
-from qpcsim.stream import Stream
+from qpcsim.protocol import VARIANT_TP2_RELAY
 
 SIGMA3 = lambda p, n: 3 * np.sqrt(p * (1 - p) / n)  # noqa: E731
 
@@ -191,9 +190,9 @@ def test_fake_result_pair_subset():
 
 
 def test_no_adversary_keeps_announcements_honest():
+    scenario = Scenario(n=2, m=4, trials=100, seed=15)
     for trial in range(100):
-        rng = Stream(np.random.PCG64(np.random.SeedSequence(entropy=987005, spawn_key=(15, trial))))
-        t = run_proposed(Scenario(n=2, m=4), rng)
+        t = run_trial(scenario, trial)
         assert not t.aborted
 
 
@@ -292,6 +291,11 @@ def test_strategy_from_config_errors():
         strategy_from_config("classical_position_tamper", {"policy": "sneaky"}, 3)
     with pytest.raises(ConfigError, match="pair"):
         strategy_from_config("classical_position_tamper", {"pair": [{"q": "000", "delta": 0}]}, 3)
+    # A random substitute reads no pair, so a pair given with it is refused.
+    with pytest.raises(ConfigError, match="`pair` is only allowed with policy `paired_specs`"):
+        strategy_from_config("classical_position_tamper",
+                             {"count": 1, "policy": "random", "pair": [{"q": "000", "delta": 0}, {"q": "011", "delta": 0}]},
+                             3)
     with pytest.raises(ConfigError, match="true_state"):
         strategy_from_config("tp1_fake_initial_state", {"true_state": 7}, 3)
     # The default victim is 2.

@@ -2,9 +2,9 @@
 below, its counters are exactly the summed counters that the per-trial
 program, since deleted for attacks, gave it, zero-valued keys included,
 kept as goldens in ``tests/data/golden/engine_counters.json``.  On honest
-shapes it counts and renders every trial as ``protocol``'s per-trial
-program does.  Its one measurement is also held against a ``GhzRegister``
-per row, call by call.
+shapes it counts every trial as ``protocol``'s per-trial program does, and
+leaves the trial's draws where that program leaves them.  Its one
+measurement is also held against a ``GhzRegister`` per row, call by call.
 
 Regenerate the goldens, from the engine, only for a deliberate draw-order
 change; a redrawn case keeps its trial and the output it sets::
@@ -32,7 +32,7 @@ from qpcsim.adversaries import (KIND_EVE, KIND_PARTICIPANT_INFER, KIND_POSITION_
                                 POLICY_RANDOM)
 from qpcsim.errors import ConfigError
 from qpcsim.ghz import HELD, GhzRegister, GhzSpec, ghz_from_index
-from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds, _extract, run_trial
+from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, TrialSeeds
 from qpcsim.stream import FETCH_WORDS, Rows, Stream
 from qpcsim.suites import _SCENARIOS
 from test_golden import _stats_cases
@@ -47,16 +47,18 @@ COVERED = ("eve_l1", "eve_l5", "eve_l10", "eve_l20", "tp1_flip", "tp2_flip", "ba
 
 
 def _per_trial(scenario, trial):
-    """Honest trial ``trial`` of ``scenario``, run by ``protocol``'s per-trial program."""
+    """Honest trial ``trial`` of ``scenario``, run by ``protocol``'s per-trial
+    program: its counters, and its ``Stream`` as the trial left it."""
     run = proto.run_proposed if scenario.roles.monitored else proto.run_zhang_baseline
-    return run(scenario, Stream(harness._bit_generator(TrialSeeds(scenario.seed), trial)))
+    rng = Stream(harness._bit_generator(TrialSeeds(scenario.seed), trial))
+    return run(scenario, rng), rng
 
 
 def _scalar(scenario, trials):
     """The summed counters of honest ``trials``, each run by the per-trial program."""
     totals = {}
     for trial in trials:
-        _extract(_per_trial(scenario, trial), totals)
+        harness._merge(totals, _per_trial(scenario, trial)[0])
     return totals
 
 
@@ -433,11 +435,17 @@ def _honest_scenarios(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(scenario=_honest_scenarios(), start=st.integers(0, 200), length=st.integers(1, 100))
-def test_random_honest_shapes_count_and_render_as_the_per_trial_program(scenario, start, length):
+def test_random_honest_shapes_count_and_draw_as_the_per_trial_program(scenario, start, length):
     trials = range(start, start + length)
     assert _engine(scenario, trials) == _scalar(scenario, trials)
+    # Trial by trial, both programs count alike and leave the trial's draws
+    # at the same output.
     for trial in trials[:4]:
-        assert run_trial(scenario, trial).to_json() == _per_trial(scenario, trial).to_json()
+        counters, rng = _per_trial(scenario, trial)
+        assert counters == _engine(scenario, range(trial, trial + 1))
+        draws = Rows([harness._bit_generator(TrialSeeds(scenario.seed), trial)])
+        block._Program(scenario, scenario.validate()).run(draws)
+        assert draws.bits(4, 32).tolist() == [rng.bits(4, 32)]
 
 
 # ---------------------------------------------------------------------------

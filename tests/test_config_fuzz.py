@@ -26,7 +26,7 @@ _PARAMS = {
     "participant_infer": {"attacker": 1, "victim": 3, "counterfactual": True},
     "classical_position_tamper": {
         "count": 2,
-        "policy": "random",
+        "policy": "paired_specs",
         "pair": [{"q": "000", "delta": 0}, {"q": "011", "delta": 0}],
     },
 }

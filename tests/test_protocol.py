@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qpcsim import harness
+from qpcsim import harness, suites
+from qpcsim import protocol as proto
 from qpcsim.cli import EXIT_OK, main
-from qpcsim.ghz import Basis, GhzRegister, GhzSpec
+from qpcsim.ghz import Basis, GhzRegister, GhzSpec, pair_xor
 from qpcsim.harness import AdversarySpec, Scenario, SecretsSpec, run_scenario, run_trial
 from qpcsim.protocol import (
     CAUSE_CONFLICT,
@@ -40,6 +41,13 @@ def make_rng(*key):
     return Stream(np.random.PCG64(seed_sequence(*key)))
 
 
+def published_r(t, i, j):
+    """Pair (i, j)'s result vector as the public record gives it: both
+    masked strings XOR the pads of the claimed states they were measured from."""
+    pads = tuple(pair_xor(t.claimed_specs[p], i, j) for p in t.comparison_positions)
+    return xor_bits(xor_bits(t.comps[i], t.comps[j]), pads)
+
+
 # ---------------------------------------------------------------------------
 # Honest runs
 # ---------------------------------------------------------------------------
@@ -47,14 +55,13 @@ def make_rng(*key):
 
 def test_honest_runs_satisfy_result_identity():
     for n in (2, 3, 4):
+        scenario = Scenario(n=n, m=8, trials=60, seed=1000 + n)
         for trial in range(60):
-            t = run_proposed(Scenario(n=n, m=8), make_rng(1, n, trial))
+            t = run_trial(scenario, trial)
             secrets = t.secrets
             assert not t.aborted
-            for source in ("TP1", "TP2"):
-                for (i, j), r in t.r_values[source].items():
-                    assert r == xor_bits(secrets[i - 1], secrets[j - 1])
             for (i, j), info in t.pair_results.items():
+                assert published_r(t, i, j) == xor_bits(secrets[i - 1], secrets[j - 1])
                 truth = IDENTICAL if secrets[i - 1] == secrets[j - 1] else DIFFERENT
                 assert info["accepted"]
                 assert info["tp1_verdict"] == truth
@@ -62,13 +69,13 @@ def test_honest_runs_satisfy_result_identity():
 
 
 def test_equal_secrets_announce_identical():
-    t = run_proposed(Scenario(n=3, m=4, secrets=SecretsSpec("explicit", [[1, 0, 1, 1]] * 3)), make_rng(2))
+    t = run_trial(Scenario(n=3, m=4, seed=2, secrets=SecretsSpec("explicit", [[1, 0, 1, 1]] * 3)), 0)
     assert all(info["tp1_verdict"] == IDENTICAL for info in t.pair_results.values())
 
 
 def test_check_consumption_accounting():
     for c in (0, 2, 4, 8):
-        t = run_proposed(Scenario(n=3, m=8, check_rounds=c), make_rng(3, c))
+        t = run_trial(Scenario(n=3, m=8, check_rounds=c, seed=3), c)
         assert len(t.checked_positions) == c
         assert len(t.comparison_positions) == 8
         assert not set(t.checked_positions) & set(t.comparison_positions)
@@ -92,21 +99,50 @@ def test_masking_arithmetic_example():
 
 
 def test_keys_match_comparisons_in_transcript():
-    t = run_proposed(Scenario(n=3, m=6), make_rng(4))
+    t = run_trial(Scenario(n=3, m=6, seed=4), 0)
     for k in (1, 2, 3):
         assert t.comps[k] == xor_bits(t.keys[k], t.secrets[k - 1])
 
 
 def test_key_bits_are_uniform_over_runs():
     # Fixed secrets; the masked strings should look like one-time-pad output.
-    scenario = Scenario(n=2, m=2, secrets=SecretsSpec("explicit", [[1, 1], [0, 1]]))
-    ones = np.zeros(2, dtype=int)
     trials = 3000
+    scenario = Scenario(n=2, m=2, trials=trials, seed=5, secrets=SecretsSpec("explicit", [[1, 1], [0, 1]]))
+    ones = np.zeros(2, dtype=int)
     for trial in range(trials):
-        t = run_proposed(scenario, make_rng(5, trial))
+        t = run_trial(scenario, trial)
         ones += np.array(t.comps[1])
     sigma = 3 * 0.5 / np.sqrt(trials)
     assert np.all(np.abs(ones / trials - 0.5) <= sigma)
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(n=3, m=4, trials=20, seed=17),
+    Scenario(protocol="zhang_baseline", n=2, m=4, check_rounds=2, trials=20, seed=17),
+], ids=["proposed", "baseline"])
+def test_a_failed_state_check_ends_an_honest_trial_at_its_check(monkeypatch, scenario):
+    # Honest registers pass every check round, so the per-trial program's
+    # abort is reached only through a check made to fail one round of the
+    # first trial.
+    check, calls = proto.step3_check, []
+
+    def fail_first(claimed, bases, outcomes):
+        calls.append(None)
+        report = check(claimed, bases, outcomes)
+        return report._replace(passed=False, failures=(0,)) if len(calls) == 1 else report
+
+    monkeypatch.setattr(proto, "step3_check", fail_first)
+    counters = harness._run_block(scenario, scenario.validate(), 0, 1)
+    rounds = counters.pop("x_check_rounds", 0) + counters.pop("z_check_rounds", 0)
+    failures = counters.pop("x_check_failures", 0) + counters.pop("z_check_failures", 0)
+    assert (rounds, failures) == (scenario.effective_check_rounds(), 1)
+    step = scenario.roles.check_step
+    assert counters == {"trials": 1, "aborted": 1, f"abort_step{step}": 1, "abort_state_check_failed": 1}
+    # Over a run, that one abort is enough for criterion 1 to read 0.
+    calls.clear()
+    stats = run_scenario(scenario)
+    assert stats.counters["aborted"] == 1 and stats.counters["completed"] == scenario.trials - 1
+    assert suites._honest(stats) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +221,14 @@ def test_conflict_aborts_and_names_liar_in_run():
 
 
 def test_honest_runs_never_conflict():
+    scenario = Scenario(n=2, m=4, trials=200, seed=7)
     for trial in range(200):
-        t = run_proposed(Scenario(n=2, m=4), make_rng(7, trial))
+        t = run_trial(scenario, trial)
         assert not t.aborted
 
 
 def test_announced_vectors_still_cross_check():
-    t = run_proposed(Scenario(n=2, m=4, announce_r_vectors=True), make_rng(8))
+    t = run_trial(Scenario(n=2, m=4, announce_r_vectors=True, seed=8), 0)
     assert not t.aborted
     ann = t.announcements["TP1"][(1, 2)]
     assert ann.r is not None
@@ -203,14 +240,14 @@ def test_announced_vectors_still_cross_check():
 
 
 def test_zhang_honest_verdict_matches_truth():
+    scenario = Scenario(protocol="zhang_baseline", n=2, m=6, trials=100, seed=9)
     for trial in range(100):
-        t = run_zhang_baseline(Scenario(protocol="zhang_baseline", n=2, m=6), make_rng(9, trial))
+        t = run_trial(scenario, trial)
         secrets = t.secrets
         assert not t.aborted
         truth = IDENTICAL if secrets[0] == secrets[1] else DIFFERENT
         assert t.pair_results[(1, 2)]["tp_verdict"] == truth
-        r = t.r_values["TP"][(1, 2)]
-        assert r == xor_bits(secrets[0], secrets[1])
+        assert published_r(t, 1, 2) == xor_bits(secrets[0], secrets[1])
 
 
 def test_zhang_anticorrelated_bell_state():
@@ -243,11 +280,11 @@ def test_the_baseline_runner_rejects_the_kinds_it_has_no_party_for(adversary):
 
 
 def test_zhang_with_state_check_rounds():
-    t = run_zhang_baseline(Scenario(protocol="zhang_baseline", n=2, m=5, check_rounds=3), make_rng(12))
+    t = run_trial(Scenario(protocol="zhang_baseline", n=2, m=5, check_rounds=3, seed=12), 0)
     assert not t.aborted
     assert len(t.checked_positions) == 3
     assert len(t.comparison_positions) == 5
-    assert t.r_values["TP"][(1, 2)] == xor_bits(t.secrets[0], t.secrets[1])
+    assert published_r(t, 1, 2) == xor_bits(t.secrets[0], t.secrets[1])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +293,7 @@ def test_zhang_with_state_check_rounds():
 
 
 def test_transcript_round_trips_through_json():
-    t = run_proposed(Scenario(n=3, m=4), make_rng(13))
+    t = run_trial(Scenario(n=3, m=4, seed=13), 0)
     text = t.to_json()
     doc = json.loads(text)
     assert doc["schema_version"] == 1
@@ -268,7 +305,7 @@ def test_transcript_round_trips_through_json():
 
 
 def test_every_transcript_carries_its_full_event_log(tmp_path):
-    t = run_proposed(Scenario(n=2, m=4), make_rng(14))
+    t = run_trial(Scenario(n=2, m=4, seed=14), 0)
     assert [e["kind"] for e in t.events] == (
         ["prepare"] + ["quantum_send", "decoy_check"] * 2 + ["initial_states", "check_positions", "check_bases"]
         + ["check_measurement"] * 4 + ["check_verdict"] + ["key_measurement", "comparison_submitted"] * 2
@@ -297,14 +334,14 @@ def test_every_transcript_carries_its_full_event_log(tmp_path):
 
 
 def test_same_seed_same_transcript():
-    scenario = Scenario(n=2, m=4, secrets=SecretsSpec("explicit", [[0, 1, 1, 0], [1, 1, 0, 0]]))
-    t1 = run_proposed(scenario, make_rng(15))
-    t2 = run_proposed(scenario, make_rng(15))
+    scenario = Scenario(n=2, m=4, seed=15, secrets=SecretsSpec("explicit", [[0, 1, 1, 0], [1, 1, 0, 0]]))
+    t1 = run_trial(scenario, 0)
+    t2 = run_trial(scenario, 0)
     assert t1.to_json() == t2.to_json()
 
 
 def test_relay_variant_runs_honestly():
-    t = run_proposed(Scenario(n=3, m=4, variant=VARIANT_TP2_RELAY), make_rng(16))
+    t = run_trial(Scenario(n=3, m=4, variant=VARIANT_TP2_RELAY, seed=16), 0)
     assert not t.aborted
 
 
@@ -374,8 +411,8 @@ def _counted_trial(scenario):
     raw generator calls that served them."""
     source = _RawCounter(np.random.PCG64(seed_sequence(80, scenario.n, scenario.check_rounds or 0)))
     rng = _CountingStream(source)
-    t = (run_proposed if scenario.protocol == "proposed" else run_zhang_baseline)(scenario, rng)
-    assert not t.aborted
+    counters = (run_proposed if scenario.protocol == "proposed" else run_zhang_baseline)(scenario, rng)
+    assert counters["completed"] == 1
     return rng.draws, source.sizes
 
 

@@ -211,12 +211,10 @@ class _Row:
 
 def _honest(stats: TrialStats) -> float:
     """1 only if every result vector is exact, every verdict right and no run aborted."""
-    aborted = stats.counters.get("aborted", 0)
-    return min(
-        stats.row("r_exact_rate").estimate,
-        stats.row("verdict_correct_rate").estimate,
-        1.0 if aborted == 0 else 0.0,
-    )
+    # A run every trial of which aborts has no result vector or verdict to rate.
+    if stats.counters.get("aborted", 0):
+        return 0.0
+    return min(stats.row("r_exact_rate").estimate, stats.row("verdict_correct_rate").estimate)
 
 
 def _relay_unharmed(stats: TrialStats) -> float:

@@ -143,6 +143,10 @@ def test_a_failed_state_check_ends_an_honest_trial_at_its_check(monkeypatch, sce
     stats = run_scenario(scenario)
     assert stats.counters["aborted"] == 1 and stats.counters["completed"] == scenario.trials - 1
     assert suites._honest(stats) == 0.0
+    # So does a run every trial of which aborts, with no pair to rate.
+    monkeypatch.setattr(proto, "step3_check", lambda *args: check(*args)._replace(passed=False, failures=(0,)))
+    stats = run_scenario(scenario)
+    assert stats.counters["aborted"] == scenario.trials and suites._honest(stats) == 0.0
 
 
 # ---------------------------------------------------------------------------
